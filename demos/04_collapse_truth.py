@@ -14,7 +14,7 @@ from forcelab import (EMPTY, FiniteStructure, build_collapse, corpus,
                       eval_name, eps_dot, formula_to_sexp, forcing_truth,
                       generic_filters, invariance_check, n_dot, tarski_truth,
                       v_stage)
-from forcelab.truth import _instances
+from forcelab.truth import instances
 
 stage = v_stage(2)
 A = [EMPTY]
@@ -32,7 +32,7 @@ direct = tarski_truth(FiniteStructure(stage, {"A": A}), pool)
 
 agreements = 0
 for phi in derived.pool:
-    for v in _instances(FiniteStructure(stage), phi):
+    for v in instances(FiniteStructure(stage), phi):
         assert derived.holds(phi, v) == direct.holds(phi, v)
         agreements += 1
 print(f"\nforcing-derived truth equals direct truth on {agreements} instances")

@@ -42,11 +42,11 @@ print(f"\ncomparison structure: {len(comparison.domain)} sets "
       "(the stage plus every code the translations must pin down)")
 derived = DerivedIteratedTruth(comparison, pool, BETA)
 direct = iterated_truth(comparison, BETA, pool)
-from forcelab.truth import _instances
+from forcelab.truth import instances
 agreements = 0
 for beta in range(BETA):
     for phi in pool:
-        for v in _instances(base, phi):
+        for v in instances(base, phi):
             assert derived.holds(beta, phi, v) == direct.holds(beta, phi, v)
             agreements += 1
 print(f"evaluated translations match the staged recursion on {agreements} instances")

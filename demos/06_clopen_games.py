@@ -13,8 +13,7 @@ from forcelab import (FiniteStructure, atom_eq, atom_in, continuous_rank,
                       eval_formula, extract_verdicts, formula_to_sexp, not_,
                       random_game_tree, truth_telling_game, v_stage, var,
                       verify_strategy, zermelo_solve)
-from forcelab.games import _pool_instances
-from forcelab.truth import _val_key
+from forcelab.truth import instances, valuation_key
 
 rng = random.Random(9)
 tree = random_game_tree(rng, 60)
@@ -42,11 +41,11 @@ for clock in (1, 2, 3):
 
 game = truth_telling_game(M, pool, 3)
 solved = zermelo_solve(game)
-instances = _pool_instances(M, pool)
-verdicts = extract_verdicts(game, solved.strategy_II, instances)
+pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
+verdicts = extract_verdicts(game, solved.strategy_II, pool_instances)
 print("\nverdicts the winning truth-teller commits to (clock 3):")
-for phi, v in instances[:6]:
-    verdict = verdicts[(phi, _val_key(phi, v))]
+for phi, v in pool_instances[:6]:
+    verdict = verdicts[(phi, valuation_key(phi, v))]
     truth = eval_formula(M, phi, v)
     binding = ", ".join(f"{k}={val}" for k, val in sorted(v.items()))
     print(f"  {formula_to_sexp(phi):28s} [{binding}] → {verdict} (truth: {truth})")

@@ -16,25 +16,25 @@ from .poset import (CollapseNotion, Filter, ForcingNotion, build_collapse,
 from .names import (ClassName, EMPTY_NAME, PName, a_dot, check_name, eps_dot,
                     eval_class, eval_name, g_dot, n_dot, name_make,
                     name_to_hf, name_to_sexp, name_universe, op_name,
-                    parse_name, subname_closure, subnames, vec_name)
+                    parse_name, subname_closure, subnames)
 from .formulas import (Formula, Term, Var, GroundConst, NameConst, PairTerm,
                        AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr, Not, And,
                        Or, Forall, Exists, and_, atom_eq, atom_in,
-                       atom_in_class, atom_in_g, atom_tr, const,
+                       atom_in_class, atom_in_g, atom_tr, canonical_pool, const,
                        decode_formula, decode_valuation, encode_formula,
-                       encode_valuation, exists, forall, formula_rank,
-                       formula_to_sexp, free_variables, iff, implies,
-                       name_const, not_, or_, parse_formula, parse_hf,
-                       subformula_closure, subformulas, substitute,
-                       theta_formula, var)
+                       encode_valuation, exists, fold, forall, formula_to_sexp,
+                       iff, implies, map_formula, name_const, nodes, not_, or_,
+                       parse_formula, parse_hf, subformula_closure,
+                       subformulas, substitute, theta_formula, var)
 from .etr import (PartialSolution, RecursionInstance, Solution, etr_solve,
                   perturb, verify_solution)
 from .truth import (DerivedIteratedTruth, FiniteStructure, ForcingTruth,
                     IteratedTruthPredicate, StageTranslator, TruthPredicate,
-                    eval_formula, forcing_truth, formula_step,
-                    invariance_check, iterated_translate, iterated_truth,
+                    eval_formula, forcing_truth, formula_step, instances,
+                    invariance_check, iterated_truth,
                     iterated_truth_instance, stage_comparison_structure,
-                    star8_translate, tarski_truth, tarski_truth_instance)
+                    star8_translate, tarski_truth, tarski_truth_instance,
+                    valuation_key)
 from .forcing import (AtomicStatement, AuditReport, BooleanAlgebra,
                       BooleanCompletion, BooleanValues, ForcingRelation,
                       GenericExtension, TruthName, atomic_forcing,

@@ -24,14 +24,14 @@ from .forcing import (atomic_forcing, atomic_recursion_instance,
                       forces, star_translate,
                       truth_lemma_check, truth_name)
 from .games import (extract_verdicts, random_game_tree, truth_telling_game,
-                    verify_strategy, zermelo_solve, _pool_instances)
+                    verify_strategy, zermelo_solve)
 from .hfset import EMPTY, v_stage
 from .names import name_universe
 from .poset import ForcingNotion, is_separative, parse_poset
-from .truth import (DerivedIteratedTruth, FiniteStructure, _instances,
-                    eval_formula, forcing_truth, invariance_check,
+from .truth import (DerivedIteratedTruth, FiniteStructure, eval_formula,
+                    forcing_truth, instances, invariance_check,
                     iterated_truth, iterated_truth_instance,
-                    stage_comparison_structure, tarski_truth)
+                    stage_comparison_structure, tarski_truth, valuation_key)
 from .etr import etr_solve, verify_solution
 from . import sexpr
 
@@ -190,7 +190,7 @@ def suite_truth(config, rep: Reporter):
 
     def agree():
         for phi in ft.pool:
-            for v in _instances(M, phi):
+            for v in instances(M, phi):
                 if ft.holds(phi, v) != tp.holds(phi, v):
                     return False, (formula_to_sexp(phi), sorted(v.items()))
         return True, None
@@ -217,7 +217,7 @@ def suite_iterated(config, rep: Reporter):
         for beta in range(beta_max):
             for alpha in range(beta_max):
                 for psi in pool:
-                    for av in _instances(base, psi):
+                    for av in instances(base, psi):
                         v = {xv: nat_encode(alpha), yv: encode_formula(psi),
                              zv: encode_valuation(av)}
                         got = it._query(beta, tr_atoms[0], v)
@@ -256,7 +256,7 @@ def suite_iterated(config, rep: Reporter):
     def dual_path():
         for beta in range(beta_max):
             for phi in pool:
-                for v in _instances(base, phi):
+                for v in instances(base, phi):
                     if derived.holds(beta, phi, v) != itD.holds(beta, phi, v):
                         return False, (beta, formula_to_sexp(phi))
         return True, None
@@ -300,12 +300,11 @@ def suite_game(config, rep: Reporter):
             ok, line = verify_strategy(T, res.strategy_II, "II")
             if not ok:
                 return False, ("strategy", clock)
-            instances = _pool_instances(M, pool)
-            verdicts = extract_verdicts(T, res.strategy_II, instances)
-            from .truth import _val_key
-            for phi, v in instances:
+            pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
+            verdicts = extract_verdicts(T, res.strategy_II, pool_instances)
+            for phi, v in pool_instances:
                 if phi.rank <= clock - 1:
-                    if verdicts[(phi, _val_key(phi, v))] != eval_formula(M, phi, v):
+                    if verdicts[(phi, valuation_key(phi, v))] != eval_formula(M, phi, v):
                         return False, ("verdict", clock, formula_to_sexp(phi))
         return True, None
 
@@ -378,10 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--count", type=int, default=50)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--timings", action="store_true")
-        p.add_argument("--budget-names", type=int, default=20000)
-        p.add_argument("--budget-conditions", type=int, default=5000)
-        p.add_argument("--budget-nodes", type=int, default=300000)
-        p.add_argument("--budget-steps", type=int, default=10_000_000)
         p.add_argument("--out", help="write the JSON report here (default stdout)")
     return parser
 

@@ -26,9 +26,9 @@ from .errors import (BudgetError, ClosureError, ForcelabError,
 from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        Exists, Forall, Formula, NameConst, Not,
                        Or, PairTerm, Term, Var, and_, atom_eq, atom_in,
-                       atom_in_class, atom_in_g, const, encode_formula,
-                       exists, forall, formula_to_sexp, implies, name_const,
-                       not_, or_, substitute)
+                       atom_in_class, atom_in_g, canonical_pool, const,
+                       encode_formula, implies, map_atom, map_formula,
+                       name_const, nodes, not_, or_, substitute, terms)
 from .hfset import EMPTY, HFSet, hf_make, nat_decode, nat_encode, hf_pair
 from .names import (EMPTY_NAME, ClassName, PName, check_name, eval_class,
                     eval_name, g_dot, is_subname_closed, name_make,
@@ -141,12 +141,6 @@ class ForcingRelation:
                     for kind in ("in", "sub", "eq"):
                         self.decide(kind, p, sigma, tau)
 
-    def table(self) -> dict:
-        """The materialized entries over the universe, as (kind, p, σ, τ) → bool."""
-        self.materialize()
-        return {(k, p, s, t): v for (k, p, s, t), v in self._atomic.items()
-                if s in set(self.universe) and t in set(self.universe)}
-
     def forces_atomic(self, p: int, stmt: AtomicStatement) -> bool:
         if stmt.kind == "in_class":
             return self._forces_class_atom(p, stmt.left, stmt.class_name)
@@ -171,36 +165,8 @@ def atomic_forcing(P: ForcingNotion, universe: Sequence[PName],
 # The composite clauses.
 
 def collect_names(phi: Formula) -> set[PName]:
-    out: set[PName] = set()
-
-    def walk_term(t: Term):
-        if isinstance(t, NameConst):
-            out.add(t.name)
-        elif isinstance(t, PairTerm):
-            walk_term(t.left)
-            walk_term(t.right)
-
-    def walk(f: Formula):
-        if isinstance(f, (AtomEq, AtomIn)):
-            walk_term(f.left)
-            walk_term(f.right)
-        elif isinstance(f, AtomInClass):
-            walk_term(f.term)
-        elif isinstance(f, AtomInG):
-            walk_term(f.term)
-        elif isinstance(f, AtomTr):
-            for t in (f.stage, f.code, f.valuation):
-                walk_term(t)
-        elif isinstance(f, Not):
-            walk(f.sub)
-        elif isinstance(f, (And, Or)):
-            for s in f.subs:
-                walk(s)
-        elif isinstance(f, (Forall, Exists)):
-            walk(f.body)
-
-    walk(phi)
-    return out
+    """The names the formula mentions."""
+    return {t.name for t in terms(phi) if isinstance(t, NameConst)}
 
 
 def _term_pname(t: Term) -> PName:
@@ -417,19 +383,11 @@ def star_translate(phi: Formula, P: ForcingNotion,
     if "ground" in phi.const_kinds:
         raise ForcelabError("translation expects the forcing language")
     guard = _SizeGuard(budget)
-
-    def no_quantifiers(f: Formula):
+    for f in nodes(phi):
         if isinstance(f, (Forall, Exists)):
             raise ForcelabError("translation is for quantifier-free sentences")
         if isinstance(f, (AtomInClass, AtomTr)):
             raise ForcelabError("translation covers =, ∈ and generic-filter atoms only")
-        if isinstance(f, Not):
-            no_quantifiers(f.sub)
-        if isinstance(f, (And, Or)):
-            for s in f.subs:
-                no_quantifiers(s)
-
-    no_quantifiers(phi)
     step1 = _eliminate_g(phi, P)
     step2 = _nnf(step1, True)
     step3 = _positive(step2, guard)
@@ -441,20 +399,17 @@ def _g_atom(i: int) -> Formula:
 
 
 def _eliminate_g(phi: Formula, P: ForcingNotion) -> Formula:
-    if isinstance(phi, AtomInG):
-        sigma = _term_pname(phi.term)
+    def atom_fn(atom: Formula, _bound) -> Formula:
+        if not isinstance(atom, AtomInG):
+            return atom
+        sigma = _term_pname(atom.term)
         if _condition_index(sigma, P) is not None:
-            return phi
+            return atom
         return or_(and_([_g_atom(i), atom_eq(name_const(sigma),
                                              name_const(check_name(nat_encode(i))))])
                    for i in P.conditions())
-    if isinstance(phi, Not):
-        return not_(_eliminate_g(phi.sub, P))
-    if isinstance(phi, And):
-        return and_(_eliminate_g(s, P) for s in phi.subs)
-    if isinstance(phi, Or):
-        return or_(_eliminate_g(s, P) for s in phi.subs)
-    return phi
+
+    return map_formula(phi, atom_fn)
 
 
 def _nnf(phi: Formula, positive: bool) -> Formula:
@@ -842,28 +797,14 @@ def ground_formula(phi: Formula, ext: GenericExtension) -> Formula:
             raise ForcelabError("unfilled pair slot in a closed formula")
         return t
 
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, AtomEq):
-            return atom_eq(term(f.left), term(f.right))
-        if isinstance(f, AtomIn):
-            return atom_in(term(f.left), term(f.right))
-        if isinstance(f, AtomInClass):
-            return atom_in_class(term(f.term), f.ident)
-        if isinstance(f, AtomInG):
-            return atom_in_class(term(f.term), "G")
-        if isinstance(f, Not):
-            return not_(walk(f.sub))
-        if isinstance(f, And):
-            return and_(walk(s) for s in f.subs)
-        if isinstance(f, Or):
-            return or_(walk(s) for s in f.subs)
-        if isinstance(f, Forall):
-            return forall(f.vars, walk(f.body))
-        if isinstance(f, Exists):
-            return exists(f.vars, walk(f.body))
-        raise ForcelabError(f"cannot ground {type(f).__name__}")
+    def atom_fn(atom: Formula, _bound) -> Formula:
+        if isinstance(atom, AtomInG):
+            return atom_in_class(term(atom.term), "G")
+        if isinstance(atom, AtomTr):
+            raise ForcelabError("cannot ground AtomTr")
+        return map_atom(atom, term)
 
-    return walk(phi)
+    return map_formula(phi, atom_fn)
 
 
 def truth_lemma_check(FR: ForcingRelation, phis: Formula | Iterable[Formula],
@@ -909,13 +850,11 @@ def truth_name(FR: ForcingRelation, pool: Sequence[Formula]) -> TruthName:
     """The class name collecting ⟨coded sentence, condition⟩ pairs that are
     forced, verified to name a truth predicate for the pool in every
     generic extension, with the derived relation agreeing with forcing."""
-    from .formulas import subformulas
-
-    pool = tuple(sorted(set(pool), key=lambda f: (f.rank, formula_to_sexp(f))))
+    pool = canonical_pool(pool)
     for phi in pool:
         if phi.free:
             raise ForcelabError("truth-name pools contain closed formulas")
-    closed_subs = {s for phi in pool for s in subformulas(phi) if not s.free}
+    closed_subs = {s for phi in pool for s in nodes(phi) if not s.free}
     if closed_subs - set(pool):
         raise ClosureError("truth-name pool must contain every closed subformula")
 

@@ -12,7 +12,7 @@ constants (forcing language, over a notion).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 from . import sexpr
 from .errors import EncodingError, ForcelabError, ParseError
@@ -22,6 +22,8 @@ from .names import PName, name_make, name_to_hf, op_name, parse_name
 from .poset import ForcingNotion
 
 _intern: dict[tuple, object] = {}
+
+T = TypeVar("T")
 
 
 def _mk(cls, *fields):
@@ -123,6 +125,10 @@ class Formula:
     def __repr__(self) -> str:
         return formula_to_sexp(self)
 
+    def children(self) -> tuple["Formula", ...]:
+        """The immediate subformulas; atoms have none."""
+        return ()
+
 
 class AtomEq(Formula):
     __slots__ = ("left", "right")
@@ -181,6 +187,9 @@ class Not(Formula):
         self.sub = sub
         self._finish(1 + sub.rank, sub.free, sub.const_kinds)
 
+    def children(self) -> tuple[Formula, ...]:
+        return (self.sub,)
+
 
 class And(Formula):
     __slots__ = ("subs",)
@@ -190,6 +199,9 @@ class And(Formula):
         self._finish(1 + max((s.rank for s in subs), default=0),
                      frozenset().union(*(s.free for s in subs)),
                      frozenset().union(*(s.const_kinds for s in subs)))
+
+    def children(self) -> tuple[Formula, ...]:
+        return self.subs
 
 
 class Or(Formula):
@@ -201,6 +213,9 @@ class Or(Formula):
                      frozenset().union(*(s.free for s in subs)),
                      frozenset().union(*(s.const_kinds for s in subs)))
 
+    def children(self) -> tuple[Formula, ...]:
+        return self.subs
+
 
 class Forall(Formula):
     __slots__ = ("vars", "body")
@@ -210,6 +225,9 @@ class Forall(Formula):
         self.body = body
         self._finish(1 + body.rank, body.free - set(vars), body.const_kinds)
 
+    def children(self) -> tuple[Formula, ...]:
+        return (self.body,)
+
 
 class Exists(Formula):
     __slots__ = ("vars", "body")
@@ -218,6 +236,9 @@ class Exists(Formula):
         self.vars = vars
         self.body = body
         self._finish(1 + body.rank, body.free - set(vars), body.const_kinds)
+
+    def children(self) -> tuple[Formula, ...]:
+        return (self.body,)
 
 
 def atom_eq(left: Term, right: Term) -> Formula:
@@ -268,43 +289,127 @@ def implies(a: Formula, b: Formula) -> Formula:
     return not_(and_([a, not_(b)]))
 
 
-def formula_rank(phi: Formula) -> int:
-    return phi.rank
+# ---------------------------------------------------------------------------
+# Traversal.  Formulas are hash-consed DAGs whose tree expansions can be far
+# larger than the DAG (a stage translation of a truth atom has a few thousand
+# distinct nodes and billions of tree nodes), so every walk here visits each
+# distinct node once.
+
+def nodes(phi: Formula, skip: Container[Formula] = ()) -> Iterator[Formula]:
+    """Each distinct node of phi once, children before parents.  Nodes in
+    `skip` are neither yielded nor entered."""
+    seen: set[Formula] = set()
+    stack: list[tuple[Formula, bool]] = [(phi, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+        elif node not in seen and node not in skip:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children()))
 
 
-def free_variables(phi: Formula) -> frozenset[str]:
-    return phi.free
+def fold(phi: Formula, combine: Callable[[Formula, tuple], T],
+         memo: dict[Formula, T] | None = None) -> T:
+    """combine(node, results for its children), bottom-up, once per distinct
+    node.  Results are kept in `memo`; pass one to share them across calls."""
+    memo = {} if memo is None else memo
+    for node in nodes(phi, memo):
+        memo[node] = combine(node, tuple(memo[c] for c in node.children()))
+    return memo[phi]
+
+
+def _rebuild(phi: Formula, kids: Sequence[Formula]) -> Formula:
+    if isinstance(phi, Not):
+        return not_(kids[0])
+    if isinstance(phi, (Forall, Exists)):
+        return _mk(type(phi), phi.vars, kids[0])
+    return _mk(type(phi), tuple(kids))
+
+
+def map_formula(phi: Formula, atom_fn: Callable[[Formula, frozenset[str]], Formula],
+                watch: frozenset[str] = frozenset()) -> Formula:
+    """Rebuild phi with every atom replaced by atom_fn(atom, bound), where
+    `bound` holds the variables of `watch` that quantifiers above that
+    occurrence bind.  Each distinct (node, bound) pair is rebuilt once."""
+    memo: dict[tuple[Formula, frozenset[str]], Formula] = {}
+
+    def walk(f: Formula, bound: frozenset[str]) -> Formula:
+        key = (f, bound)
+        got = memo.get(key)
+        if got is None:
+            if f.rank == 0:
+                got = atom_fn(f, bound)
+            else:
+                inner = bound
+                if isinstance(f, (Forall, Exists)):
+                    inner = bound | watch.intersection(f.vars)
+                got = _rebuild(f, [walk(c, inner) for c in f.children()])
+            memo[key] = got
+        return got
+
+    return walk(phi, frozenset())
+
+
+def atom_terms(atom: Formula) -> tuple[Term, ...]:
+    """The argument terms of an atom, in order."""
+    if isinstance(atom, (AtomEq, AtomIn)):
+        return (atom.left, atom.right)
+    if isinstance(atom, AtomTr):
+        return (atom.stage, atom.code, atom.valuation)
+    return (atom.term,)
+
+
+def map_atom(atom: Formula, term_fn: Callable[[Term], Term]) -> Formula:
+    """The atom with term_fn applied to each argument term."""
+    new = [term_fn(t) for t in atom_terms(atom)]
+    if isinstance(atom, AtomInClass):
+        return atom_in_class(new[0], atom.ident)
+    return _mk(type(atom), *new)
+
+
+def terms(phi: Formula) -> set[Term]:
+    """Every term occurring in phi, including the parts of pair terms."""
+    out: set[Term] = set()
+    stack = [t for node in nodes(phi) if node.rank == 0 for t in atom_terms(node)]
+    while stack:
+        t = stack.pop()
+        if t not in out:
+            out.add(t)
+            if isinstance(t, PairTerm):
+                stack += (t.left, t.right)
+    return out
+
+
+def _variables(node: Formula, kids: tuple[frozenset[str], ...]) -> frozenset[str]:
+    bound = node.vars if isinstance(node, (Forall, Exists)) else ()
+    return node.free.union(bound, *kids)
+
+
+def variables(phi: Formula, memo: dict | None = None) -> frozenset[str]:
+    """Every variable occurring in phi, free or bound."""
+    return fold(phi, _variables, memo)
 
 
 def subformulas(phi: Formula) -> set[Formula]:
-    out = {phi}
-    if isinstance(phi, Not):
-        out |= subformulas(phi.sub)
-    elif isinstance(phi, (And, Or)):
-        for s in phi.subs:
-            out |= subformulas(s)
-    elif isinstance(phi, (Forall, Exists)):
-        out |= subformulas(phi.body)
-    return out
+    return set(nodes(phi))
+
+
+def canonical_pool(pool: Iterable[Formula]) -> tuple[Formula, ...]:
+    """The distinct formulas of a pool in the fixed order: rank, then text."""
+    return tuple(sorted(set(pool), key=lambda f: (f.rank, formula_to_sexp(f))))
 
 
 def subformula_closure(pool: Iterable[Formula]) -> tuple[Formula, ...]:
     out: set[Formula] = set()
     for phi in pool:
-        out |= subformulas(phi)
-    return tuple(sorted(out, key=lambda f: (f.rank, formula_to_sexp(f))))
+        out.update(nodes(phi, out))
+    return canonical_pool(out)
 
 
 # ---------------------------------------------------------------------------
 # Substitution.
-
-def substitute(phi: Formula, bindings: dict[str, Term]) -> Formula:
-    """Simultaneous substitution of closed terms for free variables."""
-    for v, t in bindings.items():
-        if term_vars(t):
-            raise ForcelabError(f"substituted term for {v} must be closed")
-    return _subst(phi, bindings, {})
-
 
 def _subst_term(t: Term, bindings: dict[str, Term]) -> Term:
     if isinstance(t, Var):
@@ -314,37 +419,30 @@ def _subst_term(t: Term, bindings: dict[str, Term]) -> Term:
     return t
 
 
-def _subst(phi: Formula, bindings: dict[str, Term], memo: dict) -> Formula:
-    got = memo.get(phi)
-    if got is not None:
-        return got
-    if isinstance(phi, AtomEq):
-        out = atom_eq(_subst_term(phi.left, bindings), _subst_term(phi.right, bindings))
-    elif isinstance(phi, AtomIn):
-        out = atom_in(_subst_term(phi.left, bindings), _subst_term(phi.right, bindings))
-    elif isinstance(phi, AtomInClass):
-        out = atom_in_class(_subst_term(phi.term, bindings), phi.ident)
-    elif isinstance(phi, AtomInG):
-        out = atom_in_g(_subst_term(phi.term, bindings))
-    elif isinstance(phi, AtomTr):
-        out = atom_tr(_subst_term(phi.stage, bindings), _subst_term(phi.code, bindings),
-                      _subst_term(phi.valuation, bindings))
-    elif isinstance(phi, Not):
-        out = not_(_subst(phi.sub, bindings, memo))
-    elif isinstance(phi, And):
-        out = and_(_subst(s, bindings, memo) for s in phi.subs)
-    elif isinstance(phi, Or):
-        out = or_(_subst(s, bindings, memo) for s in phi.subs)
-    elif isinstance(phi, (Forall, Exists)):
-        hit = set(phi.vars) & set(bindings)
-        if hit:
-            raise ForcelabError(f"substitution targets bound variable(s) {sorted(hit)}")
-        body = _subst(phi.body, bindings, memo)
-        out = forall(phi.vars, body) if isinstance(phi, Forall) else exists(phi.vars, body)
-    else:
-        raise ForcelabError(f"unknown formula node {type(phi).__name__}")
-    memo[phi] = out
-    return out
+def substitute(phi: Formula, bindings: dict[str, Term]) -> Formula:
+    """Simultaneous substitution of closed terms for free variables."""
+    for v, t in bindings.items():
+        if term_vars(t):
+            raise ForcelabError(f"substituted term for {v} must be closed")
+
+    def atom_fn(atom: Formula, bound: frozenset[str]) -> Formula:
+        if bound:
+            raise ForcelabError(f"substitution targets bound variable(s) {sorted(bound)}")
+        if atom.free.isdisjoint(bindings):
+            return atom
+        return map_atom(atom, lambda t: _subst_term(t, bindings))
+
+    return map_formula(phi, atom_fn, frozenset(bindings))
+
+
+def rename_free(phi: Formula, mapping: dict[str, str]) -> Formula:
+    """Rename free variables, leaving occurrences bound above alone.  The
+    targets must not occur in phi, or they would be captured."""
+    def atom_fn(atom: Formula, bound: frozenset[str]) -> Formula:
+        live = {k: var(v) for k, v in mapping.items() if k not in bound}
+        return map_atom(atom, lambda t: _subst_term(t, live))
+
+    return map_formula(phi, atom_fn, frozenset(mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +649,16 @@ def encode_term(t: Term) -> HFSet:
     raise EncodingError(f"cannot encode term {type(t).__name__}")
 
 
+_code_cache: dict[Formula, HFSet] = {}
+
+
 def encode_formula(phi: Formula) -> HFSet:
-    if isinstance(phi, AtomEq):
-        return _tagged(4, hf_pair(encode_term(phi.left), encode_term(phi.right)))
-    if isinstance(phi, AtomIn):
-        return _tagged(5, hf_pair(encode_term(phi.left), encode_term(phi.right)))
+    return fold(phi, _encode_node, _code_cache)
+
+
+def _encode_node(phi: Formula, kids: tuple[HFSet, ...]) -> HFSet:
+    if isinstance(phi, (AtomEq, AtomIn)):
+        return _tagged(_TAGS[type(phi)], hf_pair(encode_term(phi.left), encode_term(phi.right)))
     if isinstance(phi, AtomInClass):
         return _tagged(6, hf_pair(encode_term(phi.term), _encode_str(phi.ident)))
     if isinstance(phi, AtomInG):
@@ -564,13 +667,12 @@ def encode_formula(phi: Formula) -> HFSet:
         return _tagged(8, hf_list([encode_term(phi.stage), encode_term(phi.code),
                                    encode_term(phi.valuation)]))
     if isinstance(phi, Not):
-        return _tagged(9, encode_formula(phi.sub))
+        return _tagged(9, kids[0])
     if isinstance(phi, (And, Or)):
-        return _tagged(_TAGS[type(phi)], hf_list(encode_formula(s) for s in phi.subs))
+        return _tagged(_TAGS[type(phi)], hf_list(kids))
     if isinstance(phi, (Forall, Exists)):
         return _tagged(_TAGS[type(phi)],
-                       hf_pair(hf_list(_encode_str(v) for v in phi.vars),
-                               encode_formula(phi.body)))
+                       hf_pair(hf_list(_encode_str(v) for v in phi.vars), kids[0]))
     raise EncodingError(f"cannot encode formula {type(phi).__name__}")
 
 

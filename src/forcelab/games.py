@@ -20,7 +20,7 @@ from . import sexpr
 from .errors import BudgetError, ForcelabError, ParseError
 from .formulas import (And, AtomTr, Exists, Forall, Formula, Not, Or)
 from .hfset import HFSet, nat_encode
-from .truth import FiniteStructure, _val_key, eval_formula
+from .truth import FiniteStructure, eval_formula, instances, valuation_key
 
 GAME_BUDGET = 300_000
 
@@ -246,21 +246,12 @@ def random_game_tree(rng: random.Random, max_nodes: int = 200) -> GameTree:
 # ---------------------------------------------------------------------------
 # The truth-telling game.
 
-def _pool_instances(M: FiniteStructure, pool: Sequence[Formula]):
-    out = []
-    for phi in pool:
-        fv = tuple(sorted(phi.free))
-        for values in itertools.product(M.domain, repeat=len(fv)):
-            out.append((phi, dict(zip(fv, values))))
-    return out
-
-
 def _violates(M: FiniteStructure, history: dict) -> bool:
     """True when the declarations made so far explicitly break a Tarskian
     clause instance: a wrong atomic verdict, an inconsistent connective, or
     a fully-instantiated quantifier mismatch."""
     def declared(phi: Formula, v: dict):
-        return history.get((phi, _val_key(phi, v)))
+        return history.get((phi, valuation_key(phi, v)))
 
     for (phi, key), verdict in history.items():
         v = dict(key)
@@ -308,7 +299,7 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
     for the interrogator; an explicit Tarskian violation loses for the
     truth-teller.
     """
-    instances = _pool_instances(M, pool)
+    pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
     nodes: dict[int, GameNode] = {}
     counter = itertools.count()
 
@@ -316,7 +307,7 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
         ident = next(counter)
         if ident >= budget:
             raise BudgetError(f"truth-telling game exceeds {budget} nodes "
-                              f"(pool {len(instances)} instances, clock {clock})")
+                              f"(pool {len(pool_instances)} instances, clock {clock})")
         return ident
 
     def interrogator_node(clock_now: int, history: dict) -> int:
@@ -326,7 +317,7 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
                                     {"role": "clock-exhausted"})
             return ident
         kids = []
-        for phi, v in instances:
+        for phi, v in pool_instances:
             for smaller in range(clock_now):
                 kids.append(teller_node(phi, v, smaller, history))
         nodes[ident] = GameNode(ident, "I", tuple(kids),
@@ -348,7 +339,7 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
                 kids.append(declaration_node(phi, v, verdict, clock_next, history))
         nodes[ident] = GameNode(ident, "II", tuple(kids),
                                 note={"role": "truth-teller",
-                                      "challenge": (phi, _val_key(phi, v)),
+                                      "challenge": (phi, valuation_key(phi, v)),
                                       "clock": clock_next})
         return ident
 
@@ -358,7 +349,7 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
         contradiction = False
         for f, val, verd in [(phi, v, verdict)] + (
                 [(extra[0], extra[1], True)] if extra else []):
-            key = (f, _val_key(f, val))
+            key = (f, valuation_key(f, val))
             if key in new_history and new_history[key] != verd:
                 contradiction = True
             new_history[key] = verd
@@ -367,11 +358,11 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
             nodes[ident] = GameNode(ident, None, (), "I",
                                     {"role": "violation",
                                      "verdict": verdict,
-                                     "challenge": (phi, _val_key(phi, v))})
+                                     "challenge": (phi, valuation_key(phi, v))})
             return ident
         ident = interrogator_node(clock_next, new_history)
         nodes[ident].note.setdefault("verdict", verdict)
-        nodes[ident].note.setdefault("challenge", (phi, _val_key(phi, v)))
+        nodes[ident].note.setdefault("challenge", (phi, valuation_key(phi, v)))
         return ident
 
     root = interrogator_node(clock, {})
@@ -399,7 +390,7 @@ def extract_verdicts(T: GameTree, strategy_II: dict[int, int],
             best[challenge] = (clock_next, verdict)
     out = {}
     for phi, v in pool_instances:
-        key = (phi, _val_key(phi, v))
+        key = (phi, valuation_key(phi, v))
         if key in best:
             out[key] = best[key][1]
     return out

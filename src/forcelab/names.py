@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from . import sexpr
 from .errors import BudgetError, ForcelabError, ParseError
-from .hfset import EMPTY, HFSet, hf_make, hf_pair, nat_encode
+from .hfset import HFSet, hf_make, hf_pair, nat_encode
 from .poset import CollapseNotion, Filter, ForcingNotion
 
 _intern: dict[tuple, "PName"] = {}
@@ -146,14 +146,6 @@ def op_name(sigma: PName, tau: PName) -> PName:
     """Canonical name for the Kuratowski pair of the two names' values."""
     left = name_make([(sigma, 0)])
     return name_make([(left, 0), (name_make([(sigma, 0), (tau, 0)]), 0)])
-
-
-def vec_name(components: Iterable[PName]) -> PName:
-    """Right-nested op-pair encoding of a finite sequence of names."""
-    out = check_name(EMPTY)
-    for c in reversed(list(components)):
-        out = op_name(c, out)
-    return out
 
 
 def g_dot(P: ForcingNotion) -> ClassName:

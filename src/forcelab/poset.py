@@ -336,8 +336,6 @@ class CollapseNotion(ForcingNotion):
             for fn in frontier:
                 m = fn.mapping()
                 used = set(m.values())
-                slot = len(m)  # grow by slot order, then filter: enumerate all domains
-                del slot
                 for i in range(k):
                     if i in m:
                         continue

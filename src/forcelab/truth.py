@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import etr as etr_mod
 from .errors import BudgetError, ClosureError, ForcelabError
 from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
-                       Exists, Forall, Formula, GroundConst, Not, Or, PairTerm,
-                       Term, Var, and_, atom_eq, atom_in, atom_in_class,
-                       atom_tr, decode_formula, decode_valuation,
-                       encode_formula, encode_valuation, exists, forall, formula_to_sexp,
-                       iff, name_const, not_, or_, pair_term, subformula_closure,
-                       substitute, theta_formula, var)
+                       Exists, Forall, Formula, GroundConst, Not, Or, Term, Var,
+                       and_, atom_eq, atom_in, atom_in_class, canonical_pool,
+                       decode_formula, decode_valuation, encode_formula,
+                       encode_valuation, exists, forall, formula_to_sexp, iff,
+                       map_formula, name_const, not_, or_, pair_term, rename_free,
+                       substitute, theta_formula, var, variables)
 from .hfset import HFSet, hf_pair, nat_decode, nat_encode, transitive_closure
 from .names import PName, check_name
 from .poset import CollapseNotion
@@ -33,35 +33,27 @@ class FiniteStructure:
     """A finite ∈-structure with named unary predicates.
 
     The membership relation is the real one on the HF sets of the domain.
-    An optional truth backing makes iterated-truth atoms evaluable.
     """
 
     def __init__(self, domain: Iterable[HFSet],
-                 predicates: dict[str, Iterable[HFSet]] | None = None,
-                 tr_backing: Callable[[int, Formula, dict[str, HFSet]], bool] | None = None):
+                 predicates: dict[str, Iterable[HFSet]] | None = None):
         self.domain = tuple(sorted(set(domain), key=lambda x: x.key))
         self._domain_set = frozenset(self.domain)
         self.predicates = {k: frozenset(v) for k, v in (predicates or {}).items()}
         for ident, pred in self.predicates.items():
             if not pred <= self._domain_set:
                 raise ForcelabError(f"predicate {ident!r} is not a subset of the domain")
-        self.tr_backing = tr_backing
         self._cache: dict = {}
 
     def __contains__(self, x: HFSet) -> bool:
         return x in self._domain_set
 
-    def with_backing(self, backing) -> "FiniteStructure":
-        return FiniteStructure(self.domain, self.predicates, backing)
-
     def __repr__(self) -> str:
         return f"FiniteStructure(|domain|={len(self.domain)}, predicates={sorted(self.predicates)})"
 
 
-Valuation = "dict[str, HFSet]"
-
-
-def _val_key(phi: Formula, v: dict[str, HFSet]):
+def valuation_key(phi: Formula, v: dict[str, HFSet]) -> tuple:
+    """The hashable restriction of a valuation to the formula's free variables."""
     return tuple(sorted((x, v[x]) for x in phi.free))
 
 
@@ -113,15 +105,7 @@ def _eval_atom(M: FiniteStructure, phi: Formula, v) -> bool:
             raise ForcelabError(f"structure has no predicate {phi.ident!r}") from None
         return _term_value(phi.term, M, v) in pred
     if isinstance(phi, AtomTr):
-        if M.tr_backing is None:
-            raise ForcelabError("iterated-truth atom evaluated without a backing store")
-        s = _term_value(phi.stage, M, v)
-        c = _term_value(phi.code, M, v)
-        z = _term_value(phi.valuation, M, v)
-        decoded = _decode_tr_args(s, c, z)
-        if decoded is None:
-            return False
-        return M.tr_backing(*decoded)
+        raise ForcelabError("iterated-truth atoms are judged by an iterated truth predicate")
     if isinstance(phi, AtomInG):
         raise ForcelabError("generic-filter atoms are forcing-language only")
     raise ForcelabError(f"unknown atomic node {type(phi).__name__}")
@@ -165,7 +149,8 @@ def _decode_tr_args(s: HFSet, c: HFSet, z: HFSet):
 # ---------------------------------------------------------------------------
 # Plain truth predicates.
 
-def _instances(M: FiniteStructure, phi: Formula, budget: int = EVAL_BUDGET):
+def instances(M: FiniteStructure, phi: Formula, budget: int = EVAL_BUDGET):
+    """Every valuation of the formula's free variables over the domain."""
     fv = tuple(sorted(phi.free))
     if len(M.domain) ** len(fv) > budget:
         raise BudgetError(f"{len(M.domain)}^{len(fv)} valuations for one formula")
@@ -180,13 +165,13 @@ class TruthPredicate:
     pairs: frozenset
 
     def holds(self, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
-        return (phi, _val_key(phi, valuation or {})) in self.pairs
+        return (phi, valuation_key(phi, valuation or {})) in self.pairs
 
 
 def _check_pool_closed(pool: Sequence[Formula]):
-    closed = set(subformula_closure(pool))
-    if set(pool) != closed:
-        missing = closed - set(pool)
+    members = set(pool)
+    missing = {c for phi in members for c in phi.children()} - members
+    if missing:
         raise ClosureError(
             f"pool is not subformula-closed; missing e.g. {formula_to_sexp(next(iter(missing)))}")
 
@@ -198,64 +183,28 @@ def tarski_truth(M: FiniteStructure, pool: Sequence[Formula]) -> TruthPredicate:
     against direct evaluation.
     """
     _check_pool_closed(pool)
-    pool = tuple(sorted(set(pool), key=lambda f: (f.rank, formula_to_sexp(f))))
+    pool = canonical_pool(pool)
     inst, codec = tarski_truth_instance(M, pool)
     sol = etr_mod.etr_solve(inst)
     pairs = set()
     for slice_ in sol.slices:
         for enc in slice_:
             phi, v = codec[enc]
-            pairs.add((phi, _val_key(phi, v)))
+            pairs.add((phi, valuation_key(phi, v)))
     for phi in pool:
-        for v in _instances(M, phi):
+        for v in instances(M, phi):
             direct = eval_formula(M, phi, v)
-            if direct != ((phi, _val_key(phi, v)) in pairs):
+            if direct != ((phi, valuation_key(phi, v)) in pairs):
                 raise ForcelabError(
                     f"staged truth disagrees with direct evaluation at {formula_to_sexp(phi)}")
     return TruthPredicate(M, pool, frozenset(pairs))
 
 
 def tarski_truth_instance(M: FiniteStructure, pool: Sequence[Formula]):
-    """The truth predicate as a recursion instance staged by parse-tree rank."""
-    pool = tuple(sorted(set(pool), key=lambda f: (f.rank, formula_to_sexp(f))))
-    codec: dict[HFSet, tuple[Formula, dict]] = {}
-    rank_of: dict[HFSet, int] = {}
-    for phi in pool:
-        for v in _instances(M, phi):
-            enc = hf_pair(encode_formula(phi), encode_valuation(v))
-            codec[enc] = (phi, v)
-            rank_of[enc] = phi.rank
-    length = max((phi.rank for phi in pool), default=0) + 1
-
-    def lookup(view, psi: Formula, v: dict) -> bool:
-        enc = hf_pair(encode_formula(psi), encode_valuation({x: v[x] for x in psi.free}))
-        return view(psi.rank, enc)
-
-    def step(x: HFSet, alpha: int, view, _param) -> bool:
-        phi, v = codec[x]
-        if phi.rank != alpha:
-            return False
-        if phi.rank == 0:
-            return eval_formula(M, phi, v)
-        if isinstance(phi, Not):
-            return not lookup(view, phi.sub, v)
-        if isinstance(phi, And):
-            return all(lookup(view, s, v) for s in phi.subs)
-        if isinstance(phi, Or):
-            return any(lookup(view, s, v) for s in phi.subs)
-        if isinstance(phi, (Forall, Exists)):
-            want_all = isinstance(phi, Forall)
-            for values in itertools.product(M.domain, repeat=len(phi.vars)):
-                ext = dict(v)
-                ext.update(zip(phi.vars, values))
-                if lookup(view, phi.body, ext) != want_all:
-                    return not want_all
-            return want_all
-        raise ForcelabError(f"unknown formula node {type(phi).__name__}")
-
-    inst = etr_mod.RecursionInstance(
-        length=length, domain=tuple(sorted(codec, key=lambda e: e.key)),
-        step=step, label="tarski-truth")
+    """The truth predicate as a recursion instance staged by parse-tree rank:
+    the single-stage case of the iterated instance, at which every truth
+    atom is false."""
+    inst, codec, _ = _staged_truth_instance(M, 1, pool, "tarski-truth")
     return inst, codec
 
 
@@ -266,8 +215,7 @@ class IteratedTruthPredicate:
     """Staged truth: stage β judges truth-atoms about stages α < β only.
 
     Queries are computed on demand by the defining recursion (well-founded
-    on stage, then parse-tree rank) and memoized; `triples` materializes
-    the pool instances over domain valuations.
+    on stage, then parse-tree rank) and memoized.
     """
 
     def __init__(self, M: FiniteStructure, beta_max: int, pool: Sequence[Formula]):
@@ -277,7 +225,7 @@ class IteratedTruthPredicate:
                 raise ForcelabError("iterated-truth pools are constant-free")
         self.structure = M
         self.beta_max = beta_max
-        self.pool = tuple(sorted(set(pool), key=lambda f: (f.rank, formula_to_sexp(f))))
+        self.pool = canonical_pool(pool)
         self._pool_set = frozenset(self.pool)
         self._memo: dict = {}
 
@@ -290,7 +238,7 @@ class IteratedTruthPredicate:
         return self._query(beta, phi, v)
 
     def _query(self, beta: int, phi: Formula, v: dict[str, HFSet]) -> bool:
-        key = (beta, phi, _val_key(phi, v))
+        key = (beta, phi, valuation_key(phi, v))
         got = self._memo.get(key)
         if got is not None:
             return got
@@ -334,14 +282,6 @@ class IteratedTruthPredicate:
             return want_all
         raise ForcelabError(f"unknown formula node {type(phi).__name__}")
 
-    def triples(self):
-        """All (stage, formula, valuation) pool instances over domain valuations that hold."""
-        for beta in range(self.beta_max):
-            for phi in self.pool:
-                for v in _instances(self.structure, phi):
-                    if self._query(beta, phi, v):
-                        yield beta, phi, v
-
 
 def iterated_truth(M: FiniteStructure, beta_max: int, pool: Sequence[Formula]
                    ) -> IteratedTruthPredicate:
@@ -350,11 +290,19 @@ def iterated_truth(M: FiniteStructure, beta_max: int, pool: Sequence[Formula]
 
 def iterated_truth_instance(M: FiniteStructure, beta_max: int, pool: Sequence[Formula]):
     """The iterated predicate as a stage-major recursion instance (for cross-checks)."""
-    pool = tuple(sorted(set(pool), key=lambda f: (f.rank, formula_to_sexp(f))))
+    return _staged_truth_instance(M, beta_max, pool, "iterated-truth")
+
+
+def _staged_truth_instance(M: FiniteStructure, beta_max: int, pool: Sequence[Formula],
+                           label: str):
+    """Truth at stages 0..beta_max-1 as one recursion instance, staged by
+    stage, then parse-tree rank.  Stage β judges truth atoms about stages
+    α < β only."""
+    pool = canonical_pool(pool)
     rank_span = max((phi.rank for phi in pool), default=0) + 1
     codec: dict[HFSet, tuple[Formula, dict]] = {}
     for phi in pool:
-        for v in _instances(M, phi):
+        for v in instances(M, phi):
             enc = hf_pair(encode_formula(phi), encode_valuation(v))
             codec[enc] = (phi, v)
     pool_set = frozenset(pool)
@@ -404,7 +352,7 @@ def iterated_truth_instance(M: FiniteStructure, beta_max: int, pool: Sequence[Fo
 
     inst = etr_mod.RecursionInstance(
         length=beta_max * rank_span, domain=tuple(sorted(codec, key=lambda e: e.key)),
-        step=step, label="iterated-truth")
+        step=step, label=label)
     return inst, codec, stage_index
 
 
@@ -496,7 +444,7 @@ class ForcingTruth:
         from .poset import build_collapse
 
         _check_pool_closed(pool)
-        self.pool = tuple(sorted(set(pool), key=lambda f: (f.rank, formula_to_sexp(f))))
+        self.pool = canonical_pool(pool)
         self.stage_n = n
         self.fa = build_collapse(n, A, include_degenerate_tokens)
         self.A = self.fa.A
@@ -546,7 +494,7 @@ def invariance_check(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
     if ft is None:
         ft = ForcingTruth(n, A, pool)
     for phi in ft.pool:
-        for v in _instances(FiniteStructure(ft.fa.targets), phi):
+        for v in instances(FiniteStructure(ft.fa.targets), phi):
             inst = ft.instance(phi, v)
             at_one = forcing_mod.forces(ft.relation, ft.fa.one, inst, check_universe=False)
             for p in ft.fa.conditions():
@@ -560,72 +508,6 @@ def invariance_check(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
 # The stage translation: compile iterated-truth atoms into infinitary
 # formulas, mentioning stages and pool formulas only through their
 # defining θ-formulas (never as parameters).
-
-_all_vars_cache: dict[Formula, frozenset[str]] = {}
-
-
-def _all_vars(phi: Formula) -> frozenset[str]:
-    got = _all_vars_cache.get(phi)
-    if got is not None:
-        return got
-    out = frozenset(phi.free)
-    if isinstance(phi, Not):
-        out |= _all_vars(phi.sub)
-    elif isinstance(phi, (And, Or)):
-        for s in phi.subs:
-            out |= _all_vars(s)
-    elif isinstance(phi, (Forall, Exists)):
-        out |= frozenset(phi.vars) | _all_vars(phi.body)
-    _all_vars_cache[phi] = out
-    return out
-
-
-def _rename_free(phi: Formula, mapping: dict[str, str]) -> Formula:
-    """Capture-free renaming of free variables; targets must be fresh."""
-    taken = _all_vars(phi)
-    for target in mapping.values():
-        if target in taken:
-            raise ForcelabError(f"rename target {target!r} already occurs")
-    return _rename(phi, mapping, {})
-
-
-def _rename(phi: Formula, mapping: dict[str, str], memo: dict) -> Formula:
-    key = (phi, tuple(sorted(mapping.items())))
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if isinstance(phi, AtomEq):
-        out = atom_eq(_rename_term(phi.left, mapping), _rename_term(phi.right, mapping))
-    elif isinstance(phi, AtomIn):
-        out = atom_in(_rename_term(phi.left, mapping), _rename_term(phi.right, mapping))
-    elif isinstance(phi, AtomInClass):
-        out = atom_in_class(_rename_term(phi.term, mapping), phi.ident)
-    elif isinstance(phi, AtomTr):
-        out = atom_tr(_rename_term(phi.stage, mapping), _rename_term(phi.code, mapping),
-                      _rename_term(phi.valuation, mapping))
-    elif isinstance(phi, Not):
-        out = not_(_rename(phi.sub, mapping, memo))
-    elif isinstance(phi, And):
-        out = and_(_rename(s, mapping, memo) for s in phi.subs)
-    elif isinstance(phi, Or):
-        out = or_(_rename(s, mapping, memo) for s in phi.subs)
-    elif isinstance(phi, (Forall, Exists)):
-        inner = {k: t for k, t in mapping.items() if k not in phi.vars}
-        body = _rename(phi.body, inner, memo)
-        out = forall(phi.vars, body) if isinstance(phi, Forall) else exists(phi.vars, body)
-    else:
-        raise ForcelabError(f"cannot rename {type(phi).__name__}")
-    memo[key] = out
-    return out
-
-
-def _rename_term(t: Term, mapping: dict[str, str]) -> Term:
-    if isinstance(t, Var) and t.name in mapping:
-        return var(mapping[t.name])
-    if isinstance(t, PairTerm):
-        return pair_term(_rename_term(t.left, mapping), _rename_term(t.right, mapping))
-    return t
-
 
 def _described_membership(set_var: str, element_formulas: Sequence[Formula],
                           bound: str) -> Formula:
@@ -644,8 +526,12 @@ def _valuation_description(z_var: str, entries: Sequence[tuple[HFSet, str]]) -> 
         sing = forall(("t",), iff(atom_in(var("t"), var("u")), theta_formula(code, "t")))
         doub = forall(("t",), iff(atom_in(var("t"), var("u")),
                                   or_([theta_formula(code, "t"), atom_eq(var("t"), var(a))])))
-        pair_formulas.append(
-            forall(("u",), iff(atom_in(var("u"), var("w")), or_([sing, doub]))))
+        # w must hold {code, a} itself: "no members but {code} and {code, a}"
+        # alone also fits w = {{code}} for every a whose {code, a} lies
+        # outside the domain.
+        pair_formulas.append(and_([
+            forall(("u",), iff(atom_in(var("u"), var("w")), or_([sing, doub]))),
+            exists(("u",), and_([atom_in(var("u"), var("w")), doub]))]))
     body = _described_membership(z_var, pair_formulas, "w")
     return body
 
@@ -655,9 +541,10 @@ class StageTranslator:
 
     def __init__(self, pool: Sequence[Formula], stage_cap: int):
         _check_pool_closed(pool)
-        self.pool = tuple(sorted(set(pool), key=lambda f: (f.rank, formula_to_sexp(f))))
+        self.pool = canonical_pool(pool)
         self.stage_cap = stage_cap
         self._memo: dict[tuple[int, Formula], Formula] = {}
+        self._variables: dict[Formula, frozenset[str]] = {}
 
     def translate(self, beta: int, phi: Formula) -> Formula:
         if beta > self.stage_cap:
@@ -665,26 +552,13 @@ class StageTranslator:
         key = (beta, phi)
         got = self._memo.get(key)
         if got is None:
-            got = self._translate(beta, phi)
+            if isinstance(phi, AtomTr):
+                got = self._translate_tr(beta, phi)
+            else:
+                got = map_formula(phi, lambda atom, _bound: self.translate(beta, atom)
+                                  if isinstance(atom, AtomTr) else atom)
             self._memo[key] = got
         return got
-
-    def _translate(self, beta: int, phi: Formula) -> Formula:
-        if isinstance(phi, AtomTr):
-            return self._translate_tr(beta, phi)
-        if phi.rank == 0:
-            return phi
-        if isinstance(phi, Not):
-            return not_(self.translate(beta, phi.sub))
-        if isinstance(phi, And):
-            return and_(self.translate(beta, s) for s in phi.subs)
-        if isinstance(phi, Or):
-            return or_(self.translate(beta, s) for s in phi.subs)
-        if isinstance(phi, Forall):
-            return forall(phi.vars, self.translate(beta, phi.body))
-        if isinstance(phi, Exists):
-            return exists(phi.vars, self.translate(beta, phi.body))
-        raise ForcelabError(f"cannot stage-translate {type(phi).__name__}")
 
     def _translate_tr(self, beta: int, phi: AtomTr) -> Formula:
         from .formulas import _encode_str  # the identifier coding is fixed package-wide
@@ -702,14 +576,14 @@ class StageTranslator:
             for psi in self.pool:
                 fv = tuple(sorted(psi.free))
                 psi_star = self.translate(xi, psi)
-                taken = _all_vars(psi_star) | {x, y, z}
+                taken = variables(psi_star, self._variables) | {x, y, z}
                 fresh: list[str] = []
                 i = 0
                 while len(fresh) < len(fv):
                     if f"h{i}" not in taken:
                         fresh.append(f"h{i}")
                     i += 1
-                renamed = _rename_free(psi_star, dict(zip(fv, fresh)))
+                renamed = rename_free(psi_star, dict(zip(fv, fresh)))
                 desc = _valuation_description(
                     z, [(_encode_str(v), a) for v, a in zip(fv, fresh)])
                 inner = and_([desc, renamed])
@@ -720,12 +594,6 @@ class StageTranslator:
                     ex,
                 ]))
         return or_(disjuncts)
-
-
-def iterated_translate(beta: int, phi: Formula, pool: Sequence[Formula],
-                       stage_cap: int) -> Formula:
-    """One-shot stage translation; reuse a StageTranslator for sweeps."""
-    return StageTranslator(pool, stage_cap).translate(beta, phi)
 
 
 class DerivedIteratedTruth:

@@ -21,8 +21,7 @@ from forcelab import (EMPTY, AtomTr, DerivedIteratedTruth, FiniteStructure,
                       v_stage, verify_solution, verify_strategy, zermelo_solve)
 from forcelab import corpus
 from forcelab.formulas import atom_eq, atom_in, not_, var
-from forcelab.games import _pool_instances
-from forcelab.truth import _instances, _val_key
+from forcelab.truth import instances, valuation_key
 
 
 def _report(criterion, description, started, failures):
@@ -131,7 +130,7 @@ def test_criterion_4_forcing_derived_truth(stage):
         direct = tarski_truth(structure, pool)
         derived = forcing_truth(stage, A, pool)
         for phi in derived.pool:
-            for v in _instances(structure, phi):
+            for v in instances(structure, phi):
                 if derived.holds(phi, v) != direct.holds(phi, v):
                     failures += 1
         ok, _ = invariance_check(stage, A, pool, derived)
@@ -172,14 +171,14 @@ def test_criterion_6_iterated_truth():
     for beta in range(beta_max):
         for phi in pool:
             if phi.rank == 0 and not isinstance(phi, AtomTr):
-                for v in _instances(base, phi):
+                for v in instances(base, phi):
                     if predicate.holds(beta, phi, v) != eval_formula(base, phi, v):
                         failures += 1
     # clause (b): self-coherence at every encoding point
     for beta in range(beta_max):
         for alpha in range(beta_max):
             for psi in pool:
-                for av in _instances(base, psi):
+                for av in instances(base, psi):
                     v = {xv: nat_encode(alpha), yv: encode_formula(psi),
                          zv: encode_valuation(av)}
                     want = alpha < beta and predicate._query(alpha, psi, av)
@@ -189,7 +188,7 @@ def test_criterion_6_iterated_truth():
     from forcelab import And, Forall, Not, Or
     for beta in range(beta_max):
         for phi in pool:
-            for v in _instances(base, phi):
+            for v in instances(base, phi):
                 if isinstance(phi, Not):
                     if predicate.holds(beta, phi, v) == predicate._query(
                             beta, phi.sub, {k: v[k] for k in phi.sub.free}):
@@ -217,7 +216,7 @@ def test_criterion_6_iterated_truth():
     direct = iterated_truth(comparison, beta_max, pool)
     for beta in range(beta_max):
         for phi in pool:
-            for v in _instances(base, phi):
+            for v in instances(base, phi):
                 if derived.holds(beta, phi, v) != direct.holds(beta, phi, v):
                     failures += 1
     for beta in (1, 4):
@@ -225,7 +224,7 @@ def test_criterion_6_iterated_truth():
             for psi in pool:
                 if len(psi.free) > 1:
                     continue
-                for av in _instances(base, psi):
+                for av in instances(base, psi):
                     v = {xv: nat_encode(alpha), yv: encode_formula(psi),
                          zv: encode_valuation(av)}
                     if derived.holds(beta, atom, v) != direct.holds(beta, atom, v):
@@ -297,7 +296,7 @@ def test_criterion_8_clopen_determinacy():
     M = FiniteStructure(v_stage(2))
     x, y = var("x"), var("y")
     pool = [atom_in(x, y), not_(atom_in(x, y)), atom_eq(x, y), not_(atom_eq(x, y))]
-    instances = _pool_instances(M, pool)
+    pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
     for clock in (1, 2, 3):
         T = truth_telling_game(M, pool, clock)
         result = zermelo_solve(T)
@@ -306,10 +305,10 @@ def test_criterion_8_clopen_determinacy():
         ok, _ = verify_strategy(T, result.strategy_II, "II")
         if not ok:
             failures += 1
-        verdicts = extract_verdicts(T, result.strategy_II, instances)
-        for phi, v in instances:
+        verdicts = extract_verdicts(T, result.strategy_II, pool_instances)
+        for phi, v in pool_instances:
             if phi.rank <= clock - 1 and \
-                    verdicts[(phi, _val_key(phi, v))] != eval_formula(M, phi, v):
+                    verdicts[(phi, valuation_key(phi, v))] != eval_formula(M, phi, v):
                 failures += 1
     _report(8, "1000 random trees label-fixpoint + strategy playout; "
                "truth-telling games never favor the interrogator", started, failures)

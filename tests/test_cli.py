@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from forcelab.cli import main, run_suite
 
@@ -71,3 +74,20 @@ def test_custom_pool_file(tmp_path):
                  "--pool", str(pool), "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["failures"] == 0
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv", [
+    ["complete", "--max-poset", "3"],
+    ["game", "--count", "20"],
+    ["truth", "--stage", "2"],
+    ["translate", "--count", "20", "--max-poset", "3"],
+    ["force", "--max-poset", "2"],
+    ["oracle", "--max-poset", "2"],
+], ids=lambda argv: argv[0])
+def test_reports_match_golden(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text() == (GOLDEN / f"{argv[0]}.json").read_text()

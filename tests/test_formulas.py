@@ -1,14 +1,21 @@
+import hashlib
+import json
 import random
+import time
+import types
+from pathlib import Path
 
 import pytest
 
-from forcelab import (EMPTY, And, ForcelabError, Not, ParseError, and_,
-                      atom_eq, atom_in, atom_in_class, atom_tr,
-                      check_name, const, decode_formula, decode_valuation,
-                      encode_formula, encode_valuation, exists, forall,
-                      formula_rank, formula_to_sexp, hf_make, iff, name_const,
-                      nat_encode, not_, or_, parse_formula,
-                      subformula_closure, substitute, var)
+from forcelab import (EMPTY, And, AtomTr, Exists, ForcelabError, ParseError,
+                      StageTranslator, and_, atom_eq, atom_in, atom_in_class,
+                      atom_tr, check_name, const, decode_formula,
+                      decode_valuation, encode_formula, encode_valuation,
+                      eval_name, exists, forall, formula_to_sexp,
+                      generic_filters, ground_formula, hf_make, iff,
+                      map_formula, name_const, nat_encode, nodes, not_, or_,
+                      parse_formula, subformula_closure, subformulas,
+                      substitute, var)
 from forcelab import corpus
 from forcelab.formulas import Forall
 
@@ -17,10 +24,10 @@ x, y = var("x"), var("y")
 
 
 def test_ranks():
-    assert formula_rank(atom_eq(x, y)) == 0
-    assert formula_rank(not_(atom_eq(x, y))) == 1
-    assert formula_rank(and_([atom_eq(x, y), not_(atom_in(x, y))])) == 2
-    assert formula_rank(and_([])) == 1
+    assert atom_eq(x, y).rank == 0
+    assert not_(atom_eq(x, y)).rank == 1
+    assert and_([atom_eq(x, y), not_(atom_in(x, y))]).rank == 2
+    assert and_([]).rank == 1
 
 
 def test_interning_gives_identity():
@@ -126,7 +133,6 @@ def test_rank_monotone_under_subformulas():
 
 
 def _strict_subs(phi):
-    from forcelab import subformulas
     return subformulas(phi) - {phi}
 
 
@@ -142,19 +148,7 @@ def test_substituting_constants_preserves_rank():
 
 
 def _collect_bound(phi):
-    from forcelab.formulas import Exists, Forall
-    out = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Forall, Exists)):
-            out |= set(node.vars)
-            stack.append(node.body)
-        elif isinstance(node, Not):
-            stack.append(node.sub)
-        elif isinstance(node, And) or hasattr(node, "subs"):
-            stack.extend(getattr(node, "subs", ()))
-    return out
+    return {v for node in nodes(phi) if isinstance(node, (Forall, Exists)) for v in node.vars}
 
 
 def test_godel_roundtrip():
@@ -177,3 +171,58 @@ def test_iff_encoding_meaning():
     phi = iff(atom_eq(x, x), atom_eq(y, y))
     assert not phi.free - {"x", "y"}
     assert isinstance(phi, And)
+
+
+# --- the traversal core ------------------------------------------------------
+
+def _translated_truth_atoms():
+    pool = corpus.iterated_pool()
+    tr = StageTranslator(pool, 4)
+    atom = next(f for f in pool if isinstance(f, AtomTr))
+    return [tr.translate(beta, atom) for beta in range(5)]
+
+
+def test_identity_map_returns_the_same_node():
+    pools = [corpus.first_order_pool(), corpus.iterated_pool()]
+    for _, P in corpus.corpus_notions():
+        N = corpus.oracle_universe(P)
+        pools += [corpus.oracle_pool(P, N), corpus.truth_name_pool(P, N)]
+    formulas = [phi for pool in pools for phi in pool] + _translated_truth_atoms()
+    for phi in formulas:
+        assert map_formula(phi, lambda atom, _bound: atom) is phi
+
+
+def test_translated_truth_atom_is_walked_as_a_dag():
+    # The tree expansion of this formula has about 2·10^10 nodes.
+    phi = _translated_truth_atoms()[1]
+    started = time.monotonic()
+    subs = subformulas(phi)
+    assert time.monotonic() - started < 1
+    assert len(subs) == 2909
+    seen = set()
+    for node in nodes(phi):
+        assert node not in seen and all(c in seen for c in node.children())
+        seen.add(node)
+    assert seen == subs
+
+
+def test_substitute_and_ground_match_recorded_results():
+    # Digests of the texts produced, on the corpus oracle pools, by the
+    # tree-recursive substitution and grounding that the traversal core
+    # replaced.  Grounding reads only the name evaluations of an extension.
+    want = json.loads((Path(__file__).parent / "golden" / "traversal.json").read_text())
+    for label, P in corpus.corpus_notions():
+        N = corpus.oracle_universe(P)
+        pool = corpus.oracle_pool(P, N)
+        h = hashlib.sha256()
+        for phi in subformula_closure(pool):
+            if isinstance(phi, (Forall, Exists)):
+                for n in N:
+                    inst = substitute(phi.body, {v: name_const(n) for v in phi.vars})
+                    h.update(formula_to_sexp(inst, P).encode() + b"\n")
+        for G in generic_filters(P):
+            memo = {}
+            ext = types.SimpleNamespace(evaluation={n: eval_name(n, G, memo) for n in N})
+            for phi in pool:
+                h.update(formula_to_sexp(ground_formula(phi, ext)).encode() + b"\n")
+        assert h.hexdigest() == want[label], label

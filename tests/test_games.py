@@ -8,8 +8,7 @@ from forcelab import (BudgetError, FiniteStructure, GameNode, GameTree,
                       random_game_tree, truth_telling_game, v_stage, var,
                       verify_strategy, zermelo_recursion_instance,
                       zermelo_solve, verify_solution)
-from forcelab.games import _pool_instances
-from forcelab.truth import _val_key
+from forcelab.truth import instances, valuation_key
 
 
 def leaf(i, winner):
@@ -147,14 +146,14 @@ def test_interrogator_never_wins():
 def test_extracted_verdicts_match_truth_at_sufficient_clock():
     M = FiniteStructure(v_stage(2))
     pool = _atomic_pool()
-    instances = _pool_instances(M, pool)
+    pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
     for clock in (1, 2, 3):
         T = truth_telling_game(M, pool, clock)
         res = zermelo_solve(T)
-        verdicts = extract_verdicts(T, res.strategy_II, instances)
-        for phi, v in instances:
+        verdicts = extract_verdicts(T, res.strategy_II, pool_instances)
+        for phi, v in pool_instances:
             if phi.rank <= clock - 1:
-                assert verdicts[(phi, _val_key(phi, v))] == eval_formula(M, phi, v)
+                assert verdicts[(phi, valuation_key(phi, v))] == eval_formula(M, phi, v)
 
 
 def test_atomic_lie_loses_within_clock_two():

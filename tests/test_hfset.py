@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from forcelab import (EMPTY, BudgetError, FiniteStructure, eval_formula,
-                      formula_rank, hf_make, hf_rank, nat_decode, nat_encode,
+                      hf_make, hf_rank, nat_decode, nat_encode,
                       subformulas, theta_formula, v_stage)
 from forcelab.hfset import hf_list, hf_pair, hf_unlist, hf_unpair
 
@@ -101,9 +101,9 @@ def test_theta_empty_shape():
 
 def test_theta_rank_strictly_grows():
     outer = theta_formula(hf_make([EMPTY]))
-    assert formula_rank(outer) > formula_rank(theta_formula(EMPTY))
+    assert outer.rank > theta_formula(EMPTY).rank
     for sub in subformulas(outer) - {outer}:
-        assert formula_rank(sub) < formula_rank(outer)
+        assert sub.rank < outer.rank
 
 
 def test_theta_defines_each_set():

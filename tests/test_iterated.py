@@ -4,14 +4,15 @@ import pytest
 
 from forcelab import (EMPTY, AtomTr, ClosureError, DerivedIteratedTruth,
                       FiniteStructure, Forall, StageTranslator,
-                      and_, atom_eq, atom_in, atom_tr, const, encode_formula,
+                      and_, atom_eq, atom_in, atom_in_class, atom_tr, const,
+                      encode_formula,
                       encode_valuation, etr_solve, forall, formula_to_sexp,
                       iterated_truth,
                       iterated_truth_instance, nat_encode, not_, or_,
                       stage_comparison_structure, subformula_closure, v_stage,
                       var, verify_solution)
 from forcelab import corpus
-from forcelab.truth import _instances
+from forcelab.truth import instances
 
 BETA_MAX = 5
 
@@ -41,7 +42,7 @@ def test_atoms_judged_correctly(setup):
     for beta in range(BETA_MAX):
         for phi in pool:
             if phi.rank == 0 and not isinstance(phi, AtomTr):
-                for v in _instances(base, phi):
+                for v in instances(base, phi):
                     assert it.holds(beta, phi, v) == eval_formula(base, phi, v)
 
 
@@ -52,7 +53,7 @@ def test_self_coherence_clause(setup):
     for beta in range(BETA_MAX):
         for alpha in range(BETA_MAX):
             for psi in pool:
-                for av in _instances(base, psi):
+                for av in instances(base, psi):
                     v = {xv: nat_encode(alpha), yv: encode_formula(psi),
                          zv: encode_valuation(av)}
                     got = it._query(beta, atom, v)
@@ -84,7 +85,7 @@ def test_truth_free_formulas_are_stage_independent(setup):
     for phi in pool:
         if any(isinstance(s, AtomTr) for s in subformulas(phi)):
             continue
-        for v in _instances(base, phi):
+        for v in instances(base, phi):
             assert len({it.holds(b, phi, v) for b in range(BETA_MAX)}) == 1
 
 
@@ -93,7 +94,7 @@ def test_boolean_and_quantifier_clauses(setup):
     base, pool, it = setup
     for beta in range(BETA_MAX):
         for phi in pool:
-            for v in _instances(base, phi):
+            for v in instances(base, phi):
                 if isinstance(phi, Not):
                     assert it.holds(beta, phi, v) != it._query(
                         beta, phi.sub, {k: v[k] for k in phi.sub.free})
@@ -167,7 +168,7 @@ def test_derived_predicate_coincides_on_base_instances(setup):
     it = iterated_truth(D, BETA_MAX, pool)
     for beta in range(BETA_MAX):
         for phi in pool:
-            for v in _instances(base, phi):
+            for v in instances(base, phi):
                 assert derived.holds(beta, phi, v) == it.holds(beta, phi, v), \
                     (beta, formula_to_sexp(phi))
 
@@ -184,7 +185,27 @@ def test_derived_predicate_coincides_at_encoding_points(setup):
             for psi in pool:
                 if len(psi.free) > 1:
                     continue
-                for av in _instances(base, psi):
+                for av in instances(base, psi):
                     v = {xv: nat_encode(alpha), yv: encode_formula(psi),
                          zv: encode_valuation(av)}
                     assert derived.holds(beta, atom, v) == it.holds(beta, atom, v)
+
+
+def test_translation_pins_down_a_value_coding_a_variable():
+    # {{∅}} is the code of the variable `a`, so the valuation {a ↦ {{∅}}} is
+    # the degenerate pair {{code}}; with it in d, ¬(a ∈ d) is false there.
+    stage = v_stage(3)
+    code_of_a = stage[3]
+    base = FiniteStructure(stage, {"d": [code_of_a]})
+    pool = corpus.iterated_pool()
+    D = stage_comparison_structure(base, pool, 1)
+    derived = DerivedIteratedTruth(D, pool, 1)
+    it = iterated_truth(D, 2, pool)
+    atom = tr_atom_of(pool)
+    xv, yv, zv = atom.free_sorted
+    psi = not_(atom_in_class(var("a"), "d"))
+    assert psi in pool
+    v = {xv: nat_encode(0), yv: encode_formula(psi),
+         zv: encode_valuation({"a": code_of_a})}
+    assert not it.holds(1, atom, v)
+    assert not derived.holds(1, atom, v)

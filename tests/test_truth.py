@@ -11,7 +11,7 @@ from forcelab import (EMPTY, And, AtomIn, FiniteStructure, ForcelabError,
 from forcelab import corpus
 from forcelab.names import check_name, n_dot
 from forcelab.hfset import nat_encode
-from forcelab.truth import _instances
+from forcelab.truth import instances
 
 
 def stage3():
@@ -63,7 +63,7 @@ def test_tarski_agrees_with_direct_eval():
     pool = corpus.first_order_pool()
     tp = tarski_truth(M, pool)
     for phi in tp.pool:
-        for v in _instances(M, phi):
+        for v in instances(M, phi):
             assert tp.holds(phi, v) == eval_formula(M, phi, v)
 
 
@@ -134,7 +134,7 @@ def test_forcing_truth_equals_tarski_stage2(mask):
     ft = forcing_truth(2, A, pool)
     tp = tarski_truth(FiniteStructure(stage, {"A": A}), pool)
     for phi in ft.pool:
-        for v in _instances(FiniteStructure(stage), phi):
+        for v in instances(FiniteStructure(stage), phi):
             assert ft.holds(phi, v) == tp.holds(phi, v)
 
 
