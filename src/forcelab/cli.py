@@ -58,6 +58,9 @@ class Reporter:
             row["runtime_ms"] = round(1000 * (time.monotonic() - started), 1)
         self.rows.append(row)
 
+    def skip(self, claim: str, error: BudgetError):
+        self.rows.append({"claim": claim, "status": "skipped-budget", "reason": str(error)})
+
     def report(self, suite: str, config: dict) -> dict:
         rows = sorted(self.rows, key=lambda r: r["claim"])
         failures = sum(r["status"] == "fail" for r in rows)
@@ -74,36 +77,48 @@ def _notions(config) -> list[tuple[str, ForcingNotion]]:
     return [(name, P) for name, P in corpus.corpus_notions() if len(P) <= cap]
 
 
+def _per_notion(suite: str):
+    """Run a suite body once per notion; a budget overrun while the body
+    builds a notion's inputs becomes that notion's `inputs` row."""
+    def decorate(body):
+        def run(config, rep: Reporter):
+            for name, P in _notions(config):
+                try:
+                    body(config, rep, name, P)
+                except BudgetError as e:
+                    rep.skip(f"{suite}/{name}/inputs", e)
+        return run
+    return decorate
+
+
 def _load_pool(config, notion=None):
     with open(config["pool"]) as fh:
         return [  # one formula per s-expression
             parse_formula(sexpr.show(form), notion) for form in sexpr.read_all(fh.read())]
 
 
-def suite_force(config, rep: Reporter):
-    for name, P in _notions(config):
-        N = _force_universe(P, config)
-        FR = atomic_forcing(P, N)
-        audit = audit_forcing_relation(FR)
-        for law, (ok, cx) in sorted(audit.laws.items()):
-            rep.run(f"force/{name}/{law}", lambda ok=ok, cx=cx: (ok, cx))
-        pool = corpus.oracle_pool(P, N)
-        rep.run(f"force/{name}/forced-iff-true",
-                lambda FR=FR, pool=pool: truth_lemma_check(FR, pool))
-        inst, codec, _ = atomic_recursion_instance(P, name_universe(P, 1))
-        sol = etr_solve(inst)
-        rep.run(f"force/{name}/staged-recursion-identical",
-                lambda FR=FR, sol=sol, codec=codec, inst=inst:
-                (verify_solution(inst, sol)[0] and compare_atomic_table(FR, sol, codec), None))
-        if config.get("formula"):
-            phi = parse_formula(config["formula"], P)
-            rep.run(f"force/{name}/given-formula-forced-iff-true",
-                    lambda FR=FR, phi=phi: truth_lemma_check(FR, phi))
-            if config.get("condition"):
-                p = P.index(config["condition"])
-                verdict = forces(FR, p, phi, check_universe=False)
-                rep.rows.append({"claim": f"force/{name}/given-formula-verdict",
-                                 "status": "pass", "verdict": verdict})
+@_per_notion("force")
+def suite_force(config, rep: Reporter, name: str, P: ForcingNotion):
+    N = _force_universe(P, config)
+    FR = atomic_forcing(P, N)
+    audit = audit_forcing_relation(FR)
+    for law, (ok, cx) in sorted(audit.laws.items()):
+        rep.run(f"force/{name}/{law}", lambda ok=ok, cx=cx: (ok, cx))
+    pool = corpus.oracle_pool(P, N)
+    rep.run(f"force/{name}/forced-iff-true", lambda: truth_lemma_check(FR, pool))
+    inst, codec, _ = atomic_recursion_instance(P, name_universe(P, 1))
+    sol = etr_solve(inst)
+    rep.run(f"force/{name}/staged-recursion-identical",
+            lambda: (verify_solution(inst, sol)[0] and compare_atomic_table(FR, sol, codec), None))
+    if config.get("formula"):
+        phi = parse_formula(config["formula"], P)
+        rep.run(f"force/{name}/given-formula-forced-iff-true",
+                lambda: truth_lemma_check(FR, phi))
+        if config.get("condition"):
+            p = P.index(config["condition"])
+            verdict = forces(FR, p, phi, check_universe=False)
+            rep.rows.append({"claim": f"force/{name}/given-formula-verdict",
+                             "status": "pass", "verdict": verdict})
 
 
 def _force_universe(P, config):
@@ -117,65 +132,65 @@ def _force_universe(P, config):
     return tuple(base)
 
 
-def suite_translate(config, rep: Reporter):
+@_per_notion("translate")
+def suite_translate(config, rep: Reporter, name: str, P: ForcingNotion):
     count = config.get("count", 50)
-    for name, P in _notions(config):
-        N = name_universe(P, 1)
-        FR = atomic_forcing(P, N)
-        names = corpus._sample_names(P, N)
-        rng = random.Random(config["seed"])
+    N = name_universe(P, 1)
+    FR = atomic_forcing(P, N)
+    names = corpus._sample_names(P, N)
+    rng = random.Random(config["seed"])
 
-        def check(P=P, FR=FR, names=names, rng=rng):
-            for _ in range(count):
-                s = corpus.random_qf_sentence(rng, P, names)
-                a, b = star_translate(s, P)
-                for p in P.conditions():
-                    if forces(FR, p, s, check_universe=False) != FR.decide("eq", p, a, b):
-                        return False, (p, formula_to_sexp(s))
-            return True, None
-
-        rep.run(f"translate/{name}/atomic-equality-soundness", check)
-
-
-def suite_complete(config, rep: Reporter):
-    for name, P in _notions(config):
-        try:
-            bc = boolean_completion(P)
-        except ForcelabError as e:
-            rep.run(f"complete/{name}/separative", lambda e=e: (False, str(e)))
-            continue
-        audit = audit_boolean_algebra(bc.algebra)
-        for law, (ok, cx) in sorted(audit.laws.items()):
-            rep.run(f"complete/{name}/{law}", lambda ok=ok, cx=cx: (ok, cx))
-        N = name_universe(P, 1)
-        FR = atomic_forcing(P, N)
-        bv = boolean_values(bc)
-
-        def coherent(P=P, N=N, FR=FR, bv=bv):
-            for kind in ("in", "sub", "eq"):
-                for s in N:
-                    for t in N:
-                        for p in P.conditions():
-                            if bv.derived_forces(p, kind, s, t) != FR.decide(kind, p, s, t):
-                                return False, (kind, p)
-            return True, None
-
-        rep.run(f"complete/{name}/value-coherence", coherent)
-
-        def embedding(P=P, bc=bc):
-            B = bc.algebra
+    def check():
+        for _ in range(count):
+            s = corpus.random_qf_sentence(rng, P, names)
+            a, b = star_translate(s, P)
             for p in P.conditions():
-                for q in P.conditions():
-                    if P.le(p, q) and not B.le(bc.embed(p), bc.embed(q)):
-                        return False, ("order", p, q)
-                    if P.compatible(p, q) == (B.meet(bc.embed(p), bc.embed(q)) == B.zero):
-                        return False, ("compatibility", p, q)
-            for u in B.elements:
-                if u != B.zero and not any(B.le(bc.embed(p), u) for p in P.conditions()):
-                    return False, ("density", sorted(u))
-            return True, None
+                if forces(FR, p, s, check_universe=False) != FR.decide("eq", p, a, b):
+                    return False, (p, formula_to_sexp(s))
+        return True, None
 
-        rep.run(f"complete/{name}/dense-embedding", embedding)
+    rep.run(f"translate/{name}/atomic-equality-soundness", check)
+
+
+@_per_notion("complete")
+def suite_complete(config, rep: Reporter, name: str, P: ForcingNotion):
+    try:
+        bc = boolean_completion(P)
+    except ForcelabError as e:
+        rep.run(f"complete/{name}/separative", lambda: (False, str(e)))
+        return
+    audit = audit_boolean_algebra(bc.algebra)
+    for law, (ok, cx) in sorted(audit.laws.items()):
+        rep.run(f"complete/{name}/{law}", lambda ok=ok, cx=cx: (ok, cx))
+    N = name_universe(P, 1)
+    FR = atomic_forcing(P, N)
+    bv = boolean_values(bc)
+
+    def coherent():
+        for kind in ("in", "sub", "eq"):
+            for s in N:
+                for t in N:
+                    for p in P.conditions():
+                        if bv.derived_forces(p, kind, s, t) != FR.decide(kind, p, s, t):
+                            return False, (kind, p)
+        return True, None
+
+    rep.run(f"complete/{name}/value-coherence", coherent)
+
+    def embedding():
+        B = bc.algebra
+        for p in P.conditions():
+            for q in P.conditions():
+                if P.le(p, q) and not B.le(bc.embed(p), bc.embed(q)):
+                    return False, ("order", p, q)
+                if P.compatible(p, q) == (B.meet(bc.embed(p), bc.embed(q)) == B.zero):
+                    return False, ("compatibility", p, q)
+        for u in B.elements:
+            if u != B.zero and not any(B.le(bc.embed(p), u) for p in P.conditions()):
+                return False, ("density", sorted(u))
+        return True, None
+
+    rep.run(f"complete/{name}/dense-embedding", embedding)
 
 
 def suite_truth(config, rep: Reporter):
@@ -322,18 +337,16 @@ def _oracle_universe(P, config):
     return subname_closure(base)
 
 
-def suite_oracle(config, rep: Reporter):
-    for name, P in _notions(config):
-        rep.run(f"oracle/{name}/separative", lambda P=P: is_separative(P))
-        N = _oracle_universe(P, config)
-        FR = atomic_forcing(P, N)
-        pool = corpus.oracle_pool(P, N)
-        rep.run(f"oracle/{name}/forced-iff-true",
-                lambda FR=FR, pool=pool: truth_lemma_check(FR, pool))
-        tn_pool = corpus.truth_name_pool(P, N)
-        rep.run(f"oracle/{name}/truth-predicate-name",
-                lambda FR=FR, tn_pool=tn_pool:
-                (lambda tn: (tn.ok, tn.failures[:1] or None))(truth_name(FR, tn_pool)))
+@_per_notion("oracle")
+def suite_oracle(config, rep: Reporter, name: str, P: ForcingNotion):
+    rep.run(f"oracle/{name}/separative", lambda: is_separative(P))
+    N = _oracle_universe(P, config)
+    FR = atomic_forcing(P, N)
+    pool = corpus.oracle_pool(P, N)
+    rep.run(f"oracle/{name}/forced-iff-true", lambda: truth_lemma_check(FR, pool))
+    tn_pool = corpus.truth_name_pool(P, N)
+    rep.run(f"oracle/{name}/truth-predicate-name",
+            lambda: (lambda tn: (tn.ok, tn.failures[:1] or None))(truth_name(FR, tn_pool)))
 
 
 SUITES = {
@@ -349,11 +362,24 @@ SUITES = {
 
 def run_suite(suite: str, config: dict) -> dict:
     rep = Reporter(bool(config.get("timings")))
-    SUITES[suite](config, rep)
+    try:
+        SUITES[suite](config, rep)
+    except BudgetError as e:
+        rep.skip(f"{suite}/inputs", e)
     shown = {k: v for k, v in config.items() if k != "A"}
     if config.get("A") is not None:
         shown["A"] = [x.to_sexp() for x in config["A"]]
     return rep.report(suite, shown)
+
+
+def _clock(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -373,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--A", dest="A", help="(hf ...) literals, one per element",
                        nargs="*")
         p.add_argument("--pool", help="s-expression file of formulas")
-        p.add_argument("--clock", type=int, default=3)
+        p.add_argument("--clock", type=_clock, default=3)
         p.add_argument("--count", type=int, default=50)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--timings", action="store_true")

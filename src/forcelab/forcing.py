@@ -1,23 +1,28 @@
 """Forcing relations over finite notions.
 
-The atomic relation is the unique solution of the membership/equality
-recursion on pairs of names, ordered by the maximum of their ranks; it is
-computed here by memoized recursion and, for cross-checks, re-derived as a
-staged recursion instance.  On top of it sit the composite clauses for the
+A forcing value is the set of conditions forcing a statement, held as an
+`int` mask with bit p for condition p: a regular-open downset.  Atomic
+values solve the membership/equality recursion on pairs of names, ordered
+by the maximum of their ranks, by memoized recursion on masks; for
+cross-checks they are re-derived pointwise as a staged recursion instance
+and as Boolean values.  On top of them sit the composite clauses for the
 (finite) infinitary forcing language, the law audit, the reduction of
 quantifier-free sentences to single atomic equalities, Boolean completions
 with Boolean values, generic extensions with the forced-iff-true oracle,
 and the name of a truth predicate.
 
 Throughout, "dense below p" is the finite reading: every extension of p
-has a further extension in the set.
+has a further extension in the set.  neg(W) holds the conditions with no
+extension in W, so neg(neg(W)) holds those below which W is dense.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import etr as etr_mod
 from . import truth as truth_mod
@@ -54,12 +59,23 @@ class AtomicStatement:
             raise ForcelabError("in_class statements need a class name")
 
 
+def _mask(conditions: Iterable[int]) -> int:
+    return sum(1 << p for p in conditions)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The conditions in a mask, in increasing order."""
+    return (p for p in range(mask.bit_length()) if mask >> p & 1)
+
+
 class ForcingRelation:
     """The forcing relation of one notion over one subname-closed universe.
 
-    Atomic decisions are memoized results of the defining recursion and are
-    sound for any names, not only universe members; the universe bounds the
-    quantifier clauses.  The canonical generic-filter class name is always
+    Values are condition masks.  `_atomic` maps (kind, σ, τ) to the mask of
+    the atomic statement; atomic values are sound for any names, not only
+    universe members, and the universe bounds the quantifier clauses.
+    `_values` maps a formula node to its mask and is dropped when a class
+    name is registered.  The canonical generic-filter class name is always
     registered under "G".
     """
 
@@ -78,9 +94,12 @@ class ForcingRelation:
         for cls in classes:
             self.classes[cls.ident] = cls
         self.quantifier_budget = quantifier_budget
+        self.full = (1 << len(notion)) - 1
+        self._down = tuple(_mask(notion.down(p)) for p in notion.conditions())
+        self._up = tuple(_mask(notion.up(p)) for p in notion.conditions())
+        self._neg: dict[int, int] = {}
         self._atomic: dict = {}
-        self._in_witness: dict = {}
-        self._forces_memo: dict = {}
+        self._values: dict = {}
         if eager:
             if len(notion) * len(self.universe) ** 2 > atomic_budget:
                 raise BudgetError(
@@ -90,68 +109,106 @@ class ForcingRelation:
 
     def register_class(self, cls: ClassName):
         self.classes[cls.ident] = cls
-        self._forces_memo.clear()
+        self._values.clear()
+
+    def neg(self, W: int) -> int:
+        """The complement of W's upward closure."""
+        got = self._neg.get(W)
+        if got is None:
+            up, covered, rest = self._up, 0, W
+            while rest:
+                covered |= up[(rest & -rest).bit_length() - 1]
+                rest &= ~covered
+            got = self._neg[W] = self.full & ~covered
+        return got
+
+    def regularize(self, W: int) -> int:
+        """The conditions below which W is dense."""
+        return self.neg(self.neg(W))
 
     # -- the atomic recursion ------------------------------------------------
 
-    def decide(self, kind: str, p: int, sigma: PName, tau: PName) -> bool:
-        """p forces the atomic statement; the recursion is well-founded on
+    def atomic_value(self, kind: str, sigma: PName, tau: PName) -> int:
+        """The mask of the atomic statement; the recursion is well-founded on
         the summed ranks of the pair, so plain memoization suffices."""
-        key = (kind, p, sigma, tau)
+        key = (kind, sigma, tau)
         got = self._atomic.get(key)
         if got is not None:
             return got
-        down = self.notion.down
         if kind == "in":
-            out = self._dense_below(p, lambda q: self._witness_in(q, sigma, tau))
+            out = self._witnessed(sigma, tau.entries)
         elif kind == "sub":
-            out = True
+            # p has no extension under r below which ρ ∈ τ is nowhere forced
+            out = self.full
             for rho, r in sigma.entries:
-                for q1 in down(p) & down(r):
-                    if not any(self.decide("in", q, rho, tau) for q in down(q1)):
-                        out = False
-                        break
+                out &= self.neg(self._down[r] & self.neg(self.atomic_value("in", rho, tau)))
                 if not out:
                     break
         elif kind == "eq":
-            out = self.decide("sub", p, sigma, tau) and self.decide("sub", p, tau, sigma)
+            out = self.atomic_value("sub", sigma, tau)
+            if out:
+                out &= self.atomic_value("sub", tau, sigma)
         else:
             raise ForcelabError(f"unknown atomic kind {kind!r}")
         self._atomic[key] = out
         return out
 
-    def _witness_in(self, q: int, sigma: PName, tau: PName) -> bool:
-        """Some entry ⟨ρ,r⟩ of τ has q ≤ r and q forcing σ = ρ."""
-        key = (q, sigma, tau)
-        got = self._in_witness.get(key)
-        if got is None:
-            got = any(self.notion.le(q, r) and self.decide("eq", q, sigma, rho)
-                      for rho, r in tau.entries)
-            self._in_witness[key] = got
-        return got
+    def _witnessed(self, sigma: PName, entries) -> int:
+        """Below which it is dense that some entry ⟨τ,r⟩ has a condition
+        under r forcing σ = τ."""
+        W = 0
+        for tau, r in entries:
+            W |= self.atomic_value("eq", sigma, tau) & self._down[r]
+        return self.regularize(W)
 
-    def _dense_below(self, p: int, pred: Callable[[int], bool]) -> bool:
-        down = self.notion.down
-        return all(any(pred(q) for q in down(q1)) for q1 in down(p))
+    def decide(self, kind: str, p: int, sigma: PName, tau: PName) -> bool:
+        return self.atomic_value(kind, sigma, tau) >> p & 1 == 1
 
     def materialize(self):
-        for p in self.notion.conditions():
-            for sigma in self.universe:
-                for tau in self.universe:
-                    for kind in ("in", "sub", "eq"):
-                        self.decide(kind, p, sigma, tau)
+        for sigma in self.universe:
+            for tau in self.universe:
+                for kind in ("in", "sub", "eq"):
+                    self.atomic_value(kind, sigma, tau)
 
     def forces_atomic(self, p: int, stmt: AtomicStatement) -> bool:
         if stmt.kind == "in_class":
-            return self._forces_class_atom(p, stmt.left, stmt.class_name)
+            return self._witnessed(stmt.left, stmt.class_name.entries) >> p & 1 == 1
         return self.decide(stmt.kind, p, stmt.left, stmt.right)
 
-    def _forces_class_atom(self, p: int, sigma: PName, cls: ClassName) -> bool:
-        def witness(q: int) -> bool:
-            return any(self.notion.le(q, r) and self.decide("eq", q, sigma, tau)
-                       for tau, r in cls.entries)
+    def value(self, phi: Formula) -> int:
+        """The mask of the conditions forcing the closed formula."""
+        got = self._values.get(phi)
+        if got is None:
+            got = self._values[phi] = self._clause(phi)
+        return got
 
-        return self._dense_below(p, witness)
+    def _clause(self, phi: Formula) -> int:
+        if isinstance(phi, AtomEq):
+            return self.atomic_value("eq", _term_pname(phi.left), _term_pname(phi.right))
+        if isinstance(phi, AtomIn):
+            return self.atomic_value("in", _term_pname(phi.left), _term_pname(phi.right))
+        if isinstance(phi, (AtomInClass, AtomInG)):
+            ident = phi.ident if isinstance(phi, AtomInClass) else "G"
+            if ident not in self.classes:
+                raise ForcelabError(f"no class name registered as {ident!r}")
+            return self._witnessed(_term_pname(phi.term), self.classes[ident].entries)
+        if isinstance(phi, AtomTr):
+            raise ForcelabError("iterated-truth atoms are not part of the forcing language")
+        if isinstance(phi, Not):
+            return self.neg(self.value(phi.sub))
+        if isinstance(phi, (And, Or)):
+            subs = phi.subs
+        elif isinstance(phi, (Forall, Exists)):
+            k = len(phi.vars)
+            if len(self.universe) ** k > self.quantifier_budget:
+                raise BudgetError(f"quantifier block over {len(self.universe)}^{k} names")
+            subs = (substitute(phi.body, dict(zip(phi.vars, map(name_const, values))))
+                    for values in itertools.product(self.universe, repeat=k))
+        else:
+            raise ForcelabError(f"unknown formula node {type(phi).__name__}")
+        if isinstance(phi, (And, Forall)):
+            return functools.reduce(operator.and_, map(self.value, subs), self.full)
+        return self.regularize(functools.reduce(operator.or_, map(self.value, subs), 0))
 
 
 def atomic_forcing(P: ForcingNotion, universe: Sequence[PName],
@@ -160,9 +217,6 @@ def atomic_forcing(P: ForcingNotion, universe: Sequence[PName],
     """The forcing relation for atomic statements over a subname-closed universe."""
     return ForcingRelation(P, universe, classes, eager, atomic_budget)
 
-
-# ---------------------------------------------------------------------------
-# The composite clauses.
 
 def collect_names(phi: Formula) -> set[PName]:
     """The names the formula mentions."""
@@ -180,10 +234,11 @@ def _term_pname(t: Term) -> PName:
 def forces(FR: ForcingRelation, p: int, phi: Formula, check_universe: bool = True) -> bool:
     """p forces the closed forcing-language formula, by the recursive clauses.
 
-    Disjunction and existential quantification are evaluated by their
-    densely-many-extensions characterization, which agrees with reading
-    them as abbreviations (negated conjunction of negations); the
-    agreement is exercised by the audit tests.
+    The value of ¬φ is neg of φ's, of ∧ and ∀ the intersection, and of ∨
+    and ∃ the regularized union: a disjunction is forced below which its
+    disjuncts are densely forced, which agrees with reading it as an
+    abbreviation (negated conjunction of negations); the agreement is
+    exercised by the audit tests.
     """
     if phi.free:
         raise ForcelabError("only closed formulas are forced")
@@ -194,52 +249,7 @@ def forces(FR: ForcingRelation, p: int, phi: Formula, check_universe: bool = Tru
         if missing:
             raise ForcelabError(
                 f"formula mentions {len(missing)} name(s) outside the universe")
-    return _forces(FR, p, phi)
-
-
-def _forces(FR: ForcingRelation, p: int, phi: Formula) -> bool:
-    key = (p, phi)
-    got = FR._forces_memo.get(key)
-    if got is not None:
-        return got
-    out = _forces_raw(FR, p, phi)
-    FR._forces_memo[key] = out
-    return out
-
-
-def _forces_raw(FR: ForcingRelation, p: int, phi: Formula) -> bool:
-    down = FR.notion.down
-    if isinstance(phi, AtomEq):
-        return FR.decide("eq", p, _term_pname(phi.left), _term_pname(phi.right))
-    if isinstance(phi, AtomIn):
-        return FR.decide("in", p, _term_pname(phi.left), _term_pname(phi.right))
-    if isinstance(phi, AtomInClass):
-        try:
-            cls = FR.classes[phi.ident]
-        except KeyError:
-            raise ForcelabError(f"no class name registered as {phi.ident!r}") from None
-        return FR._forces_class_atom(p, _term_pname(phi.term), cls)
-    if isinstance(phi, AtomInG):
-        return FR._forces_class_atom(p, _term_pname(phi.term), FR.classes["G"])
-    if isinstance(phi, AtomTr):
-        raise ForcelabError("iterated-truth atoms are not part of the forcing language")
-    if isinstance(phi, Not):
-        return not any(_forces(FR, q, phi.sub) for q in down(p))
-    if isinstance(phi, And):
-        return all(_forces(FR, p, s) for s in phi.subs)
-    if isinstance(phi, Or):
-        return FR._dense_below(p, lambda q: any(_forces(FR, q, s) for s in phi.subs))
-    if isinstance(phi, (Forall, Exists)):
-        k = len(phi.vars)
-        if len(FR.universe) ** k > FR.quantifier_budget:
-            raise BudgetError(f"quantifier block over {len(FR.universe)}^{k} names")
-        assignments = [dict(zip(phi.vars, (name_const(n) for n in values)))
-                       for values in itertools.product(FR.universe, repeat=k)]
-        if isinstance(phi, Forall):
-            return all(_forces(FR, p, substitute(phi.body, a)) for a in assignments)
-        return FR._dense_below(
-            p, lambda q: any(_forces(FR, q, substitute(phi.body, a)) for a in assignments))
-    raise ForcelabError(f"unknown formula node {type(phi).__name__}")
+    return FR.value(phi) >> p & 1 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +291,7 @@ def audit_forcing_relation(FR: ForcingRelation, triple_cap: int = 4000,
     FR.materialize()
     P = FR.notion
     N = FR.universe
+    down = [_mask(P.down(p)) for p in P.conditions()]
     report = AuditReport()
 
     for law in ("downward-closure", "density", "modus-ponens", "eq-reflexive",
@@ -290,43 +301,42 @@ def audit_forcing_relation(FR: ForcingRelation, triple_cap: int = 4000,
     for kind in ("in", "sub", "eq"):
         for sigma in N:
             for tau in N:
-                forced_at = [p for p in P.conditions() if FR.decide(kind, p, sigma, tau)]
-                for p in forced_at:
-                    for q in P.down(p):
-                        if not FR.decide(kind, q, sigma, tau):
-                            report.record("downward-closure", False, (kind, p, q, sigma, tau))
-                for p in P.conditions():
-                    dense = all(any(q in forced_at for q in P.down(q1)) for q1 in P.down(p))
-                    if dense and p not in forced_at:
+                V = FR.atomic_value(kind, sigma, tau)
+                for p in _bits(V):
+                    if down[p] & ~V:
+                        report.record("downward-closure", False,
+                                      (kind, p, next(_bits(down[p] & ~V)), sigma, tau))
+                for p in _bits(FR.full & ~V):
+                    if all(down[q1] & V for q1 in P.down(p)):
                         report.record("density", False, (kind, p, sigma, tau))
 
     audit_pool = list(pool) if pool is not None else _atomic_formulas(FR, 24)
     for phi, psi in itertools.islice(itertools.product(audit_pool, repeat=2), triple_cap):
-        for p in P.conditions():
-            if _forces(FR, p, phi) and _forces(FR, p, implies(phi, psi)) \
-                    and not _forces(FR, p, psi):
-                report.record("modus-ponens", False, (p, phi, psi))
+        bad = FR.value(phi) & FR.value(implies(phi, psi)) & ~FR.value(psi)
+        if bad:
+            report.record("modus-ponens", False, (next(_bits(bad)), phi, psi))
+
+    def eq(s: PName, t: PName) -> int:
+        return FR.atomic_value("eq", s, t)
 
     for sigma in N:
-        if not FR.decide("eq", P.one, sigma, sigma):
+        if not eq(sigma, sigma) >> P.one & 1:
             report.record("eq-reflexive", False, sigma)
     for sigma, tau in itertools.islice(itertools.product(N, repeat=2), triple_cap):
-        for p in P.conditions():
-            if FR.decide("eq", p, sigma, tau) != FR.decide("eq", p, tau, sigma):
-                report.record("eq-symmetric", False, (p, sigma, tau))
+        bad = eq(sigma, tau) ^ eq(tau, sigma)
+        if bad:
+            report.record("eq-symmetric", False, (next(_bits(bad)), sigma, tau))
     for sigma, tau, rho in itertools.islice(itertools.product(N, repeat=3), triple_cap):
-        for p in P.conditions():
-            if FR.decide("eq", p, sigma, tau) and FR.decide("eq", p, tau, rho) \
-                    and not FR.decide("eq", p, sigma, rho):
-                report.record("eq-transitive", False, (p, sigma, tau, rho))
-            if FR.decide("eq", p, sigma, tau) and FR.decide("in", p, rho, sigma) \
-                    and not FR.decide("in", p, rho, tau):
-                report.record("eq-congruence", False, (p, sigma, tau, rho))
+        bad = eq(sigma, tau) & eq(tau, rho) & ~eq(sigma, rho)
+        if bad:
+            report.record("eq-transitive", False, (next(_bits(bad)), sigma, tau, rho))
+        bad = eq(sigma, tau) & FR.atomic_value("in", rho, sigma) & ~FR.atomic_value("in", rho, tau)
+        if bad:
+            report.record("eq-congruence", False, (next(_bits(bad)), sigma, tau, rho))
 
     for phi in audit_pool:
-        decided = [q for q in P.conditions()
-                   if _forces(FR, q, phi) or _forces(FR, q, not_(phi))]
-        if not all(any(q in decided for q in P.down(q1)) for q1 in P.conditions()):
+        decided = FR.value(phi) | FR.value(not_(phi))
+        if not all(down[q1] & decided for q1 in P.conditions()):
             report.record("dense-decided", False, phi)
 
     return report
@@ -656,8 +666,7 @@ def audit_boolean_algebra(B: BooleanAlgebra, pair_cap: int = 40000) -> AuditRepo
 
 def lindenbaum_value(FR: ForcingRelation, phi: Formula) -> frozenset[int]:
     """The conditions forcing the sentence; regular-open by the forcing laws."""
-    return frozenset(p for p in FR.notion.conditions()
-                     if forces(FR, p, phi, check_universe=False))
+    return frozenset(_bits(FR.value(phi)))
 
 
 class BooleanValues:
@@ -721,57 +730,53 @@ def extension(FR: ForcingRelation, G: Filter,
     for cls in class_names:
         FR.register_class(cls)
     N = FR.universe
+    g = _mask(G.members)
 
-    def eq(a: PName, b: PName) -> bool:
-        return any(FR.decide("eq", p, a, b) for p in G.members)
+    # Row i of each relation is a mask over universe positions: eq_row[i]
+    # holds the j with N[i] =_G N[j], has[i] the j with N[j] ∈_G N[i] and
+    # within[i] the j with N[i] ∈_G N[j].
+    def row(values: Iterable[int]) -> int:
+        return sum(1 << j for j, value in enumerate(values) if value & g)
 
-    def mem(a: PName, b: PName) -> bool:
-        return any(FR.decide("in", p, a, b) for p in G.members)
+    eq_row = [row(FR.atomic_value("eq", a, b) for b in N) for a in N]
+    has = [row(FR.atomic_value("in", b, a) for b in N) for a in N]
+    within = [row(FR.atomic_value("in", a, b) for b in N) for a in N]
 
-    for a in N:
-        if not eq(a, a):
+    for i in range(len(N)):
+        if not eq_row[i] >> i & 1:
             raise ForcelabError("forced equality is not reflexive; corrupted table")
-    for a, b, c in itertools.product(N, repeat=3):
-        if eq(a, b) and eq(b, c) and not eq(a, c):
-            raise ForcelabError("forced equality is not transitive; corrupted table")
-    for a, b, c in itertools.product(N, repeat=3):
-        if eq(a, b) and (mem(c, a) != mem(c, b) or mem(a, c) != mem(b, c)):
-            raise ForcelabError("forced equality is not a membership congruence")
+        for j in _bits(eq_row[i]):
+            if eq_row[j] & ~eq_row[i]:
+                raise ForcelabError("forced equality is not transitive; corrupted table")
+            if has[i] != has[j] or within[i] != within[j]:
+                raise ForcelabError("forced equality is not a membership congruence")
 
-    blocks: list[list[PName]] = []
+    # The universe is sorted by key, so a block's first member is its least.
+    blocks: list[frozenset[PName]] = []
     rep: dict[PName, PName] = {}
-    for a in N:
-        for block in blocks:
-            if eq(a, block[0]):
-                block.append(a)
-                break
-        else:
-            blocks.append([a])
-    block_tuples = tuple(frozenset(b) for b in blocks)
-    for block in block_tuples:
-        r = min(block, key=lambda n: n.key)
-        for a in block:
-            rep[a] = r
-
-    reps = sorted(set(rep.values()), key=lambda n: n.key)
-    membership = frozenset((a, b) for a in reps for b in reps if mem(a, b))
+    firsts = [i for i in range(len(N)) if not eq_row[i] & ((1 << i) - 1)]
+    for i in firsts:
+        blocks.append(frozenset(N[j] for j in _bits(eq_row[i])))
+        rep.update(dict.fromkeys(blocks[-1], N[i]))
+    reps = [N[i] for i in firsts]
+    membership = frozenset((N[i], N[j]) for i in firsts for j in firsts if within[i] >> j & 1)
 
     class_ext: dict[str, frozenset[PName]] = {}
-    for ident, cls in FR.classes.items():
+    for ident in FR.classes:
         class_ext[ident] = frozenset(
-            a for a in reps if any(FR._forces_class_atom(p, a, cls) for p in G.members))
+            a for a in reps if FR.value(atom_in_class(name_const(a), ident)) & g)
 
     memo: dict = {}
     evaluation = {a: eval_name(a, G, memo) for a in N}
 
     # Quotient vs direct evaluation: same identifications, same membership,
     # same class extensions.
-    for a, b in itertools.product(N, repeat=2):
-        if eq(a, b) != (evaluation[a] is evaluation[b]):
+    for (i, a), (j, b) in itertools.product(enumerate(N), repeat=2):
+        if (eq_row[i] >> j & 1) != (evaluation[a] is evaluation[b]):
             raise ForcelabError(
                 "forced equality disagrees with direct evaluation "
                 f"at {a!r}, {b!r}")
-        if mem(a, b) != (evaluation[a] in evaluation[b]):
+        if (within[i] >> j & 1) != (evaluation[a] in evaluation[b]):
             raise ForcelabError("forced membership disagrees with direct evaluation")
     domain = sorted({evaluation[a] for a in N}, key=lambda x: x.key)
     predicates = {}
@@ -783,7 +788,7 @@ def extension(FR: ForcingRelation, G: Filter,
         predicates[ident] = direct & set(domain)
     structure = truth_mod.FiniteStructure(domain, predicates)
 
-    return GenericExtension(FR, G, block_tuples, rep, membership, class_ext,
+    return GenericExtension(FR, G, tuple(blocks), rep, membership, class_ext,
                             evaluation, structure)
 
 
@@ -822,10 +827,10 @@ def truth_lemma_check(FR: ForcingRelation, phis: Formula | Iterable[Formula],
         FR.register_class(cls)
     for G in generic_filters(FR.notion):
         ext = extension(FR, G)
+        g = _mask(G.members)
         for phi in phis:
             truth = truth_mod.eval_formula(ext.structure, ground_formula(phi, ext), {})
-            forced = any(_forces(FR, p, phi) for p in G.members)
-            if truth != forced:
+            if truth != (FR.value(phi) & g != 0):
                 return False, (G, phi)
     return True, None
 
@@ -858,25 +863,15 @@ def truth_name(FR: ForcingRelation, pool: Sequence[Formula]) -> TruthName:
     if closed_subs - set(pool):
         raise ClosureError("truth-name pool must contain every closed subformula")
 
-    entries = []
-    for phi in pool:
-        entry = _pool_entry_name(phi)
-        for p in FR.notion.conditions():
-            if forces(FR, p, phi, check_universe=False):
-                entries.append((entry, p))
+    entries = [(_pool_entry_name(phi), p) for phi in pool for p in _bits(FR.value(phi))]
     tdot = ClassName.make("T", entries)
     FR.register_class(tdot)
 
     failures = []
-
-    def star_forces(p: int, phi: Formula) -> bool:
-        atom = atom_in_class(name_const(_pool_entry_name(phi)), "T")
-        return forces(FR, p, atom, check_universe=False)
-
     for phi in pool:
-        for p in FR.notion.conditions():
-            if star_forces(p, phi) != forces(FR, p, phi, check_universe=False):
-                failures.append(("derived-vs-forcing", p, phi))
+        derived = FR.value(atom_in_class(name_const(_pool_entry_name(phi)), "T"))
+        for p in _bits(derived ^ FR.value(phi)):
+            failures.append(("derived-vs-forcing", p, phi))
 
     for G in generic_filters(FR.notion):
         ext = extension(FR, G)

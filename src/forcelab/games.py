@@ -77,6 +77,21 @@ class GameTree:
         return sexpr.show(forms)
 
 
+def _game_int(token) -> int:
+    if isinstance(token, str) and token.lstrip("-").isdigit():
+        return int(token)
+    raise ParseError(f"expected a node number, got {token!r}")
+
+
+def _game_parts(clause: list) -> dict[str, list]:
+    parts = {}
+    for part in clause[2:]:
+        if not isinstance(part, list) or not part or not isinstance(part[0], str):
+            raise ParseError(f"bad part {part!r} in ({clause[0]} ...)")
+        parts[part[0]] = part[1:]
+    return parts
+
+
 def parse_game(text: str) -> GameTree:
     form = sexpr.read(text)
     if not isinstance(form, list) or not form or form[0] != "game":
@@ -87,30 +102,31 @@ def parse_game(text: str) -> GameTree:
         if not isinstance(clause, list) or not clause:
             raise ParseError("bad game clause")
         head = clause[0]
+        if head in ("node", "terminal", "root") and len(clause) < 2:
+            raise ParseError(f"({head} ...) needs a node number")
         if head == "node":
-            ident = int(clause[1])
-            mover = None
-            children: tuple[int, ...] = ()
-            for part in clause[2:]:
-                if part[0] == "mover":
-                    mover = part[1]
-                elif part[0] == "children":
-                    children = tuple(int(c) for c in part[1:])
+            ident = _game_int(clause[1])
+            parts = _game_parts(clause)
+            mover = (parts.get("mover") or [None])[0]
+            children = tuple(_game_int(c) for c in parts.get("children", ()))
             nodes[ident] = GameNode(ident, mover, children)
         elif head == "terminal":
-            ident = int(clause[1])
-            winner = None
-            for part in clause[2:]:
-                if part[0] == "winner":
-                    winner = part[1]
+            ident = _game_int(clause[1])
+            winner = (_game_parts(clause).get("winner") or [None])[0]
             nodes[ident] = GameNode(ident, None, (), winner)
         elif head == "root":
-            root = int(clause[1])
+            root = _game_int(clause[1])
         else:
             raise ParseError(f"unknown game clause {head!r}")
     if root is None:
         raise ParseError("game needs a (root ...) clause")
-    return GameTree(nodes, root)
+    undefined = sorted({root, *(c for n in nodes.values() for c in n.children)} - set(nodes))
+    if undefined:
+        raise ParseError(f"node {undefined[0]} is used but never defined")
+    try:
+        return GameTree(nodes, root)
+    except ForcelabError as e:
+        raise ParseError(str(e)) from None
 
 
 def _postorder(T: GameTree) -> list[int]:

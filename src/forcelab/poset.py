@@ -142,14 +142,17 @@ def parse_poset(text: str) -> ForcingNotion:
             raise ParseError("bad poset clause")
         head = clause[0]
         if head == "elems":
-            elems = [e for e in clause[1:]]
+            elems = clause[1:]
+            if not all(isinstance(e, str) for e in elems):
+                raise ParseError("(elems ...) takes condition tokens")
         elif head == "one":
             if len(clause) != 2:
                 raise ParseError("(one <token>) takes one token")
             one = clause[1]
         elif head == "le":
             for pair in clause[1:]:
-                if not (isinstance(pair, list) and len(pair) == 2):
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and all(isinstance(t, str) for t in pair)):
                     raise ParseError("le entries are (<stronger> <weaker>) pairs")
                 pairs.append((pair[0], pair[1]))
         else:
@@ -158,8 +161,13 @@ def parse_poset(text: str) -> ForcingNotion:
         raise ParseError("poset needs (elems ...) and (one ...)")
     if one not in elems:
         raise ParseError(f"top {one!r} not among elements")
+    if len(set(elems)) != len(elems):
+        raise ParseError("duplicate condition tokens")
     ordered = [one] + [e for e in elems if e != one]
     idx = {tok: i for i, tok in enumerate(ordered)}
+    unknown = [tok for pair in pairs for tok in pair if tok not in idx]
+    if unknown:
+        raise ParseError(f"le mentions unknown condition token {unknown[0]!r}")
     return ForcingNotion(ordered, [(idx[a], idx[b]) for a, b in pairs])
 
 

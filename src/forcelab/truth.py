@@ -488,19 +488,18 @@ def forcing_truth(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
 
 def invariance_check(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
                      ft: ForcingTruth | None = None):
-    """Every condition forces an instantiated clock translation iff the top does."""
-    from . import forcing as forcing_mod
-
+    """Every condition forces an instantiated clock translation iff the top
+    does: each instance's forcing value is empty or every condition."""
     if ft is None:
         ft = ForcingTruth(n, A, pool)
+    FR = ft.relation
     for phi in ft.pool:
         for v in instances(FiniteStructure(ft.fa.targets), phi):
-            inst = ft.instance(phi, v)
-            at_one = forcing_mod.forces(ft.relation, ft.fa.one, inst, check_universe=False)
-            for p in ft.fa.conditions():
-                at_p = forcing_mod.forces(ft.relation, p, inst, check_universe=False)
-                if at_p != at_one:
-                    return False, (p, phi, tuple(sorted(v.items())))
+            value = FR.value(ft.instance(phi, v))
+            if value not in (0, FR.full):
+                at_one = value >> ft.fa.one & 1
+                p = next(q for q in ft.fa.conditions() if value >> q & 1 != at_one)
+                return False, (p, phi, tuple(sorted(v.items())))
     return True, None
 
 

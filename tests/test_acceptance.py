@@ -49,9 +49,9 @@ def test_criterion_1_truth_lemma_oracle():
         ok, failure = truth_lemma_check(FR, pool)
         if not ok:
             failures += 1
-    # up to three conditions the sweep is literally exhaustive: every
+    # up to four conditions the sweep is literally exhaustive: every
     # separative notion with a top, not just the corpus members
-    for size in (1, 2, 3):
+    for size in (1, 2, 3, 4):
         for P in corpus.all_topped_preorders(size):
             if not is_separative(P)[0]:
                 continue
@@ -61,7 +61,7 @@ def test_criterion_1_truth_lemma_oracle():
             if not ok:
                 failures += 1
     _report(1, "forced iff true over all generic filters: full corpus plus "
-               "every separative notion with at most three conditions",
+               "every separative notion with at most four conditions",
             started, failures)
 
 

@@ -91,3 +91,44 @@ def test_reports_match_golden(tmp_path, argv):
     out = tmp_path / "report.json"
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_text() == (GOLDEN / f"{argv[0]}.json").read_text()
+
+
+def test_budget_overrun_while_building_inputs_is_a_skipped_row(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["oracle", "--max-poset", "3", "--max-name-rank", "2", "--out", str(out)])
+    assert code == 0
+    rows = {r["claim"]: r for r in json.loads(out.read_text())["rows"]}
+    skipped = rows["oracle/fork/inputs"]
+    assert skipped["status"] == "skipped-budget" and "budget" in skipped["reason"]
+    # the notion's other rows are kept, and notions within budget still run
+    assert rows["oracle/fork/separative"]["status"] == "pass"
+    assert rows["oracle/trivial/forced-iff-true"]["status"] == "pass"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_budget_overrun_in_a_suite_without_notions(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["truth", "--stage", "4", "--A", "(hf)", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["claim"], r["status"]) for r in rows] == [("truth/inputs", "skipped-budget")]
+
+
+@pytest.mark.parametrize("suite", ["iterated", "game"])
+@pytest.mark.parametrize("clock", ["0", "-1"])
+def test_clock_below_one_is_a_usage_error(suite, clock, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([suite, "--clock", clock])
+    assert exit_info.value.code == 2
+    assert "--clock" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "(poset (elems a) (one a) (le (a b)))",
+    "(poset (elems a a) (one a))",
+])
+def test_bad_poset_file_exits_2_with_one_line(tmp_path, capsys, text):
+    bad = tmp_path / "bad.sexp"
+    bad.write_text(text)
+    assert main(["force", "--poset", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -147,7 +147,7 @@ def test_audit_catches_corruption(fork):
     sigma = FR.universe[1]
     a = fork.index("a")
     assert FR.decide("eq", a, sigma, sigma)
-    FR._atomic[("eq", a, sigma, sigma)] = False
+    FR._atomic[("eq", sigma, sigma)] &= ~(1 << a)
     report = audit_forcing_relation(FR)
     assert not report.ok
     assert "downward-closure" in report.failures() or "density" in report.failures()

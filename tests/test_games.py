@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from forcelab import (BudgetError, FiniteStructure, GameNode, GameTree,
+from forcelab import (BudgetError, FiniteStructure, GameNode, GameTree, ParseError,
                       atom_eq, atom_in, continuous_rank, etr_solve,
                       eval_formula, exists, extract_verdicts, not_, parse_game,
                       random_game_tree, truth_telling_game, v_stage, var,
@@ -189,3 +189,17 @@ def test_budget():
     M = FiniteStructure(v_stage(2))
     with pytest.raises(BudgetError):
         truth_telling_game(M, _atomic_pool(), 3, budget=100)
+
+
+@pytest.mark.parametrize("text", [
+    "(game (node x) (root 0))",
+    "(game (node) (root 0))",
+    "(game (node 0 mover) (root 0))",
+    "(game (node 0 (mover I) (children 1)) (root 0))",
+    "(game (terminal 0 (winner I)) (root 3))",
+    "(game (node 0 (mover I) (children 0)) (root 0))",
+    "(game (terminal 0 (winner nobody)) (root 0))",
+])
+def test_malformed_game_raises_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_game(text)

@@ -1,6 +1,6 @@
 import pytest
 
-from forcelab import (EMPTY, BudgetError, build_collapse,
+from forcelab import (EMPTY, BudgetError, ParseError, build_collapse,
                       generic_filters, hf_make, is_dense, is_dense_below,
                       is_separative, make_notion, minimal_classes, parse_poset,
                       v_stage)
@@ -146,3 +146,15 @@ def test_poset_parse_errors():
         parse_poset("(poset (elems a b))")
     with pytest.raises(Exception):
         parse_poset("(poset (elems a) (one zzz))")
+
+
+@pytest.mark.parametrize("text", [
+    "(poset (elems a) (one a) (le (a b)))",
+    "(poset (elems a b) (one a) (le (c a)))",
+    "(poset (elems a a) (one a))",
+    "(poset (elems a (b)) (one a))",
+    "(poset (elems a b) (one a) (le ((a) b)))",
+])
+def test_malformed_poset_raises_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_poset(text)
