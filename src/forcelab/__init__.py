@@ -44,9 +44,9 @@ from .forcing import (AtomicStatement, AuditReport, BooleanAlgebra,
                       forces, ground_formula, lindenbaum_value,
                       star_translate, truth_lemma_check, truth_name)
 from .games import (GameNode, GameTree, ZermeloResult, continuous_rank,
-                    extract_verdicts, parse_game, random_game_tree,
-                    truth_telling_game, verify_strategy, zermelo_solve,
-                    zermelo_recursion_instance)
+                    extract_verdicts, label_fixpoint_violation, parse_game,
+                    random_game_tree, truth_telling_game, verify_strategy,
+                    zermelo_solve, zermelo_recursion_instance)
 from . import corpus
 
 __all__ = [name for name in dir() if not name.startswith("_")]

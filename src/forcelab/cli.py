@@ -14,26 +14,29 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from . import corpus
+from . import corpus, sexpr
 from .errors import BudgetError, ForcelabError, ParseError
-from .formulas import formula_to_sexp, parse_formula, parse_hf
+from .etr import etr_solve, verify_solution
+from .formulas import (AtomInClass, AtomTr, Formula, atom_eq, atom_in,
+                       encode_formula, encode_valuation, formula_to_sexp, nodes,
+                       not_, parse_formula, parse_hf, subformula_closure, var)
 from .forcing import (atomic_forcing, atomic_recursion_instance,
                       audit_boolean_algebra, audit_forcing_relation,
-                      boolean_completion, boolean_values, compare_atomic_table,
-                      forces, star_translate,
+                      boolean_completion, boolean_values, collect_names,
+                      compare_atomic_table, forces, star_translate,
                       truth_lemma_check, truth_name)
-from .games import (extract_verdicts, random_game_tree, truth_telling_game,
-                    verify_strategy, zermelo_solve)
-from .hfset import EMPTY, v_stage
-from .names import name_universe
+from .games import (extract_verdicts, label_fixpoint_violation,
+                    random_game_tree, truth_telling_game, verify_strategy,
+                    zermelo_solve)
+from .hfset import EMPTY, nat_encode, v_stage
+from .names import name_universe, parse_name, subname_closure
 from .poset import ForcingNotion, is_separative, parse_poset
 from .truth import (DerivedIteratedTruth, FiniteStructure, eval_formula,
                     forcing_truth, instances, invariance_check,
                     iterated_truth, iterated_truth_instance,
                     stage_comparison_structure, tarski_truth, valuation_key)
-from .etr import etr_solve, verify_solution
-from . import sexpr
 
 SCHEMA = "forcelab-report/1"
 
@@ -44,6 +47,9 @@ class Reporter:
         self.timings = timings
 
     def run(self, claim: str, thunk):
+        """Record the claim's verdict.  An error raised by the check other
+        than a budget overrun is a detected fault: the row fails with the
+        error as its counterexample."""
         started = time.monotonic()
         row = {"claim": claim}
         try:
@@ -54,6 +60,9 @@ class Reporter:
         except BudgetError as e:
             row["status"] = "skipped-budget"
             row["reason"] = str(e)
+        except ForcelabError as e:
+            row["status"] = "fail"
+            row["counterexample"] = str(e)
         if self.timings:
             row["runtime_ms"] = round(1000 * (time.monotonic() - started), 1)
         self.rows.append(row)
@@ -69,37 +78,20 @@ class Reporter:
 
 
 def _notions(config) -> list[tuple[str, ForcingNotion]]:
-    if config.get("poset"):
+    if config["poset"]:
         with open(config["poset"]) as fh:
             label = Path(config["poset"]).stem
             return [(label, parse_poset(fh.read()))]
-    cap = config.get("max_poset", 5)
+    cap = config["max_poset"]
     return [(name, P) for name, P in corpus.corpus_notions() if len(P) <= cap]
 
 
-def _per_notion(suite: str):
-    """Run a suite body once per notion; a budget overrun while the body
-    builds a notion's inputs becomes that notion's `inputs` row."""
-    def decorate(body):
-        def run(config, rep: Reporter):
-            for name, P in _notions(config):
-                try:
-                    body(config, rep, name, P)
-                except BudgetError as e:
-                    rep.skip(f"{suite}/{name}/inputs", e)
-        return run
-    return decorate
-
-
-def _load_pool(config, notion=None):
-    with open(config["pool"]) as fh:
-        return [  # one formula per s-expression
-            parse_formula(sexpr.show(form), notion) for form in sexpr.read_all(fh.read())]
-
-
-@_per_notion("force")
 def suite_force(config, rep: Reporter, name: str, P: ForcingNotion):
+    if config["condition"] and not (config["poset"] and config["formula"]):
+        raise ParseError("--condition needs --poset and --formula")
+    p = P.index(config["condition"]) if config["condition"] else None
     N = _force_universe(P, config)
+    phi = _given_sentence(config["formula"], P, N) if config["formula"] else None
     FR = atomic_forcing(P, N)
     audit = audit_forcing_relation(FR)
     for law, (ok, cx) in sorted(audit.laws.items()):
@@ -110,38 +102,46 @@ def suite_force(config, rep: Reporter, name: str, P: ForcingNotion):
     sol = etr_solve(inst)
     rep.run(f"force/{name}/staged-recursion-identical",
             lambda: (verify_solution(inst, sol)[0] and compare_atomic_table(FR, sol, codec), None))
-    if config.get("formula"):
-        phi = parse_formula(config["formula"], P)
+    if phi is not None:
         rep.run(f"force/{name}/given-formula-forced-iff-true",
                 lambda: truth_lemma_check(FR, phi))
-        if config.get("condition"):
-            p = P.index(config["condition"])
+        if p is not None:
             verdict = forces(FR, p, phi, check_universe=False)
             rep.rows.append({"claim": f"force/{name}/given-formula-verdict",
                              "status": "pass", "verdict": verdict})
 
 
+def _given_sentence(text: str, P: ForcingNotion, N) -> Formula:
+    """The --formula sentence, refused unless forcing over N can judge it."""
+    phi = parse_formula(text, P)
+    if phi.free:
+        raise ParseError(f"--formula has free variables {sorted(phi.free)}")
+    if "ground" in phi.const_kinds or any(
+            isinstance(f, AtomTr) or isinstance(f, AtomInClass) and f.ident != "G"
+            for f in nodes(phi)):
+        raise ParseError("--formula is outside the forcing language: it has a ground "
+                         "constant, a truth atom or a class atom other than G")
+    if collect_names(phi) - set(N):
+        raise ParseError("--formula mentions names outside the universe; add them with --names")
+    return phi
+
+
 def _force_universe(P, config):
-    base = list(corpus.oracle_universe(P))
-    if config.get("names"):
-        from .names import parse_name, subname_closure
-        with open(config["names"]) as fh:
-            for form in sexpr.read_all(fh.read()):
-                base.append(parse_name(form, P))
-        return subname_closure(base)
-    return tuple(base)
+    N = corpus.oracle_universe(P)
+    if not config["names"]:
+        return N
+    with open(config["names"]) as fh:
+        return subname_closure([*N, *(parse_name(form, P) for form in sexpr.read_all(fh.read()))])
 
 
-@_per_notion("translate")
 def suite_translate(config, rep: Reporter, name: str, P: ForcingNotion):
-    count = config.get("count", 50)
     N = name_universe(P, 1)
     FR = atomic_forcing(P, N)
     names = corpus._sample_names(P, N)
     rng = random.Random(config["seed"])
 
     def check():
-        for _ in range(count):
+        for _ in range(config["count"]):
             s = corpus.random_qf_sentence(rng, P, names)
             a, b = star_translate(s, P)
             for p in P.conditions():
@@ -152,7 +152,6 @@ def suite_translate(config, rep: Reporter, name: str, P: ForcingNotion):
     rep.run(f"translate/{name}/atomic-equality-soundness", check)
 
 
-@_per_notion("complete")
 def suite_complete(config, rep: Reporter, name: str, P: ForcingNotion):
     try:
         bc = boolean_completion(P)
@@ -194,12 +193,18 @@ def suite_complete(config, rep: Reporter, name: str, P: ForcingNotion):
 
 
 def suite_truth(config, rep: Reporter):
-    from .formulas import subformula_closure
-    n = config.get("stage", 2)
-    A = config.get("A") or []
-    pool = (list(subformula_closure(_load_pool(config))) if config.get("pool")
-            else corpus.first_order_pool())
-    M = FiniteStructure(v_stage(n), {"A": A})
+    n = config["stage"]
+    A = config["A"] or []
+    if config["pool"]:
+        with open(config["pool"]) as fh:  # one formula per s-expression
+            pool = list(subformula_closure(
+                parse_formula(sexpr.show(form)) for form in sexpr.read_all(fh.read())))
+    else:
+        pool = corpus.first_order_pool()
+    stage = v_stage(n)
+    if not set(A) <= set(stage):
+        raise ParseError(f"--A elements must lie in V_{n}")
+    M = FiniteStructure(stage, {"A": A})
     ft = forcing_truth(n, A, pool)
     tp = tarski_truth(M, pool)
 
@@ -216,15 +221,14 @@ def suite_truth(config, rep: Reporter):
 
 
 def suite_iterated(config, rep: Reporter):
-    beta_max = config.get("clock", 5)
+    beta_max = config["clock"]
     pool = corpus.iterated_pool()
     stage3 = v_stage(3)
-    A = [x for x in (config.get("A") or [EMPTY]) if x in set(stage3)]
+    A = config["A"] or [EMPTY]
+    if not set(A) <= set(stage3):
+        raise ParseError("--A elements must lie in V_3")
     base = FiniteStructure(stage3, {"d": A})
     it = iterated_truth(base, beta_max, pool)
-
-    from .formulas import AtomTr, encode_formula, encode_valuation
-    from .hfset import nat_encode
     tr_atoms = [f for f in pool if isinstance(f, AtomTr)]
 
     def clause_b():
@@ -244,9 +248,7 @@ def suite_iterated(config, rep: Reporter):
     rep.run("iterated/self-coherence", clause_b)
 
     def etr_same():
-        small = [f for f in pool if f.rank <= 1]
-        from .formulas import subformula_closure
-        small = list(subformula_closure(small))
+        small = list(subformula_closure(f for f in pool if f.rank <= 1))
         M2 = FiniteStructure(v_stage(2), {"d": [EMPTY]})
         inst, codec, stage_index = iterated_truth_instance(M2, 3, small)
         sol = etr_solve(inst)
@@ -280,20 +282,15 @@ def suite_iterated(config, rep: Reporter):
 
 
 def suite_game(config, rep: Reporter):
-    trees = config.get("count", 200)
     rng = random.Random(config["seed"])
 
     def zermelo_all():
-        for i in range(trees):
+        for i in range(config["count"]):
             T = random_game_tree(rng, 200)
             res = zermelo_solve(T)
-            for nid in T._reachable:
-                node = T.nodes[nid]
-                if node.children:
-                    mine = [c for c in node.children if res.labels[c] == node.mover]
-                    want = node.mover if mine else ("II" if node.mover == "I" else "I")
-                    if res.labels[nid] != want:
-                        return False, ("fixpoint", i, nid)
+            nid = label_fixpoint_violation(T, res.labels)
+            if nid is not None:
+                return False, ("fixpoint", i, nid)
             winner = res.labels[T.root]
             ok, line = verify_strategy(T, res.strategy(winner), winner)
             if not ok:
@@ -303,11 +300,10 @@ def suite_game(config, rep: Reporter):
     rep.run("game/back-propagation", zermelo_all)
 
     def truth_telling():
-        from .formulas import atom_eq, atom_in, not_, var
         M = FiniteStructure(v_stage(2))
         pool = [atom_in(var("x"), var("y")), not_(atom_in(var("x"), var("y"))),
                 atom_eq(var("x"), var("y")), not_(atom_eq(var("x"), var("y")))]
-        for clock in range(1, config.get("clock", 3) + 1):
+        for clock in range(1, config["clock"] + 1):
             T = truth_telling_game(M, pool, clock)
             res = zermelo_solve(T)
             if res.labels[T.root] != "II":
@@ -326,21 +322,9 @@ def suite_game(config, rep: Reporter):
     rep.run("game/truth-telling", truth_telling)
 
 
-def _oracle_universe(P, config):
-    rank = config.get("max_name_rank", 1)
-    if rank == 1:
-        return corpus.oracle_universe(P)
-    from .names import check_name, subname_closure
-    from .hfset import nat_encode
-    base = list(name_universe(P, rank))
-    base.extend(check_name(nat_encode(i)) for i in P.conditions())
-    return subname_closure(base)
-
-
-@_per_notion("oracle")
 def suite_oracle(config, rep: Reporter, name: str, P: ForcingNotion):
     rep.run(f"oracle/{name}/separative", lambda: is_separative(P))
-    N = _oracle_universe(P, config)
+    N = corpus.oracle_universe(P, config["max_name_rank"])
     FR = atomic_forcing(P, N)
     pool = corpus.oracle_pool(P, N)
     rep.run(f"oracle/{name}/forced-iff-true", lambda: truth_lemma_check(FR, pool))
@@ -360,26 +344,85 @@ SUITES = {
 }
 
 
+class Setting(NamedTuple):
+    type: Callable | None  # None for an on/off flag
+    default: object
+    least: int | None
+    help: str
+
+
+SETTINGS = {
+    "poset": Setting(str, None, None, "s-expression file with one (poset ...)"),
+    "max_poset": Setting(int, 5, 1, "run the corpus notions with at most this many conditions"),
+    "names": Setting(str, None, None, "s-expression file of extra universe names"),
+    "formula": Setting(str, None, None, "one closed formula s-expression"),
+    "condition": Setting(str, None, None, "condition of --poset to report --formula's verdict at"),
+    "count": Setting(int, 50, 1, "random sentences per notion, or random game trees"),
+    "seed": Setting(int, 0, None, "seed of the random sentences or game trees"),
+    "stage": Setting(int, 2, 1, "the stage V_n to collapse"),
+    "A": Setting(lambda text: parse_hf(sexpr.read(text)), None, None,
+                 "(hf ...) literals, one per parameter element"),
+    "pool": Setting(str, None, None, "s-expression file of formulas"),
+    "clock": Setting(int, 3, 1, "iterated-truth stages, or the largest truth-telling clock"),
+    "max_name_rank": Setting(int, 1, 1, "rank of the exhaustive name universe"),
+    "timings": Setting(None, False, None, "add per-row runtimes (breaks reproducibility)"),
+}
+
+# The settings each suite reads; every suite also takes --timings and --out.
+SUITE_SETTINGS = {
+    "force": ("poset", "max_poset", "names", "formula", "condition"),
+    "translate": ("poset", "max_poset", "count", "seed"),
+    "complete": ("poset", "max_poset"),
+    "truth": ("stage", "A", "pool"),
+    "iterated": ("clock", "A"),
+    "game": ("count", "seed", "clock"),
+    "oracle": ("poset", "max_poset", "max_name_rank"),
+}
+
+
+def _checked(key: str, value):
+    least = SETTINGS[key].least
+    if least is not None and value < least:
+        raise ValueError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
 def run_suite(suite: str, config: dict) -> dict:
-    rep = Reporter(bool(config.get("timings")))
+    """Run one suite; settings missing from `config` take their defaults."""
+    declared = (*SUITE_SETTINGS[suite], "timings")
+    unread = sorted(set(config) - set(declared))
+    if unread:
+        raise ValueError(f"suite {suite!r} does not read {unread}")
+    config = {key: _checked(key, config.get(key, SETTINGS[key].default)) for key in declared}
+    rep = Reporter(config["timings"])
     try:
-        SUITES[suite](config, rep)
+        if "poset" in SUITE_SETTINGS[suite]:
+            # A suite that reads --poset runs once per notion; a budget
+            # overrun while it builds a notion's inputs is that notion's row.
+            for name, P in _notions(config):
+                try:
+                    SUITES[suite](config, rep, name, P)
+                except BudgetError as e:
+                    rep.skip(f"{suite}/{name}/inputs", e)
+        else:
+            SUITES[suite](config, rep)
     except BudgetError as e:
         rep.skip(f"{suite}/inputs", e)
-    shown = {k: v for k, v in config.items() if k != "A"}
     if config.get("A") is not None:
-        shown["A"] = [x.to_sexp() for x in config["A"]]
-    return rep.report(suite, shown)
+        config["A"] = [x.to_sexp() for x in config["A"]]
+    return rep.report(suite, {k: v for k, v in config.items() if v is not None or k != "A"})
 
 
-def _clock(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _argument_type(key: str):
+    kind = SETTINGS[key].type
+
+    def convert(text: str):
+        try:
+            return _checked(key, kind(text))
+        except (ValueError, ParseError) as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -387,43 +430,32 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="forcelab",
         description="finite forcing laboratory: batch verification suites")
     sub = parser.add_subparsers(dest="suite", required=True)
-    for name in SUITES:
-        p = sub.add_parser(name)
-        p.add_argument("--poset", help="s-expression file with one (poset ...)")
-        p.add_argument("--names", help="s-expression file of extra universe names")
-        p.add_argument("--formula", help="one formula s-expression")
-        p.add_argument("--condition", help="condition token to report a verdict for")
-        p.add_argument("--max-poset", type=int, default=5, dest="max_poset")
-        p.add_argument("--max-name-rank", type=int, default=1, dest="max_name_rank")
-        p.add_argument("--stage", type=int, default=2)
-        p.add_argument("--A", dest="A", help="(hf ...) literals, one per element",
-                       nargs="*")
-        p.add_argument("--pool", help="s-expression file of formulas")
-        p.add_argument("--clock", type=_clock, default=3)
-        p.add_argument("--count", type=int, default=50)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--timings", action="store_true")
+    for suite in SUITES:
+        p = sub.add_parser(suite)
+        for key in (*SUITE_SETTINGS[suite], "timings"):
+            setting = SETTINGS[key]
+            flag = "--" + key.replace("_", "-")
+            if setting.type is None:
+                p.add_argument(flag, dest=key, action="store_true", help=setting.help)
+            else:
+                p.add_argument(flag, dest=key, type=_argument_type(key),
+                               default=setting.default, help=setting.help,
+                               nargs="*" if key == "A" else None)
         p.add_argument("--out", help="write the JSON report here (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = {k: v for k, v in vars(args).items() if k not in ("suite", "out")}
-    if config.get("A") is not None:
-        try:
-            config["A"] = [parse_hf(sexpr.read(text)) for text in config["A"]]
-        except ParseError as e:
-            print(f"error: bad --A literal: {e}", file=sys.stderr)
-            return 2
+    config = vars(_build_parser().parse_args(argv))
+    suite, out = config.pop("suite"), config.pop("out")
     try:
-        report = run_suite(args.suite, config)
+        report = run_suite(suite, config)
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import random
 
+from .etr import RecursionInstance
 from .formulas import (Formula, and_, atom_eq, atom_in, atom_in_class,
                        atom_in_g, atom_tr, exists, forall, implies,
                        name_const, not_, or_, subformula_closure, var)
-from .hfset import EMPTY, nat_encode
+from .games import random_game_tree, zermelo_recursion_instance
+from .hfset import EMPTY, hf_rank, nat_encode, v_stage
 from .names import (EMPTY_NAME, PName, check_name, name_make, name_universe,
                     subname_closure)
 from .poset import ForcingNotion, make_notion
+from .truth import FiniteStructure, tarski_truth_instance
 
 
 def fork() -> ForcingNotion:
@@ -37,8 +40,6 @@ def diamond() -> ForcingNotion:
 def all_topped_preorders(size: int) -> list[ForcingNotion]:
     """Every distinct preorder on the given number of conditions with the
     first element on top; exhaustive, so keep the size tiny."""
-    from .poset import ForcingNotion
-
     pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
     seen: set[tuple] = set()
     out = []
@@ -76,10 +77,10 @@ def corpus_notions() -> list[tuple[str, ForcingNotion]]:
     ]
 
 
-def oracle_universe(P: ForcingNotion) -> tuple[PName, ...]:
-    """Every name of rank ≤ 1, together with the condition check names, so
-    that filter atoms about every condition stay inside the universe."""
-    base = list(name_universe(P, 1))
+def oracle_universe(P: ForcingNotion, rank: int = 1) -> tuple[PName, ...]:
+    """Every name of rank ≤ rank, together with the condition check names,
+    so that filter atoms about every condition stay inside the universe."""
+    base = list(name_universe(P, rank))
     base.extend(check_name(nat_encode(i)) for i in P.conditions())
     return subname_closure(base)
 
@@ -168,7 +169,7 @@ def first_order_pool() -> list[Formula]:
     return list(subformula_closure(seeds))
 
 
-def iterated_pool(param_ident: str = "d") -> list[Formula]:
+def iterated_pool() -> list[Formula]:
     """Subformula-closed pool in the language with the staged-truth atom.
 
     Variable names and the parameter-predicate identifier stay single,
@@ -180,10 +181,10 @@ def iterated_pool(param_ident: str = "d") -> list[Formula]:
         atom_eq(a, b),
         atom_in(a, b),
         atom_in(a, a),
-        atom_in_class(a, param_ident),
+        atom_in_class(a, "d"),
         not_(atom_in(a, b)),
-        not_(atom_in_class(a, param_ident)),
-        and_([atom_eq(a, b), atom_in_class(a, param_ident)]),
+        not_(atom_in_class(a, "d")),
+        and_([atom_eq(a, b), atom_in_class(a, "d")]),
         forall(("c",), implies(atom_in(var("c"), a), atom_in(var("c"), b))),
         atom_tr(a, b, c),
         not_(atom_tr(a, b, c)),
@@ -193,11 +194,7 @@ def iterated_pool(param_ident: str = "d") -> list[Formula]:
 
 
 def builtin_instances():
-    """Named recursion instances used by the engine checks and the CLI."""
-    from .etr import RecursionInstance
-    from .hfset import hf_rank, v_stage
-    from .truth import FiniteStructure, tarski_truth_instance
-
+    """Named recursion instances for the engine checks."""
     stage = tuple(v_stage(3))
 
     def constant(x, alpha, view, param):
@@ -222,7 +219,6 @@ def builtin_instances():
     inst, _ = tarski_truth_instance(M, subformula_closure(
         [not_(atom_in(var("a"), var("b")))]))
     out.append(("tarski-truth", inst))
-    from .games import random_game_tree, zermelo_recursion_instance
     tree = random_game_tree(random.Random(12), 40)
     out.append(("zermelo-labels", zermelo_recursion_instance(tree)[0]))
     return out

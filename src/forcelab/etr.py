@@ -30,10 +30,6 @@ class PartialSolution:
         self._slices = slices
         self._stage = stage
 
-    @property
-    def stage(self) -> int:
-        return self._stage
-
     def __call__(self, alpha: int, x: HFSet) -> bool:
         if alpha >= self._stage:
             raise ForcelabError(
@@ -65,16 +61,12 @@ class Solution:
     instance: RecursionInstance
     slices: tuple[frozenset[HFSet], ...]
 
-    def __contains__(self, pair: tuple[int, HFSet]) -> bool:
-        alpha, x = pair
-        return x in self.slices[alpha]
 
-
-def etr_solve(inst: RecursionInstance, budget: int = STEP_BUDGET) -> Solution:
+def etr_solve(inst: RecursionInstance) -> Solution:
     """Run the recursion through all stages; deterministic and unique."""
-    if inst.length * len(inst.domain) > budget:
+    if inst.length * len(inst.domain) > STEP_BUDGET:
         raise BudgetError(
-            f"{inst.length} stages x {len(inst.domain)} elements exceeds budget {budget}")
+            f"{inst.length} stages x {len(inst.domain)} elements exceeds budget {STEP_BUDGET}")
     slices: list[frozenset[HFSet]] = []
     for alpha in range(inst.length):
         view = PartialSolution(slices, alpha)

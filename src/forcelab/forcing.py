@@ -43,6 +43,9 @@ from .poset import Filter, ForcingNotion, generic_filters, is_separative, minima
 ATOMIC_BUDGET = 2_000_000
 QUANTIFIER_BUDGET = 200_000
 TRANSLATION_BUDGET = 100_000
+AUDIT_POOL_SIZE = 24       # atomic formulas for the modus-ponens and decidedness laws
+AUDIT_TUPLE_CAP = 4000     # formula pairs, name pairs and name triples the law audit visits
+ALGEBRA_TUPLE_CAP = 40000  # element pairs and triples the algebra audit visits
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,7 @@ class ForcingRelation:
     """
 
     def __init__(self, notion: ForcingNotion, universe: Sequence[PName],
-                 classes: Iterable[ClassName] = (), eager: bool = True,
-                 atomic_budget: int = ATOMIC_BUDGET,
-                 quantifier_budget: int = QUANTIFIER_BUDGET):
+                 classes: Iterable[ClassName] = (), eager: bool = True):
         self.notion = notion
         self.universe = tuple(sorted(set(universe), key=lambda n: n.key))
         if not is_subname_closed(self.universe):
@@ -93,7 +94,6 @@ class ForcingRelation:
         self.classes: dict[str, ClassName] = {"G": g_dot(notion)}
         for cls in classes:
             self.classes[cls.ident] = cls
-        self.quantifier_budget = quantifier_budget
         self.full = (1 << len(notion)) - 1
         self._down = tuple(_mask(notion.down(p)) for p in notion.conditions())
         self._up = tuple(_mask(notion.up(p)) for p in notion.conditions())
@@ -101,10 +101,10 @@ class ForcingRelation:
         self._atomic: dict = {}
         self._values: dict = {}
         if eager:
-            if len(notion) * len(self.universe) ** 2 > atomic_budget:
+            if len(notion) * len(self.universe) ** 2 > ATOMIC_BUDGET:
                 raise BudgetError(
                     f"{len(notion)} conditions x {len(self.universe)}^2 pairs "
-                    f"exceeds budget {atomic_budget}")
+                    f"exceeds budget {ATOMIC_BUDGET}")
             self.materialize()
 
     def register_class(self, cls: ClassName):
@@ -200,7 +200,7 @@ class ForcingRelation:
             subs = phi.subs
         elif isinstance(phi, (Forall, Exists)):
             k = len(phi.vars)
-            if len(self.universe) ** k > self.quantifier_budget:
+            if len(self.universe) ** k > QUANTIFIER_BUDGET:
                 raise BudgetError(f"quantifier block over {len(self.universe)}^{k} names")
             subs = (substitute(phi.body, dict(zip(phi.vars, map(name_const, values))))
                     for values in itertools.product(self.universe, repeat=k))
@@ -212,10 +212,9 @@ class ForcingRelation:
 
 
 def atomic_forcing(P: ForcingNotion, universe: Sequence[PName],
-                   classes: Iterable[ClassName] = (), eager: bool = True,
-                   atomic_budget: int = ATOMIC_BUDGET) -> ForcingRelation:
+                   classes: Iterable[ClassName] = (), eager: bool = True) -> ForcingRelation:
     """The forcing relation for atomic statements over a subname-closed universe."""
-    return ForcingRelation(P, universe, classes, eager, atomic_budget)
+    return ForcingRelation(P, universe, classes, eager)
 
 
 def collect_names(phi: Formula) -> set[PName]:
@@ -271,18 +270,13 @@ class AuditReport:
         return {law: cx for law, (ok, cx) in self.laws.items() if not ok}
 
 
-def _atomic_formulas(FR: ForcingRelation, cap: int) -> list[Formula]:
-    names = FR.universe[:max(2, min(len(FR.universe), 6))]
-    pool = []
-    for s in names:
-        for t in names:
-            pool.append(atom_eq(name_const(s), name_const(t)))
-            pool.append(atom_in(name_const(s), name_const(t)))
-    return pool[:cap]
+def _atomic_formulas(FR: ForcingRelation) -> list[Formula]:
+    names = [name_const(n) for n in FR.universe[:6]]
+    pool = [atom(s, t) for s in names for t in names for atom in (atom_eq, atom_in)]
+    return pool[:AUDIT_POOL_SIZE]
 
 
-def audit_forcing_relation(FR: ForcingRelation, triple_cap: int = 4000,
-                           pool: Sequence[Formula] | None = None) -> AuditReport:
+def audit_forcing_relation(FR: ForcingRelation) -> AuditReport:
     """Check the laws a forcing relation must satisfy, over the universe.
 
     Covers downward closure, the density rule, modus ponens, the equality
@@ -310,8 +304,8 @@ def audit_forcing_relation(FR: ForcingRelation, triple_cap: int = 4000,
                     if all(down[q1] & V for q1 in P.down(p)):
                         report.record("density", False, (kind, p, sigma, tau))
 
-    audit_pool = list(pool) if pool is not None else _atomic_formulas(FR, 24)
-    for phi, psi in itertools.islice(itertools.product(audit_pool, repeat=2), triple_cap):
+    audit_pool = _atomic_formulas(FR)
+    for phi, psi in itertools.islice(itertools.product(audit_pool, repeat=2), AUDIT_TUPLE_CAP):
         bad = FR.value(phi) & FR.value(implies(phi, psi)) & ~FR.value(psi)
         if bad:
             report.record("modus-ponens", False, (next(_bits(bad)), phi, psi))
@@ -322,11 +316,11 @@ def audit_forcing_relation(FR: ForcingRelation, triple_cap: int = 4000,
     for sigma in N:
         if not eq(sigma, sigma) >> P.one & 1:
             report.record("eq-reflexive", False, sigma)
-    for sigma, tau in itertools.islice(itertools.product(N, repeat=2), triple_cap):
+    for sigma, tau in itertools.islice(itertools.product(N, repeat=2), AUDIT_TUPLE_CAP):
         bad = eq(sigma, tau) ^ eq(tau, sigma)
         if bad:
             report.record("eq-symmetric", False, (next(_bits(bad)), sigma, tau))
-    for sigma, tau, rho in itertools.islice(itertools.product(N, repeat=3), triple_cap):
+    for sigma, tau, rho in itertools.islice(itertools.product(N, repeat=3), AUDIT_TUPLE_CAP):
         bad = eq(sigma, tau) & eq(tau, rho) & ~eq(sigma, rho)
         if bad:
             report.record("eq-transitive", False, (next(_bits(bad)), sigma, tau, rho))
@@ -628,7 +622,7 @@ def boolean_completion(P: ForcingNotion) -> BooleanCompletion:
     return BooleanCompletion(B, embed)
 
 
-def audit_boolean_algebra(B: BooleanAlgebra, pair_cap: int = 40000) -> AuditReport:
+def audit_boolean_algebra(B: BooleanAlgebra) -> AuditReport:
     """Boolean-algebra laws plus regularity and, on small notions, completeness
     of the element enumeration among all regular-open downsets."""
     report = AuditReport()
@@ -643,14 +637,14 @@ def audit_boolean_algebra(B: BooleanAlgebra, pair_cap: int = 40000) -> AuditRepo
     for a in B.elements:
         if B.join(a, B.neg(a)) != B.one or B.meet(a, B.neg(a)) != B.zero:
             report.record("complement", False, sorted(a))
-    pairs = itertools.islice(itertools.product(B.elements, repeat=2), pair_cap)
+    pairs = itertools.islice(itertools.product(B.elements, repeat=2), ALGEBRA_TUPLE_CAP)
     for a, b in pairs:
         if B.neg(B.join(a, b)) != B.meet(B.neg(a), B.neg(b)):
             report.record("de-morgan", False, (sorted(a), sorted(b)))
         if not (B.is_element(B.join(a, b)) and B.is_element(B.meet(a, b))
                 and B.is_element(B.neg(a))):
             report.record("closure", False, (sorted(a), sorted(b)))
-    triples = itertools.islice(itertools.product(B.elements, repeat=3), pair_cap)
+    triples = itertools.islice(itertools.product(B.elements, repeat=3), ALGEBRA_TUPLE_CAP)
     for a, b, c in triples:
         if B.meet(a, B.join(b, c)) != B.join(B.meet(a, b), B.meet(a, c)):
             report.record("distributive", False, (sorted(a), sorted(b), sorted(c)))
@@ -712,8 +706,7 @@ def boolean_values(completion: BooleanCompletion) -> BooleanValues:
 class GenericExtension:
     relation: ForcingRelation
     filter: Filter
-    blocks: tuple[frozenset[PName], ...]       # =_G classes over the universe
-    representative: dict[PName, PName]
+    representative: dict[PName, PName]         # the least member of its =_G class
     membership: frozenset[tuple[PName, PName]]  # on representatives
     class_extensions: dict[str, frozenset[PName]]  # representatives satisfying Γ
     evaluation: dict[PName, HFSet]
@@ -723,12 +716,9 @@ class GenericExtension:
         return self.representative[name]
 
 
-def extension(FR: ForcingRelation, G: Filter,
-              class_names: Iterable[ClassName] = ()) -> GenericExtension:
+def extension(FR: ForcingRelation, G: Filter) -> GenericExtension:
     """Quotient the universe by forced equality along the filter, and verify
     it is isomorphic to the direct-evaluation structure."""
-    for cls in class_names:
-        FR.register_class(cls)
     N = FR.universe
     g = _mask(G.members)
 
@@ -752,12 +742,8 @@ def extension(FR: ForcingRelation, G: Filter,
                 raise ForcelabError("forced equality is not a membership congruence")
 
     # The universe is sorted by key, so a block's first member is its least.
-    blocks: list[frozenset[PName]] = []
-    rep: dict[PName, PName] = {}
     firsts = [i for i in range(len(N)) if not eq_row[i] & ((1 << i) - 1)]
-    for i in firsts:
-        blocks.append(frozenset(N[j] for j in _bits(eq_row[i])))
-        rep.update(dict.fromkeys(blocks[-1], N[i]))
+    rep = {N[j]: N[i] for i in firsts for j in _bits(eq_row[i])}
     reps = [N[i] for i in firsts]
     membership = frozenset((N[i], N[j]) for i in firsts for j in firsts if within[i] >> j & 1)
 
@@ -788,8 +774,7 @@ def extension(FR: ForcingRelation, G: Filter,
         predicates[ident] = direct & set(domain)
     structure = truth_mod.FiniteStructure(domain, predicates)
 
-    return GenericExtension(FR, G, tuple(blocks), rep, membership, class_ext,
-                            evaluation, structure)
+    return GenericExtension(FR, G, rep, membership, class_ext, evaluation, structure)
 
 
 def ground_formula(phi: Formula, ext: GenericExtension) -> Formula:
@@ -812,8 +797,7 @@ def ground_formula(phi: Formula, ext: GenericExtension) -> Formula:
     return map_formula(phi, atom_fn)
 
 
-def truth_lemma_check(FR: ForcingRelation, phis: Formula | Iterable[Formula],
-                      class_names: Iterable[ClassName] = ()):
+def truth_lemma_check(FR: ForcingRelation, phis: Formula | Iterable[Formula]):
     """Forced iff true, over every generic filter of the notion.
 
     Truth is Tarskian satisfaction in the direct-evaluation structure (the
@@ -823,8 +807,6 @@ def truth_lemma_check(FR: ForcingRelation, phis: Formula | Iterable[Formula],
     if isinstance(phis, Formula):
         phis = [phis]
     phis = list(phis)
-    for cls in class_names:
-        FR.register_class(cls)
     for G in generic_filters(FR.notion):
         ext = extension(FR, G)
         g = _mask(G.members)
@@ -916,15 +898,14 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
     def stage_of(s: PName, t: PName) -> int:
         return stage_index[(max(s.rank, t.rank), s.rank, t.rank)]
 
+    code = {s: name_to_hf(s) for s in N}
+    pair_code = {(s, t): hf_pair(code[s], code[t]) for s in N for t in N}
     codec: dict[HFSet, tuple[int, str, PName, PName]] = {}
     for p in P.conditions():
         for kind_id, kind in ((0, "in"), (1, "eq")):
-            for s in N:
-                for t in N:
-                    enc = hf_pair(nat_encode(p),
-                                  hf_pair(nat_encode(kind_id),
-                                          hf_pair(name_to_hf(s), name_to_hf(t))))
-                    codec[enc] = (p, kind, s, t)
+            p_code, kind_code = nat_encode(p), nat_encode(kind_id)
+            for (s, t), st in pair_code.items():
+                codec[hf_pair(p_code, hf_pair(kind_code, st))] = (p, kind, s, t)
 
     enc_of = {v: k for k, v in codec.items()}
 

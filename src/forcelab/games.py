@@ -61,9 +61,6 @@ class GameTree:
     def __len__(self) -> int:
         return len(self._reachable)
 
-    def terminals(self) -> list[int]:
-        return [i for i in self._reachable if not self.nodes[i].children]
-
     def to_sexp(self) -> str:
         forms = ["game"]
         for i in sorted(self._reachable):
@@ -182,6 +179,21 @@ def zermelo_solve(T: GameTree) -> ZermeloResult:
 
 def _other(player: str) -> str:
     return "II" if player == "I" else "I"
+
+
+def label_fixpoint_violation(T: GameTree, labels: dict[int, str]) -> int | None:
+    """A node whose label is not its winner (at a terminal) or not what its
+    children's labels give its mover, or None when the labels are a fixpoint."""
+    for i in sorted(T._reachable):
+        node = T.nodes[i]
+        if not node.children:
+            want = node.winner
+        else:
+            mine = any(labels[c] == node.mover for c in node.children)
+            want = node.mover if mine else _other(node.mover)
+        if labels[i] != want:
+            return i
+    return None
 
 
 def verify_strategy(T: GameTree, strategy: dict[int, int], player: str

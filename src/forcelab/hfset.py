@@ -146,10 +146,11 @@ def hf_unlist(x: HFSet) -> list[HFSet] | None:
     return out
 
 
-def v_stage(n: int, cap: int = STAGE_CAP) -> list[HFSet]:
+def v_stage(n: int) -> list[HFSet]:
     """All sets of rank < n, in canonical order.  Refused above the stage cap."""
-    if n > cap:
-        raise BudgetError(f"stage {n} exceeds cap {cap} (|V_{cap}| = 2^{2 ** (cap - 1)})")
+    if n > STAGE_CAP:
+        raise BudgetError(f"stage {n} exceeds cap {STAGE_CAP} "
+                          f"(|V_{STAGE_CAP}| = 2^{2 ** (STAGE_CAP - 1)})")
     stage: list[HFSet] = []
     for _ in range(n):
         stage = [hf_make(sub) for sub in _subsets(stage)]

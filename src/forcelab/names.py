@@ -186,8 +186,7 @@ def n_dot(P: ForcingNotion, a: HFSet) -> PName:
 
 
 def name_universe(P: ForcingNotion, rho: int | None = None,
-                  seeds: Iterable[PName] | None = None,
-                  budget: int = NAME_UNIVERSE_BUDGET) -> tuple[PName, ...]:
+                  seeds: Iterable[PName] | None = None) -> tuple[PName, ...]:
     """Name pool for quantifier clauses: exhaustive to rank rho, or seeded closure.
 
     Exhaustive mode returns every name of rank ≤ rho (rho ≤ 2); seeded mode
@@ -196,8 +195,8 @@ def name_universe(P: ForcingNotion, rho: int | None = None,
     """
     if seeds is not None:
         out = subname_closure(seeds)
-        if len(out) > budget:
-            raise BudgetError(f"seeded universe has {len(out)} names, budget {budget}")
+        if len(out) > NAME_UNIVERSE_BUDGET:
+            raise BudgetError(f"seeded universe has {len(out)} names, budget {NAME_UNIVERSE_BUDGET}")
         return out
     if rho is None:
         raise ForcelabError("need a rank bound or seeds")
@@ -206,9 +205,9 @@ def name_universe(P: ForcingNotion, rho: int | None = None,
     layer = [EMPTY_NAME]
     for _ in range(rho):
         pairs = [(n, p) for n in layer for p in P.conditions()]
-        if 2 ** len(pairs) > budget:
-            raise BudgetError(
-                f"exhaustive universe would have 2^{len(pairs)} names, budget {budget}")
+        if 2 ** len(pairs) > NAME_UNIVERSE_BUDGET:
+            raise BudgetError(f"exhaustive universe would have 2^{len(pairs)} names, "
+                              f"budget {NAME_UNIVERSE_BUDGET}")
         layer = [name_make(tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
                  for mask in range(1 << len(pairs))]
     return tuple(sorted(set(layer), key=lambda n: n.key))

@@ -16,7 +16,8 @@ from .errors import BudgetError, ForcelabError, ParseError
 from .hfset import HFSet, v_stage
 
 DENSE_SAMPLE_LIMIT = 12  # exhaustive dense-set verification up to this size
-DENSE_SAMPLE_COUNT = 400
+DENSE_SAMPLE_COUNT = 400  # seeded random subsets tried above that size
+DENSE_SAMPLE_SEED = 0
 COLLAPSE_BUDGET = 5000
 
 
@@ -99,7 +100,7 @@ class ForcingNotion:
         try:
             return self._index[token]
         except KeyError:
-            raise ForcelabError(f"unknown condition token {token!r}") from None
+            raise ParseError(f"unknown condition token {token!r}") from None
 
     def le(self, p: int, q: int) -> bool:
         return q in self._up[p]
@@ -187,9 +188,6 @@ class Filter:
     def __contains__(self, p: int) -> bool:
         return p in self.members
 
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
 
 def is_filter(P: ForcingNotion, members: frozenset[int]) -> bool:
     if not members:
@@ -239,8 +237,7 @@ def minimal_classes(P: ForcingNotion) -> list[frozenset[int]]:
     return sorted(classes, key=lambda c: min(c))
 
 
-def generic_filters(P: ForcingNotion, verify: bool = True,
-                    sample_count: int = DENSE_SAMPLE_COUNT, seed: int = 0) -> list[Filter]:
+def generic_filters(P: ForcingNotion) -> list[Filter]:
     """The filters meeting every dense subset: one per minimal-element class.
 
     The closed-form computation is verified against the definition, either
@@ -253,12 +250,11 @@ def generic_filters(P: ForcingNotion, verify: bool = True,
         if members not in seen:
             seen.add(members)
             filters.append(Filter(P, members))
-    if verify:
-        _verify_generic(P, filters, sample_count, seed)
+    _verify_generic(P, filters)
     return filters
 
 
-def _dense_subsets(P: ForcingNotion, sample_count: int, seed: int):
+def _dense_subsets(P: ForcingNotion):
     n = len(P)
     if n <= DENSE_SAMPLE_LIMIT:
         for mask in range(1 << n):
@@ -271,25 +267,24 @@ def _dense_subsets(P: ForcingNotion, sample_count: int, seed: int):
         yield frozenset(q for q in P.conditions()
                         if P.le(q, p) or not P.compatible(q, p))
     yield frozenset().union(*minimal_classes(P))
-    rng = random.Random(seed)
-    for _ in range(sample_count):
+    rng = random.Random(DENSE_SAMPLE_SEED)
+    for _ in range(DENSE_SAMPLE_COUNT):
         D = frozenset(i for i in range(n) if rng.random() < 0.5)
         if is_dense(P, D):
             yield D
 
 
-def _verify_genericity_of(P: ForcingNotion, members: frozenset[int],
-                          sample_count: int, seed: int) -> frozenset[int] | None:
+def _verify_genericity_of(P: ForcingNotion, members: frozenset[int]) -> frozenset[int] | None:
     """Return a dense set the candidate misses, or None."""
-    for D in _dense_subsets(P, sample_count, seed):
+    for D in _dense_subsets(P):
         if not (D & members):
             return D
     return None
 
 
-def _verify_generic(P: ForcingNotion, filters: list[Filter], sample_count: int, seed: int):
+def _verify_generic(P: ForcingNotion, filters: list[Filter]):
     for F in filters:
-        missed = _verify_genericity_of(P, F.members, sample_count, seed)
+        missed = _verify_genericity_of(P, F.members)
         if missed is not None:
             raise ForcelabError(
                 f"claimed generic filter {sorted(F.members)} misses dense set {sorted(missed)}")
@@ -303,7 +298,7 @@ def _verify_generic(P: ForcingNotion, filters: list[Filter], sample_count: int, 
     for f in maximal:
         if f in returned:
             continue
-        if _verify_genericity_of(P, f, sample_count, seed) is None:
+        if _verify_genericity_of(P, f) is None:
             raise ForcelabError(f"omitted filter {sorted(f)} meets every dense set")
 
 
@@ -326,8 +321,7 @@ class CollapseNotion(ForcingNotion):
     """
 
     def __init__(self, stage: int, A: Iterable[HFSet],
-                 include_degenerate_tokens: bool = False,
-                 budget: int = COLLAPSE_BUDGET):
+                 include_degenerate_tokens: bool = False):
         targets = v_stage(stage)
         k = len(targets)
         self.stage = stage
@@ -352,8 +346,8 @@ class CollapseNotion(ForcingNotion):
                     for t in targets:
                         if t not in used:
                             nxt.append(CollapseFn(tuple(sorted(m.items())) + ((i, t),)))
-                if len(fns) + len(nxt) > budget:
-                    raise BudgetError(f"collapse notion exceeds budget {budget}")
+                if len(fns) + len(nxt) > COLLAPSE_BUDGET:
+                    raise BudgetError(f"collapse notion exceeds budget {COLLAPSE_BUDGET}")
             fns.extend(nxt)
             frontier = nxt
 
@@ -409,7 +403,6 @@ class CollapseNotion(ForcingNotion):
 
 
 def build_collapse(n: int, A: Iterable[HFSet],
-                   include_degenerate_tokens: bool = False,
-                   budget: int = COLLAPSE_BUDGET) -> CollapseNotion:
+                   include_degenerate_tokens: bool = False) -> CollapseNotion:
     """The finite analogue of the augmented collapse forcing over stage n."""
-    return CollapseNotion(n, A, include_degenerate_tokens, budget)
+    return CollapseNotion(n, A, include_degenerate_tokens)

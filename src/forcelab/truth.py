@@ -17,14 +17,15 @@ from . import etr as etr_mod
 from .errors import BudgetError, ClosureError, ForcelabError
 from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        Exists, Forall, Formula, GroundConst, Not, Or, Term, Var,
-                       and_, atom_eq, atom_in, atom_in_class, canonical_pool,
-                       decode_formula, decode_valuation, encode_formula,
-                       encode_valuation, exists, forall, formula_to_sexp, iff,
-                       map_formula, name_const, not_, or_, pair_term, rename_free,
-                       substitute, theta_formula, var, variables)
+                       _encode_str, and_, atom_eq, atom_in, atom_in_class,
+                       canonical_pool, decode_formula, decode_valuation,
+                       encode_formula, encode_valuation, exists, forall,
+                       formula_to_sexp, iff, map_formula, name_const, not_, or_,
+                       pair_term, rename_free, substitute, theta_formula, var,
+                       variables)
 from .hfset import HFSet, hf_pair, nat_decode, nat_encode, transitive_closure
-from .names import PName, check_name
-from .poset import CollapseNotion
+from .names import PName, a_dot, check_name, eps_dot, n_dot, subname_closure
+from .poset import CollapseNotion, build_collapse
 
 EVAL_BUDGET = 5_000_000
 
@@ -149,10 +150,10 @@ def _decode_tr_args(s: HFSet, c: HFSet, z: HFSet):
 # ---------------------------------------------------------------------------
 # Plain truth predicates.
 
-def instances(M: FiniteStructure, phi: Formula, budget: int = EVAL_BUDGET):
+def instances(M: FiniteStructure, phi: Formula):
     """Every valuation of the formula's free variables over the domain."""
     fv = tuple(sorted(phi.free))
-    if len(M.domain) ** len(fv) > budget:
+    if len(M.domain) ** len(fv) > EVAL_BUDGET:
         raise BudgetError(f"{len(M.domain)}^{len(fv)} valuations for one formula")
     for values in itertools.product(M.domain, repeat=len(fv)):
         yield dict(zip(fv, values))
@@ -360,10 +361,10 @@ def _staged_truth_instance(M: FiniteStructure, beta_max: int, pool: Sequence[For
 # Step rules driven by a formula over a finite structure, for the recursion
 # engine: the partial solution enters as a predicate of stage-tagged pairs.
 
-def formula_step(base: FiniteStructure, phi: Formula, length: int,
-                 x_var: str = "x", solution_ident: str = "S"):
-    """A step rule that evaluates a fixed formula over the base structure,
-    with the partial solution visible as a predicate of stage-tagged pairs.
+def formula_step(base: FiniteStructure, phi: Formula, length: int):
+    """A step rule that evaluates a fixed formula in the free variable x
+    over the base structure, with the partial solution visible as the
+    predicate S of stage-tagged pairs.
 
     The tagged pairs ⟨β, y⟩ live in an extended domain so the solution
     predicate is first-order accessible.
@@ -377,9 +378,8 @@ def formula_step(base: FiniteStructure, phi: Formula, length: int,
     def step(x: HFSet, alpha: int, view, _param) -> bool:
         s_pred = frozenset(hf_pair(nat_encode(beta), y)
                            for beta in range(alpha) for y in view.slice(beta))
-        M = FiniteStructure(extended_sets,
-                            {**base.predicates, solution_ident: s_pred})
-        return eval_formula(M, phi, {x_var: x})
+        M = FiniteStructure(extended_sets, {**base.predicates, "S": s_pred})
+        return eval_formula(M, phi, {"x": x})
 
     return step
 
@@ -395,8 +395,6 @@ def star8_translate(phi: Formula, fa: CollapseNotion) -> Formula:
     Membership atoms become op-pair membership in the clock-copy of ∈;
     quantifiers become conjunctions over the check names of clock values.
     """
-    from .names import eps_dot
-
     eps = name_const(eps_dot(fa))
     clock_names = [name_const(check_name(nat_encode(m))) for m in range(fa.clock)]
 
@@ -424,11 +422,9 @@ def star8_translate(phi: Formula, fa: CollapseNotion) -> Formula:
         raise ForcelabError(f"cannot clock-translate {type(f).__name__}")
 
     def _slot(t: Term) -> Term:
-        if isinstance(t, (Var,)):
-            return t
-        if isinstance(t, (GroundConst,)):
+        if isinstance(t, GroundConst):
             raise ForcelabError("clock translation takes variables, not ground constants")
-        return t  # NameConst slots already filled (quantifier instantiation)
+        return t  # a variable, or a name constant from quantifier instantiation
 
     return walk(phi)
 
@@ -440,8 +436,6 @@ class ForcingTruth:
     def __init__(self, n: int, A: Iterable[HFSet], pool: Sequence[Formula],
                  include_degenerate_tokens: bool = False):
         from . import forcing as forcing_mod  # forcing imports this module at top level
-        from .names import a_dot, n_dot, subname_closure
-        from .poset import build_collapse
 
         _check_pool_closed(pool)
         self.pool = canonical_pool(pool)
@@ -560,8 +554,6 @@ class StageTranslator:
         return got
 
     def _translate_tr(self, beta: int, phi: AtomTr) -> Formula:
-        from .formulas import _encode_str  # the identifier coding is fixed package-wide
-
         for t in (phi.stage, phi.code, phi.valuation):
             if isinstance(t, GroundConst) and t is phi.code:
                 if decode_formula(t.value) not in set(self.pool):
@@ -609,14 +601,13 @@ class DerivedIteratedTruth:
 
 
 def stage_comparison_structure(base: FiniteStructure, pool: Sequence[Formula],
-                               stage_cap: int, valuation_arity_cap: int = 1
-                               ) -> FiniteStructure:
+                               stage_cap: int) -> FiniteStructure:
     """Extend the base domain transitively with every code the stage
     translation's θ-formulas must be able to pin down.
 
-    Coded valuations are included for formulas of small arity only; each
-    one enlarges the quantifier domain, and the domain size enters the
-    evaluation cost quadratically.
+    Coded valuations are included for formulas of at most one free
+    variable only; each one enlarges the quantifier domain, and the domain
+    size enters the evaluation cost quadratically.
     """
     extra: set[HFSet] = set(base.domain)
     for xi in range(stage_cap + 1):
@@ -624,7 +615,7 @@ def stage_comparison_structure(base: FiniteStructure, pool: Sequence[Formula],
     for psi in pool:
         extra.add(encode_formula(psi))
         fv = tuple(sorted(psi.free))
-        if len(fv) > valuation_arity_cap:
+        if len(fv) > 1:
             continue
         for values in itertools.product(base.domain, repeat=len(fv)):
             extra.add(encode_valuation(dict(zip(fv, values))))

@@ -1,0 +1,72 @@
+"""Fault injection outside the forcing kernel's masks.
+
+Each test corrupts one input of a checker (a generic filter, a game
+label, an entry of the truth-predicate name) and asserts that the checker
+reports failure.
+"""
+
+import random
+
+import pytest
+
+from forcelab import (ClassName, Filter, ForcelabError, atomic_forcing,
+                      etr_solve, extension, generic_filters,
+                      label_fixpoint_violation, name_universe,
+                      random_game_tree, truth_name, zermelo_recursion_instance,
+                      zermelo_solve)
+from forcelab import corpus, forcing
+
+
+def test_adding_or_removing_one_filter_member_fails_extension(corpus_notion):
+    P = corpus_notion
+    FR = atomic_forcing(P, name_universe(P, 1))
+    for G in generic_filters(P):
+        extension(FR, G)
+        for q in P.conditions():
+            with pytest.raises(ForcelabError):
+                extension(FR, Filter(P, G.members ^ {q}))
+
+
+def _staged_labels_agree(T, labels) -> bool:
+    """The comparison of the labels with the staged recursion instance."""
+    inst, codec = zermelo_recursion_instance(T)
+    sol = etr_solve(inst)
+    return all(any(enc in sl for sl in sol.slices) == (labels[nid] == "I")
+               for enc, nid in codec.items())
+
+
+def test_flipping_one_zermelo_label_fails_both_label_checks():
+    rng = random.Random(7)
+    for _ in range(10):
+        T = random_game_tree(rng, 60)
+        labels = zermelo_solve(T).labels
+        assert label_fixpoint_violation(T, labels) is None
+        assert _staged_labels_agree(T, labels)
+        for nid in T._reachable:
+            flipped = {**labels, nid: "II" if labels[nid] == "I" else "I"}
+            assert label_fixpoint_violation(T, flipped) is not None
+            assert not _staged_labels_agree(T, flipped)
+
+
+def test_dropping_one_truth_name_entry_is_reported(monkeypatch):
+    P = corpus.fork()
+    N = corpus.oracle_universe(P)
+    pool = corpus.truth_name_pool(P, N)
+    # The verdicts are read into locals: on failure pytest would print the
+    # TruthName, and the class name's coded-formula entries print as trees
+    # too large to build.
+    ok = truth_name(atomic_forcing(P, N), pool).ok
+    assert ok
+    FR = atomic_forcing(P, N)
+    # a formula forced by exactly one condition p: its entry at p is the
+    # only one naming it, so without it the derived value misses p
+    phi, p = next((phi, p) for phi in pool for p in P.conditions()
+                  if FR.value(phi) == 1 << p)
+    dropped = (forcing._pool_entry_name(phi), p)
+    make = ClassName.make
+    monkeypatch.setattr(ClassName, "make", staticmethod(
+        lambda ident, entries: make(ident, (e for e in entries if e != dropped))))
+    tn = truth_name(FR, pool)
+    ok, failures = tn.ok, tn.failures
+    assert not ok
+    assert ("derived-vs-forcing", p, phi) in failures

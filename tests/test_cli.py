@@ -1,8 +1,12 @@
+import argparse
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+import forcelab
+from forcelab import atomic_forcing, cli, corpus
 from forcelab.cli import main, run_suite
 
 
@@ -42,14 +46,14 @@ def test_malformed_input_exits_nonzero(tmp_path, capsys):
 
 
 def test_run_suite_rows_are_sorted():
-    report = run_suite("complete", {"seed": 0, "max_poset": 3})
+    report = run_suite("complete", {"max_poset": 3})
     claims = [r["claim"] for r in report["rows"]]
     assert claims == sorted(claims)
     assert report["failures"] == 0
 
 
 def test_oracle_suite_small():
-    report = run_suite("oracle", {"seed": 0, "max_poset": 3})
+    report = run_suite("oracle", {"max_poset": 3})
     assert report["failures"] == 0
     assert any("forced-iff-true" in r["claim"] for r in report["rows"])
 
@@ -57,7 +61,7 @@ def test_oracle_suite_small():
 def test_custom_poset_file(tmp_path):
     poset = tmp_path / "fork.sexp"
     poset.write_text("(poset (elems one a b) (one one) (le))")
-    report = run_suite("force", {"seed": 0, "poset": str(poset)})
+    report = run_suite("force", {"poset": str(poset)})
     assert report["failures"] == 0
 
 
@@ -132,3 +136,180 @@ def test_bad_poset_file_exits_2_with_one_line(tmp_path, capsys, text):
     assert main(["force", "--poset", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+ALL_FLAGS = {key for keys in cli.SUITE_SETTINGS.values() for key in keys}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _subparsers():
+    action = next(a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_suite_offers_exactly_the_flags_it_reads():
+    offered = {suite: {opt for action in p._actions for opt in action.option_strings
+                       if opt not in ("-h", "--help")}
+               for suite, p in _subparsers().items()}
+    assert offered == {suite: {*map(_flag, keys), "--timings", "--out"}
+                       for suite, keys in cli.SUITE_SETTINGS.items()}
+    assert sum(map(len, offered.values())) == 36
+
+
+@pytest.mark.parametrize("suite,key", [
+    (suite, key) for suite, keys in cli.SUITE_SETTINGS.items()
+    for key in sorted(ALL_FLAGS - set(keys))])
+def test_a_flag_the_suite_does_not_read_is_a_usage_error(suite, key, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([suite, _flag(key), "(hf)" if key == "A" else "1"])
+    assert exit_info.value.code == 2
+    assert _flag(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--count", "0"],
+    ["game", "--count", "0"],
+    ["oracle", "--max-poset", "0"],
+    ["force", "--max-poset", "-1"],
+    ["oracle", "--max-name-rank", "0"],
+    ["truth", "--stage", "0"],
+], ids=" ".join)
+def test_a_setting_below_its_least_value_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", list(cli.SUITES))
+def test_run_suite_and_the_command_line_apply_the_same_defaults(suite, monkeypatch, capsys):
+    calls = []  # the config of each call of the suite body
+    monkeypatch.setitem(cli.SUITES, suite, lambda config, *_: calls.append(dict(config)))
+    assert main([suite]) == 0
+    shown = json.loads(capsys.readouterr().out)["config"]
+    from_main = len(calls)
+    assert run_suite(suite, {})["config"] == shown
+    assert calls[:from_main] == calls[from_main:]
+    defaults = {key: cli.SETTINGS[key].default
+                for key in (*cli.SUITE_SETTINGS[suite], "timings")}
+    assert calls and all(config == defaults for config in calls)
+
+
+def test_defaults_of_the_game_and_iterated_suites():
+    assert cli.SETTINGS["count"].default == 50
+    assert cli.SETTINGS["clock"].default == 3
+
+
+@pytest.mark.parametrize("suite,config", [
+    ("game", {"poset": "x"}),
+    ("complete", {"seed": 0}),
+    ("translate", {"count": 0}),
+    ("iterated", {"clock": 0}),
+])
+def test_run_suite_rejects_an_unread_key_or_a_value_below_the_least(suite, config):
+    with pytest.raises(ValueError):
+        run_suite(suite, config)
+
+
+@pytest.fixture
+def fork_file(tmp_path):
+    path = tmp_path / "fork.sexp"
+    path.write_text("(poset (elems one a b) (one one) (le))")
+    return str(path)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--max-poset", "2", "--formula", "(= (name) (name))", "--condition", "a"],
+    ["--poset", "FORK", "--condition", "a"],
+    ["--poset", "FORK", "--formula", "(= (name) (name))", "--condition", "zz"],
+    ["--poset", "FORK", "--formula", "(= x x)"],
+    ["--poset", "FORK", "--formula", "(= (name (pair (name (pair (name) a)) a)) (name))"],
+    ["--poset", "FORK", "--names", "NAMES"],
+    ["--poset", "FORK", "--formula", "(in-class (name) A)"],
+    ["--poset", "FORK", "--formula", "(= (const (hf)) (const (hf)))"],
+    ["--poset", "FORK", "--formula", "(tr (name) (name) (name))"],
+], ids=["condition-without-poset", "condition-without-formula", "unknown-condition",
+        "free-variable", "name-outside-universe", "unknown-token-in-names-file",
+        "class-atom", "ground-constant", "truth-atom"])
+def test_bad_force_input_exits_2_with_one_line(extra, fork_file, tmp_path, capsys):
+    names = tmp_path / "names.sexp"
+    names.write_text("(name (pair (name) zz))")
+    argv = [{"FORK": fork_file, "NAMES": str(names)}.get(a, a) for a in extra]
+    assert main(["force", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["truth", "--stage", "1", "--A", "(hf (hf))"],
+    ["iterated", "--A", "(hf (hf (hf (hf))))"],
+], ids=["truth", "iterated"])
+def test_a_parameter_outside_the_stage_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --A") and err.count("\n") == 1
+
+
+def test_verdict_at_a_given_condition(fork_file, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["force", "--poset", fork_file, "--formula", "(in-G (check (hf (hf))))",
+                 "--condition", "a", "--out", str(out)]) == 0
+    rows = {r["claim"]: r for r in json.loads(out.read_text())["rows"]}
+    assert rows["force/fork/given-formula-verdict"]["verdict"] is True
+    assert rows["force/fork/given-formula-forced-iff-true"]["status"] == "pass"
+
+
+def test_a_checker_error_is_a_failed_row(monkeypatch, tmp_path):
+    """Clearing the one bit of a name's self-equality over the trivial notion
+    makes extension() raise; that row fails and every other row still runs."""
+    def corrupted(P, N, *args, **kwargs):
+        FR = atomic_forcing(P, N, *args, **kwargs)
+        if len(P) == 1:
+            sigma = FR.universe[-1]
+            FR._atomic[("eq", sigma, sigma)] ^= 1 << P.one
+            FR._values.clear()
+        return FR
+
+    monkeypatch.setattr(cli, "atomic_forcing", corrupted)
+    out = tmp_path / "report.json"
+    assert main(["oracle", "--max-poset", "3", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    rows = {r["claim"]: r for r in report["rows"]}
+    failed = rows["oracle/trivial/forced-iff-true"]
+    assert failed["status"] == "fail"
+    assert failed["counterexample"] == "forced equality is not reflexive; corrupted table"
+    assert rows["oracle/trivial/truth-predicate-name"]["status"] == "fail"
+    assert rows["oracle/trivial/separative"]["status"] == "pass"
+    assert report["failures"] == 2
+    assert all(r["status"] == "pass" for claim, r in rows.items()
+               if not claim.startswith("oracle/trivial/"))
+
+
+REMOVED_PARAMETERS = [
+    (forcelab.generic_filters, {"verify", "sample_count", "seed"}),
+    (forcelab.ForcingRelation, {"atomic_budget", "quantifier_budget"}),
+    (forcelab.atomic_forcing, {"atomic_budget"}),
+    (forcelab.audit_forcing_relation, {"triple_cap", "pool"}),
+    (forcelab.audit_boolean_algebra, {"pair_cap"}),
+    (forcelab.extension, {"class_names"}),
+    (forcelab.truth_lemma_check, {"class_names"}),
+    (forcelab.etr_solve, {"budget"}),
+    (forcelab.instances, {"budget"}),
+    (forcelab.name_universe, {"budget"}),
+    (forcelab.CollapseNotion, {"budget"}),
+    (forcelab.build_collapse, {"budget"}),
+    (forcelab.v_stage, {"cap"}),
+    (forcelab.formula_step, {"x_var", "solution_ident"}),
+    (forcelab.stage_comparison_structure, {"valuation_arity_cap"}),
+    (corpus.iterated_pool, {"param_ident"}),
+]
+
+
+@pytest.mark.parametrize("function,removed", REMOVED_PARAMETERS,
+                         ids=[function.__name__ for function, _ in REMOVED_PARAMETERS])
+def test_library_options_no_caller_sets_are_not_parameters(function, removed):
+    assert not removed & set(inspect.signature(function).parameters)

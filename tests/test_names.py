@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ForcelabError, a_dot,
-                      build_collapse, check_name, eps_dot, eval_class,
-                      eval_name, g_dot, generic_filters, hf_make, hf_pair,
-                      n_dot, name_make, name_to_hf, name_to_sexp,
+from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ForcelabError,
+                      ParseError, a_dot, build_collapse, check_name, eps_dot,
+                      eval_class, eval_name, g_dot, generic_filters, hf_make,
+                      hf_pair, n_dot, name_make, name_to_hf, name_to_sexp,
                       name_universe, nat_encode, op_name, parse_name,
                       subnames, v_stage)
 from forcelab import corpus, sexpr
@@ -147,6 +147,13 @@ def test_name_sexp_roundtrip(fork):
     assert parse_name(sexpr.read(text), fork) is sigma
     assert parse_name(sexpr.read("(opname (check (hf)) (name))"), fork) \
         is op_name(EMPTY_NAME, EMPTY_NAME)
+
+
+def test_unknown_condition_token_is_a_parse_error(fork):
+    with pytest.raises(ParseError, match="unknown condition token 'zz'"):
+        parse_name(sexpr.read("(name (pair (name) zz))"), fork)
+    with pytest.raises(ParseError):
+        fork.index("zz")
 
 
 def test_name_to_hf_injective(fork):
