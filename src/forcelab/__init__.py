@@ -11,7 +11,7 @@ from .errors import (BudgetError, ClosureError, EncodingError, ForcelabError,
 from .hfset import (EMPTY, HFSet, hf_make, hf_pair, hf_rank, nat_decode,
                     nat_encode, transitive_closure, v_stage)
 from .poset import (CollapseNotion, Filter, ForcingNotion, build_collapse,
-                    generic_filters, is_dense, is_dense_below, is_separative,
+                    generic_filters, is_dense, is_separative,
                     make_notion, minimal_classes, parse_poset)
 from .names import (ClassName, EMPTY_NAME, PName, a_dot, check_name, eps_dot,
                     eval_class, eval_name, g_dot, n_dot, name_make,
@@ -35,14 +35,14 @@ from .truth import (DerivedIteratedTruth, FiniteStructure, ForcingTruth,
                     iterated_truth_instance, stage_comparison_structure,
                     star8_translate, tarski_truth, tarski_truth_instance,
                     valuation_key)
-from .forcing import (AtomicStatement, AuditReport, BooleanAlgebra,
-                      BooleanCompletion, BooleanValues, ForcingRelation,
-                      GenericExtension, TruthName, atomic_forcing,
-                      atomic_recursion_instance, audit_boolean_algebra,
-                      audit_forcing_relation, boolean_completion,
-                      boolean_values, compare_atomic_table, extension,
-                      forces, ground_formula, lindenbaum_value,
-                      star_translate, truth_lemma_check, truth_name)
+from .forcing import (AuditReport, BooleanAlgebra, BooleanCompletion,
+                      BooleanValues, ForcingRelation, GenericExtension,
+                      TruthName, atomic_forcing, atomic_recursion_instance,
+                      audit_boolean_algebra, audit_forcing_relation,
+                      boolean_completion, boolean_values,
+                      compare_atomic_table, extension, forces,
+                      ground_formula, star_translate, truth_lemma_check,
+                      truth_name)
 from .games import (GameNode, GameTree, ZermeloResult, continuous_rank,
                     extract_verdicts, label_fixpoint_violation, parse_game,
                     random_game_tree, truth_telling_game, verify_strategy,

@@ -393,6 +393,8 @@ def run_suite(suite: str, config: dict) -> dict:
     unread = sorted(set(config) - set(declared))
     if unread:
         raise ValueError(f"suite {suite!r} does not read {unread}")
+    if config.get("poset") is not None and "max_poset" in config:
+        raise ParseError("--max-poset selects corpus notions; it does not apply with --poset")
     config = {key: _checked(key, config.get(key, SETTINGS[key].default)) for key in declared}
     rep = Reporter(config["timings"])
     try:
@@ -435,11 +437,13 @@ def _build_parser() -> argparse.ArgumentParser:
         for key in (*SUITE_SETTINGS[suite], "timings"):
             setting = SETTINGS[key]
             flag = "--" + key.replace("_", "-")
+            # a flag left out is absent, so run_suite sees what was given
             if setting.type is None:
-                p.add_argument(flag, dest=key, action="store_true", help=setting.help)
+                p.add_argument(flag, dest=key, action="store_true",
+                               default=argparse.SUPPRESS, help=setting.help)
             else:
                 p.add_argument(flag, dest=key, type=_argument_type(key),
-                               default=setting.default, help=setting.help,
+                               default=argparse.SUPPRESS, help=setting.help,
                                nargs="*" if key == "A" else None)
         p.add_argument("--out", help="write the JSON report here (default stdout)")
     return parser

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import etr as etr_mod
 from . import truth as truth_mod
+from .dag import fold
 from .errors import (BudgetError, ClosureError, ForcelabError,
                      SeparativityError)
 from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
@@ -35,9 +36,9 @@ from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        encode_formula, implies, map_atom, map_formula,
                        name_const, nodes, not_, or_, substitute, terms)
 from .hfset import EMPTY, HFSet, hf_make, nat_decode, nat_encode, hf_pair
-from .names import (EMPTY_NAME, ClassName, PName, check_name, eval_class,
-                    eval_name, g_dot, is_subname_closed, name_make,
-                    name_to_hf, op_name)
+from .names import (EMPTY_NAME, ClassName, PName, check_name, entry_names,
+                    eval_class, eval_name, g_dot, is_subname_closed,
+                    name_make, name_to_hf, op_name)
 from .poset import Filter, ForcingNotion, generic_filters, is_separative, minimal_classes
 
 ATOMIC_BUDGET = 2_000_000
@@ -46,20 +47,6 @@ TRANSLATION_BUDGET = 100_000
 AUDIT_POOL_SIZE = 24       # atomic formulas for the modus-ponens and decidedness laws
 AUDIT_TUPLE_CAP = 4000     # formula pairs, name pairs and name triples the law audit visits
 ALGEBRA_TUPLE_CAP = 40000  # element pairs and triples the algebra audit visits
-
-
-@dataclass(frozen=True)
-class AtomicStatement:
-    kind: str  # "eq" | "in" | "sub" | "in_class"
-    left: PName
-    right: PName | None = None
-    class_name: ClassName | None = None
-
-    def __post_init__(self):
-        if self.kind in ("eq", "in", "sub") and self.right is None:
-            raise ForcelabError(f"{self.kind} statements need two names")
-        if self.kind == "in_class" and self.class_name is None:
-            raise ForcelabError("in_class statements need a class name")
 
 
 def _mask(conditions: Iterable[int]) -> int:
@@ -89,7 +76,7 @@ class ForcingRelation:
         if not is_subname_closed(self.universe):
             raise ClosureError("name universe must be subname-closed")
         for n in self.universe:
-            if n.max_condition() >= len(notion):
+            if n.max_condition >= len(notion):
                 raise ForcelabError("universe name mentions a condition outside the notion")
         self.classes: dict[str, ClassName] = {"G": g_dot(notion)}
         for cls in classes:
@@ -169,11 +156,6 @@ class ForcingRelation:
             for tau in self.universe:
                 for kind in ("in", "sub", "eq"):
                     self.atomic_value(kind, sigma, tau)
-
-    def forces_atomic(self, p: int, stmt: AtomicStatement) -> bool:
-        if stmt.kind == "in_class":
-            return self._witnessed(stmt.left, stmt.class_name.entries) >> p & 1 == 1
-        return self.decide(stmt.kind, p, stmt.left, stmt.right)
 
     def value(self, phi: Formula) -> int:
         """The mask of the conditions forcing the closed formula."""
@@ -350,16 +332,17 @@ class _SizeGuard:
             raise BudgetError(f"translation exceeded {self.budget} name constructions")
 
 
+_check_values: dict[PName, HFSet | None] = {}
+
+
 def _check_value(name: PName) -> HFSet | None:
     """The set x with name = x̌, or None if the name is not a check name."""
-    values = []
-    for rho, r in name.entries:
-        if r != 0:
-            return None
-        v = _check_value(rho)
-        if v is None:
-            return None
-        values.append(v)
+    return fold(name, entry_names, _check_node, _check_values)
+
+
+def _check_node(name: PName, values: tuple[HFSet | None, ...]) -> HFSet | None:
+    if any(r for _, r in name.entries) or None in values:
+        return None
     return hf_make(values)
 
 
@@ -658,11 +641,6 @@ def audit_boolean_algebra(B: BooleanAlgebra) -> AuditReport:
     return report
 
 
-def lindenbaum_value(FR: ForcingRelation, phi: Formula) -> frozenset[int]:
-    """The conditions forcing the sentence; regular-open by the forcing laws."""
-    return frozenset(_bits(FR.value(phi)))
-
-
 class BooleanValues:
     """Boolean values of atomic statements, by the recursion on names."""
 
@@ -711,9 +689,6 @@ class GenericExtension:
     class_extensions: dict[str, frozenset[PName]]  # representatives satisfying Γ
     evaluation: dict[PName, HFSet]
     structure: "truth_mod.FiniteStructure"
-
-    def block_of(self, name: PName) -> PName:
-        return self.representative[name]
 
 
 def extension(FR: ForcingRelation, G: Filter) -> GenericExtension:

@@ -12,13 +12,16 @@ constants (forcing language, over a notion).
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
-from . import sexpr
+from . import dag, sexpr
 from .errors import EncodingError, ForcelabError, ParseError
 from .hfset import (HFSet, hf_list, hf_make, hf_pair, hf_unlist,
                     hf_unpair, nat_decode, nat_encode)
-from .names import PName, name_make, name_to_hf, op_name, parse_name
+from .names import (PName, entry_names, name_make, name_to_hf, name_to_sexp,
+                    op_name, parse_name)
 from .poset import ForcingNotion
 
 _intern: dict[tuple, object] = {}
@@ -123,7 +126,7 @@ class Formula:
         self.const_kinds = kinds
 
     def __repr__(self) -> str:
-        return formula_to_sexp(self)
+        return dag.bounded_repr(self, _parts, lambda: formula_to_sexp(self))
 
     def children(self) -> tuple["Formula", ...]:
         """The immediate subformulas; atoms have none."""
@@ -292,32 +295,37 @@ def implies(a: Formula, b: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Traversal.  Formulas are hash-consed DAGs whose tree expansions can be far
 # larger than the DAG (a stage translation of a truth atom has a few thousand
-# distinct nodes and billions of tree nodes), so every walk here visits each
-# distinct node once.
+# distinct nodes and billions of tree nodes), so every walk here is the one
+# walk of `dag`, which visits each distinct node once.
+
+_children = operator.methodcaller("children")
+
 
 def nodes(phi: Formula, skip: Container[Formula] = ()) -> Iterator[Formula]:
-    """Each distinct node of phi once, children before parents.  Nodes in
-    `skip` are neither yielded nor entered."""
-    seen: set[Formula] = set()
-    stack: list[tuple[Formula, bool]] = [(phi, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
-        elif node not in seen and node not in skip:
-            seen.add(node)
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(node.children()))
+    """`dag.nodes` over subformulas: each distinct node once, children first."""
+    return dag.nodes(phi, _children, skip)
 
 
 def fold(phi: Formula, combine: Callable[[Formula, tuple], T],
          memo: dict[Formula, T] | None = None) -> T:
-    """combine(node, results for its children), bottom-up, once per distinct
-    node.  Results are kept in `memo`; pass one to share them across calls."""
-    memo = {} if memo is None else memo
-    for node in nodes(phi, memo):
-        memo[node] = combine(node, tuple(memo[c] for c in node.children()))
-    return memo[phi]
+    """`dag.fold` over subformulas: combine(node, results for its children)."""
+    return dag.fold(phi, _children, combine, memo)
+
+
+def _parts(x) -> tuple:
+    """What the text of a formula is printed from: its subformulas, the terms
+    of its atoms with their parts, and the names and sets inside constants."""
+    if isinstance(x, Formula):
+        return x.children() if x.rank else atom_terms(x)
+    if isinstance(x, PairTerm):
+        return (x.left, x.right)
+    if isinstance(x, NameConst):
+        return (x.name,)
+    if isinstance(x, GroundConst):
+        return (x.value,)
+    if isinstance(x, PName):
+        return entry_names(x)
+    return x.children if isinstance(x, HFSet) else ()
 
 
 def _rebuild(phi: Formula, kids: Sequence[Formula]) -> Formula:
@@ -512,7 +520,8 @@ def _parse_formula(form, notion: ForcingNotion | None) -> Formula:
     if head == "or":
         return or_(_parse_formula(f, notion) for f in form[1:])
     if head in ("forall", "exists"):
-        if len(form) != 3 or not isinstance(form[1], list):
+        if len(form) != 3 or not isinstance(form[1], list) or not all(
+                isinstance(v, str) for v in form[1]):
             raise ParseError(f"({head} (v*) f) takes a variable list and a formula")
         vs = tuple(form[1])
         body = _parse_formula(form[2], notion)
@@ -521,33 +530,29 @@ def _parse_formula(form, notion: ForcingNotion | None) -> Formula:
 
 
 def parse_formula(text: str, notion: ForcingNotion | None = None) -> Formula:
-    return _parse_formula(sexpr.read(text), notion)
+    form = sexpr.read(text)
+    try:
+        return _parse_formula(form, notion)
+    except ParseError:
+        raise
+    except ForcelabError as e:  # well-formed parts that make no formula, e.g. mixed constants
+        raise ParseError(str(e)) from None
 
 
 def _term_sexp(t: Term, notion: ForcingNotion | None):
     if isinstance(t, Var):
         return ["var", t.name]
     if isinstance(t, GroundConst):
-        return ["const", _hf_sexp(t.value)]
+        return ["const", t.value.to_sexp()]
     if isinstance(t, NameConst):
-        return _name_sexp(t.name, notion)
+        return name_to_sexp(t.name, notion)
     if isinstance(t, PairTerm):
         return ["opterm", _term_sexp(t.left, notion), _term_sexp(t.right, notion)]
     raise ForcelabError(f"unknown term {type(t).__name__}")
 
 
-def _hf_sexp(x: HFSet):
-    return ["hf"] + [_hf_sexp(c) for c in x.children]
-
-
-def _name_sexp(n: PName, notion: ForcingNotion | None):
-    def cond(r: int) -> str:
-        return notion.elements[r] if notion is not None else str(r)
-
-    return ["name"] + [["pair", _name_sexp(m, notion), cond(r)] for m, r in n.entries]
-
-
-def _formula_sexp(phi: Formula, notion: ForcingNotion | None):
+def _formula_sexp(phi: Formula, kids: tuple[str, ...], notion: ForcingNotion | None):
+    """The s-expression of one node, given the texts of its subformulas."""
     if isinstance(phi, AtomEq):
         return ["=", _term_sexp(phi.left, notion), _term_sexp(phi.right, notion)]
     if isinstance(phi, AtomIn):
@@ -560,20 +565,20 @@ def _formula_sexp(phi: Formula, notion: ForcingNotion | None):
         return ["tr", _term_sexp(phi.stage, notion), _term_sexp(phi.code, notion),
                 _term_sexp(phi.valuation, notion)]
     if isinstance(phi, Not):
-        return ["not", _formula_sexp(phi.sub, notion)]
+        return ["not", *kids]
     if isinstance(phi, And):
-        return ["and"] + [_formula_sexp(s, notion) for s in phi.subs]
+        return ["and", *kids]
     if isinstance(phi, Or):
-        return ["or"] + [_formula_sexp(s, notion) for s in phi.subs]
+        return ["or", *kids]
     if isinstance(phi, Forall):
-        return ["forall", list(phi.vars), _formula_sexp(phi.body, notion)]
+        return ["forall", list(phi.vars), *kids]
     if isinstance(phi, Exists):
-        return ["exists", list(phi.vars), _formula_sexp(phi.body, notion)]
+        return ["exists", list(phi.vars), *kids]
     raise ForcelabError(f"unknown formula {type(phi).__name__}")
 
 
 def formula_to_sexp(phi: Formula, notion: ForcingNotion | None = None) -> str:
-    return sexpr.show(_formula_sexp(phi, notion))
+    return fold(phi, lambda node, kids: sexpr.show(_formula_sexp(node, kids, notion)))
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +681,10 @@ def _encode_node(phi: Formula, kids: tuple[HFSet, ...]) -> HFSet:
     raise EncodingError(f"cannot encode formula {type(phi).__name__}")
 
 
+# The decoders recurse on the structure of a code, which is a DAG; their
+# caches (None results included) make each distinct subcode decode once.
+
+@functools.cache
 def _decode_name(x: HFSet) -> PName | None:
     entries = []
     for child in x.children:
@@ -690,6 +699,7 @@ def _decode_name(x: HFSet) -> PName | None:
     return name_make(entries)
 
 
+@functools.cache
 def decode_term(x: HFSet) -> Term | None:
     p = hf_unpair(x)
     if p is None:
@@ -712,6 +722,7 @@ def decode_term(x: HFSet) -> Term | None:
     return None
 
 
+@functools.cache
 def decode_formula(x: HFSet) -> Formula | None:
     p = hf_unpair(x)
     if p is None:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from . import dag, sexpr
 from . import etr as etr_mod
-from . import sexpr
 from .errors import BudgetError, ForcelabError, ParseError
 from .formulas import (And, AtomTr, Exists, Forall, Formula, Not, Or)
 from .hfset import HFSet, nat_encode
@@ -75,7 +76,7 @@ class GameTree:
 
 
 def _game_int(token) -> int:
-    if isinstance(token, str) and token.lstrip("-").isdigit():
+    if isinstance(token, str) and re.fullmatch(r"-?[0-9]+", token):
         return int(token)
     raise ParseError(f"expected a node number, got {token!r}")
 
@@ -126,26 +127,11 @@ def parse_game(text: str) -> GameTree:
         raise ParseError(str(e)) from None
 
 
-def _postorder(T: GameTree) -> list[int]:
-    order: list[int] = []
-    stack: list[tuple[int, bool]] = [(T.root, False)]
-    while stack:
-        i, expanded = stack.pop()
-        if expanded:
-            order.append(i)
-        else:
-            stack.append((i, True))
-            for c in T.nodes[i].children:
-                stack.append((c, False))
-    return order
-
-
 def continuous_rank(T: GameTree) -> dict[int, int]:
     """Terminals get 0; every parent gets one more than its highest child."""
     rank: dict[int, int] = {}
-    for i in _postorder(T):
-        node = T.nodes[i]
-        rank[i] = 0 if not node.children else 1 + max(rank[c] for c in node.children)
+    dag.fold(T.root, lambda i: T.nodes[i].children,
+             lambda _, kids: 1 + max(kids) if kids else 0, rank)
     return rank
 
 
@@ -165,7 +151,7 @@ def zermelo_solve(T: GameTree) -> ZermeloResult:
     winner's labels."""
     labels: dict[int, str] = {}
     strat = {"I": {}, "II": {}}
-    for i in _postorder(T):
+    for i in dag.nodes(T.root, lambda i: T.nodes[i].children):
         node = T.nodes[i]
         if not node.children:
             labels[i] = node.winner

@@ -2,10 +2,10 @@
 
 Every extensionally distinct set has exactly one interned instance, so
 equality is identity.  Each value caches a hash combined from its
-children's hashes, and the total order used wherever ties must be broken
-(rank first, then lexicographically on the ordered children) is computed
-by a comparator that short-circuits on shared subtrees, which keeps deep
-chains such as von Neumann ordinals cheap.
+children's hashes and its sort key, the flat tuple (rank, *child keys):
+tuple comparison then gives the total order used wherever ties must be
+broken (rank first, then lexicographically on the ordered children), and
+it stops at the first differing child, since equal children share one key.
 
 Values are immutable and safely shareable once constructed; the interning
 table itself is confined to single-threaded construction.
@@ -13,9 +13,9 @@ table itself is confined to single-threaded construction.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator
 
+from .dag import bounded_repr, fold, nodes
 from .errors import BudgetError
 
 STAGE_CAP = 5  # |v_stage(5)| = 65536; larger stages are refused
@@ -30,12 +30,13 @@ class HFSet:
 
     children: tuple["HFSet", ...]
     rank: int
+    key: tuple
 
     def __init__(self, children: tuple["HFSet", ...], rank: int, hash_: int):
         self.children = children
         self.rank = rank
         self._hash = hash_
-        self.key = _sort_key(self)
+        self.key = (rank, *(c.key for c in children))
 
     def __hash__(self) -> int:
         return self._hash
@@ -44,10 +45,10 @@ class HFSet:
     # object __eq__ is therefore correct (and O(1)).
 
     def __lt__(self, other: "HFSet") -> bool:
-        return hf_cmp(self, other) < 0
+        return self.key < other.key
 
     def __le__(self, other: "HFSet") -> bool:
-        return hf_cmp(self, other) <= 0
+        return self.key <= other.key
 
     def __contains__(self, x: "HFSet") -> bool:
         return any(x is c for c in self.children)
@@ -59,28 +60,15 @@ class HFSet:
         return len(self.children)
 
     def __repr__(self) -> str:
-        if not self.children:
-            return "∅"
-        return "{" + ", ".join(repr(c) for c in self.children) + "}"
+        return bounded_repr(self, _members, lambda: fold(
+            self, _members, lambda x, kids: "{" + ", ".join(kids) + "}" if kids else "∅"))
 
     def to_sexp(self) -> str:
-        return "(hf" + "".join(" " + c.to_sexp() for c in self.children) + ")"
+        return fold(self, _members, lambda x, kids: "(hf" + "".join(" " + k for k in kids) + ")")
 
 
-def hf_cmp(a: HFSet, b: HFSet) -> int:
-    """The canonical total order: by rank, then lexicographically on children."""
-    if a is b:
-        return 0
-    if a.rank != b.rank:
-        return -1 if a.rank < b.rank else 1
-    for x, y in zip(a.children, b.children):
-        c = hf_cmp(x, y)
-        if c:
-            return c
-    return -1 if len(a.children) < len(b.children) else 1
-
-
-_sort_key = functools.cmp_to_key(hf_cmp)
+def _members(x: HFSet) -> tuple[HFSet, ...]:
+    return x.children
 
 
 def hf_make(children: Iterable[HFSet] = ()) -> HFSet:
@@ -181,10 +169,6 @@ def nat_decode(x: HFSet) -> int | None:
 def transitive_closure(xs: Iterable[HFSet]) -> list[HFSet]:
     """All members-of-members-of... of the given sets, including the sets themselves."""
     seen: set[HFSet] = set()
-    work = list(xs)
-    while work:
-        x = work.pop()
-        if x not in seen:
-            seen.add(x)
-            work.extend(x.children)
+    for x in xs:
+        seen.update(nodes(x, _members, seen))
     return sorted(seen, key=lambda s: s.key)

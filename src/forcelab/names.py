@@ -2,19 +2,22 @@
 
 A name is hereditarily a finite set of (name, condition-index) pairs.
 Names are interned like HF sets: one canonical instance per value, with
-entries kept sorted by the canonical order (name rank first), immutable
-and shareable after single-threaded construction.  Condition indices
+entries kept sorted by (name, condition index) in the canonical order,
+immutable and shareable after single-threaded construction.  The order
+is held as data: a name's key is the flat tuple (rank, n1.key, r1, n2.key,
+r2, ...) over its sorted entries, so tuple comparison orders names by rank
+first, then lexicographically on entries.  Condition indices
 refer to positions in a notion's element list; index 0 is the top
 condition of every notion, which is what makes check names portable.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import sexpr
+from .dag import bounded_repr, fold, nodes
 from .errors import BudgetError, ForcelabError, ParseError
 from .hfset import HFSet, hf_make, hf_pair, nat_encode
 from .poset import CollapseNotion, Filter, ForcingNotion
@@ -27,22 +30,25 @@ NAME_UNIVERSE_BUDGET = 20000
 class PName:
     """An interned P-name.  Use :func:`name_make` to construct."""
 
-    __slots__ = ("entries", "rank", "key", "_hash")
+    __slots__ = ("entries", "rank", "max_condition", "key", "_hash")
 
     entries: tuple[tuple["PName", int], ...]
     rank: int
+    max_condition: int  # the largest condition index anywhere below
+    key: tuple
 
     def __init__(self, entries, rank, hash_):
         self.entries = entries
         self.rank = rank
+        self.max_condition = max((max(r, n.max_condition) for n, r in entries), default=0)
         self._hash = hash_
-        self.key = _sort_key(self)
+        self.key = (rank, *(x for n, r in entries for x in (n.key, r)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __lt__(self, other: "PName") -> bool:
-        return name_cmp(self, other) < 0
+        return self.key < other.key
 
     def __iter__(self) -> Iterator[tuple["PName", int]]:
         return iter(self.entries)
@@ -51,40 +57,20 @@ class PName:
         return len(self.entries)
 
     def __repr__(self) -> str:
-        if not self.entries:
-            return "name{}"
-        return "name{" + ", ".join(f"({n!r},{r})" for n, r in self.entries) + "}"
-
-    def max_condition(self) -> int:
-        out = 0
-        for n, r in self.entries:
-            out = max(out, r, n.max_condition())
-        return out
+        return bounded_repr(self, entry_names, lambda: fold(self, entry_names, _show_name))
 
 
-def name_cmp(a: PName, b: PName) -> int:
-    """Canonical total order: rank first, then lexicographically on entries."""
-    if a is b:
-        return 0
-    if a.rank != b.rank:
-        return -1 if a.rank < b.rank else 1
-    for (n1, r1), (n2, r2) in zip(a.entries, b.entries):
-        c = name_cmp(n1, n2)
-        if c:
-            return c
-        if r1 != r2:
-            return -1 if r1 < r2 else 1
-    return -1 if len(a.entries) < len(b.entries) else 1
+def _show_name(n: PName, kids: tuple[str, ...]) -> str:
+    return "name{" + ", ".join(f"({k},{r})" for k, (_, r) in zip(kids, n.entries)) + "}"
 
 
-_sort_key = functools.cmp_to_key(name_cmp)
-
-_entry_key = functools.cmp_to_key(
-    lambda e1, e2: name_cmp(e1[0], e2[0]) or (e1[1] > e2[1]) - (e1[1] < e2[1]))
+def entry_names(name: PName) -> tuple[PName, ...]:
+    """The names of the entries, in entry order: a name's children in the DAG."""
+    return tuple(n for n, _ in name.entries)
 
 
 def name_make(entries: Iterable[tuple[PName, int]] = ()) -> PName:
-    uniq = sorted(set(entries), key=_entry_key)
+    uniq = sorted(set(entries), key=lambda e: (e[0].key, e[1]))
     tup = tuple(uniq)
     cached = _intern.get(tup)
     if cached is not None:
@@ -108,20 +94,17 @@ class ClassName:
 
     @staticmethod
     def make(ident: str, entries: Iterable[tuple[PName, int]]) -> "ClassName":
-        return ClassName(ident, tuple(sorted(set(entries), key=_entry_key)))
+        return ClassName(ident, tuple(sorted(set(entries), key=lambda e: (e[0].key, e[1]))))
 
 
 def subnames(name: PName) -> set[PName]:
-    out = {name}
-    for n, _ in name.entries:
-        out |= subnames(n)
-    return out
+    return set(nodes(name, entry_names))
 
 
 def subname_closure(names: Iterable[PName]) -> tuple[PName, ...]:
     out: set[PName] = set()
     for n in names:
-        out |= subnames(n)
+        out.update(nodes(n, entry_names, out))
     return tuple(sorted(out, key=lambda n: n.key))
 
 
@@ -229,9 +212,13 @@ def eval_class(cls: ClassName, G: Filter) -> frozenset[HFSet]:
     return frozenset(eval_name(n, G, memo) for n, r in cls.entries if r in G.members)
 
 
+_hf_codes: dict[PName, HFSet] = {}
+
+
 def name_to_hf(name: PName) -> HFSet:
     """Injective coding of a name as an HF set of (coded entry, condition ordinal) pairs."""
-    return hf_make(hf_pair(name_to_hf(n), nat_encode(r)) for n, r in name.entries)
+    return fold(name, entry_names, lambda n, kids: hf_make(
+        hf_pair(k, nat_encode(r)) for k, (_, r) in zip(kids, n.entries)), _hf_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +242,18 @@ def parse_name(form, P: ForcingNotion) -> PName:
     if head == "name":
         entries = []
         for entry in form[1:]:
-            if not (isinstance(entry, list) and len(entry) == 3 and entry[0] == "pair"):
+            if not (isinstance(entry, list) and len(entry) == 3 and entry[0] == "pair"
+                    and isinstance(entry[2], str)):
                 raise ParseError("name entries are (pair <name> <cond-token>)")
             entries.append((parse_name(entry[1], P), P.index(entry[2])))
         return name_make(entries)
     raise ParseError(f"unknown name form {head!r}")
 
 
-def name_to_sexp(name: PName, P: ForcingNotion) -> str:
-    def walk(n: PName):
-        return ["name"] + [["pair", walk(m), P.elements[r]] for m, r in n.entries]
+def name_to_sexp(name: PName, P: ForcingNotion | None = None) -> str:
+    """The (name ...) text; conditions print as P's tokens, or as indices without P."""
+    def show(n: PName, kids: tuple[str, ...]) -> str:
+        return sexpr.show(["name"] + [["pair", k, P.elements[r] if P is not None else str(r)]
+                                      for k, (_, r) in zip(kids, n.entries)])
 
-    return sexpr.show(walk(name))
+    return fold(name, entry_names, show)

@@ -218,11 +218,6 @@ def is_dense(P: ForcingNotion, D: Iterable[int]) -> bool:
     return all(dset & P.down(p) for p in P.conditions())
 
 
-def is_dense_below(P: ForcingNotion, D: Iterable[int], p: int) -> bool:
-    dset = set(D)
-    return all(dset & P.down(q) for q in P.down(p))
-
-
 def minimal_classes(P: ForcingNotion) -> list[frozenset[int]]:
     """Equivalence classes of ≤-minimal conditions, canonically ordered."""
     classes = []

@@ -10,6 +10,7 @@ from .errors import ParseError
 Sexp = "str | list"
 
 _DELIMS = set(" \t\r\n();")
+MAX_DEPTH = 200  # list nesting; the grammar parsers recurse once or twice per level
 
 
 def read(text: str):
@@ -45,11 +46,13 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _read_one(text: str, pos: int):
+def _read_one(text: str, pos: int, depth: int = 0):
     if pos >= len(text):
         raise ParseError("unexpected end of input", pos)
     c = text[pos]
     if c == "(":
+        if depth == MAX_DEPTH:
+            raise ParseError(f"lists nested deeper than {MAX_DEPTH}", pos)
         items = []
         pos = _skip_ws(text, pos + 1)
         while True:
@@ -57,7 +60,7 @@ def _read_one(text: str, pos: int):
                 raise ParseError("unclosed '('", pos)
             if text[pos] == ")":
                 return items, pos + 1
-            item, pos = _read_one(text, pos)
+            item, pos = _read_one(text, pos, depth + 1)
             items.append(item)
             pos = _skip_ws(text, pos)
     if c == ")":

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from forcelab import corpus
+
+# The same examples on every run, no example database written to disk, and
+# no per-example deadline to trip on a slow or busy machine.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -222,6 +222,21 @@ def fork_file(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("suite", ["force", "translate", "complete", "oracle"])
+def test_max_poset_with_poset_is_a_usage_error(suite, fork_file, capsys):
+    assert main([suite, "--poset", fork_file, "--max-poset", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    with pytest.raises(forcelab.ParseError):
+        run_suite(suite, {"poset": fork_file, "max_poset": 5})
+
+
+def test_poset_alone_still_reports_the_default_max_poset(fork_file):
+    report = run_suite("complete", {"poset": fork_file})
+    assert report["config"]["max_poset"] == cli.SETTINGS["max_poset"].default
+    assert {row["claim"].split("/")[1] for row in report["rows"]} == {"fork"}
+
+
 @pytest.mark.parametrize("extra", [
     ["--max-poset", "2", "--formula", "(= (name) (name))", "--condition", "a"],
     ["--poset", "FORK", "--condition", "a"],

@@ -1,0 +1,187 @@
+"""HF sets and names as DAGs: the order held in their keys, walks that visit
+each distinct node once, and reprs bounded by the tree size."""
+
+import functools
+import random
+import time
+
+from hypothesis import given, strategies as st
+
+from forcelab import (EMPTY, EMPTY_NAME, and_, atom_eq, check_name, corpus,
+                      decode_formula, encode_formula, hf_make, name_make,
+                      name_to_hf, name_to_sexp, name_universe, not_,
+                      star_translate, subname_closure, subnames, v_stage, var)
+from forcelab.dag import REPR_CAP
+
+
+# Reference comparators: the recursive order the keys replace.
+
+def ref_hf_cmp(a, b):
+    if a is b:
+        return 0
+    if a.rank != b.rank:
+        return -1 if a.rank < b.rank else 1
+    for x, y in zip(a.children, b.children):
+        c = ref_hf_cmp(x, y)
+        if c:
+            return c
+    return -1 if len(a.children) < len(b.children) else 1
+
+
+def ref_name_cmp(a, b):
+    if a is b:
+        return 0
+    if a.rank != b.rank:
+        return -1 if a.rank < b.rank else 1
+    for (n1, r1), (n2, r2) in zip(a.entries, b.entries):
+        c = ref_name_cmp(n1, n2)
+        if c:
+            return c
+        if r1 != r2:
+            return -1 if r1 < r2 else 1
+    return -1 if len(a.entries) < len(b.entries) else 1
+
+
+def ref_entry_cmp(e1, e2):
+    return ref_name_cmp(e1[0], e2[0]) or (e1[1] > e2[1]) - (e1[1] < e2[1])
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _key_cmp(a, b):
+    return (a.key > b.key) - (a.key < b.key)
+
+
+def _assert_same_order(xs, ref):
+    xs = list(xs)
+    for a in xs:
+        for b in xs:
+            assert _key_cmp(a, b) == _sign(ref(a, b))
+            assert (a < b) == (ref(a, b) < 0)
+    shuffled = xs[:]
+    random.Random(0).shuffle(shuffled)
+    assert (sorted(shuffled, key=lambda x: x.key)
+            == sorted(shuffled, key=functools.cmp_to_key(ref)))
+
+
+def test_set_order_is_the_recursive_order_on_v4():
+    stage = v_stage(4)
+    _assert_same_order(stage, ref_hf_cmp)
+    assert all((a <= b) == (ref_hf_cmp(a, b) <= 0) for a in stage for b in stage)
+    for x in stage:
+        assert list(x.children) == sorted(x.children, key=functools.cmp_to_key(ref_hf_cmp))
+
+
+def test_name_order_is_the_recursive_order(fork):
+    names = list(name_universe(fork, 1)) + [check_name(x) for x in v_stage(3)]
+    names = subname_closure(names + list(corpus.oracle_universe(fork)))
+    _assert_same_order(names, ref_name_cmp)
+    for n in names:
+        assert list(n.entries) == sorted(n.entries, key=functools.cmp_to_key(ref_entry_cmp))
+
+
+hf_sets = st.recursive(st.just(EMPTY),
+                       lambda inner: st.lists(inner, max_size=4).map(hf_make),
+                       max_leaves=12)
+
+fork_names = st.recursive(
+    st.just(EMPTY_NAME),
+    lambda inner: st.lists(st.tuples(inner, st.integers(0, 2)), max_size=4).map(name_make),
+    max_leaves=12)
+
+
+@given(st.lists(hf_sets, min_size=2, max_size=5))
+def test_set_order_on_random_sets(xs):
+    _assert_same_order(xs, ref_hf_cmp)
+
+
+@given(st.lists(fork_names, min_size=2, max_size=5))
+def test_name_order_on_random_names(xs):
+    _assert_same_order(xs, ref_name_cmp)
+
+
+# Shared chains: tree expansions of 2^40 nodes over about 40 distinct nodes.
+
+def _name_chain(depth):
+    n = EMPTY_NAME
+    for _ in range(depth):
+        n = name_make([(n, 0), (n, 1)])
+    return n
+
+
+def _formula_chain(depth):
+    f = atom_eq(var("x"), var("x"))
+    for _ in range(depth):
+        f = and_([f, not_(f)])
+    return f
+
+
+def _within_a_second(fn):
+    start = time.perf_counter()
+    out = fn()
+    assert time.perf_counter() - start < 1.0
+    return out
+
+
+def test_name_walks_visit_each_distinct_node_once():
+    n = _name_chain(40)
+    assert _within_a_second(lambda: len(subnames(n))) == 41
+    assert _within_a_second(lambda: n.max_condition) == 1
+    assert _within_a_second(lambda: name_to_hf(n)).rank == 3 * 40 + 1
+    assert _within_a_second(lambda: repr(n)) == "<PName of rank 40: 41 distinct nodes>"
+
+
+def test_formula_code_round_trip_and_repr_on_a_shared_chain():
+    f = _formula_chain(40)
+    assert _within_a_second(lambda: decode_formula(encode_formula(f))) is f
+    assert _within_a_second(lambda: repr(f)).startswith("<And of rank 80: ")
+
+
+def test_repr_of_a_star_translation_code_is_a_summary():
+    P = dict(corpus.corpus_notions())["trivial"]
+    rng = random.Random(3)
+    names = corpus._sample_names(P, name_universe(P, 1))
+    sentences = [corpus.random_qf_sentence(rng, P, names) for _ in range(9)]
+    code = name_to_hf(star_translate(sentences[8], P)[0])
+    assert code.rank == 60
+    assert _within_a_second(lambda: repr(code)) == "<HFSet of rank 60: 180 distinct nodes>"
+
+
+# Reference printers: the tree-recursive reprs and printers the folds replace.
+
+def ref_set_repr(x):
+    return "{" + ", ".join(ref_set_repr(c) for c in x.children) + "}" if x.children else "∅"
+
+
+def ref_name_repr(n):
+    return "name{" + ", ".join(f"({ref_name_repr(m)},{r})" for m, r in n.entries) + "}"
+
+
+def ref_set_sexp(x):
+    return "(hf" + "".join(" " + ref_set_sexp(c) for c in x.children) + ")"
+
+
+def ref_name_sexp(n, P):
+    return "(name" + "".join(f" (pair {ref_name_sexp(m, P)} {P.elements[r]})"
+                             for m, r in n.entries) + ")"
+
+
+def test_texts_below_the_cap_are_unchanged(fork):
+    for x in v_stage(4):
+        assert repr(x) == ref_set_repr(x)
+        assert x.to_sexp() == ref_set_sexp(x)
+    for n in subname_closure([*corpus.oracle_universe(fork), _name_chain(8)]):
+        assert repr(n) == ref_name_repr(n)
+        assert name_to_sexp(n, fork) == ref_name_sexp(n, fork)
+
+
+def test_the_cap_is_on_the_tree_size():
+    # a chain of depth d has 2^(d+1) - 1 tree nodes
+    depth = REPR_CAP.bit_length() - 1
+    below, above = _name_chain(depth - 1), _name_chain(depth)
+    assert repr(below) == ref_name_repr(below)
+    assert repr(above).startswith("<PName of rank")
+    x = name_to_hf(_name_chain(3))
+    assert repr(x) == ref_set_repr(x)

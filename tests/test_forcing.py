@@ -33,18 +33,12 @@ def test_reflexivity_forced_by_top(fork_relation):
         assert fork_relation.decide("eq", 0, sigma, sigma)
 
 
-def test_atomic_statement_surface(fork, fork_relation):
-    from forcelab import AtomicStatement, ForcelabError, g_dot
-    sigma = name_make([(EMPTY_NAME, fork.index("a"))])
-    stmt = AtomicStatement("eq", sigma, check_name(hf_make([EMPTY])))
-    assert fork_relation.forces_atomic(fork.index("a"), stmt)
-    member = AtomicStatement("in_class", check_name(nat_encode(1)),
-                             class_name=g_dot(fork))
-    assert fork_relation.forces_atomic(fork.index("a"), member)
-    with pytest.raises(ForcelabError):
-        AtomicStatement("eq", sigma)
-    with pytest.raises(ForcelabError):
-        AtomicStatement("in_class", sigma)
+def test_forced_equality_and_filter_membership_at_a(fork, fork_relation):
+    a = fork.index("a")
+    sigma = name_make([(EMPTY_NAME, a)])
+    assert fork_relation.decide("eq", a, sigma, check_name(hf_make([EMPTY])))
+    member = atom_in_g(name_const(check_name(nat_encode(1))))
+    assert fork_relation.value(member) >> a & 1
 
 
 def test_filter_atom_matches_order(corpus_notion):
@@ -160,7 +154,7 @@ def test_extension_quotient_identifications(fork):
     ext = extension(FR, up_a)
     sigma = name_make([(EMPTY_NAME, a)])
     tau = name_make([(EMPTY_NAME, 0)])
-    assert ext.block_of(sigma) is ext.block_of(tau)
+    assert ext.representative[sigma] is ext.representative[tau]
     assert ext.evaluation[sigma] is hf_make([EMPTY])
     assert ext.evaluation[tau] is hf_make([EMPTY])
 
@@ -181,7 +175,7 @@ def _quotient_eval(ext, phi, assignment):
 
     def term_block(t):
         if isinstance(t, NameConst):
-            return ext.block_of(t.name)
+            return ext.representative[t.name]
         if isinstance(t, Var):
             return assignment[t.name]
         raise AssertionError

@@ -1,9 +1,8 @@
 import pytest
 
 from forcelab import (EMPTY, BudgetError, ParseError, build_collapse,
-                      generic_filters, hf_make, is_dense, is_dense_below,
-                      is_separative, make_notion, minimal_classes, parse_poset,
-                      v_stage)
+                      generic_filters, hf_make, is_dense, is_separative,
+                      make_notion, minimal_classes, parse_poset, v_stage)
 from forcelab import corpus
 from forcelab.poset import CollapseFn, is_filter
 
@@ -33,7 +32,6 @@ def test_density(fork):
     a, b = fork.index("a"), fork.index("b")
     assert is_dense(fork, {a, b})
     assert not is_dense(fork, {a})
-    assert is_dense_below(fork, {a}, a)
 
 
 def _brute_force_generic(P):
