@@ -399,34 +399,42 @@ def _eliminate_g(phi: Formula, P: ForcingNotion) -> Formula:
     return map_formula(phi, atom_fn)
 
 
-def _nnf(phi: Formula, positive: bool) -> Formula:
-    if isinstance(phi, Not):
-        return _nnf(phi.sub, not positive)
-    if isinstance(phi, And):
-        subs = (_nnf(s, positive) for s in phi.subs)
-        return and_(subs) if positive else or_(subs)
-    if isinstance(phi, Or):
-        subs = (_nnf(s, positive) for s in phi.subs)
-        return or_(subs) if positive else and_(subs)
-    return phi if positive else not_(phi)
+def _nnf(phi: Formula, positive: bool, memo: dict | None = None) -> Formula:
+    """Negations pushed to the atoms, once per (node, polarity)."""
+    memo = {} if memo is None else memo
+    key = (phi, positive)
+    got = memo.get(key)
+    if got is None:
+        if isinstance(phi, Not):
+            got = _nnf(phi.sub, not positive, memo)
+        elif isinstance(phi, (And, Or)):
+            subs = [_nnf(s, positive, memo) for s in phi.subs]
+            got = and_(subs) if isinstance(phi, And) == positive else or_(subs)
+        else:
+            got = phi if positive else not_(phi)
+        memo[key] = got
+    return got
 
 
-def _positive(phi: Formula, guard: _SizeGuard) -> Formula:
-    """Remove negated equality/membership atoms; negated filter atoms stay."""
-    if isinstance(phi, And):
-        return and_(_positive(s, guard) for s in phi.subs)
-    if isinstance(phi, Or):
-        return or_(_positive(s, guard) for s in phi.subs)
-    if isinstance(phi, Not):
-        sub = phi.sub
-        if isinstance(sub, AtomEq):
-            return _not_eq(_term_pname(sub.left), _term_pname(sub.right), guard)
-        if isinstance(sub, AtomIn):
-            return _not_in(_term_pname(sub.left), _term_pname(sub.right), guard)
-        if isinstance(sub, AtomInG):
-            return phi
-        raise ForcelabError("negation left above a non-atom after NNF")
-    return phi
+def _positive(phi: Formula, guard: _SizeGuard, memo: dict | None = None) -> Formula:
+    """Remove negated equality/membership atoms, once per distinct node;
+    negated filter atoms stay."""
+    memo = {} if memo is None else memo
+    got = memo.get(phi)
+    if got is None:
+        if isinstance(phi, (And, Or)):
+            subs = [_positive(s, guard, memo) for s in phi.subs]
+            got = and_(subs) if isinstance(phi, And) else or_(subs)
+        elif not isinstance(phi, Not) or isinstance(phi.sub, AtomInG):
+            got = phi
+        elif isinstance(phi.sub, AtomEq):
+            got = _not_eq(_term_pname(phi.sub.left), _term_pname(phi.sub.right), guard)
+        elif isinstance(phi.sub, AtomIn):
+            got = _not_in(_term_pname(phi.sub.left), _term_pname(phi.sub.right), guard)
+        else:
+            raise ForcelabError("negation left above a non-atom after NNF")
+        memo[phi] = got
+    return got
 
 
 # The rewrites terminate along the measure (summed ranks, then a tag putting

@@ -724,6 +724,15 @@ def decode_term(x: HFSet) -> Term | None:
 
 @functools.cache
 def decode_formula(x: HFSet) -> Formula | None:
+    """The formula x codes, or None when x codes none: not a code, or parts
+    that would mix ground constants with name constants."""
+    try:
+        return _decode_formula(x)
+    except ForcelabError:  # raised by the constructors for mixed constants only
+        return None
+
+
+def _decode_formula(x: HFSet) -> Formula | None:
     p = hf_unpair(x)
     if p is None:
         return None

@@ -39,15 +39,17 @@ class FiniteStructure:
     def __init__(self, domain: Iterable[HFSet],
                  predicates: dict[str, Iterable[HFSet]] | None = None):
         self.domain = tuple(sorted(set(domain), key=lambda x: x.key))
-        self._domain_set = frozenset(self.domain)
+        self._index = {x: i for i, x in enumerate(self.domain)}
+        self._full = (1 << len(self.domain)) - 1
         self.predicates = {k: frozenset(v) for k, v in (predicates or {}).items()}
         for ident, pred in self.predicates.items():
-            if not pred <= self._domain_set:
+            if not pred.issubset(self._index):
                 raise ForcelabError(f"predicate {ident!r} is not a subset of the domain")
+        self._rows: dict = {}
         self._cache: dict = {}
 
     def __contains__(self, x: HFSet) -> bool:
-        return x in self._domain_set
+        return x in self._index
 
     def __repr__(self) -> str:
         return f"FiniteStructure(|domain|={len(self.domain)}, predicates={sorted(self.predicates)})"
@@ -71,30 +73,8 @@ def _term_value(t: Term, M: FiniteStructure, v: dict[str, HFSet]) -> HFSet:
     raise ForcelabError("forcing-language terms cannot be evaluated over a structure")
 
 
-def eval_formula(M: FiniteStructure, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
-    """Tarskian satisfaction, with quantifier blocks ranging over the domain."""
-    v = valuation or {}
-    missing = phi.free - set(v)
-    if missing:
-        raise ForcelabError(f"free variables {sorted(missing)} not covered by the valuation")
-    return _eval(M, phi, v)
-
-
-def _eval(M: FiniteStructure, phi: Formula, v: dict[str, HFSet]) -> bool:
-    # Atoms are cheaper to recompute than to memoize.
-    if phi.rank == 0:
-        return _eval_atom(M, phi, v)
-    key = (phi, tuple(v[x] for x in phi.free_sorted))
-    cache = M._cache
-    got = cache.get(key)
-    if got is not None:
-        return got
-    out = _eval_raw(M, phi, v)
-    cache[key] = out
-    return out
-
-
 def _eval_atom(M: FiniteStructure, phi: Formula, v) -> bool:
+    """One atom under a valuation, read off the sets themselves."""
     if isinstance(phi, AtomIn):
         return _term_value(phi.left, M, v) in _term_value(phi.right, M, v)
     if isinstance(phi, AtomEq):
@@ -105,6 +85,10 @@ def _eval_atom(M: FiniteStructure, phi: Formula, v) -> bool:
         except KeyError:
             raise ForcelabError(f"structure has no predicate {phi.ident!r}") from None
         return _term_value(phi.term, M, v) in pred
+    _refuse_atom(phi)
+
+
+def _refuse_atom(phi: Formula):
     if isinstance(phi, AtomTr):
         raise ForcelabError("iterated-truth atoms are judged by an iterated truth predicate")
     if isinstance(phi, AtomInG):
@@ -112,25 +96,127 @@ def _eval_atom(M: FiniteStructure, phi: Formula, v) -> bool:
     raise ForcelabError(f"unknown atomic node {type(phi).__name__}")
 
 
-def _eval_raw(M: FiniteStructure, phi: Formula, v) -> bool:
+# ---------------------------------------------------------------------------
+# Tarskian evaluation, one domain at a time.  Under a valuation of all of a
+# node's free variables but one, the axis, its truth is an int mask over the
+# domain: bit i says whether it holds with the axis at domain[i].  The axis
+# is the variable that the nearest quantifier above binds, so ∧, ∨ and ¬ are
+# mask operations and a quantifier is one test against 0 or the full mask.
+# With no axis a node's value is 1 or 0.  Atoms read rows built on first
+# use, for any set (valuations may leave the domain).
+
+def eval_formula(M: FiniteStructure, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
+    """Tarskian satisfaction, with quantifier blocks ranging over the domain."""
+    v = valuation or {}
+    missing = phi.free - set(v)
+    if missing:
+        raise ForcelabError(f"free variables {sorted(missing)} not covered by the valuation")
+    return _value(M, phi, None, v) == 1
+
+
+def _value(M: FiniteStructure, phi: Formula, axis: str | None, v) -> int:
+    """phi's mask along axis (v holds the other free variables, not the
+    axis), or with axis None 1 or 0.  Memoized per (node, axis, values)."""
+    if axis is not None and axis not in phi.free:
+        return M._full if _value(M, phi, None, v) else 0
+    if phi.rank == 0:
+        return _atom(M, phi, axis, v)
+    key = (phi, axis, *map(v.get, phi.free_sorted))
+    out = M._cache.get(key)
+    if out is not None:
+        return out
+    full = 1 if axis is None else M._full
     if isinstance(phi, Not):
-        return not _eval(M, phi.sub, v)
-    if isinstance(phi, And):
-        return all(_eval(M, s, v) for s in phi.subs)
-    if isinstance(phi, Or):
-        return any(_eval(M, s, v) for s in phi.subs)
-    if isinstance(phi, (Forall, Exists)):
-        want_all = isinstance(phi, Forall)
-        body = phi.body
-        ext = dict(v)
-        for values in itertools.product(M.domain, repeat=len(phi.vars)):
-            for var_name, value in zip(phi.vars, values):
-                ext[var_name] = value
-            # memo keys materialize v's values immediately, so reuse is safe
-            if _eval(M, body, ext) != want_all:
-                return not want_all
+        out = full ^ _value(M, phi.sub, axis, v)
+    elif isinstance(phi, (And, Or)):
+        flip = 0 if isinstance(phi, And) else full  # ∨ is ∧ between complements
+        out = full
+        for s in phi.subs:
+            out &= flip ^ _value(M, s, axis, v)
+            if not out:
+                break
+        out ^= flip
+    elif isinstance(phi, (Forall, Exists)):
+        out = _quantify(M, phi, axis, v)
+    else:
+        raise ForcelabError(f"unknown formula node {type(phi).__name__}")
+    M._cache[key] = out
+    return out
+
+
+def _quantify(M: FiniteStructure, phi: Formula, axis: str | None, v) -> int:
+    """A quantifier node, one point of the axis at a time.  The last bound
+    variable the body mentions is the body's axis; the loop runs over the
+    others."""
+    want_all, body = isinstance(phi, Forall), phi.body
+    if phi.vars and not M.domain:
         return want_all
-    raise ForcelabError(f"unknown formula node {type(phi).__name__}")
+    bound = [x for x in dict.fromkeys(phi.vars) if x in body.free]
+    if not bound:
+        return _value(M, body, axis, v)
+    inner, rest = bound[-1], bound[:-1]
+    target = M._full if want_all else 0
+    ext, out = dict(v), 0
+    ext.pop(inner, None)
+    for i, a in enumerate(M.domain if axis else (None,)):
+        if axis:
+            ext[axis] = a
+        holds = want_all
+        for values in itertools.product(M.domain, repeat=len(rest)):
+            ext.update(zip(rest, values))
+            if _value(M, body, inner, ext) != target:
+                holds = not want_all
+                break
+        out |= holds << i
+    return out
+
+
+def _atom(M: FiniteStructure, phi: Formula, axis: str | None, v) -> int:
+    """An atom's row along axis, or its bit at the fixed arguments."""
+    def arg(t: Term) -> HFSet | None:
+        if isinstance(t, Var):
+            return None if t.name == axis else v[t.name]
+        if isinstance(t, GroundConst) and t.value in M:
+            return t.value
+        return _term_value(t, M, v)  # raises the term's error
+
+    if isinstance(phi, AtomInClass):
+        row, x = _row(M, "class", phi.ident), arg(phi.term)
+        return row if x is None else row >> M._index[x] & 1 if x in M else 0
+    if not isinstance(phi, (AtomIn, AtomEq)):
+        _refuse_atom(phi)
+    # row kinds for the left argument on the axis, and for the right one
+    left, right = ("in", "ni") if isinstance(phi, AtomIn) else ("eq", "eq")
+    x, y = arg(phi.left), arg(phi.right)
+    if x is None:
+        if y is None:
+            return sum((_row(M, left, a) >> i & 1) << i for i, a in enumerate(M.domain))
+        return _row(M, left, y)
+    if y is None:
+        return _row(M, right, x)
+    if x in M:
+        return _row(M, left, y) >> M._index[x] & 1
+    if y in M:
+        return _row(M, right, x) >> M._index[y] & 1
+    return int(x in y.children if left == "in" else x is y)
+
+
+def _row(M: FiniteStructure, kind: str, x) -> int:
+    """A mask over the domain, built on first use: for "in" the members of
+    x, for "ni" the sets that contain x, for "eq" x itself and for "class"
+    the members of the predicate named x."""
+    key = (kind, x)
+    row = M._rows.get(key)
+    if row is None:
+        if kind == "ni":
+            row = sum(1 << i for i, y in enumerate(M.domain) if x in y.children)
+        else:
+            if kind == "class" and x not in M.predicates:
+                raise ForcelabError(f"structure has no predicate {x!r}")
+            bits = x.children if kind == "in" else (x,) if kind == "eq" else M.predicates[x]
+            row = sum(1 << M._index[c] for c in bits if c in M)
+        M._rows[key] = row
+    return row
 
 
 def _decode_tr_args(s: HFSet, c: HFSet, z: HFSet):
@@ -265,7 +351,7 @@ class IteratedTruthPredicate:
                 return False
             return self._query(alpha, psi, val)
         if phi.rank == 0:
-            return eval_formula(M, phi, v)
+            return _eval_atom(M, phi, v)
         if isinstance(phi, Not):
             return not self._query(beta, phi.sub, {x: v[x] for x in phi.sub.free})
         if isinstance(phi, And):
@@ -334,7 +420,7 @@ def _staged_truth_instance(M: FiniteStructure, beta_max: int, pool: Sequence[For
                 return False
             return lookup(view, a, psi, val)
         if phi.rank == 0:
-            return eval_formula(M, phi, v)
+            return _eval_atom(M, phi, v)
         if isinstance(phi, Not):
             return not lookup(view, beta, phi.sub, v)
         if isinstance(phi, And):
@@ -606,8 +692,11 @@ def stage_comparison_structure(base: FiniteStructure, pool: Sequence[Formula],
     translation's θ-formulas must be able to pin down.
 
     Coded valuations are included for formulas of at most one free
-    variable only; each one enlarges the quantifier domain, and the domain
-    size enters the evaluation cost quadratically.
+    variable only; each one enlarges the quantifier domain.  Evaluation
+    keeps one mask over the domain per node and valuation of its free
+    variables but the axis, so a node with k free variables is computed up
+    to |domain|^(k-1) times, each time with a few operations on
+    |domain|-bit ints.
     """
     extra: set[HFSet] = set(base.domain)
     for xi in range(stage_cap + 1):

@@ -5,13 +5,16 @@ of any shape raises ParseError and nothing else."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcelab import (EMPTY, EMPTY_NAME, ParseError, and_, atom_eq, atom_in,
-                      atom_in_class, atom_in_g, atom_tr, const, corpus, exists,
-                      forall, formula_to_sexp, hf_make, make_notion, name_const,
-                      name_make, name_to_sexp, not_, or_, parse_formula,
-                      parse_game, parse_hf, parse_name, parse_poset,
-                      random_game_tree, sexpr, var)
+from forcelab import (EMPTY, EMPTY_NAME, FiniteStructure, ParseError, and_,
+                      atom_eq, atom_in, atom_in_class, atom_in_g, atom_tr,
+                      const, corpus, decode_formula, encode_formula,
+                      encode_valuation, exists, forall, formula_to_sexp,
+                      hf_make, hf_pair, iterated_truth, make_notion, name_const,
+                      name_make, name_to_sexp, nat_encode, not_, or_,
+                      parse_formula, parse_game, parse_hf, parse_name,
+                      parse_poset, random_game_tree, sexpr, v_stage, var)
 from forcelab.formulas import pair_term
+from forcelab.hfset import hf_list
 
 FORK = corpus.fork()
 
@@ -213,3 +216,20 @@ def test_texts_nested_up_to_the_bound_parse():
     assert phi.rank == depth - 2
     phi = parse_formula("(and " * (depth - 2) + "(= x x)" + ")" * (depth - 2))
     assert phi.rank == depth - 2
+
+
+# ⟨10, [⌜(= (const ∅) x)⌝, ⌜(in-G x)⌝]⟩ is a conjunction code whose parts mix
+# ground and name constants, so it codes no formula.
+MIXED_CODE = hf_pair(nat_encode(10), hf_list([encode_formula(atom_eq(const(EMPTY), var("x"))),
+                                              encode_formula(atom_in_g(var("x")))]))
+
+
+def test_a_code_mixing_constant_kinds_decodes_to_none():
+    assert decode_formula(MIXED_CODE) is None
+
+
+def test_a_truth_atom_at_a_code_mixing_constant_kinds_is_false():
+    atom = atom_tr(var("a"), var("b"), var("c"))
+    it = iterated_truth(FiniteStructure(v_stage(2)), 2, [atom])
+    v = {"a": nat_encode(0), "b": MIXED_CODE, "c": encode_valuation({"x": EMPTY})}
+    assert not it.holds(1, atom, v)

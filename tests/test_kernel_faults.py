@@ -1,10 +1,12 @@
-"""Fault injection into the bitmask forcing kernel.
+"""Fault injection into the bitmask kernels: forcing values and the atom
+rows of Tarskian evaluation.
 
-Each test corrupts one bit of one stored forcing value and asserts that the
-check built on it reports failure.  The checks compare the kernel's masks
-with sides computed without them (the staged recursion instance, Boolean
-values over the frozenset algebra, direct evaluation in the generic
-extension) or with the forcing laws, so a wrong mask cannot pass them.
+Each test corrupts one bit of one stored mask and asserts that the check
+built on it reports failure.  The checks compare the kernel's masks with
+sides computed without them (the staged recursion instance, Boolean values
+over the frozenset algebra, direct evaluation in the generic extension,
+pointwise iterated truth) or with the forcing laws, so a wrong mask cannot
+pass them.
 """
 
 import contextlib
@@ -12,12 +14,17 @@ import itertools
 
 import pytest
 
-from forcelab import (EMPTY, And, Exists, Forall, Not, Or, atomic_forcing,
+from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, Exists, Forall,
+                      ForcelabError, Not, Or, atom_in, atomic_forcing,
                       atomic_recursion_instance, audit_forcing_relation,
                       boolean_completion, boolean_values, compare_atomic_table,
-                      etr_solve, forcing_truth, generic_filters,
-                      invariance_check, name_universe, truth_lemma_check)
+                      const, encode_formula, encode_valuation, etr_solve, exists,
+                      forcing_truth, generic_filters, invariance_check,
+                      iterated_truth, name_universe, nat_encode,
+                      stage_comparison_structure, subformulas, tarski_truth,
+                      truth_lemma_check, v_stage, var)
 from forcelab import corpus
+from forcelab import truth as truth_mod
 from forcelab.truth import FiniteStructure, instances
 
 KINDS = ("in", "sub", "eq")
@@ -125,3 +132,82 @@ def test_top_bit_flip_fails_invariance_on_stage_2_collapse():
     ok, cx = invariance_check(2, [EMPTY], pool, ft)
     assert not ok
     assert cx[1] is phi and cx[2] == tuple(sorted(v.items()))
+
+
+# --- the atom rows of Tarskian evaluation -------------------------------------
+#
+# `eval_formula` reads ∈, = and class atoms off rows of its structure, so one
+# flipped row bit changes its answers.  tarski_truth's staged instance and
+# the iterated truth predicate judge atoms pointwise, so each must then
+# disagree with it.
+
+STAGES = 4
+
+
+@pytest.fixture(scope="module")
+def iterated_setup():
+    stage = v_stage(3)
+    base = FiniteStructure(stage, {"d": [EMPTY, stage[2]]})
+    pool = corpus.iterated_pool()
+    return base, pool, stage_comparison_structure(base, pool, STAGES)
+
+
+@contextlib.contextmanager
+def _row_flipped(M, y, x):
+    """x's bit in the ∈ row of y (y's members in the domain) flipped, and
+    restored on exit; memoized values are dropped both times."""
+    truth_mod._row(M, "in", y)
+    M._rows[("in", y)] ^= 1 << M.domain.index(x)
+    M._cache.clear()
+    try:
+        yield
+    finally:
+        M._rows[("in", y)] ^= 1 << M.domain.index(x)
+        M._cache.clear()
+
+
+def _staged_disagrees(M, pool) -> bool:
+    try:
+        tarski_truth(M, pool)
+    except ForcelabError as e:
+        assert "staged truth disagrees" in str(e)
+        return True
+    return False
+
+
+def _dual_path_disagrees(M, pool, queries) -> bool:
+    derived, direct = DerivedIteratedTruth(M, pool, STAGES), iterated_truth(M, STAGES, pool)
+    return any(derived.holds(beta, phi, v) != direct.holds(beta, phi, v)
+               for beta, phi, v in queries)
+
+
+def test_flipped_row_bit_on_stage_3_fails_both_comparisons(iterated_setup):
+    base, pool, _ = iterated_setup
+    M = FiniteStructure(base.domain, base.predicates)
+    # over the base alone only truth-free formulas translate to themselves
+    plain = [f for f in pool if not any(isinstance(s, AtomTr) for s in subformulas(f))]
+    queries = [(beta, phi, v) for beta in range(STAGES) for phi in plain
+               for v in instances(M, phi)]
+    assert not _staged_disagrees(M, plain)
+    assert not _dual_path_disagrees(M, pool, queries)
+    with _row_flipped(M, base.domain[1], EMPTY):  # ∅ ∈ {∅}
+        assert _staged_disagrees(M, plain)
+        assert _dual_path_disagrees(M, pool, queries)
+    assert not _staged_disagrees(M, plain)
+
+
+def test_flipped_row_bit_of_a_code_fails_both_comparisons(iterated_setup):
+    # 1 ∈ 2 is read only where θ_2 pins down a stage code, which the dual
+    # path does at the encoding points of stage-2 truth atoms.
+    base, pool, D = iterated_setup
+    two = nat_encode(2)
+    plain = [exists(("a",), atom_in(var("a"), const(two))), atom_in(var("a"), const(two))]
+    atom = next(f for f in pool if isinstance(f, AtomTr))
+    xv, yv, zv = atom.free_sorted
+    queries = [(STAGES - 1, atom, {xv: two, yv: encode_formula(psi), zv: encode_valuation(av)})
+               for psi in pool if len(psi.free) <= 1 for av in instances(base, psi)]
+    assert not _staged_disagrees(D, plain)
+    assert not _dual_path_disagrees(D, pool, queries)
+    with _row_flipped(D, two, nat_encode(1)):
+        assert _staged_disagrees(D, plain)
+        assert _dual_path_disagrees(D, pool, queries)

@@ -1,12 +1,15 @@
 import random
+import time
 
 import pytest
 
-from forcelab import (EMPTY_NAME, BudgetError, ForcelabError, and_, atom_eq,
+from forcelab import (EMPTY, EMPTY_NAME, And, AtomEq, AtomIn, AtomInG,
+                      BudgetError, ForcelabError, Not, Or, and_, atom_eq,
                       atom_in, atom_in_g, atomic_forcing, check_name, forall,
                       forces, name_const, name_make, name_universe, nat_encode,
                       not_, or_, star_translate, var)
 from forcelab import corpus
+from forcelab import forcing
 
 
 def test_filter_atom_reduction(fork):
@@ -69,3 +72,60 @@ def test_budget_aborts_blowup(fork):
         phi = or_([phi, phi, phi])
     with pytest.raises(BudgetError):
         star_translate(phi, fork, budget=100)
+
+
+# Reference copies of the negation passes before they were memoized: tree
+# recursions, exponential on shared subformulas.
+
+def ref_nnf(phi, positive):
+    if isinstance(phi, Not):
+        return ref_nnf(phi.sub, not positive)
+    if isinstance(phi, (And, Or)):
+        subs = (ref_nnf(s, positive) for s in phi.subs)
+        return and_(subs) if isinstance(phi, And) == positive else or_(subs)
+    return phi if positive else not_(phi)
+
+
+def ref_positive(phi, guard):
+    if isinstance(phi, (And, Or)):
+        subs = (ref_positive(s, guard) for s in phi.subs)
+        return and_(subs) if isinstance(phi, And) else or_(subs)
+    if isinstance(phi, Not):
+        sub, pname = phi.sub, forcing._term_pname
+        if isinstance(sub, AtomEq):
+            return forcing._not_eq(pname(sub.left), pname(sub.right), guard)
+        if isinstance(sub, AtomIn):
+            return forcing._not_in(pname(sub.left), pname(sub.right), guard)
+        assert isinstance(sub, AtomInG)
+    return phi
+
+
+def ref_star_translate(phi, P):
+    guard = forcing._SizeGuard(forcing.TRANSLATION_BUDGET)
+    step2 = ref_nnf(forcing._eliminate_g(phi, P), True)
+    return forcing._reduce(ref_positive(step2, guard), guard)
+
+
+def _chain(depth):
+    """f_{k+1} = f_k ∧ ¬f_k over name constants: 2^k paths, k + 1 nodes."""
+    f = atom_in(name_const(check_name(EMPTY)), name_const(name_make([(EMPTY_NAME, 1)])))
+    for _ in range(depth):
+        f = and_([f, not_(f)])
+    return f
+
+
+def test_shared_chains_translate_as_before(fork):
+    for depth in range(13):
+        left, right = star_translate(_chain(depth), fork)
+        ref_left, ref_right = ref_star_translate(_chain(depth), fork)
+        assert left is ref_left and right is ref_right, depth
+
+
+def test_a_deep_shared_chain_returns_or_overruns_quickly(fork):
+    phi = _chain(22)
+    start = time.perf_counter()
+    try:
+        star_translate(phi, fork)
+    except BudgetError:
+        pass
+    assert time.perf_counter() - start < 1.0
