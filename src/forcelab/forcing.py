@@ -3,13 +3,16 @@
 A forcing value is the set of conditions forcing a statement, held as an
 `int` mask with bit p for condition p: a regular-open downset.  Atomic
 values solve the membership/equality recursion on pairs of names, ordered
-by the maximum of their ranks, by memoized recursion on masks; for
-cross-checks they are re-derived pointwise as a staged recursion instance
-and as Boolean values.  On top of them sit the composite clauses for the
-(finite) infinitary forcing language, the law audit, the reduction of
-quantifier-free sentences to single atomic equalities, Boolean completions
-with Boolean values, generic extensions with the forced-iff-true oracle,
-and the name of a truth predicate.
+by the maximum of their ranks, by memoized recursion on masks.  Between
+two check names every condition is the top, so the recursion only ever
+sees the full mask or 0 and the value is read off the names' sets instead.
+For cross-checks the values are re-derived pointwise, with no such
+shortcut, as a staged recursion instance and as Boolean values.  On top
+of them sit the composite clauses for the (finite) infinitary forcing
+language, the law audit, the reduction of quantifier-free sentences to
+single atomic equalities (each distinct subformula reduced once), Boolean
+completions with Boolean values, generic extensions with the
+forced-iff-true oracle, and the name of a truth predicate.
 
 Throughout, "dense below p" is the finite reading: every extension of p
 has a further extension in the set.  neg(W) holds the conditions with no
@@ -47,6 +50,14 @@ TRANSLATION_BUDGET = 100_000
 AUDIT_POOL_SIZE = 24       # atomic formulas for the modus-ponens and decidedness laws
 AUDIT_TUPLE_CAP = 4000     # formula pairs, name pairs and name triples the law audit visits
 ALGEBRA_TUPLE_CAP = 40000  # element pairs and triples the algebra audit visits
+
+
+# The atoms between two check names, read off their sets (see atomic_value).
+_CHECK_ATOMS = {
+    "in": lambda sigma, tau: (sigma, 0) in tau.entries,
+    "sub": lambda sigma, tau: set(sigma.entries) <= set(tau.entries),
+    "eq": operator.is_,
+}
 
 
 def _mask(conditions: Iterable[int]) -> int:
@@ -117,12 +128,23 @@ class ForcingRelation:
 
     def atomic_value(self, kind: str, sigma: PName, tau: PName) -> int:
         """The mask of the atomic statement; the recursion is well-founded on
-        the summed ranks of the pair, so plain memoization suffices."""
+        the summed ranks of the pair, so plain memoization suffices.
+
+        Between two check names (every condition below is 0, the top) the
+        value is read off their sets.  Each entry's condition is the top, so
+        down[r] is full and every step of the recursion sees only full or 0:
+        regularize(full) = full, neg(full) = 0.  By induction on rank, x̌ = y̌
+        is full exactly when x = y, that is when the interned names are one
+        object; x̌ ∈ y̌ when x̌ is an entry name of y̌; x̌ ⊆ y̌ when every entry
+        name of x̌ is one of y̌.
+        """
         key = (kind, sigma, tau)
         got = self._atomic.get(key)
         if got is not None:
             return got
-        if kind == "in":
+        if not (sigma.max_condition or tau.max_condition) and kind in _CHECK_ATOMS:
+            out = self.full if _CHECK_ATOMS[kind](sigma, tau) else 0
+        elif kind == "in":
             out = self._witnessed(sigma, tau.entries)
         elif kind == "sub":
             # p has no extension under r below which ρ ∈ τ is nowhere forced
@@ -472,7 +494,17 @@ def _union_entry(tau: PName, sigma: PName) -> PName:
     return name_make(tau.entries + ((sigma, 0),))
 
 
-def _reduce(phi: Formula, guard: _SizeGuard) -> tuple[PName, PName]:
+def _reduce(phi: Formula, guard: _SizeGuard, memo: dict | None = None) -> tuple[PName, PName]:
+    """The pair of names whose equality the positive formula reduces to,
+    once per distinct node."""
+    memo = {} if memo is None else memo
+    got = memo.get(phi)
+    if got is None:
+        got = memo[phi] = _reduce_node(phi, guard, memo)
+    return got
+
+
+def _reduce_node(phi: Formula, guard: _SizeGuard, memo: dict) -> tuple[PName, PName]:
     guard.tick()
     if isinstance(phi, AtomEq):
         return _term_pname(phi.left), _term_pname(phi.right)
@@ -493,7 +525,7 @@ def _reduce(phi: Formula, guard: _SizeGuard) -> tuple[PName, PName]:
             raise ForcelabError("unexpanded filter atom survived the first pass")
         return name_make([(EMPTY_NAME, i)]), EMPTY_NAME
     if isinstance(phi, And):
-        parts = [_reduce(s, guard) for s in phi.subs]
+        parts = [_reduce(s, guard, memo) for s in phi.subs]
         guard.tick(len(parts))
         left = name_make((op_name(check_name(nat_encode(i)), a), 0)
                          for i, (a, _) in enumerate(parts))
@@ -501,7 +533,7 @@ def _reduce(phi: Formula, guard: _SizeGuard) -> tuple[PName, PName]:
                           for i, (_, b) in enumerate(parts))
         return left, right
     if isinstance(phi, Or):
-        parts = [_reduce(s, guard) for s in phi.subs]
+        parts = [_reduce(s, guard, memo) for s in phi.subs]
         guard.tick(2 * len(parts) + 2)
         a_entries = [(op_name(check_name(nat_encode(i)), a), 0)
                      for i, (a, _) in enumerate(parts)]

@@ -19,7 +19,7 @@ from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        Exists, Forall, Formula, GroundConst, Not, Or, Term, Var,
                        _encode_str, and_, atom_eq, atom_in, atom_in_class,
                        canonical_pool, decode_formula, decode_valuation,
-                       encode_formula, encode_valuation, exists, forall,
+                       encode_formula, encode_valuation, exists, fold, forall,
                        formula_to_sexp, iff, map_formula, name_const, not_, or_,
                        pair_term, rename_free, substitute, theta_formula, var,
                        variables)
@@ -475,16 +475,18 @@ def formula_step(base: FiniteStructure, phi: Formula, length: int):
 # become quantifier-free infinitary statements in the collapse forcing
 # language, with free variables left as slots for the slot-names.
 
-def star8_translate(phi: Formula, fa: CollapseNotion) -> Formula:
+def star8_translate(phi: Formula, fa: CollapseNotion, memo: dict | None = None) -> Formula:
     """Translate a first-order (=, ∈, A-membership) formula over the clock.
 
     Membership atoms become op-pair membership in the clock-copy of ∈;
     quantifiers become conjunctions over the check names of clock values.
+    Each distinct node translates once; `memo` shares the translations
+    between calls over the same notion.
     """
     eps = name_const(eps_dot(fa))
     clock_names = [name_const(check_name(nat_encode(m))) for m in range(fa.clock)]
 
-    def walk(f: Formula) -> Formula:
+    def combine(f: Formula, kids: tuple[Formula, ...]) -> Formula:
         if isinstance(f, AtomEq):
             return atom_eq(_slot(f.left), _slot(f.right))
         if isinstance(f, AtomIn):
@@ -494,16 +496,14 @@ def star8_translate(phi: Formula, fa: CollapseNotion) -> Formula:
                 raise ForcelabError(f"only the parameter predicate translates, not {f.ident!r}")
             return atom_in_class(_slot(f.term), "A")
         if isinstance(f, Not):
-            return not_(walk(f.sub))
+            return not_(kids[0])
         if isinstance(f, And):
-            return and_(walk(s) for s in f.subs)
+            return and_(kids)
         if isinstance(f, Or):
-            return or_(walk(s) for s in f.subs)
+            return or_(kids)
         if isinstance(f, (Forall, Exists)):
-            body = walk(f.body)
-            conjuncts = []
-            for values in itertools.product(clock_names, repeat=len(f.vars)):
-                conjuncts.append(substitute(body, dict(zip(f.vars, values))))
+            conjuncts = [substitute(kids[0], dict(zip(f.vars, values)))
+                         for values in itertools.product(clock_names, repeat=len(f.vars))]
             return and_(conjuncts) if isinstance(f, Forall) else or_(conjuncts)
         raise ForcelabError(f"cannot clock-translate {type(f).__name__}")
 
@@ -512,7 +512,7 @@ def star8_translate(phi: Formula, fa: CollapseNotion) -> Formula:
             raise ForcelabError("clock translation takes variables, not ground constants")
         return t  # a variable, or a name constant from quantifier instantiation
 
-    return walk(phi)
+    return fold(phi, combine, memo)
 
 
 class ForcingTruth:
@@ -530,7 +530,8 @@ class ForcingTruth:
         self.A = self.fa.A
         self.a_class = a_dot(self.fa, A)
         self.slot_names = {a: n_dot(self.fa, a) for a in self.fa.targets}
-        self._stars = {phi: star8_translate(phi, self.fa) for phi in self.pool}
+        memo: dict[Formula, Formula] = {}
+        self._stars = {phi: star8_translate(phi, self.fa, memo) for phi in self.pool}
 
         seeds: set[PName] = set()
         for star in self._stars.values():

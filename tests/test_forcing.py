@@ -5,11 +5,12 @@ import pytest
 from forcelab import (EMPTY, EMPTY_NAME, ClosureError, ForcelabError,
                       and_, atom_eq, atom_in, atom_in_g, atomic_forcing,
                       atomic_recursion_instance, audit_forcing_relation,
-                      check_name, compare_atomic_table, etr_solve, eval_class,
-                      eval_name, exists, extension, forces, g_dot,
-                      generic_filters, hf_make, name_const, name_make,
-                      name_universe, nat_encode, not_, or_, truth_lemma_check,
-                      truth_name, var, verify_solution)
+                      boolean_completion, boolean_values, check_name,
+                      compare_atomic_table, etr_solve, eval_class, eval_name,
+                      exists, extension, forces, g_dot, generic_filters,
+                      hf_make, name_const, name_make, name_universe,
+                      nat_encode, not_, or_, subname_closure, truth_lemma_check,
+                      truth_name, v_stage, var, verify_solution)
 from forcelab import corpus
 
 
@@ -234,6 +235,43 @@ def test_atomic_relation_as_recursion_instance(fork):
     sol = etr_solve(inst)
     assert verify_solution(inst, sol) == (True, None)
     assert compare_atomic_table(FR, sol, codec)
+
+
+def _both_sides_agree(P, N) -> bool:
+    """The direct table against the staged instance and the Boolean values."""
+    FR = atomic_forcing(P, N)
+    inst, codec, _ = atomic_recursion_instance(P, N)
+    bv = boolean_values(boolean_completion(P))
+    return compare_atomic_table(FR, etr_solve(inst), codec) and all(
+        bv.derived_forces(p, kind, s, t) == FR.decide(kind, p, s, t)
+        for kind in ("in", "sub", "eq") for s in FR.universe for t in FR.universe
+        for p in P.conditions())
+
+
+def test_check_name_atoms_are_read_off_their_sets(corpus_notion):
+    P = corpus_notion
+    stage = v_stage(3)
+    checks = {x: check_name(x) for x in stage}
+    FR = atomic_forcing(P, list(checks.values()))
+    for x, y in itertools.product(stage, repeat=2):
+        s, t = checks[x], checks[y]
+        assert FR.atomic_value("in", s, t) == (FR.full if x in y else 0)
+        assert FR.atomic_value("sub", s, t) == (FR.full if all(m in y for m in x) else 0)
+        assert FR.atomic_value("eq", s, t) == (FR.full if x is y else 0)
+    assert _both_sides_agree(P, list(checks.values()))
+
+
+def test_atoms_between_check_and_plain_names_take_the_recursion(corpus_notion):
+    P = corpus_notion
+    p = len(P) - 1
+    one = check_name(hf_make([EMPTY]))
+    sigma = name_make([(check_name(EMPTY), p)])
+    N = subname_closure([check_name(x) for x in v_stage(3)] + [sigma])
+    FR = atomic_forcing(P, N)
+    # σ = 1̌ holds exactly where ∅̌ ∈ σ does: below which down(p) is dense
+    expected = boolean_completion(P).algebra.regularize(P.down(p))
+    assert FR.atomic_value("eq", sigma, one) == sum(1 << q for q in expected)
+    assert _both_sides_agree(P, N)
 
 
 def test_truth_name_atomic_pool(fork):

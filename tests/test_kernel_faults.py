@@ -87,6 +87,20 @@ def test_every_single_flip_fails_the_boolean_value_comparison(fork_kernel):
     assert caught == 3 * len(FR.universe) ** 2 * len(FR.notion)
 
 
+def test_flipped_check_name_equality_fails_both_comparisons(fork_kernel):
+    # atoms between two check names are read off their sets and stored in
+    # the same table, so a flipped entry must still be caught
+    FR, sol, codec, bv = fork_kernel
+    checks = [n for n in FR.universe if n.max_condition == 0]
+    assert len(checks) == 2
+    for s, t in itertools.product(checks, repeat=2):
+        for p in FR.notion.conditions():
+            with _flipped(FR, "eq", s, t, p):
+                assert not compare_atomic_table(FR, sol, codec)
+                assert not _values_agree(FR, bv)
+    assert compare_atomic_table(FR, sol, codec) and _values_agree(FR, bv)
+
+
 def test_every_single_equality_flip_fails_the_law_audit(fork_kernel):
     FR = fork_kernel[0]
     assert audit_forcing_relation(FR).ok

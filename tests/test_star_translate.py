@@ -6,8 +6,8 @@ import pytest
 from forcelab import (EMPTY, EMPTY_NAME, And, AtomEq, AtomIn, AtomInG,
                       BudgetError, ForcelabError, Not, Or, and_, atom_eq,
                       atom_in, atom_in_g, atomic_forcing, check_name, forall,
-                      forces, name_const, name_make, name_universe, nat_encode,
-                      not_, or_, star_translate, var)
+                      forces, name_const, name_make, name_universe, nat_decode,
+                      nat_encode, not_, op_name, or_, star_translate, var)
 from forcelab import corpus
 from forcelab import forcing
 
@@ -65,13 +65,32 @@ def test_rejects_quantifiers_and_open_formulas(fork):
         star_translate(atom_eq(var("x"), var("x")), fork)
 
 
+def _agrees_with_forcing(P, phi, left, right):
+    FR = atomic_forcing(P, name_universe(P, 1))
+    return all(forces(FR, p, phi, check_universe=False) == FR.decide("eq", p, left, right)
+               for p in P.conditions())
+
+
 def test_budget_aborts_blowup(fork):
+    # 60 distinct atoms under one disjunction: 60 ticks for the atoms and
+    # 123 for the disjunction's names
+    wide = or_([atom_eq(name_const(check_name(nat_encode(i))), name_const(EMPTY_NAME))
+                for i in range(60)])
+    with pytest.raises(BudgetError):
+        star_translate(wide, fork, budget=100)
+
+
+def test_the_budget_counts_distinct_nodes(fork):
+    # eight nested triple disjunctions of one formula: 3^8 paths but 9
+    # distinct nodes, 1 + 8 * 9 = 73 ticks
     sigma = name_const(EMPTY_NAME)
     phi = atom_eq(sigma, sigma)
     for _ in range(8):
         phi = or_([phi, phi, phi])
+    left, right = star_translate(phi, fork, budget=100)
+    assert _agrees_with_forcing(fork, phi, left, right)
     with pytest.raises(BudgetError):
-        star_translate(phi, fork, budget=100)
+        star_translate(phi, fork, budget=72)
 
 
 # Reference copies of the negation passes before they were memoized: tree
@@ -100,10 +119,41 @@ def ref_positive(phi, guard):
     return phi
 
 
+# Reference copy of the reduce pass before it was memoized: a tree recursion
+# that ticks the guard once per visit.
+
+def ref_reduce(phi, guard):
+    guard.tick()
+    pname, make, check = forcing._term_pname, name_make, check_name
+    if isinstance(phi, AtomEq):
+        return pname(phi.left), pname(phi.right)
+    if isinstance(phi, AtomIn):
+        sigma, tau = pname(phi.left), pname(phi.right)
+        return tau, make(tau.entries + ((sigma, 0),))
+    if isinstance(phi, AtomInG):
+        i = nat_decode(forcing._check_value(pname(phi.term)))
+        return make([(EMPTY_NAME, i)]), make([(EMPTY_NAME, 0)])
+    if isinstance(phi, Not) and isinstance(phi.sub, AtomInG):
+        i = nat_decode(forcing._check_value(pname(phi.sub.term)))
+        return make([(EMPTY_NAME, i)]), EMPTY_NAME
+    parts = [ref_reduce(s, guard) for s in phi.subs]
+    a_entries = [(op_name(check(nat_encode(i)), a), 0) for i, (a, _) in enumerate(parts)]
+    b_entries = [(op_name(check(nat_encode(i)), b), 0) for i, (_, b) in enumerate(parts)]
+    if isinstance(phi, And):
+        guard.tick(len(parts))
+        return make(a_entries), make(b_entries)
+    assert isinstance(phi, Or)
+    guard.tick(2 * len(parts) + 2)
+    u = make(a_entries + b_entries)
+    u_j = [make(a_entries + [e for k, e in enumerate(b_entries) if k != j])
+           for j in range(len(parts))]
+    return make((uj, 0) for uj in u_j), make([(uj, 0) for uj in u_j] + [(u, 0)])
+
+
 def ref_star_translate(phi, P):
     guard = forcing._SizeGuard(forcing.TRANSLATION_BUDGET)
     step2 = ref_nnf(forcing._eliminate_g(phi, P), True)
-    return forcing._reduce(ref_positive(step2, guard), guard)
+    return ref_reduce(ref_positive(step2, guard), guard)
 
 
 def _chain(depth):
@@ -121,11 +171,10 @@ def test_shared_chains_translate_as_before(fork):
         assert left is ref_left and right is ref_right, depth
 
 
-def test_a_deep_shared_chain_returns_or_overruns_quickly(fork):
-    phi = _chain(22)
-    start = time.perf_counter()
-    try:
-        star_translate(phi, fork)
-    except BudgetError:
-        pass
-    assert time.perf_counter() - start < 1.0
+def test_a_deep_shared_chain_translates_quickly(fork):
+    for depth in (22, 40):
+        phi = _chain(depth)
+        start = time.perf_counter()
+        left, right = star_translate(phi, fork)
+        assert time.perf_counter() - start < 1.0, depth
+        assert _agrees_with_forcing(fork, phi, left, right), depth

@@ -1,15 +1,19 @@
+import itertools
+import time
+
 import pytest
 
-from forcelab import (EMPTY, And, AtomIn, FiniteStructure, ForcelabError,
-                      PairTerm, atom_eq, atom_in, atom_in_class,
-                      atom_in_g, build_collapse, const, etr_solve, eval_formula,
-                      exists, forall, forcing_truth, hf_make, invariance_check,
-                      name_const, not_, or_, perturb, star8_translate,
-                      subformula_closure, substitute, tarski_truth,
-                      tarski_truth_instance, theta_formula, v_stage, var,
-                      verify_solution)
+from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, FiniteStructure,
+                      Forall, ForcelabError, Not, Or, PairTerm, and_, atom_eq,
+                      atom_in, atom_in_class, atom_in_g, build_collapse, const,
+                      etr_solve, eval_formula, exists, forall, forcing_truth,
+                      hf_make, invariance_check, name_const, not_, or_,
+                      perturb, star8_translate, subformula_closure, substitute,
+                      tarski_truth, tarski_truth_instance, theta_formula,
+                      v_stage, var, verify_solution)
 from forcelab import corpus
-from forcelab.names import check_name, n_dot
+from forcelab.formulas import pair_term
+from forcelab.names import check_name, eps_dot, n_dot
 from forcelab.hfset import nat_encode
 from forcelab.truth import instances
 
@@ -109,6 +113,60 @@ def test_star8_slots_fill_to_op_names():
     closed = substitute(star, {"x": name_const(nd), "y": name_const(nd)})
     assert not closed.free
     assert isinstance(closed, AtomIn) and not isinstance(closed.left, PairTerm)
+
+
+# Reference copy of the clock translation before it was memoized: a tree
+# recursion, exponential on shared subformulas.
+
+def ref_star8_translate(phi, fa):
+    eps = name_const(eps_dot(fa))
+    clock_names = [name_const(check_name(nat_encode(m))) for m in range(fa.clock)]
+
+    def walk(f):
+        if isinstance(f, AtomEq):
+            return atom_eq(f.left, f.right)
+        if isinstance(f, AtomIn):
+            return atom_in(pair_term(f.left, f.right), eps)
+        if isinstance(f, AtomInClass):
+            return atom_in_class(f.term, "A")
+        if isinstance(f, Not):
+            return not_(walk(f.sub))
+        if isinstance(f, (And, Or)):
+            subs = [walk(s) for s in f.subs]
+            return and_(subs) if isinstance(f, And) else or_(subs)
+        body = walk(f.body)
+        conjuncts = [substitute(body, dict(zip(f.vars, values)))
+                     for values in itertools.product(clock_names, repeat=len(f.vars))]
+        return and_(conjuncts) if isinstance(f, Forall) else or_(conjuncts)
+
+    return walk(phi)
+
+
+def _star8_chain(depth):
+    """f_{k+1} = f_k ∧ ¬f_k over f_0 = (x = y): 2^k paths, k + 1 nodes."""
+    f = atom_eq(var("x"), var("y"))
+    for _ in range(depth):
+        f = and_([f, not_(f)])
+    return f
+
+
+def test_star8_translates_as_before():
+    fa = build_collapse(2, [EMPTY])
+    shared: dict = {}  # as ForcingTruth shares one memo across its pool
+    for phi in corpus.first_order_pool():
+        assert star8_translate(phi, fa) is ref_star8_translate(phi, fa)
+        assert star8_translate(phi, fa, shared) is ref_star8_translate(phi, fa)
+    for depth in range(13):
+        phi = _star8_chain(depth)
+        assert star8_translate(phi, fa) is ref_star8_translate(phi, fa), depth
+
+
+def test_star8_translates_a_deep_shared_chain_quickly():
+    fa = build_collapse(2, [EMPTY])
+    start = time.perf_counter()
+    star = star8_translate(_star8_chain(22), fa)
+    assert time.perf_counter() - start < 1.0
+    assert star.free == {"x", "y"}
 
 
 def test_forcing_truth_atomic_parameter_membership():
