@@ -73,8 +73,13 @@ def _members(x: HFSet) -> tuple[HFSet, ...]:
 
 def hf_make(children: Iterable[HFSet] = ()) -> HFSet:
     """Return the canonical set with the given children (order and duplicates ignored)."""
-    uniq = sorted(set(children), key=lambda c: c.key)
-    tup = tuple(uniq)
+    # Only canonical (sorted, duplicate-free) tuples are keys of the table,
+    # so a hit on the children as given is the set; sort only on a miss.
+    tup = tuple(children)
+    cached = _intern.get(tup)
+    if cached is not None:
+        return cached
+    tup = tuple(sorted(set(tup), key=lambda c: c.key))
     cached = _intern.get(tup)
     if cached is not None:
         return cached

@@ -70,8 +70,13 @@ def entry_names(name: PName) -> tuple[PName, ...]:
 
 
 def name_make(entries: Iterable[tuple[PName, int]] = ()) -> PName:
-    uniq = sorted(set(entries), key=lambda e: (e[0].key, e[1]))
-    tup = tuple(uniq)
+    # Only canonical (sorted, duplicate-free) tuples are keys of the table,
+    # so a hit on the entries as given is the name; sort only on a miss.
+    tup = tuple(entries)
+    cached = _intern.get(tup)
+    if cached is not None:
+        return cached
+    tup = tuple(sorted(set(tup), key=lambda e: (e[0].key, e[1])))
     cached = _intern.get(tup)
     if cached is not None:
         return cached

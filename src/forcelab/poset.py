@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations, permutations
+from math import comb, perm
 from typing import Iterable, Sequence
 
 from . import sexpr
@@ -31,9 +33,6 @@ class CollapseFn:
     """A finite injective partial function clock-slot -> target set."""
 
     graph: tuple[tuple[int, HFSet], ...]  # sorted by slot
-
-    def mapping(self) -> dict[int, HFSet]:
-        return dict(self.graph)
 
 
 @dataclass(frozen=True)
@@ -309,6 +308,13 @@ class CollapseNotion(ForcingNotion):
     a(i) above exactly the f with f(i) ∈ A.  Minimal conditions are then
     the total bijections from the clock onto the stage.
 
+    The functions are enumerated as (slots, targets) pairs, after their
+    count has been checked against COLLAPSE_BUDGET.  A graph is kept sorted
+    by slot, so each sub-tuple of it is again a graph: f's proper sub-graphs
+    (at most 2^k of them) are exactly the g with f < g, and the order is
+    read off them instead of by comparing all pairs.  One pass over the
+    functions' graphs collects the realizers of every e(i,j) and a(i).
+
     Tokens whose defining class of conditions is empty (e.g. e(i,i), or
     every a(i) when A is empty) break the everywhere-invariance of forcing
     star-translated statements, so they are omitted unless explicitly
@@ -325,51 +331,45 @@ class CollapseNotion(ForcingNotion):
         self.A = frozenset(A)
         if not self.A <= set(targets):
             raise ForcelabError("parameter set must be a subset of the stage")
+        if sum(comb(k, r) * perm(k, r) for r in range(k + 1)) > COLLAPSE_BUDGET:
+            raise BudgetError(f"collapse notion exceeds budget {COLLAPSE_BUDGET}")
 
-        fns = [CollapseFn(())]
-        frontier = [CollapseFn(())]
-        while frontier:
-            nxt = []
-            for fn in frontier:
-                m = fn.mapping()
-                used = set(m.values())
-                for i in range(k):
-                    if i in m:
-                        continue
-                    if any(i < s for s in m):  # add slots in increasing order only
-                        continue
-                    for t in targets:
-                        if t not in used:
-                            nxt.append(CollapseFn(tuple(sorted(m.items())) + ((i, t),)))
-                if len(fns) + len(nxt) > COLLAPSE_BUDGET:
-                    raise BudgetError(f"collapse notion exceeds budget {COLLAPSE_BUDGET}")
-            fns.extend(nxt)
-            frontier = nxt
-
+        # v_stage lists the targets in key order, so positions order graphs as keys do.
+        position = {t: n for n, t in enumerate(targets)}
+        graphs = sorted((tuple(zip(slots, image))
+                         for r in range(1, k + 1)
+                         for slots in combinations(range(k), r)
+                         for image in permutations(targets, r)),
+                        key=lambda g: [(i, position[t]) for i, t in g])
         elements = ["1"]
         tags: list[object] = [Top()]
         self.fn_index: dict[CollapseFn, int] = {CollapseFn(()): 0}
-        for fn in sorted((f for f in fns if f.graph),
-                         key=lambda f: tuple((i, t.key) for i, t in f.graph)):
+        for graph in graphs:
+            fn = CollapseFn(graph)
             self.fn_index[fn] = len(elements)
-            elements.append("f{" + ",".join(f"{i}:{targets.index(t)}" for i, t in fn.graph) + "}")
+            elements.append("f{" + ",".join(f"{i}:{position[t]}" for i, t in graph) + "}")
             tags.append(fn)
 
-        def realizers_e(i: int, j: int) -> list[int]:
-            return [self.fn_index[f] for f in fns
-                    if i in dict(f.graph) and j in dict(f.graph)
-                    and dict(f.graph)[i] in dict(f.graph)[j]]
-
-        def realizers_a(i: int) -> list[int]:
-            return [self.fn_index[f] for f in fns
-                    if i in dict(f.graph) and dict(f.graph)[i] in self.A]
+        # f ≤ g iff f extends g: the proper sub-graphs of f, the empty one included.
+        pairs: list[tuple[int, int]] = []
+        below_e: dict[tuple[int, int], list[int]] = {}
+        below_a: dict[int, list[int]] = {}
+        for fn, p in self.fn_index.items():
+            graph = fn.graph
+            pairs.extend((p, self.fn_index[CollapseFn(sub)])
+                         for r in range(len(graph)) for sub in combinations(graph, r))
+            for i, x in graph:
+                if x in self.A:
+                    below_a.setdefault(i, []).append(p)
+                for j, y in graph:
+                    if x in y:
+                        below_e.setdefault((i, j), []).append(p)
 
         self.e_index: dict[tuple[int, int], int] = {}
         self.a_index: dict[int, int] = {}
-        pairs: list[tuple[int, int]] = []
         for i in range(k):
             for j in range(k):
-                below = realizers_e(i, j)
+                below = below_e.get((i, j), [])
                 if not below and not include_degenerate_tokens:
                     continue
                 self.e_index[(i, j)] = len(elements)
@@ -377,19 +377,13 @@ class CollapseNotion(ForcingNotion):
                 tags.append(SupIn(i, j))
                 pairs.extend((b, self.e_index[(i, j)]) for b in below)
         for i in range(k):
-            below = realizers_a(i)
+            below = below_a.get(i, [])
             if not below and not include_degenerate_tokens:
                 continue
             self.a_index[i] = len(elements)
             elements.append(f"a_{i}")
             tags.append(SupA(i))
             pairs.extend((b, self.a_index[i]) for b in below)
-
-        # f ≤ g iff f extends g, for collapse functions.
-        for f in fns:
-            for g in fns:
-                if f is not g and set(g.graph) <= set(f.graph):
-                    pairs.append((self.fn_index[f], self.fn_index[g]))
 
         super().__init__(elements, pairs, tags)
 

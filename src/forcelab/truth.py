@@ -483,6 +483,11 @@ def star8_translate(phi: Formula, fa: CollapseNotion, memo: dict | None = None) 
     Each distinct node translates once; `memo` shares the translations
     between calls over the same notion.
     """
+    return fold(phi, _clock_rules(fa), memo)
+
+
+def _clock_rules(fa: CollapseNotion):
+    """The fold step of star8_translate, with the ε name and clock names built once."""
     eps = name_const(eps_dot(fa))
     clock_names = [name_const(check_name(nat_encode(m))) for m in range(fa.clock)]
 
@@ -512,7 +517,7 @@ def star8_translate(phi: Formula, fa: CollapseNotion, memo: dict | None = None) 
             raise ForcelabError("clock translation takes variables, not ground constants")
         return t  # a variable, or a name constant from quantifier instantiation
 
-    return fold(phi, combine, memo)
+    return combine
 
 
 class ForcingTruth:
@@ -530,8 +535,9 @@ class ForcingTruth:
         self.A = self.fa.A
         self.a_class = a_dot(self.fa, A)
         self.slot_names = {a: n_dot(self.fa, a) for a in self.fa.targets}
+        rules = _clock_rules(self.fa)
         memo: dict[Formula, Formula] = {}
-        self._stars = {phi: star8_translate(phi, self.fa, memo) for phi in self.pool}
+        self._stars = {phi: fold(phi, rules, memo) for phi in self.pool}
 
         seeds: set[PName] = set()
         for star in self._stars.values():

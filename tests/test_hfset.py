@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from forcelab import (EMPTY, BudgetError, FiniteStructure, eval_formula,
                       hf_make, hf_rank, nat_decode, nat_encode,
                       subformulas, theta_formula, v_stage)
+from forcelab import hfset
 from forcelab.hfset import hf_list, hf_pair, hf_unlist, hf_unpair
 
 
@@ -83,6 +84,15 @@ def test_canonicalization_is_a_congruence(xs, rng):
     shuffled = list(xs) + [rng.choice(xs)] if xs else []
     rng.shuffle(shuffled)
     assert hf_make(xs) is hf_make(shuffled) or not xs
+
+
+def test_every_intern_key_is_strictly_sorted():
+    # hf_make looks its argument up before sorting; only sorted tuples may be keys.
+    hf_make(reversed(v_stage(4)))
+    assert len(hfset._intern) > 16
+    for key, x in hfset._intern.items():
+        assert x.children is key
+        assert all(a.key < b.key for a, b in zip(key, key[1:])), x
 
 
 @given(hf_sets, hf_sets)

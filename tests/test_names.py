@@ -8,7 +8,7 @@ from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ForcelabError,
                       hf_pair, n_dot, name_make, name_to_hf, name_to_sexp,
                       name_universe, nat_encode, op_name, parse_name,
                       subnames, v_stage)
-from forcelab import corpus, sexpr
+from forcelab import corpus, names, sexpr
 from forcelab.poset import CollapseFn
 
 
@@ -16,6 +16,29 @@ def test_check_name_shapes():
     assert check_name(EMPTY) is EMPTY_NAME
     one = hf_make([EMPTY])
     assert check_name(one) is name_make([(EMPTY_NAME, 0)])
+
+
+def test_permuted_and_duplicated_entries_give_the_canonical_name():
+    # name_make looks its argument up before sorting; only sorted tuples may be keys.
+    pool = [check_name(x) for x in v_stage(2)]
+    entries = [(n, r) for n in pool for r in (0, 2, 1)]
+    for r in range(1, 4):
+        for chosen in itertools.combinations(entries, r):
+            canonical = name_make(chosen)
+            for perm in itertools.permutations(chosen):
+                assert name_make(perm) is canonical
+                assert name_make(perm + perm[-1:]) is canonical
+            assert canonical.entries == tuple(sorted(chosen, key=lambda e: (e[0].key, e[1])))
+
+
+def test_every_intern_key_is_strictly_sorted():
+    fa = build_collapse(2, [])
+    name_make(reversed([(n_dot(fa, a), p) for a in fa.targets for p in fa.conditions()]))
+    eps_dot(fa)
+    assert len(names._intern) > 20
+    for key, name in names._intern.items():
+        assert name.entries is key
+        assert all((a.key, r) < (b.key, s) for (a, r), (b, s) in zip(key, key[1:])), name
 
 
 def test_check_name_evaluates_to_itself(corpus_notion):

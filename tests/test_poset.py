@@ -1,10 +1,14 @@
+import itertools
+import time
+
 import pytest
 
 from forcelab import (EMPTY, BudgetError, ParseError, build_collapse,
                       generic_filters, hf_make, is_dense, is_separative,
                       make_notion, minimal_classes, parse_poset, v_stage)
 from forcelab import corpus
-from forcelab.poset import CollapseFn, is_filter
+from forcelab.poset import (COLLAPSE_BUDGET, CollapseFn, ForcingNotion, SupA,
+                            SupIn, Top, is_filter)
 
 
 def test_trivial_is_separative():
@@ -107,9 +111,123 @@ def test_collapse_stage3_has_24_generic_filters():
     assert len(generic_filters(fa)) == 24
 
 
+def test_collapse_sizes_stage3():
+    stage = v_stage(3)
+    fa = build_collapse(3, [])
+    fns = [t for t in fa.tags if isinstance(t, CollapseFn) and t.graph]
+    assert len(fns) == 208  # non-empty partial injections of 4 slots into 4 sets
+    assert len(fa) == 221
+    for r in range(1, len(stage) + 1):
+        for A in itertools.combinations(stage, r):
+            assert len(build_collapse(3, A)) == 225
+    assert len(build_collapse(3, [], include_degenerate_tokens=True)) == 229
+
+
 def test_collapse_budget():
+    start = time.perf_counter()
     with pytest.raises(BudgetError):
         build_collapse(4, [])
+    assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# The all-pairs collapse builder, kept as the reference for CollapseNotion:
+# a frontier search for the functions, f ≤ g tested for every pair (f, g),
+# and the token realizers found by re-reading each graph per token.
+
+def ref_collapse(stage, A, include_degenerate_tokens=False):
+    targets = v_stage(stage)
+    k = len(targets)
+    A = frozenset(A)
+    fns = [CollapseFn(())]
+    frontier = [CollapseFn(())]
+    while frontier:
+        nxt = []
+        for fn in frontier:
+            m = dict(fn.graph)
+            used = set(m.values())
+            for i in range(k):
+                if i in m:
+                    continue
+                if any(i < s for s in m):  # add slots in increasing order only
+                    continue
+                for t in targets:
+                    if t not in used:
+                        nxt.append(CollapseFn(tuple(sorted(m.items())) + ((i, t),)))
+            if len(fns) + len(nxt) > COLLAPSE_BUDGET:
+                raise BudgetError(f"collapse notion exceeds budget {COLLAPSE_BUDGET}")
+        fns.extend(nxt)
+        frontier = nxt
+
+    elements = ["1"]
+    tags = [Top()]
+    fn_index = {CollapseFn(()): 0}
+    for fn in sorted((f for f in fns if f.graph),
+                     key=lambda f: tuple((i, t.key) for i, t in f.graph)):
+        fn_index[fn] = len(elements)
+        elements.append("f{" + ",".join(f"{i}:{targets.index(t)}" for i, t in fn.graph) + "}")
+        tags.append(fn)
+
+    def realizers_e(i, j):
+        return [fn_index[f] for f in fns
+                if i in dict(f.graph) and j in dict(f.graph)
+                and dict(f.graph)[i] in dict(f.graph)[j]]
+
+    def realizers_a(i):
+        return [fn_index[f] for f in fns
+                if i in dict(f.graph) and dict(f.graph)[i] in A]
+
+    e_index, a_index, pairs = {}, {}, []
+    for i in range(k):
+        for j in range(k):
+            below = realizers_e(i, j)
+            if not below and not include_degenerate_tokens:
+                continue
+            e_index[(i, j)] = len(elements)
+            elements.append(f"e_{i}_{j}")
+            tags.append(SupIn(i, j))
+            pairs.extend((b, e_index[(i, j)]) for b in below)
+    for i in range(k):
+        below = realizers_a(i)
+        if not below and not include_degenerate_tokens:
+            continue
+        a_index[i] = len(elements)
+        elements.append(f"a_{i}")
+        tags.append(SupA(i))
+        pairs.extend((b, a_index[i]) for b in below)
+
+    for f in fns:
+        for g in fns:
+            if f is not g and set(g.graph) <= set(f.graph):
+                pairs.append((fn_index[f], fn_index[g]))
+    return ForcingNotion(elements, pairs, tags), fn_index, e_index, a_index
+
+
+def _collapse_configurations():
+    for n in (1, 2, 3):
+        stage = v_stage(n)
+        for r in range(len(stage) + 1):
+            for A in itertools.combinations(stage, r):
+                for degenerate in (False, True):
+                    yield n, A, degenerate
+
+
+def test_collapse_configurations_count():
+    assert len(list(_collapse_configurations())) == 44
+
+
+@pytest.mark.parametrize("n, A, degenerate", list(_collapse_configurations()))
+def test_collapse_matches_all_pairs_reference(n, A, degenerate):
+    fa = build_collapse(n, A, include_degenerate_tokens=degenerate)
+    ref, fn_index, e_index, a_index = ref_collapse(n, A, degenerate)
+    assert fa.elements == ref.elements
+    assert fa.tags == ref.tags
+    assert list(fa.fn_index.items()) == list(fn_index.items())
+    assert list(fa.e_index.items()) == list(e_index.items())
+    assert list(fa.a_index.items()) == list(a_index.items())
+    for p in ref.conditions():
+        assert fa.up(p) == ref.up(p), fa.elements[p]
+        assert fa.down(p) == ref.down(p), fa.elements[p]
 
 
 def test_collapse_is_not_separative_at_finite_scale():
