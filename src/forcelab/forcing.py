@@ -76,8 +76,9 @@ class ForcingRelation:
     the atomic statement; atomic values are sound for any names, not only
     universe members, and the universe bounds the quantifier clauses.
     `_values` maps a formula node to its mask and is dropped when a class
-    name is registered.  The canonical generic-filter class name is always
-    registered under "G".
+    name is registered.  `classes` maps each ident to its class name, with
+    the canonical generic-filter class name first under "G"; that one is
+    built the first time `classes` is read or a "G" atom is forced.
     """
 
     def __init__(self, notion: ForcingNotion, universe: Sequence[PName],
@@ -89,9 +90,9 @@ class ForcingRelation:
         for n in self.universe:
             if n.max_condition >= len(notion):
                 raise ForcelabError("universe name mentions a condition outside the notion")
-        self.classes: dict[str, ClassName] = {"G": g_dot(notion)}
+        self._classes: dict[str, ClassName | None] = {"G": None}
         for cls in classes:
-            self.classes[cls.ident] = cls
+            self._classes[cls.ident] = cls
         self.full = (1 << len(notion)) - 1
         self._down = tuple(_mask(notion.down(p)) for p in notion.conditions())
         self._up = tuple(_mask(notion.up(p)) for p in notion.conditions())
@@ -105,8 +106,14 @@ class ForcingRelation:
                     f"exceeds budget {ATOMIC_BUDGET}")
             self.materialize()
 
+    @property
+    def classes(self) -> dict[str, ClassName]:
+        if self._classes["G"] is None:
+            self._classes["G"] = g_dot(self.notion)
+        return self._classes
+
     def register_class(self, cls: ClassName):
-        self.classes[cls.ident] = cls
+        self._classes[cls.ident] = cls
         self._values.clear()
 
     def neg(self, W: int) -> int:
@@ -193,9 +200,10 @@ class ForcingRelation:
             return self.atomic_value("in", _term_pname(phi.left), _term_pname(phi.right))
         if isinstance(phi, (AtomInClass, AtomInG)):
             ident = phi.ident if isinstance(phi, AtomInClass) else "G"
-            if ident not in self.classes:
+            cls = (self.classes if ident == "G" else self._classes).get(ident)
+            if cls is None:
                 raise ForcelabError(f"no class name registered as {ident!r}")
-            return self._witnessed(_term_pname(phi.term), self.classes[ident].entries)
+            return self._witnessed(_term_pname(phi.term), cls.entries)
         if isinstance(phi, AtomTr):
             raise ForcelabError("iterated-truth atoms are not part of the forcing language")
         if isinstance(phi, Not):

@@ -1,11 +1,11 @@
 """Canonical hereditarily finite sets.
 
 Every extensionally distinct set has exactly one interned instance, so
-equality is identity.  Each value caches a hash combined from its
-children's hashes and its sort key, the flat tuple (rank, *child keys):
-tuple comparison then gives the total order used wherever ties must be
-broken (rank first, then lexicographically on the ordered children), and
-it stops at the first differing child, since equal children share one key.
+equality and hash are identity, and a Python set of sets iterates in
+address order.  The sort key, the flat tuple (rank, *child keys), gives the
+total order used wherever order is printed or ties broken (rank first, then
+lexicographically on the ordered children); tuple comparison stops at the
+first differing child, since equal children share one key.
 
 Values are immutable and safely shareable once constructed; the interning
 table itself is confined to single-threaded construction.
@@ -26,23 +26,19 @@ _intern: dict[tuple, "HFSet"] = {}
 class HFSet:
     """An interned hereditarily finite set.  Use :func:`hf_make` to construct."""
 
-    __slots__ = ("children", "rank", "key", "_hash")
+    __slots__ = ("children", "rank", "key")
 
     children: tuple["HFSet", ...]
     rank: int
     key: tuple
 
-    def __init__(self, children: tuple["HFSet", ...], rank: int, hash_: int):
+    def __init__(self, children: tuple["HFSet", ...], rank: int):
         self.children = children
         self.rank = rank
-        self._hash = hash_
         self.key = (rank, *(c.key for c in children))
 
-    def __hash__(self) -> int:
-        return self._hash
-
     # Interning makes identity the same as extensional equality; the default
-    # object __eq__ is therefore correct (and O(1)).
+    # object __eq__ and __hash__ are therefore correct (and O(1)).
 
     def __lt__(self, other: "HFSet") -> bool:
         return self.key < other.key
@@ -83,9 +79,7 @@ def hf_make(children: Iterable[HFSet] = ()) -> HFSet:
     cached = _intern.get(tup)
     if cached is not None:
         return cached
-    rank = 0 if not tup else 1 + max(c.rank for c in tup)
-    hash_ = hash((rank, tuple(c._hash for c in tup)))
-    made = HFSet(tup, rank, hash_)
+    made = HFSet(tup, 0 if not tup else 1 + max(c.rank for c in tup))
     _intern[tup] = made
     return made
 

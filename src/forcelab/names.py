@@ -1,14 +1,15 @@
 """P-names over a finite forcing notion, and their evaluation.
 
 A name is hereditarily a finite set of (name, condition-index) pairs.
-Names are interned like HF sets: one canonical instance per value, with
-entries kept sorted by (name, condition index) in the canonical order,
-immutable and shareable after single-threaded construction.  The order
-is held as data: a name's key is the flat tuple (rank, n1.key, r1, n2.key,
-r2, ...) over its sorted entries, so tuple comparison orders names by rank
-first, then lexicographically on entries.  Condition indices
-refer to positions in a notion's element list; index 0 is the top
-condition of every notion, which is what makes check names portable.
+Names are interned like HF sets: one canonical instance per value, hashed
+by identity, with entries kept sorted by (name, condition index) in the
+canonical order, immutable and shareable after single-threaded
+construction.  The order is held as data: a name's key is the flat tuple
+(rank, n1.key, r1, n2.key, r2, ...) over its sorted entries, so tuple
+comparison orders names by rank first, then lexicographically on entries;
+printed orders sort by it.  Condition indices refer to positions in a
+notion's element list; index 0 is the top condition of every notion,
+which is what makes check names portable.
 """
 
 from __future__ import annotations
@@ -30,22 +31,18 @@ NAME_UNIVERSE_BUDGET = 20000
 class PName:
     """An interned P-name.  Use :func:`name_make` to construct."""
 
-    __slots__ = ("entries", "rank", "max_condition", "key", "_hash")
+    __slots__ = ("entries", "rank", "max_condition", "key")
 
     entries: tuple[tuple["PName", int], ...]
     rank: int
     max_condition: int  # the largest condition index anywhere below
     key: tuple
 
-    def __init__(self, entries, rank, hash_):
+    def __init__(self, entries, rank):
         self.entries = entries
         self.rank = rank
         self.max_condition = max((max(r, n.max_condition) for n, r in entries), default=0)
-        self._hash = hash_
         self.key = (rank, *(x for n, r in entries for x in (n.key, r)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "PName") -> bool:
         return self.key < other.key
@@ -80,9 +77,7 @@ def name_make(entries: Iterable[tuple[PName, int]] = ()) -> PName:
     cached = _intern.get(tup)
     if cached is not None:
         return cached
-    rank = 0 if not tup else 1 + max(n.rank for n, _ in tup)
-    hash_ = hash((rank, tuple((n._hash, r) for n, r in tup)))
-    made = PName(tup, rank, hash_)
+    made = PName(tup, 0 if not tup else 1 + max(n.rank for n, _ in tup))
     _intern[tup] = made
     return made
 

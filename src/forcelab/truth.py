@@ -260,7 +260,8 @@ def _check_pool_closed(pool: Sequence[Formula]):
     missing = {c for phi in members for c in phi.children()} - members
     if missing:
         raise ClosureError(
-            f"pool is not subformula-closed; missing e.g. {formula_to_sexp(next(iter(missing)))}")
+            "pool is not subformula-closed; missing e.g. "
+            + formula_to_sexp(canonical_pool(missing)[0]))
 
 
 def tarski_truth(M: FiniteStructure, pool: Sequence[Formula]) -> TruthPredicate:

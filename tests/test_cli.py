@@ -1,6 +1,9 @@
 import argparse
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,6 +98,22 @@ def test_reports_match_golden(tmp_path, argv):
     out = tmp_path / "report.json"
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_text() == (GOLDEN / f"{argv[0]}.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--max-poset", "2"], ["truth", "--stage", "2"]],
+                         ids=lambda argv: argv[0])
+def test_fresh_interpreters_print_the_golden_report(tmp_path, argv):
+    # Sets, names and formulas hash by identity, so set orders differ from
+    # one interpreter to the next; the reports must not.
+    src = Path(__file__).resolve().parent.parent / "src"
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+        out = tmp_path / f"report-{seed}.json"
+        done = subprocess.run([sys.executable, "-m", "forcelab.cli", *argv, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert out.read_bytes() == (GOLDEN / f"{argv[0]}.json").read_bytes()
 
 
 def test_budget_overrun_while_building_inputs_is_a_skipped_row(tmp_path, capsys):

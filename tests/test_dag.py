@@ -1,5 +1,6 @@
-"""HF sets and names as DAGs: the order held in their keys, walks that visit
-each distinct node once, and reprs bounded by the tree size."""
+"""HF sets and names as DAGs: identity hashing, the order held in their
+keys, walks that visit each distinct node once, and reprs bounded by the
+tree size."""
 
 import functools
 import random
@@ -7,11 +8,37 @@ import time
 
 from hypothesis import given, strategies as st
 
-from forcelab import (EMPTY, EMPTY_NAME, and_, atom_eq, check_name, corpus,
-                      decode_formula, encode_formula, hf_make, name_make,
-                      name_to_hf, name_to_sexp, name_universe, not_,
-                      star_translate, subname_closure, subnames, v_stage, var)
+from forcelab import (EMPTY, EMPTY_NAME, and_, atom_eq, atom_in, check_name,
+                      const, corpus, decode_formula, encode_formula, hf_make,
+                      name_make, name_to_hf, name_to_sexp, name_universe, not_,
+                      parse_formula, star_translate, subname_closure, subnames,
+                      v_stage, var)
 from forcelab.dag import REPR_CAP
+from forcelab.formulas import atom_terms, formula_to_sexp, nodes, pair_term
+
+
+def test_interned_values_hash_by_identity(fork):
+    sets = v_stage(3)
+    names = name_universe(fork, 1)
+    x, y = var("x"), var("y")
+    formulas = [*nodes(corpus.oracle_pool(fork, corpus.oracle_universe(fork))[-1]),
+                *corpus.first_order_pool(), *corpus.iterated_pool(),
+                atom_in(pair_term(x, y), x), atom_eq(const(EMPTY), y)]
+    terms = [t for f in formulas if not f.children() for t in atom_terms(f)]
+    for value in [*sets, *names, *formulas, *terms]:
+        assert type(value).__hash__ is object.__hash__, type(value)
+        assert not hasattr(value, "_hash")
+    rng = random.Random(0)
+    for s in sets:
+        kids = [*s.children, *s.children[:1]]
+        rng.shuffle(kids)
+        assert hf_make(kids) is s
+    for n in names:
+        entries = [*n.entries, *n.entries[-1:]]
+        rng.shuffle(entries)
+        assert name_make(entries) is n
+    for f in formulas:
+        assert parse_formula(formula_to_sexp(f, fork), fork) is f
 
 
 # Reference comparators: the recursive order the keys replace.

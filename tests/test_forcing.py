@@ -2,15 +2,16 @@ import itertools
 
 import pytest
 
-from forcelab import (EMPTY, EMPTY_NAME, ClosureError, ForcelabError,
-                      and_, atom_eq, atom_in, atom_in_g, atomic_forcing,
-                      atomic_recursion_instance, audit_forcing_relation,
-                      boolean_completion, boolean_values, check_name,
-                      compare_atomic_table, etr_solve, eval_class, eval_name,
-                      exists, extension, forces, g_dot, generic_filters,
-                      hf_make, name_const, name_make, name_universe,
-                      nat_encode, not_, or_, subname_closure, truth_lemma_check,
-                      truth_name, v_stage, var, verify_solution)
+from forcelab import (EMPTY, EMPTY_NAME, ClassName, ClosureError,
+                      ForcelabError, and_, atom_eq, atom_in, atom_in_class,
+                      atom_in_g, atomic_forcing, atomic_recursion_instance,
+                      audit_forcing_relation, boolean_completion,
+                      boolean_values, check_name, compare_atomic_table,
+                      etr_solve, eval_class, eval_name, exists, extension,
+                      forces, forcing_truth, g_dot, generic_filters, hf_make,
+                      name_const, name_make, name_universe, nat_encode, not_,
+                      or_, subname_closure, truth_lemma_check, truth_name,
+                      v_stage, var, verify_solution)
 from forcelab import corpus
 
 
@@ -166,6 +167,40 @@ def test_extension_filter_class_matches_direct(fork):
         ext = extension(FR, G)
         direct = eval_class(g_dot(fork), G)
         assert ext.structure.predicates["G"] == direct & set(ext.structure.domain)
+
+
+def test_the_filter_class_name_is_built_on_first_use(monkeypatch, fork):
+    from forcelab import forcing
+
+    calls = []
+
+    def counting_g_dot(P):
+        calls.append(P)
+        return g_dot(P)
+
+    monkeypatch.setattr(forcing, "g_dot", counting_g_dot)
+    ft = forcing_truth(3, [EMPTY], corpus.first_order_pool())
+    FR = ft.relation
+    phi = atom_in_class(var("x"), "A")
+    assert ft.holds(phi, {"x": EMPTY}) and not ft.holds(phi, {"x": hf_make([EMPTY])})
+    assert FR.value(ft.instance(phi, {"x": EMPTY})) == FR.full
+    assert calls == []
+    atom = atom_in_g(name_const(check_name(nat_encode(1))))
+    assert forces(FR, 1, atom, check_universe=False)
+    assert not forces(FR, 0, atom, check_universe=False)
+    assert calls == [ft.fa]
+    assert list(FR.classes) == ["G", "A"]
+    assert FR.classes["G"].entries == g_dot(ft.fa).entries
+    assert calls == [ft.fa]
+
+    calls.clear()
+    FR = atomic_forcing(fork, corpus.oracle_universe(fork))
+    FR.register_class(ClassName.make("T", []))
+    assert calls == []
+    for G in generic_filters(fork):
+        assert sorted(extension(FR, G).class_extensions) == ["G", "T"]
+    assert calls == [fork]
+    assert list(FR.classes) == ["G", "T"]
 
 
 def _quotient_eval(ext, phi, assignment):

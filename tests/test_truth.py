@@ -3,16 +3,17 @@ import time
 
 import pytest
 
-from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, FiniteStructure,
-                      Forall, ForcelabError, Not, Or, PairTerm, and_, atom_eq,
-                      atom_in, atom_in_class, atom_in_g, build_collapse, const,
-                      etr_solve, eval_formula, exists, forall, forcing_truth,
-                      hf_make, invariance_check, name_const, not_, or_,
-                      perturb, star8_translate, subformula_closure, substitute,
+from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, ClosureError,
+                      FiniteStructure, Forall, ForcelabError, Not, Or,
+                      PairTerm, and_, atom_eq, atom_in, atom_in_class,
+                      atom_in_g, build_collapse, const, etr_solve,
+                      eval_formula, exists, forall, forcing_truth, hf_make,
+                      invariance_check, name_const, not_, or_, perturb,
+                      star8_translate, subformula_closure, substitute,
                       tarski_truth, tarski_truth_instance, theta_formula,
                       v_stage, var, verify_solution)
 from forcelab import corpus
-from forcelab.formulas import pair_term
+from forcelab.formulas import formula_to_sexp, pair_term
 from forcelab.names import check_name, eps_dot, n_dot
 from forcelab.hfset import nat_encode
 from forcelab.truth import instances
@@ -20,6 +21,22 @@ from forcelab.truth import instances
 
 def stage3():
     return FiniteStructure(v_stage(3))
+
+
+def test_an_unclosed_pool_names_its_first_missing_subformula():
+    # Formula nodes hash by identity, so the order of a set of missing
+    # subformulas follows addresses; the message names the first one in
+    # canonical_pool order, here always the equality.
+    for a, b in itertools.permutations(["x", "y", "z", "w"], 2):
+        eq, mem = atom_eq(var(a), var(b)), atom_in(var(a), var(b))
+        want = "pool is not subformula-closed; missing e.g. " + formula_to_sexp(eq)
+        for pool in ([and_([mem, eq])], [or_([eq, mem]), not_(eq)]):
+            with pytest.raises(ClosureError) as err:
+                tarski_truth(stage3(), pool)
+            assert str(err.value) == want
+            with pytest.raises(ClosureError) as err:
+                forcing_truth(2, [], pool)
+            assert str(err.value) == want
 
 
 def test_empty_set_is_definable():
