@@ -98,12 +98,16 @@ def _refuse_atom(phi: Formula):
 
 # ---------------------------------------------------------------------------
 # Tarskian evaluation, one domain at a time.  Under a valuation of all of a
-# node's free variables but one, the axis, its truth is an int mask over the
-# domain: bit i says whether it holds with the axis at domain[i].  The axis
-# is the variable that the nearest quantifier above binds, so ∧, ∨ and ¬ are
-# mask operations and a quantifier is one test against 0 or the full mask.
-# With no axis a node's value is 1 or 0.  Atoms read rows built on first
-# use, for any set (valuations may leave the domain).
+# node's free variables but one or two, the axes, its truth is an int over
+# the domain.  Along one axis it is a mask: bit i says whether the node
+# holds with the axis at domain[i].  Along two it is a grid of |domain|
+# blocks: block i is the mask along the inner axis with the outer one at
+# domain[i].  The inner axis is the variable that the nearest quantifier
+# above binds, and the outer one that quantifier's own axis, so ∧, ∨ and ¬
+# are bit operations and a quantifier is one test of its body against 0 or
+# the full mask per point of its axis.  With no axis a node's value is 1 or
+# 0.  Atoms read rows built on first use, for any set (valuations may leave
+# the domain), and grids whose blocks are those rows.
 
 def eval_formula(M: FiniteStructure, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
     """Tarskian satisfaction, with quantifier blocks ranging over the domain."""
@@ -116,7 +120,8 @@ def eval_formula(M: FiniteStructure, phi: Formula, valuation: dict[str, HFSet] |
 
 def _value(M: FiniteStructure, phi: Formula, axis: str | None, v) -> int:
     """phi's mask along axis (v holds the other free variables, not the
-    axis), or with axis None 1 or 0.  Memoized per (node, axis, values)."""
+    axis), or with axis None 1 or 0; a quantifier with an axis takes its
+    body along two (_grid).  Memoized per (node, axis, values)."""
     if axis is not None and axis not in phi.free:
         return M._full if _value(M, phi, None, v) else 0
     if phi.rank == 0:
@@ -145,9 +150,10 @@ def _value(M: FiniteStructure, phi: Formula, axis: str | None, v) -> int:
 
 
 def _quantify(M: FiniteStructure, phi: Formula, axis: str | None, v) -> int:
-    """A quantifier node, one point of the axis at a time.  The last bound
-    variable the body mentions is the body's axis; the loop runs over the
-    others."""
+    """A quantifier node.  The last bound variable the body mentions is the
+    body's inner axis; the loop runs over the others.  With no outer axis
+    the body is a mask along the inner one; with one, it is a grid over
+    both, reduced block by block."""
     want_all, body = isinstance(phi, Forall), phi.body
     if phi.vars and not M.domain:
         return want_all
@@ -155,19 +161,96 @@ def _quantify(M: FiniteStructure, phi: Formula, axis: str | None, v) -> int:
     if not bound:
         return _value(M, body, axis, v)
     inner, rest = bound[-1], bound[:-1]
-    target = M._full if want_all else 0
-    ext, out = dict(v), 0
+    ext = dict(v)
     ext.pop(inner, None)
-    for i, a in enumerate(M.domain if axis else (None,)):
-        if axis:
-            ext[axis] = a
-        holds = want_all
-        for values in itertools.product(M.domain, repeat=len(rest)):
-            ext.update(zip(rest, values))
-            if _value(M, body, inner, ext) != target:
-                holds = not want_all
+    full = M._full if axis else 1
+    # a point is pending while every block seen so far is full (∀) or 0 (∃)
+    fill, pending = M._full if want_all else 0, full
+    for values in itertools.product(M.domain, repeat=len(rest)):
+        ext.update(zip(rest, values))
+        if axis is None:
+            pending &= _value(M, body, inner, ext) == fill
+        else:
+            pending &= _blocks(M, _grid(M, body, axis, inner, ext), fill)
+        if not pending:
+            break
+    return pending if want_all else full ^ pending
+
+
+def _grid(M: FiniteStructure, phi: Formula, a: str, b: str, v) -> int:
+    """phi's grid over the axes a and b: bit i·n + j (n = |domain|) says
+    whether it holds with a at domain[i] and b at domain[j], so block i is
+    its mask along b at a = domain[i].  v holds the other free variables.
+    Memoized per (node, a, b, values) when the node mentions both axes."""
+    n = len(M.domain)
+    if b not in phi.free:  # each bit of the mask along a fills its block
+        bits = f"{_value(M, phi, a, v):0{n}b}"
+        return int(bits.translate({48: "0" * n, 49: "1" * n}), 2)
+    if a not in phi.free:  # the mask along b in every block
+        return _value(M, phi, b, v) * _grid_rows(M, "starts")
+    key = (phi, a, b, *map(v.get, phi.free_sorted))
+    out = M._cache.get(key)
+    if out is not None:
+        return out
+    if isinstance(phi, (AtomIn, AtomEq)) and isinstance(phi.left, Var) \
+            and isinstance(phi.right, Var):
+        # the arguments are the axes: b ∈ a reads a's members, a ∈ b its holders
+        kind = "eq" if isinstance(phi, AtomEq) else "in" if phi.left.name == b else "ni"
+        out = _grid_rows(M, kind)
+    elif isinstance(phi, Not):
+        out = _grid_rows(M, "full") ^ _grid(M, phi.sub, a, b, v)
+    elif isinstance(phi, (And, Or)):
+        full = _grid_rows(M, "full")
+        flip = 0 if isinstance(phi, And) else full
+        out = full
+        for s in phi.subs:
+            out &= flip ^ _grid(M, s, a, b, v)
+            if not out:
                 break
-        out |= holds << i
+        out ^= flip
+    else:  # a nested quantifier (or an atom that refuses): one mask per point of a
+        ext, out = dict(v), 0
+        for i, x in enumerate(M.domain):
+            ext[a] = x
+            out |= _value(M, phi, b, ext) << i * n
+    M._cache[key] = out
+    return out
+
+
+def _blocks(M: FiniteStructure, grid: int, fill: int) -> int:
+    """The mask of the points i of the outer axis whose block equals fill.
+    Adding the full mask to every other block of grid ^ fill carries out of
+    exactly the blocks that are not 0, into bit 0 of the next block, and a
+    stride over the binary digits reads those bits off.  (A loop over the
+    blocks costs |domain|³ bit operations, this |domain|².)"""
+    n = len(M.domain)
+    diff, carries = grid ^ (_grid_rows(M, "full") if fill else 0), 0
+    for half in (_grid_rows(M, "even"), _grid_rows(M, "odd")):
+        carries |= ((diff & half) + half) & ~half
+    flags = carries >> n  # bit i·n for each block i that differs from fill
+    if flags == _grid_rows(M, "starts"):
+        return 0
+    return M._full ^ int(f"{flags:0{n * n}b}"[n - 1::n], 2)
+
+
+def _grid_rows(M: FiniteStructure, kind: str) -> int:
+    """The grid whose block i is _row(M, kind, domain[i]); for kind
+    "starts" it is 1, for "full" the full mask and for "even" and "odd" the
+    full mask at even or odd i, else 0.  Kept in M._cache, so that dropping
+    the memoized values drops these too."""
+    key = ("grid", kind)
+    out = M._cache.get(key)
+    if out is None:
+        n = len(M.domain)
+        if kind == "starts":
+            out = ((1 << n * n) - 1) // M._full
+        elif kind == "full":
+            out = M._full * _grid_rows(M, "starts")
+        elif kind in ("even", "odd"):
+            out = sum(M._full << i * n for i in range(kind == "odd", n, 2))
+        else:
+            out = sum(_row(M, kind, x) << i * n for i, x in enumerate(M.domain))
+        M._cache[key] = out
     return out
 
 
@@ -701,10 +784,10 @@ def stage_comparison_structure(base: FiniteStructure, pool: Sequence[Formula],
 
     Coded valuations are included for formulas of at most one free
     variable only; each one enlarges the quantifier domain.  Evaluation
-    keeps one mask over the domain per node and valuation of its free
-    variables but the axis, so a node with k free variables is computed up
-    to |domain|^(k-1) times, each time with a few operations on
-    |domain|-bit ints.
+    keeps one value per node and valuation of its free variables but its
+    one or two axes, so a node with k free variables is computed up to
+    |domain|^(k-1) times as a mask over the domain, or |domain|^(k-2) times
+    as a grid over its square, as the quantifiers above it ask.
     """
     extra: set[HFSet] = set(base.domain)
     for xi in range(stage_cap + 1):

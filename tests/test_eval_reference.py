@@ -1,8 +1,9 @@
-"""`eval_formula` evaluates along one variable at a time, with int masks over
-the domain.  A copy of the pointwise evaluator it replaced is kept here as
-the reference, as test_dag.py keeps the recursive comparators, and the two
-must agree on the corpus pools, on stage translations, on hypothesis
-formulas and on valuations that leave the domain."""
+"""`eval_formula` evaluates along one or two variables at a time, with int
+masks over the domain and grids over its square.  A copy of the pointwise
+evaluator it replaced is kept here as the reference, as test_dag.py keeps
+the recursive comparators, and the two must agree on the corpus pools, on
+stage translations, on hypothesis formulas, on formulas that take the
+two-axis path and on valuations that leave the domain."""
 
 import itertools
 import random
@@ -12,11 +13,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, AtomTr,
                       ForcelabError, Forall, Exists, FiniteStructure, GroundConst,
-                      Not, Or, StageTranslator, Var, corpus, encode_formula,
-                      encode_valuation, eval_formula, nat_encode,
-                      stage_comparison_structure, subformulas,
-                      transitive_closure, v_stage)
-from forcelab.formulas import terms
+                      Not, Or, StageTranslator, Var, and_, atom_eq, atom_in,
+                      atom_in_class, const, corpus, encode_formula,
+                      encode_valuation, eval_formula, exists, forall, hf_make,
+                      iff, nat_encode, not_, or_, stage_comparison_structure,
+                      subformulas, transitive_closure, v_stage, var)
+from forcelab import truth as truth_mod
+from forcelab.formulas import terms, variables
 from forcelab.truth import instances
 from test_grammar import ground_formulas, hf_sets
 
@@ -147,3 +150,98 @@ def test_valuations_outside_the_domain():
     for phi in corpus.first_order_pool():
         for v in instances(outside, phi):
             _agree(M, ref, phi, v)
+
+
+# Two axes.  A quantifier whose own value is a mask along an axis takes its
+# body as a grid over that axis and the variable it binds.  These formulas
+# put ∈ and = between the two axes in both orders, next to atoms on one
+# axis, class atoms, ground constants and a free c, and nest quantifiers,
+# blocks and re-bindings under both axes.
+
+def _two_axis_bodies(block):
+    a, b, c, x = var("a"), var("b"), var("c"), var("x")
+    k = const(nat_encode(2))
+    both = [atom_in(a, b), atom_in(b, a), atom_eq(a, b), atom_eq(b, a)]
+    beside = [atom_in(a, a), atom_in(b, b), atom_eq(a, a), atom_eq(b, b),
+              atom_in_class(a, "A"), atom_in_class(b, "A"), atom_in_class(c, "A"),
+              atom_in(a, k), atom_in(k, b), atom_eq(b, k), atom_in(c, a), atom_in(b, c),
+              atom_eq(a, c)]
+    for p in both:
+        for q in beside:
+            yield iff(p, q)
+            yield and_([p, not_(q)])
+    for q in ("d", "x"):  # x is also bound outside, and may be in the valuation
+        d = var(q)
+        yield exists((q,), and_([atom_in(d, a), atom_in(d, b)]))
+        yield forall((q,), or_([atom_in(d, a), atom_in(b, d), atom_eq(d, c)]))
+        yield iff(atom_eq(a, b), forall((q,), iff(atom_in(d, a), atom_in(d, b))))
+    yield exists(block, and_([atom_in(var("x"), a), atom_in(var(block[-2]), b),
+                              or_([atom_eq(var("z"), c), atom_in(a, var("z"))])]))
+    yield forall(("x",), or_([atom_in(x, a), atom_eq(b, a),
+                              exists(("x",), and_([atom_in(x, b), atom_in(x, c)]))]))
+
+
+def _two_axis_formulas(block=("x", "y", "z")):
+    quantifiers = (forall, exists)
+    for body in _two_axis_bodies(block):
+        for outer, inner in itertools.product(quantifiers, quantifiers):
+            yield outer(("a",), inner(("b",), body))
+    # a block ∀x y z, its inner axis z under x and y; and x bound again inside
+    x, y, z = var("x"), var("y"), var("z")
+    yield forall(("x", "y", "z"), or_([not_(atom_in(x, y)), atom_in(y, z),
+                                       exists(("w",), and_([atom_in(var("w"), z),
+                                                            atom_eq(var("w"), x)]))]))
+    yield and_([atom_in(x, var("c")),
+                forall(("a",), exists(("x",), iff(atom_in(x, var("a")),
+                                                  forall(("x",), atom_in(x, var("a"))))))])
+
+
+def _outside_values(n):
+    """Four sets of rank n or n + 1, so outside V_n."""
+    stage = v_stage(n)
+    return [nat_encode(n), nat_encode(n + 1), hf_make(stage), hf_make([hf_make(stage)])]
+
+
+# the reference takes |domain|^5 steps on a block of three under two axes
+@pytest.mark.parametrize("n, block", [(3, ("x", "y", "z")), (4, ("x", "z"))])
+def test_two_axes_against_the_reference(monkeypatch, n, block):
+    stage = v_stage(n)
+    M = FiniteStructure(stage, {"A": stage[::3]})
+    ref, grids = RefEval(M), []
+    real_grid = truth_mod._grid
+    monkeypatch.setattr(truth_mod, "_grid", lambda *args: grids.append(args[1]) or real_grid(*args))
+    formulas, outside = list(_two_axis_formulas(block)), _outside_values(n)
+    assert not any(value in M for value in outside)
+    for phi in formulas:
+        for value in (*stage, *outside):
+            _agree(M, ref, phi, {"b": value, "c": value, "x": value})
+    # every formula took its two-axis path, and each kind of grid was read
+    reached = set(grids)
+    assert all(any(s in reached for s in subformulas(phi)) for phi in formulas)
+    assert {("grid", kind) for kind in ("in", "ni", "eq")} <= set(M._cache)
+
+
+def test_a_stale_value_of_a_bound_variable_enters_no_memo_key():
+    stage = v_stage(3)
+    M = FiniteStructure(stage, {"A": [EMPTY]})
+    stale = hf_make([hf_make(stage)])
+    for phi in _two_axis_formulas():
+        v = {x: stale for x in variables(phi) - phi.free} | {x: EMPTY for x in phi.free}
+        assert eval_formula(M, phi, v) == RefEval(M)(phi, v)
+    assert not any(stale in key for key in M._cache)
+
+
+def test_block_reduction_matches_a_loop_over_blocks():
+    rng = random.Random(0)
+    for size in range(1, 20):
+        M = FiniteStructure(transitive_closure([nat_encode(size - 1)]))
+        n, full = len(M.domain), M._full
+        assert n == size
+        for _ in range(30):
+            # blocks that are 0, full, one bit off either, or random
+            blocks = [rng.choice([0, full, 1 << rng.randrange(n), full ^ 1 << rng.randrange(n),
+                                  rng.getrandbits(n)]) for _ in range(n)]
+            grid = sum(block << i * n for i, block in enumerate(blocks))
+            for fill in (0, full):
+                want = sum(1 << i for i, block in enumerate(blocks) if block == fill)
+                assert truth_mod._blocks(M, grid, fill) == want

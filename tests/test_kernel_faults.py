@@ -15,14 +15,15 @@ import itertools
 import pytest
 
 from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, Exists, Forall,
-                      ForcelabError, Not, Or, atom_in, atomic_forcing,
-                      atomic_recursion_instance, audit_forcing_relation,
-                      boolean_completion, boolean_values, compare_atomic_table,
-                      const, encode_formula, encode_valuation, etr_solve, exists,
-                      forcing_truth, generic_filters, invariance_check,
-                      iterated_truth, name_universe, nat_encode,
-                      stage_comparison_structure, subformulas, tarski_truth,
-                      truth_lemma_check, v_stage, var)
+                      ForcelabError, Not, Or, and_, atom_eq, atom_in,
+                      atomic_forcing, atomic_recursion_instance,
+                      audit_forcing_relation, boolean_completion, boolean_values,
+                      compare_atomic_table, const, encode_formula,
+                      encode_valuation, etr_solve, exists, forcing_truth,
+                      generic_filters, invariance_check, iterated_truth,
+                      name_universe, nat_encode, stage_comparison_structure,
+                      subformula_closure, subformulas, tarski_truth,
+                      theta_formula, truth_lemma_check, v_stage, var)
 from forcelab import corpus
 from forcelab import truth as truth_mod
 from forcelab.truth import FiniteStructure, instances
@@ -167,16 +168,18 @@ def iterated_setup():
 
 
 @contextlib.contextmanager
-def _row_flipped(M, y, x):
-    """x's bit in the ∈ row of y (y's members in the domain) flipped, and
-    restored on exit; memoized values are dropped both times."""
-    truth_mod._row(M, "in", y)
-    M._rows[("in", y)] ^= 1 << M.domain.index(x)
+def _row_flipped(M, y, x, kind="in"):
+    """x's bit in the row of y of the given kind (by default the ∈ row: y's
+    members in the domain) flipped, and restored on exit; memoized values,
+    among them the two-axis grids built from the rows, are dropped both
+    times."""
+    truth_mod._row(M, kind, y)
+    M._rows[(kind, y)] ^= 1 << M.domain.index(x)
     M._cache.clear()
     try:
         yield
     finally:
-        M._rows[("in", y)] ^= 1 << M.domain.index(x)
+        M._rows[(kind, y)] ^= 1 << M.domain.index(x)
         M._cache.clear()
 
 
@@ -225,3 +228,24 @@ def test_flipped_row_bit_of_a_code_fails_both_comparisons(iterated_setup):
     with _row_flipped(D, two, nat_encode(1)):
         assert _staged_disagrees(D, plain)
         assert _dual_path_disagrees(D, pool, queries)
+
+
+@pytest.mark.parametrize("kind", ["ni", "eq"])
+def test_flipped_two_axis_row_bit_fails_the_dual_path(iterated_setup, kind):
+    # ∃a ∃b (a ∈ b ∧ θ_∅(a) ∧ θ_1(b)) takes ∃b's body along a and b, so its
+    # a ∈ b reads the grid of "ni" rows: row ∅, bit 1 = {∅} decides it.  With
+    # = and θ_1 twice it reads the grid of "eq" rows at row 1, bit 1.
+    base, _, _ = iterated_setup
+    M = FiniteStructure(base.domain, base.predicates)
+    x, y = (EMPTY, nat_encode(1)) if kind == "ni" else (nat_encode(1), nat_encode(1))
+    a, b = var("a"), var("b")
+    link = atom_in(a, b) if kind == "ni" else atom_eq(a, b)
+    sentence = exists(("a",), exists(("b",), and_([
+        link, theta_formula(x, "a"), theta_formula(y, "b")])))
+    pool = list(subformula_closure([sentence]))
+    queries = [(beta, sentence, {}) for beta in range(STAGES)]
+    assert not _dual_path_disagrees(M, pool, queries)
+    assert ("grid", kind) in M._cache
+    with _row_flipped(M, x, y, kind):
+        assert _dual_path_disagrees(M, pool, queries)
+    assert not _dual_path_disagrees(M, pool, queries)
