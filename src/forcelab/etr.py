@@ -2,8 +2,9 @@
 
 An instance fixes a recursion length, a domain of HF sets, and a step rule
 deciding membership of each domain element in the current slice from the
-strictly earlier slices.  The engine produces the unique solution; a
-separate checker re-verifies the defining equation slice by slice.
+strictly earlier slices, only at the elements its *support* gives that stage
+(all others are absent from the slice).  The engine produces the unique
+solution; a separate checker re-verifies the defining equation slice by slice.
 
 The forcing relation, truth predicates and game labelings are all computed
 elsewhere by direct recursions; builders here re-express them as instances
@@ -13,7 +14,7 @@ so the two computations can be compared bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, ForcelabError
 from .hfset import HFSet
@@ -26,7 +27,7 @@ class PartialSolution:
 
     __slots__ = ("_slices", "_stage")
 
-    def __init__(self, slices: list[frozenset[HFSet]], stage: int):
+    def __init__(self, slices: Sequence[frozenset[HFSet]], stage: int):
         self._slices = slices
         self._stage = stage
 
@@ -49,11 +50,23 @@ StepRule = Callable[[HFSet, int, PartialSolution, object], bool]
 
 @dataclass(frozen=True)
 class RecursionInstance:
+    """``support[α]`` lists the elements whose membership in slice α the step
+    rule decides; every other element is absent from slice α, and the checker
+    rejects it there.  ``None`` means the whole domain at every stage."""
+
     length: int
     domain: tuple[HFSet, ...]
     step: StepRule
     parameter: object = None
     label: str = "anonymous"
+    support: tuple[tuple[HFSet, ...], ...] | None = None
+
+    def __post_init__(self):
+        if self.support is not None and (
+                len(self.support) != self.length
+                or not set().union(*self.support) <= set(self.domain)):
+            raise ForcelabError(
+                f"{self.label}: support needs {self.length} tuples of domain elements")
 
 
 @dataclass(frozen=True)
@@ -62,40 +75,58 @@ class Solution:
     slices: tuple[frozenset[HFSet], ...]
 
 
+def staged_instance(elements: Iterable[HFSet], length: int,
+                    stages: Callable[[HFSet], Iterable[int]], step: StepRule, label: str
+                    ) -> RecursionInstance:
+    """The instance over the elements in key order; x is in the support of stages(x)."""
+    domain = tuple(sorted(elements, key=lambda e: e.key))
+    support: list[list[HFSet]] = [[] for _ in range(length)]
+    for x in domain:
+        for alpha in stages(x):
+            support[alpha].append(x)
+    return RecursionInstance(length, domain, step, label=label,
+                             support=tuple(map(tuple, support)))
+
+
+def _check_budget(inst: RecursionInstance) -> None:
+    """Refuse a solve or verify that would make more than STEP_BUDGET step calls."""
+    steps = inst.length * len(inst.domain) if inst.support is None else sum(map(len, inst.support))
+    if steps > STEP_BUDGET:
+        raise BudgetError(f"{inst.label}: {steps} step calls exceed budget {STEP_BUDGET}")
+
+
 def etr_solve(inst: RecursionInstance) -> Solution:
     """Run the recursion through all stages; deterministic and unique."""
-    if inst.length * len(inst.domain) > STEP_BUDGET:
-        raise BudgetError(
-            f"{inst.length} stages x {len(inst.domain)} elements exceeds budget {STEP_BUDGET}")
+    _check_budget(inst)
     slices: list[frozenset[HFSet]] = []
     for alpha in range(inst.length):
         view = PartialSolution(slices, alpha)
+        decided = inst.domain if inst.support is None else inst.support[alpha]
         slices.append(frozenset(
-            x for x in inst.domain if inst.step(x, alpha, view, inst.parameter)))
+            x for x in decided if inst.step(x, alpha, view, inst.parameter)))
     return Solution(inst, tuple(slices))
 
 
 def verify_solution(inst: RecursionInstance, sol: Solution
                     ) -> tuple[bool, tuple[int, HFSet] | None]:
     """Check the recursion equation at every slice; report the first failure."""
+    _check_budget(inst)
     if len(sol.slices) != inst.length:
         raise ForcelabError("solution has the wrong number of slices")
-    slices = list(sol.slices)
-    for alpha in range(inst.length):
-        view = PartialSolution(slices, alpha)
-        for x in inst.domain:
-            if inst.step(x, alpha, view, inst.parameter) != (x in sol.slices[alpha]):
+    for alpha, slice_ in enumerate(sol.slices):
+        view = PartialSolution(sol.slices, alpha)
+        decided = inst.domain if inst.support is None else inst.support[alpha]
+        for x in decided:
+            if inst.step(x, alpha, view, inst.parameter) != (x in slice_):
                 return False, (alpha, x)
+        undecided = slice_.difference(decided)
+        if undecided:
+            return False, (alpha, min(undecided, key=lambda e: e.key))
     return True, None
 
 
 def perturb(sol: Solution, alpha: int, x: HFSet) -> Solution:
     """Flip one membership; used by uniqueness tests."""
     slices = list(sol.slices)
-    s = set(slices[alpha])
-    if x in s:
-        s.remove(x)
-    else:
-        s.add(x)
-    slices[alpha] = frozenset(s)
+    slices[alpha] = slices[alpha] ^ {x}
     return Solution(sol.instance, tuple(slices))

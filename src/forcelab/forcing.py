@@ -922,48 +922,53 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
         return stage_index[(max(s.rank, t.rank), s.rank, t.rank)]
 
     code = {s: name_to_hf(s) for s in N}
-    pair_code = {(s, t): hf_pair(code[s], code[t]) for s in N for t in N}
-    codec: dict[HFSet, tuple[int, str, PName, PName]] = {}
-    for p in P.conditions():
-        for kind_id, kind in ((0, "in"), (1, "eq")):
-            p_code, kind_code = nat_encode(p), nat_encode(kind_id)
-            for (s, t), st in pair_code.items():
-                codec[hf_pair(p_code, hf_pair(kind_code, st))] = (p, kind, s, t)
+    p_codes = [nat_encode(p) for p in P.conditions()]
 
-    enc_of = {v: k for k, v in codec.items()}
+    def encodings(kind_id: int, s: PName, t: PName) -> tuple[int, list[HFSet]]:
+        # The pair's stage and its encodings, indexed by condition.
+        st = hf_pair(nat_encode(kind_id), hf_pair(code[s], code[t]))
+        return stage_of(s, t), [hf_pair(p_code, st) for p_code in p_codes]
 
-    def holds(view, p: int, kind: str, s: PName, t: PName) -> bool:
-        return view(stage_of(s, t), enc_of[(p, "in" if kind == "in" else "eq", s, t)])
+    in_table, eq_table = ({(s, t): encodings(k, s, t) for s in N for t in N} for k in (0, 1))
+    codec: dict[HFSet, tuple[int, str, PName, PName]] = {
+        encs[p]: (p, kind, s, t) for p in P.conditions()
+        for kind, table in (("in", in_table), ("eq", eq_table))
+        for (s, t), (_, encs) in table.items()}
+
+    down, le = P.down, P.le
 
     def step(x: HFSet, alpha: int, view, _param) -> bool:
         p, kind, sigma, tau = codec[x]
-        if stage_of(sigma, tau) != alpha:
-            return False
-        down = P.down
         if kind == "in":
+            rows = [(r, *eq_table[(sigma, rho)]) for rho, r in tau.entries]
+
             def witness(q: int) -> bool:
-                return any(P.le(q, r) and holds(view, q, "eq", sigma, rho)
-                           for rho, r in tau.entries)
+                for r, st, encs in rows:
+                    if le(q, r) and view(st, encs[q]):
+                        return True
+                return False
 
             return all(any(witness(q) for q in down(q1)) for q1 in down(p))
         # equality, with both subset directions unfolded into membership
+        below_p = down(p)
         for a, b in ((sigma, tau), (tau, sigma)):
             for rho, r in a.entries:
-                for q1 in down(p) & down(r):
-                    if not any(holds(view, q, "in", rho, b) for q in down(q1)):
+                st, encs = in_table[(rho, b)]
+                for q1 in below_p & down(r):
+                    for q in down(q1):
+                        if view(st, encs[q]):
+                            break
+                    else:
                         return False
         return True
 
-    inst = etr_mod.RecursionInstance(
-        length=len(stages), domain=tuple(sorted(codec, key=lambda e: e.key)),
-        step=step, label="atomic-forcing")
+    inst = etr_mod.staged_instance(codec, len(stages), lambda x: (stage_of(*codec[x][2:]),),
+                                   step, "atomic-forcing")
     return inst, codec, stage_of
 
 
 def compare_atomic_table(FR: ForcingRelation, solution, codec) -> bool:
     """Bit-identical agreement between the staged solution and the direct table."""
-    for enc, (p, kind, sigma, tau) in codec.items():
-        staged = any(enc in sl for sl in solution.slices)
-        if staged != FR.decide(kind, p, sigma, tau):
-            return False
-    return True
+    staged = frozenset().union(*solution.slices)
+    return all((enc in staged) == FR.decide(kind, p, sigma, tau)
+               for enc, (p, kind, sigma, tau) in codec.items())

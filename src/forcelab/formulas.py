@@ -133,7 +133,7 @@ class Formula:
         return ()
 
 
-class AtomEq(Formula):
+class _BinaryAtom(Formula):  # the shared body of AtomEq and AtomIn
     __slots__ = ("left", "right")
 
     def __init__(self, left: Term, right: Term):
@@ -143,14 +143,12 @@ class AtomEq(Formula):
                      _term_kind(left) | _term_kind(right))
 
 
-class AtomIn(Formula):
-    __slots__ = ("left", "right")
+class AtomEq(_BinaryAtom):
+    __slots__ = ()
 
-    def __init__(self, left: Term, right: Term):
-        self.left = left
-        self.right = right
-        self._finish(0, term_vars(left) | term_vars(right),
-                     _term_kind(left) | _term_kind(right))
+
+class AtomIn(_BinaryAtom):
+    __slots__ = ()
 
 
 class AtomInClass(Formula):
@@ -194,7 +192,7 @@ class Not(Formula):
         return (self.sub,)
 
 
-class And(Formula):
+class _Junction(Formula):  # the shared body of And and Or
     __slots__ = ("subs",)
 
     def __init__(self, subs: tuple[Formula, ...]):
@@ -207,20 +205,15 @@ class And(Formula):
         return self.subs
 
 
-class Or(Formula):
-    __slots__ = ("subs",)
-
-    def __init__(self, subs: tuple[Formula, ...]):
-        self.subs = subs
-        self._finish(1 + max((s.rank for s in subs), default=0),
-                     frozenset().union(*(s.free for s in subs)),
-                     frozenset().union(*(s.const_kinds for s in subs)))
-
-    def children(self) -> tuple[Formula, ...]:
-        return self.subs
+class And(_Junction):
+    __slots__ = ()
 
 
-class Forall(Formula):
+class Or(_Junction):
+    __slots__ = ()
+
+
+class _Quantifier(Formula):  # the shared body of Forall and Exists
     __slots__ = ("vars", "body")
 
     def __init__(self, vars: tuple[str, ...], body: Formula):
@@ -232,16 +225,12 @@ class Forall(Formula):
         return (self.body,)
 
 
-class Exists(Formula):
-    __slots__ = ("vars", "body")
+class Forall(_Quantifier):
+    __slots__ = ()
 
-    def __init__(self, vars: tuple[str, ...], body: Formula):
-        self.vars = vars
-        self.body = body
-        self._finish(1 + body.rank, body.free - set(vars), body.const_kinds)
 
-    def children(self) -> tuple[Formula, ...]:
-        return (self.body,)
+class Exists(_Quantifier):
+    __slots__ = ()
 
 
 def atom_eq(left: Term, right: Term) -> Formula:

@@ -211,12 +211,9 @@ def zermelo_recursion_instance(T: GameTree):
     rank = continuous_rank(T)
     codec = {nat_encode(i): i for i in T._reachable}
     enc_of = {i: e for e, i in codec.items()}
-    length = max(rank.values()) + 1
 
     def step(x: HFSet, alpha: int, view, _param) -> bool:
         i = codec[x]
-        if rank[i] != alpha:
-            return False
         node = T.nodes[i]
         if not node.children:
             return node.winner == "I"
@@ -225,9 +222,8 @@ def zermelo_recursion_instance(T: GameTree):
             return any(child_is_I)
         return all(child_is_I)
 
-    inst = etr_mod.RecursionInstance(
-        length=length, domain=tuple(sorted(codec, key=lambda e: e.key)),
-        step=step, label="zermelo-labels")
+    inst = etr_mod.staged_instance(codec, max(rank.values()) + 1, lambda x: (rank[codec[x]],),
+                                   step, "zermelo-labels")
     return inst, codec
 
 

@@ -488,9 +488,7 @@ def _staged_truth_instance(M: FiniteStructure, beta_max: int, pool: Sequence[For
 
     def step(x: HFSet, alpha: int, view, _param) -> bool:
         phi, v = codec[x]
-        beta, rank = divmod(alpha, rank_span)
-        if phi.rank != rank:
-            return False
+        beta = alpha // rank_span
         if isinstance(phi, AtomTr):
             decoded = _decode_tr_args(_term_value(phi.stage, M, v),
                                       _term_value(phi.code, M, v),
@@ -521,9 +519,9 @@ def _staged_truth_instance(M: FiniteStructure, beta_max: int, pool: Sequence[For
             return want_all
         raise ForcelabError(f"unknown formula node {type(phi).__name__}")
 
-    inst = etr_mod.RecursionInstance(
-        length=beta_max * rank_span, domain=tuple(sorted(codec, key=lambda e: e.key)),
-        step=step, label=label)
+    length = beta_max * rank_span
+    inst = etr_mod.staged_instance(
+        codec, length, lambda x: range(codec[x][0].rank, length, rank_span), step, label)
     return inst, codec, stage_index
 
 

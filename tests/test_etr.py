@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from forcelab import (EMPTY, BudgetError, FiniteStructure, ForcelabError,
-                      RecursionInstance, atom_in_class, etr_solve, hf_rank,
-                      perturb, v_stage, var, verify_solution)
+                      RecursionInstance, Solution, atom_in_class,
+                      atomic_recursion_instance, corpus, etr_solve, hf_rank,
+                      name_universe, perturb, v_stage, var, verify_solution)
 from forcelab.truth import formula_step
 
 
@@ -89,3 +92,94 @@ def test_monotone_instances_grow():
     sol = etr_solve(inst)
     for earlier, later in zip(sol.slices, sol.slices[1:]):
         assert earlier <= later
+
+
+def test_verify_checks_the_budget_before_any_step(monkeypatch):
+    calls = []
+
+    def step(x, alpha, view, _param):
+        calls.append((alpha, x))
+        return False
+
+    inst = RecursionInstance(length=4, domain=tuple(v_stage(3)), step=step)
+    monkeypatch.setattr("forcelab.etr.STEP_BUDGET", 4 * len(inst.domain) - 1)
+    with pytest.raises(BudgetError):
+        verify_solution(inst, Solution(inst, (frozenset(),) * 4))
+    assert calls == []
+
+
+def test_budget_counts_the_steps_of_the_support(monkeypatch):
+    domain = tuple(v_stage(3))
+    inst = RecursionInstance(length=len(domain), domain=domain,
+                             step=lambda x, alpha, view, _param: True,
+                             support=tuple((x,) for x in domain))
+    monkeypatch.setattr("forcelab.etr.STEP_BUDGET", len(domain))
+    sol = etr_solve(inst)
+    assert sol.slices == tuple(frozenset([x]) for x in domain)
+    assert verify_solution(inst, sol) == (True, None)
+    with pytest.raises(BudgetError):
+        etr_solve(replace(inst, support=None))
+
+
+def test_support_needs_one_entry_per_stage():
+    with pytest.raises(ForcelabError):
+        RecursionInstance(length=3, domain=(EMPTY,), step=lambda *a: True,
+                          support=((EMPTY,), (EMPTY,)))
+
+
+def test_support_names_only_domain_elements():
+    with pytest.raises(ForcelabError):
+        RecursionInstance(length=1, domain=(EMPTY,), step=lambda *a: True,
+                          support=((v_stage(2)[1],),))
+
+
+def test_verify_rejects_a_member_outside_the_domain():
+    inst = constant_instance([EMPTY])
+    outsider = v_stage(4)[-1]
+    assert outsider not in inst.domain
+    sol = perturb(etr_solve(inst), 1, outsider)
+    assert verify_solution(inst, sol) == (False, (1, outsider))
+
+
+def _fork_atomic_instance():
+    P = corpus.fork()
+    return atomic_recursion_instance(P, name_universe(P, 1))[0]
+
+
+MAPPED = {
+    "atomic-fork": _fork_atomic_instance,
+    "zermelo-40": lambda: dict(corpus.builtin_instances())["zermelo-labels"],
+    "tarski-truth": lambda: dict(corpus.builtin_instances())["tarski-truth"],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MAPPED))
+def mapped(request):
+    inst = MAPPED[request.param]()
+    assert inst.support is not None
+    return inst
+
+
+def test_solve_calls_the_step_only_on_the_support(mapped):
+    seen = []
+
+    def counting(x, alpha, view, param):
+        seen.append((alpha, x))
+        return mapped.step(x, alpha, view, param)
+
+    sol = etr_solve(replace(mapped, step=counting))
+    expected = [(alpha, x) for alpha, xs in enumerate(mapped.support) for x in xs]
+    assert len(seen) == len(expected) < mapped.length * len(mapped.domain)
+    assert set(seen) == set(expected)
+    assert verify_solution(mapped, sol) == (True, None)
+
+
+def test_verify_rejects_a_member_outside_the_support(mapped):
+    sol = etr_solve(mapped)
+    for alpha, decided in enumerate(mapped.support):
+        inside = set(decided)
+        outside = [x for x in mapped.domain if x not in inside]
+        first, last = outside[0], outside[-1]
+        assert verify_solution(mapped, perturb(sol, alpha, last)) == (False, (alpha, last))
+        both = perturb(perturb(sol, alpha, last), alpha, first)
+        assert verify_solution(mapped, both) == (False, (alpha, first))
