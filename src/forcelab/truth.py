@@ -40,7 +40,9 @@ class FiniteStructure:
                  predicates: dict[str, Iterable[HFSet]] | None = None):
         self.domain = tuple(sorted(set(domain), key=lambda x: x.key))
         self._index = {x: i for i, x in enumerate(self.domain)}
-        self._full = (1 << len(self.domain)) - 1
+        n = len(self.domain)
+        self._full = (1 << n) - 1
+        self._fulls = (1, self._full, (1 << n * n) - 1)  # by number of axes
         self.predicates = {k: frozenset(v) for k, v in (predicates or {}).items()}
         for ident, pred in self.predicates.items():
             if not pred.issubset(self._index):
@@ -97,17 +99,19 @@ def _refuse_atom(phi: Formula):
 
 
 # ---------------------------------------------------------------------------
-# Tarskian evaluation, one domain at a time.  Under a valuation of all of a
-# node's free variables but one or two, the axes, its truth is an int over
-# the domain.  Along one axis it is a mask: bit i says whether the node
+# Tarskian evaluation, one domain at a time.  A node's value is taken along
+# a tuple of zero, one or two of its free variables, the axes, under a
+# valuation of the others, as an int of |domain|^len(axes) bits.  With no
+# axis it is 1 or 0.  Along one it is a mask: bit i says whether the node
 # holds with the axis at domain[i].  Along two it is a grid of |domain|
 # blocks: block i is the mask along the inner axis with the outer one at
 # domain[i].  The inner axis is the variable that the nearest quantifier
 # above binds, and the outer one that quantifier's own axis, so ∧, ∨ and ¬
 # are bit operations and a quantifier is one test of its body against 0 or
-# the full mask per point of its axis.  With no axis a node's value is 1 or
-# 0.  Atoms read rows built on first use, for any set (valuations may leave
-# the domain), and grids whose blocks are those rows.
+# the full mask per point of its axes.  A node that lacks some of its axes
+# is taken along the ones it has and spread over the rest.  Atoms read rows
+# built on first use, for any set (valuations may leave the domain), and
+# grids whose blocks are those rows.
 
 def eval_formula(M: FiniteStructure, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
     """Tarskian satisfaction, with quantifier blocks ranging over the domain."""
@@ -115,106 +119,84 @@ def eval_formula(M: FiniteStructure, phi: Formula, valuation: dict[str, HFSet] |
     missing = phi.free - set(v)
     if missing:
         raise ForcelabError(f"free variables {sorted(missing)} not covered by the valuation")
-    return _value(M, phi, None, v) == 1
+    return _value(M, phi, (), v) == 1
 
 
-def _value(M: FiniteStructure, phi: Formula, axis: str | None, v) -> int:
-    """phi's mask along axis (v holds the other free variables, not the
-    axis), or with axis None 1 or 0; a quantifier with an axis takes its
-    body along two (_grid).  Memoized per (node, axis, values)."""
-    if axis is not None and axis not in phi.free:
-        return M._full if _value(M, phi, None, v) else 0
+def _value(M: FiniteStructure, phi: Formula, axes: tuple[str, ...], v) -> int:
+    """phi's value along axes (v holds the other free variables, not the
+    axes): 1 or 0, a mask or a grid.  Memoized per (node, axes, values)."""
+    if not phi.free.issuperset(axes):
+        return _spread(M, phi, axes, v)
     if phi.rank == 0:
-        return _atom(M, phi, axis, v)
-    key = (phi, axis, *map(v.get, phi.free_sorted))
+        return _atom(M, phi, axes, v)
+    key = (phi, axes, *map(v.get, phi.free_sorted))
     out = M._cache.get(key)
     if out is not None:
         return out
-    full = 1 if axis is None else M._full
+    full = M._fulls[len(axes)]
     if isinstance(phi, Not):
-        out = full ^ _value(M, phi.sub, axis, v)
+        out = full ^ _value(M, phi.sub, axes, v)
     elif isinstance(phi, (And, Or)):
         flip = 0 if isinstance(phi, And) else full  # ∨ is ∧ between complements
         out = full
         for s in phi.subs:
-            out &= flip ^ _value(M, s, axis, v)
+            out &= flip ^ _value(M, s, axes, v)
             if not out:
                 break
         out ^= flip
     elif isinstance(phi, (Forall, Exists)):
-        out = _quantify(M, phi, axis, v)
+        out = _quantify(M, phi, axes, v)
     else:
         raise ForcelabError(f"unknown formula node {type(phi).__name__}")
     M._cache[key] = out
     return out
 
 
-def _quantify(M: FiniteStructure, phi: Formula, axis: str | None, v) -> int:
-    """A quantifier node.  The last bound variable the body mentions is the
-    body's inner axis; the loop runs over the others.  With no outer axis
-    the body is a mask along the inner one; with one, it is a grid over
-    both, reduced block by block."""
+def _spread(M: FiniteStructure, phi: Formula, axes: tuple[str, ...], v) -> int:
+    """phi's value along axes it does not all mention: its value along the
+    ones it has, copied along the others."""
+    kept = tuple(x for x in axes if x in phi.free)
+    out = _value(M, phi, kept, v)
+    if not kept:
+        return out * M._fulls[len(axes)]
+    if kept[0] == axes[-1]:  # the mask along the inner axis in every block
+        return out * _row_blocks(M, "starts")
+    n = len(M.domain)  # each bit of the mask along the outer axis fills its block
+    return int(f"{out:0{n}b}".translate({48: "0" * n, 49: "1" * n}), 2)
+
+
+def _quantify(M: FiniteStructure, phi: Formula, axes: tuple[str, ...], v) -> int:
+    """A quantifier node.  Under two axes it takes one mask along the inner
+    axis per point of the outer one.  Under fewer, the last bound variable
+    the body mentions is appended to the axes and the loop runs over the
+    others: with no axis the body is a mask, tested against 0 or the full
+    mask, and with one a grid, reduced block by block."""
+    if len(axes) == 2:
+        a, b = axes
+        ext, out, n = dict(v), 0, len(M.domain)
+        for i, x in enumerate(M.domain):
+            ext[a] = x
+            out |= _value(M, phi, (b,), ext) << i * n
+        return out
     want_all, body = isinstance(phi, Forall), phi.body
     if phi.vars and not M.domain:
         return want_all
     bound = [x for x in dict.fromkeys(phi.vars) if x in body.free]
     if not bound:
-        return _value(M, body, axis, v)
+        return _value(M, body, axes, v)
     inner, rest = bound[-1], bound[:-1]
     ext = dict(v)
     ext.pop(inner, None)
-    full = M._full if axis else 1
+    full = M._fulls[len(axes)]
     # a point is pending while every block seen so far is full (∀) or 0 (∃)
     fill, pending = M._full if want_all else 0, full
     for values in itertools.product(M.domain, repeat=len(rest)):
         ext.update(zip(rest, values))
-        if axis is None:
-            pending &= _value(M, body, inner, ext) == fill
-        else:
-            pending &= _blocks(M, _grid(M, body, axis, inner, ext), fill)
+        body_value = _value(M, body, (*axes, inner), ext)
+        pending &= _blocks(M, body_value, fill) if axes else body_value == fill
         if not pending:
             break
     return pending if want_all else full ^ pending
-
-
-def _grid(M: FiniteStructure, phi: Formula, a: str, b: str, v) -> int:
-    """phi's grid over the axes a and b: bit i·n + j (n = |domain|) says
-    whether it holds with a at domain[i] and b at domain[j], so block i is
-    its mask along b at a = domain[i].  v holds the other free variables.
-    Memoized per (node, a, b, values) when the node mentions both axes."""
-    n = len(M.domain)
-    if b not in phi.free:  # each bit of the mask along a fills its block
-        bits = f"{_value(M, phi, a, v):0{n}b}"
-        return int(bits.translate({48: "0" * n, 49: "1" * n}), 2)
-    if a not in phi.free:  # the mask along b in every block
-        return _value(M, phi, b, v) * _grid_rows(M, "starts")
-    key = (phi, a, b, *map(v.get, phi.free_sorted))
-    out = M._cache.get(key)
-    if out is not None:
-        return out
-    if isinstance(phi, (AtomIn, AtomEq)) and isinstance(phi.left, Var) \
-            and isinstance(phi.right, Var):
-        # the arguments are the axes: b ∈ a reads a's members, a ∈ b its holders
-        kind = "eq" if isinstance(phi, AtomEq) else "in" if phi.left.name == b else "ni"
-        out = _grid_rows(M, kind)
-    elif isinstance(phi, Not):
-        out = _grid_rows(M, "full") ^ _grid(M, phi.sub, a, b, v)
-    elif isinstance(phi, (And, Or)):
-        full = _grid_rows(M, "full")
-        flip = 0 if isinstance(phi, And) else full
-        out = full
-        for s in phi.subs:
-            out &= flip ^ _grid(M, s, a, b, v)
-            if not out:
-                break
-        out ^= flip
-    else:  # a nested quantifier (or an atom that refuses): one mask per point of a
-        ext, out = dict(v), 0
-        for i, x in enumerate(M.domain):
-            ext[a] = x
-            out |= _value(M, phi, b, ext) << i * n
-    M._cache[key] = out
-    return out
 
 
 def _blocks(M: FiniteStructure, grid: int, fill: int) -> int:
@@ -224,28 +206,26 @@ def _blocks(M: FiniteStructure, grid: int, fill: int) -> int:
     stride over the binary digits reads those bits off.  (A loop over the
     blocks costs |domain|³ bit operations, this |domain|².)"""
     n = len(M.domain)
-    diff, carries = grid ^ (_grid_rows(M, "full") if fill else 0), 0
-    for half in (_grid_rows(M, "even"), _grid_rows(M, "odd")):
+    diff, carries = grid ^ (M._fulls[2] if fill else 0), 0
+    for half in (_row_blocks(M, "even"), _row_blocks(M, "odd")):
         carries |= ((diff & half) + half) & ~half
     flags = carries >> n  # bit i·n for each block i that differs from fill
-    if flags == _grid_rows(M, "starts"):
+    if flags == _row_blocks(M, "starts"):
         return 0
     return M._full ^ int(f"{flags:0{n * n}b}"[n - 1::n], 2)
 
 
-def _grid_rows(M: FiniteStructure, kind: str) -> int:
+def _row_blocks(M: FiniteStructure, kind: str) -> int:
     """The grid whose block i is _row(M, kind, domain[i]); for kind
-    "starts" it is 1, for "full" the full mask and for "even" and "odd" the
-    full mask at even or odd i, else 0.  Kept in M._cache, so that dropping
-    the memoized values drops these too."""
+    "starts" it is 1 and for "even" and "odd" the full mask at even or odd
+    i, else 0.  Kept in M._cache, so that dropping the memoized values
+    drops these too."""
     key = ("grid", kind)
     out = M._cache.get(key)
     if out is None:
         n = len(M.domain)
         if kind == "starts":
-            out = ((1 << n * n) - 1) // M._full
-        elif kind == "full":
-            out = M._full * _grid_rows(M, "starts")
+            out = M._fulls[2] // M._full
         elif kind in ("even", "odd"):
             out = sum(M._full << i * n for i in range(kind == "odd", n, 2))
         else:
@@ -254,11 +234,13 @@ def _grid_rows(M: FiniteStructure, kind: str) -> int:
     return out
 
 
-def _atom(M: FiniteStructure, phi: Formula, axis: str | None, v) -> int:
-    """An atom's row along axis, or its bit at the fixed arguments."""
+def _atom(M: FiniteStructure, phi: Formula, axes: tuple[str, ...], v) -> int:
+    """An atom that mentions each of the axes: its grid between two, its
+    row along one, or its bit at the fixed arguments.  Under two axes those
+    are its arguments, unless it refuses."""
     def arg(t: Term) -> HFSet | None:
         if isinstance(t, Var):
-            return None if t.name == axis else v[t.name]
+            return None if t.name in axes else v[t.name]
         if isinstance(t, GroundConst) and t.value in M:
             return t.value
         return _term_value(t, M, v)  # raises the term's error
@@ -272,6 +254,8 @@ def _atom(M: FiniteStructure, phi: Formula, axis: str | None, v) -> int:
     left, right = ("in", "ni") if isinstance(phi, AtomIn) else ("eq", "eq")
     x, y = arg(phi.left), arg(phi.right)
     if x is None:
+        if len(axes) == 2:  # with axes (a, b), b ∈ a reads a's members, a ∈ b its holders
+            return _row_blocks(M, left if phi.left.name == axes[1] else right)
         if y is None:
             return sum((_row(M, left, a) >> i & 1) << i for i, a in enumerate(M.domain))
         return _row(M, left, y)
@@ -782,10 +766,11 @@ def stage_comparison_structure(base: FiniteStructure, pool: Sequence[Formula],
 
     Coded valuations are included for formulas of at most one free
     variable only; each one enlarges the quantifier domain.  Evaluation
-    keeps one value per node and valuation of its free variables but its
-    one or two axes, so a node with k free variables is computed up to
-    |domain|^(k-1) times as a mask over the domain, or |domain|^(k-2) times
-    as a grid over its square, as the quantifiers above it ask.
+    keeps every value it computes, one per node, axes and valuation of the
+    node's other free variables, so a node with k free variables is
+    computed along j of them (0 ≤ j ≤ 2) up to |domain|^(k-j) times, as a
+    bit, a mask over the domain or a grid over its square, as the
+    quantifiers above it ask.
     """
     extra: set[HFSet] = set(base.domain)
     for xi in range(stage_cap + 1):

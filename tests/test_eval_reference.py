@@ -1,9 +1,10 @@
-"""`eval_formula` evaluates along one or two variables at a time, with int
-masks over the domain and grids over its square.  A copy of the pointwise
-evaluator it replaced is kept here as the reference, as test_dag.py keeps
-the recursive comparators, and the two must agree on the corpus pools, on
-stage translations, on hypothesis formulas, on formulas that take the
-two-axis path and on valuations that leave the domain."""
+"""`eval_formula` evaluates each node along zero, one or two variables at a
+time, as a bit, an int mask over the domain or a grid over its square.  A
+copy of the pointwise evaluator it replaced is kept here as the reference,
+as test_dag.py keeps the recursive comparators, and the two must agree on
+the corpus pools, on stage translations, on hypothesis formulas, on
+formulas that take the two-axis path and on valuations that leave the
+domain."""
 
 import itertools
 import random
@@ -208,8 +209,14 @@ def test_two_axes_against_the_reference(monkeypatch, n, block):
     stage = v_stage(n)
     M = FiniteStructure(stage, {"A": stage[::3]})
     ref, grids = RefEval(M), []
-    real_grid = truth_mod._grid
-    monkeypatch.setattr(truth_mod, "_grid", lambda *args: grids.append(args[1]) or real_grid(*args))
+    real_value = truth_mod._value
+
+    def spy(M, phi, axes, v):  # records the nodes taken along two axes
+        if len(axes) == 2:
+            grids.append(phi)
+        return real_value(M, phi, axes, v)
+
+    monkeypatch.setattr(truth_mod, "_value", spy)
     formulas, outside = list(_two_axis_formulas(block)), _outside_values(n)
     assert not any(value in M for value in outside)
     for phi in formulas:

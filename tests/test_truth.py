@@ -68,6 +68,13 @@ def test_eval_errors():
     from forcelab import atom_tr
     with pytest.raises(ForcelabError):
         eval_formula(M, atom_tr(const(EMPTY), const(EMPTY), const(EMPTY)))
+    # the same refusals for an atom taken along two axes, both its arguments
+    a, b, c = var("a"), var("b"), var("c")
+    for atom, message in [(atom_tr(a, b, c), "iterated-truth atoms are judged"),
+                          (atom_in(pair_term(a, b), c), "forcing-language terms cannot")]:
+        with pytest.raises(ForcelabError, match=message):
+            eval_formula(FiniteStructure(v_stage(2)), forall(("a",), exists(("b",), atom)),
+                         {"c": EMPTY})
 
 
 def test_tarski_diagonal():
