@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple
 from . import corpus, sexpr
 from .errors import BudgetError, ForcelabError, ParseError
 from .etr import etr_solve, verify_solution
-from .formulas import (AtomInClass, AtomTr, Formula, atom_eq, atom_in,
-                       encode_formula, encode_valuation, formula_to_sexp, nodes,
-                       not_, parse_formula, parse_hf, subformula_closure, var)
+from .formulas import (AtomInClass, AtomInG, AtomTr, Formula, Var, atom_eq, atom_in,
+                       atom_terms, encode_formula, encode_valuation, formula_to_sexp,
+                       nodes, not_, parse_formula, parse_hf, subformula_closure, var)
 from .forcing import (atomic_forcing, atomic_recursion_instance,
                       audit_boolean_algebra, audit_forcing_relation,
                       boolean_completion, boolean_values, collect_names,
@@ -199,6 +199,13 @@ def suite_truth(config, rep: Reporter):
         with open(config["pool"]) as fh:  # one formula per s-expression
             pool = list(subformula_closure(
                 parse_formula(sexpr.show(form)) for form in sexpr.read_all(fh.read())))
+        if not pool:
+            raise ParseError("--pool holds no formula")
+        if any(isinstance(f, (AtomInG, AtomTr)) or isinstance(f, AtomInClass) and f.ident != "A"
+               or not all(isinstance(t, Var) for t in atom_terms(f))
+               for f in pool if f.rank == 0):
+            raise ParseError("--pool is outside the first-order language: it has a constant, "
+                             "a pair term, a truth or filter atom, or a class atom other than A")
     else:
         pool = corpus.first_order_pool()
     stage = v_stage(n)

@@ -27,9 +27,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+from . import dag
 from . import etr as etr_mod
 from . import truth as truth_mod
-from .dag import fold
 from .errors import (BudgetError, ClosureError, ForcelabError,
                      SeparativityError)
 from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
@@ -365,22 +365,17 @@ class _SizeGuard:
 _check_values: dict[PName, HFSet | None] = {}
 
 
-def _check_value(name: PName) -> HFSet | None:
-    """The set x with name = x̌, or None if the name is not a check name."""
-    return fold(name, entry_names, _check_node, _check_values)
-
-
 def _check_node(name: PName, values: tuple[HFSet | None, ...]) -> HFSet | None:
+    """The set x with name = x̌, or None if the name is not a check name."""
     if any(r for _, r in name.entries) or None in values:
         return None
     return hf_make(values)
 
 
 def _condition_index(name: PName, P: ForcingNotion) -> int | None:
-    v = _check_value(name)
-    if v is None:
-        return None
-    i = nat_decode(v)
+    """i when the name is the check name of the natural i < |P|, else None."""
+    v = dag.fold(name, entry_names, _check_node, _check_values)
+    i = nat_decode(v) if v is not None else None
     return i if i is not None and i < len(P) else None
 
 
@@ -388,12 +383,15 @@ def star_translate(phi: Formula, P: ForcingNotion,
                    budget: int = TRANSLATION_BUDGET) -> tuple[PName, PName]:
     """Compile a closed, quantifier-free sentence to one atomic equality.
 
-    Five passes, in order: eliminate generic-filter atoms at non-check
-    names; push negations to the atoms; eliminate negated atoms by the
-    rank-descending rewrites; eliminate the remaining positive atoms into
-    name equalities; and collapse conjunctions/disjunctions into single
-    equalities (disjunction via the redundancy construction).  A condition
-    forces the sentence iff it forces the returned equality.
+    Two walks, each visiting a distinct node once.  The polarity walk takes
+    the sentence to a positive formula: it pushes negations to the atoms,
+    expands a filter atom at a non-check name σ into ⋁ᵢ (G(ǐ) ∧ σ = ǐ),
+    and replaces negated equality and membership atoms by the
+    rank-descending rewrites; negated filter atoms stay.  The reduce walk
+    folds the positive formula into a pair of names: each atom into one
+    equality, and conjunctions and disjunctions into single equalities
+    (disjunction via the redundancy construction).  A condition forces the
+    sentence iff it forces the returned equality.
     """
     if phi.free:
         raise ForcelabError("only closed sentences translate")
@@ -405,65 +403,38 @@ def star_translate(phi: Formula, P: ForcingNotion,
             raise ForcelabError("translation is for quantifier-free sentences")
         if isinstance(f, (AtomInClass, AtomTr)):
             raise ForcelabError("translation covers =, ∈ and generic-filter atoms only")
-    step1 = _eliminate_g(phi, P)
-    step2 = _nnf(step1, True)
-    step3 = _positive(step2, guard)
-    return _reduce(step3, guard)
+    positive = _polar(phi, True, P, guard, {})
+    return dag.fold(positive, _reduce_children,
+                    lambda f, parts: _reduce_node(f, parts, P, guard))
 
 
 def _g_atom(i: int) -> Formula:
     return atom_in_g(name_const(check_name(nat_encode(i))))
 
 
-def _eliminate_g(phi: Formula, P: ForcingNotion) -> Formula:
-    def atom_fn(atom: Formula, _bound) -> Formula:
-        if not isinstance(atom, AtomInG):
-            return atom
-        sigma = _term_pname(atom.term)
-        if _condition_index(sigma, P) is not None:
-            return atom
-        return or_(and_([_g_atom(i), atom_eq(name_const(sigma),
-                                             name_const(check_name(nat_encode(i))))])
-                   for i in P.conditions())
-
-    return map_formula(phi, atom_fn)
-
-
-def _nnf(phi: Formula, positive: bool, memo: dict | None = None) -> Formula:
-    """Negations pushed to the atoms, once per (node, polarity)."""
-    memo = {} if memo is None else memo
-    key = (phi, positive)
+def _polar(phi: Formula, sign: bool, P: ForcingNotion, guard: _SizeGuard,
+           memo: dict) -> Formula:
+    """phi (sign True) or ¬phi (sign False) as a positive formula, once per
+    (node, sign)."""
+    key = (phi, sign)
     got = memo.get(key)
     if got is None:
         if isinstance(phi, Not):
-            got = _nnf(phi.sub, not positive, memo)
+            got = _polar(phi.sub, not sign, P, guard, memo)
         elif isinstance(phi, (And, Or)):
-            subs = [_nnf(s, positive, memo) for s in phi.subs]
-            got = and_(subs) if isinstance(phi, And) == positive else or_(subs)
+            subs = [_polar(s, sign, P, guard, memo) for s in phi.subs]
+            got = and_(subs) if isinstance(phi, And) == sign else or_(subs)
+        elif isinstance(phi, AtomInG) and _condition_index(_term_pname(phi.term), P) is None:
+            checks = (name_const(check_name(nat_encode(i))) for i in P.conditions())
+            got = _polar(or_(and_([atom_in_g(c), atom_eq(phi.term, c)]) for c in checks),
+                         sign, P, guard, memo)
+        elif sign or isinstance(phi, AtomInG):
+            got = phi if sign else not_(phi)
+        elif isinstance(phi, AtomEq):
+            got = _not_eq(_term_pname(phi.left), _term_pname(phi.right), guard)
         else:
-            got = phi if positive else not_(phi)
+            got = _not_in(_term_pname(phi.left), _term_pname(phi.right), guard)
         memo[key] = got
-    return got
-
-
-def _positive(phi: Formula, guard: _SizeGuard, memo: dict | None = None) -> Formula:
-    """Remove negated equality/membership atoms, once per distinct node;
-    negated filter atoms stay."""
-    memo = {} if memo is None else memo
-    got = memo.get(phi)
-    if got is None:
-        if isinstance(phi, (And, Or)):
-            subs = [_positive(s, guard, memo) for s in phi.subs]
-            got = and_(subs) if isinstance(phi, And) else or_(subs)
-        elif not isinstance(phi, Not) or isinstance(phi.sub, AtomInG):
-            got = phi
-        elif isinstance(phi.sub, AtomEq):
-            got = _not_eq(_term_pname(phi.sub.left), _term_pname(phi.sub.right), guard)
-        elif isinstance(phi.sub, AtomIn):
-            got = _not_in(_term_pname(phi.sub.left), _term_pname(phi.sub.right), guard)
-        else:
-            raise ForcelabError("negation left above a non-atom after NNF")
-        memo[phi] = got
     return got
 
 
@@ -498,62 +469,37 @@ def _not_in(sigma: PName, tau: PName, guard: _SizeGuard, bound=None) -> Formula:
     return and_(or_([not_(_g_atom(r)), _not_eq(sigma, rho, guard, mu)]) for rho, r in tau.entries)
 
 
-def _union_entry(tau: PName, sigma: PName) -> PName:
-    return name_make(tau.entries + ((sigma, 0),))
+def _reduce_children(phi: Formula) -> tuple[Formula, ...]:
+    # a negation in a positive formula is a negated filter atom, reduced whole
+    return () if isinstance(phi, Not) else phi.children()
 
 
-def _reduce(phi: Formula, guard: _SizeGuard, memo: dict | None = None) -> tuple[PName, PName]:
+def _reduce_node(phi: Formula, parts: tuple[tuple[PName, PName], ...], P: ForcingNotion,
+                 guard: _SizeGuard) -> tuple[PName, PName]:
     """The pair of names whose equality the positive formula reduces to,
-    once per distinct node."""
-    memo = {} if memo is None else memo
-    got = memo.get(phi)
-    if got is None:
-        got = memo[phi] = _reduce_node(phi, guard, memo)
-    return got
-
-
-def _reduce_node(phi: Formula, guard: _SizeGuard, memo: dict) -> tuple[PName, PName]:
+    given the pairs of its conjuncts or disjuncts."""
     guard.tick()
     if isinstance(phi, AtomEq):
         return _term_pname(phi.left), _term_pname(phi.right)
     if isinstance(phi, AtomIn):
         sigma, tau = _term_pname(phi.left), _term_pname(phi.right)
-        return tau, _union_entry(tau, sigma)
-    if isinstance(phi, AtomInG):
-        # the filter atom's argument is a check name of a condition ordinal
-        v = _check_value(_term_pname(phi.term))
-        i = nat_decode(v) if v is not None else None
-        if i is None:
-            raise ForcelabError("unexpanded filter atom survived the first pass")
-        return name_make([(EMPTY_NAME, i)]), name_make([(EMPTY_NAME, 0)])
-    if isinstance(phi, Not) and isinstance(phi.sub, AtomInG):
-        v = _check_value(_term_pname(phi.sub.term))
-        i = nat_decode(v) if v is not None else None
-        if i is None:
-            raise ForcelabError("unexpanded filter atom survived the first pass")
-        return name_make([(EMPTY_NAME, i)]), EMPTY_NAME
+        return tau, name_make(tau.entries + ((sigma, 0),))
+    if isinstance(phi, (AtomInG, Not)):
+        # G(ǐ) becomes {(∅, i)} = {(∅, 𝟙)}, and ¬G(ǐ) becomes {(∅, i)} = ∅
+        negated = isinstance(phi, Not)
+        i = _condition_index(_term_pname((phi.sub if negated else phi).term), P)
+        right = EMPTY_NAME if negated else name_make([(EMPTY_NAME, 0)])
+        return name_make([(EMPTY_NAME, i)]), right
+    a_entries = [(op_name(check_name(nat_encode(i)), a), 0) for i, (a, _) in enumerate(parts)]
+    b_entries = [(op_name(check_name(nat_encode(i)), b), 0) for i, (_, b) in enumerate(parts)]
     if isinstance(phi, And):
-        parts = [_reduce(s, guard, memo) for s in phi.subs]
         guard.tick(len(parts))
-        left = name_make((op_name(check_name(nat_encode(i)), a), 0)
-                         for i, (a, _) in enumerate(parts))
-        right = name_make((op_name(check_name(nat_encode(i)), b), 0)
-                          for i, (_, b) in enumerate(parts))
-        return left, right
-    if isinstance(phi, Or):
-        parts = [_reduce(s, guard, memo) for s in phi.subs]
-        guard.tick(2 * len(parts) + 2)
-        a_entries = [(op_name(check_name(nat_encode(i)), a), 0)
-                     for i, (a, _) in enumerate(parts)]
-        b_entries = [(op_name(check_name(nat_encode(i)), b), 0)
-                     for i, (_, b) in enumerate(parts)]
-        u = name_make(a_entries + b_entries)
-        u_j = [name_make(a_entries + [e for k, e in enumerate(b_entries) if k != j])
-               for j in range(len(parts))]
-        left = name_make((uj, 0) for uj in u_j)
-        right = name_make([(uj, 0) for uj in u_j] + [(u, 0)])
-        return left, right
-    raise ForcelabError(f"cannot reduce {type(phi).__name__}")
+        return name_make(a_entries), name_make(b_entries)
+    guard.tick(2 * len(parts) + 2)
+    u = name_make(a_entries + b_entries)
+    u_j = [name_make(a_entries + [e for k, e in enumerate(b_entries) if k != j])
+           for j in range(len(parts))]
+    return name_make((uj, 0) for uj in u_j), name_make([(uj, 0) for uj in u_j] + [(u, 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from . import etr as etr_mod
 from .errors import BudgetError, ForcelabError, ParseError
 from .formulas import (And, AtomTr, Exists, Forall, Formula, Not, Or)
 from .hfset import HFSet, nat_encode
-from .truth import FiniteStructure, eval_formula, instances, valuation_key
+from .truth import FiniteStructure, _eval_atom, instances, valuation_key
 
 GAME_BUDGET = 300_000
 
@@ -259,14 +259,16 @@ def random_game_tree(rng: random.Random, max_nodes: int = 200) -> GameTree:
 def _violates(M: FiniteStructure, history: dict) -> bool:
     """True when the declarations made so far explicitly break a Tarskian
     clause instance: a wrong atomic verdict, an inconsistent connective, or
-    a fully-instantiated quantifier mismatch."""
+    a fully-instantiated quantifier mismatch.  Atoms are judged pointwise
+    off the sets, not by `eval_formula`, which the verdicts are checked
+    against."""
     def declared(phi: Formula, v: dict):
         return history.get((phi, valuation_key(phi, v)))
 
     for (phi, key), verdict in history.items():
         v = dict(key)
         if phi.rank == 0 and not isinstance(phi, AtomTr):
-            if verdict != eval_formula(M, phi, v):
+            if verdict != _eval_atom(M, phi, v):
                 return True
         elif isinstance(phi, Not):
             sub = declared(phi.sub, v)

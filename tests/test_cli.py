@@ -288,6 +288,19 @@ def test_a_parameter_outside_the_stage_exits_2_with_one_line(argv, capsys):
     assert err.startswith("error: --A") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [
+    "(not (in-class x B))", "(not (tr x y z))", "(not (in-G x))", "(not (in x (const (hf))))",
+    "(not (= (opterm x y) x))", "; no formula",
+], ids=["class-atom", "truth-atom", "filter-atom", "ground-constant", "pair-term", "empty"])
+def test_a_bad_truth_pool_exits_2_with_one_line(text, tmp_path, capsys):
+    # a formula outside the first-order language of (V_n, ∈, A), or none
+    pool = tmp_path / "pool.sexp"
+    pool.write_text(f"{text}\n")
+    assert main(["truth", "--stage", "2", "--pool", str(pool)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --pool") and err.count("\n") == 1
+
+
 def test_verdict_at_a_given_condition(fork_file, tmp_path):
     out = tmp_path / "report.json"
     assert main(["force", "--poset", fork_file, "--formula", "(in-G (check (hf (hf))))",

@@ -5,11 +5,15 @@ Each test corrupts one bit of one stored mask and asserts that the check
 built on it reports failure.  The checks compare the kernel's masks with
 sides computed without them (the staged recursion instance, Boolean values
 over the frozenset algebra, direct evaluation in the generic extension,
-pointwise iterated truth) or with the forcing laws, so a wrong mask cannot
-pass them.
+pointwise iterated truth, the truth-teller's verdicts in the truth-telling
+game) or with the forcing laws, so a wrong mask cannot pass them.  A last
+test reads the source of the pointwise sides and fails if one of them calls
+the evaluator it is compared with.
 """
 
+import ast
 import contextlib
+import inspect
 import itertools
 
 import pytest
@@ -19,14 +23,18 @@ from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, Exists, Forall,
                       atomic_forcing, atomic_recursion_instance,
                       audit_forcing_relation, boolean_completion, boolean_values,
                       compare_atomic_table, const, encode_formula,
-                      encode_valuation, etr_solve, exists, forcing_truth,
-                      generic_filters, invariance_check, iterated_truth,
-                      name_universe, nat_encode, stage_comparison_structure,
+                      encode_valuation, etr_solve, eval_formula, exists,
+                      extract_verdicts, forcing_truth, generic_filters,
+                      invariance_check, iterated_truth, name_universe,
+                      nat_encode, not_, stage_comparison_structure,
                       subformula_closure, subformulas, tarski_truth,
-                      theta_formula, truth_lemma_check, v_stage, var)
+                      theta_formula, truth_lemma_check, truth_telling_game,
+                      v_stage, var, zermelo_solve)
 from forcelab import corpus
+from forcelab import forcing as forcing_mod
+from forcelab import games as games_mod
 from forcelab import truth as truth_mod
-from forcelab.truth import FiniteStructure, instances
+from forcelab.truth import FiniteStructure, instances, valuation_key
 
 KINDS = ("in", "sub", "eq")
 COMPOSITE = (Not, And, Or, Forall, Exists)
@@ -152,9 +160,9 @@ def test_top_bit_flip_fails_invariance_on_stage_2_collapse():
 # --- the atom rows of Tarskian evaluation -------------------------------------
 #
 # `eval_formula` reads ∈, = and class atoms off rows of its structure, so one
-# flipped row bit changes its answers.  tarski_truth's staged instance and
-# the iterated truth predicate judge atoms pointwise, so each must then
-# disagree with it.
+# flipped row bit changes its answers.  tarski_truth's staged instance, the
+# iterated truth predicate and the truth-telling game judge atoms pointwise,
+# so each must then disagree with it.
 
 STAGES = 4
 
@@ -249,3 +257,55 @@ def test_flipped_two_axis_row_bit_fails_the_dual_path(iterated_setup, kind):
     with _row_flipped(M, x, y, kind):
         assert _dual_path_disagrees(M, pool, queries)
     assert not _dual_path_disagrees(M, pool, queries)
+
+
+def _game_verdict_mismatches(M, pool, clock) -> int:
+    """Criterion 8's comparison: the truth-teller's winning verdicts against
+    eval_formula, counted over the pool instances the clock reaches."""
+    T = truth_telling_game(M, pool, clock)
+    pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
+    verdicts = extract_verdicts(T, zermelo_solve(T).strategy_II, pool_instances)
+    return sum(verdicts[(phi, valuation_key(phi, v))] != eval_formula(M, phi, v)
+               for phi, v in pool_instances if phi.rank <= clock - 1)
+
+
+def test_flipped_row_bit_fails_the_truth_telling_comparison():
+    M = FiniteStructure(v_stage(2))
+    x, y = var("x"), var("y")
+    pool = [atom_in(x, y), not_(atom_in(x, y)), atom_eq(x, y), not_(atom_eq(x, y))]
+    assert _game_verdict_mismatches(M, pool, 2) == 0
+    with _row_flipped(M, nat_encode(1), EMPTY):  # ∅ ∈ {∅}
+        # x ∈ y and ¬(x ∈ y) at x = ∅, y = {∅}
+        assert _game_verdict_mismatches(M, pool, 2) == 2
+    assert _game_verdict_mismatches(M, pool, 2) == 0
+
+
+# --- the independence of the pointwise sides ----------------------------------
+#
+# A side that called the evaluator it is compared with would agree with any
+# corruption of it, so none of these may name `eval_formula` or `_value`.
+
+POINTWISE_SIDES = [
+    (truth_mod, "IteratedTruthPredicate._eval"),
+    (truth_mod, "_staged_truth_instance"),
+    (forcing_mod, "atomic_recursion_instance"),
+    (games_mod, "_violates"),
+]
+
+
+def _definition(module, qualname):
+    node = ast.parse(inspect.getsource(module))
+    for part in qualname.split("."):
+        node = next(n for n in ast.walk(node)
+                    if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part)
+    return node
+
+
+def test_pointwise_sides_never_name_the_merged_evaluator():
+    offenders = []
+    for module, qualname in POINTWISE_SIDES:
+        for n in ast.walk(_definition(module, qualname)):
+            named = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+            if named in ("eval_formula", "_value"):
+                offenders.append((qualname, named, n.lineno))
+    assert offenders == []

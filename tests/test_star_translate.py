@@ -6,8 +6,8 @@ import pytest
 from forcelab import (EMPTY, EMPTY_NAME, And, AtomEq, AtomIn, AtomInG,
                       BudgetError, ForcelabError, Not, Or, and_, atom_eq,
                       atom_in, atom_in_g, atomic_forcing, check_name, forall,
-                      forces, name_const, name_make, name_universe, nat_decode,
-                      nat_encode, not_, op_name, or_, star_translate, var)
+                      forces, map_formula, name_const, name_make, name_universe,
+                      nat_encode, nodes, not_, op_name, or_, star_translate, var)
 from forcelab import corpus
 from forcelab import forcing
 
@@ -122,7 +122,7 @@ def ref_positive(phi, guard):
 # Reference copy of the reduce pass before it was memoized: a tree recursion
 # that ticks the guard once per visit.
 
-def ref_reduce(phi, guard):
+def ref_reduce(phi, conditions, guard):
     guard.tick()
     pname, make, check = forcing._term_pname, name_make, check_name
     if isinstance(phi, AtomEq):
@@ -131,12 +131,10 @@ def ref_reduce(phi, guard):
         sigma, tau = pname(phi.left), pname(phi.right)
         return tau, make(tau.entries + ((sigma, 0),))
     if isinstance(phi, AtomInG):
-        i = nat_decode(forcing._check_value(pname(phi.term)))
-        return make([(EMPTY_NAME, i)]), make([(EMPTY_NAME, 0)])
+        return make([(EMPTY_NAME, conditions[phi.term.name])]), make([(EMPTY_NAME, 0)])
     if isinstance(phi, Not) and isinstance(phi.sub, AtomInG):
-        i = nat_decode(forcing._check_value(pname(phi.sub.term)))
-        return make([(EMPTY_NAME, i)]), EMPTY_NAME
-    parts = [ref_reduce(s, guard) for s in phi.subs]
+        return make([(EMPTY_NAME, conditions[phi.sub.term.name])]), EMPTY_NAME
+    parts = [ref_reduce(s, conditions, guard) for s in phi.subs]
     a_entries = [(op_name(check(nat_encode(i)), a), 0) for i, (a, _) in enumerate(parts)]
     b_entries = [(op_name(check(nat_encode(i)), b), 0) for i, (_, b) in enumerate(parts)]
     if isinstance(phi, And):
@@ -150,10 +148,51 @@ def ref_reduce(phi, guard):
     return make((uj, 0) for uj in u_j), make([(uj, 0) for uj in u_j] + [(u, 0)])
 
 
+# Reference filter-atom expansion, a map_formula pass kept apart from
+# star_translate's polarity walk.
+
+def ref_condition_names(P):
+    """The check name of each condition ordinal, mapped to the ordinal."""
+    return {check_name(nat_encode(i)): i for i in P.conditions()}
+
+
+def ref_eliminate_g(phi, P):
+    """Each filter atom G(σ) at a name σ other than a condition's check name
+    expanded into ⋁ᵢ (G(ǐ) ∧ σ = ǐ)."""
+    conditions = ref_condition_names(P)
+
+    def expand(atom, _bound):
+        if not isinstance(atom, AtomInG) or atom.term.name in conditions:
+            return atom
+        return or_(and_([atom_in_g(name_const(c)), atom_eq(atom.term, name_const(c))])
+                   for c in conditions)
+
+    return map_formula(phi, expand)
+
+
 def ref_star_translate(phi, P):
     guard = forcing._SizeGuard(forcing.TRANSLATION_BUDGET)
-    step2 = ref_nnf(forcing._eliminate_g(phi, P), True)
-    return ref_reduce(ref_positive(step2, guard), guard)
+    step2 = ref_nnf(ref_eliminate_g(phi, P), True)
+    return ref_reduce(ref_positive(step2, guard), ref_condition_names(P), guard)
+
+
+@pytest.mark.parametrize("name", [n for n, _ in corpus.corpus_notions()])
+def test_random_sentences_translate_as_before(name):
+    P = dict(corpus.corpus_notions())[name]
+    names = corpus._sample_names(P, name_universe(P, 1))
+    conditions = ref_condition_names(P)
+    rng = random.Random(202)
+    expanded_under_negation = 0
+    for _ in range(60):
+        sentence = corpus.random_qf_sentence(rng, P, names)
+        left, right = star_translate(sentence, P)
+        ref_left, ref_right = ref_star_translate(sentence, P)
+        assert left is ref_left and right is ref_right, sentence
+        expanded_under_negation += any(
+            isinstance(f, Not) and isinstance(f.sub, AtomInG)
+            and f.sub.term.name not in conditions for f in nodes(ref_nnf(sentence, True)))
+    # the sample reaches filter atoms at non-check names under negation
+    assert expanded_under_negation, name
 
 
 def _chain(depth):
