@@ -47,6 +47,7 @@ from .poset import Filter, ForcingNotion, generic_filters, is_separative, minima
 ATOMIC_BUDGET = 2_000_000
 QUANTIFIER_BUDGET = 200_000
 TRANSLATION_BUDGET = 100_000
+NESTING_CAP = 200          # formula nesting depth (rank) forces and star_translate accept
 AUDIT_POOL_SIZE = 24       # atomic formulas for the modus-ponens and decidedness laws
 AUDIT_TUPLE_CAP = 4000     # formula pairs, name pairs and name triples the law audit visits
 ALGEBRA_TUPLE_CAP = 40000  # element pairs and triples the algebra audit visits
@@ -249,10 +250,12 @@ def forces(FR: ForcingRelation, p: int, phi: Formula, check_universe: bool = Tru
     and ∃ the regularized union: a disjunction is forced below which its
     disjuncts are densely forced, which agrees with reading it as an
     abbreviation (negated conjunction of negations); the agreement is
-    exercised by the audit tests.
+    exercised by the audit tests.  The clauses recurse once per nesting
+    level, so a formula nested deeper than NESTING_CAP is refused.
     """
     if phi.free:
         raise ForcelabError("only closed formulas are forced")
+    _check_nesting(phi)
     if "ground" in phi.const_kinds:
         raise ForcelabError("forcing-language formulas use name constants, not ground constants")
     if check_universe:
@@ -261,6 +264,11 @@ def forces(FR: ForcingRelation, p: int, phi: Formula, check_universe: bool = Tru
             raise ForcelabError(
                 f"formula mentions {len(missing)} name(s) outside the universe")
     return FR.value(phi) >> p & 1 == 1
+
+
+def _check_nesting(phi: Formula):
+    if phi.rank > NESTING_CAP:
+        raise BudgetError(f"formula nested {phi.rank} deep exceeds the cap {NESTING_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +399,15 @@ def star_translate(phi: Formula, P: ForcingNotion,
     folds the positive formula into a pair of names: each atom into one
     equality, and conjunctions and disjunctions into single equalities
     (disjunction via the redundancy construction).  A condition forces the
-    sentence iff it forces the returned equality.
+    sentence iff it forces the returned equality.  The polarity walk
+    recurses once per nesting level, so a sentence nested deeper than
+    NESTING_CAP is refused.
     """
     if phi.free:
         raise ForcelabError("only closed sentences translate")
     if "ground" in phi.const_kinds:
         raise ForcelabError("translation expects the forcing language")
+    _check_nesting(phi)
     guard = _SizeGuard(budget)
     for f in nodes(phi):
         if isinstance(f, (Forall, Exists)):
@@ -881,27 +892,28 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
         for kind, table in (("in", in_table), ("eq", eq_table))
         for (s, t), (_, encs) in table.items()}
 
-    down, le = P.down, P.le
+    downs = [P.down(p) for p in P.conditions()]
+    # The membership step's rows, one per entry (ρ, r) of τ: the conditions
+    # below r, and the stage and encodings of σ = ρ; built once per (σ, τ).
+    in_rows = {(s, t): [(downs[r], *eq_table[(s, rho)]) for rho, r in t.entries]
+               for s in N for t in N}
 
     def step(x: HFSet, alpha: int, view, _param) -> bool:
         p, kind, sigma, tau = codec[x]
         if kind == "in":
-            rows = [(r, *eq_table[(sigma, rho)]) for rho, r in tau.entries]
-
-            def witness(q: int) -> bool:
-                for r, st, encs in rows:
-                    if le(q, r) and view(st, encs[q]):
-                        return True
-                return False
-
-            return all(any(witness(q) for q in down(q1)) for q1 in down(p))
+            # below every q1 ≤ p some q ≤ q1 lies below an entry's r and
+            # forces σ = ρ by an earlier slice
+            rows = in_rows[(sigma, tau)]
+            return all(any(q in below_r and view(st, encs[q])
+                           for q in downs[q1] for below_r, st, encs in rows)
+                       for q1 in downs[p])
         # equality, with both subset directions unfolded into membership
-        below_p = down(p)
+        below_p = downs[p]
         for a, b in ((sigma, tau), (tau, sigma)):
             for rho, r in a.entries:
                 st, encs = in_table[(rho, b)]
-                for q1 in below_p & down(r):
-                    for q in down(q1):
+                for q1 in below_p & downs[r]:
+                    for q in downs[q1]:
                         if view(st, encs[q]):
                             break
                     else:

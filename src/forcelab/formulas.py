@@ -434,12 +434,29 @@ def substitute(phi: Formula, bindings: dict[str, Term]) -> Formula:
 
 def rename_free(phi: Formula, mapping: dict[str, str]) -> Formula:
     """Rename free variables, leaving occurrences bound above alone.  The
-    targets must not occur in phi, or they would be captured."""
-    def atom_fn(atom: Formula, bound: frozenset[str]) -> Formula:
-        live = {k: var(v) for k, v in mapping.items() if k not in bound}
-        return map_atom(atom, lambda t: _subst_term(t, live))
+    targets must not occur in phi, or they would be captured.  A subformula
+    with no free variable still to rename is returned as it is, so only the
+    paths down to renamed occurrences are rebuilt, each (node, live names)
+    pair once."""
+    memo: dict[tuple[Formula, frozenset[str]], Formula] = {}
 
-    return map_formula(phi, atom_fn, frozenset(mapping))
+    def walk(f: Formula, live: frozenset[str]) -> Formula:
+        if f.free.isdisjoint(live):
+            return f
+        key = (f, live)
+        got = memo.get(key)
+        if got is None:
+            if f.rank == 0:
+                targets = {k: var(mapping[k]) for k in live}
+                got = map_atom(f, lambda t: _subst_term(t, targets))
+            elif isinstance(f, (Forall, Exists)):
+                got = _rebuild(f, [walk(f.body, live.difference(f.vars))])
+            else:
+                got = _rebuild(f, [walk(c, live) for c in f.children()])
+            memo[key] = got
+        return got
+
+    return walk(phi, frozenset(mapping))
 
 
 # ---------------------------------------------------------------------------

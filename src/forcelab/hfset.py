@@ -7,8 +7,13 @@ total order used wherever order is printed or ties broken (rank first, then
 lexicographically on the ordered children); tuple comparison stops at the
 first differing child, since equal children share one key.
 
+Kuratowski pairs and their decoding are memoized by identity: `hf_pair`
+keeps a table (a, b) → pair and `hf_unpair` a table set → (a, b) or None,
+so each pair is built and each set decoded once.  Like the interning table,
+these tables never shrink.
+
 Values are immutable and safely shareable once constructed; the interning
-table itself is confined to single-threaded construction.
+and memo tables themselves are confined to single-threaded construction.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from .errors import BudgetError
 STAGE_CAP = 5  # |v_stage(5)| = 65536; larger stages are refused
 
 _intern: dict[tuple, "HFSet"] = {}
+_pairs: dict[tuple["HFSet", "HFSet"], "HFSet"] = {}
+_unpairs: dict["HFSet", tuple["HFSet", "HFSet"] | None] = {}
 
 
 class HFSet:
@@ -75,7 +82,11 @@ def hf_make(children: Iterable[HFSet] = ()) -> HFSet:
     cached = _intern.get(tup)
     if cached is not None:
         return cached
-    tup = tuple(sorted(set(tup), key=lambda c: c.key))
+    return _interned(tuple(sorted(set(tup), key=lambda c: c.key)))
+
+
+def _interned(tup: tuple[HFSet, ...]) -> HFSet:
+    """The set with the canonical (sorted, duplicate-free) children tup."""
     cached = _intern.get(tup)
     if cached is not None:
         return cached
@@ -92,12 +103,30 @@ def hf_rank(x: HFSet) -> int:
 
 
 def hf_pair(a: HFSet, b: HFSet) -> HFSet:
-    """Kuratowski pair {{a}, {a, b}}."""
-    return hf_make([hf_make([a]), hf_make([a, b])])
+    """Kuratowski pair {{a}, {a, b}}, built once per (a, b)."""
+    got = _pairs.get((a, b))
+    if got is None:
+        single = _interned((a,))
+        if a is b:
+            got = _interned((single,))
+        else:
+            double = _interned((a, b) if a.key < b.key else (b, a))
+            got = _interned((single, double) if single.key < double.key else (double, single))
+        _pairs[(a, b)] = got
+        _unpairs[got] = (a, b)
+    return got
 
 
 def hf_unpair(x: HFSet) -> tuple[HFSet, HFSet] | None:
-    """Invert hf_pair, or None if x is not a Kuratowski pair."""
+    """Invert hf_pair, or None if x is not a Kuratowski pair; decoded once per set."""
+    try:
+        return _unpairs[x]
+    except KeyError:
+        got = _unpairs[x] = _decode_pair(x)
+        return got
+
+
+def _decode_pair(x: HFSet) -> tuple[HFSet, HFSet] | None:
     if len(x) == 1:
         (inner,) = x.children
         if len(inner) == 1:

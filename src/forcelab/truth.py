@@ -58,8 +58,9 @@ class FiniteStructure:
 
 
 def valuation_key(phi: Formula, v: dict[str, HFSet]) -> tuple:
-    """The hashable restriction of a valuation to the formula's free variables."""
-    return tuple(sorted((x, v[x]) for x in phi.free))
+    """The hashable restriction of a valuation to the formula's free
+    variables: (variable, value) pairs in variable order."""
+    return tuple([(x, v[x]) for x in phi.free_sorted])
 
 
 def _term_value(t: Term, M: FiniteStructure, v: dict[str, HFSet]) -> HFSet:

@@ -17,7 +17,8 @@ from forcelab import (EMPTY, And, AtomTr, Exists, ForcelabError, ParseError,
                       parse_formula, subformula_closure, subformulas,
                       substitute, var)
 from forcelab import corpus
-from forcelab.formulas import Forall
+from forcelab import formulas
+from forcelab.formulas import Forall, map_atom, rename_free, variables
 
 
 x, y = var("x"), var("y")
@@ -204,6 +205,34 @@ def test_translated_truth_atom_is_walked_as_a_dag():
         assert node not in seen and all(c in seen for c in node.children())
         seen.add(node)
     assert seen == subs
+
+
+def ref_rename_free(phi, mapping):
+    # the renaming before it pruned unchanged subformulas: every node rebuilt
+    def atom_fn(atom, bound):
+        live = {k: var(v) for k, v in mapping.items() if k not in bound}
+        return map_atom(atom, lambda t: formulas._subst_term(t, live))
+
+    return map_formula(phi, atom_fn, frozenset(mapping))
+
+
+def test_rename_free_matches_the_full_rebuild():
+    # every stage translation of the iterated pool at stages 0-4, with its
+    # free variables renamed, and with every variable (bound ones included)
+    pool = corpus.iterated_pool()
+    tr = StageTranslator(pool, 4)
+    renamed = 0
+    for beta in range(5):
+        for phi in pool:
+            psi = tr.translate(beta, phi)
+            names = sorted(variables(psi))
+            for keys in (psi.free_sorted, names):
+                mapping = {k: f"r{i}" for i, k in enumerate(keys)}
+                got = rename_free(psi, mapping)
+                assert got is ref_rename_free(psi, mapping), (beta, phi)
+                assert got.free == {mapping[k] for k in psi.free}
+                renamed += got is not psi
+    assert renamed > 0
 
 
 def test_substitute_and_ground_match_recorded_results():

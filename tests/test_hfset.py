@@ -69,6 +69,49 @@ def test_pair_roundtrip():
     assert hf_unlist(hf_list(xs)) == xs
 
 
+# Reference constructions for the memoized pair codes: the general
+# constructor, and a decoder that tries every candidate from the union.
+
+def ref_pair(a, b):
+    return hf_make([hf_make([a]), hf_make([a, b])])
+
+
+def ref_unpair(x):
+    union = {c for child in x for c in child}
+    found = [(a, b) for a in union for b in union if ref_pair(a, b) is x]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+@pytest.fixture
+def empty_pair_tables(monkeypatch):
+    # fresh memo tables, so the tests below take the building paths
+    monkeypatch.setattr(hfset, "_pairs", {})
+    monkeypatch.setattr(hfset, "_unpairs", {})
+
+
+def test_pairs_are_the_general_construction(empty_pair_tables):
+    stage = v_stage(4)
+    for a in stage:
+        for b in stage:
+            pair = hf_pair(a, b)
+            assert pair is ref_pair(a, b), (a, b)
+            assert hf_pair(a, b) is pair and hf_unpair(pair) == (a, b)  # from the tables
+    assert len(hfset._pairs) == len(stage) ** 2
+
+
+def test_unpair_decodes_sets_it_never_paired(empty_pair_tables):
+    # every set of V_4 and every pair over it, decoded before hf_pair
+    # built any of them, then again from the table
+    stage = v_stage(4)
+    sets = stage + [ref_pair(a, b) for a in stage for b in stage]
+    for _ in range(2):
+        for x in sets:
+            assert hf_unpair(x) == ref_unpair(x), x
+    assert not hfset._pairs
+    assert len(hfset._unpairs) == len(set(sets))
+
+
 def test_sexp_form():
     assert EMPTY.to_sexp() == "(hf)"
     assert hf_make([EMPTY, hf_make([EMPTY])]).to_sexp() == "(hf (hf) (hf (hf)))"

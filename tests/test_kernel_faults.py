@@ -6,9 +6,10 @@ built on it reports failure.  The checks compare the kernel's masks with
 sides computed without them (the staged recursion instance, Boolean values
 over the frozenset algebra, direct evaluation in the generic extension,
 pointwise iterated truth, the truth-teller's verdicts in the truth-telling
-game) or with the forcing laws, so a wrong mask cannot pass them.  A last
-test reads the source of the pointwise sides and fails if one of them calls
-the evaluator it is compared with.
+game) or with the forcing laws, so a wrong mask cannot pass them.  One test
+poisons an entry of the memoized pair table instead, and self-coherence
+must catch the wrong code.  A last test reads the source of the pointwise
+sides and fails if one of them calls the evaluator it is compared with.
 """
 
 import ast
@@ -30,10 +31,11 @@ from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, Exists, Forall,
                       subformula_closure, subformulas, tarski_truth,
                       theta_formula, truth_lemma_check, truth_telling_game,
                       v_stage, var, zermelo_solve)
-from forcelab import corpus
+from forcelab import corpus, hfset
 from forcelab import forcing as forcing_mod
 from forcelab import games as games_mod
 from forcelab import truth as truth_mod
+from forcelab.hfset import hf_pair, hf_unpair
 from forcelab.truth import FiniteStructure, instances, valuation_key
 
 KINDS = ("in", "sub", "eq")
@@ -257,6 +259,49 @@ def test_flipped_two_axis_row_bit_fails_the_dual_path(iterated_setup, kind):
     with _row_flipped(M, x, y, kind):
         assert _dual_path_disagrees(M, pool, queries)
     assert not _dual_path_disagrees(M, pool, queries)
+
+
+# --- the pair codes behind the encoding points --------------------------------
+#
+# hf_pair answers from a table after the first build, so a wrong table entry
+# is a wrong code wherever it is used.  Criterion 6's self-coherence reads a
+# truth atom at coded valuations and compares it with the predicate queried
+# at the valuations themselves, so it must catch one.
+
+def _self_coherence_failures(base, pool) -> int:
+    predicate = iterated_truth(base, STAGES, pool)
+    atom = next(f for f in pool if isinstance(f, AtomTr))
+    xv, yv, zv = atom.free_sorted
+    return sum(
+        predicate._query(beta, atom, {xv: nat_encode(alpha), yv: encode_formula(psi),
+                                      zv: encode_valuation(av)})
+        != (alpha < beta and predicate._query(alpha, psi, av))
+        for beta in range(STAGES) for alpha in range(STAGES)
+        for psi in pool for av in instances(base, psi))
+
+
+@contextlib.contextmanager
+def _pair_poisoned(a, b, wrong):
+    """hf_pair's table entry for (a, b) replaced by `wrong`, restored on exit."""
+    right = hf_pair(a, b)
+    hfset._pairs[(a, b)] = wrong
+    try:
+        yield
+    finally:
+        hfset._pairs[(a, b)] = right
+
+
+def test_poisoned_pair_entry_fails_self_coherence(iterated_setup):
+    base, pool, _ = iterated_setup
+    # the valuation a ↦ ∅ is coded as {⟨"a", ∅⟩}; poisoned, it codes a ↦ {∅},
+    # and d holds of ∅ but not of {∅}
+    (entry,) = encode_valuation({"a": EMPTY}).children
+    a_code, _ = hf_unpair(entry)
+    assert _self_coherence_failures(base, pool) == 0
+    with _pair_poisoned(a_code, EMPTY, hf_pair(a_code, nat_encode(1))):
+        assert encode_valuation({"a": EMPTY}) is encode_valuation({"a": nat_encode(1)})
+        assert _self_coherence_failures(base, pool) > 0
+    assert _self_coherence_failures(base, pool) == 0
 
 
 def _game_verdict_mismatches(M, pool, clock) -> int:

@@ -217,3 +217,47 @@ def test_a_deep_shared_chain_translates_quickly(fork):
         left, right = star_translate(phi, fork)
         assert time.perf_counter() - start < 1.0, depth
         assert _agrees_with_forcing(fork, phi, left, right), depth
+
+
+# --- nesting depth --------------------------------------------------------------
+#
+# forces and star_translate recurse a few frames per nesting level, so both
+# refuse a sentence nested deeper than NESTING_CAP with a BudgetError rather
+# than overflow Python's stack.  Alternating junctions recurse deepest in forces.
+
+def _negations(depth):
+    phi = atom_eq(name_const(EMPTY_NAME), name_const(EMPTY_NAME))
+    for _ in range(depth):
+        phi = not_(phi)
+    return phi
+
+
+def _alternations(depth):
+    phi = atom_eq(name_const(EMPTY_NAME), name_const(EMPTY_NAME))
+    top = atom_in_g(name_const(EMPTY_NAME))
+    for i in range(depth):
+        phi = (and_ if i % 2 else or_)([phi, top])
+    return phi
+
+
+@pytest.mark.parametrize("shape", [_negations, _alternations])
+@pytest.mark.parametrize("depth", [forcing.NESTING_CAP + 1, 1000])
+def test_nesting_above_the_cap_is_refused(fork, shape, depth):
+    phi = shape(depth)
+    assert phi.rank == depth
+    FR = atomic_forcing(fork, name_universe(fork, 1))
+    with pytest.raises(BudgetError, match="nested"):
+        forces(FR, 0, phi)
+    with pytest.raises(BudgetError, match="nested"):
+        star_translate(phi, fork)
+
+
+@pytest.mark.parametrize("shape", [_negations, _alternations])
+def test_nesting_at_the_cap_is_accepted(fork, shape):
+    phi = shape(forcing.NESTING_CAP)
+    FR = atomic_forcing(fork, name_universe(fork, 1))
+    # an even number of ¬, or junctions each with the forced G(0̌)
+    assert all(forces(FR, p, phi) for p in fork.conditions())
+    left, right = star_translate(phi, fork)
+    if shape is _negations:
+        assert _agrees_with_forcing(fork, phi, left, right)

@@ -16,7 +16,7 @@ from forcelab import corpus
 from forcelab.formulas import formula_to_sexp, pair_term
 from forcelab.names import check_name, eps_dot, n_dot
 from forcelab.hfset import nat_encode
-from forcelab.truth import instances
+from forcelab.truth import instances, valuation_key
 
 
 def stage3():
@@ -244,3 +244,11 @@ def test_invariance_fails_with_check_name_parameter():
     stmt = atom_eq(name_const(pseudo), name_const(nd))
     values = {forces(FR, p, stmt, check_universe=False) for p in fa.conditions()}
     assert values == {True, False}
+
+
+def test_valuation_key_is_the_sorted_restriction():
+    M = FiniteStructure(v_stage(2))
+    for phi in corpus.iterated_pool():
+        for v in instances(M, phi):
+            wider = {**v, "z": EMPTY, "b0": EMPTY}
+            assert valuation_key(phi, wider) == tuple(sorted((x, v[x]) for x in phi.free))
