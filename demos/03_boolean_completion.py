@@ -13,9 +13,15 @@ from forcelab import (EMPTY_NAME, atomic_forcing, audit_boolean_algebra,
 fork = corpus.fork()
 completion = boolean_completion(fork)
 B = completion.algebra
+
+
+def conditions(mask: int) -> list[str]:
+    return sorted(fork.elements[q] for q in fork.conditions() if mask >> q & 1)
+
+
 print(f"the fork completes to a {len(B)}-element algebra")
 for p in fork.conditions():
-    print(f"  i({fork.elements[p]}) = {sorted(fork.elements[q] for q in completion.embed(p))}")
+    print(f"  i({fork.elements[p]}) = {conditions(completion.embed(p))}")
 
 print(f"\nalgebra laws audited: {audit_boolean_algebra(B).ok}")
 
@@ -23,7 +29,7 @@ a = fork.index("a")
 sigma = name_make([(EMPTY_NAME, a)])
 values = boolean_values(completion)
 v = values.value("eq", EMPTY_NAME, sigma)
-print(f"\n⟦∅-name = σ⟧ = {sorted(fork.elements[q] for q in v)}"
+print(f"\n⟦∅-name = σ⟧ = {conditions(v)}"
       f"  (the complement of i(a): σ is empty exactly off the a-tooth)")
 assert v == B.neg(completion.embed(a))
 

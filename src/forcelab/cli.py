@@ -186,7 +186,7 @@ def suite_complete(config, rep: Reporter, name: str, P: ForcingNotion):
                     return False, ("compatibility", p, q)
         for u in B.elements:
             if u != B.zero and not any(B.le(bc.embed(p), u) for p in P.conditions()):
-                return False, ("density", sorted(u))
+                return False, ("density", [p for p in P.conditions() if u >> p & 1])
         return True, None
 
     rep.run(f"complete/{name}/dense-embedding", embedding)

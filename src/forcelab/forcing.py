@@ -1,7 +1,8 @@
 """Forcing relations over finite notions.
 
 A forcing value is the set of conditions forcing a statement, held as an
-`int` mask with bit p for condition p: a regular-open downset.  Atomic
+`int` mask with bit p for condition p: a regular-open downset.  The
+elements of a Boolean completion are held the same way.  Atomic
 values solve the membership/equality recursion on pairs of names, ordered
 by the maximum of their ranks, by memoized recursion on masks.  Between
 two check names every condition is the top, so the recursion only ever
@@ -305,7 +306,7 @@ def audit_forcing_relation(FR: ForcingRelation) -> AuditReport:
     FR.materialize()
     P = FR.notion
     N = FR.universe
-    down = [_mask(P.down(p)) for p in P.conditions()]
+    down = FR._down
     report = AuditReport()
 
     for law in ("downward-closure", "density", "modus-ponens", "eq-reflexive",
@@ -526,68 +527,47 @@ class BooleanAlgebra:
 
     def __init__(self, P: ForcingNotion):
         self.notion = P
-        classes = minimal_classes(P)
-        self._classes = classes
-        below = []
-        for p in P.conditions():
-            below.append(frozenset(k for k, cls in enumerate(classes)
-                                   if cls & P.down(p)))
-        self._below = below
-        self.elements = []
-        for mask in range(1 << len(classes)):
-            chosen = frozenset(k for k in range(len(classes)) if mask >> k & 1)
-            self.elements.append(frozenset(
-                p for p in P.conditions() if below[p] <= chosen))
-        self.elements = sorted(set(self.elements), key=lambda u: (len(u), sorted(u)))
+        self._down = [_mask(P.down(p)) for p in P.conditions()]
+        # for each p, the down masks of p's extensions
+        self._ext_downs = [[self._down[q] for q in _bits(d)] for d in self._down]
+        classes = [_mask(cls) for cls in minimal_classes(P)]
+        below = [_mask(k for k, cls in enumerate(classes) if cls & d) for d in self._down]
+        elements = {_mask(p for p, b in enumerate(below) if not b & ~chosen)
+                    for chosen in range(1 << len(classes))}
+        self.elements = sorted(elements, key=lambda u: (u.bit_count(), list(_bits(u))))
         self._element_set = frozenset(self.elements)
-        self.zero = frozenset()
-        self.one = frozenset(P.conditions())
+        self.zero = 0
+        self.one = (1 << len(P)) - 1
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def is_element(self, U: frozenset[int]) -> bool:
+    def is_element(self, U: int) -> bool:
         return U in self._element_set
 
-    def regularize(self, U: Iterable[int]) -> frozenset[int]:
+    def regularize(self, U: int) -> int:
         """Those p below which U is dense; the regular-open closure of a downset."""
-        dset = set(U)
-        P = self.notion
-        return frozenset(p for p in P.conditions()
-                         if all(dset & P.down(q) for q in P.down(p)))
+        return _mask(p for p, downs in enumerate(self._ext_downs) if all(d & U for d in downs))
 
-    def meet(self, a: frozenset, b: frozenset) -> frozenset:
+    def meet(self, a: int, b: int) -> int:
         return a & b
 
-    def join(self, a: frozenset, b: frozenset) -> frozenset:
+    def join(self, a: int, b: int) -> int:
         return self.regularize(a | b)
 
-    def neg(self, a: frozenset) -> frozenset:
-        P = self.notion
-        return frozenset(p for p in P.conditions() if not (P.down(p) & a))
+    def neg(self, a: int) -> int:
+        return _mask(p for p, d in enumerate(self._down) if not d & a)
 
-    def le(self, a: frozenset, b: frozenset) -> bool:
-        return a <= b
-
-    def join_many(self, items: Iterable[frozenset]) -> frozenset:
-        out: set[int] = set()
-        for u in items:
-            out |= u
-        return self.regularize(out)
-
-    def meet_many(self, items: Iterable[frozenset]) -> frozenset:
-        out = set(self.one)
-        for u in items:
-            out &= u
-        return frozenset(out)
+    def le(self, a: int, b: int) -> bool:
+        return not a & ~b
 
 
 @dataclass(frozen=True)
 class BooleanCompletion:
     algebra: BooleanAlgebra
-    _embed: tuple[frozenset, ...]
+    _embed: tuple[int, ...]
 
-    def embed(self, p: int) -> frozenset:
+    def embed(self, p: int) -> int:
         return self._embed[p]
 
 
@@ -603,7 +583,7 @@ def boolean_completion(P: ForcingNotion) -> BooleanCompletion:
             f"notion is not separative: no extension of {P.elements[cx[0]]} "
             f"is incompatible with {P.elements[cx[1]]}", cx)
     B = BooleanAlgebra(P)
-    embed = tuple(B.regularize(P.down(p)) for p in P.conditions())
+    embed = tuple(B.regularize(d) for d in B._down)
     for p, U in enumerate(embed):
         if not B.is_element(U):
             raise ForcelabError(f"embedding image of {P.elements[p]} is not regular-open")
@@ -619,30 +599,32 @@ def audit_boolean_algebra(B: BooleanAlgebra) -> AuditReport:
                 "enumeration-complete"):
         report.record(law, True)
 
+    def down_closed(U: int) -> bool:
+        return not any(B._down[p] & ~U for p in _bits(U))
+
     for U in B.elements:
-        if any(q not in U for p in U for q in P.down(p)) or B.regularize(U) != U:
-            report.record("regular", False, sorted(U))
+        if not down_closed(U) or B.regularize(U) != U:
+            report.record("regular", False, list(_bits(U)))
     for a in B.elements:
         if B.join(a, B.neg(a)) != B.one or B.meet(a, B.neg(a)) != B.zero:
-            report.record("complement", False, sorted(a))
+            report.record("complement", False, list(_bits(a)))
     pairs = itertools.islice(itertools.product(B.elements, repeat=2), ALGEBRA_TUPLE_CAP)
     for a, b in pairs:
         if B.neg(B.join(a, b)) != B.meet(B.neg(a), B.neg(b)):
-            report.record("de-morgan", False, (sorted(a), sorted(b)))
+            report.record("de-morgan", False, (list(_bits(a)), list(_bits(b))))
         if not (B.is_element(B.join(a, b)) and B.is_element(B.meet(a, b))
                 and B.is_element(B.neg(a))):
-            report.record("closure", False, (sorted(a), sorted(b)))
+            report.record("closure", False, (list(_bits(a)), list(_bits(b))))
     triples = itertools.islice(itertools.product(B.elements, repeat=3), ALGEBRA_TUPLE_CAP)
     for a, b, c in triples:
         if B.meet(a, B.join(b, c)) != B.join(B.meet(a, b), B.meet(a, c)):
-            report.record("distributive", False, (sorted(a), sorted(b), sorted(c)))
+            report.record("distributive", False,
+                          (list(_bits(a)), list(_bits(b)), list(_bits(c))))
 
     if len(P) <= 12:
-        for mask in range(1 << len(P)):
-            U = frozenset(p for p in P.conditions() if mask >> p & 1)
-            down_closed = all(q in U for p in U for q in P.down(p))
-            if down_closed and B.regularize(U) == U and not B.is_element(U):
-                report.record("enumeration-complete", False, sorted(U))
+        for U in range(1 << len(P)):
+            if down_closed(U) and B.regularize(U) == U and not B.is_element(U):
+                report.record("enumeration-complete", False, list(_bits(U)))
     return report
 
 
@@ -653,7 +635,7 @@ class BooleanValues:
         self.completion = completion
         self._memo: dict = {}
 
-    def value(self, kind: str, sigma: PName, tau: PName) -> frozenset:
+    def value(self, kind: str, sigma: PName, tau: PName) -> int:
         key = (kind, sigma, tau)
         got = self._memo.get(key)
         if got is not None:
@@ -661,11 +643,13 @@ class BooleanValues:
         B = self.completion.algebra
         i = self.completion.embed
         if kind == "in":
-            out = B.join_many(B.meet(self.value("eq", sigma, rho), i(r))
-                              for rho, r in tau.entries)
+            out = B.regularize(functools.reduce(
+                operator.or_, (B.meet(self.value("eq", sigma, rho), i(r))
+                               for rho, r in tau.entries), B.zero))
         elif kind == "sub":
-            out = B.meet_many(B.join(B.neg(i(r)), self.value("in", rho, tau))
-                              for rho, r in sigma.entries)
+            out = functools.reduce(
+                operator.and_, (B.join(B.neg(i(r)), self.value("in", rho, tau))
+                                for rho, r in sigma.entries), B.one)
         elif kind == "eq":
             out = B.meet(self.value("sub", sigma, tau), self.value("sub", tau, sigma))
         else:

@@ -687,8 +687,9 @@ def _encode_node(phi: Formula, kids: tuple[HFSet, ...]) -> HFSet:
     raise EncodingError(f"cannot encode formula {type(phi).__name__}")
 
 
-# The decoders recurse on the structure of a code, which is a DAG; their
-# caches (None results included) make each distinct subcode decode once.
+# Codes are DAGs, so the decoders keep caches (None results included) that
+# make each distinct subcode decode once.  Formula codes decode by one fold;
+# names and terms recurse once per level of their own nesting.
 
 @functools.cache
 def _decode_name(x: HFSet) -> PName | None:
@@ -728,17 +729,36 @@ def decode_term(x: HFSet) -> Term | None:
     return None
 
 
-@functools.cache
+_formula_codes: dict[HFSet, Formula | None] = {}
+
+
 def decode_formula(x: HFSet) -> Formula | None:
     """The formula x codes, or None when x codes none: not a code, or parts
-    that would mix ground constants with name constants."""
+    that would mix ground constants with name constants.  One fold over the
+    subcodes, so the nesting depth is not bounded by the stack."""
+    return dag.fold(x, _formula_subcodes, _decode_node, _formula_codes)
+
+
+def _formula_subcodes(x: HFSet) -> tuple[HFSet, ...]:
+    """The codes of the subformulas x's formula is built from."""
+    p = hf_unpair(x)
+    tag = nat_decode(p[0]) if p is not None else None
+    if tag == 9:
+        return (p[1],)
+    if tag in (10, 11):
+        return tuple(hf_unlist(p[1]) or ())
+    q = hf_unpair(p[1]) if tag in (12, 13) else None
+    return (q[1],) if q is not None else ()
+
+
+def _decode_node(x: HFSet, subs: tuple[Formula | None, ...]) -> Formula | None:
     try:
-        return _decode_formula(x)
+        return _decode_formula(x, subs)
     except ForcelabError:  # raised by the constructors for mixed constants only
         return None
 
 
-def _decode_formula(x: HFSet) -> Formula | None:
+def _decode_formula(x: HFSet, subs: tuple[Formula | None, ...]) -> Formula | None:
     p = hf_unpair(x)
     if p is None:
         return None
@@ -769,14 +789,9 @@ def _decode_formula(x: HFSet) -> Formula | None:
             return None
         return atom_tr(*terms)
     if tag == 9:
-        sub = decode_formula(payload)
-        return not_(sub) if sub is not None else None
+        return not_(subs[0]) if subs[0] is not None else None
     if tag in (10, 11):
-        items = hf_unlist(payload)
-        if items is None:
-            return None
-        subs = [decode_formula(i) for i in items]
-        if any(s is None for s in subs):
+        if hf_unlist(payload) is None or None in subs:
             return None
         return and_(subs) if tag == 10 else or_(subs)
     if tag in (12, 13):
@@ -787,10 +802,9 @@ def _decode_formula(x: HFSet) -> Formula | None:
         if var_items is None:
             return None
         vs = [_decode_str(v) for v in var_items]
-        body = decode_formula(q[1])
-        if any(v is None or not v for v in vs) or body is None:
+        if any(v is None or not v for v in vs) or subs[0] is None:
             return None
-        return forall(vs, body) if tag == 12 else exists(vs, body)
+        return forall(vs, subs[0]) if tag == 12 else exists(vs, subs[0])
     return None
 
 

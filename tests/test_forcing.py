@@ -304,8 +304,8 @@ def test_atoms_between_check_and_plain_names_take_the_recursion(corpus_notion):
     N = subname_closure([check_name(x) for x in v_stage(3)] + [sigma])
     FR = atomic_forcing(P, N)
     # σ = 1̌ holds exactly where ∅̌ ∈ σ does: below which down(p) is dense
-    expected = boolean_completion(P).algebra.regularize(P.down(p))
-    assert FR.atomic_value("eq", sigma, one) == sum(1 << q for q in expected)
+    expected = boolean_completion(P).algebra.regularize(sum(1 << q for q in P.down(p)))
+    assert FR.atomic_value("eq", sigma, one) == expected
     assert _both_sides_agree(P, N)
 
 

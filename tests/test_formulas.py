@@ -161,6 +161,16 @@ def test_godel_roundtrip():
     assert decode_formula(nat_encode(5)) is None
 
 
+def test_godel_roundtrip_at_depth_1000():
+    # the decoder folds over subcodes, so it has no recursion to run out of
+    phi = atom_eq(x, y)
+    for depth in range(1000):
+        phi = [not_(phi), and_([phi, atom_in(x, y)]), or_([atom_eq(y, y), phi]),
+               exists(("y",), phi)][depth % 4]
+    assert phi.rank == 1000
+    assert decode_formula(encode_formula(phi)) is phi
+
+
 def test_valuation_roundtrip():
     v = {"x": EMPTY, "y": nat_encode(2)}
     assert decode_valuation(encode_valuation(v)) == v

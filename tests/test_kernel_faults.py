@@ -1,15 +1,17 @@
-"""Fault injection into the bitmask kernels: forcing values and the atom
-rows of Tarskian evaluation.
+"""Fault injection into the bitmask kernels: forcing values, Boolean values
+and the atom rows of Tarskian evaluation.
 
 Each test corrupts one bit of one stored mask and asserts that the check
 built on it reports failure.  The checks compare the kernel's masks with
 sides computed without them (the staged recursion instance, Boolean values
-over the frozenset algebra, direct evaluation in the generic extension,
+in the regular-open algebra, direct evaluation in the generic extension,
 pointwise iterated truth, the truth-teller's verdicts in the truth-telling
-game) or with the forcing laws, so a wrong mask cannot pass them.  One test
-poisons an entry of the memoized pair table instead, and self-coherence
-must catch the wrong code.  A last test reads the source of the pointwise
-sides and fails if one of them calls the evaluator it is compared with.
+game) or with the forcing laws, so a wrong mask cannot pass them.  The
+Boolean values are corrupted the same way and must fail the comparison
+with the kernel or leave the algebra.  One test poisons an entry of the
+memoized pair table instead, and self-coherence must catch the wrong code.
+The last tests read the source of the independent sides and fail if one
+of them names the code it is compared with.
 """
 
 import ast
@@ -96,6 +98,25 @@ def test_every_single_flip_fails_the_boolean_value_comparison(fork_kernel):
         with _flipped(FR, kind, s, t, p):
             caught += not _values_agree(FR, bv)
     assert caught == 3 * len(FR.universe) ** 2 * len(FR.notion)
+
+
+def test_every_single_boolean_value_flip_is_caught(fork_kernel):
+    # For an element V, embed(q) ≤ V holds exactly when q ∈ V, so a flipped
+    # bit that stays in the algebra changes derived_forces at q.
+    FR, _, _, bv = fork_kernel
+    B = bv.completion.algebra
+    assert _values_agree(FR, bv)
+    assert len(bv._memo) == 3 * len(FR.universe) ** 2
+    caught = 0
+    for key in list(bv._memo):
+        for p in FR.notion.conditions():
+            bv._memo[key] ^= 1 << p
+            try:
+                caught += not B.is_element(bv._memo[key]) or not _values_agree(FR, bv)
+            finally:
+                bv._memo[key] ^= 1 << p
+    assert caught == len(bv._memo) * len(FR.notion)
+    assert _values_agree(FR, bv)
 
 
 def test_flipped_check_name_equality_fails_both_comparisons(fork_kernel):
@@ -346,11 +367,26 @@ def _definition(module, qualname):
     return node
 
 
-def test_pointwise_sides_never_name_the_merged_evaluator():
+def _offenders(sides, forbidden) -> list:
     offenders = []
-    for module, qualname in POINTWISE_SIDES:
+    for module, qualname in sides:
         for n in ast.walk(_definition(module, qualname)):
             named = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
-            if named in ("eval_formula", "_value"):
+            if named in forbidden:
                 offenders.append((qualname, named, n.lineno))
-    assert offenders == []
+    return offenders
+
+
+def test_pointwise_sides_never_name_the_merged_evaluator():
+    assert _offenders(POINTWISE_SIDES, ("eval_formula", "_value")) == []
+
+
+# Criterion 3 compares Boolean values with the forcing kernel, so the
+# regular-open algebra and the Boolean-value recursion may not reach it.
+
+ALGEBRA_SIDES = [(forcing_mod, "BooleanAlgebra"), (forcing_mod, "BooleanValues")]
+KERNEL_NAMES = ("ForcingRelation", "atomic_value", "_witnessed", "_atomic", "_neg", "_up")
+
+
+def test_algebra_sides_never_name_the_forcing_kernel():
+    assert _offenders(ALGEBRA_SIDES, KERNEL_NAMES) == []
