@@ -26,7 +26,8 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import dag
 from . import etr as etr_mod
@@ -52,6 +53,7 @@ NESTING_CAP = 200          # formula nesting depth (rank) forces and star_transl
 AUDIT_POOL_SIZE = 24       # atomic formulas for the modus-ponens and decidedness laws
 AUDIT_TUPLE_CAP = 4000     # formula pairs, name pairs and name triples the law audit visits
 ALGEBRA_TUPLE_CAP = 40000  # element pairs and triples the algebra audit visits
+_NO_NAMES: Mapping = MappingProxyType({})  # the valuation of a closed formula
 
 
 # The atoms between two check names, read off their sets (see atomic_value).
@@ -77,10 +79,12 @@ class ForcingRelation:
     Values are condition masks.  `_atomic` maps (kind, σ, τ) to the mask of
     the atomic statement; atomic values are sound for any names, not only
     universe members, and the universe bounds the quantifier clauses.
-    `_values` maps a formula node to its mask and is dropped when a class
-    name is registered.  `classes` maps each ident to its class name, with
-    the canonical generic-filter class name first under "G"; that one is
-    built the first time `classes` is read or a "G" atom is forced.
+    `_values` keys a closed composite or class atom by its node and an open
+    one by (node, the names the valuation gives its `free_sorted`); it is
+    dropped when a class name is registered.  `classes` maps each ident to
+    its class name, with the canonical generic-filter class name first under
+    "G"; that one is built the first time `classes` is read or a "G" atom is
+    forced.
     """
 
     def __init__(self, notion: ForcingNotion, universe: Sequence[PName],
@@ -188,41 +192,41 @@ class ForcingRelation:
                 for kind in ("in", "sub", "eq"):
                     self.atomic_value(kind, sigma, tau)
 
-    def value(self, phi: Formula) -> int:
-        """The mask of the conditions forcing the closed formula."""
-        got = self._values.get(phi)
+    def value(self, phi: Formula, env: Mapping[str, PName] = _NO_NAMES) -> int:
+        """The mask of the conditions forcing phi under the name valuation env."""
+        if isinstance(phi, (AtomEq, AtomIn)):
+            return self.atomic_value("eq" if isinstance(phi, AtomEq) else "in",
+                                     _term_pname(phi.left, env), _term_pname(phi.right, env))
+        key = (phi, tuple(map(env.get, phi.free_sorted))) if phi.free else phi
+        got = self._values.get(key)
         if got is None:
-            got = self._values[phi] = self._clause(phi)
+            got = self._values[key] = self._clause(phi, env)
         return got
 
-    def _clause(self, phi: Formula) -> int:
-        if isinstance(phi, AtomEq):
-            return self.atomic_value("eq", _term_pname(phi.left), _term_pname(phi.right))
-        if isinstance(phi, AtomIn):
-            return self.atomic_value("in", _term_pname(phi.left), _term_pname(phi.right))
+    def _clause(self, phi: Formula, env: Mapping[str, PName]) -> int:
         if isinstance(phi, (AtomInClass, AtomInG)):
             ident = phi.ident if isinstance(phi, AtomInClass) else "G"
             cls = (self.classes if ident == "G" else self._classes).get(ident)
             if cls is None:
                 raise ForcelabError(f"no class name registered as {ident!r}")
-            return self._witnessed(_term_pname(phi.term), cls.entries)
+            return self._witnessed(_term_pname(phi.term, env), cls.entries)
         if isinstance(phi, AtomTr):
             raise ForcelabError("iterated-truth atoms are not part of the forcing language")
         if isinstance(phi, Not):
-            return self.neg(self.value(phi.sub))
+            return self.neg(self.value(phi.sub, env))
         if isinstance(phi, (And, Or)):
-            subs = phi.subs
+            values = (self.value(s, env) for s in phi.subs)
         elif isinstance(phi, (Forall, Exists)):
             k = len(phi.vars)
             if len(self.universe) ** k > QUANTIFIER_BUDGET:
                 raise BudgetError(f"quantifier block over {len(self.universe)}^{k} names")
-            subs = (substitute(phi.body, dict(zip(phi.vars, map(name_const, values))))
-                    for values in itertools.product(self.universe, repeat=k))
+            values = (self.value(phi.body, {**env, **dict(zip(phi.vars, names))})
+                      for names in itertools.product(self.universe, repeat=k))
         else:
             raise ForcelabError(f"unknown formula node {type(phi).__name__}")
         if isinstance(phi, (And, Forall)):
-            return functools.reduce(operator.and_, map(self.value, subs), self.full)
-        return self.regularize(functools.reduce(operator.or_, map(self.value, subs), 0))
+            return functools.reduce(operator.and_, values, self.full)
+        return self.regularize(functools.reduce(operator.or_, values, 0))
 
 
 def atomic_forcing(P: ForcingNotion, universe: Sequence[PName],
@@ -236,16 +240,23 @@ def collect_names(phi: Formula) -> set[PName]:
     return {t.name for t in terms(phi) if isinstance(t, NameConst)}
 
 
-def _term_pname(t: Term) -> PName:
+def _term_pname(t: Term, env: Mapping[str, PName] = _NO_NAMES) -> PName:
+    """The name a term denotes, its variables read as the names `env` gives them."""
     if isinstance(t, NameConst):
         return t.name
     if isinstance(t, Var):
-        raise ForcelabError("forcing a formula with free variables; substitute names first")
+        if t.name not in env:
+            raise ForcelabError(f"free variable {t.name!r} is not covered by the valuation")
+        return env[t.name]
+    if isinstance(t, PairTerm):
+        return op_name(_term_pname(t.left, env), _term_pname(t.right, env))
     raise ForcelabError(f"term {type(t).__name__} is not a name constant")
 
 
-def forces(FR: ForcingRelation, p: int, phi: Formula, check_universe: bool = True) -> bool:
-    """p forces the closed forcing-language formula, by the recursive clauses.
+def forces(FR: ForcingRelation, p: int, phi: Formula, check_universe: bool = True,
+           env: Mapping[str, PName] = _NO_NAMES) -> bool:
+    """p forces the forcing-language formula by the recursive clauses, each
+    free variable read as the name `env` gives it (`env` must cover them).
 
     The value of ¬φ is neg of φ's, of ∧ and ∀ the intersection, and of ∨
     and ∃ the regularized union: a disjunction is forced below which its
@@ -254,17 +265,17 @@ def forces(FR: ForcingRelation, p: int, phi: Formula, check_universe: bool = Tru
     exercised by the audit tests.  The clauses recurse once per nesting
     level, so a formula nested deeper than NESTING_CAP is refused.
     """
-    if phi.free:
+    if phi.free - env.keys():
         raise ForcelabError("only closed formulas are forced")
     _check_nesting(phi)
     if "ground" in phi.const_kinds:
         raise ForcelabError("forcing-language formulas use name constants, not ground constants")
     if check_universe:
-        missing = collect_names(phi) - set(FR.universe)
+        missing = (collect_names(phi) | {env[x] for x in phi.free}) - set(FR.universe)
         if missing:
             raise ForcelabError(
                 f"formula mentions {len(missing)} name(s) outside the universe")
-    return FR.value(phi) >> p & 1 == 1
+    return FR.value(phi, env) >> p & 1 == 1
 
 
 def _check_nesting(phi: Formula):

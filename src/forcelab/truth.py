@@ -589,7 +589,8 @@ def _clock_rules(fa: CollapseNotion):
 
 class ForcingTruth:
     """Truth predicate read off the collapse forcing: a statement is declared
-    true when the top condition forces its instantiated clock translation."""
+    true when the top condition forces its clock translation, each free
+    variable read as the slot name of its value."""
 
     def __init__(self, n: int, A: Iterable[HFSet], pool: Sequence[Formula],
                  include_degenerate_tokens: bool = False):
@@ -615,24 +616,18 @@ class ForcingTruth:
         self.relation = forcing_mod.atomic_forcing(
             self.fa, universe, classes=(self.a_class,), eager=False)
 
-    def instance(self, phi: Formula, valuation: dict[str, HFSet]) -> Formula:
-        """The closed star-translation with slot-names substituted for free variables."""
-        star = self._stars[phi]
-        binding = {x: name_const(self.slot_names[valuation[x]]) for x in phi.free}
-        return substitute(star, binding)
-
     def holds(self, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
         v = valuation or {}
         if phi not in self._stars:
             raise ForcelabError("formula outside the declared pool")
         if phi.free - set(v):
             raise ForcelabError("valuation must cover the free variables")
-        for x in phi.free:
-            if v[x] not in set(self.fa.targets):
-                raise ForcelabError("valuation values must lie in the collapsed stage")
+        if any(v[x] not in self.slot_names for x in phi.free):
+            raise ForcelabError("valuation values must lie in the collapsed stage")
         from . import forcing as forcing_mod
-        return forcing_mod.forces(self.relation, self.fa.one, self.instance(phi, v),
-                                  check_universe=False)
+        return forcing_mod.forces(self.relation, self.fa.one, self._stars[phi],
+                                  check_universe=False,
+                                  env={x: self.slot_names[v[x]] for x in phi.free})
 
 
 def forcing_truth(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
@@ -642,14 +637,14 @@ def forcing_truth(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
 
 def invariance_check(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
                      ft: ForcingTruth | None = None):
-    """Every condition forces an instantiated clock translation iff the top
-    does: each instance's forcing value is empty or every condition."""
+    """Every condition forces a clock translation under a slot valuation iff
+    the top does: each such forcing value is empty or every condition."""
     if ft is None:
         ft = ForcingTruth(n, A, pool)
     FR = ft.relation
     for phi in ft.pool:
         for v in instances(FiniteStructure(ft.fa.targets), phi):
-            value = FR.value(ft.instance(phi, v))
+            value = FR.value(ft._stars[phi], {x: ft.slot_names[v[x]] for x in phi.free})
             if value not in (0, FR.full):
                 at_one = value >> ft.fa.one & 1
                 p = next(q for q in ft.fa.conditions() if value >> q & 1 != at_one)

@@ -31,6 +31,45 @@ def test_algebra_laws(corpus_notion):
     assert report.ok, report.failures()
 
 
+# Fault injection into the algebra audit: each law must be able to fail.
+# On the fork (top 0 above a = 1 and b = 2) the elements are 0, {a}, {b}
+# and the whole set.
+
+def _with_elements(B, elements):
+    B.elements = list(elements)
+    B._element_set = frozenset(B.elements)
+
+
+def test_an_element_fixed_by_regularize_but_not_downward_closed_fails_regular(
+        fork, monkeypatch):
+    """Every fixed point of the true regularize is downward-closed, so only a
+    regularize that keeps {top} shows the downward-closure test can fail."""
+    B = boolean_completion(fork).algebra
+    top = 1 << fork.one
+    real = B.regularize
+    monkeypatch.setattr(B, "regularize", lambda U: U if U == top else real(U))
+    _with_elements(B, B.elements + [top])
+    assert B.regularize(top) == top
+    assert audit_boolean_algebra(B).failures()["regular"] == [fork.one]
+
+
+def test_an_enumeration_missing_a_regular_open_set_fails_enumeration_complete(fork):
+    B = boolean_completion(fork).algebra
+    a = 1 << fork.index("a")
+    _with_elements(B, [u for u in B.elements if u != a])
+    assert audit_boolean_algebra(B).failures()["enumeration-complete"] == [fork.index("a")]
+
+
+def test_a_negation_leaving_the_algebra_fails_closure(fork, monkeypatch):
+    B = boolean_completion(fork).algebra
+    a = 1 << fork.index("a")
+    real = B.neg
+    monkeypatch.setattr(B, "neg", lambda u: real(u) | 1 << fork.one if u == a else real(u))
+    assert not B.is_element(B.neg(a))
+    failures = audit_boolean_algebra(B).failures()
+    assert "closure" in failures and failures["closure"][0] == [fork.index("a")]
+
+
 def test_embedding_identifies_exactly_equivalents(corpus_notion):
     P = corpus_notion
     bc = boolean_completion(P)

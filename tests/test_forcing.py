@@ -183,7 +183,7 @@ def test_the_filter_class_name_is_built_on_first_use(monkeypatch, fork):
     FR = ft.relation
     phi = atom_in_class(var("x"), "A")
     assert ft.holds(phi, {"x": EMPTY}) and not ft.holds(phi, {"x": hf_make([EMPTY])})
-    assert FR.value(ft.instance(phi, {"x": EMPTY})) == FR.full
+    assert FR.value(ft._stars[phi], {"x": ft.slot_names[EMPTY]}) == FR.full
     assert calls == []
     atom = atom_in_g(name_const(check_name(nat_encode(1))))
     assert forces(FR, 1, atom, check_universe=False)

@@ -174,7 +174,10 @@ def test_top_bit_flip_fails_invariance_on_stage_2_collapse():
     phi = next(f for f in ft.pool if isinstance(f, COMPOSITE))
     v = next(iter(instances(FiniteStructure(ft.fa.targets), phi)))
     FR = ft.relation
-    FR._values[ft.instance(phi, v)] ^= 1 << ft.fa.one
+    # the memo key of the star translation under the slot valuation
+    star, binding = ft._stars[phi], {x: ft.slot_names[v[x]] for x in phi.free}
+    assert star.free
+    FR._values[(star, tuple(binding[x] for x in star.free_sorted))] ^= 1 << ft.fa.one
     ok, cx = invariance_check(2, [EMPTY], pool, ft)
     assert not ok
     assert cx[1] is phi and cx[2] == tuple(sorted(v.items()))
@@ -390,3 +393,18 @@ KERNEL_NAMES = ("ForcingRelation", "atomic_value", "_witnessed", "_atomic", "_ne
 
 def test_algebra_sides_never_name_the_forcing_kernel():
     assert _offenders(ALGEBRA_SIDES, KERNEL_NAMES) == []
+
+
+# Criteria 1 and 4 compare forcing with truth: direct evaluation in the
+# generic extension (`ground_formula`, then `eval_formula`) and Tarskian truth
+# (`tarski_truth`).  The forcing walk under a name valuation, and the atomic
+# recursion it reads, may reach none of them.
+
+FORCING_SIDES = [(forcing_mod, "ForcingRelation.value"), (forcing_mod, "ForcingRelation._clause"),
+                 (forcing_mod, "ForcingRelation.atomic_value"),
+                 (forcing_mod, "ForcingRelation._witnessed"), (forcing_mod, "_term_pname")]
+TRUTH_NAMES = ("eval_formula", "_value", "ground_formula", "tarski_truth")
+
+
+def test_the_forcing_walk_never_names_the_truth_sides():
+    assert _offenders(FORCING_SIDES, TRUTH_NAMES) == []
