@@ -78,8 +78,10 @@ class Solution:
 def staged_instance(elements: Iterable[HFSet], length: int,
                     stages: Callable[[HFSet], Iterable[int]], step: StepRule, label: str
                     ) -> RecursionInstance:
-    """The instance over the elements in key order; x is in the support of stages(x)."""
-    domain = tuple(sorted(elements, key=lambda e: e.key))
+    """The instance over the elements in the order given; x is in the support
+    of stages(x).  Pass an ordered collection: a set of HF sets iterates in
+    an order that follows memory addresses."""
+    domain = tuple(elements)
     support: list[list[HFSet]] = [[] for _ in range(length)]
     for x in domain:
         for alpha in stages(x):
@@ -109,7 +111,8 @@ def etr_solve(inst: RecursionInstance) -> Solution:
 
 def verify_solution(inst: RecursionInstance, sol: Solution
                     ) -> tuple[bool, tuple[int, HFSet] | None]:
-    """Check the recursion equation at every slice; report the first failure."""
+    """Check the recursion equation at every slice; report the first failure,
+    in domain order, with members outside the domain after it in key order."""
     _check_budget(inst)
     if len(sol.slices) != inst.length:
         raise ForcelabError("solution has the wrong number of slices")
@@ -121,7 +124,10 @@ def verify_solution(inst: RecursionInstance, sol: Solution
                 return False, (alpha, x)
         undecided = slice_.difference(decided)
         if undecided:
-            return False, (alpha, min(undecided, key=lambda e: e.key))
+            first = next((x for x in inst.domain if x in undecided), None)
+            if first is None:  # only members outside the domain
+                first = min(undecided, key=lambda e: e.key)
+            return False, (alpha, first)
     return True, None
 
 

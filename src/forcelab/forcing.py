@@ -894,22 +894,25 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
                for s in N for t in N}
 
     def step(x: HFSet, alpha: int, view, _param) -> bool:
+        # Each row's earlier slice is read once, through the view's stage check.
         p, kind, sigma, tau = codec[x]
         if kind == "in":
             # below every q1 ≤ p some q ≤ q1 lies below an entry's r and
             # forces σ = ρ by an earlier slice
-            rows = in_rows[(sigma, tau)]
-            return all(any(q in below_r and view(st, encs[q])
-                           for q in downs[q1] for below_r, st, encs in rows)
+            rows = [(below_r, view.slice(st), encs)
+                    for below_r, st, encs in in_rows[(sigma, tau)]]
+            return all(any(q in below_r and encs[q] in sl
+                           for q in downs[q1] for below_r, sl, encs in rows)
                        for q1 in downs[p])
         # equality, with both subset directions unfolded into membership
         below_p = downs[p]
         for a, b in ((sigma, tau), (tau, sigma)):
             for rho, r in a.entries:
                 st, encs = in_table[(rho, b)]
+                sl = view.slice(st)
                 for q1 in below_p & downs[r]:
                     for q in downs[q1]:
-                        if view(st, encs[q]):
+                        if encs[q] in sl:
                             break
                     else:
                         return False

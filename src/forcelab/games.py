@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from . import dag, sexpr
+from . import sexpr
 from . import etr as etr_mod
 from .errors import BudgetError, ForcelabError, ParseError
 from .formulas import (And, AtomTr, Exists, Forall, Formula, Not, Or)
@@ -24,6 +25,12 @@ from .hfset import HFSet, nat_encode
 from .truth import FiniteStructure, _eval_atom, instances, valuation_key
 
 GAME_BUDGET = 300_000
+
+# A stored node: (mover, children, winner, note), with note None when empty.
+# CPython stops tracking a tuple of strings, None and untracked tuples once a
+# garbage collection examines it, so a row without a note costs later full
+# collections nothing.
+Row = tuple[str | None, tuple[int, ...], str | None, dict | None]
 
 
 @dataclass
@@ -35,29 +42,65 @@ class GameNode:
     note: dict = field(default_factory=dict)
 
 
+class _NodeView(Mapping):
+    """A tree's rows read as GameNodes, built on each read; read-only."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: dict[int, Row]):
+        self._rows = rows
+
+    def __getitem__(self, i: int) -> GameNode:
+        mover, children, winner, note = self._rows[i]
+        return GameNode(i, mover, children, winner, {} if note is None else note)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 class GameTree:
-    def __init__(self, nodes: dict[int, GameNode], root: int):
-        self.nodes = nodes
+    """A finite game tree stored as one row per node in `_rows`; `nodes` is
+    the GameNode view of them.  `_reachable` lists the nodes below the root
+    in reversed pre-order, so every child comes before its parent."""
+
+    def __init__(self, nodes: Mapping[int, GameNode], root: int):
+        self._set_rows({i: (n.mover, tuple(n.children), n.winner, n.note or None)
+                        for i, n in nodes.items()}, root)
+
+    @classmethod
+    def from_rows(cls, rows: dict[int, Row], root: int) -> GameTree:
+        T = cls.__new__(cls)
+        T._set_rows(rows, root)
+        return T
+
+    def _set_rows(self, rows: dict[int, Row], root: int):
+        self._rows = rows
+        self.nodes = _NodeView(rows)
         self.root = root
         self._validate()
 
     def _validate(self):
         seen: set[int] = set()
+        order: list[int] = []
         stack = [self.root]
         while stack:
             i = stack.pop()
             if i in seen:
                 raise ForcelabError("game graph revisits a node; trees only")
             seen.add(i)
-            node = self.nodes[i]
-            if node.children:
-                if node.mover not in ("I", "II"):
+            order.append(i)
+            mover, children, winner, _ = self._rows[i]
+            if children:
+                if mover not in ("I", "II"):
                     raise ForcelabError(f"internal node {i} needs a mover")
-                stack.extend(node.children)
-            else:
-                if node.winner not in ("I", "II"):
-                    raise ForcelabError(f"terminal node {i} needs a winner")
-        self._reachable = seen
+                stack.extend(children)
+            elif winner not in ("I", "II"):
+                raise ForcelabError(f"terminal node {i} needs a winner")
+        order.reverse()
+        self._reachable = tuple(order)
 
     def __len__(self) -> int:
         return len(self._reachable)
@@ -65,12 +108,12 @@ class GameTree:
     def to_sexp(self) -> str:
         forms = ["game"]
         for i in sorted(self._reachable):
-            n = self.nodes[i]
-            if n.children:
-                forms.append(["node", str(i), ["mover", n.mover],
-                              ["children", *(str(c) for c in n.children)]])
+            mover, children, winner, _ = self._rows[i]
+            if children:
+                forms.append(["node", str(i), ["mover", mover],
+                              ["children", *(str(c) for c in children)]])
             else:
-                forms.append(["terminal", str(i), ["winner", n.winner]])
+                forms.append(["terminal", str(i), ["winner", winner]])
         forms.append(["root", str(self.root)])
         return sexpr.show(forms)
 
@@ -94,7 +137,7 @@ def parse_game(text: str) -> GameTree:
     form = sexpr.read(text)
     if not isinstance(form, list) or not form or form[0] != "game":
         raise ParseError("expected (game ...)")
-    nodes: dict[int, GameNode] = {}
+    rows: dict[int, Row] = {}
     root = None
     for clause in form[1:]:
         if not isinstance(clause, list) or not clause:
@@ -107,22 +150,22 @@ def parse_game(text: str) -> GameTree:
             parts = _game_parts(clause)
             mover = (parts.get("mover") or [None])[0]
             children = tuple(_game_int(c) for c in parts.get("children", ()))
-            nodes[ident] = GameNode(ident, mover, children)
+            rows[ident] = (mover, children, None, None)
         elif head == "terminal":
             ident = _game_int(clause[1])
             winner = (_game_parts(clause).get("winner") or [None])[0]
-            nodes[ident] = GameNode(ident, None, (), winner)
+            rows[ident] = (None, (), winner, None)
         elif head == "root":
             root = _game_int(clause[1])
         else:
             raise ParseError(f"unknown game clause {head!r}")
     if root is None:
         raise ParseError("game needs a (root ...) clause")
-    undefined = sorted({root, *(c for n in nodes.values() for c in n.children)} - set(nodes))
+    undefined = sorted({root, *(c for row in rows.values() for c in row[1])} - set(rows))
     if undefined:
         raise ParseError(f"node {undefined[0]} is used but never defined")
     try:
-        return GameTree(nodes, root)
+        return GameTree.from_rows(rows, root)
     except ForcelabError as e:
         raise ParseError(str(e)) from None
 
@@ -130,8 +173,10 @@ def parse_game(text: str) -> GameTree:
 def continuous_rank(T: GameTree) -> dict[int, int]:
     """Terminals get 0; every parent gets one more than its highest child."""
     rank: dict[int, int] = {}
-    dag.fold(T.root, lambda i: T.nodes[i].children,
-             lambda _, kids: 1 + max(kids) if kids else 0, rank)
+    rows = T._rows
+    for i in T._reachable:
+        children = rows[i][1]
+        rank[i] = 1 + max(rank[c] for c in children) if children else 0
     return rank
 
 
@@ -151,15 +196,15 @@ def zermelo_solve(T: GameTree) -> ZermeloResult:
     winner's labels."""
     labels: dict[int, str] = {}
     strat = {"I": {}, "II": {}}
-    for i in dag.nodes(T.root, lambda i: T.nodes[i].children):
-        node = T.nodes[i]
-        if not node.children:
-            labels[i] = node.winner
+    rows = T._rows
+    for i in T._reachable:
+        mover, children, winner, _ = rows[i]
+        if not children:
+            labels[i] = winner
             continue
-        mover = node.mover
-        mine = [c for c in node.children if labels[c] == mover]
+        mine = [c for c in children if labels[c] == mover]
         labels[i] = mover if mine else _other(mover)
-        strat[mover][i] = mine[0] if mine else node.children[0]
+        strat[mover][i] = mine[0] if mine else children[0]
     return ZermeloResult(labels, strat["I"], strat["II"])
 
 
@@ -170,13 +215,14 @@ def _other(player: str) -> str:
 def label_fixpoint_violation(T: GameTree, labels: dict[int, str]) -> int | None:
     """A node whose label is not its winner (at a terminal) or not what its
     children's labels give its mover, or None when the labels are a fixpoint."""
+    rows = T._rows
     for i in sorted(T._reachable):
-        node = T.nodes[i]
-        if not node.children:
-            want = node.winner
+        mover, children, winner, _ = rows[i]
+        if not children:
+            want = winner
         else:
-            mine = any(labels[c] == node.mover for c in node.children)
-            want = node.mover if mine else _other(node.mover)
+            mine = any(labels[c] == mover for c in children)
+            want = mover if mine else _other(mover)
         if labels[i] != want:
             return i
     return None
@@ -186,21 +232,22 @@ def verify_strategy(T: GameTree, strategy: dict[int, int], player: str
                     ) -> tuple[bool, list[int] | None]:
     """Play the strategy against every opposing line; the verdict is whether
     every reached terminal is a win for the player."""
+    rows = T._rows
     stack: list[list[int]] = [[T.root]]
     while stack:
         line = stack.pop()
-        node = T.nodes[line[-1]]
-        if not node.children:
-            if node.winner != player:
+        mover, children, winner, _ = rows[line[-1]]
+        if not children:
+            if winner != player:
                 return False, line
             continue
-        if node.mover == player:
+        if mover == player:
             choice = strategy.get(line[-1])
-            if choice is None or choice not in node.children:
+            if choice is None or choice not in children:
                 return False, line
             stack.append(line + [choice])
         else:
-            for c in node.children:
+            for c in children:
                 stack.append(line + [c])
     return True, None
 
@@ -209,16 +256,16 @@ def zermelo_recursion_instance(T: GameTree):
     """The labeling as a staged recursion on node rank: the slice holds the
     nodes labeled for player I."""
     rank = continuous_rank(T)
-    codec = {nat_encode(i): i for i in T._reachable}
+    codec = {nat_encode(i): i for i in sorted(T._reachable)}
     enc_of = {i: e for e, i in codec.items()}
+    rows = T._rows
 
     def step(x: HFSet, alpha: int, view, _param) -> bool:
-        i = codec[x]
-        node = T.nodes[i]
-        if not node.children:
-            return node.winner == "I"
-        child_is_I = [view(rank[c], enc_of[c]) for c in node.children]
-        if node.mover == "I":
+        mover, children, winner, _ = rows[codec[x]]
+        if not children:
+            return winner == "I"
+        child_is_I = [view(rank[c], enc_of[c]) for c in children]
+        if mover == "I":
             return any(child_is_I)
         return all(child_is_I)
 
@@ -229,7 +276,7 @@ def zermelo_recursion_instance(T: GameTree):
 
 def random_game_tree(rng: random.Random, max_nodes: int = 200) -> GameTree:
     """A random finite game tree within the node budget."""
-    nodes: dict[int, GameNode] = {}
+    rows: dict[int, Row] = {}
     next_id = itertools.count()
     root = next(next_id)
     frontier = [(root, 0)]
@@ -238,19 +285,19 @@ def random_game_tree(rng: random.Random, max_nodes: int = 200) -> GameTree:
         ident, depth = frontier.pop()
         make_terminal = total >= max_nodes or depth > 8 or rng.random() < 0.25
         if make_terminal:
-            nodes[ident] = GameNode(ident, None, (), rng.choice(["I", "II"]))
+            rows[ident] = (None, (), rng.choice(["I", "II"]), None)
             continue
         width = rng.randint(1, 3)
         width = min(width, max_nodes - total)
         if width <= 0:
-            nodes[ident] = GameNode(ident, None, (), rng.choice(["I", "II"]))
+            rows[ident] = (None, (), rng.choice(["I", "II"]), None)
             continue
         kids = tuple(next(next_id) for _ in range(width))
         total += width
-        nodes[ident] = GameNode(ident, rng.choice(["I", "II"]), kids)
+        rows[ident] = (rng.choice(["I", "II"]), kids, None, None)
         for k in kids:
             frontier.append((k, depth + 1))
-    return GameTree(nodes, root)
+    return GameTree.from_rows(rows, root)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +359,7 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
     truth-teller.
     """
     pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
-    nodes: dict[int, GameNode] = {}
+    rows: dict[int, Row] = {}
     counter = itertools.count()
 
     def new_node() -> int:
@@ -322,22 +369,23 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
                               f"(pool {len(pool_instances)} instances, clock {clock})")
         return ident
 
-    def interrogator_node(clock_now: int, history: dict) -> int:
+    def interrogator_node(clock_now: int, history: dict, answer: dict) -> int:
+        # `answer` is the declaration this node follows: its verdict and challenge.
         ident = new_node()
         if clock_now == 0:
-            nodes[ident] = GameNode(ident, None, (), "II",
-                                    {"role": "clock-exhausted"})
+            rows[ident] = (None, (), "II", {"role": "clock-exhausted", **answer})
             return ident
         kids = []
         for phi, v in pool_instances:
             for smaller in range(clock_now):
                 kids.append(teller_node(phi, v, smaller, history))
-        nodes[ident] = GameNode(ident, "I", tuple(kids),
-                                note={"role": "interrogator", "clock": clock_now})
+        rows[ident] = ("I", tuple(kids), None,
+                       {"role": "interrogator", "clock": clock_now, **answer})
         return ident
 
     def teller_node(phi: Formula, v: dict, clock_next: int, history: dict) -> int:
         ident = new_node()
+        challenge = (phi, valuation_key(phi, v))
         kids = []
         for verdict in (True, False):
             if verdict and isinstance(phi, Exists):
@@ -345,52 +393,44 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
                     inst = dict(v)
                     inst.update(zip(phi.vars, values))
                     kids.append(declaration_node(
-                        phi, v, verdict, clock_next, history,
-                        extra=(phi.body, inst)))
+                        challenge, verdict, clock_next, history,
+                        witness=(phi.body, valuation_key(phi.body, inst))))
             else:
-                kids.append(declaration_node(phi, v, verdict, clock_next, history))
-        nodes[ident] = GameNode(ident, "II", tuple(kids),
-                                note={"role": "truth-teller",
-                                      "challenge": (phi, valuation_key(phi, v)),
-                                      "clock": clock_next})
+                kids.append(declaration_node(challenge, verdict, clock_next, history))
+        rows[ident] = ("II", tuple(kids), None,
+                       {"role": "truth-teller", "challenge": challenge, "clock": clock_next})
         return ident
 
-    def declaration_node(phi: Formula, v: dict, verdict: bool, clock_next: int,
-                         history: dict, extra=None) -> int:
+    def declaration_node(challenge: tuple, verdict: bool, clock_next: int,
+                         history: dict, witness=None) -> int:
+        # `witness` is the body instance an existential declared true names.
         new_history = dict(history)
         contradiction = False
-        for f, val, verd in [(phi, v, verdict)] + (
-                [(extra[0], extra[1], True)] if extra else []):
-            key = (f, valuation_key(f, val))
-            if key in new_history and new_history[key] != verd:
+        for key, verd in [(challenge, verdict)] + ([(witness, True)] if witness else []):
+            if new_history.get(key, verd) != verd:
                 contradiction = True
             new_history[key] = verd
+        answer = {"verdict": verdict, "challenge": challenge}
         if contradiction or _violates(M, new_history):
             ident = new_node()
-            nodes[ident] = GameNode(ident, None, (), "I",
-                                    {"role": "violation",
-                                     "verdict": verdict,
-                                     "challenge": (phi, valuation_key(phi, v))})
+            rows[ident] = (None, (), "I", {"role": "violation", **answer})
             return ident
-        ident = interrogator_node(clock_next, new_history)
-        nodes[ident].note.setdefault("verdict", verdict)
-        nodes[ident].note.setdefault("challenge", (phi, valuation_key(phi, v)))
-        return ident
+        return interrogator_node(clock_next, new_history, answer)
 
-    root = interrogator_node(clock, {})
-    return GameTree(nodes, root)
+    root = interrogator_node(clock, {}, {})
+    return GameTree.from_rows(rows, root)
 
 
 def extract_verdicts(T: GameTree, strategy_II: dict[int, int],
                      pool_instances: Iterable[tuple[Formula, dict]]) -> dict:
     """Read off the verdict the strategy gives to each instance when it is
     asked first, with the most generous remaining clock."""
-    root = T.nodes[T.root]
+    rows = T._rows
     best: dict = {}
-    for child in root.children:
-        teller = T.nodes[child]
-        challenge = teller.note.get("challenge")
-        clock_next = teller.note.get("clock", -1)
+    for child in rows[T.root][1]:
+        teller = rows[child][3] or {}
+        challenge = teller.get("challenge")
+        clock_next = teller.get("clock", -1)
         if challenge is None:
             continue
         seen = best.get(challenge)
@@ -398,7 +438,7 @@ def extract_verdicts(T: GameTree, strategy_II: dict[int, int],
             reply = strategy_II.get(child)
             if reply is None:
                 continue
-            verdict = T.nodes[reply].note.get("verdict")
+            verdict = (rows[reply][3] or {}).get("verdict")
             best[challenge] = (clock_next, verdict)
     out = {}
     for phi, v in pool_instances:

@@ -1,11 +1,15 @@
+import random
 from dataclasses import replace
 
 import pytest
 
 from forcelab import (EMPTY, BudgetError, FiniteStructure, ForcelabError,
-                      RecursionInstance, Solution, atom_in_class,
+                      RecursionInstance, Solution, atom_in, atom_in_class,
                       atomic_recursion_instance, corpus, etr_solve, hf_rank,
-                      name_universe, perturb, v_stage, var, verify_solution)
+                      name_universe, not_, perturb, random_game_tree,
+                      subformula_closure, tarski_truth_instance, v_stage, var,
+                      verify_solution, zermelo_recursion_instance)
+from forcelab.etr import staged_instance
 from forcelab.truth import formula_step
 
 
@@ -183,3 +187,50 @@ def test_verify_rejects_a_member_outside_the_support(mapped):
         assert verify_solution(mapped, perturb(sol, alpha, last)) == (False, (alpha, last))
         both = perturb(perturb(sol, alpha, last), alpha, first)
         assert verify_solution(mapped, both) == (False, (alpha, first))
+
+
+def _key(x):
+    return x.key
+
+
+def test_staged_instance_keeps_the_callers_order():
+    elements = sorted(v_stage(3), key=_key, reverse=True)
+    inst = staged_instance(elements, 3, lambda x: (hf_rank(x) % 3,),
+                           lambda *a: True, "reversed")
+    assert inst.domain == tuple(elements)
+    assert inst.support == tuple(tuple(x for x in elements if hf_rank(x) % 3 == alpha)
+                                 for alpha in range(3))
+
+
+def test_verify_reports_the_first_undecided_member_in_domain_order():
+    elements = sorted(v_stage(3), key=_key, reverse=True)
+    inst = staged_instance(elements, 2, lambda x: (0,), lambda *a: False, "reversed")
+    sol = etr_solve(inst)
+    first, later = elements[0], elements[-1]
+    assert first.key > later.key
+    assert verify_solution(inst, perturb(perturb(sol, 1, later), 1, first)) == (False, (1, first))
+    # a member outside the domain comes after every domain element
+    outsider = v_stage(4)[-1]
+    assert outsider not in inst.domain
+    assert verify_solution(inst, perturb(perturb(sol, 1, outsider), 1, later)) == (False, (1, later))
+
+
+def _builders():
+    P = corpus.fork()
+    atomic, codec, _ = atomic_recursion_instance(P, name_universe(P, 1))
+    yield atomic, codec
+    yield zermelo_recursion_instance(random_game_tree(random.Random(40), 40))
+    M = FiniteStructure(v_stage(2))
+    yield tarski_truth_instance(M, subformula_closure([not_(atom_in(var("a"), var("b")))]))
+
+
+def test_builders_keep_their_codec_order_and_solve_as_a_key_sorted_rebuild():
+    reordered = []
+    for inst, codec in _builders():
+        assert inst.domain == tuple(codec)
+        rebuilt = replace(inst, domain=tuple(sorted(inst.domain, key=_key)),
+                          support=tuple(tuple(sorted(s, key=_key)) for s in inst.support))
+        reordered.append(rebuilt.domain != inst.domain)
+        assert etr_solve(inst).slices == etr_solve(rebuilt).slices
+        assert verify_solution(inst, etr_solve(rebuilt)) == (True, None)
+    assert any(reordered)

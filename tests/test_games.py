@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -124,6 +125,56 @@ def test_game_sexp_roundtrip():
     assert again.root == 0
     assert again.nodes[0].children == (1, 2)
     assert again.nodes[2].winner == "II"
+
+
+@pytest.fixture(scope="module")
+def stored_trees():
+    rng = random.Random(6)
+    M = FiniteStructure(v_stage(2))
+    return ([random_game_tree(rng, 200) for _ in range(200)]
+            + [truth_telling_game(M, _atomic_pool(), clock) for clock in (1, 2, 3)])
+
+
+def test_node_view_matches_a_tree_rebuilt_from_its_game_nodes(stored_trees):
+    for T in stored_trees:
+        U = GameTree(dict(T.nodes), T.root)
+        assert len(U) == len(T) and list(U.nodes) == list(T.nodes)
+        for i, node in T.nodes.items():
+            assert node.ident == i
+            assert U.nodes[i] == node
+        assert U._rows == T._rows and U._reachable == T._reachable
+
+
+def test_reachable_lists_children_before_parents(stored_trees):
+    for T in stored_trees:
+        position = {i: k for k, i in enumerate(T._reachable)}
+        assert T._reachable[-1] == T.root and len(position) == len(T)
+        assert all(position[c] < position[i] for i in T._reachable
+                   for c in T.nodes[i].children)
+
+
+def test_game_text_round_trips_byte_for_byte(stored_trees):
+    for T in stored_trees:
+        text = T.to_sexp()
+        assert parse_game(text).to_sexp() == text
+
+
+def test_node_view_is_read_only():
+    T = random_game_tree(random.Random(7), 20)
+    with pytest.raises(TypeError):
+        T.nodes[T.root] = leaf(T.root, "I")
+
+
+def test_random_tree_rows_leave_the_garbage_collector():
+    rng = random.Random(8)
+    trees = [random_game_tree(rng, 200) for _ in range(20)]
+    rows = [row for T in trees for row in T._rows.values()]
+    # A collection untracks a tuple whose items are all untracked; a row it
+    # meets before its children tuple waits for the next one.
+    gc.collect()
+    assert not any(gc.is_tracked(children) for _, children, _, _ in rows)
+    gc.collect()
+    assert not any(gc.is_tracked(row) for row in rows)
 
 
 # --- truth-telling -----------------------------------------------------------
