@@ -4,15 +4,17 @@ A forcing value is the set of conditions forcing a statement, held as an
 `int` mask with bit p for condition p: a regular-open downset.  The
 elements of a Boolean completion are held the same way.  Atomic
 values solve the membership/equality recursion on pairs of names, ordered
-by the maximum of their ranks, by memoized recursion on masks.  Between
-two check names every condition is the top, so the recursion only ever
-sees the full mask or 0 and the value is read off the names' sets instead.
-For cross-checks the values are re-derived pointwise, with no such
-shortcut, as a staged recursion instance and as Boolean values.  On top
-of them sit the composite clauses for the (finite) infinitary forcing
-language, the law audit, the reduction of quantifier-free sentences to
-single atomic equalities (each distinct subformula reduced once), Boolean
-completions with Boolean values, generic extensions with the
+by the maximum of their ranks, by memoized recursion on masks.  Atoms that
+are trivially full are read off the names instead: σ = σ, σ ⊆ σ, and
+σ ∈ τ when (σ, 0) is an entry of τ; and between two check names every
+condition is the top, so the recursion only ever sees the full mask or 0
+and the value is read off the names' sets.  For cross-checks the values
+are re-derived pointwise, with no such shortcut, as a staged recursion
+instance and as Boolean values.  On top of them sit the composite clauses
+for the (finite) infinitary forcing language, the law audit, the
+reduction of quantifier-free sentences to single atomic equalities (each
+distinct subformula translated once per notion size, across calls),
+Boolean completions with Boolean values, generic extensions with the
 forced-iff-true oracle, and the name of a truth predicate.
 
 Throughout, "dense below p" is the finite reading: every extension of p
@@ -143,6 +145,13 @@ class ForcingRelation:
         """The mask of the atomic statement; the recursion is well-founded on
         the summed ranks of the pair, so plain memoization suffices.
 
+        For any names, σ = σ and σ ⊆ σ are full, and so is σ ∈ τ when (σ, 0)
+        is an entry of τ.  By induction on rank: each entry (ρ, r) of σ has
+        ρ = ρ full, so ρ ∈ σ holds on down[r] and the subset step
+        neg(down[r] & neg(ρ ∈ σ)) is full; an entry (σ, 0) of τ puts
+        (σ = σ) & down[0] = full into the union that σ ∈ τ regularizes.
+        These values are stored in the table like any other.
+
         Between two check names (every condition below is 0, the top) the
         value is read off their sets.  Each entry's condition is the top, so
         down[r] is full and every step of the recursion sees only full or 0:
@@ -155,7 +164,9 @@ class ForcingRelation:
         got = self._atomic.get(key)
         if got is not None:
             return got
-        if not (sigma.max_condition or tau.max_condition) and kind in _CHECK_ATOMS:
+        if sigma is tau and kind in ("eq", "sub") or kind == "in" and (sigma, 0) in tau.entries:
+            out = self.full
+        elif not (sigma.max_condition or tau.max_condition) and kind in _CHECK_ATOMS:
             out = self.full if _CHECK_ATOMS[kind](sigma, tau) else 0
         elif kind == "in":
             out = self._witnessed(sigma, tau.entries)
@@ -383,6 +394,25 @@ class _SizeGuard:
 
 
 _check_values: dict[PName, HFSet | None] = {}
+# What star_translate built, kept across calls with the ticks it cost: the
+# name pair of each positive node, keyed by (node, |P|), and the positive
+# formula of each negated atom's rewrite, keyed by (_not_eq or _not_in, σ, τ).
+# The translation depends on the notion only through |P|.
+_reduced: dict = {}
+_rewrites: dict = {}
+
+
+def _shared(cache: dict, key, guard: _SizeGuard, build, *args):
+    """build(*args) through a cache kept across calls; a hit charges the
+    guard the ticks the build charged."""
+    got = cache.get(key)
+    if got is None:
+        start = guard.count
+        out = build(*args)
+        cache[key] = (out, guard.count - start)
+        return out
+    guard.tick(got[1])
+    return got[0]
 
 
 def _check_node(name: PName, values: tuple[HFSet | None, ...]) -> HFSet | None:
@@ -414,6 +444,11 @@ def star_translate(phi: Formula, P: ForcingNotion,
     sentence iff it forces the returned equality.  The polarity walk
     recurses once per nesting level, so a sentence nested deeper than
     NESTING_CAP is refused.
+
+    Each node's name pair and each rewrite are built once per notion size
+    and kept across calls; a call that reuses one still charges the budget
+    what building it costs, so the budget refuses the same sentences
+    whether the cache is cold or warm.
     """
     if phi.free:
         raise ForcelabError("only closed sentences translate")
@@ -427,8 +462,9 @@ def star_translate(phi: Formula, P: ForcingNotion,
         if isinstance(f, (AtomInClass, AtomTr)):
             raise ForcelabError("translation covers =, ∈ and generic-filter atoms only")
     positive = _polar(phi, True, P, guard, {})
-    return dag.fold(positive, _reduce_children,
-                    lambda f, parts: _reduce_node(f, parts, P, guard))
+    n = len(P)
+    return dag.fold(positive, _reduce_children, lambda f, parts: _shared(
+        _reduced, (f, n), guard, _reduce_node, f, parts, P, guard))
 
 
 def _g_atom(i: int) -> Formula:
@@ -453,10 +489,10 @@ def _polar(phi: Formula, sign: bool, P: ForcingNotion, guard: _SizeGuard,
                          sign, P, guard, memo)
         elif sign or isinstance(phi, AtomInG):
             got = phi if sign else not_(phi)
-        elif isinstance(phi, AtomEq):
-            got = _not_eq(_term_pname(phi.left), _term_pname(phi.right), guard)
         else:
-            got = _not_in(_term_pname(phi.left), _term_pname(phi.right), guard)
+            sigma, tau = _term_pname(phi.left), _term_pname(phi.right)
+            rewrite = _not_eq if isinstance(phi, AtomEq) else _not_in
+            got = _shared(_rewrites, (rewrite, sigma, tau), guard, rewrite, sigma, tau, guard)
         memo[key] = got
     return got
 
@@ -541,6 +577,7 @@ class BooleanAlgebra:
         self._down = [_mask(P.down(p)) for p in P.conditions()]
         # for each p, the down masks of p's extensions
         self._ext_downs = [[self._down[q] for q in _bits(d)] for d in self._down]
+        self._regular: dict[int, int] = {}
         classes = [_mask(cls) for cls in minimal_classes(P)]
         below = [_mask(k for k, cls in enumerate(classes) if cls & d) for d in self._down]
         elements = {_mask(p for p, b in enumerate(below) if not b & ~chosen)
@@ -558,7 +595,11 @@ class BooleanAlgebra:
 
     def regularize(self, U: int) -> int:
         """Those p below which U is dense; the regular-open closure of a downset."""
-        return _mask(p for p, downs in enumerate(self._ext_downs) if all(d & U for d in downs))
+        got = self._regular.get(U)
+        if got is None:
+            got = self._regular[U] = _mask(
+                p for p, downs in enumerate(self._ext_downs) if all(d & U for d in downs))
+        return got
 
     def meet(self, a: int, b: int) -> int:
         return a & b

@@ -133,6 +133,24 @@ def test_flipped_check_name_equality_fails_both_comparisons(fork_kernel):
     assert compare_atomic_table(FR, sol, codec) and _values_agree(FR, bv)
 
 
+def test_flipped_read_off_entries_fail_both_comparisons(fork_kernel):
+    # σ = σ, and ρ ∈ τ at an entry (ρ, 0) of τ, are read off the names for
+    # any names and stored in the same table, so a flipped entry must still
+    # be caught; some of these names are not check names
+    FR, sol, codec, bv = fork_kernel
+    N = FR.universe
+    diagonal = [("eq", s, s) for s in N]
+    top_members = [("in", rho, t) for t in N for rho, r in t.entries if r == 0]
+    assert any(t.max_condition for _, _, t in top_members)
+    for kind, s, t in diagonal + top_members:
+        assert FR._atomic[(kind, s, t)] == FR.full
+        for p in FR.notion.conditions():
+            with _flipped(FR, kind, s, t, p):
+                assert not compare_atomic_table(FR, sol, codec)
+                assert not _values_agree(FR, bv)
+    assert compare_atomic_table(FR, sol, codec) and _values_agree(FR, bv)
+
+
 def test_every_single_equality_flip_fails_the_law_audit(fork_kernel):
     FR = fork_kernel[0]
     assert audit_forcing_relation(FR).ok

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import time
 
@@ -5,7 +6,8 @@ import pytest
 
 from forcelab import (EMPTY, EMPTY_NAME, And, AtomEq, AtomIn, AtomInG,
                       BudgetError, ForcelabError, Not, Or, and_, atom_eq,
-                      atom_in, atom_in_g, atomic_forcing, check_name, forall,
+                      atom_in, atom_in_g, atomic_forcing, boolean_completion,
+                      boolean_values, check_name, forall,
                       forces, map_formula, name_const, name_make, name_universe,
                       nat_encode, nodes, not_, op_name, or_, star_translate, var)
 from forcelab import corpus
@@ -71,26 +73,136 @@ def _agrees_with_forcing(P, phi, left, right):
                for p in P.conditions())
 
 
-def test_budget_aborts_blowup(fork):
+def _cold():
+    """Drop what earlier translations left in the translation cache."""
+    forcing._reduced.clear()
+    forcing._rewrites.clear()
+
+
+def _translates(phi, P, budget, warm):
+    """Whether star_translate keeps phi within the budget, from a cleared
+    cache or from one that a default-budget translation of phi filled."""
+    _cold()
+    if warm:
+        star_translate(phi, P)
+    try:
+        star_translate(phi, P, budget=budget)
+    except BudgetError:
+        return False
+    return True
+
+
+def _wide():
     # 60 distinct atoms under one disjunction: 60 ticks for the atoms and
     # 123 for the disjunction's names
-    wide = or_([atom_eq(name_const(check_name(nat_encode(i))), name_const(EMPTY_NAME))
+    return or_([atom_eq(name_const(check_name(nat_encode(i))), name_const(EMPTY_NAME))
                 for i in range(60)])
+
+
+def test_budget_aborts_blowup(fork):
+    _cold()
     with pytest.raises(BudgetError):
-        star_translate(wide, fork, budget=100)
+        star_translate(_wide(), fork, budget=100)
 
 
-def test_the_budget_counts_distinct_nodes(fork):
+def _nested_triples():
     # eight nested triple disjunctions of one formula: 3^8 paths but 9
     # distinct nodes, 1 + 8 * 9 = 73 ticks
     sigma = name_const(EMPTY_NAME)
     phi = atom_eq(sigma, sigma)
     for _ in range(8):
         phi = or_([phi, phi, phi])
+    return phi
+
+
+def test_the_budget_counts_distinct_nodes(fork):
+    _cold()
+    phi = _nested_triples()
     left, right = star_translate(phi, fork, budget=100)
     assert _agrees_with_forcing(fork, phi, left, right)
     with pytest.raises(BudgetError):
         star_translate(phi, fork, budget=72)
+
+
+# The translation cache keeps each node's name pair and each rewrite across
+# calls, with the ticks they cost; a warm cache must refuse exactly what a
+# cold one refuses.
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_budget_aborts_blowup_on_a_warm_cache(fork, warm):
+    assert not _translates(_wide(), fork, 100, warm)
+    assert _translates(_wide(), fork, 183, warm)
+    assert not _translates(_wide(), fork, 182, warm)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_the_budget_counts_distinct_nodes_on_a_warm_cache(fork, warm):
+    phi = _nested_triples()
+    assert _translates(phi, fork, 100, warm)
+    assert _translates(phi, fork, 73, warm)
+    assert not _translates(phi, fork, 72, warm)
+
+
+def test_rewrite_ticks_are_charged_on_a_warm_cache(fork):
+    # a negated equality between two rank-1 names: its rewrite and the
+    # reduction of the rewrite together cost exactly `edge` ticks
+    N = name_universe(fork, 1)
+    phi = not_(atom_eq(name_const(N[-1]), name_const(N[-2])))
+    edge = next(b for b in range(1, 1000) if _translates(phi, fork, b, False))
+    assert edge > 10
+    assert _translates(phi, fork, edge, True)
+    assert not _translates(phi, fork, edge - 1, True)
+
+
+def test_a_cache_warmed_under_three_conditions_serves_four(fork):
+    P4 = dict(corpus.corpus_notions())["three-fork"]
+    assert (len(fork), len(P4)) == (3, 4)
+    # 3̌ is a condition's check name under P4 only; {(∅, 1)} is none
+    three = name_const(check_name(nat_encode(3)))
+    other = name_const(name_make([(EMPTY_NAME, 1)]))
+    phi = or_([atom_in_g(three), not_(atom_in_g(other)),
+               and_([atom_in_g(other), not_(atom_in_g(three))])])
+    _cold()
+    small = star_translate(phi, fork)
+    assert small == ref_star_translate(phi, fork)
+    large = star_translate(phi, P4)
+    assert large == ref_star_translate(phi, P4)
+    assert large != small
+
+
+@contextlib.contextmanager
+def _poisoned(cache, key, value):
+    """The cache entry at key replaced by value, keeping its ticks; on exit
+    the caches are dropped, with every pair built from the entry."""
+    cache[key] = (value, cache[key][1])
+    try:
+        yield
+    finally:
+        _cold()
+
+
+def test_a_poisoned_translation_cache_entry_fails_criterion_2(fork):
+    N = name_universe(fork, 1)
+    FR = atomic_forcing(fork, N)
+    # a membership forced at some conditions and not at others
+    sigma, tau = next((s, t) for s in N for t in N if 0 < FR.atomic_value("in", s, t) < FR.full)
+    atom = atom_in(name_const(sigma), name_const(tau))
+    top, bottom = atom_in_g(name_const(check_name(nat_encode(0)))), or_([])
+    negated, positive = and_([not_(atom), top]), or_([atom, bottom])
+    _cold()
+    assert _agrees_with_forcing(fork, negated, *star_translate(negated, fork))
+    # the rewrite of ¬(σ ∈ τ) read back as σ ∈ τ
+    with _poisoned(forcing._rewrites, (forcing._not_in, sigma, tau), atom):
+        assert not _agrees_with_forcing(fork, negated, *star_translate(negated, fork))
+    assert _agrees_with_forcing(fork, atom, *star_translate(atom, fork))
+    # the pair of σ ∈ τ read back as the pair of the false ∅ = {∅̌}; a node's
+    # cached pair does not depend on its parts, so the sentence that reads
+    # the entry is one translated only now
+    false_pair = (EMPTY_NAME, name_make([(EMPTY_NAME, 0)]))
+    with _poisoned(forcing._reduced, (atom, len(fork)), false_pair):
+        assert not _agrees_with_forcing(fork, positive, *star_translate(positive, fork))
+    for phi in (negated, positive):
+        assert _agrees_with_forcing(fork, phi, *star_translate(phi, fork))
 
 
 # Reference copies of the negation passes before they were memoized: tree
@@ -193,6 +305,69 @@ def test_random_sentences_translate_as_before(name):
             and f.sub.term.name not in conditions for f in nodes(ref_nnf(sentence, True)))
     # the sample reaches filter atoms at non-check names under negation
     assert expanded_under_negation, name
+
+
+# Reference copy of the atomic recursion before atoms were read off the
+# names: every pair, check names and trivially full atoms included, goes
+# through the membership, subset and equality clauses.
+
+class RefAtomic:
+    def __init__(self, P):
+        self.full = (1 << len(P)) - 1
+        self.down = [sum(1 << q for q in P.down(p)) for p in P.conditions()]
+        self.up = [sum(1 << q for q in P.up(p)) for p in P.conditions()]
+        self.memo = {}
+
+    def neg(self, W):
+        covered = 0
+        for p, up in enumerate(self.up):
+            if W >> p & 1:
+                covered |= up
+        return self.full & ~covered
+
+    def value(self, kind, sigma, tau):
+        key = (kind, sigma, tau)
+        if key not in self.memo:
+            if kind == "in":
+                W = 0
+                for rho, r in tau.entries:
+                    W |= self.value("eq", sigma, rho) & self.down[r]
+                out = self.neg(self.neg(W))
+            elif kind == "sub":
+                out = self.full
+                for rho, r in sigma.entries:
+                    out &= self.neg(self.down[r] & self.neg(self.value("in", rho, tau)))
+                    if not out:
+                        break
+            else:
+                out = self.value("sub", sigma, tau)
+                if out:
+                    out &= self.value("sub", tau, sigma)
+            self.memo[key] = out
+        return self.memo[key]
+
+
+@pytest.mark.parametrize("name", [n for n, _ in corpus.corpus_notions()])
+def test_atoms_read_off_the_names_agree_with_the_plain_recursion(name):
+    # every atom the plain recursion reaches from the translated pairs of 60
+    # sentences, against the kernel's table and against Boolean values
+    P = dict(corpus.corpus_notions())[name]
+    N = name_universe(P, 1)
+    FR = atomic_forcing(P, N)
+    bv = boolean_values(boolean_completion(P))
+    ref = RefAtomic(P)
+    names = corpus._sample_names(P, N)
+    rng = random.Random(303)
+    for _ in range(60):
+        ref.value("eq", *star_translate(corpus.random_qf_sentence(rng, P, names), P))
+    read_off = {"in": 0, "sub": 0, "eq": 0}
+    for (kind, s, t), V in ref.memo.items():
+        assert FR.atomic_value(kind, s, t) == V, (name, kind)
+        for p in P.conditions():
+            assert bv.derived_forces(p, kind, s, t) == FR.decide(kind, p, s, t), (name, kind, p)
+        read_off[kind] += s is t if kind != "in" else (s, 0) in t.entries
+    # the sample reaches every read-off rule, hundreds of times each
+    assert min(read_off.values()) > 100, (name, read_off)
 
 
 def _chain(depth):
