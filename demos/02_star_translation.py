@@ -20,7 +20,7 @@ FR = atomic_forcing(fork, universe)
 names = corpus._sample_names(fork, universe)
 
 rng = random.Random(4)
-sentence = corpus.random_qf_sentence(rng, fork, names, depth=3)
+sentence = corpus.random_qf_sentence(rng, fork, names)
 print("a random sentence:")
 print(" ", formula_to_sexp(sentence, fork))
 

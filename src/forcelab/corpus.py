@@ -9,8 +9,9 @@ which keeps the diamond picture while staying separative.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
-from .etr import RecursionInstance
+from .etr import staged_instance
 from .formulas import (Formula, and_, atom_eq, atom_in, atom_in_class,
                        atom_in_g, atom_tr, exists, forall, implies,
                        name_const, not_, or_, subformula_closure, var)
@@ -208,12 +209,13 @@ def builtin_instances():
             return True
         return any(view(beta, x) for beta in range(alpha)) or hf_rank(x) <= alpha
 
+    def whole(length, step, label):  # every stage decides the whole domain
+        return staged_instance(stage, length, lambda x: range(length), step, label)
+
     out = [
-        ("constant", RecursionInstance(3, stage, constant,
-                                       frozenset([EMPTY]), "constant")),
-        ("cumulative-hierarchy", RecursionInstance(4, stage, cumulative,
-                                                   label="cumulative-hierarchy")),
-        ("monotone", RecursionInstance(4, stage, monotone, label="monotone")),
+        ("constant", replace(whole(3, constant, "constant"), parameter=frozenset([EMPTY]))),
+        ("cumulative-hierarchy", whole(4, cumulative, "cumulative-hierarchy")),
+        ("monotone", whole(4, monotone, "monotone")),
     ]
     M = FiniteStructure(v_stage(2))
     inst, _ = tarski_truth_instance(M, subformula_closure(
@@ -224,8 +226,9 @@ def builtin_instances():
     return out
 
 
-def random_qf_sentence(rng: random.Random, P: ForcingNotion, names, depth: int = 3) -> Formula:
-    """A random closed quantifier-free sentence over the given names."""
+def random_qf_sentence(rng: random.Random, P: ForcingNotion, names) -> Formula:
+    """A random closed quantifier-free sentence over the given names, at
+    most three connectives deep."""
     ns = list(names)
 
     def gen(d: int) -> Formula:
@@ -246,4 +249,4 @@ def random_qf_sentence(rng: random.Random, P: ForcingNotion, names, depth: int =
         subs = [gen(d - 1) for _ in range(width)]
         return and_(subs) if roll < 0.8 else or_(subs)
 
-    return gen(depth)
+    return gen(3)

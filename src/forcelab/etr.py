@@ -32,16 +32,13 @@ class PartialSolution:
         self._stage = stage
 
     def __call__(self, alpha: int, x: HFSet) -> bool:
-        if alpha >= self._stage:
-            raise ForcelabError(
-                f"step rule read slice {alpha} at stage {self._stage}; "
-                "only strictly earlier slices are visible")
-        return x in self._slices[alpha]
+        return x in self.slice(alpha)
 
     def slice(self, alpha: int) -> frozenset[HFSet]:
         if alpha >= self._stage:
             raise ForcelabError(
-                f"step rule read slice {alpha} at stage {self._stage}")
+                f"step rule read slice {alpha} at stage {self._stage}; "
+                "only strictly earlier slices are visible")
         return self._slices[alpha]
 
 
@@ -52,18 +49,17 @@ StepRule = Callable[[HFSet, int, PartialSolution, object], bool]
 class RecursionInstance:
     """``support[α]`` lists the elements whose membership in slice α the step
     rule decides; every other element is absent from slice α, and the checker
-    rejects it there.  ``None`` means the whole domain at every stage."""
+    rejects it there.  Build one with `staged_instance`."""
 
     length: int
     domain: tuple[HFSet, ...]
     step: StepRule
+    support: tuple[tuple[HFSet, ...], ...]
     parameter: object = None
     label: str = "anonymous"
-    support: tuple[tuple[HFSet, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.support is not None and (
-                len(self.support) != self.length
+        if (len(self.support) != self.length
                 or not set().union(*self.support) <= set(self.domain)):
             raise ForcelabError(
                 f"{self.label}: support needs {self.length} tuples of domain elements")
@@ -86,13 +82,12 @@ def staged_instance(elements: Iterable[HFSet], length: int,
     for x in domain:
         for alpha in stages(x):
             support[alpha].append(x)
-    return RecursionInstance(length, domain, step, label=label,
-                             support=tuple(map(tuple, support)))
+    return RecursionInstance(length, domain, step, tuple(map(tuple, support)), label=label)
 
 
 def _check_budget(inst: RecursionInstance) -> None:
     """Refuse a solve or verify that would make more than STEP_BUDGET step calls."""
-    steps = inst.length * len(inst.domain) if inst.support is None else sum(map(len, inst.support))
+    steps = sum(map(len, inst.support))
     if steps > STEP_BUDGET:
         raise BudgetError(f"{inst.label}: {steps} step calls exceed budget {STEP_BUDGET}")
 
@@ -103,9 +98,8 @@ def etr_solve(inst: RecursionInstance) -> Solution:
     slices: list[frozenset[HFSet]] = []
     for alpha in range(inst.length):
         view = PartialSolution(slices, alpha)
-        decided = inst.domain if inst.support is None else inst.support[alpha]
         slices.append(frozenset(
-            x for x in decided if inst.step(x, alpha, view, inst.parameter)))
+            x for x in inst.support[alpha] if inst.step(x, alpha, view, inst.parameter)))
     return Solution(inst, tuple(slices))
 
 
@@ -118,7 +112,7 @@ def verify_solution(inst: RecursionInstance, sol: Solution
         raise ForcelabError("solution has the wrong number of slices")
     for alpha, slice_ in enumerate(sol.slices):
         view = PartialSolution(sol.slices, alpha)
-        decided = inst.domain if inst.support is None else inst.support[alpha]
+        decided = inst.support[alpha]
         for x in decided:
             if inst.step(x, alpha, view, inst.parameter) != (x in slice_):
                 return False, (alpha, x)

@@ -42,10 +42,9 @@ from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        atom_in_class, atom_in_g, canonical_pool, const,
                        encode_formula, implies, map_atom, map_formula,
                        name_const, nodes, not_, or_, substitute, terms)
-from .hfset import EMPTY, HFSet, hf_make, nat_decode, nat_encode, hf_pair
-from .names import (EMPTY_NAME, ClassName, PName, check_name, entry_names,
-                    eval_class, eval_name, g_dot, is_subname_closed,
-                    name_make, name_to_hf, op_name)
+from .hfset import EMPTY, HFSet, nat_encode, hf_pair
+from .names import (EMPTY_NAME, ClassName, PName, check_name, eval_class,
+                    eval_name, g_dot, is_subname_closed, name_make, name_to_hf, op_name)
 from .poset import Filter, ForcingNotion, generic_filters, is_separative, minimal_classes
 
 ATOMIC_BUDGET = 2_000_000
@@ -393,7 +392,6 @@ class _SizeGuard:
             raise BudgetError(f"translation exceeded {self.budget} name constructions")
 
 
-_check_values: dict[PName, HFSet | None] = {}
 # What star_translate built, kept across calls with the ticks it cost: the
 # name pair of each positive node, keyed by (node, |P|), and the positive
 # formula of each negated atom's rewrite, keyed by (_not_eq or _not_in, σ, τ).
@@ -415,22 +413,18 @@ def _shared(cache: dict, key, guard: _SizeGuard, build, *args):
     return got[0]
 
 
-def _check_node(name: PName, values: tuple[HFSet | None, ...]) -> HFSet | None:
-    """The set x with name = x̌, or None if the name is not a check name."""
-    if any(r for _, r in name.entries) or None in values:
-        return None
-    return hf_make(values)
+_conditions: dict[PName, int] = {}  # ǐ ↦ i, for i below the largest |P| asked about
 
 
 def _condition_index(name: PName, P: ForcingNotion) -> int | None:
-    """i when the name is the check name of the natural i < |P|, else None."""
-    v = dag.fold(name, entry_names, _check_node, _check_values)
-    i = nat_decode(v) if v is not None else None
+    """i when the name is the check name ǐ of a condition i < |P|, else None."""
+    for i in range(len(_conditions), len(P)):
+        _conditions[check_name(nat_encode(i))] = i
+    i = _conditions.get(name)
     return i if i is not None and i < len(P) else None
 
 
-def star_translate(phi: Formula, P: ForcingNotion,
-                   budget: int = TRANSLATION_BUDGET) -> tuple[PName, PName]:
+def star_translate(phi: Formula, P: ForcingNotion) -> tuple[PName, PName]:
     """Compile a closed, quantifier-free sentence to one atomic equality.
 
     Two walks, each visiting a distinct node once.  The polarity walk takes
@@ -455,7 +449,7 @@ def star_translate(phi: Formula, P: ForcingNotion,
     if "ground" in phi.const_kinds:
         raise ForcelabError("translation expects the forcing language")
     _check_nesting(phi)
-    guard = _SizeGuard(budget)
+    guard = _SizeGuard(TRANSLATION_BUDGET)
     for f in nodes(phi):
         if isinstance(f, (Forall, Exists)):
             raise ForcelabError("translation is for quantifier-free sentences")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from . import dag, sexpr
 from .errors import EncodingError, ForcelabError, ParseError
@@ -282,6 +282,57 @@ def implies(a: Formula, b: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# The syntax table: one row per node type, giving its text head, its code tag,
+# the kinds of its arguments and the fields that hold them, and the usage a
+# malformed form is refused with (a list of subformulas is the rest of its
+# form, so it is never malformed).  The parser, printer, encoder and decoder
+# read the row and dispatch on argument kinds; FORMATS.md shows the table.
+
+TERM, IDENT, SUB, SUBS, BLOCK = "term", "identifier", "subformula", "subformulas", "variable block"
+
+
+class Syntax(NamedTuple):
+    cls: type
+    head: str
+    tag: int
+    kinds: tuple[str, ...]
+    fields: tuple[str, ...]
+    usage: str | None
+
+
+SYNTAX = {row.cls: row for row in (
+    Syntax(AtomEq, "=", 4, (TERM, TERM), ("left", "right"), "(= t t) takes two terms"),
+    Syntax(AtomIn, "in", 5, (TERM, TERM), ("left", "right"), "(in t t) takes two terms"),
+    Syntax(AtomInClass, "in-class", 6, (TERM, IDENT), ("term", "ident"),
+           "(in-class t <identifier>) takes a term and an identifier"),
+    Syntax(AtomInG, "in-G", 7, (TERM,), ("term",), "(in-G t) takes one term"),
+    Syntax(AtomTr, "tr", 8, (TERM, TERM, TERM), ("stage", "code", "valuation"),
+           "(tr t t t) takes three terms"),
+    Syntax(Not, "not", 9, (SUB,), ("sub",), "(not f) takes one formula"),
+    Syntax(And, "and", 10, (SUBS,), ("subs",), None),
+    Syntax(Or, "or", 11, (SUBS,), ("subs",), None),
+    Syntax(Forall, "forall", 12, (BLOCK, SUB), ("vars", "body"),
+           "(forall (v*) f) takes a variable list and a formula"),
+    Syntax(Exists, "exists", 13, (BLOCK, SUB), ("vars", "body"),
+           "(exists (v*) f) takes a variable list and a formula"),
+)}
+_BY_HEAD = {row.head: row for row in SYNTAX.values()}
+_BY_TAG = {row.tag: row for row in SYNTAX.values()}
+
+
+def _args(phi: Formula, kids: Sequence, error: type[ForcelabError], what: str
+          ) -> tuple[Syntax, list]:
+    """phi's row, and phi's arguments in row order with each subformula
+    replaced by its entry in kids (the results for phi's children)."""
+    row = SYNTAX.get(type(phi))
+    if row is None:
+        raise error(f"{what} {type(phi).__name__}")
+    rest = iter(kids)
+    return row, [tuple(rest) if kind == SUBS else next(rest) if kind == SUB
+                 else getattr(phi, field) for kind, field in zip(row.kinds, row.fields)]
+
+
+# ---------------------------------------------------------------------------
 # Traversal.  Formulas are hash-consed DAGs whose tree expansions can be far
 # larger than the DAG (a stage translation of a truth atom has a few thousand
 # distinct nodes and billions of tree nodes), so every walk here is the one
@@ -496,43 +547,25 @@ def _parse_term(form, notion: ForcingNotion | None) -> Term:
 def _parse_formula(form, notion: ForcingNotion | None) -> Formula:
     if not isinstance(form, list) or not form:
         raise ParseError(f"expected a formula, got {sexpr.show(form)}")
-    head = form[0]
-    if head == "=":
-        if len(form) != 3:
-            raise ParseError("(= t t) takes two terms")
-        return atom_eq(_parse_term(form[1], notion), _parse_term(form[2], notion))
-    if head == "in":
-        if len(form) != 3:
-            raise ParseError("(in t t) takes two terms")
-        return atom_in(_parse_term(form[1], notion), _parse_term(form[2], notion))
-    if head == "in-class":
-        if len(form) != 3 or not isinstance(form[2], str):
-            raise ParseError("(in-class t <identifier>) takes a term and an identifier")
-        return atom_in_class(_parse_term(form[1], notion), form[2])
-    if head == "in-G":
-        if len(form) != 2:
-            raise ParseError("(in-G t) takes one term")
-        return atom_in_g(_parse_term(form[1], notion))
-    if head == "tr":
-        if len(form) != 4:
-            raise ParseError("(tr t t t) takes three terms")
-        return atom_tr(*(_parse_term(f, notion) for f in form[1:]))
-    if head == "not":
-        if len(form) != 2:
-            raise ParseError("(not f) takes one formula")
-        return not_(_parse_formula(form[1], notion))
-    if head == "and":
-        return and_(_parse_formula(f, notion) for f in form[1:])
-    if head == "or":
-        return or_(_parse_formula(f, notion) for f in form[1:])
-    if head in ("forall", "exists"):
-        if len(form) != 3 or not isinstance(form[1], list) or not all(
-                isinstance(v, str) for v in form[1]):
-            raise ParseError(f"({head} (v*) f) takes a variable list and a formula")
-        vs = tuple(form[1])
-        body = _parse_formula(form[2], notion)
-        return forall(vs, body) if head == "forall" else exists(vs, body)
-    raise ParseError(f"unknown formula form {head!r}")
+    head, args = form[0], form[1:]
+    row = _BY_HEAD.get(head) if isinstance(head, str) else None
+    if row is None:
+        raise ParseError(f"unknown formula form {head!r}")
+    if row.kinds == (SUBS,):
+        args = [args]  # (and f*): the subformulas are the rest of the form
+    if len(args) != len(row.kinds) or not all(
+            kind not in _SHAPED or _SHAPED[kind](arg) for kind, arg in zip(row.kinds, args)):
+        raise ParseError(row.usage)
+    return _mk(row.cls, *(_PARSE[kind](arg, notion) for kind, arg in zip(row.kinds, args)))
+
+
+# Identifiers and variable blocks are checked before any argument is parsed;
+# terms and subformulas are checked as they are parsed.
+_SHAPED = {IDENT: lambda arg: isinstance(arg, str),
+           BLOCK: lambda arg: isinstance(arg, list) and all(isinstance(v, str) for v in arg)}
+_PARSE = {TERM: _parse_term, IDENT: lambda ident, _: ident, SUB: _parse_formula,
+          SUBS: lambda forms, notion: tuple(_parse_formula(f, notion) for f in forms),
+          BLOCK: lambda vs, _: tuple(vs)}
 
 
 def parse_formula(text: str, notion: ForcingNotion | None = None) -> Formula:
@@ -559,28 +592,16 @@ def _term_sexp(t: Term, notion: ForcingNotion | None):
 
 def _formula_sexp(phi: Formula, kids: tuple[str, ...], notion: ForcingNotion | None):
     """The s-expression of one node, given the texts of its subformulas."""
-    if isinstance(phi, AtomEq):
-        return ["=", _term_sexp(phi.left, notion), _term_sexp(phi.right, notion)]
-    if isinstance(phi, AtomIn):
-        return ["in", _term_sexp(phi.left, notion), _term_sexp(phi.right, notion)]
-    if isinstance(phi, AtomInClass):
-        return ["in-class", _term_sexp(phi.term, notion), phi.ident]
-    if isinstance(phi, AtomInG):
-        return ["in-G", _term_sexp(phi.term, notion)]
-    if isinstance(phi, AtomTr):
-        return ["tr", _term_sexp(phi.stage, notion), _term_sexp(phi.code, notion),
-                _term_sexp(phi.valuation, notion)]
-    if isinstance(phi, Not):
-        return ["not", *kids]
-    if isinstance(phi, And):
-        return ["and", *kids]
-    if isinstance(phi, Or):
-        return ["or", *kids]
-    if isinstance(phi, Forall):
-        return ["forall", list(phi.vars), *kids]
-    if isinstance(phi, Exists):
-        return ["exists", list(phi.vars), *kids]
-    raise ForcelabError(f"unknown formula {type(phi).__name__}")
+    row, values = _args(phi, kids, ForcelabError, "unknown formula")
+    out = [row.head]
+    for kind, value in zip(row.kinds, values):
+        if kind == TERM:
+            out.append(_term_sexp(value, notion))
+        elif kind == SUBS:
+            out += value
+        else:
+            out.append(list(value) if kind == BLOCK else value)
+    return out
 
 
 def formula_to_sexp(phi: Formula, notion: ForcingNotion | None = None) -> str:
@@ -616,13 +637,6 @@ def _theta(a: HFSet, v: str, depth: int) -> Formula:
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789_ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _CHAR_INDEX = {c: i for i, c in enumerate(_ALPHABET)}
-
-_TAGS = {
-    Var: 0, GroundConst: 1, NameConst: 2, PairTerm: 3,
-    AtomEq: 4, AtomIn: 5, AtomInClass: 6, AtomInG: 7, AtomTr: 8,
-    Not: 9, And: 10, Or: 11, Forall: 12, Exists: 13,
-}
-
 
 def _encode_str(s: str) -> HFSet:
     try:
@@ -668,23 +682,14 @@ def encode_formula(phi: Formula) -> HFSet:
 
 
 def _encode_node(phi: Formula, kids: tuple[HFSet, ...]) -> HFSet:
-    if isinstance(phi, (AtomEq, AtomIn)):
-        return _tagged(_TAGS[type(phi)], hf_pair(encode_term(phi.left), encode_term(phi.right)))
-    if isinstance(phi, AtomInClass):
-        return _tagged(6, hf_pair(encode_term(phi.term), _encode_str(phi.ident)))
-    if isinstance(phi, AtomInG):
-        return _tagged(7, encode_term(phi.term))
-    if isinstance(phi, AtomTr):
-        return _tagged(8, hf_list([encode_term(phi.stage), encode_term(phi.code),
-                                   encode_term(phi.valuation)]))
-    if isinstance(phi, Not):
-        return _tagged(9, kids[0])
-    if isinstance(phi, (And, Or)):
-        return _tagged(_TAGS[type(phi)], hf_list(kids))
-    if isinstance(phi, (Forall, Exists)):
-        return _tagged(_TAGS[type(phi)],
-                       hf_pair(hf_list(_encode_str(v) for v in phi.vars), kids[0]))
-    raise EncodingError(f"cannot encode formula {type(phi).__name__}")
+    row, values = _args(phi, kids, EncodingError, "cannot encode formula")
+    parts = [_ENCODE[kind](value) for kind, value in zip(row.kinds, values)]
+    return _tagged(row.tag, parts[0] if len(parts) == 1 else
+                   hf_pair(*parts) if len(parts) == 2 else hf_list(parts))
+
+
+_ENCODE = {TERM: encode_term, IDENT: _encode_str, SUB: lambda code: code, SUBS: hf_list,
+           BLOCK: lambda vs: hf_list(map(_encode_str, vs))}
 
 
 # Codes are DAGs, so the decoders keep caches (None results included) that
@@ -739,73 +744,51 @@ def decode_formula(x: HFSet) -> Formula | None:
     return dag.fold(x, _formula_subcodes, _decode_node, _formula_codes)
 
 
+def _code_parts(x: HFSet) -> tuple[Syntax | None, Sequence]:
+    """The row of x's tag and the codes of its arguments, a list of subformulas
+    as the list of their codes; (None, ()) when x is no code of that row's
+    shape.  One argument is the payload, two are a pair and three a list."""
+    p = hf_unpair(x)
+    row = _BY_TAG.get(nat_decode(p[0])) if p is not None else None
+    if row is None:
+        return None, ()
+    n = len(row.kinds)
+    parts = (p[1],) if n == 1 else hf_unpair(p[1]) if n == 2 else hf_unlist(p[1])
+    if parts is not None and row.kinds == (SUBS,):
+        parts = (hf_unlist(parts[0]),)
+    shaped = parts is not None and len(parts) == n and None not in parts
+    return (row, parts) if shaped else (None, ())
+
+
 def _formula_subcodes(x: HFSet) -> tuple[HFSet, ...]:
     """The codes of the subformulas x's formula is built from."""
-    p = hf_unpair(x)
-    tag = nat_decode(p[0]) if p is not None else None
-    if tag == 9:
-        return (p[1],)
-    if tag in (10, 11):
-        return tuple(hf_unlist(p[1]) or ())
-    q = hf_unpair(p[1]) if tag in (12, 13) else None
-    return (q[1],) if q is not None else ()
+    row, parts = _code_parts(x)
+    return tuple(code for kind, part in zip(row.kinds if row else (), parts)
+                 for code in ((part,) if kind == SUB else part if kind == SUBS else ()))
 
 
 def _decode_node(x: HFSet, subs: tuple[Formula | None, ...]) -> Formula | None:
+    row, parts = _code_parts(x)
+    if row is None or None in subs:
+        return None
+    rest = iter(subs)
+    values = [next(rest) if kind == SUB else tuple(rest) if kind == SUBS else _DECODE[kind](part)
+              for kind, part in zip(row.kinds, parts)]
+    if None in values:
+        return None
     try:
-        return _decode_formula(x, subs)
+        return _mk(row.cls, *values)
     except ForcelabError:  # raised by the constructors for mixed constants only
         return None
 
 
-def _decode_formula(x: HFSet, subs: tuple[Formula | None, ...]) -> Formula | None:
-    p = hf_unpair(x)
-    if p is None:
-        return None
-    tag, payload = nat_decode(p[0]), p[1]
-    if tag in (4, 5):
-        q = hf_unpair(payload)
-        if q is None:
-            return None
-        left, right = decode_term(q[0]), decode_term(q[1])
-        if left is None or right is None:
-            return None
-        return atom_eq(left, right) if tag == 4 else atom_in(left, right)
-    if tag == 6:
-        q = hf_unpair(payload)
-        if q is None:
-            return None
-        t, ident = decode_term(q[0]), _decode_str(q[1])
-        return atom_in_class(t, ident) if t is not None and ident else None
-    if tag == 7:
-        t = decode_term(payload)
-        return atom_in_g(t) if t is not None else None
-    if tag == 8:
-        items = hf_unlist(payload)
-        if items is None or len(items) != 3:
-            return None
-        terms = [decode_term(i) for i in items]
-        if any(t is None for t in terms):
-            return None
-        return atom_tr(*terms)
-    if tag == 9:
-        return not_(subs[0]) if subs[0] is not None else None
-    if tag in (10, 11):
-        if hf_unlist(payload) is None or None in subs:
-            return None
-        return and_(subs) if tag == 10 else or_(subs)
-    if tag in (12, 13):
-        q = hf_unpair(payload)
-        if q is None:
-            return None
-        var_items = hf_unlist(q[0])
-        if var_items is None:
-            return None
-        vs = [_decode_str(v) for v in var_items]
-        if any(v is None or not v for v in vs) or subs[0] is None:
-            return None
-        return forall(vs, subs[0]) if tag == 12 else exists(vs, subs[0])
-    return None
+def _decode_block(x: HFSet) -> tuple[str, ...] | None:
+    items = hf_unlist(x)
+    vs = None if items is None else tuple(map(_decode_str, items))
+    return vs if vs is not None and all(vs) else None
+
+
+_DECODE = {TERM: decode_term, IDENT: lambda x: _decode_str(x) or None, BLOCK: _decode_block}
 
 
 def encode_valuation(valuation: dict[str, HFSet]) -> HFSet:

@@ -66,17 +66,7 @@ class GameTree:
     the GameNode view of them.  `_reachable` lists the nodes below the root
     in reversed pre-order, so every child comes before its parent."""
 
-    def __init__(self, nodes: Mapping[int, GameNode], root: int):
-        self._set_rows({i: (n.mover, tuple(n.children), n.winner, n.note or None)
-                        for i, n in nodes.items()}, root)
-
-    @classmethod
-    def from_rows(cls, rows: dict[int, Row], root: int) -> GameTree:
-        T = cls.__new__(cls)
-        T._set_rows(rows, root)
-        return T
-
-    def _set_rows(self, rows: dict[int, Row], root: int):
+    def __init__(self, rows: dict[int, Row], root: int):
         self._rows = rows
         self.nodes = _NodeView(rows)
         self.root = root
@@ -165,7 +155,7 @@ def parse_game(text: str) -> GameTree:
     if undefined:
         raise ParseError(f"node {undefined[0]} is used but never defined")
     try:
-        return GameTree.from_rows(rows, root)
+        return GameTree(rows, root)
     except ForcelabError as e:
         raise ParseError(str(e)) from None
 
@@ -297,7 +287,7 @@ def random_game_tree(rng: random.Random, max_nodes: int = 200) -> GameTree:
         rows[ident] = (rng.choice(["I", "II"]), kids, None, None)
         for k in kids:
             frontier.append((k, depth + 1))
-    return GameTree.from_rows(rows, root)
+    return GameTree(rows, root)
 
 
 # ---------------------------------------------------------------------------
@@ -314,42 +304,28 @@ def _violates(M: FiniteStructure, history: dict) -> bool:
 
     for (phi, key), verdict in history.items():
         v = dict(key)
-        if phi.rank == 0 and not isinstance(phi, AtomTr):
-            if verdict != _eval_atom(M, phi, v):
+        if phi.rank == 0:
+            if not isinstance(phi, AtomTr) and verdict != _eval_atom(M, phi, v):
                 return True
-        elif isinstance(phi, Not):
+            continue
+        # ¬ψ is the conjunction of the one vote ¬ψ; ∧ and ∀ are universal.
+        if isinstance(phi, Not):
             sub = declared(phi.sub, v)
-            if sub is not None and sub == verdict:
-                return True
+            votes = [None if sub is None else not sub]
         elif isinstance(phi, (And, Or)):
             votes = [declared(s, v) for s in phi.subs]
-            if all(x is not None for x in votes):
-                combined = all(votes) if isinstance(phi, And) else any(votes)
-                if combined != verdict:
-                    return True
-            if isinstance(phi, And) and verdict and any(x is False for x in votes):
-                return True
-            if isinstance(phi, Or) and not verdict and any(x is True for x in votes):
-                return True
-        elif isinstance(phi, (Forall, Exists)):
-            votes = []
-            for values in itertools.product(M.domain, repeat=len(phi.vars)):
-                inst = dict(v)
-                inst.update(zip(phi.vars, values))
-                votes.append(declared(phi.body, inst))
-            if all(x is not None for x in votes):
-                combined = all(votes) if isinstance(phi, Forall) else any(votes)
-                if combined != verdict:
-                    return True
-            if isinstance(phi, Forall) and verdict and any(x is False for x in votes):
-                return True
-            if isinstance(phi, Exists) and not verdict and any(x is True for x in votes):
-                return True
+        else:
+            votes = [declared(phi.body, {**v, **dict(zip(phi.vars, values))})
+                     for values in itertools.product(M.domain, repeat=len(phi.vars))]
+        universal = isinstance(phi, (Not, And, Forall))
+        if None not in votes and (all(votes) if universal else any(votes)) != verdict:
+            return True
+        if verdict == universal and (not universal) in votes:
+            return True  # one declared vote already refutes the verdict
     return False
 
 
-def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
-                       budget: int = GAME_BUDGET) -> GameTree:
+def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) -> GameTree:
     """Build the finite interrogation game over the structure and pool.
 
     Interrogator moves pick a pool instance and a strictly smaller clock
@@ -364,8 +340,8 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
 
     def new_node() -> int:
         ident = next(counter)
-        if ident >= budget:
-            raise BudgetError(f"truth-telling game exceeds {budget} nodes "
+        if ident >= GAME_BUDGET:
+            raise BudgetError(f"truth-telling game exceeds {GAME_BUDGET} nodes "
                               f"(pool {len(pool_instances)} instances, clock {clock})")
         return ident
 
@@ -418,7 +394,7 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int,
         return interrogator_node(clock_next, new_history, answer)
 
     root = interrogator_node(clock, {}, {})
-    return GameTree.from_rows(rows, root)
+    return GameTree(rows, root)
 
 
 def extract_verdicts(T: GameTree, strategy_II: dict[int, int],

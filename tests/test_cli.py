@@ -353,6 +353,9 @@ REMOVED_PARAMETERS = [
     (forcelab.formula_step, {"x_var", "solution_ident"}),
     (forcelab.stage_comparison_structure, {"valuation_arity_cap"}),
     (corpus.iterated_pool, {"param_ident"}),
+    (forcelab.star_translate, {"budget"}),
+    (forcelab.truth_telling_game, {"budget"}),
+    (corpus.random_qf_sentence, {"depth"}),
 ]
 
 

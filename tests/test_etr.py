@@ -9,15 +9,18 @@ from forcelab import (EMPTY, BudgetError, FiniteStructure, ForcelabError,
                       name_universe, not_, perturb, random_game_tree,
                       subformula_closure, tarski_truth_instance, v_stage, var,
                       verify_solution, zermelo_recursion_instance)
-from forcelab.etr import staged_instance
+from forcelab.etr import STEP_BUDGET, staged_instance
 from forcelab.truth import formula_step
 
 
+def whole(length, step, label="anonymous", domain=tuple(v_stage(3))):
+    """The instance whose every stage decides the whole domain."""
+    return staged_instance(domain, length, lambda x: range(length), step, label)
+
+
 def constant_instance(A):
-    return RecursionInstance(
-        length=3, domain=tuple(v_stage(3)),
-        step=lambda x, alpha, view, param: x in param, parameter=frozenset(A),
-        label="constant")
+    return replace(whole(3, lambda x, alpha, view, param: x in param, "constant"),
+                   parameter=frozenset(A))
 
 
 def test_constant_recursion():
@@ -33,7 +36,7 @@ def cumulative_instance():
     def step(x, alpha, view, _param):
         return all(any(view(beta, y) for beta in range(alpha)) for y in x.children)
 
-    return RecursionInstance(length=4, domain=domain, step=step, label="cumulative")
+    return whole(4, step, "cumulative", domain)
 
 
 def test_cumulative_hierarchy_recursion():
@@ -60,8 +63,11 @@ def test_uniqueness_by_exhaustive_perturbation():
 
 
 def test_budget():
-    inst = RecursionInstance(length=10 ** 7, domain=tuple(v_stage(3)),
-                             step=lambda *a: False)
+    # one stage more than the budget allows over the whole domain
+    domain = tuple(v_stage(3))
+    length = STEP_BUDGET // len(domain) + 1
+    inst = RecursionInstance(length=length, domain=domain, step=lambda *a: False,
+                             support=(domain,) * length)
     with pytest.raises(BudgetError):
         etr_solve(inst)
 
@@ -70,7 +76,7 @@ def test_future_slice_read_is_refused():
     def nosy(x, alpha, view, _param):
         return view(alpha, x)
 
-    inst = RecursionInstance(length=2, domain=(EMPTY,), step=nosy)
+    inst = whole(2, nosy, domain=(EMPTY,))
     with pytest.raises(ForcelabError):
         etr_solve(inst)
 
@@ -78,8 +84,7 @@ def test_future_slice_read_is_refused():
 def test_formula_driven_step():
     base = FiniteStructure(v_stage(3), {"A": [EMPTY]})
     step = formula_step(base, atom_in_class(var("x"), "A"), length=3)
-    inst = RecursionInstance(length=3, domain=tuple(v_stage(3)), step=step,
-                             label="formula-constant")
+    inst = whole(3, step, "formula-constant")
     sol = etr_solve(inst)
     assert all(s == frozenset([EMPTY]) for s in sol.slices)
 
@@ -92,7 +97,7 @@ def test_monotone_instances_grow():
             return True
         return any(view(beta, x) for beta in range(alpha)) or hf_rank(x) <= alpha
 
-    inst = RecursionInstance(length=4, domain=domain, step=step, label="monotone")
+    inst = whole(4, step, "monotone", domain)
     sol = etr_solve(inst)
     for earlier, later in zip(sol.slices, sol.slices[1:]):
         assert earlier <= later
@@ -105,7 +110,7 @@ def test_verify_checks_the_budget_before_any_step(monkeypatch):
         calls.append((alpha, x))
         return False
 
-    inst = RecursionInstance(length=4, domain=tuple(v_stage(3)), step=step)
+    inst = whole(4, step)
     monkeypatch.setattr("forcelab.etr.STEP_BUDGET", 4 * len(inst.domain) - 1)
     with pytest.raises(BudgetError):
         verify_solution(inst, Solution(inst, (frozenset(),) * 4))
@@ -122,7 +127,12 @@ def test_budget_counts_the_steps_of_the_support(monkeypatch):
     assert sol.slices == tuple(frozenset([x]) for x in domain)
     assert verify_solution(inst, sol) == (True, None)
     with pytest.raises(BudgetError):
-        etr_solve(replace(inst, support=None))
+        etr_solve(replace(inst, support=(domain,) * len(domain)))
+
+
+def test_an_instance_needs_a_stage_map():
+    with pytest.raises(TypeError):
+        RecursionInstance(length=1, domain=(EMPTY,), step=lambda *a: True)
 
 
 def test_support_needs_one_entry_per_stage():

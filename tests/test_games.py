@@ -9,17 +9,22 @@ from forcelab import (BudgetError, FiniteStructure, GameNode, GameTree, ParseErr
                       random_game_tree, truth_telling_game, v_stage, var,
                       verify_strategy, zermelo_recursion_instance,
                       zermelo_solve, verify_solution)
+from forcelab import games
 from forcelab.truth import instances, valuation_key
 
 
-def leaf(i, winner):
-    return GameNode(i, None, (), winner)
+def leaf(winner):
+    return (None, (), winner, None)
+
+
+def inner(mover, children):
+    return (mover, children, None, None)
 
 
 def test_rank_examples():
-    single = GameTree({0: leaf(0, "I")}, 0)
+    single = GameTree({0: leaf("I")}, 0)
     assert continuous_rank(single) == {0: 0}
-    two = GameTree({0: GameNode(0, "I", (1, 2)), 1: leaf(1, "I"), 2: leaf(2, "II")}, 0)
+    two = GameTree({0: inner("I", (1, 2)), 1: leaf("I"), 2: leaf("II")}, 0)
     assert continuous_rank(two)[0] == 1
 
 
@@ -34,7 +39,7 @@ def test_ranks_strictly_decrease():
 
 
 def test_zermelo_immediate_win():
-    T = GameTree({0: GameNode(0, "I", (1, 2)), 1: leaf(1, "I"), 2: leaf(2, "II")}, 0)
+    T = GameTree({0: inner("I", (1, 2)), 1: leaf("I"), 2: leaf("II")}, 0)
     res = zermelo_solve(T)
     assert res.labels[0] == "I"
     assert res.strategy_I[0] == 1
@@ -42,10 +47,9 @@ def test_zermelo_immediate_win():
 
 def test_zermelo_forced_loss():
     # every move of player I meets a winning reply by player II
-    nodes = {0: GameNode(0, "I", (1, 2)),
-             1: GameNode(1, "II", (3,)), 2: GameNode(2, "II", (4,)),
-             3: leaf(3, "II"), 4: leaf(4, "II")}
-    res = zermelo_solve(GameTree(nodes, 0))
+    rows = {0: inner("I", (1, 2)), 1: inner("II", (3,)), 2: inner("II", (4,)),
+            3: leaf("II"), 4: leaf("II")}
+    res = zermelo_solve(GameTree(rows, 0))
     assert res.labels[0] == "II"
 
 
@@ -97,7 +101,7 @@ def test_labels_invariant_under_child_permutation():
         for nid, node in T.nodes.items():
             kids = list(node.children)
             rng.shuffle(kids)
-            permuted[nid] = GameNode(nid, node.mover, tuple(kids), node.winner)
+            permuted[nid] = (node.mover, tuple(kids), node.winner, None)
         T2 = GameTree(permuted, T.root)
         r1, r2 = zermelo_solve(T), zermelo_solve(T2)
         assert r1.labels == r2.labels
@@ -120,7 +124,7 @@ def test_zermelo_as_recursion_instance():
 
 
 def test_game_sexp_roundtrip():
-    T = GameTree({0: GameNode(0, "I", (1, 2)), 1: leaf(1, "I"), 2: leaf(2, "II")}, 0)
+    T = GameTree({0: inner("I", (1, 2)), 1: leaf("I"), 2: leaf("II")}, 0)
     again = parse_game(T.to_sexp())
     assert again.root == 0
     assert again.nodes[0].children == (1, 2)
@@ -137,7 +141,8 @@ def stored_trees():
 
 def test_node_view_matches_a_tree_rebuilt_from_its_game_nodes(stored_trees):
     for T in stored_trees:
-        U = GameTree(dict(T.nodes), T.root)
+        U = GameTree({i: (n.mover, n.children, n.winner, n.note or None)
+                      for i, n in T.nodes.items()}, T.root)
         assert len(U) == len(T) and list(U.nodes) == list(T.nodes)
         for i, node in T.nodes.items():
             assert node.ident == i
@@ -162,7 +167,7 @@ def test_game_text_round_trips_byte_for_byte(stored_trees):
 def test_node_view_is_read_only():
     T = random_game_tree(random.Random(7), 20)
     with pytest.raises(TypeError):
-        T.nodes[T.root] = leaf(T.root, "I")
+        T.nodes[T.root] = GameNode(T.root, None, (), "I")
 
 
 def test_random_tree_rows_leave_the_garbage_collector():
@@ -236,10 +241,11 @@ def test_existential_challenges_demand_witnesses():
     assert res.labels[T.root] == "II"
 
 
-def test_budget():
+def test_budget(monkeypatch):
     M = FiniteStructure(v_stage(2))
+    monkeypatch.setattr(games, "GAME_BUDGET", 100)
     with pytest.raises(BudgetError):
-        truth_telling_game(M, _atomic_pool(), 3, budget=100)
+        truth_telling_game(M, _atomic_pool(), 3)
 
 
 @pytest.mark.parametrize("text", [

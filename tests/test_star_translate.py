@@ -85,10 +85,12 @@ def _translates(phi, P, budget, warm):
     _cold()
     if warm:
         star_translate(phi, P)
-    try:
-        star_translate(phi, P, budget=budget)
-    except BudgetError:
-        return False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forcing, "TRANSLATION_BUDGET", budget)
+        try:
+            star_translate(phi, P)
+        except BudgetError:
+            return False
     return True
 
 
@@ -99,10 +101,11 @@ def _wide():
                 for i in range(60)])
 
 
-def test_budget_aborts_blowup(fork):
+def test_budget_aborts_blowup(fork, monkeypatch):
     _cold()
+    monkeypatch.setattr(forcing, "TRANSLATION_BUDGET", 100)
     with pytest.raises(BudgetError):
-        star_translate(_wide(), fork, budget=100)
+        star_translate(_wide(), fork)
 
 
 def _nested_triples():
@@ -115,13 +118,15 @@ def _nested_triples():
     return phi
 
 
-def test_the_budget_counts_distinct_nodes(fork):
+def test_the_budget_counts_distinct_nodes(fork, monkeypatch):
     _cold()
     phi = _nested_triples()
-    left, right = star_translate(phi, fork, budget=100)
+    monkeypatch.setattr(forcing, "TRANSLATION_BUDGET", 100)
+    left, right = star_translate(phi, fork)
     assert _agrees_with_forcing(fork, phi, left, right)
+    monkeypatch.setattr(forcing, "TRANSLATION_BUDGET", 72)
     with pytest.raises(BudgetError):
-        star_translate(phi, fork, budget=72)
+        star_translate(phi, fork)
 
 
 # The translation cache keeps each node's name pair and each rewrite across
