@@ -10,7 +10,7 @@ than the top does (the invariance below is the whole point).
 
 import itertools
 
-from forcelab import (EMPTY, FiniteStructure, build_collapse, corpus,
+from forcelab import (EMPTY, FiniteStructure, bits, build_collapse, corpus,
                       eval_name, eps_dot, formula_to_sexp, forcing_truth,
                       generic_filters, invariance_check, n_dot, tarski_truth,
                       v_stage)
@@ -24,7 +24,7 @@ print(f"generic filters = total bijections: {len(generic_filters(fa))}")
 
 nd = n_dot(fa, EMPTY)
 for G in generic_filters(fa):
-    print(f"  slot name for ∅ evaluates to {eval_name(nd, G)} under {sorted(G.members)}")
+    print(f"  slot name for ∅ evaluates to {eval_name(nd, G)} under {list(bits(G.members))}")
 
 pool = corpus.first_order_pool()
 derived = forcing_truth(2, A, pool)

@@ -10,7 +10,7 @@ from .errors import (BudgetError, ClosureError, EncodingError, ForcelabError,
                      ParseError, SeparativityError)
 from .hfset import (EMPTY, HFSet, hf_make, hf_pair, hf_rank, nat_decode,
                     nat_encode, transitive_closure, v_stage)
-from .poset import (CollapseNotion, Filter, ForcingNotion, build_collapse,
+from .poset import (CollapseNotion, Filter, ForcingNotion, bits, build_collapse,
                     generic_filters, is_dense, is_separative,
                     make_notion, minimal_classes, parse_poset)
 from .names import (ClassName, EMPTY_NAME, PName, a_dot, check_name, eps_dot,

@@ -42,14 +42,13 @@ def all_topped_preorders(size: int) -> list[ForcingNotion]:
     """Every distinct preorder on the given number of conditions with the
     first element on top; exhaustive, so keep the size tiny."""
     pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
-    seen: set[tuple] = set()
+    seen: set[tuple[int, ...]] = set()
     out = []
     for mask in range(1 << len(pairs)):
         chosen = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
         P = ForcingNotion([f"p{i}" for i in range(size)], chosen)
-        key = tuple(tuple(sorted(P.up(i))) for i in range(size))
-        if key not in seen:
-            seen.add(key)
+        if P._up not in seen:
+            seen.add(P._up)
             out.append(P)
     return out
 

@@ -29,7 +29,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import dag
 from . import etr as etr_mod
@@ -45,7 +45,8 @@ from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
 from .hfset import EMPTY, HFSet, nat_encode, hf_pair
 from .names import (EMPTY_NAME, ClassName, PName, check_name, eval_class,
                     eval_name, g_dot, is_subname_closed, name_make, name_to_hf, op_name)
-from .poset import Filter, ForcingNotion, generic_filters, is_separative, minimal_classes
+from .poset import (Filter, ForcingNotion, bits, generic_filters, is_separative,
+                    minimal_classes)
 
 ATOMIC_BUDGET = 2_000_000
 QUANTIFIER_BUDGET = 200_000
@@ -67,11 +68,6 @@ _CHECK_ATOMS = {
 
 def _mask(conditions: Iterable[int]) -> int:
     return sum(1 << p for p in conditions)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The conditions in a mask, in increasing order."""
-    return (p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 class ForcingRelation:
@@ -101,8 +97,7 @@ class ForcingRelation:
         for cls in classes:
             self._classes[cls.ident] = cls
         self.full = (1 << len(notion)) - 1
-        self._down = tuple(_mask(notion.down(p)) for p in notion.conditions())
-        self._up = tuple(_mask(notion.up(p)) for p in notion.conditions())
+        self._down, self._up = notion._down, notion._up
         self._neg: dict[int, int] = {}
         self._atomic: dict = {}
         self._values: dict = {}
@@ -328,6 +323,7 @@ def audit_forcing_relation(FR: ForcingRelation) -> AuditReport:
     P = FR.notion
     N = FR.universe
     down = FR._down
+    atomic = FR._atomic  # every (kind, σ, τ) over the universe, after materialize
     report = AuditReport()
 
     for law in ("downward-closure", "density", "modus-ponens", "eq-reflexive",
@@ -337,38 +333,36 @@ def audit_forcing_relation(FR: ForcingRelation) -> AuditReport:
     for kind in ("in", "sub", "eq"):
         for sigma in N:
             for tau in N:
-                V = FR.atomic_value(kind, sigma, tau)
-                for p in _bits(V):
+                V = atomic[kind, sigma, tau]
+                for p in bits(V):
                     if down[p] & ~V:
                         report.record("downward-closure", False,
-                                      (kind, p, next(_bits(down[p] & ~V)), sigma, tau))
-                for p in _bits(FR.full & ~V):
-                    if all(down[q1] & V for q1 in P.down(p)):
+                                      (kind, p, next(bits(down[p] & ~V)), sigma, tau))
+                for p in bits(FR.full & ~V):
+                    if all(down[q1] & V for q1 in bits(down[p])):
                         report.record("density", False, (kind, p, sigma, tau))
 
     audit_pool = _atomic_formulas(FR)
     for phi, psi in itertools.islice(itertools.product(audit_pool, repeat=2), AUDIT_TUPLE_CAP):
         bad = FR.value(phi) & FR.value(implies(phi, psi)) & ~FR.value(psi)
         if bad:
-            report.record("modus-ponens", False, (next(_bits(bad)), phi, psi))
-
-    def eq(s: PName, t: PName) -> int:
-        return FR.atomic_value("eq", s, t)
+            report.record("modus-ponens", False, (next(bits(bad)), phi, psi))
 
     for sigma in N:
-        if not eq(sigma, sigma) >> P.one & 1:
+        if not atomic["eq", sigma, sigma] >> P.one & 1:
             report.record("eq-reflexive", False, sigma)
     for sigma, tau in itertools.islice(itertools.product(N, repeat=2), AUDIT_TUPLE_CAP):
-        bad = eq(sigma, tau) ^ eq(tau, sigma)
+        bad = atomic["eq", sigma, tau] ^ atomic["eq", tau, sigma]
         if bad:
-            report.record("eq-symmetric", False, (next(_bits(bad)), sigma, tau))
+            report.record("eq-symmetric", False, (next(bits(bad)), sigma, tau))
     for sigma, tau, rho in itertools.islice(itertools.product(N, repeat=3), AUDIT_TUPLE_CAP):
-        bad = eq(sigma, tau) & eq(tau, rho) & ~eq(sigma, rho)
+        eq = atomic["eq", sigma, tau]
+        bad = eq & atomic["eq", tau, rho] & ~atomic["eq", sigma, rho]
         if bad:
-            report.record("eq-transitive", False, (next(_bits(bad)), sigma, tau, rho))
-        bad = eq(sigma, tau) & FR.atomic_value("in", rho, sigma) & ~FR.atomic_value("in", rho, tau)
+            report.record("eq-transitive", False, (next(bits(bad)), sigma, tau, rho))
+        bad = eq & atomic["in", rho, sigma] & ~atomic["in", rho, tau]
         if bad:
-            report.record("eq-congruence", False, (next(_bits(bad)), sigma, tau, rho))
+            report.record("eq-congruence", False, (next(bits(bad)), sigma, tau, rho))
 
     for phi in audit_pool:
         decided = FR.value(phi) | FR.value(not_(phi))
@@ -568,15 +562,15 @@ class BooleanAlgebra:
 
     def __init__(self, P: ForcingNotion):
         self.notion = P
-        self._down = [_mask(P.down(p)) for p in P.conditions()]
+        self._down = P._down
         # for each p, the down masks of p's extensions
-        self._ext_downs = [[self._down[q] for q in _bits(d)] for d in self._down]
+        self._ext_downs = [[self._down[q] for q in bits(d)] for d in self._down]
         self._regular: dict[int, int] = {}
-        classes = [_mask(cls) for cls in minimal_classes(P)]
+        classes = minimal_classes(P)
         below = [_mask(k for k, cls in enumerate(classes) if cls & d) for d in self._down]
         elements = {_mask(p for p, b in enumerate(below) if not b & ~chosen)
                     for chosen in range(1 << len(classes))}
-        self.elements = sorted(elements, key=lambda u: (u.bit_count(), list(_bits(u))))
+        self.elements = sorted(elements, key=lambda u: (u.bit_count(), list(bits(u))))
         self._element_set = frozenset(self.elements)
         self.zero = 0
         self.one = (1 << len(P)) - 1
@@ -646,31 +640,31 @@ def audit_boolean_algebra(B: BooleanAlgebra) -> AuditReport:
         report.record(law, True)
 
     def down_closed(U: int) -> bool:
-        return not any(B._down[p] & ~U for p in _bits(U))
+        return not any(B._down[p] & ~U for p in bits(U))
 
     for U in B.elements:
         if not down_closed(U) or B.regularize(U) != U:
-            report.record("regular", False, list(_bits(U)))
+            report.record("regular", False, list(bits(U)))
     for a in B.elements:
         if B.join(a, B.neg(a)) != B.one or B.meet(a, B.neg(a)) != B.zero:
-            report.record("complement", False, list(_bits(a)))
+            report.record("complement", False, list(bits(a)))
     pairs = itertools.islice(itertools.product(B.elements, repeat=2), ALGEBRA_TUPLE_CAP)
     for a, b in pairs:
         if B.neg(B.join(a, b)) != B.meet(B.neg(a), B.neg(b)):
-            report.record("de-morgan", False, (list(_bits(a)), list(_bits(b))))
+            report.record("de-morgan", False, (list(bits(a)), list(bits(b))))
         if not (B.is_element(B.join(a, b)) and B.is_element(B.meet(a, b))
                 and B.is_element(B.neg(a))):
-            report.record("closure", False, (list(_bits(a)), list(_bits(b))))
+            report.record("closure", False, (list(bits(a)), list(bits(b))))
     triples = itertools.islice(itertools.product(B.elements, repeat=3), ALGEBRA_TUPLE_CAP)
     for a, b, c in triples:
         if B.meet(a, B.join(b, c)) != B.join(B.meet(a, b), B.meet(a, c)):
             report.record("distributive", False,
-                          (list(_bits(a)), list(_bits(b)), list(_bits(c))))
+                          (list(bits(a)), list(bits(b)), list(bits(c))))
 
     if len(P) <= 12:
         for U in range(1 << len(P)):
             if down_closed(U) and B.regularize(U) == U and not B.is_element(U):
-                report.record("enumeration-complete", False, list(_bits(U)))
+                report.record("enumeration-complete", False, list(bits(U)))
     return report
 
 
@@ -730,7 +724,7 @@ def extension(FR: ForcingRelation, G: Filter) -> GenericExtension:
     """Quotient the universe by forced equality along the filter, and verify
     it is isomorphic to the direct-evaluation structure."""
     N = FR.universe
-    g = _mask(G.members)
+    g = G.members
 
     # Row i of each relation is a mask over universe positions: eq_row[i]
     # holds the j with N[i] =_G N[j], has[i] the j with N[j] ∈_G N[i] and
@@ -745,7 +739,7 @@ def extension(FR: ForcingRelation, G: Filter) -> GenericExtension:
     for i in range(len(N)):
         if not eq_row[i] >> i & 1:
             raise ForcelabError("forced equality is not reflexive; corrupted table")
-        for j in _bits(eq_row[i]):
+        for j in bits(eq_row[i]):
             if eq_row[j] & ~eq_row[i]:
                 raise ForcelabError("forced equality is not transitive; corrupted table")
             if has[i] != has[j] or within[i] != within[j]:
@@ -753,7 +747,7 @@ def extension(FR: ForcingRelation, G: Filter) -> GenericExtension:
 
     # The universe is sorted by key, so a block's first member is its least.
     firsts = [i for i in range(len(N)) if not eq_row[i] & ((1 << i) - 1)]
-    rep = {N[j]: N[i] for i in firsts for j in _bits(eq_row[i])}
+    rep = {N[j]: N[i] for i in firsts for j in bits(eq_row[i])}
     reps = [N[i] for i in firsts]
     membership = frozenset((N[i], N[j]) for i in firsts for j in firsts if within[i] >> j & 1)
 
@@ -819,7 +813,7 @@ def truth_lemma_check(FR: ForcingRelation, phis: Formula | Iterable[Formula]):
     phis = list(phis)
     for G in generic_filters(FR.notion):
         ext = extension(FR, G)
-        g = _mask(G.members)
+        g = G.members
         for phi in phis:
             truth = truth_mod.eval_formula(ext.structure, ground_formula(phi, ext), {})
             if truth != (FR.value(phi) & g != 0):
@@ -855,14 +849,14 @@ def truth_name(FR: ForcingRelation, pool: Sequence[Formula]) -> TruthName:
     if closed_subs - set(pool):
         raise ClosureError("truth-name pool must contain every closed subformula")
 
-    entries = [(_pool_entry_name(phi), p) for phi in pool for p in _bits(FR.value(phi))]
+    entries = [(_pool_entry_name(phi), p) for phi in pool for p in bits(FR.value(phi))]
     tdot = ClassName.make("T", entries)
     FR.register_class(tdot)
 
     failures = []
     for phi in pool:
         derived = FR.value(atom_in_class(name_const(_pool_entry_name(phi)), "T"))
-        for p in _bits(derived ^ FR.value(phi)):
+        for p in bits(derived ^ FR.value(phi)):
             failures.append(("derived-vs-forcing", p, phi))
 
     for G in generic_filters(FR.notion):
@@ -922,10 +916,12 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
         for kind, table in (("in", in_table), ("eq", eq_table))
         for (s, t), (_, encs) in table.items()}
 
-    downs = [P.down(p) for p in P.conditions()]
-    # The membership step's rows, one per entry (ρ, r) of τ: the conditions
-    # below r, and the stage and encodings of σ = ρ; built once per (σ, τ).
-    in_rows = {(s, t): [(downs[r], *eq_table[(s, rho)]) for rho, r in t.entries]
+    down = [P.down(p) for p in P.conditions()]
+    downs = [tuple(bits(d)) for d in down]  # the same sets, listed for the loops
+    # The membership step's rows, one per entry (ρ, r) of τ: the mask of the
+    # conditions below r, and the stage and encodings of σ = ρ; built once
+    # per (σ, τ).
+    in_rows = {(s, t): [(down[r], *eq_table[(s, rho)]) for rho, r in t.entries]
                for s in N for t in N}
 
     def step(x: HFSet, alpha: int, view, _param) -> bool:
@@ -936,16 +932,15 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
             # forces σ = ρ by an earlier slice
             rows = [(below_r, view.slice(st), encs)
                     for below_r, st, encs in in_rows[(sigma, tau)]]
-            return all(any(q in below_r and encs[q] in sl
+            return all(any(below_r >> q & 1 and encs[q] in sl
                            for q in downs[q1] for below_r, sl, encs in rows)
                        for q1 in downs[p])
         # equality, with both subset directions unfolded into membership
-        below_p = downs[p]
         for a, b in ((sigma, tau), (tau, sigma)):
             for rho, r in a.entries:
                 st, encs = in_table[(rho, b)]
                 sl = view.slice(st)
-                for q1 in below_p & downs[r]:
+                for q1 in bits(down[p] & down[r]):
                     for q in downs[q1]:
                         if encs[q] in sl:
                             break

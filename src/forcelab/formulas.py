@@ -285,8 +285,10 @@ def implies(a: Formula, b: Formula) -> Formula:
 # The syntax table: one row per node type, giving its text head, its code tag,
 # the kinds of its arguments and the fields that hold them, and the usage a
 # malformed form is refused with (a list of subformulas is the rest of its
-# form, so it is never malformed).  The parser, printer, encoder and decoder
-# read the row and dispatch on argument kinds; FORMATS.md shows the table.
+# form, so it is never malformed).  A row has at most one subformula or
+# list-of-subformulas argument, and it comes last.  The parser, printer,
+# encoder and decoder read the row and dispatch on argument kinds;
+# FORMATS.md shows the table.
 
 TERM, IDENT, SUB, SUBS, BLOCK = "term", "identifier", "subformula", "subformulas", "variable block"
 
@@ -317,7 +319,7 @@ SYNTAX = {row.cls: row for row in (
            "(exists (v*) f) takes a variable list and a formula"),
 )}
 _BY_HEAD = {row.head: row for row in SYNTAX.values()}
-_BY_TAG = {row.tag: row for row in SYNTAX.values()}
+_BY_TAG_CODE = {nat_encode(row.tag): row for row in SYNTAX.values()}
 
 
 def _args(phi: Formula, kids: Sequence, error: type[ForcelabError], what: str
@@ -740,42 +742,52 @@ _formula_codes: dict[HFSet, Formula | None] = {}
 def decode_formula(x: HFSet) -> Formula | None:
     """The formula x codes, or None when x codes none: not a code, or parts
     that would mix ground constants with name constants.  One fold over the
-    subcodes, so the nesting depth is not bounded by the stack."""
-    return dag.fold(x, _formula_subcodes, _decode_node, _formula_codes)
+    subcodes, so the nesting depth is not bounded by the stack; each code
+    is unpacked once."""
+    parsed: dict[HFSet, tuple] = {}
+
+    def subcodes(code: HFSet) -> tuple[HFSet, ...]:
+        got = parsed.get(code)
+        if got is None:
+            got = parsed[code] = _code_parts(code)
+        return got[2]
+
+    return dag.fold(x, subcodes, lambda code, subs: _decode_node(parsed[code], subs),
+                    _formula_codes)
 
 
-def _code_parts(x: HFSet) -> tuple[Syntax | None, Sequence]:
-    """The row of x's tag and the codes of its arguments, a list of subformulas
-    as the list of their codes; (None, ()) when x is no code of that row's
-    shape.  One argument is the payload, two are a pair and three a list."""
+_NO_CODE = (None, (), ())
+
+
+def _code_parts(x: HFSet) -> tuple[Syntax | None, Sequence, tuple[HFSet, ...]]:
+    """The row of x's tag, the codes of its arguments (a list of subformulas
+    as the list of their codes) and the codes of the subformulas x's formula
+    is built from; (None, (), ()) when x is no code of that row's shape.
+    One argument is the payload, two are a pair and three a list."""
     p = hf_unpair(x)
-    row = _BY_TAG.get(nat_decode(p[0])) if p is not None else None
+    row = _BY_TAG_CODE.get(p[0]) if p is not None else None
     if row is None:
-        return None, ()
+        return _NO_CODE
+    if row.kinds == (SUBS,):
+        subs = hf_unlist(p[1])
+        return (row, (subs,), tuple(subs)) if subs is not None else _NO_CODE
     n = len(row.kinds)
     parts = (p[1],) if n == 1 else hf_unpair(p[1]) if n == 2 else hf_unlist(p[1])
-    if parts is not None and row.kinds == (SUBS,):
-        parts = (hf_unlist(parts[0]),)
-    shaped = parts is not None and len(parts) == n and None not in parts
-    return (row, parts) if shaped else (None, ())
+    if parts is None or len(parts) != n:
+        return _NO_CODE
+    return row, parts, parts[-1:] if row.kinds[-1] == SUB else ()
 
 
-def _formula_subcodes(x: HFSet) -> tuple[HFSet, ...]:
-    """The codes of the subformulas x's formula is built from."""
-    row, parts = _code_parts(x)
-    return tuple(code for kind, part in zip(row.kinds if row else (), parts)
-                 for code in ((part,) if kind == SUB else part if kind == SUBS else ()))
-
-
-def _decode_node(x: HFSet, subs: tuple[Formula | None, ...]) -> Formula | None:
-    row, parts = _code_parts(x)
+def _decode_node(parsed: tuple, subs: tuple[Formula | None, ...]) -> Formula | None:
+    row, parts, _ = parsed
     if row is None or None in subs:
         return None
-    rest = iter(subs)
-    values = [next(rest) if kind == SUB else tuple(rest) if kind == SUBS else _DECODE[kind](part)
-              for kind, part in zip(row.kinds, parts)]
-    if None in values:
-        return None
+    values = []
+    for kind, part in zip(row.kinds, parts):
+        value = subs[-1] if kind == SUB else subs if kind == SUBS else _DECODE[kind](part)
+        if value is None:
+            return None
+        values.append(value)
     try:
         return _mk(row.cls, *values)
     except ForcelabError:  # raised by the constructors for mixed constants only

@@ -202,14 +202,14 @@ def eval_name(name: PName, G: Filter, _memo: dict | None = None) -> HFSet:
         _memo = {}
     cached = _memo.get(name)
     if cached is None:
-        cached = hf_make(eval_name(n, G, _memo) for n, r in name.entries if r in G.members)
+        cached = hf_make(eval_name(n, G, _memo) for n, r in name.entries if G.members >> r & 1)
         _memo[name] = cached
     return cached
 
 
 def eval_class(cls: ClassName, G: Filter) -> frozenset[HFSet]:
     memo: dict = {}
-    return frozenset(eval_name(n, G, memo) for n, r in cls.entries if r in G.members)
+    return frozenset(eval_name(n, G, memo) for n, r in cls.entries if G.members >> r & 1)
 
 
 _hf_codes: dict[PName, HFSet] = {}

@@ -3,15 +3,18 @@
 Conditions are ordered by strength (lower = stronger).  Everything here
 works on arbitrary preorders; equivalent conditions (p ≤ q ≤ p) are
 permitted and all machinery is invariant under swapping equivalents.
+A set of conditions is an `int` mask with bit p for condition p.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, perm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import sexpr
 from .errors import BudgetError, ForcelabError, ParseError
@@ -21,6 +24,14 @@ DENSE_SAMPLE_LIMIT = 12  # exhaustive dense-set verification up to this size
 DENSE_SAMPLE_COUNT = 400  # seeded random subsets tried above that size
 DENSE_SAMPLE_SEED = 0
 COLLAPSE_BUDGET = 5000
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The conditions in a mask, in increasing order, one step per member."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -65,26 +76,23 @@ class ForcingNotion:
         if len(set(self.elements)) != len(self.elements):
             raise ForcelabError("duplicate condition tokens")
         n = len(self.elements)
-        up = [set() for _ in range(n)]  # up[p] = {q : p ≤ q}
-        for p in range(n):
-            up[p].add(p)
-            up[p].add(0)
+        up = [1 | 1 << p for p in range(n)]  # up[p] has bit q when p ≤ q
         for p, q in le_pairs:
-            up[p].add(q)
+            up[p] |= 1 << q
         changed = True
         while changed:
             changed = False
             for p in range(n):
-                new = set().union(*(up[q] for q in up[p]))
-                if not new <= up[p]:
-                    up[p] |= new
+                new = functools.reduce(operator.or_, map(up.__getitem__, bits(up[p])))
+                if new != up[p]:
+                    up[p] = new
                     changed = True
-        self._up = tuple(frozenset(s) for s in up)
-        down = [set() for _ in range(n)]
+        down = [0] * n
         for p in range(n):
-            for q in self._up[p]:
-                down[q].add(p)
-        self._down = tuple(frozenset(s) for s in down)
+            for q in bits(up[p]):
+                down[q] |= 1 << p
+        self._up = tuple(up)
+        self._down = tuple(down)
         self.tags = tuple(tags) if tags is not None else None
         self._index = {tok: i for i, tok in enumerate(self.elements)}
 
@@ -102,27 +110,28 @@ class ForcingNotion:
             raise ParseError(f"unknown condition token {token!r}") from None
 
     def le(self, p: int, q: int) -> bool:
-        return q in self._up[p]
+        return self._up[p] >> q & 1 == 1
 
-    def down(self, p: int) -> frozenset[int]:
-        """All extensions of p (conditions at least as strong)."""
+    def down(self, p: int) -> int:
+        """The mask of p's extensions (conditions at least as strong), p included."""
         return self._down[p]
 
-    def up(self, p: int) -> frozenset[int]:
+    def up(self, p: int) -> int:
+        """The mask of the conditions p extends, p and the top included."""
         return self._up[p]
 
     def equivalent(self, p: int, q: int) -> bool:
         return self.le(p, q) and self.le(q, p)
 
     def compatible(self, p: int, q: int) -> bool:
-        return not self._down[p].isdisjoint(self._down[q])
+        return self._down[p] & self._down[q] != 0
 
     def conditions(self) -> range:
         return range(len(self.elements))
 
     def to_sexp(self) -> str:
         pairs = [[self.elements[p], self.elements[q]]
-                 for p in self.conditions() for q in self._up[p] if p != q]
+                 for p in self.conditions() for q in bits(self._up[p]) if p != q]
         return sexpr.show(["poset", ["elems", *self.elements],
                            ["one", self.elements[0]], ["le", *pairs]])
 
@@ -179,26 +188,18 @@ def make_notion(elements: Sequence[str], le_pairs: Iterable[tuple[str, str]] = (
 
 @dataclass(frozen=True)
 class Filter:
-    """An upward-closed, downward-directed set of conditions."""
+    """An upward-closed, downward-directed set of conditions, as a mask."""
 
     notion: ForcingNotion
-    members: frozenset[int]
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.members
+    members: int
 
 
-def is_filter(P: ForcingNotion, members: frozenset[int]) -> bool:
+def is_filter(P: ForcingNotion, members: int) -> bool:
     if not members:
         return False
-    for p in members:
-        if not P.up(p) <= members:
-            return False
-    for p in members:
-        for q in members:
-            if not any(r in members for r in P.down(p) & P.down(q)):
-                return False
-    return True
+    if any(P.up(p) & ~members for p in bits(members)):
+        return False
+    return all(P.down(p) & P.down(q) & members for p in bits(members) for q in bits(members))
 
 
 def is_separative(P: ForcingNotion) -> tuple[bool, tuple[int, int] | None]:
@@ -207,28 +208,29 @@ def is_separative(P: ForcingNotion) -> tuple[bool, tuple[int, int] | None]:
         for q in P.conditions():
             if P.le(p, q):
                 continue
-            if not any(not P.compatible(r, q) for r in P.down(p)):
+            if not any(not P.compatible(r, q) for r in bits(P.down(p))):
                 return False, (p, q)
     return True, None
 
 
-def is_dense(P: ForcingNotion, D: Iterable[int]) -> bool:
-    dset = set(D)
-    return all(dset & P.down(p) for p in P.conditions())
+def is_dense(P: ForcingNotion, D: int) -> bool:
+    return all(D & down for down in P._down)
 
 
-def minimal_classes(P: ForcingNotion) -> list[frozenset[int]]:
-    """Equivalence classes of ≤-minimal conditions, canonically ordered."""
+def minimal_classes(P: ForcingNotion) -> list[int]:
+    """Equivalence classes of ≤-minimal conditions, ordered by least member.
+
+    p is minimal when all its extensions lie above it; its class is then
+    its whole downset.
+    """
     classes = []
-    seen: set[int] = set()
+    seen = 0
     for p in P.conditions():
-        if p in seen:
-            continue
-        if all(P.le(p, q) for q in P.down(p)):
-            cls = frozenset(q for q in P.down(p) if P.equivalent(p, q))
-            classes.append(cls)
-            seen |= cls
-    return sorted(classes, key=lambda c: min(c))
+        down = P.down(p)
+        if not seen >> p & 1 and not down & ~P.up(p):
+            classes.append(down)
+            seen |= down
+    return classes
 
 
 def generic_filters(P: ForcingNotion) -> list[Filter]:
@@ -237,63 +239,47 @@ def generic_filters(P: ForcingNotion) -> list[Filter]:
     The closed-form computation is verified against the definition, either
     exhaustively (|P| ≤ 12) or on seeded sampled dense sets above that.
     """
-    filters = []
-    seen: set[frozenset[int]] = set()
-    for cls in minimal_classes(P):
-        members = frozenset(P.up(min(cls)))
-        if members not in seen:
-            seen.add(members)
-            filters.append(Filter(P, members))
+    filters = [Filter(P, P.up(next(bits(cls)))) for cls in minimal_classes(P)]
     _verify_generic(P, filters)
     return filters
 
 
-def _dense_subsets(P: ForcingNotion):
+def _dense_subsets(P: ForcingNotion) -> Iterator[int]:
     n = len(P)
     if n <= DENSE_SAMPLE_LIMIT:
-        for mask in range(1 << n):
-            D = frozenset(i for i in range(n) if mask >> i & 1)
-            if is_dense(P, D):
-                yield D
+        yield from (D for D in range(1 << n) if is_dense(P, D))
         return
     # Canonical dense families first, then seeded random subsets.
     for p in P.conditions():
-        yield frozenset(q for q in P.conditions()
-                        if P.le(q, p) or not P.compatible(q, p))
-    yield frozenset().union(*minimal_classes(P))
+        yield P.down(p) | sum(1 << q for q in P.conditions() if not P.compatible(q, p))
+    yield functools.reduce(operator.or_, minimal_classes(P))
     rng = random.Random(DENSE_SAMPLE_SEED)
     for _ in range(DENSE_SAMPLE_COUNT):
-        D = frozenset(i for i in range(n) if rng.random() < 0.5)
+        D = sum(1 << i for i in range(n) if rng.random() < 0.5)
         if is_dense(P, D):
             yield D
 
 
-def _verify_genericity_of(P: ForcingNotion, members: frozenset[int]) -> frozenset[int] | None:
+def _verify_genericity_of(P: ForcingNotion, members: int) -> int | None:
     """Return a dense set the candidate misses, or None."""
-    for D in _dense_subsets(P):
-        if not (D & members):
-            return D
-    return None
+    return next((D for D in _dense_subsets(P) if not D & members), None)
 
 
 def _verify_generic(P: ForcingNotion, filters: list[Filter]):
     for F in filters:
         missed = _verify_genericity_of(P, F.members)
         if missed is not None:
-            raise ForcelabError(
-                f"claimed generic filter {sorted(F.members)} misses dense set {sorted(missed)}")
+            raise ForcelabError(f"claimed generic filter {list(bits(F.members))} "
+                                f"misses dense set {list(bits(missed))}")
     if len(P) > DENSE_SAMPLE_LIMIT:
         return
     returned = {F.members for F in filters}
-    all_filters = [frozenset(i for i in range(len(P)) if mask >> i & 1)
-                   for mask in range(1 << len(P))]
-    all_filters = [f for f in all_filters if is_filter(P, f)]
-    maximal = [f for f in all_filters if not any(f < g for g in all_filters)]
-    for f in maximal:
-        if f in returned:
+    all_filters = [f for f in range(1 << len(P)) if is_filter(P, f)]
+    for f in all_filters:
+        if f in returned or any(f != g and not f & ~g for g in all_filters):
             continue
         if _verify_genericity_of(P, f) is None:
-            raise ForcelabError(f"omitted filter {sorted(f)} meets every dense set")
+            raise ForcelabError(f"omitted filter {list(bits(f))} meets every dense set")
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,16 @@ reports failure.
 """
 
 import random
+import re
 
 import pytest
 
 from forcelab import (ClassName, Filter, ForcelabError, atomic_forcing,
-                      etr_solve, extension, generic_filters,
+                      build_collapse, etr_solve, extension, generic_filters,
                       label_fixpoint_violation, name_universe,
                       random_game_tree, truth_name, zermelo_recursion_instance,
                       zermelo_solve)
-from forcelab import corpus, forcing
+from forcelab import corpus, forcing, poset
 
 
 def test_adding_or_removing_one_filter_member_fails_extension(corpus_notion):
@@ -24,7 +25,31 @@ def test_adding_or_removing_one_filter_member_fails_extension(corpus_notion):
         extension(FR, G)
         for q in P.conditions():
             with pytest.raises(ForcelabError):
-                extension(FR, Filter(P, G.members ^ {q}))
+                extension(FR, Filter(P, G.members ^ 1 << q))
+
+
+# generic_filters reads the filters off the minimal classes, then checks them
+# against the definition: every returned filter meets every dense set, and
+# (up to 12 conditions) no omitted maximal filter does.
+
+def test_a_dropped_minimal_class_fails_the_generic_filter_check(monkeypatch):
+    classes = poset.minimal_classes
+    monkeypatch.setattr(poset, "minimal_classes", lambda P: classes(P)[1:])
+    with pytest.raises(ForcelabError, match=r"omitted filter \[0, 1\] meets every dense set"):
+        generic_filters(corpus.fork())
+
+
+@pytest.mark.parametrize("P, p", [(corpus.fork(), 0), (build_collapse(3, []), 1)],
+                         ids=["fork", "collapse-3"])
+def test_a_non_minimal_class_fails_the_generic_filter_check(monkeypatch, P, p):
+    # p lies strictly above other conditions, so its up-set is a filter that
+    # misses a dense set; above 12 conditions only sampled dense sets catch it
+    assert P.down(p) & ~P.up(p)
+    classes = poset.minimal_classes
+    monkeypatch.setattr(poset, "minimal_classes", lambda Q: [1 << p] + classes(Q))
+    claimed = f"claimed generic filter {list(poset.bits(P.up(p)))} misses dense set"
+    with pytest.raises(ForcelabError, match=re.escape(claimed)):
+        generic_filters(P)
 
 
 def _staged_labels_agree(T, labels) -> bool:

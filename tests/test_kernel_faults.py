@@ -38,6 +38,7 @@ from forcelab import forcing as forcing_mod
 from forcelab import games as games_mod
 from forcelab import truth as truth_mod
 from forcelab.hfset import hf_pair, hf_unpair
+from forcelab.poset import bits
 from forcelab.truth import FiniteStructure, instances, valuation_key
 
 KINDS = ("in", "sub", "eq")
@@ -174,8 +175,8 @@ def test_composite_flip_at_a_filter_member_fails_the_truth_lemma(fork, set_bit):
     # value meets the filter iff it holds m.  Setting m where no member forces
     # the formula, or clearing it where m alone does, flips the verdict at G.
     for G in generic_filters(fork):
-        m = next(q for q in G.members if all(fork.le(q, r) for r in G.members))
-        g = sum(1 << q for q in G.members)
+        g = G.members
+        m = next(q for q in bits(g) if all(fork.le(q, r) for r in bits(g)))
         for phi in (f for f in pool if isinstance(f, COMPOSITE)):
             V = FR.value(phi)
             if (V & g == 0) if set_bit else (V & g == 1 << m):

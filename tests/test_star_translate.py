@@ -319,8 +319,8 @@ def test_random_sentences_translate_as_before(name):
 class RefAtomic:
     def __init__(self, P):
         self.full = (1 << len(P)) - 1
-        self.down = [sum(1 << q for q in P.down(p)) for p in P.conditions()]
-        self.up = [sum(1 << q for q in P.up(p)) for p in P.conditions()]
+        self.down = [P.down(p) for p in P.conditions()]
+        self.up = [P.up(p) for p in P.conditions()]
         self.memo = {}
 
     def neg(self, W):
