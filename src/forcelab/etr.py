@@ -6,6 +6,11 @@ strictly earlier slices, only at the elements its *support* gives that stage
 (all others are absent from the slice).  The engine produces the unique
 solution; a separate checker re-verifies the defining equation slice by slice.
 
+A step rule is a function of (x, α, view) and the instance's parameter.  It
+may cache what it derives from one view object, never across views: solve
+and verify build a fresh view for every stage, so a perturbed solution is
+judged from its own slices, not from values kept from the solve.
+
 The forcing relation, truth predicates and game labelings are all computed
 elsewhere by direct recursions; builders here re-express them as instances
 so the two computations can be compared bit for bit.

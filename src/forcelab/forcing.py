@@ -910,45 +910,68 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
         st = hf_pair(nat_encode(kind_id), hf_pair(code[s], code[t]))
         return stage_of(s, t), [hf_pair(p_code, st) for p_code in p_codes]
 
-    in_table, eq_table = ({(s, t): encodings(k, s, t) for s in N for t in N} for k in (0, 1))
+    tables = {kind: {(s, t): encodings(k, s, t) for s in N for t in N}
+              for k, kind in enumerate(("in", "eq"))}
     codec: dict[HFSet, tuple[int, str, PName, PName]] = {
         encs[p]: (p, kind, s, t) for p in P.conditions()
-        for kind, table in (("in", in_table), ("eq", eq_table))
-        for (s, t), (_, encs) in table.items()}
+        for kind, table in tables.items() for (s, t), (_, encs) in table.items()}
+    stage_at = {enc: st for table in tables.values() for st, encs in table.values()
+                for enc in encs}
 
     down = [P.down(p) for p in P.conditions()]
-    downs = [tuple(bits(d)) for d in down]  # the same sets, listed for the loops
-    # The membership step's rows, one per entry (ρ, r) of τ: the mask of the
-    # conditions below r, and the stage and encodings of σ = ρ; built once
-    # per (σ, τ).
-    in_rows = {(s, t): [(down[r], *eq_table[(s, rho)]) for rho, r in t.entries]
-               for s in N for t in N}
+    # Every condition of a pair (kind, σ, τ) reads the same earlier slices, so
+    # the step decides the whole pair at once: its *rejection mask* holds the
+    # conditions q1 below which no witness lies, and p is forced iff no q1 ≤ p
+    # is rejected.  The masks, and the *held* masks they are built from (the
+    # conditions whose encoding of an earlier pair lies in its slice), are
+    # valid for one view only: a different view empties both memos.
+    held_memo: dict[tuple[str, PName, PName], int] = {}
+    rejected_memo: dict[tuple[str, PName, PName], int] = {}
+    memo_view = None  # the view the memos were filled from
 
-    def step(x: HFSet, alpha: int, view, _param) -> bool:
-        # Each row's earlier slice is read once, through the view's stage check.
-        p, kind, sigma, tau = codec[x]
+    def held(view, kind: str, s: PName, t: PName) -> int:
+        got = held_memo.get((kind, s, t))
+        if got is None:
+            st, encs = tables[kind][(s, t)]
+            sl = view.slice(st)
+            got = held_memo[(kind, s, t)] = sum(
+                1 << q for q, enc in enumerate(encs) if enc in sl)
+        return got
+
+    @functools.cache
+    def unwitnessed(witnesses: int) -> int:
+        # the conditions q1 with no witness q ≤ q1; a function of the notion
+        return sum(1 << q1 for q1, below in enumerate(down) if not below & witnesses)
+
+    def rejected(view, kind: str, sigma: PName, tau: PName) -> int:
         if kind == "in":
-            # below every q1 ≤ p some q ≤ q1 lies below an entry's r and
-            # forces σ = ρ by an earlier slice
-            rows = [(below_r, view.slice(st), encs)
-                    for below_r, st, encs in in_rows[(sigma, tau)]]
-            return all(any(below_r >> q & 1 and encs[q] in sl
-                           for q in downs[q1] for below_r, sl, encs in rows)
-                       for q1 in downs[p])
-        # equality, with both subset directions unfolded into membership
+            # a witness lies below an entry's r and forces σ = ρ by an
+            # earlier slice
+            witnesses = 0
+            for rho, r in tau.entries:
+                witnesses |= down[r] & held(view, "eq", sigma, rho)
+            return unwitnessed(witnesses)
+        # equality, with both subset directions unfolded into membership: a
+        # q1 ≤ r is rejected when no q ≤ q1 forces ρ ∈ b
+        out = 0
         for a, b in ((sigma, tau), (tau, sigma)):
             for rho, r in a.entries:
-                st, encs = in_table[(rho, b)]
-                sl = view.slice(st)
-                for q1 in bits(down[p] & down[r]):
-                    for q in downs[q1]:
-                        if encs[q] in sl:
-                            break
-                    else:
-                        return False
-        return True
+                out |= down[r] & unwitnessed(held(view, "in", rho, b))
+        return out
 
-    inst = etr_mod.staged_instance(codec, len(stages), lambda x: (stage_of(*codec[x][2:]),),
+    def step(x: HFSet, alpha: int, view, _param) -> bool:
+        nonlocal memo_view
+        if view is not memo_view:
+            held_memo.clear()
+            rejected_memo.clear()
+            memo_view = view
+        p, kind, sigma, tau = codec[x]
+        mask = rejected_memo.get((kind, sigma, tau))
+        if mask is None:
+            mask = rejected_memo[(kind, sigma, tau)] = rejected(view, kind, sigma, tau)
+        return not down[p] & mask
+
+    inst = etr_mod.staged_instance(codec, len(stages), lambda x: (stage_at[x],),
                                    step, "atomic-forcing")
     return inst, codec, stage_of
 

@@ -640,6 +640,10 @@ def _theta(a: HFSet, v: str, depth: int) -> Formula:
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789_ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _CHAR_INDEX = {c: i for i, c in enumerate(_ALPHABET)}
 
+# Identifiers recur in every variable, block and valuation code, so each is
+# encoded once per string and decoded once per interned code.
+
+@functools.cache
 def _encode_str(s: str) -> HFSet:
     try:
         return hf_list(nat_encode(_CHAR_INDEX[c]) for c in s)
@@ -647,6 +651,7 @@ def _encode_str(s: str) -> HFSet:
         raise EncodingError(f"identifier {s!r} uses characters outside {_ALPHABET!r}") from e
 
 
+@functools.cache
 def _decode_str(x: HFSet) -> str | None:
     items = hf_unlist(x)
     if items is None:
@@ -809,6 +814,13 @@ def encode_valuation(valuation: dict[str, HFSet]) -> HFSet:
 
 
 def decode_valuation(x: HFSet) -> dict[str, HFSet] | None:
+    """The map x codes, as a new dict on every call, or None."""
+    items = _valuation_items(x)
+    return None if items is None else dict(items)
+
+
+@functools.cache
+def _valuation_items(x: HFSet) -> tuple[tuple[str, HFSet], ...] | None:
     out: dict[str, HFSet] = {}
     for child in x.children:
         p = hf_unpair(child)
@@ -818,4 +830,4 @@ def decode_valuation(x: HFSet) -> dict[str, HFSet] | None:
         if v is None or not v or v in out:
             return None
         out[v] = p[1]
-    return out
+    return tuple(out.items())

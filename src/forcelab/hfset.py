@@ -90,7 +90,7 @@ def _interned(tup: tuple[HFSet, ...]) -> HFSet:
     cached = _intern.get(tup)
     if cached is not None:
         return cached
-    made = HFSet(tup, 0 if not tup else 1 + max(c.rank for c in tup))
+    made = HFSet(tup, 1 + tup[-1].rank if tup else 0)  # keys, sorted, start with the rank
     _intern[tup] = made
     return made
 

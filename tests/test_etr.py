@@ -9,7 +9,7 @@ from forcelab import (EMPTY, BudgetError, FiniteStructure, ForcelabError,
                       name_universe, not_, perturb, random_game_tree,
                       subformula_closure, tarski_truth_instance, v_stage, var,
                       verify_solution, zermelo_recursion_instance)
-from forcelab.etr import STEP_BUDGET, staged_instance
+from forcelab.etr import STEP_BUDGET, PartialSolution, staged_instance
 from forcelab.truth import formula_step
 
 
@@ -197,6 +197,43 @@ def test_verify_rejects_a_member_outside_the_support(mapped):
         assert verify_solution(mapped, perturb(sol, alpha, last)) == (False, (alpha, last))
         both = perturb(perturb(sol, alpha, last), alpha, first)
         assert verify_solution(mapped, both) == (False, (alpha, first))
+
+
+
+# The staged atomic step decides a whole pair (kind, σ, τ) at once and keeps
+# the result per view.  A view with one encoding of an earlier slice flipped
+# must get the verdicts a freshly built instance gives it, even when the
+# step has just answered from the unflipped view.
+
+@pytest.mark.parametrize("label", ["fork", "four-fork"])
+def test_the_staged_atomic_step_keeps_nothing_across_views(label):
+    P = dict(corpus.corpus_notions())[label]
+    N = name_universe(P, 1)
+    inst, _, _ = atomic_recursion_instance(P, N)
+    sol = etr_solve(inst)
+    alpha = inst.length - 1
+    later = inst.support[alpha]
+    plain = PartialSolution(sol.slices, alpha)
+    plain_verdicts = [inst.step(x, alpha, plain, None) for x in later]
+    assert plain_verdicts == [x in sol.slices[alpha] for x in later]
+
+    def first_flip_that_matters():
+        for beta in range(alpha):
+            for y in inst.support[beta]:
+                view = PartialSolution(perturb(sol, beta, y).slices, alpha)
+                if [inst.step(x, alpha, view, None) for x in later] != plain_verdicts:
+                    return view
+        return None
+
+    flipped = first_flip_that_matters()
+    assert flipped is not None
+    fresh = atomic_recursion_instance(P, N)[0]
+    fresh_verdicts = [fresh.step(x, alpha, flipped, None) for x in later]
+    assert fresh_verdicts != plain_verdicts
+    # alternating views make the step refill its memo on every call
+    for x, want, was in zip(later, fresh_verdicts, plain_verdicts):
+        assert inst.step(x, alpha, plain, None) == was
+        assert inst.step(x, alpha, flipped, None) == want
 
 
 def _key(x):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -7,18 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from forcelab import (EMPTY, And, AtomTr, Exists, ForcelabError, ParseError,
-                      StageTranslator, and_, atom_eq, atom_in, atom_in_class,
-                      atom_tr, check_name, const, decode_formula,
+from forcelab import (EMPTY, And, AtomTr, Exists, FiniteStructure, ForcelabError,
+                      ParseError, StageTranslator, and_, atom_eq, atom_in,
+                      atom_in_class, atom_tr, check_name, const, decode_formula,
                       decode_valuation, encode_formula, encode_valuation,
                       eval_name, exists, forall, formula_to_sexp,
                       generic_filters, ground_formula, hf_make, iff,
-                      map_formula, name_const, nat_encode, nodes, not_, or_,
-                      parse_formula, subformula_closure, subformulas,
-                      substitute, var)
+                      map_formula, name_const, nat_decode, nat_encode, nodes,
+                      not_, or_, parse_formula, stage_comparison_structure,
+                      subformula_closure, subformulas, substitute, v_stage, var)
 from forcelab import corpus
 from forcelab import formulas
 from forcelab.formulas import Forall, map_atom, rename_free, variables
+from forcelab.hfset import hf_list, hf_pair
 
 
 x, y = var("x"), var("y")
@@ -175,6 +177,61 @@ def test_valuation_roundtrip():
     v = {"x": EMPTY, "y": nat_encode(2)}
     assert decode_valuation(encode_valuation(v)) == v
     assert decode_valuation(hf_make([EMPTY])) is None
+
+
+def test_a_decoded_valuation_is_a_new_dict_each_time():
+    v = {"x": EMPTY, "y": nat_encode(2)}
+    code = encode_valuation(v)
+    first = decode_valuation(code)
+    first["x"] = nat_encode(1)
+    del first["y"]
+    assert decode_valuation(code) == v
+    assert decode_valuation(code) is not decode_valuation(code)
+
+
+def test_junk_valuation_codes_stay_junk_when_cached():
+    key = formulas._encode_str("x")
+    junk = [
+        hf_make([EMPTY]),
+        hf_make([hf_pair(hf_make([EMPTY]), EMPTY)]),  # {∅} is no list
+        hf_make([hf_pair(hf_list([hf_make([nat_encode(1)])]), EMPTY)]),  # {{∅}} is no natural
+        hf_make([hf_pair(hf_list([nat_encode(len(formulas._ALPHABET))]), EMPTY)]),
+        hf_make([hf_pair(EMPTY, EMPTY)]),  # the empty identifier
+        hf_make([hf_pair(key, EMPTY), hf_pair(key, nat_encode(1))]),  # x twice
+    ]
+    for code in junk:
+        assert decode_valuation(code) is None
+        hits = formulas._valuation_items.cache_info().hits
+        assert decode_valuation(code) is None
+        assert formulas._valuation_items.cache_info().hits == hits + 1
+
+
+def test_comparison_structure_codes_round_trip():
+    """Every code stage_comparison_structure adds for criterion 6's base."""
+    stage = v_stage(3)
+    base = FiniteStructure(stage, {"d": [EMPTY, stage[2]]})
+    pool = corpus.iterated_pool()
+    stage_cap = 5
+    domain = set(stage_comparison_structure(base, pool, stage_cap).domain)
+    assert all(nat_decode(nat_encode(xi)) == xi for xi in range(stage_cap + 1))
+    valuations = 0
+    for psi in pool:
+        code = encode_formula(psi)
+        assert code in domain and decode_formula(code) is psi
+        fv = tuple(sorted(psi.free))
+        for v in fv:
+            assert formulas._decode_str(formulas._encode_str(v)) == v
+        if len(fv) > 1:
+            continue
+        for values in itertools.product(base.domain, repeat=len(fv)):
+            av = dict(zip(fv, values))
+            vcode = encode_valuation(av)
+            assert vcode in domain
+            for _ in range(2):  # the second decode reads the cache
+                assert decode_valuation(vcode) == av
+                assert encode_valuation(decode_valuation(vcode)) is vcode
+            valuations += 1
+    assert valuations >= len(stage)  # some formula has one free variable
 
 
 def test_iff_encoding_meaning():

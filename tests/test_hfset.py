@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from forcelab import (EMPTY, BudgetError, FiniteStructure, eval_formula,
-                      hf_make, hf_rank, nat_decode, nat_encode,
-                      subformulas, theta_formula, v_stage)
+from forcelab import (EMPTY, BudgetError, FiniteStructure, atomic_recursion_instance,
+                      corpus, eval_formula, hf_make, hf_rank, name_universe,
+                      nat_decode, nat_encode, subformulas, theta_formula, v_stage)
 from forcelab import hfset
-from forcelab.hfset import hf_list, hf_pair, hf_unlist, hf_unpair
+from forcelab.hfset import hf_list, hf_pair, hf_unlist, hf_unpair, transitive_closure
 
 
 def test_empty():
@@ -31,6 +31,16 @@ def test_ranks():
 def test_rank_law():
     xs = [EMPTY, hf_make([EMPTY]), nat_encode(3)]
     assert hf_rank(hf_make(xs)) == 1 + max(hf_rank(x) for x in xs)
+
+
+def test_every_rank_is_one_more_than_the_largest_child_rank():
+    # the interning table reads the rank off the last, key-largest child
+    P = corpus.fork()
+    _, codec, _ = atomic_recursion_instance(P, name_universe(P, 1))
+    sets = [*v_stage(4), *transitive_closure(codec)]
+    assert len(sets) > len(codec) + 16
+    for x in sets:
+        assert x.rank == (1 + max(c.rank for c in x.children) if x.children else 0)
 
 
 def _powerset_count(n):

@@ -414,6 +414,15 @@ def test_algebra_sides_never_name_the_forcing_kernel():
     assert _offenders(ALGEBRA_SIDES, KERNEL_NAMES) == []
 
 
+# Criterion 7 compares the staged atomic instance with the kernel's table.
+# Its step builds masks of conditions much as the kernel does, but from the
+# earlier slices alone, so it may name no part of the kernel.
+
+def test_the_staged_atomic_instance_never_names_the_forcing_kernel():
+    forbidden = KERNEL_NAMES + ("neg", "regularize", "decide", "materialize")
+    assert _offenders([(forcing_mod, "atomic_recursion_instance")], forbidden) == []
+
+
 # Criteria 1 and 4 compare forcing with truth: direct evaluation in the
 # generic extension (`ground_formula`, then `eval_formula`) and Tarskian truth
 # (`tarski_truth`).  The forcing walk under a name valuation, and the atomic
