@@ -606,8 +606,23 @@ def _formula_sexp(phi: Formula, kids: tuple[str, ...], notion: ForcingNotion | N
     return out
 
 
-def formula_to_sexp(phi: Formula, notion: ForcingNotion | None = None) -> str:
+# The text of a formula printed without a notion, kept for every formula
+# whose text was asked for (pools are sorted by it); the texts of its
+# subformulas are folded afresh on each miss and not kept.
+_text_cache: dict[Formula, str] = {}
+
+
+def _fold_text(phi: Formula, notion: ForcingNotion | None) -> str:
     return fold(phi, lambda node, kids: sexpr.show(_formula_sexp(node, kids, notion)))
+
+
+def formula_to_sexp(phi: Formula, notion: ForcingNotion | None = None) -> str:
+    if notion is not None:
+        return _fold_text(phi, notion)
+    text = _text_cache.get(phi)
+    if text is None:
+        text = _text_cache[phi] = _fold_text(phi, None)
+    return text
 
 
 # ---------------------------------------------------------------------------

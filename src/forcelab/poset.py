@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, perm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import sexpr
 from .errors import BudgetError, ForcelabError, ParseError
@@ -32,6 +32,20 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _closure(up: list[int]) -> list[int]:
+    """Close up-masks under transitivity, in place: repeat up[p] = ⋃ up[q]
+    over the q in up[p] until nothing changes."""
+    changed = True
+    while changed:
+        changed = False
+        for p, mask in enumerate(up):
+            new = functools.reduce(operator.or_, map(up.__getitem__, bits(mask)))
+            if new != mask:
+                up[p] = new
+                changed = True
+    return up
 
 
 @dataclass(frozen=True)
@@ -70,31 +84,30 @@ class ForcingNotion:
 
     def __init__(self, elements: Sequence[str], le_pairs: Iterable[tuple[int, int]],
                  tags: Sequence[object] | None = None):
-        self.elements = tuple(elements)
-        if not self.elements:
+        elements = tuple(elements)
+        if not elements:
             raise ForcelabError("a forcing notion needs at least the top condition")
-        if len(set(self.elements)) != len(self.elements):
+        if len(set(elements)) != len(elements):
             raise ForcelabError("duplicate condition tokens")
-        n = len(self.elements)
-        up = [1 | 1 << p for p in range(n)]  # up[p] has bit q when p ≤ q
+        up = [1 | 1 << p for p in range(len(elements))]  # up[p] has bit q when p ≤ q
         for p, q in le_pairs:
             up[p] |= 1 << q
-        changed = True
-        while changed:
-            changed = False
-            for p in range(n):
-                new = functools.reduce(operator.or_, map(up.__getitem__, bits(up[p])))
-                if new != up[p]:
-                    up[p] = new
-                    changed = True
-        down = [0] * n
-        for p in range(n):
-            for q in bits(up[p]):
+        self._init(elements, _closure(up), tags)
+
+    def _init(self, elements: tuple[str, ...], up: Sequence[int],
+              tags: Sequence[object] | None):
+        """Store distinct tokens (the top first) with their up-masks, which
+        must already be reflexive, hold the top and be transitively closed;
+        the down-masks are read off them."""
+        down = [0] * len(elements)
+        for p, mask in enumerate(up):
+            for q in bits(mask):
                 down[q] |= 1 << p
+        self.elements = elements
         self._up = tuple(up)
         self._down = tuple(down)
         self.tags = tuple(tags) if tags is not None else None
-        self._index = {tok: i for i, tok in enumerate(self.elements)}
+        self._index = {tok: i for i, tok in enumerate(elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -285,6 +298,58 @@ def _verify_generic(P: ForcingNotion, filters: list[Filter]):
 # ---------------------------------------------------------------------------
 # The collapse-with-suprema notion.
 
+class _CollapseSkeleton(NamedTuple):
+    """What a collapse at one stage shares with every other at that stage:
+    its functions and everything read off them.  Masks have bit p for
+    function p (the top is the empty function, 0)."""
+
+    elements: tuple[str, ...]
+    tags: tuple[object, ...]
+    fn_index: dict[CollapseFn, int]
+    up: tuple[int, ...]  # the closed up-masks of the functions
+    in_realizers: dict[tuple[int, int], int]  # (i, j) -> the f with f(i) ∈ f(j)
+    sends: dict[tuple[int, HFSet], int]  # (i, x) -> the f with f(i) = x
+
+
+@functools.cache
+def _collapse_skeleton(stage: int) -> _CollapseSkeleton:
+    """The functions of the stage's collapse, built once per stage."""
+    targets = v_stage(stage)
+    k = len(targets)
+    # v_stage lists the targets in key order, so positions order graphs as keys do.
+    position = {t: n for n, t in enumerate(targets)}
+    graphs = sorted((tuple(zip(slots, image))
+                     for r in range(1, k + 1)
+                     for slots in combinations(range(k), r)
+                     for image in permutations(targets, r)),
+                    key=lambda g: [(i, position[t]) for i, t in g])
+    elements = ["1"]
+    tags: list[object] = [Top()]
+    fn_index: dict[CollapseFn, int] = {CollapseFn(()): 0}
+    for graph in graphs:
+        fn = CollapseFn(graph)
+        fn_index[fn] = len(elements)
+        elements.append("f{" + ",".join(f"{i}:{position[t]}" for i, t in graph) + "}")
+        tags.append(fn)
+
+    # f ≤ g iff f extends g: the proper sub-graphs of f, the empty one included.
+    up = [1 | 1 << p for p in range(len(elements))]
+    in_realizers: dict[tuple[int, int], int] = {}
+    sends: dict[tuple[int, HFSet], int] = {}
+    for fn, p in fn_index.items():
+        graph = fn.graph
+        for r in range(len(graph)):
+            for sub in combinations(graph, r):
+                up[p] |= 1 << fn_index[CollapseFn(sub)]
+        for i, x in graph:
+            sends[(i, x)] = sends.get((i, x), 0) | 1 << p
+            for j, y in graph:
+                if x in y:
+                    in_realizers[(i, j)] = in_realizers.get((i, j), 0) | 1 << p
+    return _CollapseSkeleton(tuple(elements), tuple(tags), fn_index, tuple(_closure(up)),
+                             in_realizers, sends)
+
+
 class CollapseNotion(ForcingNotion):
     """Collapse of a cumulative stage onto its own clock, with supremum tokens.
 
@@ -294,12 +359,18 @@ class CollapseNotion(ForcingNotion):
     a(i) above exactly the f with f(i) ∈ A.  Minimal conditions are then
     the total bijections from the clock onto the stage.
 
-    The functions are enumerated as (slots, targets) pairs, after their
-    count has been checked against COLLAPSE_BUDGET.  A graph is kept sorted
-    by slot, so each sub-tuple of it is again a graph: f's proper sub-graphs
-    (at most 2^k of them) are exactly the g with f < g, and the order is
-    read off them instead of by comparing all pairs.  One pass over the
-    functions' graphs collects the realizers of every e(i,j) and a(i).
+    Only the a(i) depend on A, so the functions are built once per stage
+    (`_collapse_skeleton`, after the count has been checked against
+    COLLAPSE_BUDGET) and shared by every collapse at that stage: their
+    tokens, tags and `fn_index` (read-only), their up-masks, closed once,
+    the realizers of every e(i,j), and for each slot i and target x the
+    functions with f(i) = x.  A graph is kept sorted by slot, so each
+    sub-tuple of it is again a graph: f's proper sub-graphs (at most 2^k of
+    them) are exactly the g with f < g.  Each collapse then adds its e- and
+    a-tokens, the a(i) realized by ⋃_{x∈A} {f : f(i) = x}, sets each token's
+    bit in its realizers' up-masks and reads the down-masks off those.
+    Tokens come after the functions, e-tokens before a-tokens, so the
+    index of every function and e-token is the same for every A.
 
     Tokens whose defining class of conditions is empty (e.g. e(i,i), or
     every a(i) when A is empty) break the everywhere-invariance of forcing
@@ -319,59 +390,32 @@ class CollapseNotion(ForcingNotion):
             raise ForcelabError("parameter set must be a subset of the stage")
         if sum(comb(k, r) * perm(k, r) for r in range(k + 1)) > COLLAPSE_BUDGET:
             raise BudgetError(f"collapse notion exceeds budget {COLLAPSE_BUDGET}")
-
-        # v_stage lists the targets in key order, so positions order graphs as keys do.
-        position = {t: n for n, t in enumerate(targets)}
-        graphs = sorted((tuple(zip(slots, image))
-                         for r in range(1, k + 1)
-                         for slots in combinations(range(k), r)
-                         for image in permutations(targets, r)),
-                        key=lambda g: [(i, position[t]) for i, t in g])
-        elements = ["1"]
-        tags: list[object] = [Top()]
-        self.fn_index: dict[CollapseFn, int] = {CollapseFn(()): 0}
-        for graph in graphs:
-            fn = CollapseFn(graph)
-            self.fn_index[fn] = len(elements)
-            elements.append("f{" + ",".join(f"{i}:{position[t]}" for i, t in graph) + "}")
-            tags.append(fn)
-
-        # f ≤ g iff f extends g: the proper sub-graphs of f, the empty one included.
-        pairs: list[tuple[int, int]] = []
-        below_e: dict[tuple[int, int], list[int]] = {}
-        below_a: dict[int, list[int]] = {}
-        for fn, p in self.fn_index.items():
-            graph = fn.graph
-            pairs.extend((p, self.fn_index[CollapseFn(sub)])
-                         for r in range(len(graph)) for sub in combinations(graph, r))
-            for i, x in graph:
-                if x in self.A:
-                    below_a.setdefault(i, []).append(p)
-                for j, y in graph:
-                    if x in y:
-                        below_e.setdefault((i, j), []).append(p)
-
+        skeleton = _collapse_skeleton(stage)
+        self.fn_index = skeleton.fn_index
+        tokens: list[tuple[str, object, int]] = []  # (token, tag, realizers)
         self.e_index: dict[tuple[int, int], int] = {}
         self.a_index: dict[int, int] = {}
         for i in range(k):
             for j in range(k):
-                below = below_e.get((i, j), [])
-                if not below and not include_degenerate_tokens:
-                    continue
-                self.e_index[(i, j)] = len(elements)
-                elements.append(f"e_{i}_{j}")
-                tags.append(SupIn(i, j))
-                pairs.extend((b, self.e_index[(i, j)]) for b in below)
+                below = skeleton.in_realizers.get((i, j), 0)
+                if below or include_degenerate_tokens:
+                    self.e_index[(i, j)] = len(skeleton.elements) + len(tokens)
+                    tokens.append((f"e_{i}_{j}", SupIn(i, j), below))
         for i in range(k):
-            below = below_a.get(i, [])
-            if not below and not include_degenerate_tokens:
-                continue
-            self.a_index[i] = len(elements)
-            elements.append(f"a_{i}")
-            tags.append(SupA(i))
-            pairs.extend((b, self.a_index[i]) for b in below)
+            below = functools.reduce(operator.or_, (skeleton.sends.get((i, x), 0)
+                                                    for x in self.A), 0)
+            if below or include_degenerate_tokens:
+                self.a_index[i] = len(skeleton.elements) + len(tokens)
+                tokens.append((f"a_{i}", SupA(i), below))
 
-        super().__init__(elements, pairs, tags)
+        up = list(skeleton.up)
+        for token, _, below in tokens:
+            bit = 1 << len(up)
+            up.append(1 | bit)
+            for p in bits(below):
+                up[p] |= bit
+        self._init(skeleton.elements + tuple(token for token, _, _ in tokens), up,
+                   skeleton.tags + tuple(tag for _, tag, _ in tokens))
 
     def fn_condition(self, mapping: dict[int, HFSet]) -> int:
         return self.fn_index[CollapseFn(tuple(sorted(mapping.items())))]

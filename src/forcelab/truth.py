@@ -9,6 +9,7 @@ translation that compiles iterated-truth atoms away.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -548,15 +549,15 @@ def star8_translate(phi: Formula, fa: CollapseNotion, memo: dict | None = None) 
     Membership atoms become op-pair membership in the clock-copy of ∈;
     quantifiers become conjunctions over the check names of clock values.
     Each distinct node translates once; `memo` shares the translations
-    between calls over the same notion.
+    between calls over notions with the same ε name and clock.
     """
-    return fold(phi, _clock_rules(fa), memo)
+    return fold(phi, _clock_rules(eps_dot(fa), fa.clock), memo)
 
 
-def _clock_rules(fa: CollapseNotion):
+def _clock_rules(eps_name: PName, clock: int):
     """The fold step of star8_translate, with the ε name and clock names built once."""
-    eps = name_const(eps_dot(fa))
-    clock_names = [name_const(check_name(nat_encode(m))) for m in range(fa.clock)]
+    eps = name_const(eps_name)
+    clock_names = [name_const(check_name(nat_encode(m))) for m in range(clock)]
 
     def combine(f: Formula, kids: tuple[Formula, ...]) -> Formula:
         if isinstance(f, AtomEq):
@@ -587,6 +588,15 @@ def _clock_rules(fa: CollapseNotion):
     return combine
 
 
+@functools.cache
+def _shared_clock_translation(eps_name: PName, clock: int) -> tuple:
+    """The clock rules and their memo, kept for every collapse with this ε
+    name and clock: they read nothing else of the notion.  The ε name names
+    e-tokens only, which come before the a-tokens, so it is the same for
+    every A at one stage and token setting."""
+    return _clock_rules(eps_name, clock), {}
+
+
 class ForcingTruth:
     """Truth predicate read off the collapse forcing: a statement is declared
     true when the top condition forces its clock translation, each free
@@ -603,8 +613,7 @@ class ForcingTruth:
         self.A = self.fa.A
         self.a_class = a_dot(self.fa, A)
         self.slot_names = {a: n_dot(self.fa, a) for a in self.fa.targets}
-        rules = _clock_rules(self.fa)
-        memo: dict[Formula, Formula] = {}
+        rules, memo = _shared_clock_translation(eps_dot(self.fa), self.fa.clock)
         self._stars = {phi: fold(phi, rules, memo) for phi in self.pool}
 
         seeds: set[PName] = set()
@@ -642,8 +651,9 @@ def invariance_check(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
     if ft is None:
         ft = ForcingTruth(n, A, pool)
     FR = ft.relation
+    slots = FiniteStructure(ft.fa.targets)
     for phi in ft.pool:
-        for v in instances(FiniteStructure(ft.fa.targets), phi):
+        for v in instances(slots, phi):
             value = FR.value(ft._stars[phi], {x: ft.slot_names[v[x]] for x in phi.free})
             if value not in (0, FR.full):
                 at_one = value >> ft.fa.one & 1

@@ -21,6 +21,7 @@ from forcelab import corpus
 from forcelab import formulas
 from forcelab.formulas import Forall, map_atom, rename_free, variables
 from forcelab.hfset import hf_list, hf_pair
+from forcelab.names import name_make
 
 
 x, y = var("x"), var("y")
@@ -124,6 +125,41 @@ def test_print_parse_identity_on_canonical_text():
     for _ in range(200):
         text = formula_to_sexp(_random_formula(rng))
         assert formula_to_sexp(parse_formula(text)) == text
+
+
+def _pools():
+    yield "first-order", corpus.first_order_pool()
+    yield "iterated", corpus.iterated_pool()
+    for label, P in corpus.corpus_notions():
+        yield label, corpus.oracle_pool(P, corpus.oracle_universe(P))
+
+
+def test_kept_texts_equal_a_fresh_fold():
+    for label, pool in _pools():
+        for phi in subformula_closure(pool):
+            for _ in range(2):  # a miss, then a hit
+                assert formula_to_sexp(phi) == formulas._fold_text(phi, None), label
+
+
+def test_canonical_pool_order_is_rank_then_fresh_text():
+    for label, pool in _pools():
+        pool = list(pool)
+        want = sorted(set(pool), key=lambda f: (f.rank, formulas._fold_text(f, None)))
+        assert list(formulas.canonical_pool(pool)) == want, label
+        assert list(formulas.canonical_pool(reversed(pool))) == want, label
+
+
+def test_name_constants_print_as_indices_without_a_notion_and_as_tokens_with_one(fork):
+    named = name_make([(check_name(EMPTY), fork.index("a"))])
+    phi = and_([atom_in(name_const(named), name_const(check_name(hf_make([EMPTY])))),
+                not_(atom_eq(x, name_const(named)))])
+    with_fork = ("(and (in (name (pair (name) a)) (name (pair (name) 1))) "
+                 "(not (= (var x) (name (pair (name) a)))))")
+    without = ("(and (in (name (pair (name) 1)) (name (pair (name) 0))) "
+               "(not (= (var x) (name (pair (name) 1)))))")
+    for _ in range(2):  # the kept text never stands in for a notion's
+        assert formula_to_sexp(phi, fork) == with_fork
+        assert formula_to_sexp(phi) == without
 
 
 def test_rank_monotone_under_subformulas():

@@ -7,7 +7,7 @@ from forcelab import (EMPTY, BudgetError, ParseError, build_collapse,
                       generic_filters, hf_make, is_dense, is_separative,
                       make_notion, minimal_classes, parse_poset, v_stage)
 from forcelab import corpus, sexpr
-from forcelab.poset import (COLLAPSE_BUDGET, CollapseFn, ForcingNotion, SupA,
+from forcelab.poset import (COLLAPSE_BUDGET, CollapseFn, CollapseNotion, ForcingNotion, SupA,
                             SupIn, Top, bits, is_filter)
 
 
@@ -227,6 +227,113 @@ def test_collapse_matches_all_pairs_reference(n, A, degenerate):
     for p in ref.conditions():
         assert fa.up(p) == ref.up(p), fa.elements[p]
         assert fa.down(p) == ref.down(p), fa.elements[p]
+
+
+# ---------------------------------------------------------------------------
+# The sub-graph collapse builder that made every pair of the order afresh
+# for each parameter set, closed by the generic closure: the reference for
+# the per-stage skeleton with tokens added per parameter set.
+
+def subgraph_collapse(stage, A, include_degenerate_tokens=False):
+    targets = v_stage(stage)
+    k = len(targets)
+    A = frozenset(A)
+    position = {t: n for n, t in enumerate(targets)}
+    graphs = sorted((tuple(zip(slots, image))
+                     for r in range(1, k + 1)
+                     for slots in itertools.combinations(range(k), r)
+                     for image in itertools.permutations(targets, r)),
+                    key=lambda g: [(i, position[t]) for i, t in g])
+    elements = ["1"]
+    tags = [Top()]
+    fn_index = {CollapseFn(()): 0}
+    for graph in graphs:
+        fn_index[CollapseFn(graph)] = len(elements)
+        elements.append("f{" + ",".join(f"{i}:{position[t]}" for i, t in graph) + "}")
+        tags.append(CollapseFn(graph))
+
+    pairs = []
+    below_e, below_a = {}, {}
+    for fn, p in fn_index.items():
+        graph = fn.graph
+        pairs.extend((p, fn_index[CollapseFn(sub)])
+                     for r in range(len(graph)) for sub in itertools.combinations(graph, r))
+        for i, x in graph:
+            if x in A:
+                below_a.setdefault(i, []).append(p)
+            for j, y in graph:
+                if x in y:
+                    below_e.setdefault((i, j), []).append(p)
+
+    e_index, a_index = {}, {}
+    for i in range(k):
+        for j in range(k):
+            below = below_e.get((i, j), [])
+            if below or include_degenerate_tokens:
+                e_index[(i, j)] = len(elements)
+                elements.append(f"e_{i}_{j}")
+                tags.append(SupIn(i, j))
+                pairs.extend((b, e_index[(i, j)]) for b in below)
+    for i in range(k):
+        below = below_a.get(i, [])
+        if below or include_degenerate_tokens:
+            a_index[i] = len(elements)
+            elements.append(f"a_{i}")
+            tags.append(SupA(i))
+            pairs.extend((b, a_index[i]) for b in below)
+    return ForcingNotion(elements, pairs, tags), fn_index, e_index, a_index
+
+
+def _every_parameter_set():
+    for n in (0, 1, 2, 3):
+        stage = v_stage(n)
+        for r in range(len(stage) + 1):
+            for A in itertools.combinations(stage, r):
+                for degenerate in (False, True):
+                    yield n, A, degenerate
+
+
+def _differences_from_subgraph_reference(n, A, degenerate):
+    """The attributes in which the collapse differs from the reference."""
+    fa = build_collapse(n, A, include_degenerate_tokens=degenerate)
+    ref, fn_index, e_index, a_index = subgraph_collapse(n, A, degenerate)
+    pairs = [("elements", fa.elements, ref.elements), ("tags", fa.tags, ref.tags),
+             ("_up", fa._up, ref._up), ("_down", fa._down, ref._down),
+             ("fn_index", list(fa.fn_index.items()), list(fn_index.items())),
+             ("e_index", list(fa.e_index.items()), list(e_index.items())),
+             ("a_index", list(fa.a_index.items()), list(a_index.items()))]
+    return [label for label, got, want in pairs if got != want]
+
+
+def test_every_collapse_matches_the_subgraph_reference():
+    configurations = list(_every_parameter_set())
+    assert len(configurations) == 2 * (1 + 2 + 4 + 16)
+    for n, A, degenerate in configurations:
+        assert _differences_from_subgraph_reference(n, A, degenerate) == [], (n, A, degenerate)
+
+
+def test_a_dropped_parameter_token_bit_fails_the_subgraph_reference(monkeypatch):
+    # one realizer of one a(i) no longer lies below it
+    store = CollapseNotion._init
+
+    def drop_one_bit(self, elements, up, tags):
+        token = min(self.a_index.values())
+        realizer = next(p for p, mask in enumerate(up) if p != token and mask >> token & 1)
+        up = list(up)
+        up[realizer] &= ~(1 << token)
+        store(self, elements, up, tags)
+
+    monkeypatch.setattr(CollapseNotion, "_init", drop_one_bit)
+    for n in (2, 3):
+        stage = v_stage(n)
+        assert _differences_from_subgraph_reference(n, stage[:1], False) == ["_up", "_down"]
+        assert _differences_from_subgraph_reference(n, stage, True) == ["_up", "_down"]
+
+
+def test_collapses_at_one_stage_share_their_functions():
+    plain, with_a = build_collapse(3, []), build_collapse(3, v_stage(3)[1:])
+    assert plain.fn_index is with_a.fn_index
+    assert len(plain.fn_index) == 209 and len(plain) == 209 + 12 and len(with_a) == 209 + 12 + 4
 
 
 def test_collapse_is_not_separative_at_finite_scale():

@@ -193,6 +193,24 @@ def test_star8_translates_a_deep_shared_chain_quickly():
     assert star.free == {"x", "y"}
 
 
+def test_forcing_truths_share_each_stage_translation_and_only_that():
+    # Collapses at one stage and token setting share their ε name, so
+    # every parameter set reuses one clock translation; each star must be
+    # the one a fresh translation over the notion gives.
+    pool = corpus.first_order_pool()
+    stage = v_stage(3)
+    built = [forcing_truth(3, A, pool) for A in ([stage[0]], stage[1:])]
+    built.append(forcing_truth(3, [stage[0]], pool, include_degenerate_tokens=True))
+    built.append(forcing_truth(2, [], pool))  # after stage 3, whose memo must not leak
+    for ft in built:
+        for phi in ft.pool:
+            assert ft._stars[phi] is star8_translate(phi, ft.fa), formula_to_sexp(phi)
+    first, second, degenerate, stage2 = built
+    assert all(first._stars[phi] is second._stars[phi] for phi in first.pool)
+    assert any(degenerate._stars[phi] is not first._stars[phi] for phi in first.pool)
+    assert any(stage2._stars[phi] is not first._stars[phi] for phi in first.pool)
+
+
 def test_forcing_truth_atomic_parameter_membership():
     stage = v_stage(2)
     for A in ([], [EMPTY], [stage[1]], list(stage)):
