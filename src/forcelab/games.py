@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 from . import sexpr
 from . import etr as etr_mod
 from .errors import BudgetError, ForcelabError, ParseError
-from .formulas import (And, AtomTr, Exists, Forall, Formula, Not, Or)
+from .formulas import And, AtomTr, Exists, Forall, Formula, Not
 from .hfset import HFSet, nat_encode
 from .truth import FiniteStructure, _eval_atom, instances, valuation_key
 
@@ -293,38 +293,6 @@ def random_game_tree(rng: random.Random, max_nodes: int = 200) -> GameTree:
 # ---------------------------------------------------------------------------
 # The truth-telling game.
 
-def _violates(M: FiniteStructure, history: dict) -> bool:
-    """True when the declarations made so far explicitly break a Tarskian
-    clause instance: a wrong atomic verdict, an inconsistent connective, or
-    a fully-instantiated quantifier mismatch.  Atoms are judged pointwise
-    off the sets, not by `eval_formula`, which the verdicts are checked
-    against."""
-    def declared(phi: Formula, v: dict):
-        return history.get((phi, valuation_key(phi, v)))
-
-    for (phi, key), verdict in history.items():
-        v = dict(key)
-        if phi.rank == 0:
-            if not isinstance(phi, AtomTr) and verdict != _eval_atom(M, phi, v):
-                return True
-            continue
-        # ¬ψ is the conjunction of the one vote ¬ψ; ∧ and ∀ are universal.
-        if isinstance(phi, Not):
-            sub = declared(phi.sub, v)
-            votes = [None if sub is None else not sub]
-        elif isinstance(phi, (And, Or)):
-            votes = [declared(s, v) for s in phi.subs]
-        else:
-            votes = [declared(phi.body, {**v, **dict(zip(phi.vars, values))})
-                     for values in itertools.product(M.domain, repeat=len(phi.vars))]
-        universal = isinstance(phi, (Not, And, Forall))
-        if None not in votes and (all(votes) if universal else any(votes)) != verdict:
-            return True
-        if verdict == universal and (not universal) in votes:
-            return True  # one declared vote already refutes the verdict
-    return False
-
-
 def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) -> GameTree:
     """Build the finite interrogation game over the structure and pool.
 
@@ -332,17 +300,82 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
     value; the truth-teller answers with a verdict, supplying a witness
     whenever she declares an existential true.  Running out of clock loses
     for the interrogator; an explicit Tarskian violation loses for the
-    truth-teller.
+    truth-teller: a wrong atomic verdict, an inconsistent connective, or a
+    fully-instantiated quantifier mismatch.
+
+    Every history an interrogator node holds is free of violations, so a
+    declaration is judged on the clauses it touches only: those of the
+    instances it adds and of the declared instances they vote in.  Atoms are
+    judged pointwise off the sets, not by `eval_formula`, which the verdicts
+    are checked against.
     """
-    pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
+    def body_instances(phi: Formula, v: dict) -> list[tuple]:
+        # a quantifier's body under each tuple of values for its variables
+        return [(phi.body, valuation_key(phi.body, {**v, **dict(zip(phi.vars, values))}))
+                for values in itertools.product(M.domain, repeat=len(phi.vars))]
+
+    challenges = []
+    for phi in pool:
+        for v in instances(M, phi):
+            witnesses = tuple(body_instances(phi, v)) if isinstance(phi, Exists) else None
+            challenges.append(((phi, valuation_key(phi, v)), witnesses))
     rows: dict[int, Row] = {}
     counter = itertools.count()
+    # Each declared instance's clause, built once: (truth, universal, flip,
+    # votes).  An atom has its truth (None for a truth atom, which no clause
+    # constrains) and no votes.  ∧ and ∀ are universal, ∨ and ∃ are not, and
+    # ¬ψ declared w is judged as the one-vote conjunction ψ declared ¬w.
+    clauses: dict[tuple, tuple] = {}
+    # the instances, declared anywhere in the game, whose clauses vote on an instance
+    voters: dict[tuple, list[tuple]] = {}
+
+    def clause_of(key: tuple) -> tuple:
+        got = clauses.get(key)
+        if got is None:
+            phi, vkey = key
+            v = dict(vkey)
+            if phi.rank == 0:
+                truth = None if isinstance(phi, AtomTr) else _eval_atom(M, phi, v)
+                got = (truth, None, False, None)
+            else:
+                if isinstance(phi, Not):
+                    votes = [(phi.sub, vkey)]
+                elif isinstance(phi, (Forall, Exists)):
+                    votes = body_instances(phi, v)
+                else:
+                    votes = [(s, valuation_key(s, v)) for s in phi.subs]
+                votes = tuple(dict.fromkeys(votes))  # a body may ignore a bound variable
+                for vote in votes:
+                    voters.setdefault(vote, []).append(key)
+                got = (None, isinstance(phi, (Not, And, Forall)), isinstance(phi, Not), votes)
+            clauses[key] = got
+        return got
+
+    def broken(clause: tuple, verdict: bool, history: dict) -> bool:
+        truth, universal, flip, votes = clause
+        if votes is None:
+            return truth is not None and verdict != truth
+        verdict ^= flip
+        declared = [history.get(vote) for vote in votes]
+        if verdict == universal and (not universal) in declared:
+            return True  # one declared vote already refutes the verdict
+        return None not in declared and (all(declared) if universal else any(declared)) != verdict
+
+    def violates(history: dict, added: list[tuple]) -> bool:
+        for key in added:
+            if broken(clause_of(key), history[key], history):
+                return True
+            for voter in voters.get(key, ()):
+                verdict = history.get(voter)
+                if verdict is not None and broken(clauses[voter], verdict, history):
+                    return True
+        return False
 
     def new_node() -> int:
         ident = next(counter)
         if ident >= GAME_BUDGET:
             raise BudgetError(f"truth-telling game exceeds {GAME_BUDGET} nodes "
-                              f"(pool {len(pool_instances)} instances, clock {clock})")
+                              f"(pool {len(challenges)} instances, clock {clock})")
         return ident
 
     def interrogator_node(clock_now: int, history: dict, answer: dict) -> int:
@@ -352,27 +385,24 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
             rows[ident] = (None, (), "II", {"role": "clock-exhausted", **answer})
             return ident
         kids = []
-        for phi, v in pool_instances:
+        for challenge, witnesses in challenges:
             for smaller in range(clock_now):
-                kids.append(teller_node(phi, v, smaller, history))
+                kids.append(teller_node(challenge, witnesses, smaller, history))
         rows[ident] = ("I", tuple(kids), None,
                        {"role": "interrogator", "clock": clock_now, **answer})
         return ident
 
-    def teller_node(phi: Formula, v: dict, clock_next: int, history: dict) -> int:
+    def teller_node(challenge: tuple, witnesses: tuple | None, clock_next: int,
+                    history: dict) -> int:
+        # `witnesses` lists the body instances of an existential challenge; a
+        # true verdict on one names one of them.
         ident = new_node()
-        challenge = (phi, valuation_key(phi, v))
-        kids = []
-        for verdict in (True, False):
-            if verdict and isinstance(phi, Exists):
-                for values in itertools.product(M.domain, repeat=len(phi.vars)):
-                    inst = dict(v)
-                    inst.update(zip(phi.vars, values))
-                    kids.append(declaration_node(
-                        challenge, verdict, clock_next, history,
-                        witness=(phi.body, valuation_key(phi.body, inst))))
-            else:
-                kids.append(declaration_node(challenge, verdict, clock_next, history))
+        if witnesses is None:
+            kids = [declaration_node(challenge, True, clock_next, history)]
+        else:
+            kids = [declaration_node(challenge, True, clock_next, history, witness)
+                    for witness in witnesses]
+        kids.append(declaration_node(challenge, False, clock_next, history))
         rows[ident] = ("II", tuple(kids), None,
                        {"role": "truth-teller", "challenge": challenge, "clock": clock_next})
         return ident
@@ -382,12 +412,16 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
         # `witness` is the body instance an existential declared true names.
         new_history = dict(history)
         contradiction = False
+        added = []
         for key, verd in [(challenge, verdict)] + ([(witness, True)] if witness else []):
-            if new_history.get(key, verd) != verd:
+            old = new_history.get(key)
+            if old is None:
+                added.append(key)
+            elif old != verd:
                 contradiction = True
             new_history[key] = verd
         answer = {"verdict": verdict, "challenge": challenge}
-        if contradiction or _violates(M, new_history):
+        if contradiction or violates(new_history, added):
             ident = new_node()
             rows[ident] = (None, (), "I", {"role": "violation", **answer})
             return ident

@@ -395,13 +395,12 @@ class IteratedTruthPredicate:
         return self._query(beta, phi, v)
 
     def _query(self, beta: int, phi: Formula, v: dict[str, HFSet]) -> bool:
-        key = (beta, phi, valuation_key(phi, v))
+        # `v` may bind more than phi's free variables; the key holds only theirs.
+        key = (beta, phi, *map(v.__getitem__, phi.free_sorted))
         got = self._memo.get(key)
-        if got is not None:
-            return got
-        out = self._eval(beta, phi, v)
-        self._memo[key] = out
-        return out
+        if got is None:
+            got = self._memo[key] = self._eval(beta, phi, v)
+        return got
 
     def _eval(self, beta: int, phi: Formula, v) -> bool:
         M = self.structure
@@ -423,18 +422,17 @@ class IteratedTruthPredicate:
         if phi.rank == 0:
             return _eval_atom(M, phi, v)
         if isinstance(phi, Not):
-            return not self._query(beta, phi.sub, {x: v[x] for x in phi.sub.free})
+            return not self._query(beta, phi.sub, v)
         if isinstance(phi, And):
-            return all(self._query(beta, s, {x: v[x] for x in s.free}) for s in phi.subs)
+            return all(self._query(beta, s, v) for s in phi.subs)
         if isinstance(phi, Or):
-            return any(self._query(beta, s, {x: v[x] for x in s.free}) for s in phi.subs)
+            return any(self._query(beta, s, v) for s in phi.subs)
         if isinstance(phi, (Forall, Exists)):
             want_all = isinstance(phi, Forall)
+            ext = dict(v)  # this node's own copy: the caller's v stays as it was
             for values in itertools.product(M.domain, repeat=len(phi.vars)):
-                ext = dict(v)
                 ext.update(zip(phi.vars, values))
-                if self._query(beta, phi.body,
-                               {x: ext[x] for x in phi.body.free}) != want_all:
+                if self._query(beta, phi.body, ext) != want_all:
                     return not want_all
             return want_all
         raise ForcelabError(f"unknown formula node {type(phi).__name__}")
@@ -702,6 +700,7 @@ class StageTranslator:
         self.pool = canonical_pool(pool)
         self.stage_cap = stage_cap
         self._memo: dict[tuple[int, Formula], Formula] = {}
+        self._disjuncts: dict[tuple, Formula] = {}
         self._variables: dict[Formula, frozenset[str]] = {}
 
     def translate(self, beta: int, phi: Formula) -> Formula:
@@ -725,31 +724,38 @@ class StageTranslator:
                     raise ClosureError("truth atom mentions a formula outside the pool")
             elif not isinstance(t, Var):
                 raise ForcelabError("truth-atom arguments must be variables")
-        x, y, z = phi.stage.name, phi.code.name, phi.valuation.name
-        disjuncts = []
-        for xi in range(beta):
-            stage_code = nat_encode(xi)
-            for psi in self.pool:
-                fv = tuple(sorted(psi.free))
-                psi_star = self.translate(xi, psi)
-                taken = variables(psi_star, self._variables) | {x, y, z}
-                fresh: list[str] = []
-                i = 0
-                while len(fresh) < len(fv):
-                    if f"h{i}" not in taken:
-                        fresh.append(f"h{i}")
-                    i += 1
-                renamed = rename_free(psi_star, dict(zip(fv, fresh)))
-                desc = _valuation_description(
-                    z, [(_encode_str(v), a) for v, a in zip(fv, fresh)])
-                inner = and_([desc, renamed])
-                ex = exists(tuple(fresh), inner) if fresh else inner
-                disjuncts.append(and_([
-                    theta_formula(stage_code, x),
-                    theta_formula(encode_formula(psi), y),
-                    ex,
-                ]))
-        return or_(disjuncts)
+        names = (phi.stage.name, phi.code.name, phi.valuation.name)
+        return or_([self._disjunct(xi, psi, names)
+                    for xi in range(beta) for psi in self.pool])
+
+    def _disjunct(self, xi: int, psi: Formula, names: tuple[str, str, str]) -> Formula:
+        """The disjunct saying that x codes ξ, y codes ψ and ψ*(ξ) holds
+        under the valuation z codes; built once per (ξ, ψ, argument
+        variables) and shared by every β > ξ."""
+        key = (xi, psi, names)
+        got = self._disjuncts.get(key)
+        if got is None:
+            x, y, z = names
+            fv = psi.free_sorted
+            psi_star = self.translate(xi, psi)
+            taken = variables(psi_star, self._variables) | {x, y, z}
+            fresh: list[str] = []
+            i = 0
+            while len(fresh) < len(fv):
+                if f"h{i}" not in taken:
+                    fresh.append(f"h{i}")
+                i += 1
+            renamed = rename_free(psi_star, dict(zip(fv, fresh)))
+            desc = _valuation_description(
+                z, [(_encode_str(v), a) for v, a in zip(fv, fresh)])
+            inner = and_([desc, renamed])
+            ex = exists(tuple(fresh), inner) if fresh else inner
+            got = self._disjuncts[key] = and_([
+                theta_formula(nat_encode(xi), x),
+                theta_formula(encode_formula(psi), y),
+                ex,
+            ])
+        return got
 
 
 class DerivedIteratedTruth:

@@ -377,7 +377,7 @@ POINTWISE_SIDES = [
     (truth_mod, "IteratedTruthPredicate._eval"),
     (truth_mod, "_staged_truth_instance"),
     (forcing_mod, "atomic_recursion_instance"),
-    (games_mod, "_violates"),
+    (games_mod, "truth_telling_game"),
 ]
 
 
@@ -401,6 +401,12 @@ def _offenders(sides, forbidden) -> list:
 
 def test_pointwise_sides_never_name_the_merged_evaluator():
     assert _offenders(POINTWISE_SIDES, ("eval_formula", "_value")) == []
+
+
+def test_the_truth_telling_judge_reads_atoms_off_the_sets():
+    named = {n.id for n in ast.walk(_definition(games_mod, "truth_telling_game"))
+             if isinstance(n, ast.Name)}
+    assert "_eval_atom" in named
 
 
 # Criterion 3 compares Boolean values with the forcing kernel, so the
