@@ -700,7 +700,8 @@ _code_cache: dict[Formula, HFSet] = {}
 
 
 def encode_formula(phi: Formula) -> HFSet:
-    return fold(phi, _encode_node, _code_cache)
+    got = _code_cache.get(phi)
+    return got if got is not None else fold(phi, _encode_node, _code_cache)
 
 
 def _encode_node(phi: Formula, kids: tuple[HFSet, ...]) -> HFSet:
@@ -764,6 +765,8 @@ def decode_formula(x: HFSet) -> Formula | None:
     that would mix ground constants with name constants.  One fold over the
     subcodes, so the nesting depth is not bounded by the stack; each code
     is unpacked once."""
+    if x in _formula_codes:
+        return _formula_codes[x]
     parsed: dict[HFSet, tuple] = {}
 
     def subcodes(code: HFSet) -> tuple[HFSet, ...]:

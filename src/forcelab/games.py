@@ -6,6 +6,8 @@ Player I moves first at the root of the truth-telling game and plays the
 interrogator; player II is the truth-teller.  The interrogator's clock
 value strictly descends, so the game is finite; the truth-teller loses as
 soon as her declarations explicitly violate a Tarskian clause instance.
+A game is stored as an acyclic graph of positions; its game tree is the
+graph's unfolding.
 """
 
 from __future__ import annotations
@@ -17,14 +19,18 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from . import sexpr
+from . import dag, sexpr
 from . import etr as etr_mod
 from .errors import BudgetError, ForcelabError, ParseError
-from .formulas import And, AtomTr, Exists, Forall, Formula, Not
+from .formulas import And, AtomTr, Exists, Forall, Formula, Not, Or
 from .hfset import HFSet, nat_encode
 from .truth import FiniteStructure, _eval_atom, instances, valuation_key
 
 GAME_BUDGET = 300_000
+
+# The verdict on a composite that one vote makes good, and so names that
+# vote as its witness: a true ∃ or ∨, a false ∀ or ∧.
+_NAMES_A_WITNESS = {Exists: True, Or: True, Forall: False, And: False}
 
 # A stored node: (mover, children, winner, note), with note None when empty.
 # CPython stops tracking a tuple of strings, None and untracked tuples once a
@@ -43,7 +49,7 @@ class GameNode:
 
 
 class _NodeView(Mapping):
-    """A tree's rows read as GameNodes, built on each read; read-only."""
+    """A game's rows read as GameNodes, built on each read; read-only."""
 
     __slots__ = ("_rows",)
 
@@ -62,9 +68,12 @@ class _NodeView(Mapping):
 
 
 class GameTree:
-    """A finite game tree stored as one row per node in `_rows`; `nodes` is
-    the GameNode view of them.  `_reachable` lists the nodes below the root
-    in reversed pre-order, so every child comes before its parent."""
+    """A finite game stored as one row per node in `_rows`; `nodes` is the
+    GameNode view of them.  The rows form an acyclic graph: a node may be
+    the child of several others, and the game tree is its unfolding, one
+    copy of a shared node per line into it.  `_reachable` lists each
+    distinct node below the root once, every child before its parents;
+    `len` counts the nodes of the unfolded tree."""
 
     def __init__(self, rows: dict[int, Row], root: int):
         self._rows = rows
@@ -73,27 +82,44 @@ class GameTree:
         self._validate()
 
     def _validate(self):
+        rows = self._rows
         seen: set[int] = set()
         order: list[int] = []
         stack = [self.root]
+        shared = False
         while stack:
             i = stack.pop()
             if i in seen:
-                raise ForcelabError("game graph revisits a node; trees only")
+                shared = True
+                continue
             seen.add(i)
             order.append(i)
-            mover, children, winner, _ = self._rows[i]
+            mover, children, winner, _ = rows[i]
             if children:
                 if mover not in ("I", "II"):
                     raise ForcelabError(f"internal node {i} needs a mover")
                 stack.extend(children)
             elif winner not in ("I", "II"):
                 raise ForcelabError(f"terminal node {i} needs a winner")
-        order.reverse()
-        self._reachable = tuple(order)
+        if not shared:
+            # a tree: its reversed pre-order lists every child before its parent
+            order.reverse()
+            self._reachable = tuple(order)
+            self._size = len(order)
+            return
+        # A post-order lists a child after its parent only along a cycle.
+        self._reachable = tuple(dag.nodes(self.root, lambda i: rows[i][1]))
+        position = {i: k for k, i in enumerate(self._reachable)}
+        size: dict[int, int] = {}
+        for k, i in enumerate(self._reachable):
+            children = rows[i][1]
+            if any(position[c] >= k for c in children):
+                raise ForcelabError(f"game graph has a cycle through node {i}")
+            size[i] = 1 + sum(size[c] for c in children)
+        self._size = size[self.root]
 
     def __len__(self) -> int:
-        return len(self._reachable)
+        return self._size
 
     def to_sexp(self) -> str:
         forms = ["game"]
@@ -220,26 +246,39 @@ def label_fixpoint_violation(T: GameTree, labels: dict[int, str]) -> int | None:
 
 def verify_strategy(T: GameTree, strategy: dict[int, int], player: str
                     ) -> tuple[bool, list[int] | None]:
-    """Play the strategy against every opposing line; the verdict is whether
-    every reached terminal is a win for the player."""
+    """Play the strategy against every opposing move; the verdict is whether
+    every terminal it reaches is a win for the player.  Each reached node is
+    checked once, and a failure comes with a line from the root to the node
+    where the strategy loses or names no move."""
     rows = T._rows
-    stack: list[list[int]] = [[T.root]]
+    parent: dict[int, int | None] = {T.root: None}
+    stack = [T.root]
     while stack:
-        line = stack.pop()
-        mover, children, winner, _ = rows[line[-1]]
+        i = stack.pop()
+        mover, children, winner, _ = rows[i]
         if not children:
             if winner != player:
-                return False, line
+                return False, _line(parent, i)
             continue
         if mover == player:
-            choice = strategy.get(line[-1])
+            choice = strategy.get(i)
             if choice is None or choice not in children:
-                return False, line
-            stack.append(line + [choice])
-        else:
-            for c in children:
-                stack.append(line + [c])
+                return False, _line(parent, i)
+            children = (choice,)
+        for c in children:
+            if c not in parent:
+                parent[c] = i
+                stack.append(c)
     return True, None
+
+
+def _line(parent: dict[int, int | None], i: int) -> list[int]:
+    line = []
+    while i is not None:
+        line.append(i)
+        i = parent[i]
+    line.reverse()
+    return line
 
 
 def zermelo_recursion_instance(T: GameTree):
@@ -297,59 +336,88 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
     """Build the finite interrogation game over the structure and pool.
 
     Interrogator moves pick a pool instance and a strictly smaller clock
-    value; the truth-teller answers with a verdict, supplying a witness
-    whenever she declares an existential true.  Running out of clock loses
-    for the interrogator; an explicit Tarskian violation loses for the
-    truth-teller: a wrong atomic verdict, an inconsistent connective, or a
-    fully-instantiated quantifier mismatch.
+    value; the truth-teller answers with a verdict.  A verdict that one vote
+    makes good (a true ∃ or ∨, a false ∀ or ∧) names a witness, a vote she
+    declares the same, so that over a pool closed under subformulas a lie
+    is caught within one challenge per level of the formula.  Running out of clock loses for the interrogator;
+    an explicit Tarskian violation loses for the truth-teller: a wrong
+    atomic verdict, an inconsistent connective, or a fully-instantiated
+    quantifier mismatch.
 
     Every history an interrogator node holds is free of violations, so a
     declaration is judged on the clauses it touches only: those of the
     instances it adds and of the declared instances they vote in.  Atoms are
     judged pointwise off the sets, not by `eval_formula`, which the verdicts
     are checked against.
-    """
-    def body_instances(phi: Formula, v: dict) -> list[tuple]:
-        # a quantifier's body under each tuple of values for its variables
-        return [(phi.body, valuation_key(phi.body, {**v, **dict(zip(phi.vars, values))}))
-                for values in itertools.product(M.domain, repeat=len(phi.vars))]
 
+    The game is built as an acyclic graph.  The subgame below an
+    interrogator position depends only on its clock and history, and below
+    a truth-teller position only on its challenge, clock and history (at
+    clock 0, only on the declarations in the history that the judge reads
+    for its answers), so each position is built once; rows with the same
+    mover, children, winner and note share one id.  `len` of the result
+    counts the nodes of the unfolded game tree; GAME_BUDGET bounds the
+    distinct rows.
+    """
+    def votes_of(phi: Formula, v: dict) -> list[tuple]:
+        # the instances whose verdicts decide a composite's: a quantifier's
+        # body under each tuple of values for its variables, or the subformulas
+        if isinstance(phi, (Forall, Exists)):
+            return [(phi.body, valuation_key(phi.body, {**v, **dict(zip(phi.vars, values))}))
+                    for values in itertools.product(M.domain, repeat=len(phi.vars))]
+        if isinstance(phi, Not):
+            return [(phi.sub, valuation_key(phi.sub, v))]
+        return [(s, valuation_key(s, v)) for s in phi.subs]
+
+    # (challenge, the verdict that names a witness or None, the witnesses)
     challenges = []
     for phi in pool:
+        named = _NAMES_A_WITNESS.get(type(phi))
         for v in instances(M, phi):
-            witnesses = tuple(body_instances(phi, v)) if isinstance(phi, Exists) else None
-            challenges.append(((phi, valuation_key(phi, v)), witnesses))
-    rows: dict[int, Row] = {}
-    counter = itertools.count()
-    # Each declared instance's clause, built once: (truth, universal, flip,
-    # votes).  An atom has its truth (None for a truth atom, which no clause
-    # constrains) and no votes.  ∧ and ∀ are universal, ∨ and ∃ are not, and
-    # ¬ψ declared w is judged as the one-vote conjunction ψ declared ¬w.
-    clauses: dict[tuple, tuple] = {}
-    # the instances, declared anywhere in the game, whose clauses vote on an instance
-    voters: dict[tuple, list[tuple]] = {}
+            witnesses = tuple(votes_of(phi, v)) if named is not None else None
+            challenges.append(((phi, valuation_key(phi, v)), named, witnesses))
 
     def clause_of(key: tuple) -> tuple:
-        got = clauses.get(key)
-        if got is None:
-            phi, vkey = key
-            v = dict(vkey)
-            if phi.rank == 0:
-                truth = None if isinstance(phi, AtomTr) else _eval_atom(M, phi, v)
-                got = (truth, None, False, None)
-            else:
-                if isinstance(phi, Not):
-                    votes = [(phi.sub, vkey)]
-                elif isinstance(phi, (Forall, Exists)):
-                    votes = body_instances(phi, v)
-                else:
-                    votes = [(s, valuation_key(s, v)) for s in phi.subs]
-                votes = tuple(dict.fromkeys(votes))  # a body may ignore a bound variable
-                for vote in votes:
-                    voters.setdefault(vote, []).append(key)
-                got = (None, isinstance(phi, (Not, And, Forall)), isinstance(phi, Not), votes)
-            clauses[key] = got
-        return got
+        # (truth, universal, flip, votes).  An atom has its truth (None for a
+        # truth atom, which no clause constrains) and no votes.  ∧ and ∀ are
+        # universal, ∨ and ∃ are not, and ¬ψ declared w is judged as the
+        # one-vote conjunction ψ declared ¬w.
+        phi, vkey = key
+        v = dict(vkey)
+        if phi.rank == 0:
+            return None if isinstance(phi, AtomTr) else _eval_atom(M, phi, v), None, False, None
+        votes = tuple(dict.fromkeys(votes_of(phi, v)))  # a body may ignore a bound variable
+        return None, isinstance(phi, (Not, And, Forall)), isinstance(phi, Not), votes
+
+    # The clause of each instance a declaration can add, a challenge or a
+    # witness, and the instances whose clauses vote on each instance.
+    clauses = {key: clause_of(key) for challenge, _, witnesses in challenges
+               for key in (challenge, *(witnesses or ()))}
+    voters: dict[tuple, list[tuple]] = {}
+    for key, (_, _, _, votes) in clauses.items():
+        for vote in votes or ():
+            voters.setdefault(vote, []).append(key)
+
+    def judged(keys: tuple) -> frozenset:
+        # the declarations the judge reads when `keys` are declared: those of
+        # the keys, their votes, their voters and their voters' votes
+        near = set(keys)
+        for key in keys:
+            near.update(clauses[key][3] or ())
+            for voter in voters.get(key, ()):
+                near.add(voter)
+                near.update(clauses[voter][3])
+        return frozenset((key, verdict) for key in near for verdict in (True, False))
+
+    reads = {challenge: judged((challenge, *(witnesses or ())))
+             for challenge, _, witnesses in challenges}
+    rows: dict[int, Row] = {}
+    ids: dict[tuple, int] = {}
+    # The children of each interrogator position, keyed by (clock, history),
+    # and the id of each truth-teller position, keyed by (challenge, clock,
+    # history or, at clock 0, the part of it the judge reads).
+    interrogations: dict[tuple, tuple[int, ...]] = {}
+    tellers: dict[tuple, int] = {}
 
     def broken(clause: tuple, verdict: bool, history: dict) -> bool:
         truth, universal, flip, votes = clause
@@ -363,7 +431,7 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
 
     def violates(history: dict, added: list[tuple]) -> bool:
         for key in added:
-            if broken(clause_of(key), history[key], history):
+            if broken(clauses[key], history[key], history):
                 return True
             for voter in voters.get(key, ()):
                 verdict = history.get(voter)
@@ -371,63 +439,75 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
                     return True
         return False
 
-    def new_node() -> int:
-        ident = next(counter)
-        if ident >= GAME_BUDGET:
-            raise BudgetError(f"truth-telling game exceeds {GAME_BUDGET} nodes "
-                              f"(pool {len(challenges)} instances, clock {clock})")
+    def row_id(mover: str | None, kids: tuple, winner: str | None, note: tuple) -> int:
+        # `note` lists the row's note as (key, value) pairs.  Equal rows head
+        # equal subgames, so they get one id.
+        content = (mover, kids, winner, note)
+        ident = ids.get(content)
+        if ident is None:
+            ident = len(rows)
+            if ident >= GAME_BUDGET:
+                raise BudgetError(f"truth-telling game exceeds {GAME_BUDGET} nodes "
+                                  f"(pool {len(challenges)} instances, clock {clock})")
+            rows[ident] = (mover, kids, winner, dict(note))
+            ids[content] = ident
         return ident
 
-    def interrogator_node(clock_now: int, history: dict, answer: dict) -> int:
-        # `answer` is the declaration this node follows: its verdict and challenge.
-        ident = new_node()
+    def interrogator_node(clock_now: int, history: dict, position: frozenset,
+                          answer: tuple) -> int:
+        # `answer` is the declaration this node follows: its verdict and
+        # challenge.  `position` is the history as a key.
         if clock_now == 0:
-            rows[ident] = (None, (), "II", {"role": "clock-exhausted", **answer})
-            return ident
-        kids = []
-        for challenge, witnesses in challenges:
-            for smaller in range(clock_now):
-                kids.append(teller_node(challenge, witnesses, smaller, history))
-        rows[ident] = ("I", tuple(kids), None,
-                       {"role": "interrogator", "clock": clock_now, **answer})
+            return row_id(None, (), "II", (("role", "clock-exhausted"), *answer))
+        kids = interrogations.get((clock_now, position))
+        if kids is None:
+            kids = interrogations[clock_now, position] = tuple(
+                teller_node(challenge, named, witnesses, smaller, history, position)
+                for challenge, named, witnesses in challenges for smaller in range(clock_now))
+        return row_id("I", kids, None, (("role", "interrogator"), ("clock", clock_now), *answer))
+
+    def teller_node(challenge: tuple, named: bool | None, witnesses: tuple | None,
+                    clock_next: int, history: dict, position: frozenset) -> int:
+        # The verdict `named` names one of the `witnesses` and declares it the
+        # same.  With no clock left, the answers end the game, as violations
+        # or not, so only the verdicts the judge reads tell positions apart.
+        if clock_next == 0:
+            position = frozenset(history.items() & reads[challenge])
+        ident = tellers.get((challenge, clock_next, position))
+        if ident is None:
+            kids = []
+            for verdict in (True, False):
+                if verdict is named:
+                    kids.extend(declaration_node(challenge, verdict, clock_next, history,
+                                                 position, witness) for witness in witnesses)
+                else:
+                    kids.append(declaration_node(challenge, verdict, clock_next, history, position))
+            ident = tellers[challenge, clock_next, position] = row_id(
+                "II", tuple(kids), None,
+                (("role", "truth-teller"), ("challenge", challenge), ("clock", clock_next)))
         return ident
 
-    def teller_node(challenge: tuple, witnesses: tuple | None, clock_next: int,
-                    history: dict) -> int:
-        # `witnesses` lists the body instances of an existential challenge; a
-        # true verdict on one names one of them.
-        ident = new_node()
-        if witnesses is None:
-            kids = [declaration_node(challenge, True, clock_next, history)]
-        else:
-            kids = [declaration_node(challenge, True, clock_next, history, witness)
-                    for witness in witnesses]
-        kids.append(declaration_node(challenge, False, clock_next, history))
-        rows[ident] = ("II", tuple(kids), None,
-                       {"role": "truth-teller", "challenge": challenge, "clock": clock_next})
-        return ident
-
-    def declaration_node(challenge: tuple, verdict: bool, clock_next: int,
-                         history: dict, witness=None) -> int:
-        # `witness` is the body instance an existential declared true names.
+    def declaration_node(challenge: tuple, verdict: bool, clock_next: int, history: dict,
+                         position: frozenset, witness=None) -> int:
+        # `witness` is the vote the verdict names.
         new_history = dict(history)
         contradiction = False
         added = []
-        for key, verd in [(challenge, verdict)] + ([(witness, True)] if witness else []):
+        for key, verd in [(challenge, verdict)] + ([(witness, verdict)] if witness else []):
             old = new_history.get(key)
             if old is None:
                 added.append(key)
             elif old != verd:
                 contradiction = True
             new_history[key] = verd
-        answer = {"verdict": verdict, "challenge": challenge}
+        answer = (("verdict", verdict), ("challenge", challenge))
         if contradiction or violates(new_history, added):
-            ident = new_node()
-            rows[ident] = (None, (), "I", {"role": "violation", **answer})
-            return ident
-        return interrogator_node(clock_next, new_history, answer)
+            return row_id(None, (), "I", (("role", "violation"), *answer))
+        if added and clock_next:
+            position = frozenset(new_history.items())
+        return interrogator_node(clock_next, new_history, position, answer)
 
-    root = interrogator_node(clock, {}, {})
+    root = interrogator_node(clock, {}, frozenset(), ())
     return GameTree(rows, root)
 
 

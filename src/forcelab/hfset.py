@@ -104,16 +104,17 @@ def hf_rank(x: HFSet) -> int:
 
 def hf_pair(a: HFSet, b: HFSet) -> HFSet:
     """Kuratowski pair {{a}, {a, b}}, built once per (a, b)."""
-    got = _pairs.get((a, b))
+    pair = (a, b)
+    got = _pairs.get(pair)
     if got is None:
         single = _interned((a,))
         if a is b:
             got = _interned((single,))
         else:
-            double = _interned((a, b) if a.key < b.key else (b, a))
+            double = _interned(pair if a.key < b.key else (b, a))
             got = _interned((single, double) if single.key < double.key else (double, single))
-        _pairs[(a, b)] = got
-        _unpairs[got] = (a, b)
+        _pairs[pair] = got
+        _unpairs[got] = pair
     return got
 
 

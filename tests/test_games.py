@@ -3,14 +3,16 @@ import random
 
 import pytest
 
-from forcelab import (BudgetError, FiniteStructure, GameNode, GameTree, ParseError,
-                      atom_eq, atom_in, continuous_rank, etr_solve,
-                      eval_formula, exists, extract_verdicts, not_, parse_game,
-                      random_game_tree, truth_telling_game, v_stage, var,
-                      verify_strategy, zermelo_recursion_instance,
-                      zermelo_solve, verify_solution)
+from forcelab import (And, BudgetError, Exists, FiniteStructure, Forall, ForcelabError,
+                      GameNode, GameTree, Or, ParseError, and_, atom_eq, atom_in,
+                      continuous_rank, etr_solve, eval_formula, exists, extract_verdicts,
+                      forall, label_fixpoint_violation, not_, or_, parse_game,
+                      random_game_tree, truth_telling_game, v_stage, var, verify_strategy,
+                      zermelo_recursion_instance, zermelo_solve, verify_solution)
 from forcelab import games
+from forcelab.formulas import nodes as formula_nodes
 from forcelab.truth import instances, valuation_key
+from test_games_reference import unfold
 
 
 def leaf(winner):
@@ -150,10 +152,21 @@ def test_node_view_matches_a_tree_rebuilt_from_its_game_nodes(stored_trees):
         assert U._rows == T._rows and U._reachable == T._reachable
 
 
+def _distinct_reachable(T) -> set:
+    seen, stack = set(), [T.root]
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            stack.extend(T.nodes[i].children)
+    return seen
+
+
 def test_reachable_lists_children_before_parents(stored_trees):
     for T in stored_trees:
         position = {i: k for k, i in enumerate(T._reachable)}
-        assert T._reachable[-1] == T.root and len(position) == len(T)
+        assert T._reachable[-1] == T.root
+        assert len(position) == len(T._reachable) == len(_distinct_reachable(T))
         assert all(position[c] < position[i] for i in T._reachable
                    for c in T.nodes[i].children)
 
@@ -241,6 +254,62 @@ def test_existential_challenges_demand_witnesses():
     assert res.labels[T.root] == "II"
 
 
+# Past the atoms: every connective and quantifier up to rank 2, in a pool
+# closed under subformulas so that every vote of a composite can be
+# challenged, played at clock rank + 1.
+
+def _rank_two_pool():
+    x, y = var("x"), var("y")
+    xin, xeq = atom_in(x, y), atom_eq(x, y)
+    some = exists(("x",), xin)
+    tops = [forall(("x",), or_([xin, xeq])), exists(("x",), and_([xin, atom_eq(x, x)])),
+            or_([some, xeq]), and_([some, xeq]), forall(("x",), xeq)]
+    return list(dict.fromkeys(f for phi in tops for f in formula_nodes(phi)))
+
+
+@pytest.fixture(scope="module")
+def rank_two_game():
+    M = FiniteStructure(v_stage(2))
+    pool = _rank_two_pool()
+    T = truth_telling_game(M, pool, max(phi.rank for phi in pool) + 1)
+    return M, pool, T, zermelo_solve(T)
+
+
+def test_rank_two_verdicts_match_truth(rank_two_game):
+    M, pool, T, res = rank_two_game
+    assert {type(phi) for phi in pool if phi.rank == 1} >= {Exists, Forall, And, Or}
+    assert {type(phi) for phi in pool if phi.rank == 2} >= {Exists, Forall, And, Or}
+    # the unfolded tree is larger than the budget the graph's rows keep to
+    assert len(T) == 497_323 and len(T._rows) == 3_554
+    assert res.labels[T.root] == "II"
+    assert verify_strategy(T, res.strategy_II, "II") == (True, None)
+    pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
+    verdicts = extract_verdicts(T, res.strategy_II, pool_instances)
+    assert len(verdicts) == len(pool_instances) == 34
+    assert all(verdicts[(phi, valuation_key(phi, v))] == eval_formula(M, phi, v)
+               for phi, v in pool_instances)
+
+
+def test_a_lie_on_one_quantified_instance_loses(rank_two_game):
+    M, pool, T, res = rank_two_game
+    lies = 0
+    for phi in pool:
+        if not isinstance(phi, (Exists, Forall)):
+            continue
+        for v in instances(M, phi):
+            challenge, wrong = (phi, valuation_key(phi, v)), not eval_formula(M, phi, v)
+            liar = dict(res.strategy_II)
+            for nid in T._reachable:
+                node = T.nodes[nid]
+                if node.mover == "II" and node.note["challenge"] == challenge:
+                    liar[nid] = next(c for c in node.children
+                                     if T.nodes[c].note["verdict"] == wrong)
+            ok, line = verify_strategy(T, liar, "II")
+            assert not ok and T.nodes[line[-1]].winner == "I"
+            lies += 1
+    assert lies == 8
+
+
 def test_budget(monkeypatch):
     M = FiniteStructure(v_stage(2))
     monkeypatch.setattr(games, "GAME_BUDGET", 100)
@@ -255,8 +324,94 @@ def test_budget(monkeypatch):
     "(game (node 0 (mover I) (children 1)) (root 0))",
     "(game (terminal 0 (winner I)) (root 3))",
     "(game (node 0 (mover I) (children 0)) (root 0))",
+    "(game (node 0 (mover I) (children 1)) (node 1 (mover II) (children 0)) (root 0))",
+    "(game (node 0 (mover I) (children 1 2)) (node 1 (mover II) (children 2))"
+    " (node 2 (mover I) (children 1)) (root 0))",
     "(game (terminal 0 (winner nobody)) (root 0))",
 ])
 def test_malformed_game_raises_parse_error(text):
     with pytest.raises(ParseError):
         parse_game(text)
+
+
+# --- acyclic graphs ------------------------------------------------------------
+
+def test_a_shared_child_is_one_row_and_unfolds_into_copies():
+    # 3 is a child of both 1 and 2; the unfolded tree has two copies of it
+    rows = {0: inner("I", (1, 2)), 1: inner("II", (3, 4)), 2: inner("II", (3,)),
+            3: leaf("I"), 4: leaf("II")}
+    T = GameTree(rows, 0)
+    assert len(T) == 6 and len(T._reachable) == 5
+    again = parse_game(T.to_sexp())
+    assert again._rows == T._rows and again.root == 0 and len(again) == 6
+    assert again.to_sexp() == T.to_sexp()
+    assert unfold(T)[0]._rows == {0: inner("I", (1, 4)), 1: inner("II", (2, 3)),
+                                  2: leaf("I"), 3: leaf("II"), 4: inner("II", (5,)),
+                                  5: leaf("I")}
+
+
+@pytest.mark.parametrize("rows", [
+    {0: inner("I", (0,))},
+    {0: inner("I", (1,)), 1: inner("II", (0,))},
+    {0: inner("I", (1, 2)), 1: inner("II", (2,)), 2: inner("I", (1,))},
+])
+def test_a_cycle_is_refused(rows):
+    with pytest.raises(ForcelabError, match="cycle"):
+        GameTree(rows, 0)
+
+
+def random_dag(rng: random.Random, n: int) -> GameTree:
+    """Node i's children are drawn from the four nodes after it, so the graph
+    is acyclic and shares many of its nodes."""
+    rows = {}
+    for i in range(n):
+        later = list(range(i + 1, min(i + 5, n)))
+        if not later or i and rng.random() < 0.2:
+            rows[i] = leaf(rng.choice(["I", "II"]))
+        else:
+            kids = rng.sample(later, min(len(later), rng.randint(1, 3)))
+            rows[i] = inner(rng.choice(["I", "II"]), tuple(kids))
+    return GameTree(rows, 0)
+
+
+def _on_tree(strategy: dict, dag: GameTree, tree: GameTree, origin: dict) -> dict:
+    # the positional strategy on every copy of each node
+    return {u: tree.nodes[u].children[dag.nodes[origin[u]].children.index(strategy[origin[u]])]
+            for u in tree._reachable if origin[u] in strategy}
+
+
+def _is_a_losing_line(T, line, strategy, player) -> bool:
+    steps = list(zip(line, line[1:]))
+    return (line[0] == T.root
+            and all(c in T.nodes[i].children for i, c in steps)
+            and all(c == strategy[i] for i, c in steps if T.nodes[i].mover == player)
+            and not T.nodes[line[-1]].children and T.nodes[line[-1]].winner != player)
+
+
+def test_random_dags_solve_as_their_unfolded_trees():
+    rng = random.Random(10)
+    shared = refuted = 0
+    for _ in range(150):
+        T = random_dag(rng, rng.randint(4, 14))
+        tree, origin = unfold(T)
+        shared += len(T) > len(T._reachable)
+        res, tree_res = zermelo_solve(T), zermelo_solve(tree)
+        assert all(tree_res.labels[u] == res.labels[origin[u]] for u in tree._reachable)
+        assert label_fixpoint_violation(T, res.labels) is None
+        for player in ("I", "II"):
+            random_moves = {i: rng.choice(T.nodes[i].children) for i in T._reachable
+                            if T.nodes[i].mover == player}
+            for strategy in (res.strategy(player), random_moves):
+                ok, line = verify_strategy(T, strategy, player)
+                assert ok == verify_strategy(tree, _on_tree(strategy, T, tree, origin), player)[0]
+                assert ok == (line is None)
+                if not ok:
+                    refuted += 1
+                    assert _is_a_losing_line(T, line, strategy, player), line
+    assert shared > 100 and refuted > 100
+
+
+def test_the_clock_three_game_stores_at_most_its_positions():
+    # 2,273 distinct (clock, set of declarations) positions in the unfolded game
+    T = truth_telling_game(FiniteStructure(v_stage(2)), _atomic_pool(), 3)
+    assert len(T) == 29_713 and len(T._rows) <= 2_273

@@ -1,7 +1,10 @@
-"""`truth_telling_game` judges a declaration on the clauses it touches only.
-A copy of the builder it replaced is kept here as the reference, after the
-pattern of test_forcing_reference.py: it replays the whole history at every
-declaration node.  Both must build the same rows, notes included."""
+"""`truth_telling_game` judges a declaration on the clauses it touches only,
+and builds each position once, as an acyclic graph.  A builder that does
+neither is kept here as the reference, after the pattern of
+test_forcing_reference.py: it builds the game as a tree and replays the
+whole history at every declaration node.  The graph's unfolding, numbered
+as the reference numbers its tree, must have the reference's rows, notes
+included."""
 
 import itertools
 
@@ -41,6 +44,17 @@ def _reference_violates(M, history: dict) -> bool:
     return False
 
 
+def _votes(M, phi, v) -> list:
+    if isinstance(phi, (And, Or)):
+        return [(s, valuation_key(s, v)) for s in phi.subs]
+    votes = []
+    for values in itertools.product(M.domain, repeat=len(phi.vars)):
+        inst = dict(v)
+        inst.update(zip(phi.vars, values))
+        votes.append((phi.body, valuation_key(phi.body, inst)))
+    return votes
+
+
 def reference_game(M, pool, clock) -> GameTree:
     pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
     rows = {}
@@ -64,13 +78,12 @@ def reference_game(M, pool, clock) -> GameTree:
         challenge = (phi, valuation_key(phi, v))
         kids = []
         for verdict in (True, False):
-            if verdict and isinstance(phi, Exists):
-                for values in itertools.product(M.domain, repeat=len(phi.vars)):
-                    inst = dict(v)
-                    inst.update(zip(phi.vars, values))
-                    kids.append(declaration_node(
-                        challenge, verdict, clock_next, history,
-                        witness=(phi.body, valuation_key(phi.body, inst))))
+            # a true ∃ or ∨ and a false ∀ or ∧ name a vote with that verdict
+            if verdict and isinstance(phi, (Exists, Or)) or \
+                    not verdict and isinstance(phi, (Forall, And)):
+                for witness in _votes(M, phi, v):
+                    kids.append(declaration_node(challenge, verdict, clock_next, history,
+                                                 witness=witness))
             else:
                 kids.append(declaration_node(challenge, verdict, clock_next, history))
         rows[ident] = ("II", tuple(kids), None,
@@ -80,7 +93,7 @@ def reference_game(M, pool, clock) -> GameTree:
     def declaration_node(challenge, verdict, clock_next, history, witness=None):
         new_history = dict(history)
         contradiction = False
-        for key, verd in [(challenge, verdict)] + ([(witness, True)] if witness else []):
+        for key, verd in [(challenge, verdict)] + ([(witness, verdict)] if witness else []):
             if new_history.get(key, verd) != verd:
                 contradiction = True
             new_history[key] = verd
@@ -103,7 +116,32 @@ POOLS = {
     "forall": ATOMS + [or_([atom_in(x, y), atom_eq(x, y)]),
                        forall(("x",), or_([atom_in(x, y), atom_eq(x, y)]))],
     "and": ATOMS + [and_([atom_in(x, y), not_(atom_eq(x, y))])],
+    # a true ∨ may name a true ∃ as its witness, which names none of its own
+    "nested": [atom_in(x, y), atom_eq(x, y), exists(("x",), atom_in(x, y)),
+               or_([exists(("x",), atom_in(x, y)), atom_eq(x, y)])],
 }
+
+
+def unfold(T: GameTree) -> tuple[GameTree, dict[int, int]]:
+    """The game tree T's graph unfolds to, with one copy of a node per line
+    into it, numbered in pre-order as the reference creates its nodes, and
+    the node of T each copy copies."""
+    rows, origin = {}, {}
+    counter = itertools.count()
+
+    def copy(i):
+        ident = next(counter)
+        origin[ident] = i
+        mover, children, winner, note = T._rows[i]
+        rows[ident] = (mover, tuple(copy(c) for c in children), winner, note)
+        return ident
+
+    return GameTree(rows, copy(T.root)), origin
+
+
+def _content(row) -> tuple:
+    mover, children, winner, note = row
+    return mover, children, winner, tuple(note.items())
 
 
 @pytest.mark.parametrize("label", list(POOLS))
@@ -112,20 +150,25 @@ def test_game_matches_the_replaying_reference(label, clock):
     M = FiniteStructure(v_stage(2))
     T = truth_telling_game(M, POOLS[label], clock)
     ref = reference_game(M, POOLS[label], clock)
-    assert T.root == ref.root
-    assert T._rows == ref._rows
+    tree, _ = unfold(T)
+    assert tree.root == ref.root
+    assert tree._rows == ref._rows
+    assert len(T) == len(ref._rows)
+    # each distinct row is stored once
+    assert len({_content(row) for row in T._rows.values()}) == len(T._rows)
 
 
 def test_the_existential_pool_reaches_its_size():
     T = truth_telling_game(FiniteStructure(v_stage(2)), POOLS["exists"], 3)
-    assert len(T._rows) == 43_401
+    assert len(T) == 43_401
+    assert len(T._rows) == 939
 
 
 def test_an_existential_over_an_empty_domain_has_no_true_answer():
     M = FiniteStructure(v_stage(0))
     pool = [exists(("x",), atom_eq(x, x))]
     T = truth_telling_game(M, pool, 1)
-    assert T._rows == reference_game(M, pool, 1)._rows
+    assert unfold(T)[0]._rows == reference_game(M, pool, 1)._rows
     (teller,) = T._rows[T.root][1]
     assert len(T._rows[teller][1]) == 1
 
