@@ -78,10 +78,18 @@ class ForcingRelation:
     universe members, and the universe bounds the quantifier clauses.
     `_values` keys a closed composite or class atom by its node and an open
     one by (node, the names the valuation gives its `free_sorted`); it is
-    dropped when a class name is registered.  `classes` maps each ident to
-    its class name, with the canonical generic-filter class name first under
-    "G"; that one is built the first time `classes` is read or a "G" atom is
-    forced.
+    dropped when a class name replaces another under the same ident, and
+    kept when the ident is new (no value can involve an unregistered ident:
+    its clause raises).  `classes` maps each ident to its class name, with
+    the canonical generic-filter class name first under "G"; that one is
+    built the first time `classes` is read or a "G" atom is forced.
+
+    `_direct` keeps the direct side of `extension` per filter mask (see
+    `_DirectSide`), and `_top_values` the values of the names whose
+    conditions are all the top, shared by every filter that holds the top.
+    Both are computed from the names and class names alone, never from
+    `_atomic` or `_values`, so every check still reads a corrupted table
+    afresh.
     """
 
     def __init__(self, notion: ForcingNotion, universe: Sequence[PName],
@@ -100,7 +108,10 @@ class ForcingRelation:
         self._down, self._up = notion._down, notion._up
         self._neg: dict[int, int] = {}
         self._atomic: dict = {}
+        self._complete = False  # every pair of the universe is in _atomic
         self._values: dict = {}
+        self._direct: dict[int, _DirectSide] = {}
+        self._top_values: dict[PName, HFSet] = {}
         if eager:
             if len(notion) * len(self.universe) ** 2 > ATOMIC_BUDGET:
                 raise BudgetError(
@@ -115,8 +126,10 @@ class ForcingRelation:
         return self._classes
 
     def register_class(self, cls: ClassName):
+        old = self._classes.get(cls.ident)
         self._classes[cls.ident] = cls
-        self._values.clear()
+        if old is not None and old != cls:
+            self._values.clear()
 
     def neg(self, W: int) -> int:
         """The complement of W's upward closure."""
@@ -196,6 +209,7 @@ class ForcingRelation:
             for tau in self.universe:
                 for kind in ("in", "sub", "eq"):
                     self.atomic_value(kind, sigma, tau)
+        self._complete = True
 
     def value(self, phi: Formula, env: Mapping[str, PName] = _NO_NAMES) -> int:
         """The mask of the conditions forcing phi under the name valuation env."""
@@ -313,13 +327,28 @@ def _atomic_formulas(FR: ForcingRelation) -> list[Formula]:
     return pool[:AUDIT_POOL_SIZE]
 
 
+def _judge_mask(V: int, down: Sequence[int], full: int) -> tuple:
+    """The first downward-closure failure (p, q) of one mask, with p in V
+    and q ≤ p outside it, and the first density failure p, outside V though
+    V meets every extension of p; None for a law the mask keeps.  The
+    pointwise definitions, read off `down` alone."""
+    closure = next(((p, next(bits(down[p] & ~V))) for p in bits(V) if down[p] & ~V), None)
+    density = next((p for p in bits(full & ~V)
+                    if all(down[q1] & V for q1 in bits(down[p]))), None)
+    return closure, density
+
+
 def audit_forcing_relation(FR: ForcingRelation) -> AuditReport:
     """Check the laws a forcing relation must satisfy, over the universe.
 
     Covers downward closure, the density rule, modus ponens, the equality
     axioms and dense decidedness, reporting a counterexample per law.
+    Downward closure and density are judged once per distinct mask of the
+    table (a memo of this call), and the verdicts recorded per entry in
+    table order, so each law's counterexample is its first failing entry.
     """
-    FR.materialize()
+    if not FR._complete:
+        FR.materialize()
     P = FR.notion
     N = FR.universe
     down = FR._down
@@ -330,17 +359,19 @@ def audit_forcing_relation(FR: ForcingRelation) -> AuditReport:
                 "eq-symmetric", "eq-transitive", "eq-congruence", "dense-decided"):
         report.record(law, True)
 
+    verdicts: dict[int, tuple] = {}
     for kind in ("in", "sub", "eq"):
         for sigma in N:
             for tau in N:
                 V = atomic[kind, sigma, tau]
-                for p in bits(V):
-                    if down[p] & ~V:
-                        report.record("downward-closure", False,
-                                      (kind, p, next(bits(down[p] & ~V)), sigma, tau))
-                for p in bits(FR.full & ~V):
-                    if all(down[q1] & V for q1 in bits(down[p])):
-                        report.record("density", False, (kind, p, sigma, tau))
+                verdict = verdicts.get(V)
+                if verdict is None:
+                    verdict = verdicts[V] = _judge_mask(V, down, FR.full)
+                closure, density = verdict
+                if closure is not None:
+                    report.record("downward-closure", False, (kind, *closure, sigma, tau))
+                if density is not None:
+                    report.record("density", False, (kind, density, sigma, tau))
 
     audit_pool = _atomic_formulas(FR)
     for phi, psi in itertools.islice(itertools.product(audit_pool, repeat=2), AUDIT_TUPLE_CAP):
@@ -718,23 +749,78 @@ class GenericExtension:
     class_extensions: dict[str, frozenset[PName]]  # representatives satisfying Γ
     evaluation: dict[PName, HFSet]
     structure: "truth_mod.FiniteStructure"
+    class_values: dict[str, frozenset[HFSet]]  # each class name's value, by direct evaluation
+
+
+class _DirectSide:
+    """The direct side of `extension` along one filter, computed from the
+    names and class names alone.
+
+    `evaluation` gives each universe name's value.  Row i of `eq_rows` holds
+    the positions j whose value is N[i]'s, and row i of `within_rows` those
+    whose value has N[i]'s as a member: masks over universe positions, like
+    the forced rows.  `domain` is the set of the values.  `class_value`
+    evaluates a class name once and keeps its value by ident, with the class
+    name it was computed from.  `top` is shared with every filter that holds
+    the top (see `eval_name`).
+    """
+
+    def __init__(self, universe: Sequence[PName], G: Filter, top: dict[PName, HFSet]):
+        self.filter, self._top = G, top
+        memo: dict[PName, HFSet] = {}
+        self.evaluation = {a: eval_name(a, G, memo, top) for a in universe}
+        blocks: dict[HFSet, int] = {}  # a value ↦ the positions of the names evaluating to it
+        for j, a in enumerate(universe):
+            x = self.evaluation[a]
+            blocks[x] = blocks.get(x, 0) | 1 << j
+        holders = dict.fromkeys(blocks, 0)  # a value ↦ the positions of values holding it
+        for y, positions in blocks.items():
+            for x in y:
+                if x in holders:
+                    holders[x] |= positions
+        self.eq_rows = [blocks[self.evaluation[a]] for a in universe]
+        self.within_rows = [holders[self.evaluation[a]] for a in universe]
+        self.domain = frozenset(blocks)
+        self._classes: dict[str, tuple[ClassName, frozenset[HFSet]]] = {}
+
+    def class_value(self, cls: ClassName) -> frozenset[HFSet]:
+        got = self._classes.get(cls.ident)
+        if got is None or got[0] is not cls:
+            got = self._classes[cls.ident] = (cls, eval_class(cls, self.filter, self._top))
+        return got[1]
 
 
 def extension(FR: ForcingRelation, G: Filter) -> GenericExtension:
     """Quotient the universe by forced equality along the filter, and verify
-    it is isomorphic to the direct-evaluation structure."""
+    it is isomorphic to the direct-evaluation structure.
+
+    The forced rows are read from the atomic table on every call.  The direct
+    side (the names' values, the rows of = and ∈ between them, and each class
+    name's value) is computed from the names once per (relation, filter) and
+    kept on the relation; each forced row is compared with its direct row as
+    one mask.
+    """
     N = FR.universe
     g = G.members
 
     # Row i of each relation is a mask over universe positions: eq_row[i]
     # holds the j with N[i] =_G N[j], has[i] the j with N[j] ∈_G N[i] and
-    # within[i] the j with N[i] ∈_G N[j].
-    def row(values: Iterable[int]) -> int:
-        return sum(1 << j for j, value in enumerate(values) if value & g)
-
-    eq_row = [row(FR.atomic_value("eq", a, b) for b in N) for a in N]
-    has = [row(FR.atomic_value("in", b, a) for b in N) for a in N]
-    within = [row(FR.atomic_value("in", a, b) for b in N) for a in N]
+    # within[i] the j with N[i] ∈_G N[j].  They are read in one pass over the
+    # table, which holds every pair of the universe once it is materialized.
+    if not FR._complete:
+        FR.materialize()
+    position = {a: i for i, a in enumerate(N)}
+    eq_row, has, within = [0] * len(N), [0] * len(N), [0] * len(N)
+    for (kind, sigma, tau), V in FR._atomic.items():
+        if V & g and kind != "sub":
+            i, j = position.get(sigma), position.get(tau)
+            if i is None or j is None:
+                continue
+            if kind == "eq":
+                eq_row[i] |= 1 << j
+            else:
+                within[i] |= 1 << j
+                has[j] |= 1 << i
 
     for i in range(len(N)):
         if not eq_row[i] >> i & 1:
@@ -756,29 +842,36 @@ def extension(FR: ForcingRelation, G: Filter) -> GenericExtension:
         class_ext[ident] = frozenset(
             a for a in reps if FR.value(atom_in_class(name_const(a), ident)) & g)
 
-    memo: dict = {}
-    evaluation = {a: eval_name(a, G, memo) for a in N}
-
     # Quotient vs direct evaluation: same identifications, same membership,
-    # same class extensions.
-    for (i, a), (j, b) in itertools.product(enumerate(N), repeat=2):
-        if (eq_row[i] >> j & 1) != (evaluation[a] is evaluation[b]):
-            raise ForcelabError(
-                "forced equality disagrees with direct evaluation "
-                f"at {a!r}, {b!r}")
-        if (within[i] >> j & 1) != (evaluation[a] in evaluation[b]):
+    # same class extensions.  The first wrong bit of a row names the same
+    # pair a walk over all pairs would.
+    side = FR._direct.get(g)
+    if side is None:
+        side = FR._direct[g] = _DirectSide(N, G, FR._top_values)
+    evaluation = side.evaluation
+    for i, a in enumerate(N):
+        wrong_eq = eq_row[i] ^ side.eq_rows[i]
+        wrong = wrong_eq | within[i] ^ side.within_rows[i]
+        if wrong:
+            j = (wrong & -wrong).bit_length() - 1
+            if wrong_eq >> j & 1:
+                raise ForcelabError(
+                    "forced equality disagrees with direct evaluation "
+                    f"at {a!r}, {N[j]!r}")
             raise ForcelabError("forced membership disagrees with direct evaluation")
-    domain = sorted({evaluation[a] for a in N}, key=lambda x: x.key)
-    predicates = {}
+    domain = side.domain
+    predicates, class_values = {}, {}
     for ident, cls in FR.classes.items():
-        direct = eval_class(cls, G)
+        direct = class_values[ident] = side.class_value(cls)
         quotient_values = {evaluation[a] for a in class_ext[ident]}
-        if quotient_values != direct & set(domain):
+        if quotient_values != direct & domain:
             raise ForcelabError(f"class {ident!r} extension disagrees with evaluation")
-        predicates[ident] = direct & set(domain)
+        predicates[ident] = direct & domain
     structure = truth_mod.FiniteStructure(domain, predicates)
 
-    return GenericExtension(FR, G, rep, membership, class_ext, evaluation, structure)
+    # a copy of the values: the side's own dict is kept for later calls
+    return GenericExtension(FR, G, rep, membership, class_ext, dict(evaluation), structure,
+                            class_values)
 
 
 def ground_formula(phi: Formula, ext: GenericExtension) -> Formula:
@@ -861,7 +954,7 @@ def truth_name(FR: ForcingRelation, pool: Sequence[Formula]) -> TruthName:
 
     for G in generic_filters(FR.notion):
         ext = extension(FR, G)
-        t_values = eval_class(tdot, G)
+        t_values = ext.class_values["T"]
 
         def declared(phi: Formula) -> bool:
             code = hf_pair(encode_formula(phi), EMPTY)

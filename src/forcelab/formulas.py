@@ -399,7 +399,9 @@ def map_formula(phi: Formula, atom_fn: Callable[[Formula, frozenset[str]], Formu
             memo[key] = got
         return got
 
-    return walk(phi, frozenset())
+    out = walk(phi, frozenset())
+    del walk  # it refers to itself; without the cycle, freeing it needs no collector pass
+    return out
 
 
 def atom_terms(atom: Formula) -> tuple[Term, ...]:

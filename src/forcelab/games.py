@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from . import dag, sexpr
+from . import sexpr
 from . import etr as etr_mod
 from .errors import BudgetError, ForcelabError, ParseError
 from .formulas import And, AtomTr, Exists, Forall, Formula, Not, Or
@@ -82,16 +82,19 @@ class GameTree:
         self._validate()
 
     def _validate(self):
+        """Check each distinct node below the root once, list it after its
+        children, and count the unfolded tree.  A tree takes one pre-order
+        walk, whose reverse lists children first; at the first node reached
+        twice the walk stops, and the graph takes one post-order walk."""
         rows = self._rows
         seen: set[int] = set()
         order: list[int] = []
         stack = [self.root]
-        shared = False
         while stack:
             i = stack.pop()
             if i in seen:
-                shared = True
-                continue
+                self._walk_graph()
+                return
             seen.add(i)
             order.append(i)
             mover, children, winner, _ = rows[i]
@@ -101,21 +104,38 @@ class GameTree:
                 stack.extend(children)
             elif winner not in ("I", "II"):
                 raise ForcelabError(f"terminal node {i} needs a winner")
-        if not shared:
-            # a tree: its reversed pre-order lists every child before its parent
-            order.reverse()
-            self._reachable = tuple(order)
-            self._size = len(order)
-            return
-        # A post-order lists a child after its parent only along a cycle.
-        self._reachable = tuple(dag.nodes(self.root, lambda i: rows[i][1]))
-        position = {i: k for k, i in enumerate(self._reachable)}
-        size: dict[int, int] = {}
-        for k, i in enumerate(self._reachable):
-            children = rows[i][1]
-            if any(position[c] >= k for c in children):
-                raise ForcelabError(f"game graph has a cycle through node {i}")
-            size[i] = 1 + sum(size[c] for c in children)
+        order.reverse()
+        self._reachable = tuple(order)
+        self._size = len(order)
+
+    def _walk_graph(self):
+        """One post-order walk, children in order, that adds up each node's
+        unfolded size; a child still on the open path is a cycle.  The stack
+        holds node ids to enter and, as 1-tuples, nodes to finish."""
+        rows = self._rows
+        size: dict[int, int] = {}  # each finished node's unfolded size
+        open_path: set[int] = set()
+        stack: list = [self.root]
+        while stack:
+            i = stack.pop()
+            if i.__class__ is tuple:
+                i, = i
+                children = rows[i][1]
+                if not open_path.isdisjoint(children):
+                    raise ForcelabError(f"game graph has a cycle through node {i}")
+                open_path.remove(i)
+                size[i] = 1 + sum(map(size.__getitem__, children))
+            elif i not in size and i not in open_path:
+                mover, children, winner, _ = rows[i]
+                if children:
+                    if mover not in ("I", "II"):
+                        raise ForcelabError(f"internal node {i} needs a mover")
+                elif winner not in ("I", "II"):
+                    raise ForcelabError(f"terminal node {i} needs a winner")
+                open_path.add(i)
+                stack.append((i,))
+                stack.extend(reversed(children))
+        self._reachable = tuple(size)
         self._size = size[self.root]
 
     def __len__(self) -> int:

@@ -126,9 +126,15 @@ def check_name(x: HFSet) -> PName:
 
 
 def op_name(sigma: PName, tau: PName) -> PName:
-    """Canonical name for the Kuratowski pair of the two names' values."""
-    left = name_make([(sigma, 0)])
-    return name_make([(left, 0), (name_make([(sigma, 0), (tau, 0)]), 0)])
+    """Canonical name for the Kuratowski pair of the two names' values.
+
+    Entries are passed in canonical order, so each `name_make` finds its
+    name on the first lookup."""
+    left = name_make(((sigma, 0),))
+    if sigma is tau:
+        return name_make(((left, 0),))
+    pair = name_make(((sigma, 0), (tau, 0)) if sigma.key < tau.key else ((tau, 0), (sigma, 0)))
+    return name_make(((left, 0), (pair, 0)) if left.key < pair.key else ((pair, 0), (left, 0)))
 
 
 def g_dot(P: ForcingNotion) -> ClassName:
@@ -196,20 +202,35 @@ def name_universe(P: ForcingNotion, rho: int | None = None,
     return tuple(sorted(set(layer), key=lambda n: n.key))
 
 
-def eval_name(name: PName, G: Filter, _memo: dict | None = None) -> HFSet:
-    """Direct recursive evaluation: the values of entries whose condition is in G."""
+def eval_name(name: PName, G: Filter, _memo: dict | None = None,
+              _top: dict | None = None) -> HFSet:
+    """Direct recursive evaluation: the values of entries whose condition is in G.
+
+    `_memo` keeps the values along G.  `_top`, when given, keeps the value
+    of `name` (not of its subnames) when all its conditions are the top:
+    such a name has one value along every filter that holds the top, so a
+    caller may pass the same `_top` for every filter.  It is read and filled
+    only when G holds the top.
+    """
     if _memo is None:
         _memo = {}
     cached = _memo.get(name)
     if cached is None:
-        cached = hf_make(eval_name(n, G, _memo) for n, r in name.entries if G.members >> r & 1)
+        top = _top is not None and not name.max_condition and G.members & 1
+        cached = _top.get(name) if top else None
+        if cached is None:
+            cached = hf_make(eval_name(n, G, _memo) for n, r in name.entries if G.members >> r & 1)
+            if top:
+                _top[name] = cached
         _memo[name] = cached
     return cached
 
 
-def eval_class(cls: ClassName, G: Filter) -> frozenset[HFSet]:
+def eval_class(cls: ClassName, G: Filter, _top: dict | None = None) -> frozenset[HFSet]:
+    """The values of the class's entries whose condition is in G; `_top` as
+    for `eval_name`."""
     memo: dict = {}
-    return frozenset(eval_name(n, G, memo) for n, r in cls.entries if G.members >> r & 1)
+    return frozenset(eval_name(n, G, memo, _top) for n, r in cls.entries if G.members >> r & 1)
 
 
 _hf_codes: dict[PName, HFSet] = {}

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from forcelab import (EMPTY, EMPTY_NAME, ClassName, ClosureError,
                       or_, subname_closure, truth_lemma_check, truth_name,
                       v_stage, var, verify_solution)
 from forcelab import corpus
-from forcelab.poset import bits
+from forcelab.poset import Filter, bits
 
 
 @pytest.fixture
@@ -338,3 +339,112 @@ def test_truth_name_requires_closed_subformulas(fork_relation):
     phi = atom_eq(name_const(EMPTY_NAME), name_const(EMPTY_NAME))
     with pytest.raises(ClosureError):
         truth_name(fork_relation, [not_(phi)])
+
+
+def test_registering_a_new_class_keeps_the_values_and_a_replaced_one_drops_them(fork):
+    N = corpus.oracle_universe(fork)
+    FR = atomic_forcing(fork, N)
+    for phi in corpus.oracle_pool(fork, N):
+        FR.value(phi)
+    kept = dict(FR._values)
+    sigma = name_const(N[1])
+    FR.register_class(ClassName.make("T", []))
+    assert FR._values == kept
+    assert FR.value(atom_in_class(sigma, "T")) == 0
+    # the same class again changes nothing; one more entry changes the value
+    FR.register_class(ClassName.make("T", []))
+    assert FR._values.keys() == kept.keys() | {atom_in_class(sigma, "T")}
+    FR.register_class(ClassName.make("T", [(N[1], 0)]))
+    assert FR.value(atom_in_class(sigma, "T")) == FR.full
+
+
+def test_a_filter_without_the_top_reads_no_top_value(fork):
+    # the top-only names' values are kept for the filters that hold the top;
+    # without it a check name evaluates to the empty set, and the quotient
+    # disagrees with the direct side
+    N = corpus.oracle_universe(fork)
+    FR = atomic_forcing(fork, N)
+    G = generic_filters(fork)[0]
+    extension(FR, G)
+    one = check_name(hf_make([EMPTY]))
+    assert FR._top_values[one] is hf_make([EMPTY])
+    topless = Filter(fork, G.members & ~1)
+    assert eval_name(one, topless, {}, FR._top_values) is EMPTY
+    with pytest.raises(ForcelabError):
+        extension(FR, topless)
+
+
+def test_extension_keeps_one_direct_side_per_filter(fork):
+    N = corpus.oracle_universe(fork)
+    FR = atomic_forcing(fork, N)
+    pool = corpus.oracle_pool(fork, N)
+    assert truth_lemma_check(FR, pool)[0]
+    sides = dict(FR._direct)
+    assert sorted(sides) == sorted(G.members for G in generic_filters(fork))
+    tn = truth_name(FR, list(dict.fromkeys(corpus.truth_name_pool(fork, N))))
+    assert tn.ok and FR._direct == sides
+    for G in generic_filters(fork):
+        ext = extension(FR, G)
+        assert ext.class_values["T"] == eval_class(tn.tdot, G)
+        assert ext.class_values["G"] == eval_class(g_dot(fork), G)
+        assert ext.evaluation == {n: eval_name(n, G) for n in N}
+    # a class name registered under a kept ident is evaluated afresh
+    FR.register_class(ClassName.make("T", [(N[1], 0)]))
+    for G in generic_filters(fork):
+        assert extension(FR, G).class_values["T"] == {eval_name(N[1], G)}
+
+
+def test_extension_of_a_lazy_relation_matches_the_eager_one(fork):
+    N = corpus.oracle_universe(fork)
+    lazy, eager = atomic_forcing(fork, N, eager=False), atomic_forcing(fork, N)
+    for G in generic_filters(fork):
+        a, b = extension(lazy, G), extension(eager, G)
+        assert a.representative == b.representative and a.membership == b.membership
+        assert a.class_extensions == b.class_extensions and a.class_values == b.class_values
+
+
+# Deeper names: four-fork with its oracle universe and 300
+# seeded rank-2 names, 1-8 entries each drawn from the rank-1 names under any
+# condition, closed under subnames.  Its entries are non-check names under
+# non-top conditions, where the in/sub/eq recursion does its work.
+
+@pytest.fixture(scope="module")
+def deep_four_fork():
+    P = dict(corpus.corpus_notions())["four-fork"]
+    rng = random.Random(0)
+    N1 = name_universe(P, 1)
+    deep = [name_make([(rng.choice(N1), rng.randrange(len(P)))
+                       for _ in range(rng.randint(1, 8))]) for _ in range(300)]
+    oracle = corpus.oracle_universe(P)
+    FR = atomic_forcing(P, name_universe(P, seeds=list(oracle) + deep))
+    return FR, corpus.oracle_pool(P, oracle)
+
+
+def test_rank_2_names_keep_the_truth_lemma_and_the_laws(deep_four_fork):
+    FR, pool = deep_four_fork
+    assert len(FR.universe) == 331 and len(FR._atomic) == 3 * 331 ** 2
+    assert truth_lemma_check(FR, pool) == (True, None)
+    assert audit_forcing_relation(FR).ok
+
+
+def test_a_flipped_rank_2_entry_fails_the_truth_lemma(deep_four_fork):
+    # The filter's least member m lies below every member, so a downward-
+    # closed value meets G iff it holds m: flipping m where no other member
+    # of G is set changes the forced row at G.
+    FR, pool = deep_four_fork
+    P = FR.notion
+    G = generic_filters(P)[0]
+    g = G.members
+    m = next(q for q in bits(g) if all(P.le(q, r) for r in bits(g)))
+    deep = [n for n in FR.universe if n.rank == 2 and n.max_condition]
+    key = next((kind, s, t) for s in deep for t in FR.universe for kind in ("in", "eq")
+               if FR._atomic[kind, s, t] & g & ~(1 << m) == 0)
+    assert truth_lemma_check(FR, pool)[0]
+    FR._atomic[key] ^= 1 << m
+    FR._values.clear()
+    try:
+        with pytest.raises(ForcelabError):
+            truth_lemma_check(FR, pool)
+    finally:
+        FR._atomic[key] ^= 1 << m
+        FR._values.clear()

@@ -10,6 +10,7 @@ from forcelab import (And, BudgetError, Exists, FiniteStructure, Forall, Forcela
                       random_game_tree, truth_telling_game, v_stage, var, verify_strategy,
                       zermelo_recursion_instance, zermelo_solve, verify_solution)
 from forcelab import games
+from forcelab.dag import nodes as dag_nodes
 from forcelab.formulas import nodes as formula_nodes
 from forcelab.truth import instances, valuation_key
 from test_games_reference import unfold
@@ -360,6 +361,17 @@ def test_a_cycle_is_refused(rows):
         GameTree(rows, 0)
 
 
+@pytest.mark.parametrize("rows, node", [
+    ({0: inner("I", (0,))}, 0),
+    ({0: inner("I", (1,)), 1: inner("II", (0,))}, 1),
+    ({0: inner("I", (1, 2)), 1: inner("II", (2,)), 2: inner("I", (1,))}, 2),
+    ({0: inner("I", (1, 1)), 1: inner("II", (2, 3)), 2: leaf("I"), 3: inner("I", (1,))}, 3),
+], ids=["self-loop", "two-cycle", "below-the-root", "below-a-shared-child"])
+def test_a_cycle_names_the_node_whose_child_is_still_open(rows, node):
+    with pytest.raises(ForcelabError, match=f"^game graph has a cycle through node {node}$"):
+        GameTree(rows, 0)
+
+
 def random_dag(rng: random.Random, n: int) -> GameTree:
     """Node i's children are drawn from the four nodes after it, so the graph
     is acyclic and shares many of its nodes."""
@@ -372,6 +384,18 @@ def random_dag(rng: random.Random, n: int) -> GameTree:
             kids = rng.sample(later, min(len(later), rng.randint(1, 3)))
             rows[i] = inner(rng.choice(["I", "II"]), tuple(kids))
     return GameTree(rows, 0)
+
+
+def test_a_graph_is_ordered_as_the_structural_walk_orders_it():
+    # one walk lists a shared graph's nodes children first, in the order of
+    # dag.nodes, and counts its unfolding; a tree keeps the same order
+    rng = random.Random(3)
+    games_ = [random_dag(rng, rng.randint(4, 14)) for _ in range(50)]
+    games_ += [random_game_tree(rng, 60) for _ in range(20)]
+    games_.append(truth_telling_game(FiniteStructure(v_stage(2)), _atomic_pool(), 2))
+    for T in games_:
+        assert T._reachable == tuple(dag_nodes(T.root, lambda i: T.nodes[i].children))
+        assert len(T) == len(unfold(T)[0]._rows)
 
 
 def _on_tree(strategy: dict, dag: GameTree, tree: GameTree, origin: dict) -> dict:

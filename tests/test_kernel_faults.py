@@ -18,6 +18,7 @@ import ast
 import contextlib
 import inspect
 import itertools
+import random
 
 import pytest
 
@@ -31,11 +32,12 @@ from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, Exists, Forall,
                       invariance_check, iterated_truth, name_universe,
                       nat_encode, not_, stage_comparison_structure,
                       subformula_closure, subformulas, tarski_truth,
-                      theta_formula, truth_lemma_check, truth_telling_game,
-                      v_stage, var, zermelo_solve)
+                      theta_formula, truth_lemma_check, truth_name,
+                      truth_telling_game, v_stage, var, zermelo_solve)
 from forcelab import corpus, hfset
 from forcelab import forcing as forcing_mod
 from forcelab import games as games_mod
+from forcelab import names as names_mod
 from forcelab import truth as truth_mod
 from forcelab.hfset import hf_pair, hf_unpair
 from forcelab.poset import bits
@@ -163,6 +165,83 @@ def test_every_single_equality_flip_fails_the_law_audit(fork_kernel):
             if s is not t:
                 assert "eq-symmetric" in report.failures()
     assert caught == len(FR.universe) ** 2 * len(FR.notion)
+
+
+def _entries(FR):
+    """The table's (kind, σ, τ) keys over the universe, in the audit's order."""
+    return list(itertools.product(KINDS, FR.universe, FR.universe))
+
+
+def _per_entry_laws(FR) -> dict:
+    """The first downward-closure and density counterexamples, each entry
+    judged on its own by the laws' pointwise definitions."""
+    down, found = FR._down, {}
+    for kind, s, t in _entries(FR):
+        V = FR._atomic[kind, s, t]
+        for p in bits(V):
+            if down[p] & ~V:
+                found.setdefault("downward-closure", (kind, p, next(bits(down[p] & ~V)), s, t))
+        for p in bits(FR.full & ~V):
+            if all(down[q] & V for q in bits(down[p])):
+                found.setdefault("density", (kind, p, s, t))
+    return found
+
+
+def test_a_flip_in_a_shared_mask_is_blamed_on_its_entry(fork_kernel):
+    # The audit judges each distinct mask once; a corrupted entry whose old
+    # mask other entries keep must still be the one reported.  Setting the
+    # top in a mask that is not full breaks downward closure; clearing it in
+    # the full mask breaks density.
+    FR = fork_kernel[0]
+    assert audit_forcing_relation(FR).ok
+    masks = [FR._atomic[key] for key in _entries(FR)]
+    for law, pick in (("downward-closure", lambda V: V != FR.full),
+                      ("density", lambda V: V == FR.full)):
+        key = next(key for key, V in zip(_entries(FR), masks) if pick(V) and masks.count(V) > 1)
+        with _flipped(FR, *key, 0):
+            got = audit_forcing_relation(FR).failures()[law]
+        assert got[0] == key[0] and got[1] == 0 and got[-2:] == key[1:]
+    assert audit_forcing_relation(FR).ok
+
+
+def test_the_first_law_counterexamples_match_a_per_entry_reference():
+    P = dict(corpus.corpus_notions())["tree-left"]
+    seen = set()
+    for seed in range(3):
+        FR = atomic_forcing(P, name_universe(P, 1))
+        rng = random.Random(seed)
+        for _ in range(8):
+            kind, s, t = rng.choice(_entries(FR))
+            FR._atomic[kind, s, t] ^= 1 << rng.randrange(len(P))
+        want = _per_entry_laws(FR)
+        got = {law: cx for law, cx in audit_forcing_relation(FR).failures().items()
+               if law in ("downward-closure", "density")}
+        assert got == want
+        seen |= want.keys()
+    assert seen == {"downward-closure", "density"}
+
+
+@pytest.mark.parametrize("kind", ["eq", "in"])
+def test_a_flip_after_a_passing_check_fails_the_next_one(fork, kind):
+    # extension keeps only its direct side across calls; the forced rows are
+    # read afresh, so a bit flipped after a passing check is caught
+    N = corpus.oracle_universe(fork)
+    FR = atomic_forcing(fork, N)
+    pool = corpus.oracle_pool(fork, N)
+    tn_pool = list(dict.fromkeys(corpus.truth_name_pool(fork, N)))
+    assert truth_lemma_check(FR, pool)[0]
+    assert truth_name(FR, tn_pool).ok
+    G = generic_filters(fork)[0]
+    g = G.members
+    m = next(q for q in bits(g) if all(fork.le(q, r) for r in bits(g)))
+    s, t = next((s, t) for s in N for t in N if s.max_condition
+                and FR._atomic[kind, s, t] & g & ~(1 << m) == 0)
+    with _flipped(FR, kind, s, t, m):
+        with pytest.raises(ForcelabError):
+            truth_lemma_check(FR, pool)
+        with pytest.raises(ForcelabError):
+            truth_name(FR, tn_pool)
+    assert truth_lemma_check(FR, pool)[0] and truth_name(FR, tn_pool).ok
 
 
 @pytest.mark.parametrize("set_bit", [True, False], ids=["set", "clear"])
@@ -423,6 +502,22 @@ def test_algebra_sides_never_name_the_forcing_kernel():
 # Criterion 7 compares the staged atomic instance with the kernel's table.
 # Its step builds masks of conditions much as the kernel does, but from the
 # earlier slices alone, so it may name no part of the kernel.
+
+# Criteria 1 and 5 compare the quotient by the forced rows with direct
+# evaluation.  `extension` keeps the direct side per filter; it is computed
+# from the names alone, so it may name no part of the kernel and ask it for
+# no value.  Criterion 9's law audit judges each distinct mask by the laws'
+# pointwise definitions, not with the kernel's own operators.
+
+def test_the_direct_side_never_names_the_forcing_kernel():
+    forbidden = KERNEL_NAMES + ("value", "decide", "materialize")
+    sides = [(forcing_mod, "_DirectSide"), (names_mod, "eval_name"), (names_mod, "eval_class")]
+    assert _offenders(sides, forbidden) == []
+
+
+def test_the_law_audit_judges_masks_without_the_kernel_operators():
+    assert _offenders([(forcing_mod, "_judge_mask")], ("neg", "regularize")) == []
+
 
 def test_the_staged_atomic_instance_never_names_the_forcing_kernel():
     forbidden = KERNEL_NAMES + ("neg", "regularize", "decide", "materialize")

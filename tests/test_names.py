@@ -183,3 +183,12 @@ def test_name_to_hf_injective(fork):
     names = name_universe(fork, 1)
     images = {name_to_hf(n) for n in names}
     assert len(images) == len(names)
+
+
+def test_op_name_is_the_pair_name_built_entry_by_entry(fork):
+    # op_name passes its entries in canonical order; the names are the ones
+    # name_make builds from the entries in any order
+    N = [*name_universe(fork, 1)[:6], check_name(nat_encode(2)), op_name(EMPTY_NAME, EMPTY_NAME)]
+    for sigma, tau in itertools.product(N, repeat=2):
+        left = name_make([(sigma, 0)])
+        assert op_name(sigma, tau) is name_make([(name_make([(tau, 0), (sigma, 0)]), 0), (left, 0)])
