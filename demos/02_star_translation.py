@@ -17,7 +17,7 @@ from forcelab import (atomic_forcing, corpus, forces, formula_to_sexp,
 fork = corpus.fork()
 universe = name_universe(fork, 1)
 FR = atomic_forcing(fork, universe)
-names = corpus._sample_names(fork, universe)
+names = corpus.sample_names(fork, universe)
 
 rng = random.Random(4)
 sentence = corpus.random_qf_sentence(rng, fork, names)

@@ -16,27 +16,21 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import corpus, sexpr
+from . import corpus, criteria, sexpr
 from .errors import BudgetError, ForcelabError, ParseError
-from .etr import etr_solve, verify_solution
 from .formulas import (AtomInClass, AtomInG, AtomTr, Formula, Var, atom_eq, atom_in,
-                       atom_terms, encode_formula, encode_valuation, formula_to_sexp,
-                       nodes, not_, parse_formula, parse_hf, subformula_closure, var)
-from .forcing import (atomic_forcing, atomic_recursion_instance,
-                      audit_boolean_algebra, audit_forcing_relation,
-                      boolean_completion, boolean_values, collect_names,
-                      compare_atomic_table, forces, star_translate,
+                       atom_terms, nodes, not_, parse_formula, parse_hf, subformula_closure,
+                       var)
+from .forcing import (atomic_forcing, audit_boolean_algebra, audit_forcing_relation,
+                      boolean_completion, boolean_values, collect_names, forces,
                       truth_lemma_check, truth_name)
-from .games import (extract_verdicts, label_fixpoint_violation,
-                    random_game_tree, truth_telling_game, verify_strategy,
-                    zermelo_solve)
-from .hfset import EMPTY, nat_encode, v_stage
+from .games import random_game_tree
+from .hfset import EMPTY, v_stage
 from .names import name_universe, parse_name, subname_closure
 from .poset import ForcingNotion, is_separative, parse_poset
-from .truth import (DerivedIteratedTruth, FiniteStructure, eval_formula,
-                    forcing_truth, instances, invariance_check,
-                    iterated_truth, iterated_truth_instance,
-                    stage_comparison_structure, tarski_truth, valuation_key)
+from .truth import (DerivedIteratedTruth, FiniteStructure, forcing_truth,
+                    invariance_check, iterated_truth, stage_comparison_structure,
+                    tarski_truth)
 
 SCHEMA = "forcelab-report/1"
 
@@ -47,13 +41,17 @@ class Reporter:
         self.timings = timings
 
     def run(self, claim: str, thunk):
-        """Record the claim's verdict.  An error raised by the check other
-        than a budget overrun is a detected fault: the row fails with the
-        error as its counterexample."""
+        """Record the claim's verdict: the check returns (ok, counterexample)
+        or a criteria.Verdict.  An error raised by the check other than a
+        budget overrun is a detected fault: the row fails with the error as
+        its counterexample."""
         started = time.monotonic()
         row = {"claim": claim}
         try:
-            ok, counterexample = thunk()
+            outcome = thunk()
+            if isinstance(outcome, criteria.Verdict):
+                outcome = (outcome.failures == 0, outcome.first)
+            ok, counterexample = outcome
             row["status"] = "pass" if ok else "fail"
             if not ok and counterexample is not None:
                 row["counterexample"] = str(counterexample)
@@ -98,10 +96,8 @@ def suite_force(config, rep: Reporter, name: str, P: ForcingNotion):
         rep.run(f"force/{name}/{law}", lambda ok=ok, cx=cx: (ok, cx))
     pool = corpus.oracle_pool(P, N)
     rep.run(f"force/{name}/forced-iff-true", lambda: truth_lemma_check(FR, pool))
-    inst, codec, _ = atomic_recursion_instance(P, name_universe(P, 1))
-    sol = etr_solve(inst)
     rep.run(f"force/{name}/staged-recursion-identical",
-            lambda: (verify_solution(inst, sol)[0] and compare_atomic_table(FR, sol, codec), None))
+            lambda: criteria.staged_atomic(FR, name_universe(P, 1)))
     if phi is not None:
         rep.run(f"force/{name}/given-formula-forced-iff-true",
                 lambda: truth_lemma_check(FR, phi))
@@ -137,19 +133,11 @@ def _force_universe(P, config):
 def suite_translate(config, rep: Reporter, name: str, P: ForcingNotion):
     N = name_universe(P, 1)
     FR = atomic_forcing(P, N)
-    names = corpus._sample_names(P, N)
+    names = corpus.sample_names(P, N)
     rng = random.Random(config["seed"])
-
-    def check():
-        for _ in range(config["count"]):
-            s = corpus.random_qf_sentence(rng, P, names)
-            a, b = star_translate(s, P)
-            for p in P.conditions():
-                if forces(FR, p, s, check_universe=False) != FR.decide("eq", p, a, b):
-                    return False, (p, formula_to_sexp(s))
-        return True, None
-
-    rep.run(f"translate/{name}/atomic-equality-soundness", check)
+    rep.run(f"translate/{name}/atomic-equality-soundness",
+            lambda: criteria.star_translation(FR, (corpus.random_qf_sentence(rng, P, names)
+                                                   for _ in range(config["count"]))))
 
 
 def suite_complete(config, rep: Reporter, name: str, P: ForcingNotion):
@@ -164,32 +152,8 @@ def suite_complete(config, rep: Reporter, name: str, P: ForcingNotion):
     N = name_universe(P, 1)
     FR = atomic_forcing(P, N)
     bv = boolean_values(bc)
-
-    def coherent():
-        for kind in ("in", "sub", "eq"):
-            for s in N:
-                for t in N:
-                    for p in P.conditions():
-                        if bv.derived_forces(p, kind, s, t) != FR.decide(kind, p, s, t):
-                            return False, (kind, p)
-        return True, None
-
-    rep.run(f"complete/{name}/value-coherence", coherent)
-
-    def embedding():
-        B = bc.algebra
-        for p in P.conditions():
-            for q in P.conditions():
-                if P.le(p, q) and not B.le(bc.embed(p), bc.embed(q)):
-                    return False, ("order", p, q)
-                if P.compatible(p, q) == (B.meet(bc.embed(p), bc.embed(q)) == B.zero):
-                    return False, ("compatibility", p, q)
-        for u in B.elements:
-            if u != B.zero and not any(B.le(bc.embed(p), u) for p in P.conditions()):
-                return False, ("density", [p for p in P.conditions() if u >> p & 1])
-        return True, None
-
-    rep.run(f"complete/{name}/dense-embedding", embedding)
+    rep.run(f"complete/{name}/value-coherence", lambda: criteria.value_coherence(FR, bv))
+    rep.run(f"complete/{name}/dense-embedding", lambda: criteria.dense_embedding(P, bc))
 
 
 def suite_truth(config, rep: Reporter):
@@ -214,15 +178,7 @@ def suite_truth(config, rep: Reporter):
     M = FiniteStructure(stage, {"A": A})
     ft = forcing_truth(n, A, pool)
     tp = tarski_truth(M, pool)
-
-    def agree():
-        for phi in ft.pool:
-            for v in instances(M, phi):
-                if ft.holds(phi, v) != tp.holds(phi, v):
-                    return False, (formula_to_sexp(phi), sorted(v.items()))
-        return True, None
-
-    rep.run(f"truth/stage-{n}/collapse-vs-direct", agree)
+    rep.run(f"truth/stage-{n}/collapse-vs-direct", lambda: criteria.collapse_truth(ft, tp))
     rep.run(f"truth/stage-{n}/condition-invariance",
             lambda: invariance_check(n, A, pool, ft))
 
@@ -236,97 +192,26 @@ def suite_iterated(config, rep: Reporter):
         raise ParseError("--A elements must lie in V_3")
     base = FiniteStructure(stage3, {"d": A})
     it = iterated_truth(base, beta_max, pool)
-    tr_atoms = [f for f in pool if isinstance(f, AtomTr)]
-
-    def clause_b():
-        xv, yv, zv = tr_atoms[0].free_sorted
-        for beta in range(beta_max):
-            for alpha in range(beta_max):
-                for psi in pool:
-                    for av in instances(base, psi):
-                        v = {xv: nat_encode(alpha), yv: encode_formula(psi),
-                             zv: encode_valuation(av)}
-                        got = it._query(beta, tr_atoms[0], v)
-                        want = alpha < beta and it._query(alpha, psi, av)
-                        if got != want:
-                            return False, (beta, alpha, formula_to_sexp(psi))
-        return True, None
-
-    rep.run("iterated/self-coherence", clause_b)
-
-    def etr_same():
-        small = list(subformula_closure(f for f in pool if f.rank <= 1))
-        M2 = FiniteStructure(v_stage(2), {"d": [EMPTY]})
-        inst, codec, stage_index = iterated_truth_instance(M2, 3, small)
-        sol = etr_solve(inst)
-        ok, where = verify_solution(inst, sol)
-        if not ok:
-            return False, where
-        it2 = iterated_truth(M2, 3, small)
-        span = max(f.rank for f in small) + 1
-        for enc, (phi, v) in codec.items():
-            staged = sorted(i // span for i, sl in enumerate(sol.slices) if enc in sl)
-            direct = [b for b in range(3) if it2.holds(b, phi, v)]
-            if staged != direct:
-                return False, formula_to_sexp(phi)
-        return True, None
-
-    rep.run("iterated/staged-recursion-identical", etr_same)
-
+    rep.run("iterated/self-coherence", lambda: criteria.self_coherence(it))
+    small = list(subformula_closure(f for f in pool if f.rank <= 1))
+    rep.run("iterated/staged-recursion-identical", lambda: criteria.staged_iterated(
+        FiniteStructure(v_stage(2), {"d": [EMPTY]}), 3, small))
     D = stage_comparison_structure(base, pool, beta_max)
     derived = DerivedIteratedTruth(D, pool, beta_max)
     itD = iterated_truth(D, beta_max, pool)
-
-    def dual_path():
-        for beta in range(beta_max):
-            for phi in pool:
-                for v in instances(base, phi):
-                    if derived.holds(beta, phi, v) != itD.holds(beta, phi, v):
-                        return False, (beta, formula_to_sexp(phi))
-        return True, None
-
-    rep.run("iterated/translation-dual-path", dual_path)
+    rep.run("iterated/translation-dual-path", lambda: criteria.dual_path(
+        derived, itD, criteria.instance_points(base, pool, beta_max)
+        + criteria.encoding_points(base, pool, beta_max)))
 
 
 def suite_game(config, rep: Reporter):
     rng = random.Random(config["seed"])
-
-    def zermelo_all():
-        for i in range(config["count"]):
-            T = random_game_tree(rng, 200)
-            res = zermelo_solve(T)
-            nid = label_fixpoint_violation(T, res.labels)
-            if nid is not None:
-                return False, ("fixpoint", i, nid)
-            winner = res.labels[T.root]
-            ok, line = verify_strategy(T, res.strategy(winner), winner)
-            if not ok:
-                return False, ("strategy", i, line)
-        return True, None
-
-    rep.run("game/back-propagation", zermelo_all)
-
-    def truth_telling():
-        M = FiniteStructure(v_stage(2))
-        pool = [atom_in(var("x"), var("y")), not_(atom_in(var("x"), var("y"))),
-                atom_eq(var("x"), var("y")), not_(atom_eq(var("x"), var("y")))]
-        for clock in range(1, config["clock"] + 1):
-            T = truth_telling_game(M, pool, clock)
-            res = zermelo_solve(T)
-            if res.labels[T.root] != "II":
-                return False, ("interrogator-wins", clock)
-            ok, line = verify_strategy(T, res.strategy_II, "II")
-            if not ok:
-                return False, ("strategy", clock)
-            pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
-            verdicts = extract_verdicts(T, res.strategy_II, pool_instances)
-            for phi, v in pool_instances:
-                if phi.rank <= clock - 1:
-                    if verdicts[(phi, valuation_key(phi, v))] != eval_formula(M, phi, v):
-                        return False, ("verdict", clock, formula_to_sexp(phi))
-        return True, None
-
-    rep.run("game/truth-telling", truth_telling)
+    rep.run("game/back-propagation", lambda: criteria.zermelo_games(
+        random_game_tree(rng, 200) for _ in range(config["count"])))
+    x, y = var("x"), var("y")
+    pool = [atom_in(x, y), not_(atom_in(x, y)), atom_eq(x, y), not_(atom_eq(x, y))]
+    rep.run("game/truth-telling", lambda: criteria.truth_telling(
+        FiniteStructure(v_stage(2)), pool, range(1, config["clock"] + 1)))
 
 
 def suite_oracle(config, rep: Reporter, name: str, P: ForcingNotion):

@@ -85,7 +85,10 @@ def oracle_universe(P: ForcingNotion, rank: int = 1) -> tuple[PName, ...]:
     return subname_closure(base)
 
 
-def _sample_names(P: ForcingNotion, universe) -> list[PName]:
+def sample_names(P: ForcingNotion, universe) -> list[PName]:
+    """The constants of random sentences: the empty name and the names
+    holding it at condition 0, at the last condition, and at 1 and the
+    last, those of them in the universe."""
     picks = [EMPTY_NAME, name_make([(EMPTY_NAME, 0)])]
     last = len(P) - 1
     picks.append(name_make([(EMPTY_NAME, last)]))
@@ -98,7 +101,7 @@ def _sample_names(P: ForcingNotion, universe) -> list[PName]:
 def oracle_pool(P: ForcingNotion, universe) -> list[Formula]:
     """Closed formulas spanning atoms, negation, conjunction, quantifiers and
     the generic-filter predicate; at least forty over any corpus notion."""
-    ns = [name_const(n) for n in _sample_names(P, universe)]
+    ns = [name_const(n) for n in sample_names(P, universe)]
     atoms: list[Formula] = []
     for s in ns:
         for t in ns:
@@ -129,7 +132,7 @@ def oracle_pool(P: ForcingNotion, universe) -> list[Formula]:
 
 def truth_name_pool(P: ForcingNotion, universe) -> list[Formula]:
     """Closed, closed-subformula-complete pool for the truth-predicate name."""
-    ns = [name_const(n) for n in _sample_names(P, universe)[:3]]
+    ns = [name_const(n) for n in sample_names(P, universe)[:3]]
     atoms = [atom_eq(s, t) for s in ns for t in ns] + \
             [atom_in(s, t) for s in ns for t in ns[:2]]
     pool = list(atoms)

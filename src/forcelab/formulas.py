@@ -511,7 +511,9 @@ def rename_free(phi: Formula, mapping: dict[str, str]) -> Formula:
             memo[key] = got
         return got
 
-    return walk(phi, frozenset(mapping))
+    out = walk(phi, frozenset(mapping))
+    del walk  # it refers to itself; without the cycle, freeing it needs no collector pass
+    return out
 
 
 # ---------------------------------------------------------------------------

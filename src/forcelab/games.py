@@ -528,6 +528,9 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
         return interrogator_node(clock_next, new_history, position, answer)
 
     root = interrogator_node(clock, {}, frozenset(), ())
+    # the three builders refer to each other; without the cycle, freeing
+    # their position tables needs no collector pass
+    del interrogator_node, teller_node, declaration_node
     return GameTree(rows, root)
 
 

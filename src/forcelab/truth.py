@@ -29,6 +29,9 @@ from .names import PName, a_dot, check_name, eps_dot, n_dot, subname_closure
 from .poset import CollapseNotion, build_collapse
 
 EVAL_BUDGET = 5_000_000
+# The stage comparison structure holds the coded valuations of formulas with
+# at most this many free variables; each one enlarges the quantifier domain.
+CODED_VALUATION_CAP = 1
 
 
 class FiniteStructure:
@@ -776,8 +779,8 @@ def stage_comparison_structure(base: FiniteStructure, pool: Sequence[Formula],
     """Extend the base domain transitively with every code the stage
     translation's θ-formulas must be able to pin down.
 
-    Coded valuations are included for formulas of at most one free
-    variable only; each one enlarges the quantifier domain.  Evaluation
+    Coded valuations are included for formulas of at most
+    CODED_VALUATION_CAP free variables only.  Evaluation
     keeps every value it computes, one per node, axes and valuation of the
     node's other free variables, so a node with k free variables is
     computed along j of them (0 ≤ j ≤ 2) up to |domain|^(k-j) times, as a
@@ -790,7 +793,7 @@ def stage_comparison_structure(base: FiniteStructure, pool: Sequence[Formula],
     for psi in pool:
         extra.add(encode_formula(psi))
         fv = tuple(sorted(psi.free))
-        if len(fv) > 1:
+        if len(fv) > CODED_VALUATION_CAP:
             continue
         for values in itertools.product(base.domain, repeat=len(fv)):
             extra.add(encode_valuation(dict(zip(fv, values))))

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import settings
 
@@ -17,3 +19,21 @@ def fork():
 @pytest.fixture(params=[name for name, _ in corpus.corpus_notions()])
 def corpus_notion(request):
     return dict(corpus.corpus_notions())[request.param]
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """Run a call and count the objects it leaves to the cyclic collector:
+    those that only reference cycles keep alive once it returns."""
+    def count(call) -> int:
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            call()
+            gc.collect()
+            return len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.collect()
+    return count

@@ -3,7 +3,7 @@ import pytest
 from forcelab import (EMPTY_NAME, SeparativityError, atom_eq, atomic_forcing,
                       audit_boolean_algebra, boolean_completion, boolean_values,
                       name_const, name_make, name_universe)
-from forcelab import corpus
+from forcelab import corpus, criteria
 
 
 def test_fork_completion_is_the_four_element_algebra(fork):
@@ -116,8 +116,7 @@ def test_values_cohere_with_the_table(corpus_notion):
         for s in N:
             for t in N:
                 assert bv.value(kind, s, t) == FR.atomic_value(kind, s, t)
-                for p in P.conditions():
-                    assert bv.derived_forces(p, kind, s, t) == FR.decide(kind, p, s, t)
+    assert criteria.value_coherence(FR, bv) == (0, None, 3 * len(N) ** 2 * len(P))
 
 
 def test_lindenbaum_values_are_regular_open(corpus_notion):

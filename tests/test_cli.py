@@ -116,6 +116,21 @@ def test_fresh_interpreters_print_the_golden_report(tmp_path, argv):
         assert out.read_bytes() == (GOLDEN / f"{argv[0]}.json").read_bytes()
 
 
+def test_importing_the_package_loads_neither_the_cli_nor_the_criteria():
+    # The benchmark times its set-up from a fresh import of the package, so
+    # the modules only the CLI and the tests use stay out of it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    code = "import json, sys, forcelab; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    loaded = json.loads(done.stdout)
+    assert "forcelab.truth" in loaded
+    assert "forcelab.cli" not in loaded and "forcelab.criteria" not in loaded
+
+
 def test_budget_overrun_while_building_inputs_is_a_skipped_row(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["oracle", "--max-poset", "3", "--max-name-rank", "2", "--out", str(out)])

@@ -169,7 +169,7 @@ def test_formula_code_round_trip_and_repr_on_a_shared_chain():
 def test_repr_of_a_star_translation_code_is_a_summary():
     P = dict(corpus.corpus_notions())["trivial"]
     rng = random.Random(3)
-    names = corpus._sample_names(P, name_universe(P, 1))
+    names = corpus.sample_names(P, name_universe(P, 1))
     sentences = [corpus.random_qf_sentence(rng, P, names) for _ in range(9)]
     code = name_to_hf(star_translate(sentences[8], P)[0])
     assert code.rank == 60

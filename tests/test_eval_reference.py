@@ -120,7 +120,7 @@ def test_stage_translations_on_sampled_comparison_valuations():
                 _agree(D, ref, translated,
                        {x: rng.choice(D.domain) for x in phi.free_sorted})
         for psi in pool:
-            if len(psi.free) <= 1:
+            if len(psi.free) <= truth_mod.CODED_VALUATION_CAP:
                 av = {x: rng.choice(stage) for x in psi.free}
                 for alpha in range(3):
                     _agree(D, ref, translator.translate(beta, atom),

@@ -13,7 +13,7 @@ from forcelab import (EMPTY, EMPTY_NAME, ClassName, ClosureError,
                       name_const, name_make, name_universe, nat_encode, not_,
                       or_, subname_closure, truth_lemma_check, truth_name,
                       v_stage, var, verify_solution)
-from forcelab import corpus
+from forcelab import corpus, criteria
 from forcelab.poset import Filter, bits
 
 
@@ -277,12 +277,9 @@ def test_atomic_relation_as_recursion_instance(fork):
 def _both_sides_agree(P, N) -> bool:
     """The direct table against the staged instance and the Boolean values."""
     FR = atomic_forcing(P, N)
-    inst, codec, _ = atomic_recursion_instance(P, N)
     bv = boolean_values(boolean_completion(P))
-    return compare_atomic_table(FR, etr_solve(inst), codec) and all(
-        bv.derived_forces(p, kind, s, t) == FR.decide(kind, p, s, t)
-        for kind in ("in", "sub", "eq") for s in FR.universe for t in FR.universe
-        for p in P.conditions())
+    return (criteria.staged_atomic(FR, N).failures == 0
+            and criteria.value_coherence(FR, bv).failures == 0)
 
 
 def test_check_name_atoms_are_read_off_their_sets(corpus_notion):

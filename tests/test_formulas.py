@@ -338,6 +338,11 @@ def test_rename_free_matches_the_full_rebuild():
     assert renamed > 0
 
 
+def test_rename_free_leaves_no_reference_cycle(cyclic_garbage):
+    phi = forall(("a",), atom_in(var("a"), var("b")))
+    assert cyclic_garbage(lambda: rename_free(phi, {"b": "r0"})) == 0
+
+
 def test_substitute_and_ground_match_recorded_results():
     # Digests of the texts produced, on the corpus oracle pools, by the
     # tree-recursive substitution and grounding that the traversal core

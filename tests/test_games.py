@@ -5,11 +5,11 @@ import pytest
 
 from forcelab import (And, BudgetError, Exists, FiniteStructure, Forall, ForcelabError,
                       GameNode, GameTree, Or, ParseError, and_, atom_eq, atom_in,
-                      continuous_rank, etr_solve, eval_formula, exists, extract_verdicts,
+                      continuous_rank, etr_solve, eval_formula, exists,
                       forall, label_fixpoint_violation, not_, or_, parse_game,
                       random_game_tree, truth_telling_game, v_stage, var, verify_strategy,
                       zermelo_recursion_instance, zermelo_solve, verify_solution)
-from forcelab import games
+from forcelab import criteria, games
 from forcelab.dag import nodes as dag_nodes
 from forcelab.formulas import nodes as formula_nodes
 from forcelab.truth import instances, valuation_key
@@ -216,14 +216,15 @@ def test_interrogator_never_wins():
 def test_extracted_verdicts_match_truth_at_sufficient_clock():
     M = FiniteStructure(v_stage(2))
     pool = _atomic_pool()
-    pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
-    for clock in (1, 2, 3):
-        T = truth_telling_game(M, pool, clock)
-        res = zermelo_solve(T)
-        verdicts = extract_verdicts(T, res.strategy_II, pool_instances)
-        for phi, v in pool_instances:
-            if phi.rank <= clock - 1:
-                assert verdicts[(phi, valuation_key(phi, v))] == eval_formula(M, phi, v)
+    # per clock: the winner, her playout and the instances of rank below it
+    reached = sum(2 + sum(len(M.domain) ** len(phi.free) for phi in pool if phi.rank < clock)
+                  for clock in (1, 2, 3))
+    assert criteria.truth_telling(M, pool, (1, 2, 3)) == (0, None, reached)
+
+
+def test_truth_telling_game_leaves_no_reference_cycle(cyclic_garbage):
+    M = FiniteStructure(v_stage(2))
+    assert cyclic_garbage(lambda: truth_telling_game(M, _atomic_pool(), 2)) == 0
 
 
 def test_atomic_lie_loses_within_clock_two():
@@ -277,18 +278,13 @@ def rank_two_game():
 
 
 def test_rank_two_verdicts_match_truth(rank_two_game):
-    M, pool, T, res = rank_two_game
+    M, pool, T, _ = rank_two_game
     assert {type(phi) for phi in pool if phi.rank == 1} >= {Exists, Forall, And, Or}
     assert {type(phi) for phi in pool if phi.rank == 2} >= {Exists, Forall, And, Or}
     # the unfolded tree is larger than the budget the graph's rows keep to
     assert len(T) == 497_323 and len(T._rows) == 3_554
-    assert res.labels[T.root] == "II"
-    assert verify_strategy(T, res.strategy_II, "II") == (True, None)
-    pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
-    verdicts = extract_verdicts(T, res.strategy_II, pool_instances)
-    assert len(verdicts) == len(pool_instances) == 34
-    assert all(verdicts[(phi, valuation_key(phi, v))] == eval_formula(M, phi, v)
-               for phi, v in pool_instances)
+    # the winner, her playout and all 34 pool instances, judged by criterion 8
+    assert criteria.truth_telling(M, pool, [max(phi.rank for phi in pool) + 1]) == (0, None, 36)
 
 
 def test_a_lie_on_one_quantified_instance_loses(rank_two_game):

@@ -1,18 +1,13 @@
-import itertools
-
 import pytest
 
 from forcelab import (EMPTY, AtomTr, ClosureError, DerivedIteratedTruth,
                       FiniteStructure, Forall, StageTranslator,
                       and_, atom_eq, atom_in, atom_in_class, atom_tr, const,
-                      encode_formula,
-                      encode_valuation, etr_solve, forall, formula_to_sexp,
-                      iterated_truth,
-                      iterated_truth_instance, nat_encode, not_, or_,
-                      stage_comparison_structure, subformula_closure, v_stage,
-                      var, verify_solution)
-from forcelab import corpus
-from forcelab.truth import instances
+                      encode_formula, encode_valuation, forall, iterated_truth,
+                      nat_encode, not_, or_, stage_comparison_structure,
+                      subformula_closure, v_stage, var)
+from forcelab import corpus, criteria
+from forcelab.truth import CODED_VALUATION_CAP, instances
 
 BETA_MAX = 5
 
@@ -36,28 +31,19 @@ def test_requires_closed_pool():
         iterated_truth(M, 2, [not_(atom_eq(var("a"), var("b")))])
 
 
+def _instances(base, pool):
+    return sum(len(base.domain) ** len(phi.free) for phi in pool)
+
+
 def test_atoms_judged_correctly(setup):
     base, pool, it = setup
-    from forcelab import eval_formula
-    for beta in range(BETA_MAX):
-        for phi in pool:
-            if phi.rank == 0 and not isinstance(phi, AtomTr):
-                for v in instances(base, phi):
-                    assert it.holds(beta, phi, v) == eval_formula(base, phi, v)
+    atoms = [phi for phi in pool if phi.rank == 0 and not isinstance(phi, AtomTr)]
+    assert criteria.iterated_atoms(it) == (0, None, BETA_MAX * _instances(base, atoms))
 
 
 def test_self_coherence_clause(setup):
     base, pool, it = setup
-    atom = tr_atom_of(pool)
-    xv, yv, zv = atom.free_sorted
-    for beta in range(BETA_MAX):
-        for alpha in range(BETA_MAX):
-            for psi in pool:
-                for av in instances(base, psi):
-                    v = {xv: nat_encode(alpha), yv: encode_formula(psi),
-                         zv: encode_valuation(av)}
-                    got = it._query(beta, atom, v)
-                    assert got == (alpha < beta and it._query(alpha, psi, av))
+    assert criteria.self_coherence(it) == (0, None, BETA_MAX ** 2 * _instances(base, pool))
 
 
 def test_stage_zero_truth_atom_is_false(setup):
@@ -92,25 +78,8 @@ def test_truth_free_formulas_are_stage_independent(setup):
 def test_boolean_and_quantifier_clauses(setup):
     from forcelab import And, Not, Or
     base, pool, it = setup
-    for beta in range(BETA_MAX):
-        for phi in pool:
-            for v in instances(base, phi):
-                if isinstance(phi, Not):
-                    assert it.holds(beta, phi, v) != it._query(
-                        beta, phi.sub, {k: v[k] for k in phi.sub.free})
-                elif isinstance(phi, (And, Or)):
-                    votes = [it._query(beta, s, {k: v[k] for k in s.free})
-                             for s in phi.subs]
-                    combined = all(votes) if isinstance(phi, And) else any(votes)
-                    assert it.holds(beta, phi, v) == combined
-                elif isinstance(phi, Forall):
-                    votes = []
-                    for values in itertools.product(base.domain, repeat=len(phi.vars)):
-                        ext = dict(v)
-                        ext.update(zip(phi.vars, values))
-                        votes.append(it._query(beta, phi.body,
-                                               {k: ext[k] for k in phi.body.free}))
-                    assert it.holds(beta, phi, v) == all(votes)
+    composites = [phi for phi in pool if isinstance(phi, (Not, And, Or, Forall))]
+    assert criteria.iterated_logic(it) == (0, None, BETA_MAX * _instances(base, composites))
 
 
 def test_recursion_instance_is_bit_identical():
@@ -118,14 +87,7 @@ def test_recursion_instance_is_bit_identical():
     pool = list(subformula_closure([atom_in(var("a"), var("b")),
                                     not_(atom_in(var("a"), var("b"))),
                                     atom_tr(var("a"), var("b"), var("c"))]))
-    inst, codec, stage_index = iterated_truth_instance(M, 3, pool)
-    sol = etr_solve(inst)
-    assert verify_solution(inst, sol) == (True, None)
-    it = iterated_truth(M, 3, pool)
-    span = max(f.rank for f in pool) + 1
-    for enc, (phi, v) in codec.items():
-        staged = sorted(i // span for i, sl in enumerate(sol.slices) if enc in sl)
-        assert staged == [b for b in range(3) if it.holds(b, phi, v)]
+    assert criteria.staged_iterated(M, 3, pool) == (0, None, 1 + _instances(M, pool))
 
 
 # --- the stage translation ---------------------------------------------------
@@ -166,11 +128,8 @@ def test_derived_predicate_coincides_on_base_instances(setup):
     D = stage_comparison_structure(base, pool, BETA_MAX)
     derived = DerivedIteratedTruth(D, pool, BETA_MAX)
     it = iterated_truth(D, BETA_MAX, pool)
-    for beta in range(BETA_MAX):
-        for phi in pool:
-            for v in instances(base, phi):
-                assert derived.holds(beta, phi, v) == it.holds(beta, phi, v), \
-                    (beta, formula_to_sexp(phi))
+    points = criteria.instance_points(base, pool, BETA_MAX)
+    assert criteria.dual_path(derived, it, points) == (0, None, BETA_MAX * _instances(base, pool))
 
 
 def test_derived_predicate_coincides_at_encoding_points(setup):
@@ -178,17 +137,10 @@ def test_derived_predicate_coincides_at_encoding_points(setup):
     D = stage_comparison_structure(base, pool, BETA_MAX)
     derived = DerivedIteratedTruth(D, pool, BETA_MAX)
     it = iterated_truth(D, BETA_MAX, pool)
-    atom = tr_atom_of(pool)
-    xv, yv, zv = atom.free_sorted
-    for beta in (1, 4):
-        for alpha in (0, 2, 4):
-            for psi in pool:
-                if len(psi.free) > 1:
-                    continue
-                for av in instances(base, psi):
-                    v = {xv: nat_encode(alpha), yv: encode_formula(psi),
-                         zv: encode_valuation(av)}
-                    assert derived.holds(beta, atom, v) == it.holds(beta, atom, v)
+    coded = [psi for psi in pool if len(psi.free) <= CODED_VALUATION_CAP]
+    points = criteria.encoding_points(base, pool, BETA_MAX)
+    assert len(points) == BETA_MAX ** 2 * _instances(base, coded)
+    assert criteria.dual_path(derived, it, points) == (0, None, len(points))
 
 
 def test_translation_pins_down_a_value_coding_a_variable():

@@ -27,21 +27,19 @@ from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, Exists, Forall,
                       atomic_forcing, atomic_recursion_instance,
                       audit_forcing_relation, boolean_completion, boolean_values,
                       compare_atomic_table, const, encode_formula,
-                      encode_valuation, etr_solve, eval_formula, exists,
-                      extract_verdicts, forcing_truth, generic_filters,
-                      invariance_check, iterated_truth, name_universe,
-                      nat_encode, not_, stage_comparison_structure,
+                      encode_valuation, etr_solve, exists, forcing_truth,
+                      generic_filters, invariance_check, iterated_truth,
+                      name_universe, nat_encode, not_, stage_comparison_structure,
                       subformula_closure, subformulas, tarski_truth,
-                      theta_formula, truth_lemma_check, truth_name,
-                      truth_telling_game, v_stage, var, zermelo_solve)
-from forcelab import corpus, hfset
+                      theta_formula, truth_lemma_check, truth_name, v_stage, var)
+from forcelab import corpus, criteria, hfset
 from forcelab import forcing as forcing_mod
 from forcelab import games as games_mod
 from forcelab import names as names_mod
 from forcelab import truth as truth_mod
 from forcelab.hfset import hf_pair, hf_unpair
 from forcelab.poset import bits
-from forcelab.truth import FiniteStructure, instances, valuation_key
+from forcelab.truth import FiniteStructure, instances
 
 KINDS = ("in", "sub", "eq")
 COMPOSITE = (Not, And, Or, Forall, Exists)
@@ -58,9 +56,7 @@ def fork_kernel():
 
 def _values_agree(FR, bv) -> bool:
     """Criterion 3's comparison: Boolean values against the kernel's decisions."""
-    P, N = FR.notion, FR.universe
-    return all(bv.derived_forces(p, kind, s, t) == FR.decide(kind, p, s, t)
-               for kind in KINDS for s in N for t in N for p in P.conditions())
+    return criteria.value_coherence(FR, bv).failures == 0
 
 
 def _single_flips(FR, kinds):
@@ -326,8 +322,7 @@ def _staged_disagrees(M, pool) -> bool:
 
 def _dual_path_disagrees(M, pool, queries) -> bool:
     derived, direct = DerivedIteratedTruth(M, pool, STAGES), iterated_truth(M, STAGES, pool)
-    return any(derived.holds(beta, phi, v) != direct.holds(beta, phi, v)
-               for beta, phi, v in queries)
+    return criteria.dual_path(derived, direct, queries).failures > 0
 
 
 def test_flipped_row_bit_on_stage_3_fails_both_comparisons(iterated_setup):
@@ -354,7 +349,8 @@ def test_flipped_row_bit_of_a_code_fails_both_comparisons(iterated_setup):
     atom = next(f for f in pool if isinstance(f, AtomTr))
     xv, yv, zv = atom.free_sorted
     queries = [(STAGES - 1, atom, {xv: two, yv: encode_formula(psi), zv: encode_valuation(av)})
-               for psi in pool if len(psi.free) <= 1 for av in instances(base, psi)]
+               for psi in pool if len(psi.free) <= truth_mod.CODED_VALUATION_CAP
+               for av in instances(base, psi)]
     assert not _staged_disagrees(D, plain)
     assert not _dual_path_disagrees(D, pool, queries)
     with _row_flipped(D, two, nat_encode(1)):
@@ -391,15 +387,7 @@ def test_flipped_two_axis_row_bit_fails_the_dual_path(iterated_setup, kind):
 # at the valuations themselves, so it must catch one.
 
 def _self_coherence_failures(base, pool) -> int:
-    predicate = iterated_truth(base, STAGES, pool)
-    atom = next(f for f in pool if isinstance(f, AtomTr))
-    xv, yv, zv = atom.free_sorted
-    return sum(
-        predicate._query(beta, atom, {xv: nat_encode(alpha), yv: encode_formula(psi),
-                                      zv: encode_valuation(av)})
-        != (alpha < beta and predicate._query(alpha, psi, av))
-        for beta in range(STAGES) for alpha in range(STAGES)
-        for psi in pool for av in instances(base, psi))
+    return criteria.self_coherence(iterated_truth(base, STAGES, pool)).failures
 
 
 @contextlib.contextmanager
@@ -428,12 +416,9 @@ def test_poisoned_pair_entry_fails_self_coherence(iterated_setup):
 
 def _game_verdict_mismatches(M, pool, clock) -> int:
     """Criterion 8's comparison: the truth-teller's winning verdicts against
-    eval_formula, counted over the pool instances the clock reaches."""
-    T = truth_telling_game(M, pool, clock)
-    pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
-    verdicts = extract_verdicts(T, zermelo_solve(T).strategy_II, pool_instances)
-    return sum(verdicts[(phi, valuation_key(phi, v))] != eval_formula(M, phi, v)
-               for phi, v in pool_instances if phi.rank <= clock - 1)
+    eval_formula, counted over the pool instances the clock reaches, with
+    her win and its playout."""
+    return criteria.truth_telling(M, pool, [clock]).failures
 
 
 def test_flipped_row_bit_fails_the_truth_telling_comparison():
@@ -537,3 +522,12 @@ TRUTH_NAMES = ("eval_formula", "_value", "ground_formula", "tarski_truth")
 
 def test_the_forcing_walk_never_names_the_truth_sides():
     assert _offenders(FORCING_SIDES, TRUTH_NAMES) == []
+
+
+# The criteria compare sides given to them or built by the sides' public
+# constructors, so none may reach into the kernel or an evaluator's internals.
+
+def test_the_criteria_reach_into_no_side():
+    sides = [(criteria, name) for name, f in vars(criteria).items() if hasattr(f, "__wrapped__")]
+    assert len(sides) == 12
+    assert _offenders(sides, KERNEL_NAMES + ("_value", "_eval", "_rows", "_cache")) == []
