@@ -18,12 +18,14 @@ from typing import Callable, NamedTuple
 
 from . import corpus, criteria, sexpr
 from .errors import BudgetError, ForcelabError, ParseError
+from .etr import etr_solve, verify_solution
 from .formulas import (AtomInClass, AtomInG, AtomTr, Formula, Var, atom_eq, atom_in,
                        atom_terms, nodes, not_, parse_formula, parse_hf, subformula_closure,
                        var)
-from .forcing import (atomic_forcing, audit_boolean_algebra, audit_forcing_relation,
-                      boolean_completion, boolean_values, collect_names, forces,
-                      truth_lemma_check, truth_name)
+from .forcing import (atomic_forcing, atomic_recursion_instance, audit_boolean_algebra,
+                      audit_forcing_relation, boolean_completion, boolean_values,
+                      collect_names, compare_atomic_table, forces, truth_lemma_check,
+                      truth_name)
 from .games import random_game_tree
 from .hfset import EMPTY, v_stage
 from .names import name_universe, parse_name, subname_closure
@@ -35,23 +37,25 @@ from .truth import (DerivedIteratedTruth, FiniteStructure, forcing_truth,
 SCHEMA = "forcelab-report/1"
 
 
+def _passed(verdict: criteria.Verdict):
+    """A criteria verdict as the (ok, counterexample) pair a row records."""
+    return verdict.failures == 0, verdict.first
+
+
 class Reporter:
     def __init__(self, timings: bool):
         self.rows = []
         self.timings = timings
 
     def run(self, claim: str, thunk):
-        """Record the claim's verdict: the check returns (ok, counterexample)
-        or a criteria.Verdict.  An error raised by the check other than a
+        """Record the claim's verdict: the check returns (ok, counterexample).
+        An error raised by the check other than a
         budget overrun is a detected fault: the row fails with the error as
         its counterexample."""
         started = time.monotonic()
         row = {"claim": claim}
         try:
-            outcome = thunk()
-            if isinstance(outcome, criteria.Verdict):
-                outcome = (outcome.failures == 0, outcome.first)
-            ok, counterexample = outcome
+            ok, counterexample = thunk()
             row["status"] = "pass" if ok else "fail"
             if not ok and counterexample is not None:
                 row["counterexample"] = str(counterexample)
@@ -96,8 +100,10 @@ def suite_force(config, rep: Reporter, name: str, P: ForcingNotion):
         rep.run(f"force/{name}/{law}", lambda ok=ok, cx=cx: (ok, cx))
     pool = corpus.oracle_pool(P, N)
     rep.run(f"force/{name}/forced-iff-true", lambda: truth_lemma_check(FR, pool))
+    inst, codec, _ = atomic_recursion_instance(P, name_universe(P, 1))
+    sol = etr_solve(inst)
     rep.run(f"force/{name}/staged-recursion-identical",
-            lambda: criteria.staged_atomic(FR, name_universe(P, 1)))
+            lambda: (verify_solution(inst, sol)[0] and compare_atomic_table(FR, sol, codec), None))
     if phi is not None:
         rep.run(f"force/{name}/given-formula-forced-iff-true",
                 lambda: truth_lemma_check(FR, phi))
@@ -136,8 +142,8 @@ def suite_translate(config, rep: Reporter, name: str, P: ForcingNotion):
     names = corpus.sample_names(P, N)
     rng = random.Random(config["seed"])
     rep.run(f"translate/{name}/atomic-equality-soundness",
-            lambda: criteria.star_translation(FR, (corpus.random_qf_sentence(rng, P, names)
-                                                   for _ in range(config["count"]))))
+            lambda: _passed(criteria.star_translation(
+                FR, (corpus.random_qf_sentence(rng, P, names) for _ in range(config["count"])))))
 
 
 def suite_complete(config, rep: Reporter, name: str, P: ForcingNotion):
@@ -152,8 +158,8 @@ def suite_complete(config, rep: Reporter, name: str, P: ForcingNotion):
     N = name_universe(P, 1)
     FR = atomic_forcing(P, N)
     bv = boolean_values(bc)
-    rep.run(f"complete/{name}/value-coherence", lambda: criteria.value_coherence(FR, bv))
-    rep.run(f"complete/{name}/dense-embedding", lambda: criteria.dense_embedding(P, bc))
+    rep.run(f"complete/{name}/value-coherence", lambda: _passed(criteria.value_coherence(FR, bv)))
+    rep.run(f"complete/{name}/dense-embedding", lambda: _passed(criteria.dense_embedding(P, bc)))
 
 
 def suite_truth(config, rep: Reporter):
@@ -178,7 +184,8 @@ def suite_truth(config, rep: Reporter):
     M = FiniteStructure(stage, {"A": A})
     ft = forcing_truth(n, A, pool)
     tp = tarski_truth(M, pool)
-    rep.run(f"truth/stage-{n}/collapse-vs-direct", lambda: criteria.collapse_truth(ft, tp))
+    rep.run(f"truth/stage-{n}/collapse-vs-direct",
+            lambda: _passed(criteria.collapse_truth(ft, tp)))
     rep.run(f"truth/stage-{n}/condition-invariance",
             lambda: invariance_check(n, A, pool, ft))
 
@@ -192,26 +199,26 @@ def suite_iterated(config, rep: Reporter):
         raise ParseError("--A elements must lie in V_3")
     base = FiniteStructure(stage3, {"d": A})
     it = iterated_truth(base, beta_max, pool)
-    rep.run("iterated/self-coherence", lambda: criteria.self_coherence(it))
+    rep.run("iterated/self-coherence", lambda: _passed(criteria.self_coherence(it)))
     small = list(subformula_closure(f for f in pool if f.rank <= 1))
-    rep.run("iterated/staged-recursion-identical", lambda: criteria.staged_iterated(
-        FiniteStructure(v_stage(2), {"d": [EMPTY]}), 3, small))
+    rep.run("iterated/staged-recursion-identical", lambda: _passed(criteria.staged_iterated(
+        FiniteStructure(v_stage(2), {"d": [EMPTY]}), 3, small)))
     D = stage_comparison_structure(base, pool, beta_max)
     derived = DerivedIteratedTruth(D, pool, beta_max)
     itD = iterated_truth(D, beta_max, pool)
-    rep.run("iterated/translation-dual-path", lambda: criteria.dual_path(
+    rep.run("iterated/translation-dual-path", lambda: _passed(criteria.dual_path(
         derived, itD, criteria.instance_points(base, pool, beta_max)
-        + criteria.encoding_points(base, pool, beta_max)))
+        + criteria.encoding_points(base, pool, beta_max))))
 
 
 def suite_game(config, rep: Reporter):
     rng = random.Random(config["seed"])
-    rep.run("game/back-propagation", lambda: criteria.zermelo_games(
-        random_game_tree(rng, 200) for _ in range(config["count"])))
+    rep.run("game/back-propagation", lambda: _passed(criteria.zermelo_games(
+        random_game_tree(rng, 200) for _ in range(config["count"]))))
     x, y = var("x"), var("y")
     pool = [atom_in(x, y), not_(atom_in(x, y)), atom_eq(x, y), not_(atom_eq(x, y))]
-    rep.run("game/truth-telling", lambda: criteria.truth_telling(
-        FiniteStructure(v_stage(2)), pool, range(1, config["clock"] + 1)))
+    rep.run("game/truth-telling", lambda: _passed(criteria.truth_telling(
+        FiniteStructure(v_stage(2)), pool, range(1, config["clock"] + 1))))
 
 
 def suite_oracle(config, rep: Reporter, name: str, P: ForcingNotion):

@@ -11,7 +11,7 @@ import itertools
 from typing import NamedTuple
 
 from .etr import etr_solve, verify_solution
-from .forcing import atomic_recursion_instance, forces, star_translate
+from .forcing import forces, star_translate
 from .formulas import (And, AtomTr, Forall, Formula, Not, Or, encode_formula,
                        encode_valuation, formula_to_sexp)
 from .games import (extract_verdicts, label_fixpoint_violation, truth_telling_game,
@@ -52,7 +52,7 @@ def _criterion(points):
     return tally
 
 
-# --- forcing, its translation and its Boolean values (criteria 2, 3, 7) ------
+# --- forcing, its translation and its Boolean values (criteria 2, 3) ---------
 
 @_criterion
 def star_translation(FR, sentences):
@@ -88,18 +88,6 @@ def dense_embedding(P, completion):
         if u != B.zero:
             yield (any(B.le(embed(p), u) for p in conditions),
                    ("density", [p for p in conditions if u >> p & 1]))
-
-
-@_criterion
-def staged_atomic(FR, names):
-    """The staged recursion instance of the atomic relation over `names`,
-    solved and verified, against the table, entry by entry."""
-    inst, codec, _ = atomic_recursion_instance(FR.notion, names)
-    solution = etr_solve(inst)
-    yield verify_solution(inst, solution)
-    staged = frozenset().union(*solution.slices)
-    for enc, (p, kind, s, t) in codec.items():
-        yield (enc in staged) == FR.decide(kind, p, s, t), (kind, p)
 
 
 # --- truth (criteria 4, 6, 7) -------------------------------------------------

@@ -10,12 +10,13 @@ import time
 import pytest
 
 from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, FiniteStructure, Forall, Not,
-                      Or, atom_eq, atom_in, atom_tr, atomic_forcing, audit_boolean_algebra,
-                      audit_forcing_relation, boolean_completion, boolean_values, etr_solve,
-                      forcing_truth, invariance_check, is_separative, iterated_truth,
-                      name_universe, not_, random_game_tree, stage_comparison_structure,
-                      subformula_closure, tarski_truth, truth_lemma_check, truth_name, v_stage,
-                      var, verify_solution)
+                      Or, atom_eq, atom_in, atom_tr, atomic_forcing, atomic_recursion_instance,
+                      audit_boolean_algebra, audit_forcing_relation, boolean_completion,
+                      boolean_values, compare_atomic_table, etr_solve, forcing_truth,
+                      invariance_check, is_separative, iterated_truth, name_universe, not_,
+                      random_game_tree, stage_comparison_structure, subformula_closure,
+                      tarski_truth, truth_lemma_check, truth_name, v_stage, var,
+                      verify_solution)
 from forcelab import corpus, criteria
 from forcelab.truth import CODED_VALUATION_CAP
 
@@ -166,8 +167,11 @@ def test_criterion_7_recursion_engine():
     expected = len(builtin)
     for name, P in corpus.corpus_notions()[:6]:
         universe = name_universe(P, 1)
-        verdicts.append(criteria.staged_atomic(atomic_forcing(P, universe), universe))
-        expected += 1 + 2 * len(universe) ** 2 * len(P)  # "in" and "eq" entries
+        inst, codec, _ = atomic_recursion_instance(P, universe)
+        sol = etr_solve(inst)
+        verdicts += [_one(verify_solution(inst, sol)[0]),
+                     _one(compare_atomic_table(atomic_forcing(P, universe), sol, codec))]
+        expected += 2
     M = FiniteStructure(v_stage(2), {"d": [EMPTY]})
     small_pool = list(subformula_closure(
         [atom_in(var("a"), var("b")), not_(atom_in(var("a"), var("b"))),

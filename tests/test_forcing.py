@@ -277,8 +277,9 @@ def test_atomic_relation_as_recursion_instance(fork):
 def _both_sides_agree(P, N) -> bool:
     """The direct table against the staged instance and the Boolean values."""
     FR = atomic_forcing(P, N)
+    inst, codec, _ = atomic_recursion_instance(P, N)
     bv = boolean_values(boolean_completion(P))
-    return (criteria.staged_atomic(FR, N).failures == 0
+    return (compare_atomic_table(FR, etr_solve(inst), codec)
             and criteria.value_coherence(FR, bv).failures == 0)
 
 

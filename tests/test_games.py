@@ -5,7 +5,7 @@ import pytest
 
 from forcelab import (And, BudgetError, Exists, FiniteStructure, Forall, ForcelabError,
                       GameNode, GameTree, Or, ParseError, and_, atom_eq, atom_in,
-                      continuous_rank, etr_solve, eval_formula, exists,
+                      continuous_rank, etr_solve, eval_formula, exists, extract_verdicts,
                       forall, label_fixpoint_violation, not_, or_, parse_game,
                       random_game_tree, truth_telling_game, v_stage, var, verify_strategy,
                       zermelo_recursion_instance, zermelo_solve, verify_solution)
@@ -278,13 +278,18 @@ def rank_two_game():
 
 
 def test_rank_two_verdicts_match_truth(rank_two_game):
-    M, pool, T, _ = rank_two_game
+    M, pool, T, res = rank_two_game
     assert {type(phi) for phi in pool if phi.rank == 1} >= {Exists, Forall, And, Or}
     assert {type(phi) for phi in pool if phi.rank == 2} >= {Exists, Forall, And, Or}
     # the unfolded tree is larger than the budget the graph's rows keep to
     assert len(T) == 497_323 and len(T._rows) == 3_554
-    # the winner, her playout and all 34 pool instances, judged by criterion 8
-    assert criteria.truth_telling(M, pool, [max(phi.rank for phi in pool) + 1]) == (0, None, 36)
+    assert res.labels[T.root] == "II"
+    assert verify_strategy(T, res.strategy_II, "II") == (True, None)
+    pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
+    verdicts = extract_verdicts(T, res.strategy_II, pool_instances)
+    assert len(verdicts) == len(pool_instances) == 34
+    assert all(verdicts[(phi, valuation_key(phi, v))] == eval_formula(M, phi, v)
+               for phi, v in pool_instances)
 
 
 def test_a_lie_on_one_quantified_instance_loses(rank_two_game):

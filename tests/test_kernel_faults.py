@@ -529,5 +529,5 @@ def test_the_forcing_walk_never_names_the_truth_sides():
 
 def test_the_criteria_reach_into_no_side():
     sides = [(criteria, name) for name, f in vars(criteria).items() if hasattr(f, "__wrapped__")]
-    assert len(sides) == 12
+    assert len(sides) == 11
     assert _offenders(sides, KERNEL_NAMES + ("_value", "_eval", "_rows", "_cache")) == []
