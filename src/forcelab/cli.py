@@ -19,9 +19,8 @@ from typing import Callable, NamedTuple
 from . import corpus, criteria, sexpr
 from .errors import BudgetError, ForcelabError, ParseError
 from .etr import etr_solve, verify_solution
-from .formulas import (AtomInClass, AtomInG, AtomTr, Formula, Var, atom_eq, atom_in,
-                       atom_terms, nodes, not_, parse_formula, parse_hf, subformula_closure,
-                       var)
+from .formulas import (AtomInClass, AtomInG, AtomTr, Formula, Var, atom_terms, nodes,
+                       parse_formula, parse_hf, subformula_closure)
 from .forcing import (atomic_forcing, atomic_recursion_instance, audit_boolean_algebra,
                       audit_forcing_relation, boolean_completion, boolean_values,
                       collect_names, compare_atomic_table, forces, truth_lemma_check,
@@ -215,10 +214,9 @@ def suite_game(config, rep: Reporter):
     rng = random.Random(config["seed"])
     rep.run("game/back-propagation", lambda: _passed(criteria.zermelo_games(
         random_game_tree(rng, 200) for _ in range(config["count"]))))
-    x, y = var("x"), var("y")
-    pool = [atom_in(x, y), not_(atom_in(x, y)), atom_eq(x, y), not_(atom_eq(x, y))]
     rep.run("game/truth-telling", lambda: _passed(criteria.truth_telling(
-        FiniteStructure(v_stage(2)), pool, range(1, config["clock"] + 1))))
+        FiniteStructure(v_stage(2)), corpus.atomic_game_pool(),
+        range(1, config["clock"] + 1))))
 
 
 def suite_oracle(config, rep: Reporter, name: str, P: ForcingNotion):

@@ -196,6 +196,13 @@ def iterated_pool() -> list[Formula]:
     return list(subformula_closure(seeds))
 
 
+def atomic_game_pool() -> list[Formula]:
+    """The four atoms the truth-telling game checks: x ∈ y, ¬ x ∈ y, x = y
+    and ¬ x = y."""
+    x, y = var("x"), var("y")
+    return [atom_in(x, y), not_(atom_in(x, y)), atom_eq(x, y), not_(atom_eq(x, y))]
+
+
 def builtin_instances():
     """Named recursion instances for the engine checks."""
     stage = tuple(v_stage(3))

@@ -31,10 +31,20 @@ def nodes(root, children: Callable[..., Sequence], skip: Container = ()) -> Iter
 
 def fold(root, children: Callable[..., Sequence], combine: Callable, memo: dict | None = None):
     """combine(node, results for its children), bottom-up, once per distinct
-    node.  Results are kept in `memo`; pass one to share them across calls."""
+    node; children(node) is called once per distinct node too.  A node may
+    carry the context a walk needs, say (subformula, bound variables), so
+    one fold serves every walk.  Results are kept in `memo`; pass one to
+    share them across calls."""
     memo = {} if memo is None else memo
-    for node in nodes(root, children, memo):
-        memo[node] = combine(node, tuple(memo[c] for c in children(node)))
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:
+            memo[node] = combine(node, tuple(map(memo.__getitem__, kids)))
+        elif node not in memo:
+            kids = children(node)
+            stack.append((node, kids))
+            stack.extend([(c, None) for c in reversed(kids)])
     return memo[root]
 
 

@@ -460,9 +460,10 @@ def star_translate(phi: Formula, P: ForcingNotion) -> tuple[PName, PName]:
     folds the positive formula into a pair of names: each atom into one
     equality, and conjunctions and disjunctions into single equalities
     (disjunction via the redundancy construction).  A condition forces the
-    sentence iff it forces the returned equality.  The polarity walk
-    recurses once per nesting level, so a sentence nested deeper than
-    NESTING_CAP is refused.
+    sentence iff it forces the returned equality.  Both walks are folds,
+    so neither recurses per nesting level; a sentence nested deeper than
+    NESTING_CAP is still refused, so that every translated sentence can be
+    checked against `forces`, which recurses (criterion 2).
 
     Each node's name pair and each rewrite are built once per notion size
     and kept across calls; a call that reuses one still charges the budget
@@ -480,7 +481,7 @@ def star_translate(phi: Formula, P: ForcingNotion) -> tuple[PName, PName]:
             raise ForcelabError("translation is for quantifier-free sentences")
         if isinstance(f, (AtomInClass, AtomTr)):
             raise ForcelabError("translation covers =, ∈ and generic-filter atoms only")
-    positive = _polar(phi, True, P, guard, {})
+    positive = _polar(phi, P, guard)
     n = len(P)
     return dag.fold(positive, _reduce_children, lambda f, parts: _shared(
         _reduced, (f, n), guard, _reduce_node, f, parts, P, guard))
@@ -490,30 +491,33 @@ def _g_atom(i: int) -> Formula:
     return atom_in_g(name_const(check_name(nat_encode(i))))
 
 
-def _polar(phi: Formula, sign: bool, P: ForcingNotion, guard: _SizeGuard,
-           memo: dict) -> Formula:
-    """phi (sign True) or ¬phi (sign False) as a positive formula, once per
-    (node, sign)."""
-    key = (phi, sign)
-    got = memo.get(key)
-    if got is None:
-        if isinstance(phi, Not):
-            got = _polar(phi.sub, not sign, P, guard, memo)
-        elif isinstance(phi, (And, Or)):
-            subs = [_polar(s, sign, P, guard, memo) for s in phi.subs]
-            got = and_(subs) if isinstance(phi, And) == sign else or_(subs)
-        elif isinstance(phi, AtomInG) and _condition_index(_term_pname(phi.term), P) is None:
+def _polar(phi: Formula, P: ForcingNotion, guard: _SizeGuard) -> Formula:
+    """phi as a positive formula: one fold over (node, sign) pairs, where
+    sign False asks for the node's negation."""
+    def parts(item: tuple[Formula, bool]) -> list:
+        f, sign = item
+        if isinstance(f, Not):
+            return [(f.sub, not sign)]
+        if isinstance(f, (And, Or)):
+            return [(s, sign) for s in f.subs]
+        if isinstance(f, AtomInG) and _condition_index(_term_pname(f.term), P) is None:
             checks = (name_const(check_name(nat_encode(i))) for i in P.conditions())
-            got = _polar(or_(and_([atom_in_g(c), atom_eq(phi.term, c)]) for c in checks),
-                         sign, P, guard, memo)
-        elif sign or isinstance(phi, AtomInG):
-            got = phi if sign else not_(phi)
-        else:
-            sigma, tau = _term_pname(phi.left), _term_pname(phi.right)
-            rewrite = _not_eq if isinstance(phi, AtomEq) else _not_in
-            got = _shared(_rewrites, (rewrite, sigma, tau), guard, rewrite, sigma, tau, guard)
-        memo[key] = got
-    return got
+            return [(or_(and_([atom_in_g(c), atom_eq(f.term, c)]) for c in checks), sign)]
+        return []
+
+    def combine(item: tuple[Formula, bool], kids: tuple[Formula, ...]) -> Formula:
+        f, sign = item
+        if isinstance(f, (And, Or)):
+            return and_(kids) if isinstance(f, And) == sign else or_(kids)
+        if kids:  # a negation, or a filter atom by its expansion
+            return kids[0]
+        if sign or isinstance(f, AtomInG):
+            return f if sign else not_(f)
+        sigma, tau = _term_pname(f.left), _term_pname(f.right)
+        rewrite = _not_eq if isinstance(f, AtomEq) else _not_in
+        return _shared(_rewrites, (rewrite, sigma, tau), guard, rewrite, sigma, tau, guard)
+
+    return dag.fold((phi, True), parts, combine)
 
 
 # The rewrites terminate along the measure (summed ranks, then a tag putting

@@ -382,26 +382,19 @@ def map_formula(phi: Formula, atom_fn: Callable[[Formula, frozenset[str]], Formu
                 watch: frozenset[str] = frozenset()) -> Formula:
     """Rebuild phi with every atom replaced by atom_fn(atom, bound), where
     `bound` holds the variables of `watch` that quantifiers above that
-    occurrence bind.  Each distinct (node, bound) pair is rebuilt once."""
-    memo: dict[tuple[Formula, frozenset[str]], Formula] = {}
+    occurrence bind.  One fold over (node, bound) pairs, so each is rebuilt
+    once."""
+    def parts(item: tuple[Formula, frozenset[str]]) -> list:
+        f, bound = item
+        if isinstance(f, (Forall, Exists)):
+            bound = bound | watch.intersection(f.vars)
+        return [(c, bound) for c in f.children()]
 
-    def walk(f: Formula, bound: frozenset[str]) -> Formula:
-        key = (f, bound)
-        got = memo.get(key)
-        if got is None:
-            if f.rank == 0:
-                got = atom_fn(f, bound)
-            else:
-                inner = bound
-                if isinstance(f, (Forall, Exists)):
-                    inner = bound | watch.intersection(f.vars)
-                got = _rebuild(f, [walk(c, inner) for c in f.children()])
-            memo[key] = got
-        return got
+    def rebuild(item: tuple[Formula, frozenset[str]], kids: tuple[Formula, ...]) -> Formula:
+        f, bound = item
+        return _rebuild(f, kids) if f.rank else atom_fn(f, bound)
 
-    out = walk(phi, frozenset())
-    del walk  # it refers to itself; without the cycle, freeing it needs no collector pass
-    return out
+    return dag.fold((phi, frozenset()), parts, rebuild)
 
 
 def atom_terms(atom: Formula) -> tuple[Term, ...]:
@@ -489,31 +482,28 @@ def substitute(phi: Formula, bindings: dict[str, Term]) -> Formula:
 
 def rename_free(phi: Formula, mapping: dict[str, str]) -> Formula:
     """Rename free variables, leaving occurrences bound above alone.  The
-    targets must not occur in phi, or they would be captured.  A subformula
-    with no free variable still to rename is returned as it is, so only the
-    paths down to renamed occurrences are rebuilt, each (node, live names)
-    pair once."""
-    memo: dict[tuple[Formula, frozenset[str]], Formula] = {}
+    targets must not occur in phi, or they would be captured.  One fold over
+    (node, live names) pairs, the names still to rename there; a subformula
+    with none free is a leaf returned as it is, so only the paths down to
+    renamed occurrences are rebuilt."""
+    def parts(item: tuple[Formula, frozenset[str]]) -> list:
+        f, live = item
+        if f.free.isdisjoint(live):
+            return []
+        if isinstance(f, (Forall, Exists)):
+            live = live.difference(f.vars)
+        return [(c, live) for c in f.children()]
 
-    def walk(f: Formula, live: frozenset[str]) -> Formula:
+    def rebuild(item: tuple[Formula, frozenset[str]], kids: tuple[Formula, ...]) -> Formula:
+        f, live = item
         if f.free.isdisjoint(live):
             return f
-        key = (f, live)
-        got = memo.get(key)
-        if got is None:
-            if f.rank == 0:
-                targets = {k: var(mapping[k]) for k in live}
-                got = map_atom(f, lambda t: _subst_term(t, targets))
-            elif isinstance(f, (Forall, Exists)):
-                got = _rebuild(f, [walk(f.body, live.difference(f.vars))])
-            else:
-                got = _rebuild(f, [walk(c, live) for c in f.children()])
-            memo[key] = got
-        return got
+        if f.rank:
+            return _rebuild(f, kids)
+        targets = {k: var(mapping[k]) for k in live}
+        return map_atom(f, lambda t: _subst_term(t, targets))
 
-    out = walk(phi, frozenset(mapping))
-    del walk  # it refers to itself; without the cycle, freeing it needs no collector pass
-    return out
+    return dag.fold((phi, frozenset(mapping)), parts, rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -637,19 +627,20 @@ _theta_cache: dict[tuple[HFSet, str, int], Formula] = {}
 
 
 def theta_formula(a: HFSet, free_var: str = "x") -> Formula:
-    """The constant-free formula defining a: θ_a(x) = ∀z (z∈x ⟺ ⋁_{u∈a} θ_u(z))."""
-    return _theta(a, free_var, 0)
+    """The constant-free formula defining a: θ_a(x) = ∀z (z∈x ⟺ ⋁_{u∈a} θ_u(z)).
+    One fold over (set, variable, depth) triples, kept in _theta_cache."""
+    return dag.fold((a, free_var, 0), _theta_parts, _theta_node, _theta_cache)
 
 
-def _theta(a: HFSet, v: str, depth: int) -> Formula:
-    key = (a, v, depth)
-    got = _theta_cache.get(key)
-    if got is None:
-        z = f"z{depth}"
-        disj = or_(_theta(u, z, depth + 1) for u in a.children)
-        got = forall((z,), iff(atom_in(var(z), var(v)), disj))
-        _theta_cache[key] = got
-    return got
+def _theta_parts(item: tuple[HFSet, str, int]) -> list:
+    a, _, depth = item
+    return [(u, f"z{depth}", depth + 1) for u in a.children]
+
+
+def _theta_node(item: tuple[HFSet, str, int], disjuncts: tuple[Formula, ...]) -> Formula:
+    _, v, depth = item
+    z = f"z{depth}"
+    return forall((z,), iff(atom_in(var(z), var(v)), or_(disjuncts)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from . import sexpr
 from .dag import bounded_repr, fold, nodes
 from .errors import BudgetError, ForcelabError, ParseError
-from .hfset import HFSet, hf_make, hf_pair, nat_encode
+from .hfset import HFSet, _members, hf_make, hf_pair, nat_encode
 from .poset import CollapseNotion, Filter, ForcingNotion
 
 _intern: dict[tuple, "PName"] = {}
@@ -117,12 +117,11 @@ _check_cache: dict[HFSet, PName] = {}
 
 
 def check_name(x: HFSet) -> PName:
-    """The canonical name x̌ = {(y̌, 1) : y ∈ x}, whose value is always x."""
+    """The canonical name x̌ = {(y̌, 1) : y ∈ x}, whose value is always x:
+    one fold over the members, kept in _check_cache."""
     cached = _check_cache.get(x)
-    if cached is None:
-        cached = name_make((check_name(y), 0) for y in x)
-        _check_cache[x] = cached
-    return cached
+    return cached if cached is not None else fold(
+        x, _members, lambda _, kids: name_make((k, 0) for k in kids), _check_cache)
 
 
 def op_name(sigma: PName, tau: PName) -> PName:
@@ -174,23 +173,13 @@ def n_dot(P: ForcingNotion, a: HFSet) -> PName:
         for n in range(C.clock) for k in range(n))
 
 
-def name_universe(P: ForcingNotion, rho: int | None = None,
-                  seeds: Iterable[PName] | None = None) -> tuple[PName, ...]:
-    """Name pool for quantifier clauses: exhaustive to rank rho, or seeded closure.
-
-    Exhaustive mode returns every name of rank ≤ rho (rho ≤ 2); seeded mode
-    returns the subname closure of the seeds.  Output is subname-closed and
-    canonically ordered either way.
+def name_universe(P: ForcingNotion, rho: int) -> tuple[PName, ...]:
+    """Name pool for quantifier clauses: every name of rank ≤ rho (rho ≤ 2),
+    subname-closed and canonically ordered.  A pool of deeper names is the
+    `subname_closure` of chosen ones.
     """
-    if seeds is not None:
-        out = subname_closure(seeds)
-        if len(out) > NAME_UNIVERSE_BUDGET:
-            raise BudgetError(f"seeded universe has {len(out)} names, budget {NAME_UNIVERSE_BUDGET}")
-        return out
-    if rho is None:
-        raise ForcelabError("need a rank bound or seeds")
     if rho > 2:
-        raise BudgetError("exhaustive name universes are limited to rank 2; pass seeds instead")
+        raise BudgetError("exhaustive name universes are limited to rank 2")
     layer = [EMPTY_NAME]
     for _ in range(rho):
         pairs = [(n, p) for n in layer for p in P.conditions()]

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, FiniteStructure, Forall, Not,
-                      Or, atom_eq, atom_in, atom_tr, atomic_forcing, atomic_recursion_instance,
+                      Or, atom_in, atom_tr, atomic_forcing, atomic_recursion_instance,
                       audit_boolean_algebra, audit_forcing_relation, boolean_completion,
                       boolean_values, compare_atomic_table, etr_solve, forcing_truth,
                       invariance_check, is_separative, iterated_truth, name_universe, not_,
@@ -186,8 +186,7 @@ def test_criterion_8_clopen_determinacy():
     started = time.monotonic()
     rng = random.Random(88)
     M = FiniteStructure(v_stage(2))
-    x, y = var("x"), var("y")
-    pool = [atom_in(x, y), not_(atom_in(x, y)), atom_eq(x, y), not_(atom_eq(x, y))]
+    pool = corpus.atomic_game_pool()
     clocks = (1, 2, 3)
     verdicts = [criteria.zermelo_games(random_game_tree(rng, 200) for _ in range(1000)),
                 criteria.truth_telling(M, pool, clocks)]

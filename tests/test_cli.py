@@ -361,7 +361,7 @@ REMOVED_PARAMETERS = [
     (forcelab.truth_lemma_check, {"class_names"}),
     (forcelab.etr_solve, {"budget"}),
     (forcelab.instances, {"budget"}),
-    (forcelab.name_universe, {"budget"}),
+    (forcelab.name_universe, {"budget", "seeds"}),
     (forcelab.CollapseNotion, {"budget"}),
     (forcelab.build_collapse, {"budget"}),
     (forcelab.v_stage, {"cap"}),

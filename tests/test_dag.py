@@ -2,19 +2,21 @@
 keys, walks that visit each distinct node once, and reprs bounded by the
 tree size."""
 
+import collections
 import functools
 import random
 import time
 
 from hypothesis import given, strategies as st
 
-from forcelab import (EMPTY, EMPTY_NAME, and_, atom_eq, atom_in, check_name,
+from forcelab import (EMPTY, EMPTY_NAME, And, Not, and_, atom_eq, atom_in, check_name,
                       const, corpus, decode_formula, encode_formula, hf_make,
-                      name_make, name_to_hf, name_to_sexp, name_universe, not_,
-                      parse_formula, star_translate, subname_closure, subnames,
-                      v_stage, var)
+                      map_formula, name_make, name_to_hf, name_to_sexp, name_universe,
+                      not_, or_, parse_formula, star_translate, subname_closure, subnames,
+                      substitute, theta_formula, v_stage, var)
+from forcelab import dag
 from forcelab.dag import REPR_CAP
-from forcelab.formulas import atom_terms, formula_to_sexp, nodes, pair_term
+from forcelab.formulas import atom_terms, formula_to_sexp, nodes, pair_term, rename_free
 
 
 def test_interned_values_hash_by_identity(fork):
@@ -164,6 +166,80 @@ def test_formula_code_round_trip_and_repr_on_a_shared_chain():
     f = _formula_chain(40)
     assert _within_a_second(lambda: decode_formula(encode_formula(f))) is f
     assert _within_a_second(lambda: repr(f)).startswith("<And of rank 80: ")
+
+
+def _counted(fn):
+    calls = collections.Counter()
+
+    def counting(node, *args):
+        calls[node] += 1
+        return fn(node, *args)
+    return counting, calls
+
+
+def test_fold_asks_each_distinct_node_for_its_children_once():
+    f = _formula_chain(40)
+    children, asked = _counted(lambda node: node.children())
+    combine, combined = _counted(lambda node, kids: 1 + sum(kids))
+    # the chain of depth d has 3·2^d - 2 tree nodes over 2d + 1 distinct ones
+    assert dag.fold(f, children, combine) == 3 * 2 ** 40 - 2
+    assert asked == combined == dict.fromkeys(nodes(f), 1)
+    assert len(asked) == 2 * 40 + 1
+
+
+def test_a_fold_over_node_and_context_visits_each_pair_once():
+    # (subformula, sign) pairs, as the polarity pass of star_translate walks
+    # them: below the top conjunction every node is met with both signs
+    f = _formula_chain(40)
+
+    def parts(item):
+        node, sign = item
+        if isinstance(node, Not):
+            return [(node.sub, not sign)]
+        return [(c, sign) for c in node.children()]
+
+    def negation_normal_form(item, kids):
+        node, sign = item
+        if isinstance(node, Not):
+            return kids[0]
+        if isinstance(node, And):
+            return and_(kids) if sign else or_(kids)
+        return node if sign else not_(node)
+
+    children, asked = _counted(parts)
+    combine, combined = _counted(negation_normal_form)
+    out = dag.fold((f, True), children, combine)
+    assert asked == combined == dict.fromkeys(dag.nodes((f, True), parts), 1)
+    assert len(asked) == 4 * 40
+    assert all(g.sub.rank == 0 for g in nodes(out) if isinstance(g, Not))
+
+
+def _deep_chain(depth, left):
+    """A chain alternating ∧ and ¬ over left ∈ y, nested depth levels."""
+    f = atom_in(left, var("y"))
+    for i in range(depth):
+        f = not_(f) if i % 2 else and_([f, atom_eq(var("y"), var("y"))])
+    return f
+
+
+def test_rewrites_walk_any_nesting_depth():
+    # far deeper than the interpreter's recursion limit of 1,000 frames
+    deep = 5000
+    phi = _deep_chain(deep, var("x"))
+    assert phi.rank == deep
+    assert substitute(phi, {"x": const(EMPTY)}) is _deep_chain(deep, const(EMPTY))
+    assert rename_free(phi, {"x": "u"}) is _deep_chain(deep, var("u"))
+    assert map_formula(phi, lambda atom, _bound: atom) is phi
+    x = EMPTY
+    for _ in range(deep):
+        x = hf_make([x])
+    name = check_name(x)
+    assert name.rank == deep
+    for _ in range(deep):
+        (name, r), = name.entries
+        assert r == 0
+    assert name is EMPTY_NAME
+    assert theta_formula(x).rank > deep
 
 
 def test_repr_of_a_star_translation_code_is_a_summary():

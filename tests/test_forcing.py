@@ -414,7 +414,7 @@ def deep_four_fork():
     deep = [name_make([(rng.choice(N1), rng.randrange(len(P)))
                        for _ in range(rng.randint(1, 8))]) for _ in range(300)]
     oracle = corpus.oracle_universe(P)
-    FR = atomic_forcing(P, name_universe(P, seeds=list(oracle) + deep))
+    FR = atomic_forcing(P, subname_closure(list(oracle) + deep))
     return FR, corpus.oracle_pool(P, oracle)
 
 

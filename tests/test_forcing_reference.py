@@ -4,20 +4,33 @@ here as the reference, as test_eval_reference.py keeps the pointwise
 evaluator: it forces closed formulas only, builds each quantifier instance
 with `substitute` and memoizes every instance by formula.  Both read the
 atoms off the same atomic table, so the comparison covers the composite
-clauses, the valuation and the memo keys."""
+clauses, the valuation and the memo keys.
+
+The formula rewrites are folds of `dag`; copies of the recursions they
+replaced (map_formula, rename_free, the polarity pass of star_translate,
+check_name and the θ-formulas) are kept here too, and the folds must
+build the very objects the copies build."""
 
 import functools
 import itertools
 import operator
+import random
 
 import pytest
 
 from forcelab import (EMPTY, EMPTY_NAME, And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                       BudgetError, Exists, Forall, ForcelabError, NameConst, Not,
-                      Or, and_, atom_eq, atom_in, atomic_forcing, check_name,
-                      corpus, exists, forall, forcing_truth, forces, hf_make,
-                      name_const, name_make, not_, substitute, v_stage, var)
-from forcelab.forcing import QUANTIFIER_BUDGET
+                      Or, StageTranslator, and_, atom_eq, atom_in, atom_in_g, atomic_forcing,
+                      check_name, corpus, exists, extension, forall, forcing_truth, forces,
+                      generic_filters, ground_formula, hf_make, iff, name_const, name_make,
+                      nat_encode, nodes, not_, or_, star_translate, substitute, theta_formula,
+                      v_stage, var)
+from forcelab import forcing as forcing_mod
+from forcelab import formulas as formulas_mod
+from forcelab import names as names_mod
+from forcelab import truth as truth_mod
+from forcelab.forcing import QUANTIFIER_BUDGET, TRANSLATION_BUDGET, _SizeGuard, _term_pname
+from forcelab.formulas import _rebuild, _subst_term, map_atom
 from forcelab.truth import FiniteStructure, instances
 
 
@@ -157,3 +170,159 @@ def test_an_inner_binder_shadows_the_outer_one(fork):
     assert FR.value(forall(("x",), inner)) == FR.value(inner)
     with pytest.raises(ForcelabError, match="bound variable"):
         _reference_value(FR, forall(("x",), inner), {})
+
+
+# --- the recursive rewrites the folds replaced ---------------------------------
+
+def ref_map_formula(phi, atom_fn, watch=frozenset()):
+    memo = {}
+
+    def walk(f, bound):
+        key = (f, bound)
+        got = memo.get(key)
+        if got is None:
+            if f.rank == 0:
+                got = atom_fn(f, bound)
+            else:
+                inner = bound
+                if isinstance(f, (Forall, Exists)):
+                    inner = bound | watch.intersection(f.vars)
+                got = _rebuild(f, [walk(c, inner) for c in f.children()])
+            memo[key] = got
+        return got
+
+    return walk(phi, frozenset())
+
+
+def ref_rename_free(phi, mapping):
+    memo = {}
+
+    def walk(f, live):
+        if f.free.isdisjoint(live):
+            return f
+        key = (f, live)
+        got = memo.get(key)
+        if got is None:
+            if f.rank == 0:
+                targets = {k: var(mapping[k]) for k in live}
+                got = map_atom(f, lambda t: _subst_term(t, targets))
+            elif isinstance(f, (Forall, Exists)):
+                got = _rebuild(f, [walk(f.body, live.difference(f.vars))])
+            else:
+                got = _rebuild(f, [walk(c, live) for c in f.children()])
+            memo[key] = got
+        return got
+
+    return walk(phi, frozenset(mapping))
+
+
+def ref_polar(phi, sign, P, guard, memo):
+    key = (phi, sign)
+    got = memo.get(key)
+    if got is None:
+        if isinstance(phi, Not):
+            got = ref_polar(phi.sub, not sign, P, guard, memo)
+        elif isinstance(phi, (And, Or)):
+            subs = [ref_polar(s, sign, P, guard, memo) for s in phi.subs]
+            got = and_(subs) if isinstance(phi, And) == sign else or_(subs)
+        elif (isinstance(phi, AtomInG)
+              and forcing_mod._condition_index(_term_pname(phi.term), P) is None):
+            checks = (name_const(check_name(nat_encode(i))) for i in P.conditions())
+            got = ref_polar(or_(and_([atom_in_g(c), atom_eq(phi.term, c)]) for c in checks),
+                            sign, P, guard, memo)
+        elif sign or isinstance(phi, AtomInG):
+            got = phi if sign else not_(phi)
+        else:
+            sigma, tau = _term_pname(phi.left), _term_pname(phi.right)
+            rewrite = forcing_mod._not_eq if isinstance(phi, AtomEq) else forcing_mod._not_in
+            got = forcing_mod._shared(forcing_mod._rewrites, (rewrite, sigma, tau), guard,
+                                      rewrite, sigma, tau, guard)
+        memo[key] = got
+    return got
+
+
+def ref_check_name(x, memo):
+    got = memo.get(x)
+    if got is None:
+        got = memo[x] = name_make((ref_check_name(y, memo), 0) for y in x)
+    return got
+
+
+def ref_theta(a, v, depth, memo):
+    key = (a, v, depth)
+    got = memo.get(key)
+    if got is None:
+        z = f"z{depth}"
+        disj = or_(ref_theta(u, z, depth + 1, memo) for u in a.children)
+        got = memo[key] = forall((z,), iff(atom_in(var(z), var(v)), disj))
+    return got
+
+
+def _all_same(ours, theirs) -> int:
+    assert len(ours) == len(theirs)
+    assert all(a is b for a, b in zip(ours, theirs))
+    return len(ours)
+
+
+@pytest.mark.parametrize("name", [n for n, _ in corpus.corpus_notions()])
+def test_grounding_and_substitution_build_what_the_recursion_built(name, monkeypatch):
+    P = dict(corpus.corpus_notions())[name]
+    N = corpus.oracle_universe(P)
+    FR = atomic_forcing(P, N)
+    pool = corpus.oracle_pool(P, N)
+    exts = [extension(FR, G) for G in generic_filters(P)]
+    blocks = {f for phi in pool for f in nodes(phi) if isinstance(f, (Forall, Exists))}
+
+    def rewrites():
+        return ([ground_formula(phi, ext) for ext in exts for phi in pool]
+                + [substitute(f.body, dict.fromkeys(f.vars, name_const(sigma)))
+                   for f in blocks for sigma in N])
+
+    ours = rewrites()
+    monkeypatch.setattr(formulas_mod, "map_formula", ref_map_formula)
+    monkeypatch.setattr(forcing_mod, "map_formula", ref_map_formula)
+    assert _all_same(ours, rewrites()) == len(exts) * len(pool) + len(blocks) * len(N)
+
+
+@pytest.mark.parametrize("name", [n for n, _ in corpus.corpus_notions()])
+def test_the_polarity_pass_builds_what_the_recursion_built(name, monkeypatch):
+    P = dict(corpus.corpus_notions())[name]
+    names = corpus.sample_names(P, corpus.oracle_universe(P))
+    rng = random.Random(27)
+    sentences = [corpus.random_qf_sentence(rng, P, names) for _ in range(200)]
+    for phi in sentences:
+        ours, theirs = _SizeGuard(TRANSLATION_BUDGET), _SizeGuard(TRANSLATION_BUDGET)
+        assert forcing_mod._polar(phi, P, ours) is ref_polar(phi, True, P, theirs, {})
+        assert ours.count == theirs.count
+    pairs = [star_translate(phi, P) for phi in sentences]
+    monkeypatch.setattr(forcing_mod, "_polar",
+                        lambda phi, P, guard: ref_polar(phi, True, P, guard, {}))
+    flat = [n for pair in pairs for n in pair]
+    assert _all_same(flat, [n for phi in sentences for n in star_translate(phi, P)]) == 400
+
+
+def test_stage_translations_build_what_the_recursions_built(monkeypatch):
+    pool = corpus.iterated_pool()
+
+    def translations():
+        tr = StageTranslator(pool, 4)
+        return [tr.translate(beta, phi) for beta in range(5) for phi in pool]
+
+    ours = translations()
+    theta_memo = {}
+    monkeypatch.setattr(truth_mod, "map_formula", ref_map_formula)
+    monkeypatch.setattr(truth_mod, "rename_free", ref_rename_free)
+    monkeypatch.setattr(truth_mod, "theta_formula",
+                        lambda a, v="x": ref_theta(a, v, 0, theta_memo))
+    assert _all_same(ours, translations()) == 5 * len(pool)
+    assert theta_memo
+
+
+def test_check_names_and_theta_formulas_build_what_the_recursions_built(monkeypatch):
+    monkeypatch.setattr(names_mod, "_check_cache", {})
+    monkeypatch.setattr(formulas_mod, "_theta_cache", {})
+    check_memo, theta_memo = {}, {}
+    assert _all_same([check_name(x) for x in v_stage(4)],
+                     [ref_check_name(x, check_memo) for x in v_stage(4)]) == 16
+    assert _all_same([theta_formula(a, v) for a in v_stage(3) for v in "xt"],
+                     [ref_theta(a, v, 0, theta_memo) for a in v_stage(3) for v in "xt"]) == 8

@@ -6,10 +6,10 @@ import pytest
 from forcelab import (And, BudgetError, Exists, FiniteStructure, Forall, ForcelabError,
                       GameNode, GameTree, Or, ParseError, and_, atom_eq, atom_in,
                       continuous_rank, etr_solve, eval_formula, exists, extract_verdicts,
-                      forall, label_fixpoint_violation, not_, or_, parse_game,
+                      forall, label_fixpoint_violation, or_, parse_game,
                       random_game_tree, truth_telling_game, v_stage, var, verify_strategy,
                       zermelo_recursion_instance, zermelo_solve, verify_solution)
-from forcelab import criteria, games
+from forcelab import corpus, criteria, games
 from forcelab.dag import nodes as dag_nodes
 from forcelab.formulas import nodes as formula_nodes
 from forcelab.truth import instances, valuation_key
@@ -139,7 +139,7 @@ def stored_trees():
     rng = random.Random(6)
     M = FiniteStructure(v_stage(2))
     return ([random_game_tree(rng, 200) for _ in range(200)]
-            + [truth_telling_game(M, _atomic_pool(), clock) for clock in (1, 2, 3)])
+            + [truth_telling_game(M, corpus.atomic_game_pool(), clock) for clock in (1, 2, 3)])
 
 
 def test_node_view_matches_a_tree_rebuilt_from_its_game_nodes(stored_trees):
@@ -198,15 +198,10 @@ def test_random_tree_rows_leave_the_garbage_collector():
 
 # --- truth-telling -----------------------------------------------------------
 
-def _atomic_pool():
-    x, y = var("x"), var("y")
-    return [atom_in(x, y), not_(atom_in(x, y)), atom_eq(x, y), not_(atom_eq(x, y))]
-
-
 def test_interrogator_never_wins():
     M = FiniteStructure(v_stage(2))
     for clock in (1, 2, 3):
-        T = truth_telling_game(M, _atomic_pool(), clock)
+        T = truth_telling_game(M, corpus.atomic_game_pool(), clock)
         res = zermelo_solve(T)
         assert res.labels[T.root] == "II"
         ok, _ = verify_strategy(T, res.strategy_II, "II")
@@ -215,7 +210,7 @@ def test_interrogator_never_wins():
 
 def test_extracted_verdicts_match_truth_at_sufficient_clock():
     M = FiniteStructure(v_stage(2))
-    pool = _atomic_pool()
+    pool = corpus.atomic_game_pool()
     # per clock: the winner, her playout and the instances of rank below it
     reached = sum(2 + sum(len(M.domain) ** len(phi.free) for phi in pool if phi.rank < clock)
                   for clock in (1, 2, 3))
@@ -224,12 +219,12 @@ def test_extracted_verdicts_match_truth_at_sufficient_clock():
 
 def test_truth_telling_game_leaves_no_reference_cycle(cyclic_garbage):
     M = FiniteStructure(v_stage(2))
-    assert cyclic_garbage(lambda: truth_telling_game(M, _atomic_pool(), 2)) == 0
+    assert cyclic_garbage(lambda: truth_telling_game(M, corpus.atomic_game_pool(), 2)) == 0
 
 
 def test_atomic_lie_loses_within_clock_two():
     M = FiniteStructure(v_stage(2))
-    pool = _atomic_pool()
+    pool = corpus.atomic_game_pool()
     T = truth_telling_game(M, pool, 2)
     res = zermelo_solve(T)
     liar = dict(res.strategy_II)
@@ -316,7 +311,7 @@ def test_budget(monkeypatch):
     M = FiniteStructure(v_stage(2))
     monkeypatch.setattr(games, "GAME_BUDGET", 100)
     with pytest.raises(BudgetError):
-        truth_telling_game(M, _atomic_pool(), 3)
+        truth_telling_game(M, corpus.atomic_game_pool(), 3)
 
 
 @pytest.mark.parametrize("text", [
@@ -393,7 +388,7 @@ def test_a_graph_is_ordered_as_the_structural_walk_orders_it():
     rng = random.Random(3)
     games_ = [random_dag(rng, rng.randint(4, 14)) for _ in range(50)]
     games_ += [random_game_tree(rng, 60) for _ in range(20)]
-    games_.append(truth_telling_game(FiniteStructure(v_stage(2)), _atomic_pool(), 2))
+    games_.append(truth_telling_game(FiniteStructure(v_stage(2)), corpus.atomic_game_pool(), 2))
     for T in games_:
         assert T._reachable == tuple(dag_nodes(T.root, lambda i: T.nodes[i].children))
         assert len(T) == len(unfold(T)[0]._rows)
@@ -438,5 +433,5 @@ def test_random_dags_solve_as_their_unfolded_trees():
 
 def test_the_clock_three_game_stores_at_most_its_positions():
     # 2,273 distinct (clock, set of declarations) positions in the unfolded game
-    T = truth_telling_game(FiniteStructure(v_stage(2)), _atomic_pool(), 3)
+    T = truth_telling_game(FiniteStructure(v_stage(2)), corpus.atomic_game_pool(), 3)
     assert len(T) == 29_713 and len(T._rows) <= 2_273

@@ -13,7 +13,7 @@ import pytest
 from forcelab import (And, AtomTr, BudgetError, Exists, FiniteStructure, Forall, GameTree,
                       Not, Or, and_, atom_eq, atom_in, exists, forall, not_, or_,
                       truth_telling_game, v_stage, var)
-from forcelab import games
+from forcelab import corpus, games
 from forcelab.truth import _eval_atom, instances, valuation_key
 
 
@@ -109,7 +109,7 @@ def reference_game(M, pool, clock) -> GameTree:
 
 
 x, y = var("x"), var("y")
-ATOMS = [atom_in(x, y), not_(atom_in(x, y)), atom_eq(x, y), not_(atom_eq(x, y))]
+ATOMS = corpus.atomic_game_pool()
 POOLS = {
     "atoms": ATOMS,
     "exists": ATOMS + [exists(("x",), atom_in(x, y))],

@@ -29,7 +29,7 @@ from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, Exists, Forall,
                       compare_atomic_table, const, encode_formula,
                       encode_valuation, etr_solve, exists, forcing_truth,
                       generic_filters, invariance_check, iterated_truth,
-                      name_universe, nat_encode, not_, stage_comparison_structure,
+                      name_universe, nat_encode, stage_comparison_structure,
                       subformula_closure, subformulas, tarski_truth,
                       theta_formula, truth_lemma_check, truth_name, v_stage, var)
 from forcelab import corpus, criteria, hfset
@@ -423,8 +423,7 @@ def _game_verdict_mismatches(M, pool, clock) -> int:
 
 def test_flipped_row_bit_fails_the_truth_telling_comparison():
     M = FiniteStructure(v_stage(2))
-    x, y = var("x"), var("y")
-    pool = [atom_in(x, y), not_(atom_in(x, y)), atom_eq(x, y), not_(atom_eq(x, y))]
+    pool = corpus.atomic_game_pool()
     assert _game_verdict_mismatches(M, pool, 2) == 0
     with _row_flipped(M, nat_encode(1), EMPTY):  # ∅ ∈ {∅}
         # x ∈ y and ¬(x ∈ y) at x = ∅, y = {∅}

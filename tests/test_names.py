@@ -7,7 +7,7 @@ from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ForcelabError,
                       eval_class, eval_name, g_dot, generic_filters, hf_make,
                       hf_pair, n_dot, name_make, name_to_hf, name_to_sexp,
                       name_universe, nat_encode, op_name, parse_name,
-                      subnames, v_stage)
+                      subname_closure, subnames, v_stage)
 from forcelab import corpus, names, sexpr
 from forcelab.poset import CollapseFn, bits
 
@@ -141,9 +141,9 @@ def test_universe_budget():
         name_universe(corpus.fork(), 3)
 
 
-def test_seeded_universe_is_subname_closed(fork):
+def test_seeded_universe_is_subname_closed():
     sigma = name_make([(check_name(nat_encode(1)), 2)])
-    seeded = name_universe(fork, seeds=[op_name(EMPTY_NAME, sigma)])
+    seeded = subname_closure([op_name(EMPTY_NAME, sigma)])
     assert sigma in seeded and EMPTY_NAME in seeded
     for n in seeded:
         assert subnames(n) <= set(seeded)
