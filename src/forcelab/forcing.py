@@ -419,7 +419,8 @@ class _SizeGuard:
 
 # What star_translate built, kept across calls with the ticks it cost: the
 # name pair of each positive node, keyed by (node, |P|), and the positive
-# formula of each negated atom's rewrite, keyed by (_not_eq or _not_in, σ, τ).
+# formula of each rewrite of a negated atom, and of each rewrite it calls,
+# keyed by (_not_eq, _not_sub or _not_in, σ, τ).
 # The translation depends on the notion only through |P|.
 _reduced: dict = {}
 _rewrites: dict = {}
@@ -523,32 +524,43 @@ def _polar(phi: Formula, P: ForcingNotion, guard: _SizeGuard) -> Formula:
 # The rewrites terminate along the measure (summed ranks, then a tag putting
 # inequality above non-subset): inequality keeps the summed ranks but lowers
 # the tag, and the other two steps strictly lower an entry's rank.  Each call
-# checks its measure against the caller's.
+# checks its measure against the caller's, a cache hit included.
+
+def _measure(rewrite, sigma: PName, tau: PName) -> tuple[int, int]:
+    return sigma.rank + tau.rank, int(rewrite is _not_eq)
+
 
 def _measure_drops(bound, mu):
-    if bound is not None and not mu < bound:
+    if not mu < bound:
         raise ForcelabError(f"rewrite measure failed to decrease: {bound} -> {mu}")
 
 
-def _not_eq(sigma: PName, tau: PName, guard: _SizeGuard, bound=None) -> Formula:
-    mu = (sigma.rank + tau.rank, 1)
-    _measure_drops(bound, mu)
+def _rewrite(rewrite, sigma: PName, tau: PName, guard: _SizeGuard, bound) -> Formula:
+    """rewrite(σ, τ) through `_rewrites`, so that each distinct (rewrite, σ, τ)
+    is built once however often the recursion meets it."""
+    _measure_drops(bound, _measure(rewrite, sigma, tau))
+    return _shared(_rewrites, (rewrite, sigma, tau), guard, rewrite, sigma, tau, guard)
+
+
+def _not_eq(sigma: PName, tau: PName, guard: _SizeGuard) -> Formula:
+    mu = _measure(_not_eq, sigma, tau)
     guard.tick()
-    return or_([_not_sub(sigma, tau, guard, mu), _not_sub(tau, sigma, guard, mu)])
+    return or_([_rewrite(_not_sub, sigma, tau, guard, mu),
+                _rewrite(_not_sub, tau, sigma, guard, mu)])
 
 
-def _not_sub(sigma: PName, tau: PName, guard: _SizeGuard, bound=None) -> Formula:
-    mu = (sigma.rank + tau.rank, 0)
-    _measure_drops(bound, mu)
+def _not_sub(sigma: PName, tau: PName, guard: _SizeGuard) -> Formula:
+    mu = _measure(_not_sub, sigma, tau)
     guard.tick()
-    return or_(and_([_g_atom(r), _not_in(rho, tau, guard, mu)]) for rho, r in sigma.entries)
+    return or_(and_([_g_atom(r), _rewrite(_not_in, rho, tau, guard, mu)])
+               for rho, r in sigma.entries)
 
 
-def _not_in(sigma: PName, tau: PName, guard: _SizeGuard, bound=None) -> Formula:
-    mu = (sigma.rank + tau.rank, 0)
-    _measure_drops(bound, mu)
+def _not_in(sigma: PName, tau: PName, guard: _SizeGuard) -> Formula:
+    mu = _measure(_not_in, sigma, tau)
     guard.tick()
-    return and_(or_([not_(_g_atom(r)), _not_eq(sigma, rho, guard, mu)]) for rho, r in tau.entries)
+    return and_(or_([not_(_g_atom(r)), _rewrite(_not_eq, sigma, rho, guard, mu)])
+                for rho, r in tau.entries)
 
 
 def _reduce_children(phi: Formula) -> tuple[Formula, ...]:

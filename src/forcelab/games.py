@@ -6,8 +6,9 @@ Player I moves first at the root of the truth-telling game and plays the
 interrogator; player II is the truth-teller.  The interrogator's clock
 value strictly descends, so the game is finite; the truth-teller loses as
 soon as her declarations explicitly violate a Tarskian clause instance.
-A game is stored as an acyclic graph of positions; its game tree is the
-graph's unfolding.
+A game is stored as an acyclic graph of positions, in columns indexed by
+position: its player, children and note; its game tree is the graph's
+unfolding.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ GAME_BUDGET = 300_000
 # vote as its witness: a true ∃ or ∨, a false ∀ or ∧.
 _NAMES_A_WITNESS = {Exists: True, Or: True, Forall: False, And: False}
 
-# A stored node: (mover, children, winner, note), with note None when empty.
-# CPython stops tracking a tuple of strings, None and untracked tuples once a
-# garbage collection examines it, so a row without a note costs later full
-# collections nothing.
-Row = tuple[str | None, tuple[int, ...], str | None, dict | None]
-
 
 @dataclass
 class GameNode:
@@ -49,35 +44,71 @@ class GameNode:
 
 
 class _NodeView(Mapping):
-    """A game's rows read as GameNodes, built on each read; read-only."""
+    """A game's columns read as GameNodes, built on each read; read-only."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_ids", "_player", "_children", "_notes")
 
-    def __init__(self, rows: dict[int, Row]):
-        self._rows = rows
+    def __init__(self, player, children, notes: dict):
+        self._ids = range(len(children)) if children.__class__ is list else children
+        self._player, self._children, self._notes = player, children, notes
 
     def __getitem__(self, i: int) -> GameNode:
-        mover, children, winner, note = self._rows[i]
-        return GameNode(i, mover, children, winner, {} if note is None else note)
+        if i not in self._ids:
+            raise KeyError(i)
+        children, note = self._children[i], self._notes.get(i)
+        note = dict(note) if note else {}
+        if children:
+            return GameNode(i, self._player[i], children, None, note)
+        return GameNode(i, None, children, self._player[i], note)
+
+    def __contains__(self, i) -> bool:
+        return i in self._ids
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._rows)
+        return iter(self._ids)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._ids)
 
 
 class GameTree:
-    """A finite game stored as one row per node in `_rows`; `nodes` is the
-    GameNode view of them.  The rows form an acyclic graph: a node may be
-    the child of several others, and the game tree is its unfolding, one
-    copy of a shared node per line into it.  `_reachable` lists each
-    distinct node below the root once, every child before its parents;
-    `len` counts the nodes of the unfolded tree."""
+    """A finite game stored as columns indexed by node id: `_player` holds
+    each node's mover if it has children and its winner if not, `_children`
+    its children tuple, and `_notes` the note of each node that has one, as
+    a tuple of (key, value) pairs.  The columns are lists when the ids are
+    0..n-1 and dicts otherwise; both are read as `col[i]`.  `nodes` is the
+    GameNode view of them.
 
-    def __init__(self, rows: dict[int, Row], root: int):
-        self._rows = rows
-        self.nodes = _NodeView(rows)
+    `GameTree(rows, root)` takes a mapping from each node id to its row
+    (mover, children, winner, note), with note a dict or None; a terminal's
+    mover and an inner node's winner are not kept.  The nodes form an
+    acyclic graph: a node may be the child of several others, and the game
+    tree is its unfolding, one copy of a shared node per line into it.
+    `_reachable` lists each distinct node below the root once, every child
+    before its parents; `len` counts the nodes of the unfolded tree."""
+
+    def __init__(self, rows: Mapping[int, tuple], root: int):
+        player = {i: mover if children else winner
+                  for i, (mover, children, winner, _) in rows.items()}
+        kids = {i: row[1] for i, row in rows.items()}
+        undefined = sorted({root, *(c for children in kids.values() for c in children)}
+                           - kids.keys())
+        if undefined:
+            raise ForcelabError(f"node {undefined[0]} is used but never defined")
+        if all(i == k for k, i in enumerate(kids)):
+            player, kids = list(player.values()), list(kids.values())
+        notes = {i: tuple(row[3].items()) for i, row in rows.items() if row[3]}
+        self._store(player, kids, notes, root)
+
+    @classmethod
+    def _of_columns(cls, player: list, children: list, notes: dict, root: int) -> GameTree:
+        T = cls.__new__(cls)
+        T._store(player, children, notes, root)
+        return T
+
+    def _store(self, player, children, notes: dict, root: int):
+        self._player, self._children, self._notes = player, children, notes
+        self.nodes = _NodeView(player, children, notes)
         self.root = root
         self._validate()
 
@@ -86,7 +117,7 @@ class GameTree:
         children, and count the unfolded tree.  A tree takes one pre-order
         walk, whose reverse lists children first; at the first node reached
         twice the walk stops, and the graph takes one post-order walk."""
-        rows = self._rows
+        player, kids = self._player, self._children
         seen: set[int] = set()
         order: list[int] = []
         stack = [self.root]
@@ -97,13 +128,10 @@ class GameTree:
                 return
             seen.add(i)
             order.append(i)
-            mover, children, winner, _ = rows[i]
-            if children:
-                if mover not in ("I", "II"):
-                    raise ForcelabError(f"internal node {i} needs a mover")
-                stack.extend(children)
-            elif winner not in ("I", "II"):
-                raise ForcelabError(f"terminal node {i} needs a winner")
+            children = kids[i]
+            if player[i] not in ("I", "II"):
+                raise ForcelabError(_unplayed(i, children))
+            stack.extend(children)
         order.reverse()
         self._reachable = tuple(order)
         self._size = len(order)
@@ -112,7 +140,7 @@ class GameTree:
         """One post-order walk, children in order, that adds up each node's
         unfolded size; a child still on the open path is a cycle.  The stack
         holds node ids to enter and, as 1-tuples, nodes to finish."""
-        rows = self._rows
+        player, kids = self._player, self._children
         size: dict[int, int] = {}  # each finished node's unfolded size
         open_path: set[int] = set()
         stack: list = [self.root]
@@ -120,18 +148,15 @@ class GameTree:
             i = stack.pop()
             if i.__class__ is tuple:
                 i, = i
-                children = rows[i][1]
+                children = kids[i]
                 if not open_path.isdisjoint(children):
                     raise ForcelabError(f"game graph has a cycle through node {i}")
                 open_path.remove(i)
                 size[i] = 1 + sum(map(size.__getitem__, children))
             elif i not in size and i not in open_path:
-                mover, children, winner, _ = rows[i]
-                if children:
-                    if mover not in ("I", "II"):
-                        raise ForcelabError(f"internal node {i} needs a mover")
-                elif winner not in ("I", "II"):
-                    raise ForcelabError(f"terminal node {i} needs a winner")
+                children = kids[i]
+                if player[i] not in ("I", "II"):
+                    raise ForcelabError(_unplayed(i, children))
                 open_path.add(i)
                 stack.append((i,))
                 stack.extend(reversed(children))
@@ -143,15 +168,20 @@ class GameTree:
 
     def to_sexp(self) -> str:
         forms = ["game"]
+        player, kids = self._player, self._children
         for i in sorted(self._reachable):
-            mover, children, winner, _ = self._rows[i]
+            children = kids[i]
             if children:
-                forms.append(["node", str(i), ["mover", mover],
+                forms.append(["node", str(i), ["mover", player[i]],
                               ["children", *(str(c) for c in children)]])
             else:
-                forms.append(["terminal", str(i), ["winner", winner]])
+                forms.append(["terminal", str(i), ["winner", player[i]]])
         forms.append(["root", str(self.root)])
         return sexpr.show(forms)
+
+
+def _unplayed(i: int, children: tuple) -> str:
+    return f"internal node {i} needs a mover" if children else f"terminal node {i} needs a winner"
 
 
 def _game_int(token) -> int:
@@ -173,7 +203,7 @@ def parse_game(text: str) -> GameTree:
     form = sexpr.read(text)
     if not isinstance(form, list) or not form or form[0] != "game":
         raise ParseError("expected (game ...)")
-    rows: dict[int, Row] = {}
+    rows: dict[int, tuple] = {}
     root = None
     for clause in form[1:]:
         if not isinstance(clause, list) or not clause:
@@ -197,9 +227,6 @@ def parse_game(text: str) -> GameTree:
             raise ParseError(f"unknown game clause {head!r}")
     if root is None:
         raise ParseError("game needs a (root ...) clause")
-    undefined = sorted({root, *(c for row in rows.values() for c in row[1])} - set(rows))
-    if undefined:
-        raise ParseError(f"node {undefined[0]} is used but never defined")
     try:
         return GameTree(rows, root)
     except ForcelabError as e:
@@ -209,9 +236,9 @@ def parse_game(text: str) -> GameTree:
 def continuous_rank(T: GameTree) -> dict[int, int]:
     """Terminals get 0; every parent gets one more than its highest child."""
     rank: dict[int, int] = {}
-    rows = T._rows
+    kids = T._children
     for i in T._reachable:
-        children = rows[i][1]
+        children = kids[i]
         rank[i] = 1 + max(rank[c] for c in children) if children else 0
     return rank
 
@@ -232,15 +259,15 @@ def zermelo_solve(T: GameTree) -> ZermeloResult:
     winner's labels."""
     labels: dict[int, str] = {}
     strat = {"I": {}, "II": {}}
-    rows = T._rows
+    player, kids = T._player, T._children
     for i in T._reachable:
-        mover, children, winner, _ = rows[i]
+        who, children = player[i], kids[i]  # the mover, or a terminal's winner
         if not children:
-            labels[i] = winner
+            labels[i] = who
             continue
-        mine = [c for c in children if labels[c] == mover]
-        labels[i] = mover if mine else _other(mover)
-        strat[mover][i] = mine[0] if mine else children[0]
+        mine = [c for c in children if labels[c] == who]
+        labels[i] = who if mine else _other(who)
+        strat[who][i] = mine[0] if mine else children[0]
     return ZermeloResult(labels, strat["I"], strat["II"])
 
 
@@ -251,14 +278,11 @@ def _other(player: str) -> str:
 def label_fixpoint_violation(T: GameTree, labels: dict[int, str]) -> int | None:
     """A node whose label is not its winner (at a terminal) or not what its
     children's labels give its mover, or None when the labels are a fixpoint."""
-    rows = T._rows
+    player, kids = T._player, T._children
     for i in sorted(T._reachable):
-        mover, children, winner, _ = rows[i]
-        if not children:
-            want = winner
-        else:
-            mine = any(labels[c] == mover for c in children)
-            want = mover if mine else _other(mover)
+        want, children = player[i], kids[i]  # the mover, or a terminal's winner
+        if children and not any(labels[c] == want for c in children):
+            want = _other(want)
         if labels[i] != want:
             return i
     return None
@@ -270,17 +294,17 @@ def verify_strategy(T: GameTree, strategy: dict[int, int], player: str
     every terminal it reaches is a win for the player.  Each reached node is
     checked once, and a failure comes with a line from the root to the node
     where the strategy loses or names no move."""
-    rows = T._rows
+    players, kids = T._player, T._children
     parent: dict[int, int | None] = {T.root: None}
     stack = [T.root]
     while stack:
         i = stack.pop()
-        mover, children, winner, _ = rows[i]
+        who, children = players[i], kids[i]  # the mover, or a terminal's winner
         if not children:
-            if winner != player:
+            if who != player:
                 return False, _line(parent, i)
             continue
-        if mover == player:
+        if who == player:
             choice = strategy.get(i)
             if choice is None or choice not in children:
                 return False, _line(parent, i)
@@ -307,16 +331,15 @@ def zermelo_recursion_instance(T: GameTree):
     rank = continuous_rank(T)
     codec = {nat_encode(i): i for i in sorted(T._reachable)}
     enc_of = {i: e for e, i in codec.items()}
-    rows = T._rows
+    player, kids = T._player, T._children
 
     def step(x: HFSet, alpha: int, view, _param) -> bool:
-        mover, children, winner, _ = rows[codec[x]]
+        i = codec[x]
+        children = kids[i]
         if not children:
-            return winner == "I"
+            return player[i] == "I"  # the winner
         child_is_I = [view(rank[c], enc_of[c]) for c in children]
-        if mover == "I":
-            return any(child_is_I)
-        return all(child_is_I)
+        return any(child_is_I) if player[i] == "I" else all(child_is_I)
 
     inst = etr_mod.staged_instance(codec, max(rank.values()) + 1, lambda x: (rank[codec[x]],),
                                    step, "zermelo-labels")
@@ -324,29 +347,24 @@ def zermelo_recursion_instance(T: GameTree):
 
 
 def random_game_tree(rng: random.Random, max_nodes: int = 200) -> GameTree:
-    """A random finite game tree within the node budget."""
-    rows: dict[int, Row] = {}
-    next_id = itertools.count()
-    root = next(next_id)
-    frontier = [(root, 0)]
-    total = 1
+    """A random finite game tree within the node budget, its nodes numbered
+    0..n-1 in the order they are made."""
+    player: list[str | None] = [None]
+    kids: list[tuple[int, ...]] = [()]
+    frontier = [(0, 0)]
     while frontier:
         ident, depth = frontier.pop()
-        make_terminal = total >= max_nodes or depth > 8 or rng.random() < 0.25
-        if make_terminal:
-            rows[ident] = (None, (), rng.choice(["I", "II"]), None)
+        total = len(kids)
+        if total >= max_nodes or depth > 8 or rng.random() < 0.25:
+            player[ident] = rng.choice(["I", "II"])
             continue
-        width = rng.randint(1, 3)
-        width = min(width, max_nodes - total)
-        if width <= 0:
-            rows[ident] = (None, (), rng.choice(["I", "II"]), None)
-            continue
-        kids = tuple(next(next_id) for _ in range(width))
-        total += width
-        rows[ident] = (rng.choice(["I", "II"]), kids, None, None)
-        for k in kids:
-            frontier.append((k, depth + 1))
-    return GameTree(rows, root)
+        width = min(rng.randint(1, 3), max_nodes - total)
+        children = kids[ident] = tuple(range(total, total + width))
+        player.extend([None] * width)
+        kids.extend([()] * width)
+        player[ident] = rng.choice(["I", "II"])
+        frontier.extend((k, depth + 1) for k in children)
+    return GameTree._of_columns(player, kids, {}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +449,9 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
 
     reads = {challenge: judged((challenge, *(witnesses or ())))
              for challenge, _, witnesses in challenges}
-    rows: dict[int, Row] = {}
+    player: list[str] = []
+    kids_of: list[tuple[int, ...]] = []
+    notes: dict[int, tuple] = {}
     ids: dict[tuple, int] = {}
     # The children of each interrogator position, keyed by (clock, history),
     # and the id of each truth-teller position, keyed by (challenge, clock,
@@ -459,17 +479,20 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
                     return True
         return False
 
-    def row_id(mover: str | None, kids: tuple, winner: str | None, note: tuple) -> int:
-        # `note` lists the row's note as (key, value) pairs.  Equal rows head
-        # equal subgames, so they get one id.
-        content = (mover, kids, winner, note)
+    def row_id(who: str, kids: tuple, note: tuple) -> int:
+        # `who` is the node's mover, or its winner when it has no children;
+        # `note` lists its note as (key, value) pairs.  Equal rows head equal
+        # subgames, so they get one id.
+        content = (who, kids, note)
         ident = ids.get(content)
         if ident is None:
-            ident = len(rows)
+            ident = len(player)
             if ident >= GAME_BUDGET:
                 raise BudgetError(f"truth-telling game exceeds {GAME_BUDGET} nodes "
                                   f"(pool {len(challenges)} instances, clock {clock})")
-            rows[ident] = (mover, kids, winner, dict(note))
+            player.append(who)
+            kids_of.append(kids)
+            notes[ident] = note
             ids[content] = ident
         return ident
 
@@ -478,13 +501,13 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
         # `answer` is the declaration this node follows: its verdict and
         # challenge.  `position` is the history as a key.
         if clock_now == 0:
-            return row_id(None, (), "II", (("role", "clock-exhausted"), *answer))
+            return row_id("II", (), (("role", "clock-exhausted"), *answer))
         kids = interrogations.get((clock_now, position))
         if kids is None:
             kids = interrogations[clock_now, position] = tuple(
                 teller_node(challenge, named, witnesses, smaller, history, position)
                 for challenge, named, witnesses in challenges for smaller in range(clock_now))
-        return row_id("I", kids, None, (("role", "interrogator"), ("clock", clock_now), *answer))
+        return row_id("I", kids, (("role", "interrogator"), ("clock", clock_now), *answer))
 
     def teller_node(challenge: tuple, named: bool | None, witnesses: tuple | None,
                     clock_next: int, history: dict, position: frozenset) -> int:
@@ -503,7 +526,7 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
                 else:
                     kids.append(declaration_node(challenge, verdict, clock_next, history, position))
             ident = tellers[challenge, clock_next, position] = row_id(
-                "II", tuple(kids), None,
+                "II", tuple(kids),
                 (("role", "truth-teller"), ("challenge", challenge), ("clock", clock_next)))
         return ident
 
@@ -522,7 +545,7 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
             new_history[key] = verd
         answer = (("verdict", verdict), ("challenge", challenge))
         if contradiction or violates(new_history, added):
-            return row_id(None, (), "I", (("role", "violation"), *answer))
+            return row_id("I", (), (("role", "violation"), *answer))
         if added and clock_next:
             position = frozenset(new_history.items())
         return interrogator_node(clock_next, new_history, position, answer)
@@ -531,17 +554,17 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
     # the three builders refer to each other; without the cycle, freeing
     # their position tables needs no collector pass
     del interrogator_node, teller_node, declaration_node
-    return GameTree(rows, root)
+    return GameTree._of_columns(player, kids_of, notes, root)
 
 
 def extract_verdicts(T: GameTree, strategy_II: dict[int, int],
                      pool_instances: Iterable[tuple[Formula, dict]]) -> dict:
     """Read off the verdict the strategy gives to each instance when it is
     asked first, with the most generous remaining clock."""
-    rows = T._rows
+    notes = T._notes
     best: dict = {}
-    for child in rows[T.root][1]:
-        teller = rows[child][3] or {}
+    for child in T._children[T.root]:
+        teller = dict(notes.get(child, ()))
         challenge = teller.get("challenge")
         clock_next = teller.get("clock", -1)
         if challenge is None:
@@ -551,7 +574,7 @@ def extract_verdicts(T: GameTree, strategy_II: dict[int, int],
             reply = strategy_II.get(child)
             if reply is None:
                 continue
-            verdict = (rows[reply][3] or {}).get("verdict")
+            verdict = dict(notes.get(reply, ())).get("verdict")
             best[challenge] = (clock_next, verdict)
     out = {}
     for phi, v in pool_instances:

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ from forcelab import corpus, criteria, games
 from forcelab.dag import nodes as dag_nodes
 from forcelab.formulas import nodes as formula_nodes
 from forcelab.truth import instances, valuation_key
-from test_games_reference import unfold
+from test_games_reference import rows_of, unfold
 
 
 def leaf(winner):
@@ -150,7 +151,8 @@ def test_node_view_matches_a_tree_rebuilt_from_its_game_nodes(stored_trees):
         for i, node in T.nodes.items():
             assert node.ident == i
             assert U.nodes[i] == node
-        assert U._rows == T._rows and U._reachable == T._reachable
+        assert dict(U.nodes.items()) == dict(T.nodes.items())
+        assert U._reachable == T._reachable
 
 
 def _distinct_reachable(T) -> set:
@@ -187,13 +189,31 @@ def test_node_view_is_read_only():
 def test_random_tree_rows_leave_the_garbage_collector():
     rng = random.Random(8)
     trees = [random_game_tree(rng, 200) for _ in range(20)]
-    rows = [row for T in trees for row in T._rows.values()]
-    # A collection untracks a tuple whose items are all untracked; a row it
-    # meets before its children tuple waits for the next one.
+    # A collection untracks a tuple whose items are all untracked.
     gc.collect()
-    assert not any(gc.is_tracked(children) for _, children, _, _ in rows)
+    for T in trees:
+        children = [T.nodes[i].children for i in T.nodes]
+        assert not any(map(gc.is_tracked, children))
+        # per node the columns hold a shared player string, the children
+        # tuple and, if it has one, the note: no row object
+        held = {id(x) for x in gc.get_referents(T._player, T._children, T._notes)}
+        per_node = {id(x) for x in (*children, *T._notes.values())}
+        assert held <= per_node | {id("I"), id("II")}
+
+
+def test_random_trees_cost_at_most_80_bytes_a_node():
+    rng = random.Random(0)
     gc.collect()
-    assert not any(gc.is_tracked(row) for row in rows)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trees = [random_game_tree(rng, 200) for _ in range(1000)]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nodes = sum(len(T.nodes) for T in trees)
+    assert nodes > 80_000
+    assert held / nodes <= 80
 
 
 # --- truth-telling -----------------------------------------------------------
@@ -277,7 +297,7 @@ def test_rank_two_verdicts_match_truth(rank_two_game):
     assert {type(phi) for phi in pool if phi.rank == 1} >= {Exists, Forall, And, Or}
     assert {type(phi) for phi in pool if phi.rank == 2} >= {Exists, Forall, And, Or}
     # the unfolded tree is larger than the budget the graph's rows keep to
-    assert len(T) == 497_323 and len(T._rows) == 3_554
+    assert len(T) == 497_323 and len(T.nodes) == 3_554
     assert res.labels[T.root] == "II"
     assert verify_strategy(T, res.strategy_II, "II") == (True, None)
     pool_instances = [(phi, v) for phi in pool for v in instances(M, phi)]
@@ -340,11 +360,12 @@ def test_a_shared_child_is_one_row_and_unfolds_into_copies():
     T = GameTree(rows, 0)
     assert len(T) == 6 and len(T._reachable) == 5
     again = parse_game(T.to_sexp())
-    assert again._rows == T._rows and again.root == 0 and len(again) == 6
+    assert dict(again.nodes.items()) == dict(T.nodes.items())
+    assert again.root == 0 and len(again) == 6
     assert again.to_sexp() == T.to_sexp()
-    assert unfold(T)[0]._rows == {0: inner("I", (1, 4)), 1: inner("II", (2, 3)),
-                                  2: leaf("I"), 3: leaf("II"), 4: inner("II", (5,)),
-                                  5: leaf("I")}
+    assert rows_of(unfold(T)[0]) == {0: inner("I", (1, 4)), 1: inner("II", (2, 3)),
+                                     2: leaf("I"), 3: leaf("II"), 4: inner("II", (5,)),
+                                     5: leaf("I")}
 
 
 @pytest.mark.parametrize("rows", [
@@ -391,7 +412,7 @@ def test_a_graph_is_ordered_as_the_structural_walk_orders_it():
     games_.append(truth_telling_game(FiniteStructure(v_stage(2)), corpus.atomic_game_pool(), 2))
     for T in games_:
         assert T._reachable == tuple(dag_nodes(T.root, lambda i: T.nodes[i].children))
-        assert len(T) == len(unfold(T)[0]._rows)
+        assert len(T) == len(unfold(T)[0].nodes)
 
 
 def _on_tree(strategy: dict, dag: GameTree, tree: GameTree, origin: dict) -> dict:
@@ -434,4 +455,4 @@ def test_random_dags_solve_as_their_unfolded_trees():
 def test_the_clock_three_game_stores_at_most_its_positions():
     # 2,273 distinct (clock, set of declarations) positions in the unfolded game
     T = truth_telling_game(FiniteStructure(v_stage(2)), corpus.atomic_game_pool(), 3)
-    assert len(T) == 29_713 and len(T._rows) <= 2_273
+    assert len(T) == 29_713 and len(T.nodes) <= 2_273

@@ -122,6 +122,12 @@ POOLS = {
 }
 
 
+def rows_of(T: GameTree) -> dict:
+    """T's nodes read back through `T.nodes` as rows (mover, children, winner,
+    note), with an empty note as None."""
+    return {i: (n.mover, n.children, n.winner, n.note or None) for i, n in T.nodes.items()}
+
+
 def unfold(T: GameTree) -> tuple[GameTree, dict[int, int]]:
     """The game tree T's graph unfolds to, with one copy of a node per line
     into it, numbered in pre-order as the reference creates its nodes, and
@@ -132,16 +138,16 @@ def unfold(T: GameTree) -> tuple[GameTree, dict[int, int]]:
     def copy(i):
         ident = next(counter)
         origin[ident] = i
-        mover, children, winner, note = T._rows[i]
-        rows[ident] = (mover, tuple(copy(c) for c in children), winner, note)
+        node = T.nodes[i]
+        rows[ident] = (node.mover, tuple(copy(c) for c in node.children), node.winner,
+                       node.note)
         return ident
 
     return GameTree(rows, copy(T.root)), origin
 
 
-def _content(row) -> tuple:
-    mover, children, winner, note = row
-    return mover, children, winner, tuple(note.items())
+def _content(node) -> tuple:
+    return node.mover, node.children, node.winner, tuple(node.note.items())
 
 
 @pytest.mark.parametrize("label", list(POOLS))
@@ -152,25 +158,25 @@ def test_game_matches_the_replaying_reference(label, clock):
     ref = reference_game(M, POOLS[label], clock)
     tree, _ = unfold(T)
     assert tree.root == ref.root
-    assert tree._rows == ref._rows
-    assert len(T) == len(ref._rows)
+    assert dict(tree.nodes.items()) == dict(ref.nodes.items())
+    assert len(T) == len(ref.nodes)
     # each distinct row is stored once
-    assert len({_content(row) for row in T._rows.values()}) == len(T._rows)
+    assert len({_content(node) for node in T.nodes.values()}) == len(T.nodes)
 
 
 def test_the_existential_pool_reaches_its_size():
     T = truth_telling_game(FiniteStructure(v_stage(2)), POOLS["exists"], 3)
     assert len(T) == 43_401
-    assert len(T._rows) == 939
+    assert len(T.nodes) == 939
 
 
 def test_an_existential_over_an_empty_domain_has_no_true_answer():
     M = FiniteStructure(v_stage(0))
     pool = [exists(("x",), atom_eq(x, x))]
     T = truth_telling_game(M, pool, 1)
-    assert unfold(T)[0]._rows == reference_game(M, pool, 1)._rows
-    (teller,) = T._rows[T.root][1]
-    assert len(T._rows[teller][1]) == 1
+    assert dict(unfold(T)[0].nodes.items()) == dict(reference_game(M, pool, 1).nodes.items())
+    (teller,) = T.nodes[T.root].children
+    assert len(T.nodes[teller].children) == 1
 
 
 def test_the_budget_still_names_the_pool_size(monkeypatch):

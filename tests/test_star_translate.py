@@ -1,6 +1,7 @@
 import contextlib
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -123,6 +124,53 @@ def test_the_budget_counts_distinct_nodes(fork, monkeypatch):
     monkeypatch.setattr(forcing, "TRANSLATION_BUDGET", 72)
     with pytest.raises(BudgetError):
         star_translate(phi, fork)
+
+
+def _singleton_chain(rank, condition):
+    n = EMPTY_NAME
+    for _ in range(rank):
+        n = name_make([(n, condition)])
+    return n
+
+
+def test_negated_atom_rewrites_build_each_distinct_rewrite_once(monkeypatch):
+    # ¬(σ = τ) for singleton chains of rank r over conditions 1 and 2: the
+    # rewrites' tree expansion ticks the guard 2^(r+3) - 5 times, and each
+    # distinct (rewrite, σ, τ) below it is built once
+    runs = Counter()
+    for name in ("_not_eq", "_not_sub", "_not_in"):
+        def counted(sigma, tau, guard, body=getattr(forcing, name), name=name):
+            runs[name] += 1
+            return body(sigma, tau, guard)
+        monkeypatch.setattr(forcing, name, counted)
+    for r, ticks in [(4, 123), (8, 2_043), (12, 32_763), (14, 131_067)]:
+        _cold()
+        runs.clear()
+        guard = forcing._SizeGuard(10 ** 6)
+        forcing._not_eq(_singleton_chain(r, 1), _singleton_chain(r, 2), guard)
+        assert guard.count == ticks, r
+        assert sum(runs.values()) <= 7 * r, (r, runs)
+    _cold()
+
+
+def test_the_budget_refuses_the_same_negated_chain_cold_or_warm(fork, monkeypatch):
+    # 65,531 rewrite ticks at rank 13 and 131,067 at rank 14, against 100,000
+    def sentence(r):
+        return not_(atom_eq(name_const(_singleton_chain(r, 1)),
+                            name_const(_singleton_chain(r, 2))))
+    budget = forcing.TRANSLATION_BUDGET
+    assert budget == 100_000
+    assert _translates(sentence(13), fork, budget, warm=False)
+    assert _translates(sentence(13), fork, budget, warm=True)
+    for fill in (None, 10 ** 6):  # a cold cache, then one a larger budget filled
+        _cold()
+        if fill:
+            monkeypatch.setattr(forcing, "TRANSLATION_BUDGET", fill)
+            star_translate(sentence(14), fork)
+            monkeypatch.setattr(forcing, "TRANSLATION_BUDGET", budget)
+        with pytest.raises(BudgetError):
+            star_translate(sentence(14), fork)
+    _cold()
 
 
 # The translation cache keeps each node's name pair and each rewrite across
