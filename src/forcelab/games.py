@@ -46,29 +46,33 @@ class GameNode:
 class _NodeView(Mapping):
     """A game's columns read as GameNodes, built on each read; read-only."""
 
-    __slots__ = ("_ids", "_player", "_children", "_notes")
+    __slots__ = ("_least", "_player", "_children", "_notes")
 
     def __init__(self, player, children, notes: dict):
-        self._ids = range(len(children)) if children.__class__ is list else children
+        # no id lies below the least one; with list columns a negative index
+        # would wrap around, so 0 is checked before the column is read
+        self._least = 0 if children.__class__ is list else min(children, default=0)
         self._player, self._children, self._notes = player, children, notes
 
     def __getitem__(self, i: int) -> GameNode:
-        if i not in self._ids:
+        if i < self._least:
             raise KeyError(i)
-        children, note = self._children[i], self._notes.get(i)
+        try:
+            children = self._children[i]
+        except IndexError:
+            raise KeyError(i) from None
+        note = self._notes.get(i) if self._notes else None
         note = dict(note) if note else {}
         if children:
             return GameNode(i, self._player[i], children, None, note)
         return GameNode(i, None, children, self._player[i], note)
 
-    def __contains__(self, i) -> bool:
-        return i in self._ids
-
     def __iter__(self) -> Iterator[int]:
-        return iter(self._ids)
+        children = self._children
+        return iter(range(len(children)) if children.__class__ is list else children)
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._children)
 
 
 class GameTree:

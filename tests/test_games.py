@@ -186,6 +186,20 @@ def test_node_view_is_read_only():
         T.nodes[T.root] = GameNode(T.root, None, (), "I")
 
 
+def test_node_view_holds_exactly_the_defined_ids():
+    # list columns (ids 0..n-1) and dict columns (any ids) answer alike
+    T = random_game_tree(random.Random(7), 20)
+    n = len(T.nodes)
+    assert list(T.nodes) == list(range(n))
+    U = GameTree({-3: inner("I", (5,)), 5: (None, (), "II", {"role": "end"})}, -3)
+    assert list(U.nodes) == [-3, 5] and U.nodes[5].note == {"role": "end"}
+    for view, absent in ((T.nodes, (-1, n)), (U.nodes, (-4, -1, 0, 6))):
+        for i in absent:
+            assert i not in view and view.get(i) is None
+            with pytest.raises(KeyError):
+                view[i]
+
+
 def test_random_tree_rows_leave_the_garbage_collector():
     rng = random.Random(8)
     trees = [random_game_tree(rng, 200) for _ in range(20)]
