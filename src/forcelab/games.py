@@ -49,8 +49,8 @@ class _NodeView(Mapping):
     __slots__ = ("_least", "_player", "_children", "_notes")
 
     def __init__(self, player, children, notes: dict):
-        # no id lies below the least one; with list columns a negative index
-        # would wrap around, so 0 is checked before the column is read
+        # no id lies below `_least`: 0 for list columns, where a negative
+        # index would wrap around, and the least id for dict columns
         self._least = 0 if children.__class__ is list else min(children, default=0)
         self._player, self._children, self._notes = player, children, notes
 
@@ -106,6 +106,7 @@ class GameTree:
 
     @classmethod
     def _of_columns(cls, player: list, children: list, notes: dict, root: int) -> GameTree:
+        """The game a builder wrote as columns, taken as they are."""
         T = cls.__new__(cls)
         T._store(player, children, notes, root)
         return T
