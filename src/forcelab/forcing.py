@@ -613,6 +613,7 @@ class BooleanAlgebra:
         # for each p, the down masks of p's extensions
         self._ext_downs = [[self._down[q] for q in bits(d)] for d in self._down]
         self._regular: dict[int, int] = {}
+        self._complement: dict[int, int] = {}
         classes = minimal_classes(P)
         below = [_mask(k for k, cls in enumerate(classes) if cls & d) for d in self._down]
         elements = {_mask(p for p, b in enumerate(below) if not b & ~chosen)
@@ -643,7 +644,12 @@ class BooleanAlgebra:
         return self.regularize(a | b)
 
     def neg(self, a: int) -> int:
-        return _mask(p for p, d in enumerate(self._down) if not d & a)
+        """Those p whose downset misses a; memoized like regularize."""
+        got = self._complement.get(a)
+        if got is None:
+            got = self._complement[a] = _mask(
+                p for p, d in enumerate(self._down) if not d & a)
+        return got
 
     def le(self, a: int, b: int) -> bool:
         return not a & ~b

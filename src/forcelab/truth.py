@@ -116,7 +116,11 @@ def _refuse_atom(phi: Formula):
 # the full mask per point of its axes.  A node that lacks some of its axes
 # is taken along the ones it has and spread over the rest.  Atoms read rows
 # built on first use, for any set (valuations may leave the domain), and
-# grids whose blocks are those rows.
+# grids whose blocks are those rows.  Values are memoized per node, axes and
+# values of the node's other free variables, except the grids of ∧ and ∨.
+# Such a grid is asked for by the nearest ¬ or quantifier above it, whose
+# own value is kept, so it is asked for again only where a shared
+# subformula sits under two of them; keeping it would cost |domain|² bits.
 
 def eval_formula(M: FiniteStructure, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
     """Tarskian satisfaction, with quantifier blocks ranging over the domain."""
@@ -129,7 +133,9 @@ def eval_formula(M: FiniteStructure, phi: Formula, valuation: dict[str, HFSet] |
 
 def _value(M: FiniteStructure, phi: Formula, axes: tuple[str, ...], v) -> int:
     """phi's value along axes (v holds the other free variables, not the
-    axes): 1 or 0, a mask or a grid.  Memoized per (node, axes, values)."""
+    axes): 1 or 0, a mask or a grid.  Memoized per (node, axes, values),
+    except the grid of an ∧ or ∨, which only the nearest ¬ or quantifier
+    above it reads."""
     if not phi.free.issuperset(axes):
         return _spread(M, phi, axes, v)
     if phi.rank == 0:
@@ -153,7 +159,8 @@ def _value(M: FiniteStructure, phi: Formula, axes: tuple[str, ...], v) -> int:
         out = _quantify(M, phi, axes, v)
     else:
         raise ForcelabError(f"unknown formula node {type(phi).__name__}")
-    M._cache[key] = out
+    if len(axes) < 2 or not isinstance(phi, (And, Or)):
+        M._cache[key] = out
     return out
 
 
@@ -223,8 +230,8 @@ def _blocks(M: FiniteStructure, grid: int, fill: int) -> int:
 def _row_blocks(M: FiniteStructure, kind: str) -> int:
     """The grid whose block i is _row(M, kind, domain[i]); for kind
     "starts" it is 1 and for "even" and "odd" the full mask at even or odd
-    i, else 0.  Kept in M._cache, so that dropping the memoized values
-    drops these too."""
+    i, else 0.  Kept in M._cache with the memoized values, so that
+    clearing it drops these too."""
     key = ("grid", kind)
     out = M._cache.get(key)
     if out is None:
@@ -781,11 +788,12 @@ def stage_comparison_structure(base: FiniteStructure, pool: Sequence[Formula],
 
     Coded valuations are included for formulas of at most
     CODED_VALUATION_CAP free variables only.  Evaluation
-    keeps every value it computes, one per node, axes and valuation of the
+    keeps the values it computes, one per node, axes and valuation of the
     node's other free variables, so a node with k free variables is
     computed along j of them (0 ≤ j ≤ 2) up to |domain|^(k-j) times, as a
     bit, a mask over the domain or a grid over its square, as the
-    quantifiers above it ask.
+    quantifiers above it ask.  The grids of ∧ and ∨ are not kept: the ¬ or
+    quantifier that reads one keeps its own value instead.
     """
     extra: set[HFSet] = set(base.domain)
     for xi in range(stage_cap + 1):

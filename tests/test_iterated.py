@@ -1,12 +1,13 @@
 import pytest
 
-from forcelab import (EMPTY, AtomTr, ClosureError, DerivedIteratedTruth,
-                      FiniteStructure, Forall, StageTranslator,
+from forcelab import (EMPTY, And, AtomTr, ClosureError, DerivedIteratedTruth,
+                      Exists, FiniteStructure, Forall, Not, Or, StageTranslator,
                       and_, atom_eq, atom_in, atom_in_class, atom_tr, const,
                       encode_formula, encode_valuation, forall, iterated_truth,
                       nat_encode, not_, or_, stage_comparison_structure,
                       subformula_closure, v_stage, var)
 from forcelab import corpus, criteria
+from forcelab import truth as truth_mod
 from forcelab.truth import CODED_VALUATION_CAP, instances
 
 BETA_MAX = 5
@@ -161,3 +162,25 @@ def test_translation_pins_down_a_value_coding_a_variable():
          zv: encode_valuation({"a": code_of_a})}
     assert not it.holds(1, atom, v)
     assert not derived.holds(1, atom, v)
+
+
+def test_the_memo_keeps_no_conjunction_grid(setup, monkeypatch):
+    # a ∧/∨ grid is asked for by the nearest ¬ or quantifier above it, whose
+    # own value is kept, so only ¬ and quantifier grids are worth keeping
+    base, pool, _ = setup
+    D = stage_comparison_structure(base, pool, 2)
+    derived = DerivedIteratedTruth(D, pool, 2)
+    it = iterated_truth(D, 2, pool)
+    computed, real_value = set(), truth_mod._value
+
+    def spy(M, phi, axes, v):
+        computed.add((type(phi), len(axes)))
+        return real_value(M, phi, axes, v)
+
+    monkeypatch.setattr(truth_mod, "_value", spy)
+    points = criteria.instance_points(base, pool, 2) + criteria.encoding_points(base, pool, 2)
+    assert criteria.dual_path(derived, it, points) == (0, None, len(points))
+    stored = {(type(key[0]), len(key[1])) for key in D._cache if not isinstance(key[0], str)}
+    assert {(And, 2), (Or, 2)} & computed
+    assert not {(And, 2), (Or, 2)} & stored
+    assert (Not, 2) in stored and {(Forall, 2), (Exists, 2)} & stored

@@ -8,7 +8,8 @@ in the regular-open algebra, direct evaluation in the generic extension,
 pointwise iterated truth, the truth-teller's verdicts in the truth-telling
 game) or with the forcing laws, so a wrong mask cannot pass them.  The
 Boolean values are corrupted the same way and must fail the comparison
-with the kernel or leave the algebra.  One test poisons an entry of the
+with the kernel or leave the algebra, and a flipped memoized complement
+must fail the algebra's law audit.  One test poisons an entry of the
 memoized pair table instead, and self-coherence must catch the wrong code.
 The last tests read the source of the independent sides and fail if one
 of them names the code it is compared with.
@@ -25,7 +26,8 @@ import pytest
 from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, Exists, Forall,
                       ForcelabError, Not, Or, and_, atom_eq, atom_in,
                       atomic_forcing, atomic_recursion_instance,
-                      audit_forcing_relation, boolean_completion, boolean_values,
+                      audit_boolean_algebra, audit_forcing_relation,
+                      boolean_completion, boolean_values,
                       compare_atomic_table, const, encode_formula,
                       encode_valuation, etr_solve, exists, forcing_truth,
                       generic_filters, invariance_check, iterated_truth,
@@ -116,6 +118,26 @@ def test_every_single_boolean_value_flip_is_caught(fork_kernel):
                 bv._memo[key] ^= 1 << p
     assert caught == len(bv._memo) * len(FR.notion)
     assert _values_agree(FR, bv)
+
+
+def test_every_single_complement_flip_fails_the_law_audit(fork_kernel):
+    # Complements are unique, so a flipped complement either leaves the
+    # algebra (closure) or no longer complements its argument.
+    FR, _, _, bv = fork_kernel
+    B = bv.completion.algebra
+    assert audit_boolean_algebra(B).ok
+    memo = B._complement
+    assert set(memo) == set(B.elements)
+    caught = 0
+    for a in memo:
+        for p in FR.notion.conditions():
+            memo[a] ^= 1 << p
+            try:
+                caught += not audit_boolean_algebra(B).ok
+            finally:
+                memo[a] ^= 1 << p
+    assert caught == len(memo) * len(FR.notion)
+    assert audit_boolean_algebra(B).ok
 
 
 def test_flipped_check_name_equality_fails_both_comparisons(fork_kernel):
