@@ -18,6 +18,7 @@ so the two computations can be compared bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -65,7 +66,7 @@ class RecursionInstance:
 
     def __post_init__(self):
         if (len(self.support) != self.length
-                or not set().union(*self.support) <= set(self.domain)):
+                or not set(self.domain).issuperset(itertools.chain.from_iterable(self.support))):
             raise ForcelabError(
                 f"{self.label}: support needs {self.length} tuples of domain elements")
 

@@ -42,7 +42,7 @@ from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        atom_in_class, atom_in_g, canonical_pool, const,
                        encode_formula, implies, map_atom, map_formula,
                        name_const, nodes, not_, or_, substitute, terms)
-from .hfset import EMPTY, HFSet, nat_encode, hf_pair
+from .hfset import EMPTY, HFSet, hf_make, hf_pair, nat_encode
 from .names import (EMPTY_NAME, ClassName, PName, check_name, eval_class,
                     eval_name, g_dot, is_subname_closed, name_make, name_to_hf, op_name)
 from .poset import (Filter, ForcingNotion, bits, generic_filters, is_separative,
@@ -1007,7 +1007,18 @@ def truth_name(FR: ForcingRelation, pool: Sequence[Formula]) -> TruthName:
 
 def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
     """The forcing recursion as an explicit instance: pairs of names staged by
-    (max rank, rank pair), with the subset clause unfolded into membership."""
+    (max rank, rank pair), with the subset clause unfolded into membership.
+
+    The statement that p forces σ ∈ τ (kind 0) or σ = τ (kind 1) is coded as
+    the doubleton {p̄, c}: p̄ = nat_encode(p), and c = ⟨kind, ⟨⌜σ⌝, ⌜τ⌝⟩⟩ is
+    a Kuratowski pair of the kind's ordinal and the names' codes.  The code
+    is injective: the members of a pair are nonempty, while every nonzero
+    von Neumann natural has ∅ as a member and 0 = ∅ is no pair, so c is no
+    natural; p̄ is the doubleton's one natural member, and c the other.
+    Building one set per code, not a pair of two, keeps the codes cheap.
+    The codec lists the codes condition by condition, each in the order of
+    the pairs (kind, σ, τ); that is the domain order in which
+    `verify_solution` reports a failure."""
     N = tuple(sorted(set(universe), key=lambda n: n.key))
     if not is_subname_closed(N):
         raise ClosureError("name universe must be subname-closed")
@@ -1018,20 +1029,19 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
         return stage_index[(max(s.rank, t.rank), s.rank, t.rank)]
 
     code = {s: name_to_hf(s) for s in N}
-    p_codes = [nat_encode(p) for p in P.conditions()]
-
-    def encodings(kind_id: int, s: PName, t: PName) -> tuple[int, list[HFSet]]:
-        # The pair's stage and its encodings, indexed by condition.
-        st = hf_pair(nat_encode(kind_id), hf_pair(code[s], code[t]))
-        return stage_of(s, t), [hf_pair(p_code, st) for p_code in p_codes]
-
-    tables = {kind: {(s, t): encodings(k, s, t) for s in N for t in N}
-              for k, kind in enumerate(("in", "eq"))}
-    codec: dict[HFSet, tuple[int, str, PName, PName]] = {
-        encs[p]: (p, kind, s, t) for p in P.conditions()
-        for kind, table in tables.items() for (s, t), (_, encs) in table.items()}
-    stage_at = {enc: st for table in tables.values() for st, encs in table.values()
-                for enc in encs}
+    pair_codes = {(kind, s, t): hf_pair(nat_encode(k), hf_pair(code[s], code[t]))
+                  for k, kind in enumerate(("in", "eq")) for s in N for t in N}
+    encodings: dict[tuple[str, PName, PName], list[HFSet]] = {pair: [] for pair in pair_codes}
+    codec: dict[HFSet, tuple[int, str, PName, PName]] = {}
+    for p in P.conditions():
+        p_code = nat_encode(p)
+        for pair, c in pair_codes.items():
+            enc = hf_make((p_code, c))
+            codec[enc] = (p, *pair)
+            encodings[pair].append(enc)  # indexed by condition
+    if len(codec) != 2 * len(P.conditions()) * len(N) ** 2:
+        raise ForcelabError(f"atomic codes collide: {len(codec)} codes for "
+                            f"{len(P.conditions())} conditions and {len(N)} names")
 
     down = [P.down(p) for p in P.conditions()]
     # Every condition of a pair (kind, σ, τ) reads the same earlier slices, so
@@ -1047,10 +1057,9 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
     def held(view, kind: str, s: PName, t: PName) -> int:
         got = held_memo.get((kind, s, t))
         if got is None:
-            st, encs = tables[kind][(s, t)]
-            sl = view.slice(st)
+            sl = view.slice(stage_of(s, t))
             got = held_memo[(kind, s, t)] = sum(
-                1 << q for q, enc in enumerate(encs) if enc in sl)
+                1 << q for q, enc in enumerate(encodings[(kind, s, t)]) if enc in sl)
         return got
 
     @functools.cache
@@ -1086,7 +1095,7 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
             mask = rejected_memo[(kind, sigma, tau)] = rejected(view, kind, sigma, tau)
         return not down[p] & mask
 
-    inst = etr_mod.staged_instance(codec, len(stages), lambda x: (stage_at[x],),
+    inst = etr_mod.staged_instance(codec, len(stages), lambda x: (stage_of(*codec[x][2:]),),
                                    step, "atomic-forcing")
     return inst, codec, stage_of
 

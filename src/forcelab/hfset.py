@@ -5,12 +5,17 @@ equality and hash are identity, and a Python set of sets iterates in
 address order.  The sort key, the flat tuple (rank, *child keys), gives the
 total order used wherever order is printed or ties broken (rank first, then
 lexicographically on the ordered children); tuple comparison stops at the
-first differing child, since equal children share one key.
+first differing child, since equal children share one key.  A set builds
+its key on first read, by one `dag.fold` over the descendants that have
+none yet, and keeps it; comparisons read the ranks first and the keys only
+when the ranks are equal, so sets that are only built, paired and looked
+up never hold one.
 
 Kuratowski pairs and their decoding are memoized by identity: `hf_pair`
 keeps a table (a, b) → pair and `hf_unpair` a table set → (a, b) or None,
-so each pair is built and each set decoded once.  Like the interning table,
-these tables never shrink.
+filled by structural decoding the first time a set is asked for, so each
+pair is built and each set decoded once.  Like the interning table, these
+tables never shrink.
 
 Values are immutable and safely shareable once constructed; the interning
 and memo tables themselves are confined to single-threaded construction.
@@ -31,27 +36,37 @@ _unpairs: dict["HFSet", tuple["HFSet", "HFSet"] | None] = {}
 
 
 class HFSet:
-    """An interned hereditarily finite set.  Use :func:`hf_make` to construct."""
+    """An interned hereditarily finite set.  Use :func:`hf_make` to construct.
+    Its order key is built on first read (see `key`)."""
 
-    __slots__ = ("children", "rank", "key")
+    __slots__ = ("children", "rank", "_key")
 
     children: tuple["HFSet", ...]
     rank: int
-    key: tuple
 
     def __init__(self, children: tuple["HFSet", ...], rank: int):
         self.children = children
         self.rank = rank
-        self.key = (rank, *(c.key for c in children))
+        self._key = None
+
+    @property
+    def key(self) -> tuple:
+        """The flat tuple (rank, *child keys), built on first read together
+        with the keys of the descendants that have none yet, then kept."""
+        key = self._key
+        return key if key is not None else fold(self, _members, _key_of, _KEY_SLOTS)
 
     # Interning makes identity the same as extensional equality; the default
     # object __eq__ and __hash__ are therefore correct (and O(1)).
 
     def __lt__(self, other: "HFSet") -> bool:
+        # the rank is the key's first component
+        if self.rank != other.rank:
+            return self.rank < other.rank
         return self.key < other.key
 
     def __le__(self, other: "HFSet") -> bool:
-        return self.key <= other.key
+        return not other < self
 
     def __contains__(self, x: "HFSet") -> bool:
         return any(x is c for c in self.children)
@@ -74,6 +89,29 @@ def _members(x: HFSet) -> tuple[HFSet, ...]:
     return x.children
 
 
+def _key_of(x: HFSet, child_keys: tuple[tuple, ...]) -> tuple:
+    return (x.rank, *child_keys)
+
+
+class _KeySlots:
+    """`fold`'s memo for `HFSet.key`: the sets' own key slots, so a walk
+    enters no set that already has its key, and recurses in no Python frame."""
+
+    __slots__ = ()
+
+    def __contains__(self, x: HFSet) -> bool:
+        return x._key is not None
+
+    def __getitem__(self, x: HFSet) -> tuple:
+        return x._key
+
+    def __setitem__(self, x: HFSet, key: tuple) -> None:
+        x._key = key
+
+
+_KEY_SLOTS = _KeySlots()
+
+
 def hf_make(children: Iterable[HFSet] = ()) -> HFSet:
     """Return the canonical set with the given children (order and duplicates ignored)."""
     # Only canonical (sorted, duplicate-free) tuples are keys of the table,
@@ -82,7 +120,7 @@ def hf_make(children: Iterable[HFSet] = ()) -> HFSet:
     cached = _intern.get(tup)
     if cached is not None:
         return cached
-    return _interned(tuple(sorted(set(tup), key=lambda c: c.key)))
+    return _interned(tuple(sorted(set(tup))))
 
 
 def _interned(tup: tuple[HFSet, ...]) -> HFSet:
@@ -90,7 +128,7 @@ def _interned(tup: tuple[HFSet, ...]) -> HFSet:
     cached = _intern.get(tup)
     if cached is not None:
         return cached
-    made = HFSet(tup, 1 + tup[-1].rank if tup else 0)  # keys, sorted, start with the rank
+    made = HFSet(tup, 1 + tup[-1].rank if tup else 0)  # sorted rank first
     _intern[tup] = made
     return made
 
@@ -110,11 +148,11 @@ def hf_pair(a: HFSet, b: HFSet) -> HFSet:
         single = _interned((a,))
         if a is b:
             got = _interned((single,))
+        elif a < b:  # {a} < {a, b} exactly when a < b
+            got = _interned((single, _interned(pair)))
         else:
-            double = _interned(pair if a.key < b.key else (b, a))
-            got = _interned((single, double) if single.key < double.key else (double, single))
+            got = _interned((_interned((b, a)), single))
         _pairs[pair] = got
-        _unpairs[got] = pair
     return got
 
 

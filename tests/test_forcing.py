@@ -1,5 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,9 @@ from forcelab import (EMPTY, EMPTY_NAME, ClassName, ClosureError,
                       or_, subname_closure, truth_lemma_check, truth_name,
                       v_stage, var, verify_solution)
 from forcelab import corpus, criteria
+from forcelab import forcing as forcing_mod
+from forcelab.hfset import hf_pair, hf_unpair, nat_decode
+from forcelab.names import name_to_hf
 from forcelab.poset import Filter, bits
 
 
@@ -272,6 +280,62 @@ def test_atomic_relation_as_recursion_instance(fork):
     sol = etr_solve(inst)
     assert verify_solution(inst, sol) == (True, None)
     assert compare_atomic_table(FR, sol, codec)
+
+
+# Criterion 7's staged atomic instances code "p forces σ ∈ τ" (kind 0) and
+# "p forces σ = τ" (kind 1) as the doubleton {p̄, ⟨kind, ⟨⌜σ⌝, ⌜τ⌝⟩⟩}.
+
+CRITERION_7_NOTIONS = corpus.corpus_notions()[:6]
+
+
+@pytest.mark.parametrize("label", [label for label, _ in CRITERION_7_NOTIONS])
+def test_staged_atomic_codes_are_doubletons_in_condition_order(label):
+    P = dict(CRITERION_7_NOTIONS)[label]
+    N = sorted(set(name_universe(P, 1)), key=lambda n: n.key)
+    inst, codec, _ = atomic_recursion_instance(P, N)
+    assert len(codec) == 2 * len(P.conditions()) * len(N) ** 2
+    assert inst.domain == tuple(codec)
+    assert list(codec.values()) == [(p, kind, s, t) for p in P.conditions()
+                                    for kind in ("in", "eq") for s in N for t in N]
+    for x, (p, kind, s, t) in codec.items():
+        assert len(x) == 2 and nat_encode(p) in x, x
+        (c,) = [m for m in x if nat_decode(m) is None]
+        assert hf_unpair(c) == (nat_encode(("in", "eq").index(kind)),
+                                hf_pair(name_to_hf(s), name_to_hf(t)))
+
+
+@pytest.mark.parametrize("label", [label for label, P in CRITERION_7_NOTIONS
+                                   if len(P.conditions()) > 2])
+def test_staged_atomic_codes_that_collide_are_refused(monkeypatch, label):
+    # the last condition coded as condition 0: a dict keyed by the codes
+    # would keep one of the two entries and drop the other
+    P = dict(CRITERION_7_NOTIONS)[label]
+    last, real = len(P.conditions()) - 1, forcing_mod.nat_encode
+    monkeypatch.setattr(forcing_mod, "nat_encode", lambda k: real(0 if k == last else k))
+    with pytest.raises(ForcelabError, match="collide"):
+        atomic_recursion_instance(P, name_universe(P, 1))
+
+
+def test_staged_atomic_codes_hold_no_keys_and_record_no_unpairs():
+    # a fresh interpreter, so that no other test has read a code's key
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    code = textwrap.dedent("""
+        from forcelab import atomic_recursion_instance, corpus, hfset, name_universe
+        P = dict(corpus.corpus_notions())["four-fork"]
+        N = name_universe(P, 1)
+        unpairs = len(hfset._unpairs)
+        _, codec, _ = atomic_recursion_instance(P, N)
+        keyed = sum(x._key is not None for x in codec)
+        print(len(codec), keyed, len(hfset._unpairs) - unpairs)
+    """)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    codes, keyed, unpairs_grown = map(int, done.stdout.split())
+    assert codes > 1000
+    assert keyed == 0 and unpairs_grown == 0
 
 
 def _both_sides_agree(P, N) -> bool:

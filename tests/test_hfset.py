@@ -5,6 +5,7 @@ from forcelab import (EMPTY, BudgetError, FiniteStructure, atomic_recursion_inst
                       corpus, eval_formula, hf_make, hf_rank, name_universe,
                       nat_decode, nat_encode, subformulas, theta_formula, v_stage)
 from forcelab import hfset
+from forcelab.dag import nodes
 from forcelab.hfset import hf_list, hf_pair, hf_unlist, hf_unpair, transitive_closure
 
 
@@ -153,6 +154,55 @@ def test_order_is_total_and_rank_first(a, b):
     assert (a is b) == (not a < b and not b < a)
     if a.rank < b.rank:
         assert a < b
+
+
+# Keys are built on first read.  The reference builds them bottom-up from
+# their definition, (rank, *child keys), and is compared with a stack: == on
+# tuples nested 6,000 deep would overflow the interpreter's own stack.  A
+# root's key holds the keys of the sets below it, so walking the roots' keys
+# compares every key once.
+
+def _reference_keys(roots):
+    ref = {}
+    for root in roots:
+        for x in nodes(root, lambda x: x.children):  # children before parents
+            ref[x] = (x.rank, *(ref[c] for c in x.children))
+    return ref
+
+
+def _same_nested_tuple(a, b) -> bool:
+    stack, seen = [(a, b)], set()
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if type(x) is not tuple or type(y) is not tuple:
+            if x != y:
+                return False
+        elif len(x) != len(y):
+            return False
+        else:
+            stack.extend(zip(x, y))
+    return True
+
+
+def test_deep_keys_are_built_without_recursion():
+    # the lists differ in their first item, ∅ against {∅}, at equal rank
+    long = hf_list([EMPTY] * 3000)
+    sibling = hf_list([nat_encode(1)] + [EMPTY] * 2999)
+    assert long.rank == sibling.rank == 6000
+    assert long._key is None and sibling._key is None
+    assert long < sibling and not sibling < long and long <= sibling
+    stage = v_stage(4)
+    roots = [long, sibling, *stage]
+    ref = _reference_keys(roots)
+    assert len(ref) > 6000
+    for x in roots:
+        assert _same_nested_tuple(x.key, ref[x]), x
+    for x in ref:  # and each key below a root is the one its set holds
+        assert x.key == (x.rank, *(c.key for c in x.children)), x
+    assert stage == sorted(stage, key=ref.__getitem__) == sorted(reversed(stage))
 
 
 def test_theta_empty_shape():
