@@ -1015,7 +1015,7 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
     is injective: the members of a pair are nonempty, while every nonzero
     von Neumann natural has ∅ as a member and 0 = ∅ is no pair, so c is no
     natural; p̄ is the doubleton's one natural member, and c the other.
-    Building one set per code, not a pair of two, keeps the codes cheap.
+    Each code is one new set, with no entry in `hf_pair`'s table.
     The codec lists the codes condition by condition, each in the order of
     the pairs (kind, σ, τ); that is the domain order in which
     `verify_solution` reports a failure."""

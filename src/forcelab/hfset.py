@@ -128,7 +128,7 @@ def _interned(tup: tuple[HFSet, ...]) -> HFSet:
     cached = _intern.get(tup)
     if cached is not None:
         return cached
-    made = HFSet(tup, 1 + tup[-1].rank if tup else 0)  # sorted rank first
+    made = HFSet(tup, 1 + tup[-1].rank if tup else 0)  # sorted by rank first
     _intern[tup] = made
     return made
 

@@ -385,7 +385,6 @@ def test_truth_name_atomic_pool(fork):
         ext = extension(FR, G)
         values = eval_class(tn.tdot, G)
         from forcelab import encode_formula
-        from forcelab.hfset import hf_pair
         for phi in pool:
             declared = hf_pair(encode_formula(phi), EMPTY) in values
             forced = any(forces(FR, p, phi) for p in bits(G.members))
