@@ -201,7 +201,7 @@ def suite_iterated(config, rep: Reporter):
     rep.run("iterated/self-coherence", lambda: _passed(criteria.self_coherence(it)))
     small = list(subformula_closure(f for f in pool if f.rank <= 1))
     rep.run("iterated/staged-recursion-identical", lambda: _passed(criteria.staged_iterated(
-        FiniteStructure(v_stage(2), {"d": [EMPTY]}), 3, small)))
+        [(FiniteStructure(v_stage(2), {"d": [EMPTY]}), small), corpus.coded_truth_input()], 3)))
     D = stage_comparison_structure(base, pool, beta_max)
     derived = DerivedIteratedTruth(D, pool, beta_max)
     itD = iterated_truth(D, beta_max, pool)

@@ -13,8 +13,8 @@ from dataclasses import replace
 
 from .etr import staged_instance
 from .formulas import (Formula, and_, atom_eq, atom_in, atom_in_class,
-                       atom_in_g, atom_tr, exists, forall, implies,
-                       name_const, not_, or_, subformula_closure, var)
+                       atom_in_g, atom_tr, encode_formula, encode_valuation, exists,
+                       forall, implies, name_const, not_, or_, subformula_closure, var)
 from .games import random_game_tree, zermelo_recursion_instance
 from .hfset import EMPTY, hf_rank, nat_encode, v_stage
 from .names import (EMPTY_NAME, PName, check_name, name_make, name_universe,
@@ -194,6 +194,16 @@ def iterated_pool() -> list[Formula]:
         forall(("a",), atom_eq(var("a"), var("a"))),
     ]
     return list(subformula_closure(seeds))
+
+
+def coded_truth_input() -> tuple[FiniteStructure, list[Formula]]:
+    """V₂ with 2, ⌜d(a)⌝ and each ⌜{a ↦ x}⌝, d = {∅}, and the closure of a ∈ b,
+    ¬ a ∈ b, tr(a, b, c) and d(a): unlike over V₂, some truth atoms decode."""
+    a, b, c = var("a"), var("b"), var("c")
+    d_a = atom_in_class(a, "d")
+    coded = [nat_encode(2), encode_formula(d_a), *(encode_valuation({"a": x}) for x in v_stage(2))]
+    pool = subformula_closure([atom_in(a, b), not_(atom_in(a, b)), atom_tr(a, b, c), d_a])
+    return FiniteStructure([*v_stage(2), *coded], {"d": [EMPTY]}), list(pool)
 
 
 def atomic_game_pool() -> list[Formula]:

@@ -176,17 +176,18 @@ def dual_path(derived, direct, points):
 
 
 @_criterion
-def staged_iterated(M, stages, pool):
-    """The iterated predicate's staged recursion instance, solved and
-    verified, against the predicate: the stages each instance holds at."""
-    inst, codec, _ = iterated_truth_instance(M, stages, pool)
-    solution = etr_solve(inst)
-    yield verify_solution(inst, solution)
-    direct = iterated_truth(M, stages, pool)
-    span = max(f.rank for f in pool) + 1  # slices are stage-major, then by rank
-    for enc, (phi, v) in codec.items():
-        staged = sorted(i // span for i, sl in enumerate(solution.slices) if enc in sl)
-        yield staged == [b for b in range(stages) if direct.holds(b, phi, v)], phi
+def staged_iterated(inputs, stages):
+    """Per structure and pool, the iterated predicate's staged instance, solved
+    and verified, against the predicate: the stages each instance holds at."""
+    for M, pool in inputs:
+        inst, codec, _ = iterated_truth_instance(M, stages, pool)
+        solution = etr_solve(inst)
+        yield verify_solution(inst, solution)
+        direct = iterated_truth(M, stages, pool)
+        span = max(f.rank for f in pool) + 1  # slices are stage-major, then by rank
+        for enc, (phi, v) in codec.items():
+            staged = sorted(i // span for i, sl in enumerate(solution.slices) if enc in sl)
+            yield staged == [b for b in range(stages) if direct.holds(b, phi, v)], phi
 
 
 # --- games (criterion 8) ------------------------------------------------------

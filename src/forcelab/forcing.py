@@ -49,7 +49,7 @@ from .poset import (Filter, ForcingNotion, bits, generic_filters, is_separative,
                     minimal_classes)
 
 ATOMIC_BUDGET = 2_000_000
-QUANTIFIER_BUDGET = 200_000
+QUANTIFIER_BUDGET = 200_000  # name tuples a quantifier block's body is valued at
 TRANSLATION_BUDGET = 100_000
 NESTING_CAP = 200          # formula nesting depth (rank) forces and star_translate accept
 AUDIT_POOL_SIZE = 24       # atomic formulas for the modus-ponens and decidedness laws
@@ -236,11 +236,11 @@ class ForcingRelation:
         if isinstance(phi, (And, Or)):
             values = (self.value(s, env) for s in phi.subs)
         elif isinstance(phi, (Forall, Exists)):
-            k = len(phi.vars)
-            if len(self.universe) ** k > QUANTIFIER_BUDGET:
-                raise BudgetError(f"quantifier block over {len(self.universe)}^{k} names")
+            scope = len(phi.vars) + len(phi.free)  # the free ones are bound by outer blocks
+            if len(self.universe) ** scope > QUANTIFIER_BUDGET:
+                raise BudgetError(f"quantifier block over {len(self.universe)}^{scope} names")
             values = (self.value(phi.body, {**env, **dict(zip(phi.vars, names))})
-                      for names in itertools.product(self.universe, repeat=k))
+                      for names in itertools.product(self.universe, repeat=len(phi.vars)))
         else:
             raise ForcelabError(f"unknown formula node {type(phi).__name__}")
         if isinstance(phi, (And, Forall)):

@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from . import sexpr
+from . import dag, sexpr
 from . import etr as etr_mod
 from .errors import BudgetError, ForcelabError, ParseError
 from .formulas import And, AtomTr, Exists, Forall, Formula, Not, Or
@@ -32,6 +32,11 @@ GAME_BUDGET = 300_000
 # The verdict on a composite that one vote makes good, and so names that
 # vote as its witness: a true ∃ or ∨, a false ∀ or ∧.
 _NAMES_A_WITNESS = {Exists: True, Or: True, Forall: False, And: False}
+
+# The truth-telling game's terminal positions, after a violation and at
+# clock 0, are the rows they end in, less the answer that reaches them.
+_LIE = ("I", (), (("role", "violation"),))
+_END = ("II", (), (("role", "clock-exhausted"),))
 
 
 @dataclass
@@ -393,14 +398,14 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
     judged pointwise off the sets, not by `eval_formula`, which the verdicts
     are checked against.
 
-    The game is built as an acyclic graph.  The subgame below an
-    interrogator position depends only on its clock and history, and below
-    a truth-teller position only on its challenge, clock and history (at
-    clock 0, only on the declarations in the history that the judge reads
-    for its answers), so each position is built once; rows with the same
-    mover, children, winner and note share one id.  `len` of the result
-    counts the nodes of the unfolded game tree; GAME_BUDGET bounds the
-    distinct rows.
+    The game is one `dag.fold` over hashable positions: the interrogator's
+    ("ask", clock, history), the truth-teller's answer to challenge i at
+    ("tell", i, clock, history), its history cut at clock 0 to what the
+    judge reads, and the terminals after a violation and at clock 0.  An
+    "ask" folds to the row after an answer, less the answer, so every
+    answer that reaches it shares its children; a "tell" folds to its
+    row's id.  Equal rows share one id.  `len` of the result counts the
+    nodes of the unfolded game tree; GAME_BUDGET bounds the distinct rows.
     """
     def votes_of(phi: Formula, v: dict) -> list[tuple]:
         # the instances whose verdicts decide a composite's: a quantifier's
@@ -412,13 +417,17 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
             return [(phi.sub, valuation_key(phi.sub, v))]
         return [(s, valuation_key(s, v)) for s in phi.subs]
 
-    # (challenge, the verdict that names a witness or None, the witnesses)
+    # (challenge, witnesses, answers).  An answer is a verdict and the
+    # witness it names or None: a verdict one vote makes good names each
+    # vote in turn.
     challenges = []
     for phi in pool:
         named = _NAMES_A_WITNESS.get(type(phi))
         for v in instances(M, phi):
-            witnesses = tuple(votes_of(phi, v)) if named is not None else None
-            challenges.append(((phi, valuation_key(phi, v)), named, witnesses))
+            witnesses = tuple(votes_of(phi, v)) if named is not None else ()
+            answers = [(verdict, witness) for verdict in (True, False)
+                       for witness in (witnesses if verdict is named else (None,))]
+            challenges.append(((phi, valuation_key(phi, v)), witnesses, answers))
 
     def clause_of(key: tuple) -> tuple:
         # (truth, universal, flip, votes).  An atom has its truth (None for a
@@ -434,8 +443,8 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
 
     # The clause of each instance a declaration can add, a challenge or a
     # witness, and the instances whose clauses vote on each instance.
-    clauses = {key: clause_of(key) for challenge, _, witnesses in challenges
-               for key in (challenge, *(witnesses or ()))}
+    clauses = {key: clause_of(key) for challenge, witnesses, _ in challenges
+               for key in (challenge, *witnesses)}
     voters: dict[tuple, list[tuple]] = {}
     for key, (_, _, _, votes) in clauses.items():
         for vote in votes or ():
@@ -452,17 +461,7 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
                 near.update(clauses[voter][3])
         return frozenset((key, verdict) for key in near for verdict in (True, False))
 
-    reads = {challenge: judged((challenge, *(witnesses or ())))
-             for challenge, _, witnesses in challenges}
-    player: list[str] = []
-    kids_of: list[tuple[int, ...]] = []
-    notes: dict[int, tuple] = {}
-    ids: dict[tuple, int] = {}
-    # The children of each interrogator position, keyed by (clock, history),
-    # and the id of each truth-teller position, keyed by (challenge, clock,
-    # history or, at clock 0, the part of it the judge reads).
-    interrogations: dict[tuple, tuple[int, ...]] = {}
-    tellers: dict[tuple, int] = {}
+    reads = [judged((challenge, *witnesses)) for challenge, witnesses, _ in challenges]
 
     def broken(clause: tuple, verdict: bool, history: dict) -> bool:
         truth, universal, flip, votes = clause
@@ -484,82 +483,71 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
                     return True
         return False
 
-    def row_id(who: str, kids: tuple, note: tuple) -> int:
+    def reply(history: frozenset, challenge: tuple, verdict: bool, witness, clock_next: int):
+        # the position after the truth-teller declares `verdict` on the
+        # challenge and on the witness it names, if any
+        declared = dict(history)
+        added = []
+        for key in (challenge, witness) if witness else (challenge,):
+            old = declared.get(key)
+            if old is None:
+                added.append(key)
+                declared[key] = verdict
+            elif old != verdict:
+                return _LIE
+        if violates(declared, added):
+            return _LIE
+        if not clock_next:
+            return _END
+        return "ask", clock_next, frozenset(declared.items()) if added else history
+
+    def moves(position: tuple) -> list:
+        # An interrogator's position leads to the challenges she may make,
+        # a truth-teller's to what each of her answers leads to.
+        if position[0] == "ask":
+            _, clock_now, history = position
+            return [("tell", i, smaller, history if smaller else history & reads[i])
+                    for i in range(len(challenges)) for smaller in range(clock_now)]
+        if position[0] == "tell":
+            _, i, clock_next, history = position
+            challenge, _, answers = challenges[i]
+            return [reply(history, challenge, verdict, witness, clock_next)
+                    for verdict, witness in answers]
+        return ()
+
+    asked = [(("role", "interrogator"), ("clock", c)) for c in range(clock + 1)]  # shared notes
+    ids: dict[tuple, int] = {}  # each row's id, in id order
+
+    def row(who: str, kids: tuple, note: tuple) -> int:
         # `who` is the node's mover, or its winner when it has no children;
         # `note` lists its note as (key, value) pairs.  Equal rows head equal
         # subgames, so they get one id.
         content = (who, kids, note)
         ident = ids.get(content)
         if ident is None:
-            ident = len(player)
-            if ident >= GAME_BUDGET:
+            if len(ids) >= GAME_BUDGET:
                 raise BudgetError(f"truth-telling game exceeds {GAME_BUDGET} nodes "
                                   f"(pool {len(challenges)} instances, clock {clock})")
-            player.append(who)
-            kids_of.append(kids)
-            notes[ident] = note
-            ids[content] = ident
+            ident = ids[content] = len(ids)
         return ident
 
-    def interrogator_node(clock_now: int, history: dict, position: frozenset,
-                          answer: tuple) -> int:
-        # `answer` is the declaration this node follows: its verdict and
-        # challenge.  `position` is the history as a key.
-        if clock_now == 0:
-            return row_id("II", (), (("role", "clock-exhausted"), *answer))
-        kids = interrogations.get((clock_now, position))
-        if kids is None:
-            kids = interrogations[clock_now, position] = tuple(
-                teller_node(challenge, named, witnesses, smaller, history, position)
-                for challenge, named, witnesses in challenges for smaller in range(clock_now))
-        return row_id("I", kids, (("role", "interrogator"), ("clock", clock_now), *answer))
+    def combine(position: tuple, results: tuple):
+        # An interrogator's position, or a terminal, is the row after an
+        # answer less the answer; a truth-teller's is her row's id.
+        if position[0] == "ask":
+            return "I", results, asked[position[1]]
+        if position[0] == "tell":
+            _, i, clock_next, _ = position
+            challenge, _, answers = challenges[i]
+            kids = tuple(row(who, after, (*note, ("verdict", verdict), ("challenge", challenge)))
+                         for (who, after, note), (verdict, _) in zip(results, answers))
+            return row("II", kids, (("role", "truth-teller"), ("challenge", challenge),
+                                    ("clock", clock_next)))
+        return position  # a terminal
 
-    def teller_node(challenge: tuple, named: bool | None, witnesses: tuple | None,
-                    clock_next: int, history: dict, position: frozenset) -> int:
-        # The verdict `named` names one of the `witnesses` and declares it the
-        # same.  With no clock left, the answers end the game, as violations
-        # or not, so only the verdicts the judge reads tell positions apart.
-        if clock_next == 0:
-            position = frozenset(history.items() & reads[challenge])
-        ident = tellers.get((challenge, clock_next, position))
-        if ident is None:
-            kids = []
-            for verdict in (True, False):
-                if verdict is named:
-                    kids.extend(declaration_node(challenge, verdict, clock_next, history,
-                                                 position, witness) for witness in witnesses)
-                else:
-                    kids.append(declaration_node(challenge, verdict, clock_next, history, position))
-            ident = tellers[challenge, clock_next, position] = row_id(
-                "II", tuple(kids),
-                (("role", "truth-teller"), ("challenge", challenge), ("clock", clock_next)))
-        return ident
-
-    def declaration_node(challenge: tuple, verdict: bool, clock_next: int, history: dict,
-                         position: frozenset, witness=None) -> int:
-        # `witness` is the vote the verdict names.
-        new_history = dict(history)
-        contradiction = False
-        added = []
-        for key, verd in [(challenge, verdict)] + ([(witness, verdict)] if witness else []):
-            old = new_history.get(key)
-            if old is None:
-                added.append(key)
-            elif old != verd:
-                contradiction = True
-            new_history[key] = verd
-        answer = (("verdict", verdict), ("challenge", challenge))
-        if contradiction or violates(new_history, added):
-            return row_id("I", (), (("role", "violation"), *answer))
-        if added and clock_next:
-            position = frozenset(new_history.items())
-        return interrogator_node(clock_next, new_history, position, answer)
-
-    root = interrogator_node(clock, {}, frozenset(), ())
-    # the three builders refer to each other; without the cycle, freeing
-    # their position tables needs no collector pass
-    del interrogator_node, teller_node, declaration_node
-    return GameTree._of_columns(player, kids_of, notes, root)
+    root = row(*dag.fold(("ask", clock, frozenset()) if clock else _END, moves, combine))
+    player, kids_of, notes = map(list, zip(*ids))
+    return GameTree._of_columns(player, kids_of, dict(enumerate(notes)), root)
 
 
 def extract_verdicts(T: GameTree, strategy_II: dict[int, int],

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import etr as etr_mod
+from . import forcing as forcing_mod  # forcing imports this module back: use it in functions only
 from .errors import BudgetError, ClosureError, ForcelabError
 from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        Exists, Forall, Formula, GroundConst, Not, Or, Term, Var,
@@ -612,8 +613,6 @@ class ForcingTruth:
 
     def __init__(self, n: int, A: Iterable[HFSet], pool: Sequence[Formula],
                  include_degenerate_tokens: bool = False):
-        from . import forcing as forcing_mod  # forcing imports this module at top level
-
         _check_pool_closed(pool)
         self.pool = canonical_pool(pool)
         self.stage_n = n
@@ -641,7 +640,6 @@ class ForcingTruth:
             raise ForcelabError("valuation must cover the free variables")
         if any(v[x] not in self.slot_names for x in phi.free):
             raise ForcelabError("valuation values must lie in the collapsed stage")
-        from . import forcing as forcing_mod
         return forcing_mod.forces(self.relation, self.fa.one, self._stars[phi],
                                   check_universe=False,
                                   env={x: self.slot_names[v[x]] for x in phi.free})

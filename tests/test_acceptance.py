@@ -18,7 +18,7 @@ from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, FiniteStructure,
                       tarski_truth, truth_lemma_check, truth_name, v_stage, var,
                       verify_solution)
 from forcelab import corpus, criteria
-from forcelab.truth import CODED_VALUATION_CAP
+from forcelab.truth import CODED_VALUATION_CAP, instances
 
 
 def _one(ok):
@@ -176,8 +176,14 @@ def test_criterion_7_recursion_engine():
     small_pool = list(subformula_closure(
         [atom_in(var("a"), var("b")), not_(atom_in(var("a"), var("b"))),
          atom_tr(var("a"), var("b"), var("c"))]))
-    verdicts.append(criteria.staged_iterated(M, 3, small_pool))
-    expected += 1 + sum(_sizes(M.domain, small_pool).values())
+    # over V₂ no truth atom decodes; the coded domain has some that hold
+    inputs = [(M, small_pool), corpus.coded_truth_input()]
+    verdicts.append(criteria.staged_iterated(inputs, 3))
+    expected += sum(1 + sum(_sizes(M.domain, pool).values()) for M, pool in inputs)
+    coded, coded_pool = inputs[1]
+    assert any(iterated_truth(coded, 3, coded_pool).holds(beta, phi, v)
+               for phi in coded_pool if isinstance(phi, AtomTr)
+               for v in instances(coded, phi) for beta in range(3))
     _report(7, f"{len(builtin)} built-in instances verify; staged "
                "recomputations are bit-identical", started, verdicts, expected)
 

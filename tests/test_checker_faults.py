@@ -1,8 +1,8 @@
 """Fault injection outside the forcing kernel's masks.
 
 Each test corrupts one input of a checker (a generic filter, a game
-label, an entry of the truth-predicate name) and asserts that the checker
-reports failure.
+label, a strategy, a recursion solution, an entry of the truth-predicate
+name) and asserts that the checker reports failure.
 """
 
 import random
@@ -10,11 +10,11 @@ import re
 
 import pytest
 
-from forcelab import (ClassName, Filter, ForcelabError, atomic_forcing,
+from forcelab import (ClassName, Filter, ForcelabError, Solution, atomic_forcing,
                       build_collapse, etr_solve, extension, generic_filters,
                       label_fixpoint_violation, name_universe,
-                      random_game_tree, truth_name, zermelo_recursion_instance,
-                      zermelo_solve)
+                      random_game_tree, truth_name, verify_solution, verify_strategy,
+                      zermelo_recursion_instance, zermelo_solve)
 from forcelab import corpus, forcing, poset
 
 
@@ -71,6 +71,30 @@ def test_flipping_one_zermelo_label_fails_both_label_checks():
             flipped = {**labels, nid: "II" if labels[nid] == "I" else "I"}
             assert label_fixpoint_violation(T, flipped) is not None
             assert not _staged_labels_agree(T, flipped)
+
+
+def test_a_strategy_missing_one_move_fails_verification():
+    # the winner's strategy without its move at the root, where she moves
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(10):
+        T = random_game_tree(rng, 60)
+        result = zermelo_solve(T)
+        winner = result.labels[T.root]
+        strategy = result.strategy(winner)
+        assert verify_strategy(T, strategy, winner) == (True, None)
+        if T.root in strategy:
+            del strategy[T.root]
+            assert verify_strategy(T, strategy, winner) == (False, [T.root])
+            checked += 1
+    assert checked
+
+
+def test_a_solution_with_a_slice_too_few_is_refused():
+    inst = corpus.builtin_instances()[0][1]
+    sol = etr_solve(inst)
+    with pytest.raises(ForcelabError, match="wrong number of slices"):
+        verify_solution(inst, Solution(inst, sol.slices[:-1]))
 
 
 def test_dropping_one_truth_name_entry_is_reported(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 import forcelab
 from forcelab import atomic_forcing, cli, corpus
+from forcelab import forcing as forcing_mod
 from forcelab.cli import main, run_suite
 
 
@@ -323,6 +324,20 @@ def test_verdict_at_a_given_condition(fork_file, tmp_path):
     rows = {r["claim"]: r for r in json.loads(out.read_text())["rows"]}
     assert rows["force/fork/given-formula-verdict"]["verdict"] is True
     assert rows["force/fork/given-formula-forced-iff-true"]["status"] == "pass"
+
+
+def test_a_nested_block_over_the_budget_is_a_skipped_row(fork_file, tmp_path, monkeypatch):
+    # FORK's universe has 9 names: each block alone is within a budget of 9,
+    # but the body of ∃y is valued at every x too
+    monkeypatch.setattr(forcing_mod, "QUANTIFIER_BUDGET", 9)
+    out = tmp_path / "report.json"
+    assert main(["force", "--poset", fork_file, "--formula", "(forall (x) (exists (y) (in x y)))",
+                 "--out", str(out)]) == 0
+    rows = {r["claim"]: r for r in json.loads(out.read_text())["rows"]}
+    assert rows["force/fork/given-formula-forced-iff-true"] == {
+        "claim": "force/fork/given-formula-forced-iff-true", "status": "skipped-budget",
+        "reason": "quantifier block over 9^2 names"}
+    assert rows["force/fork/forced-iff-true"]["status"] == "pass"
 
 
 def test_a_checker_error_is_a_failed_row(monkeypatch, tmp_path):

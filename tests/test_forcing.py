@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from forcelab import (EMPTY, EMPTY_NAME, ClassName, ClosureError,
+from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ClassName, ClosureError,
                       ForcelabError, and_, atom_eq, atom_in, atom_in_class,
                       atom_in_g, atomic_forcing, atomic_recursion_instance,
                       audit_forcing_relation, boolean_completion,
                       boolean_values, check_name, compare_atomic_table,
-                      etr_solve, eval_class, eval_name, exists, extension,
-                      forces, forcing_truth, g_dot, generic_filters, hf_make,
+                      etr_solve, eval_class, eval_name, exists, extension, forall,
+                      forces, forcing_truth, g_dot, generic_filters, hf_make, implies,
                       name_const, name_make, name_universe, nat_encode, not_,
                       or_, subname_closure, truth_lemma_check, truth_name,
                       v_stage, var, verify_solution)
@@ -509,3 +509,16 @@ def test_a_flipped_rank_2_entry_fails_the_truth_lemma(deep_four_fork):
     finally:
         FR._atomic[key] ^= 1 << m
         FR._values.clear()
+
+
+def test_a_nested_three_variable_sentence_is_refused_before_any_value(deep_four_fork):
+    # ∃x ∀y,z (y ∈ x ∧ z ∈ y → z ∈ x): each block alone is within the
+    # budget (331² names), but the inner one's body sees x too
+    FR, _ = deep_four_fork
+    x, y, z = var("x"), var("y"), var("z")
+    phi = exists(("x",), forall(("y", "z"), implies(and_([atom_in(y, x), atom_in(z, y)]),
+                                                    atom_in(z, x))))
+    before = dict(FR._values)
+    with pytest.raises(BudgetError, match=r"^quantifier block over 331\^3 names$"):
+        FR.value(phi)
+    assert FR._values == before

@@ -69,11 +69,15 @@ def _reference_clause(FR, phi, memo) -> int:
         subs = phi.subs
     else:
         assert isinstance(phi, (Forall, Exists))
-        k = len(phi.vars)
-        if len(FR.universe) ** k > QUANTIFIER_BUDGET:
-            raise BudgetError(f"quantifier block over {len(FR.universe)}^{k} names")
+        # A block is charged for its own variables and its free ones.  The
+        # instances below phi are closed, so the charges are read off phi.
+        for block in nodes(phi):
+            if isinstance(block, (Forall, Exists)):
+                scope = len(block.vars) + len(block.free)
+                if len(FR.universe) ** scope > QUANTIFIER_BUDGET:
+                    raise BudgetError(f"quantifier block over {len(FR.universe)}^{scope} names")
         subs = (substitute(phi.body, dict(zip(phi.vars, map(name_const, values))))
-                for values in itertools.product(FR.universe, repeat=k))
+                for values in itertools.product(FR.universe, repeat=len(phi.vars)))
     if isinstance(phi, (And, Forall)):
         return functools.reduce(operator.and_, map(value, subs), FR.full)
     return FR.regularize(functools.reduce(operator.or_, map(value, subs), 0))
@@ -121,7 +125,8 @@ def test_a_nested_block_over_the_budget_is_refused_on_both_sides():
         FR.value(phi)
     with pytest.raises(BudgetError) as theirs:
         _reference_value(FR, phi, {})
-    assert str(ours.value) == str(theirs.value) == f"quantifier block over {n}^4 names"
+    # the inner block sees x too
+    assert str(ours.value) == str(theirs.value) == f"quantifier block over {n}^5 names"
 
 
 def test_a_forall_exists_sentence_keeps_one_mask_per_node_and_valuation():

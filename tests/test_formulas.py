@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from forcelab import (EMPTY, And, AtomTr, Exists, FiniteStructure, ForcelabError,
-                      ParseError, StageTranslator, and_, atom_eq, atom_in,
+from forcelab import (EMPTY, And, AtomTr, Exists, FiniteStructure, ForcelabError, NameConst,
+                      PairTerm, ParseError, StageTranslator, and_, atom_eq, atom_in,
                       atom_in_class, atom_tr, check_name, const, decode_formula,
                       decode_valuation, encode_formula, encode_valuation,
-                      eval_name, exists, forall, formula_to_sexp,
+                      eval_name, exists, forall, forcing_truth, formula_to_sexp,
                       generic_filters, ground_formula, hf_make, iff,
                       map_formula, name_const, nat_decode, nat_encode, nodes,
                       not_, or_, parse_formula, stage_comparison_structure,
@@ -195,6 +195,15 @@ def test_godel_roundtrip():
     for _ in range(300):
         phi = _random_formula(rng)
         assert decode_formula(encode_formula(phi)) is phi
+    # the forcing language's pools and the stage-2 clock translations, which
+    # hold name constants and pair terms
+    forcing_language = list(forcing_truth(2, [], corpus.first_order_pool())._stars.values())
+    for _, P in corpus.corpus_notions():
+        N = corpus.oracle_universe(P)
+        forcing_language += corpus.oracle_pool(P, N) + corpus.truth_name_pool(P, N)
+    kinds = {type(t) for phi in forcing_language for t in formulas.terms(phi)}
+    assert {NameConst, PairTerm} <= kinds
+    assert [f for f in forcing_language if decode_formula(encode_formula(f)) is not f] == []
     assert decode_formula(EMPTY) is None
     assert decode_formula(nat_encode(5)) is None
 

@@ -88,7 +88,22 @@ def test_recursion_instance_is_bit_identical():
     pool = list(subformula_closure([atom_in(var("a"), var("b")),
                                     not_(atom_in(var("a"), var("b"))),
                                     atom_tr(var("a"), var("b"), var("c"))]))
-    assert criteria.staged_iterated(M, 3, pool) == (0, None, 1 + _instances(M, pool))
+    inputs = [(M, pool), corpus.coded_truth_input()]
+    assert criteria.staged_iterated(inputs, 3) == (
+        0, None, sum(1 + _instances(M, pool) for M, pool in inputs))
+    # Over V₂ no truth atom decodes.  In the coded domain, a = 0, 1 or 2,
+    # b = ⌜d(a)⌝ and c = ∅ or {a ↦ x} decode; d(x) holds at x = ∅ only, and
+    # tr(a, b, c) at the stages above a.
+    coded, coded_pool = inputs[1]
+    decoded = [[v for v in instances(M, tr_atom_of(pool))
+                if truth_mod._decode_tr_args(v["a"], v["b"], v["c"]) is not None]
+               for M, pool in inputs]
+    it = iterated_truth(coded, 3, coded_pool)
+    held = [(beta, v) for beta in range(3) for v in decoded[1]
+            if it.holds(beta, tr_atom_of(coded_pool), v)]
+    assert (len(decoded[0]), len(coded.domain), len(decoded[1]), len(held)) == (0, 6, 9, 3)
+    assert {(beta, v["a"]) for beta, v in held} == {(1, EMPTY), (2, EMPTY), (2, nat_encode(1))}
+    assert all(v["c"] == encode_valuation({"a": EMPTY}) for _, v in held)
 
 
 # --- the stage translation ---------------------------------------------------

@@ -11,6 +11,8 @@ Boolean values are corrupted the same way and must fail the comparison
 with the kernel or leave the algebra, and a flipped memoized complement
 must fail the algebra's law audit.  One test poisons an entry of the
 memoized pair table instead, and self-coherence must catch the wrong code.
+Poisoned memoized values must fail the truth-name clauses, the law audit's
+dense decidedness and extension's class comparison.
 The last tests read the source of the independent sides and fail if one
 of them names the code it is compared with.
 """
@@ -24,14 +26,14 @@ import random
 import pytest
 
 from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, Exists, Forall,
-                      ForcelabError, Not, Or, and_, atom_eq, atom_in,
+                      ForcelabError, Not, Or, and_, atom_eq, atom_in, atom_in_class,
                       atomic_forcing, atomic_recursion_instance,
                       audit_boolean_algebra, audit_forcing_relation,
                       boolean_completion, boolean_values,
                       compare_atomic_table, const, encode_formula,
-                      encode_valuation, etr_solve, exists, forcing_truth,
-                      generic_filters, invariance_check, iterated_truth,
-                      name_universe, nat_encode, stage_comparison_structure,
+                      encode_valuation, etr_solve, exists, extension, forcing_truth,
+                      generic_filters, invariance_check, iterated_truth, name_const,
+                      name_universe, nat_encode, not_, stage_comparison_structure,
                       subformula_closure, subformulas, tarski_truth,
                       theta_formula, truth_lemma_check, truth_name, v_stage, var)
 from forcelab import corpus, criteria, hfset
@@ -281,6 +283,71 @@ def test_composite_flip_at_a_filter_member_fails_the_truth_lemma(fork, set_bit):
                 assert truth_lemma_check(FR, phi) == (False, (G, phi))
                 return
     pytest.fail("no composite formula with the wanted value at a generic filter")
+
+
+def _least_member(P, G) -> int:
+    g = G.members
+    return next(q for q in bits(g) if all(P.le(q, r) for r in bits(g)))
+
+
+def test_a_membership_flip_between_unshared_names_fails_extension(fork):
+    # s and t are equal at G to themselves alone, so one flipped ∈ bit at
+    # G's least member keeps forced equality a congruence
+    N = corpus.oracle_universe(fork)
+    FR = atomic_forcing(fork, N)
+    G = generic_filters(fork)[0]
+    g, m = G.members, _least_member(fork, G)
+    alone = [s for s in N if all(FR._atomic["eq", s, u] & g == 0 for u in N if u != s)]
+    s, t = next((s, t) for s in alone for t in alone if FR._atomic["in", s, t] & g == 0)
+    extension(FR, G)
+    with _flipped(FR, "in", s, t, m):
+        with pytest.raises(ForcelabError, match="forced membership disagrees"):
+            extension(FR, G)
+
+
+def test_a_flipped_class_value_fails_extension(fork):
+    FR = atomic_forcing(fork, corpus.oracle_universe(fork))
+    G = generic_filters(fork)[0]
+    key = atom_in_class(name_const(FR.universe[0]), "G")
+    FR._values[key] = FR.value(key) ^ G.members
+    with pytest.raises(ForcelabError, match="class 'G' extension disagrees"):
+        extension(FR, G)
+
+
+def test_a_set_bit_of_a_conjunction_fails_its_truth_name_clause(fork):
+    # set at G's least member, a conjunction false at G is declared there
+    # while one of its conjuncts is not
+    N = corpus.oracle_universe(fork)
+    FR = atomic_forcing(fork, N)
+    pool = corpus.truth_name_pool(fork, N)
+    G = generic_filters(fork)[0]
+    phi = next(f for f in pool if isinstance(f, And) and FR.value(f) & G.members == 0)
+    FR._values[phi] |= 1 << _least_member(fork, G)
+    failures = truth_name(FR, pool).failures
+    assert ("conjunction-clause", G, phi) in failures
+
+
+def test_cleared_bits_of_a_quantifier_fail_its_truth_name_clause(fork):
+    # ∀x (x = x) undeclared at G while each instance is declared
+    N = corpus.oracle_universe(fork)
+    FR = atomic_forcing(fork, N)
+    pool = corpus.truth_name_pool(fork, N)
+    G = generic_filters(fork)[0]
+    phi = next(f for f in pool if isinstance(f, Forall))
+    FR._values[phi] = FR.value(phi) & ~G.members
+    failures = truth_name(FR, pool).failures
+    assert ("quantifier-clause", G, phi) in failures
+
+
+def test_a_cleared_negation_fails_dense_decidedness(fork):
+    # with ¬φ forced nowhere, φ alone must be decided densely, and an atom
+    # that fails somewhere is not (modus ponens, whose implications end in
+    # ¬φ, fails too)
+    FR = atomic_forcing(fork, corpus.oracle_universe(fork))
+    phi = next(f for f in forcing_mod._atomic_formulas(FR)
+               if not all(FR._down[q] & FR.value(f) for q in fork.conditions()))
+    FR._values[not_(phi)] = 0
+    assert audit_forcing_relation(FR).laws["dense-decided"] == (False, phi)
 
 
 def test_top_bit_flip_fails_invariance_on_stage_2_collapse():
