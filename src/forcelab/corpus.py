@@ -9,7 +9,6 @@ which keeps the diamond picture while staying separative.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from .etr import staged_instance
 from .formulas import (Formula, and_, atom_eq, atom_in, atom_in_class,
@@ -216,14 +215,15 @@ def atomic_game_pool() -> list[Formula]:
 def builtin_instances():
     """Named recursion instances for the engine checks."""
     stage = tuple(v_stage(3))
+    A = frozenset([EMPTY])
 
-    def constant(x, alpha, view, param):
-        return x in param
+    def constant(x, alpha, view):
+        return x in A
 
-    def cumulative(x, alpha, view, _param):
+    def cumulative(x, alpha, view):
         return all(any(view(beta, y) for beta in range(alpha)) for y in x.children)
 
-    def monotone(x, alpha, view, _param):
+    def monotone(x, alpha, view):
         if hf_rank(x) == 0:
             return True
         return any(view(beta, x) for beta in range(alpha)) or hf_rank(x) <= alpha
@@ -232,7 +232,7 @@ def builtin_instances():
         return staged_instance(stage, length, lambda x: range(length), step, label)
 
     out = [
-        ("constant", replace(whole(3, constant, "constant"), parameter=frozenset([EMPTY]))),
+        ("constant", whole(3, constant, "constant")),
         ("cumulative-hierarchy", whole(4, cumulative, "cumulative-hierarchy")),
         ("monotone", whole(4, monotone, "monotone")),
     ]

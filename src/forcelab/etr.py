@@ -6,10 +6,11 @@ strictly earlier slices, only at the elements its *support* gives that stage
 (all others are absent from the slice).  The engine produces the unique
 solution; a separate checker re-verifies the defining equation slice by slice.
 
-A step rule is a function of (x, α, view) and the instance's parameter.  It
-may cache what it derives from one view object, never across views: solve
-and verify build a fresh view for every stage, so a perturbed solution is
-judged from its own slices, not from values kept from the solve.
+A step rule is a function of (x, α, view) that reads earlier slices only
+through its view and closes over anything else.  It may cache what it
+derives from one view object, never across views: solve and verify build a
+fresh view for every stage, so a perturbed solution is judged from its own
+slices, not from values kept from the solve.
 
 The forcing relation, truth predicates and game labelings are all computed
 elsewhere by direct recursions; builders here re-express them as instances
@@ -48,7 +49,7 @@ class PartialSolution:
         return self._slices[alpha]
 
 
-StepRule = Callable[[HFSet, int, PartialSolution, object], bool]
+StepRule = Callable[[HFSet, int, PartialSolution], bool]
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,6 @@ class RecursionInstance:
     domain: tuple[HFSet, ...]
     step: StepRule
     support: tuple[tuple[HFSet, ...], ...]
-    parameter: object = None
     label: str = "anonymous"
 
     def __post_init__(self):
@@ -104,8 +104,7 @@ def etr_solve(inst: RecursionInstance) -> Solution:
     slices: list[frozenset[HFSet]] = []
     for alpha in range(inst.length):
         view = PartialSolution(slices, alpha)
-        slices.append(frozenset(
-            x for x in inst.support[alpha] if inst.step(x, alpha, view, inst.parameter)))
+        slices.append(frozenset(x for x in inst.support[alpha] if inst.step(x, alpha, view)))
     return Solution(inst, tuple(slices))
 
 
@@ -120,7 +119,7 @@ def verify_solution(inst: RecursionInstance, sol: Solution
         view = PartialSolution(sol.slices, alpha)
         decided = inst.support[alpha]
         for x in decided:
-            if inst.step(x, alpha, view, inst.parameter) != (x in slice_):
+            if inst.step(x, alpha, view) != (x in slice_):
                 return False, (alpha, x)
         undecided = slice_.difference(decided)
         if undecided:

@@ -43,8 +43,8 @@ from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        encode_formula, implies, map_atom, map_formula,
                        name_const, nodes, not_, or_, substitute, terms)
 from .hfset import EMPTY, HFSet, hf_make, hf_pair, nat_encode
-from .names import (EMPTY_NAME, ClassName, PName, check_name, eval_class,
-                    eval_name, g_dot, is_subname_closed, name_make, name_to_hf, op_name)
+from .names import (EMPTY_NAME, ClassName, PName, check_name, eval_name, g_dot,
+                    is_subname_closed, name_make, name_to_hf, op_name)
 from .poset import (Filter, ForcingNotion, bits, generic_filters, is_separative,
                     minimal_classes)
 
@@ -783,14 +783,15 @@ class _DirectSide:
     whose value has N[i]'s as a member: masks over universe positions, like
     the forced rows.  `domain` is the set of the values.  `class_value`
     evaluates a class name once and keeps its value by ident, with the class
-    name it was computed from.  `top` is shared with every filter that holds
-    the top (see `eval_name`).
+    name it was computed from.  When G holds the top, a name whose
+    conditions are all the top has one value along every filter that holds
+    it, so its value and its subnames' are kept in `top`, shared by all of
+    them.
     """
 
     def __init__(self, universe: Sequence[PName], G: Filter, top: dict[PName, HFSet]):
-        self.filter, self._top = G, top
-        memo: dict[PName, HFSet] = {}
-        self.evaluation = {a: eval_name(a, G, memo, top) for a in universe}
+        self.filter, self._top, self._memo = G, top, {}
+        self.evaluation = {a: self._evaluate(a) for a in universe}
         blocks: dict[HFSet, int] = {}  # a value ↦ the positions of the names evaluating to it
         for j, a in enumerate(universe):
             x = self.evaluation[a]
@@ -805,10 +806,16 @@ class _DirectSide:
         self.domain = frozenset(blocks)
         self._classes: dict[str, tuple[ClassName, frozenset[HFSet]]] = {}
 
+    def _evaluate(self, name: PName) -> HFSet:
+        topped = self.filter.members & 1 and not name.max_condition
+        return eval_name(name, self.filter, self._top if topped else self._memo)
+
     def class_value(self, cls: ClassName) -> frozenset[HFSet]:
         got = self._classes.get(cls.ident)
         if got is None or got[0] is not cls:
-            got = self._classes[cls.ident] = (cls, eval_class(cls, self.filter, self._top))
+            g = self.filter.members
+            got = self._classes[cls.ident] = (cls, frozenset(
+                self._evaluate(n) for n, r in cls.entries if g >> r & 1))
         return got[1]
 
 
@@ -1083,7 +1090,7 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
                 out |= down[r] & unwitnessed(held(view, "in", rho, b))
         return out
 
-    def step(x: HFSet, alpha: int, view, _param) -> bool:
+    def step(x: HFSet, alpha: int, view) -> bool:
         nonlocal memo_view
         if view is not memo_view:
             held_memo.clear()

@@ -343,7 +343,7 @@ def zermelo_recursion_instance(T: GameTree):
     enc_of = {i: e for e, i in codec.items()}
     player, kids = T._player, T._children
 
-    def step(x: HFSet, alpha: int, view, _param) -> bool:
+    def step(x: HFSet, alpha: int, view) -> bool:
         i = codec[x]
         children = kids[i]
         if not children:

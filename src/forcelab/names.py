@@ -15,7 +15,7 @@ which is what makes check names portable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import sexpr
 from .dag import bounded_repr, fold, nodes
@@ -46,12 +46,6 @@ class PName:
 
     def __lt__(self, other: "PName") -> bool:
         return self.key < other.key
-
-    def __iter__(self) -> Iterator[tuple["PName", int]]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __repr__(self) -> str:
         return bounded_repr(self, entry_names, lambda: fold(self, entry_names, _show_name))
@@ -191,35 +185,19 @@ def name_universe(P: ForcingNotion, rho: int) -> tuple[PName, ...]:
     return tuple(sorted(set(layer), key=lambda n: n.key))
 
 
-def eval_name(name: PName, G: Filter, _memo: dict | None = None,
-              _top: dict | None = None) -> HFSet:
-    """Direct recursive evaluation: the values of entries whose condition is in G.
-
-    `_memo` keeps the values along G.  `_top`, when given, keeps the value
-    of `name` (not of its subnames) when all its conditions are the top:
-    such a name has one value along every filter that holds the top, so a
-    caller may pass the same `_top` for every filter.  It is read and filled
-    only when G holds the top.
-    """
-    if _memo is None:
-        _memo = {}
-    cached = _memo.get(name)
-    if cached is None:
-        top = _top is not None and not name.max_condition and G.members & 1
-        cached = _top.get(name) if top else None
-        if cached is None:
-            cached = hf_make(eval_name(n, G, _memo) for n, r in name.entries if G.members >> r & 1)
-            if top:
-                _top[name] = cached
-        _memo[name] = cached
-    return cached
+def eval_name(name: PName, G: Filter, memo: dict | None = None) -> HFSet:
+    """Direct evaluation: the values of the entries whose condition is in G,
+    one fold over the entry names G keeps.  Values are kept in `memo`; pass
+    one to share them across calls along G."""
+    g = G.members
+    return fold(name, lambda n: tuple(m for m, r in n.entries if g >> r & 1),
+                lambda _, kids: hf_make(kids), memo)
 
 
-def eval_class(cls: ClassName, G: Filter, _top: dict | None = None) -> frozenset[HFSet]:
-    """The values of the class's entries whose condition is in G; `_top` as
-    for `eval_name`."""
+def eval_class(cls: ClassName, G: Filter) -> frozenset[HFSet]:
+    """The values of the class's entries whose condition is in G."""
     memo: dict = {}
-    return frozenset(eval_name(n, G, memo, _top) for n, r in cls.entries if G.members >> r & 1)
+    return frozenset(eval_name(n, G, memo) for n, r in cls.entries if G.members >> r & 1)
 
 
 _hf_codes: dict[PName, HFSet] = {}

@@ -481,7 +481,7 @@ def _staged_truth_instance(M: FiniteStructure, beta_max: int, pool: Sequence[For
                       encode_valuation({x: v[x] for x in psi.free}))
         return view(stage_index(beta, psi.rank), enc)
 
-    def step(x: HFSet, alpha: int, view, _param) -> bool:
+    def step(x: HFSet, alpha: int, view) -> bool:
         phi, v = codec[x]
         beta = alpha // rank_span
         if isinstance(phi, AtomTr):
@@ -538,7 +538,7 @@ def formula_step(base: FiniteStructure, phi: Formula, length: int):
             extended.add(hf_pair(nat_encode(beta), y))
     extended_sets = transitive_closure(extended)
 
-    def step(x: HFSet, alpha: int, view, _param) -> bool:
+    def step(x: HFSet, alpha: int, view) -> bool:
         s_pred = frozenset(hf_pair(nat_encode(beta), y)
                            for beta in range(alpha) for y in view.slice(beta))
         M = FiniteStructure(extended_sets, {**base.predicates, "S": s_pred})
@@ -552,19 +552,23 @@ def formula_step(base: FiniteStructure, phi: Formula, length: int):
 # become quantifier-free infinitary statements in the collapse forcing
 # language, with free variables left as slots for the slot-names.
 
-def star8_translate(phi: Formula, fa: CollapseNotion, memo: dict | None = None) -> Formula:
+def star8_translate(phi: Formula, fa: CollapseNotion) -> Formula:
     """Translate a first-order (=, ∈, A-membership) formula over the clock.
 
     Membership atoms become op-pair membership in the clock-copy of ∈;
     quantifiers become conjunctions over the check names of clock values.
-    Each distinct node translates once; `memo` shares the translations
-    between calls over notions with the same ε name and clock.
+    Each distinct node translates once, and the translations are shared by
+    every call over a notion with the same ε name and clock.
     """
-    return fold(phi, _clock_rules(eps_dot(fa), fa.clock), memo)
+    return fold(phi, *_shared_clock_translation(eps_dot(fa), fa.clock))
 
 
-def _clock_rules(eps_name: PName, clock: int):
-    """The fold step of star8_translate, with the ε name and clock names built once."""
+@functools.cache
+def _shared_clock_translation(eps_name: PName, clock: int) -> tuple:
+    """The fold step of star8_translate and its memo, kept for every collapse
+    with this ε name and clock: they read nothing else of the notion.  The ε
+    name names e-tokens only, which come before the a-tokens, so it is the
+    same for every A at one stage and token setting."""
     eps = name_const(eps_name)
     clock_names = [name_const(check_name(nat_encode(m))) for m in range(clock)]
 
@@ -594,16 +598,7 @@ def _clock_rules(eps_name: PName, clock: int):
             raise ForcelabError("clock translation takes variables, not ground constants")
         return t  # a variable, or a name constant from quantifier instantiation
 
-    return combine
-
-
-@functools.cache
-def _shared_clock_translation(eps_name: PName, clock: int) -> tuple:
-    """The clock rules and their memo, kept for every collapse with this ε
-    name and clock: they read nothing else of the notion.  The ε name names
-    e-tokens only, which come before the a-tokens, so it is the same for
-    every A at one stage and token setting."""
-    return _clock_rules(eps_name, clock), {}
+    return combine, {}
 
 
 class ForcingTruth:
@@ -726,13 +721,13 @@ class StageTranslator:
         return got
 
     def _translate_tr(self, beta: int, phi: AtomTr) -> Formula:
-        for t in (phi.stage, phi.code, phi.valuation):
-            if isinstance(t, GroundConst) and t is phi.code:
-                if decode_formula(t.value) not in set(self.pool):
-                    raise ClosureError("truth atom mentions a formula outside the pool")
-            elif not isinstance(t, Var):
-                raise ForcelabError("truth-atom arguments must be variables")
-        names = (phi.stage.name, phi.code.name, phi.valuation.name)
+        args = (phi.stage, phi.code, phi.valuation)
+        if not all(isinstance(t, Var) for t in args):
+            if (isinstance(phi.code, GroundConst)
+                    and decode_formula(phi.code.value) not in self.pool):
+                raise ClosureError("truth atom mentions a formula outside the pool")
+            raise ForcelabError("truth-atom arguments must be variables")
+        names = tuple(t.name for t in args)
         return or_([self._disjunct(xi, psi, names)
                     for xi in range(beta) for psi in self.pool])
 

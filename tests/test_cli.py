@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -94,6 +95,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ["translate", "--count", "20", "--max-poset", "3"],
     ["force", "--max-poset", "2"],
     ["oracle", "--max-poset", "2"],
+    ["iterated"],
 ], ids=lambda argv: argv[0])
 def test_reports_match_golden(tmp_path, argv):
     out = tmp_path / "report.json"
@@ -317,6 +319,19 @@ def test_a_bad_truth_pool_exits_2_with_one_line(text, tmp_path, capsys):
     assert err.startswith("error: --pool") and err.count("\n") == 1
 
 
+def test_a_notion_without_a_completion_is_one_failed_row(tmp_path):
+    # the two-element chain is not separative: its row fails without raising
+    poset = tmp_path / "chain2.sexp"
+    poset.write_text(corpus.chain2().to_sexp())
+    out = tmp_path / "report.json"
+    assert main(["complete", "--poset", str(poset), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["rows"] == [{
+        "claim": "complete/chain2/separative", "status": "fail",
+        "counterexample": "notion is not separative: no extension of 1 is incompatible with a"}]
+    assert report["failures"] == 1
+
+
 def test_verdict_at_a_given_condition(fork_file, tmp_path):
     out = tmp_path / "report.json"
     assert main(["force", "--poset", fork_file, "--formula", "(in-G (check (hf (hf))))",
@@ -332,12 +347,24 @@ def test_a_nested_block_over_the_budget_is_a_skipped_row(fork_file, tmp_path, mo
     monkeypatch.setattr(forcing_mod, "QUANTIFIER_BUDGET", 9)
     out = tmp_path / "report.json"
     assert main(["force", "--poset", fork_file, "--formula", "(forall (x) (exists (y) (in x y)))",
-                 "--out", str(out)]) == 0
+                 "--condition", "a", "--out", str(out)]) == 0
     rows = {r["claim"]: r for r in json.loads(out.read_text())["rows"]}
-    assert rows["force/fork/given-formula-forced-iff-true"] == {
-        "claim": "force/fork/given-formula-forced-iff-true", "status": "skipped-budget",
-        "reason": "quantifier block over 9^2 names"}
+    for claim in ("force/fork/given-formula-forced-iff-true", "force/fork/given-formula-verdict"):
+        assert rows[claim] == {"claim": claim, "status": "skipped-budget",
+                               "reason": "quantifier block over 9^2 names"}
     assert rows["force/fork/forced-iff-true"]["status"] == "pass"
+    # the verdict's overrun is its own row, not one for the notion's inputs
+    assert "force/fork/inputs" not in rows
+
+
+def test_an_atomic_table_over_the_budget_is_the_notions_inputs_row(fork_file, tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.setattr(forcing_mod, "ATOMIC_BUDGET", 242)  # FORK: 3 conditions x 9^2 pairs
+    out = tmp_path / "report.json"
+    assert main(["force", "--poset", fork_file, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["rows"] == [{
+        "claim": "force/fork/inputs", "status": "skipped-budget",
+        "reason": "3 conditions x 9^2 pairs exceeds budget 242"}]
 
 
 def test_a_checker_error_is_a_failed_row(monkeypatch, tmp_path):
@@ -386,6 +413,9 @@ REMOVED_PARAMETERS = [
     (forcelab.star_translate, {"budget"}),
     (forcelab.truth_telling_game, {"budget"}),
     (corpus.random_qf_sentence, {"depth"}),
+    (forcelab.star8_translate, {"memo"}),
+    (forcelab.eval_name, {"_top"}),
+    (forcelab.eval_class, {"_top"}),
 ]
 
 
@@ -393,3 +423,8 @@ REMOVED_PARAMETERS = [
                          ids=[function.__name__ for function, _ in REMOVED_PARAMETERS])
 def test_library_options_no_caller_sets_are_not_parameters(function, removed):
     assert not removed & set(inspect.signature(function).parameters)
+
+
+def test_a_step_rule_reads_no_instance_parameter():
+    # a step rule is (x, α, view) and closes over anything else it reads
+    assert "parameter" not in {f.name for f in dataclasses.fields(forcelab.RecursionInstance)}

@@ -19,8 +19,8 @@ def whole(length, step, label="anonymous", domain=tuple(v_stage(3))):
 
 
 def constant_instance(A):
-    return replace(whole(3, lambda x, alpha, view, param: x in param, "constant"),
-                   parameter=frozenset(A))
+    A = frozenset(A)
+    return whole(3, lambda x, alpha, view: x in A, "constant")
 
 
 def test_constant_recursion():
@@ -33,7 +33,7 @@ def test_constant_recursion():
 def cumulative_instance():
     domain = tuple(v_stage(3))
 
-    def step(x, alpha, view, _param):
+    def step(x, alpha, view):
         return all(any(view(beta, y) for beta in range(alpha)) for y in x.children)
 
     return whole(4, step, "cumulative", domain)
@@ -73,7 +73,7 @@ def test_budget():
 
 
 def test_future_slice_read_is_refused():
-    def nosy(x, alpha, view, _param):
+    def nosy(x, alpha, view):
         return view(alpha, x)
 
     inst = whole(2, nosy, domain=(EMPTY,))
@@ -92,7 +92,7 @@ def test_formula_driven_step():
 def test_monotone_instances_grow():
     domain = tuple(v_stage(3))
 
-    def step(x, alpha, view, _param):
+    def step(x, alpha, view):
         if hf_rank(x) == 0:
             return True
         return any(view(beta, x) for beta in range(alpha)) or hf_rank(x) <= alpha
@@ -106,7 +106,7 @@ def test_monotone_instances_grow():
 def test_verify_checks_the_budget_before_any_step(monkeypatch):
     calls = []
 
-    def step(x, alpha, view, _param):
+    def step(x, alpha, view):
         calls.append((alpha, x))
         return False
 
@@ -120,7 +120,7 @@ def test_verify_checks_the_budget_before_any_step(monkeypatch):
 def test_budget_counts_the_steps_of_the_support(monkeypatch):
     domain = tuple(v_stage(3))
     inst = RecursionInstance(length=len(domain), domain=domain,
-                             step=lambda x, alpha, view, _param: True,
+                             step=lambda x, alpha, view: True,
                              support=tuple((x,) for x in domain))
     monkeypatch.setattr("forcelab.etr.STEP_BUDGET", len(domain))
     sol = etr_solve(inst)
@@ -177,9 +177,9 @@ def mapped(request):
 def test_solve_calls_the_step_only_on_the_support(mapped):
     seen = []
 
-    def counting(x, alpha, view, param):
+    def counting(x, alpha, view):
         seen.append((alpha, x))
-        return mapped.step(x, alpha, view, param)
+        return mapped.step(x, alpha, view)
 
     sol = etr_solve(replace(mapped, step=counting))
     expected = [(alpha, x) for alpha, xs in enumerate(mapped.support) for x in xs]
@@ -214,26 +214,26 @@ def test_the_staged_atomic_step_keeps_nothing_across_views(label):
     alpha = inst.length - 1
     later = inst.support[alpha]
     plain = PartialSolution(sol.slices, alpha)
-    plain_verdicts = [inst.step(x, alpha, plain, None) for x in later]
+    plain_verdicts = [inst.step(x, alpha, plain) for x in later]
     assert plain_verdicts == [x in sol.slices[alpha] for x in later]
 
     def first_flip_that_matters():
         for beta in range(alpha):
             for y in inst.support[beta]:
                 view = PartialSolution(perturb(sol, beta, y).slices, alpha)
-                if [inst.step(x, alpha, view, None) for x in later] != plain_verdicts:
+                if [inst.step(x, alpha, view) for x in later] != plain_verdicts:
                     return view
         return None
 
     flipped = first_flip_that_matters()
     assert flipped is not None
     fresh = atomic_recursion_instance(P, N)[0]
-    fresh_verdicts = [fresh.step(x, alpha, flipped, None) for x in later]
+    fresh_verdicts = [fresh.step(x, alpha, flipped) for x in later]
     assert fresh_verdicts != plain_verdicts
     # alternating views make the step refill its memo on every call
     for x, want, was in zip(later, fresh_verdicts, plain_verdicts):
-        assert inst.step(x, alpha, plain, None) == was
-        assert inst.step(x, alpha, flipped, None) == want
+        assert inst.step(x, alpha, plain) == was
+        assert inst.step(x, alpha, flipped) == want
 
 
 def _key(x):

@@ -430,7 +430,7 @@ def test_a_filter_without_the_top_reads_no_top_value(fork):
     one = check_name(hf_make([EMPTY]))
     assert FR._top_values[one] is hf_make([EMPTY])
     topless = Filter(fork, G.members & ~1)
-    assert eval_name(one, topless, {}, FR._top_values) is EMPTY
+    assert forcing_mod._DirectSide(N, topless, FR._top_values).evaluation[one] is EMPTY
     with pytest.raises(ForcelabError):
         extension(FR, topless)
 
@@ -453,6 +453,15 @@ def test_extension_keeps_one_direct_side_per_filter(fork):
     FR.register_class(ClassName.make("T", [(N[1], 0)]))
     for G in generic_filters(fork):
         assert extension(FR, G).class_values["T"] == {eval_name(N[1], G)}
+
+
+def test_an_eager_table_over_the_atomic_budget_is_refused(fork, monkeypatch):
+    N = corpus.oracle_universe(fork)
+    monkeypatch.setattr(forcing_mod, "ATOMIC_BUDGET", len(fork) * len(N) ** 2 - 1)
+    with pytest.raises(BudgetError, match=r"^3 conditions x 9\^2 pairs exceeds budget 242$"):
+        atomic_forcing(fork, N)
+    # a lazy table decides no entry up front, so the budget does not apply
+    assert atomic_forcing(fork, N, eager=False).decide("eq", 0, N[0], N[0])
 
 
 def test_extension_of_a_lazy_relation_matches_the_eager_one(fork):

@@ -1,13 +1,14 @@
 import pytest
 
-from forcelab import (EMPTY, And, AtomTr, ClosureError, DerivedIteratedTruth,
-                      Exists, FiniteStructure, Forall, Not, Or, StageTranslator,
+from forcelab import (EMPTY, And, AtomTr, BudgetError, ClosureError, DerivedIteratedTruth,
+                      Exists, FiniteStructure, ForcelabError, Forall, Not, Or, StageTranslator,
                       and_, atom_eq, atom_in, atom_in_class, atom_tr, const,
                       encode_formula, encode_valuation, forall, iterated_truth,
                       nat_encode, not_, or_, stage_comparison_structure,
                       subformula_closure, v_stage, var)
 from forcelab import corpus, criteria
 from forcelab import truth as truth_mod
+from forcelab.formulas import formula_to_sexp
 from forcelab.truth import CODED_VALUATION_CAP, instances
 
 BETA_MAX = 5
@@ -137,6 +138,56 @@ def test_pool_escape_is_an_error(setup):
     atom = atom_tr(var("a"), const(encode_formula(outside)), var("c"))
     with pytest.raises(ClosureError):
         tr.translate(1, atom)
+
+
+def test_a_truth_atom_with_a_constant_argument_is_refused(setup):
+    # a constant code of a pool formula, a constant stage, and a constant
+    # code of a formula outside the pool
+    base, pool, _ = setup
+    a, b, c = var("a"), var("b"), var("c")
+    outside = and_([atom_in(a, a), atom_in(a, a)])
+    derived = DerivedIteratedTruth(base, pool, BETA_MAX)
+    for holds in (StageTranslator(pool, BETA_MAX).translate, derived.holds):
+        for atom in (atom_tr(a, const(encode_formula(pool[0])), c),
+                     atom_tr(const(nat_encode(0)), b, c)):
+            with pytest.raises(ForcelabError, match="^truth-atom arguments must be variables$"):
+                holds(1, atom)
+        with pytest.raises(ClosureError):
+            holds(1, atom_tr(a, const(encode_formula(outside)), c))
+
+
+def test_a_stage_above_the_cap_is_refused(setup):
+    base, pool, _ = setup
+    derived = DerivedIteratedTruth(base, pool, 1)
+    assert derived.holds(1, tr_atom_of(pool), {"a": EMPTY, "b": EMPTY, "c": EMPTY}) is False
+    with pytest.raises(BudgetError, match="^stage 2 exceeds the cap 1$"):
+        derived.holds(2, tr_atom_of(pool), {"a": EMPTY, "b": EMPTY, "c": EMPTY})
+
+
+def test_a_truth_atom_about_a_formula_outside_the_pool_is_false(monkeypatch):
+    # ⌜¬ a ∈ a⌝ is coded in the structure but outside the pool: both sides
+    # read the truth atom false wherever it decodes to that formula
+    M, pool = corpus.coded_truth_input()
+    outside = not_(atom_in(var("a"), var("a")))
+    assert outside not in pool
+    M = FiniteStructure([*M.domain, encode_formula(outside)], M.predicates)
+    tr = tr_atom_of(pool)
+    decoded = [truth_mod._decode_tr_args(v["a"], v["b"], v["c"]) for v in instances(M, tr)]
+    assert any(d is not None and d[0] == 0 and d[1] is outside for d in decoded)
+    verdict = criteria.staged_iterated([(M, pool)], 3)
+    assert verdict.failures == 0 and verdict.checked > len(decoded)
+    # a pointwise side that takes the formula for a pool member reads those
+    # atoms true at every later stage, and the staged side disagrees
+    make = criteria.iterated_truth
+
+    def widened(*args):
+        it = make(*args)
+        it._pool_set |= {outside}
+        return it
+
+    monkeypatch.setattr(criteria, "iterated_truth", widened)
+    verdict = criteria.staged_iterated([(M, pool)], 3)
+    assert verdict.failures and verdict.first == formula_to_sexp(tr)
 
 
 def test_derived_predicate_coincides_on_base_instances(setup):

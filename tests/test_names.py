@@ -163,6 +163,20 @@ def test_eval_rank_bound(fork):
             assert eval_name(sigma, G).rank <= sigma.rank
 
 
+def test_eval_walks_any_name_rank(fork):
+    # far deeper than the interpreter's recursion limit of 1,000 frames: at
+    # each level an entry under a's filter, and one under b's, which up_a cuts
+    deep = 5000
+    a, b = fork.index("a"), fork.index("b")
+    up_a, _ = sorted(generic_filters(fork), key=lambda G: list(bits(G.members)))
+    sigma, want = EMPTY_NAME, EMPTY
+    for _ in range(deep):
+        sigma = name_make([(sigma, a), (EMPTY_NAME, b)])
+        want = hf_make([want])
+    assert sigma.rank == deep
+    assert eval_name(sigma, up_a) is want
+
+
 def test_name_sexp_roundtrip(fork):
     sigma = name_make([(check_name(nat_encode(1)), fork.index("b")),
                        (EMPTY_NAME, 0)])

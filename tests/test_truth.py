@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, ClosureError,
+from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, BudgetError, ClosureError,
                       FiniteStructure, Forall, ForcelabError, Not, Or,
                       PairTerm, and_, atom_eq, atom_in, atom_in_class,
                       atom_in_g, build_collapse, const, etr_solve,
@@ -13,6 +13,7 @@ from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, ClosureError,
                       tarski_truth, tarski_truth_instance, theta_formula,
                       v_stage, var, verify_solution)
 from forcelab import corpus
+from forcelab import truth as truth_mod
 from forcelab.formulas import formula_to_sexp, pair_term
 from forcelab.names import check_name, eps_dot, n_dot
 from forcelab.hfset import nat_encode
@@ -84,6 +85,16 @@ def test_tarski_diagonal():
     for a in M.domain:
         for b in M.domain:
             assert tp.holds(pool[0], {"x": a, "y": b}) == (a is b)
+
+
+def test_valuations_over_the_eval_budget_are_refused(monkeypatch):
+    M = FiniteStructure(v_stage(3))
+    pool = [atom_eq(var("x"), var("y"))]
+    monkeypatch.setattr(truth_mod, "EVAL_BUDGET", len(M.domain) ** 2 - 1)
+    with pytest.raises(BudgetError, match=r"^4\^2 valuations for one formula$"):
+        tarski_truth(M, pool)
+    assert tarski_truth(M, [atom_eq(var("x"), var("x"))]).holds(
+        atom_eq(var("x"), var("x")), {"x": EMPTY})
 
 
 def test_tarski_agrees_with_direct_eval():
@@ -176,10 +187,8 @@ def _star8_chain(depth):
 
 def test_star8_translates_as_before():
     fa = build_collapse(2, [EMPTY])
-    shared: dict = {}  # as ForcingTruth shares one memo across its pool
     for phi in corpus.first_order_pool():
         assert star8_translate(phi, fa) is ref_star8_translate(phi, fa)
-        assert star8_translate(phi, fa, shared) is ref_star8_translate(phi, fa)
     for depth in range(13):
         phi = _star8_chain(depth)
         assert star8_translate(phi, fa) is ref_star8_translate(phi, fa), depth
@@ -204,7 +213,7 @@ def test_forcing_truths_share_each_stage_translation_and_only_that():
     built.append(forcing_truth(2, [], pool))  # after stage 3, whose memo must not leak
     for ft in built:
         for phi in ft.pool:
-            assert ft._stars[phi] is star8_translate(phi, ft.fa), formula_to_sexp(phi)
+            assert ft._stars[phi] is ref_star8_translate(phi, ft.fa), formula_to_sexp(phi)
     first, second, degenerate, stage2 = built
     assert all(first._stars[phi] is second._stars[phi] for phi in first.pool)
     assert any(degenerate._stars[phi] is not first._stars[phi] for phi in first.pool)
