@@ -74,13 +74,14 @@ class ForcingRelation:
     """The forcing relation of one notion over one subname-closed universe.
 
     Values are condition masks.  `_atomic` maps (kind, σ, τ) to the mask of
-    the atomic statement; atomic values are sound for any names, not only
-    universe members, and the universe bounds the quantifier clauses.
-    `_values` keys a closed composite or class atom by its node and an open
-    one by (node, the names the valuation gives its `free_sorted`); it is
-    dropped when a class name replaces another under the same ident, and
-    kept when the ident is new (no value can involve an unregistered ident:
-    its clause raises).  `classes` maps each ident to its class name, with
+    the atomic statement; the constructor fills it over the universe, and a
+    pair outside it (atomic values are sound for any names) is computed on
+    demand.  The universe bounds the quantifier clauses.  `_values` keys a
+    closed composite or class atom by its node and an open one by (node,
+    the names the valuation gives its `free_sorted`); it is dropped when a
+    class name replaces another under the same ident, and kept when the
+    ident is new (no value can involve an unregistered ident: its clause
+    raises).  `classes` maps each ident to its class name, with
     the canonical generic-filter class name first under "G"; that one is
     built the first time `classes` is read or a "G" atom is forced.
 
@@ -92,32 +93,26 @@ class ForcingRelation:
     afresh.
     """
 
-    def __init__(self, notion: ForcingNotion, universe: Sequence[PName],
-                 classes: Iterable[ClassName] = (), eager: bool = True):
+    def __init__(self, notion: ForcingNotion, universe: Sequence[PName]):
         self.notion = notion
         self.universe = tuple(sorted(set(universe), key=lambda n: n.key))
         if not is_subname_closed(self.universe):
             raise ClosureError("name universe must be subname-closed")
-        for n in self.universe:
-            if n.max_condition >= len(notion):
-                raise ForcelabError("universe name mentions a condition outside the notion")
+        if any(n.max_condition >= len(notion) for n in self.universe):
+            raise ForcelabError("universe name mentions a condition outside the notion")
+        if len(notion) * len(self.universe) ** 2 > ATOMIC_BUDGET:
+            raise BudgetError(f"{len(notion)} conditions x {len(self.universe)}^2 pairs "
+                              f"exceeds budget {ATOMIC_BUDGET}")
         self._classes: dict[str, ClassName | None] = {"G": None}
-        for cls in classes:
-            self._classes[cls.ident] = cls
         self.full = (1 << len(notion)) - 1
         self._down, self._up = notion._down, notion._up
         self._neg: dict[int, int] = {}
         self._atomic: dict = {}
-        self._complete = False  # every pair of the universe is in _atomic
         self._values: dict = {}
         self._direct: dict[int, _DirectSide] = {}
         self._top_values: dict[PName, HFSet] = {}
-        if eager:
-            if len(notion) * len(self.universe) ** 2 > ATOMIC_BUDGET:
-                raise BudgetError(
-                    f"{len(notion)} conditions x {len(self.universe)}^2 pairs "
-                    f"exceeds budget {ATOMIC_BUDGET}")
-            self.materialize()
+        for sigma, tau, kind in itertools.product(self.universe, self.universe, ("in", "sub", "eq")):
+            self.atomic_value(kind, sigma, tau)
 
     @property
     def classes(self) -> dict[str, ClassName]:
@@ -204,13 +199,6 @@ class ForcingRelation:
     def decide(self, kind: str, p: int, sigma: PName, tau: PName) -> bool:
         return self.atomic_value(kind, sigma, tau) >> p & 1 == 1
 
-    def materialize(self):
-        for sigma in self.universe:
-            for tau in self.universe:
-                for kind in ("in", "sub", "eq"):
-                    self.atomic_value(kind, sigma, tau)
-        self._complete = True
-
     def value(self, phi: Formula, env: Mapping[str, PName] = _NO_NAMES) -> int:
         """The mask of the conditions forcing phi under the name valuation env."""
         if isinstance(phi, (AtomEq, AtomIn)):
@@ -248,10 +236,9 @@ class ForcingRelation:
         return self.regularize(functools.reduce(operator.or_, values, 0))
 
 
-def atomic_forcing(P: ForcingNotion, universe: Sequence[PName],
-                   classes: Iterable[ClassName] = (), eager: bool = True) -> ForcingRelation:
+def atomic_forcing(P: ForcingNotion, universe: Sequence[PName]) -> ForcingRelation:
     """The forcing relation for atomic statements over a subname-closed universe."""
-    return ForcingRelation(P, universe, classes, eager)
+    return ForcingRelation(P, universe)
 
 
 def collect_names(phi: Formula) -> set[PName]:
@@ -347,12 +334,10 @@ def audit_forcing_relation(FR: ForcingRelation) -> AuditReport:
     table (a memo of this call), and the verdicts recorded per entry in
     table order, so each law's counterexample is its first failing entry.
     """
-    if not FR._complete:
-        FR.materialize()
     P = FR.notion
     N = FR.universe
     down = FR._down
-    atomic = FR._atomic  # every (kind, σ, τ) over the universe, after materialize
+    atomic = FR._atomic  # every (kind, σ, τ) over the universe, filled when FR was built
     report = AuditReport()
 
     for law in ("downward-closure", "density", "modus-ponens", "eq-reflexive",
@@ -835,9 +820,7 @@ def extension(FR: ForcingRelation, G: Filter) -> GenericExtension:
     # Row i of each relation is a mask over universe positions: eq_row[i]
     # holds the j with N[i] =_G N[j], has[i] the j with N[j] ∈_G N[i] and
     # within[i] the j with N[i] ∈_G N[j].  They are read in one pass over the
-    # table, which holds every pair of the universe once it is materialized.
-    if not FR._complete:
-        FR.materialize()
+    # table, which holds every pair of the universe from the constructor on.
     position = {a: i for i, a in enumerate(N)}
     eq_row, has, within = [0] * len(N), [0] * len(N), [0] * len(N)
     for (kind, sigma, tau), V in FR._atomic.items():

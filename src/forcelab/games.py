@@ -407,6 +407,9 @@ def truth_telling_game(M: FiniteStructure, pool: Sequence[Formula], clock: int) 
     row's id.  Equal rows share one id.  `len` of the result counts the
     nodes of the unfolded game tree; GAME_BUDGET bounds the distinct rows.
     """
+    if clock < 0:
+        raise ForcelabError(f"the clock must be a natural number, not {clock}")
+
     def votes_of(phi: Formula, v: dict) -> list[tuple]:
         # the instances whose verdicts decide a composite's: a quantifier's
         # body under each tuple of values for its variables, or the subformulas

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .dag import bounded_repr, fold, nodes
-from .errors import BudgetError
+from .errors import BudgetError, ForcelabError
 
 STAGE_CAP = 5  # |v_stage(5)| = 65536; larger stages are refused
 
@@ -222,6 +222,8 @@ _nat_cache: list[HFSet] = [EMPTY]
 
 def nat_encode(k: int) -> HFSet:
     """The von Neumann ordinal k."""
+    if k < 0:
+        raise ForcelabError(f"no natural number {k}")
     while len(_nat_cache) <= k:
         _nat_cache.append(hf_make(_nat_cache))
     return _nat_cache[k]

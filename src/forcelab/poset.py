@@ -183,20 +183,21 @@ def parse_poset(text: str) -> ForcingNotion:
         raise ParseError("poset needs (elems ...) and (one ...)")
     if one not in elems:
         raise ParseError(f"top {one!r} not among elements")
-    if len(set(elems)) != len(elems):
-        raise ParseError("duplicate condition tokens")
-    ordered = [one] + [e for e in elems if e != one]
-    idx = {tok: i for i, tok in enumerate(ordered)}
-    unknown = [tok for pair in pairs for tok in pair if tok not in idx]
-    if unknown:
-        raise ParseError(f"le mentions unknown condition token {unknown[0]!r}")
-    return ForcingNotion(ordered, [(idx[a], idx[b]) for a, b in pairs])
+    elems.remove(one)
+    try:
+        return make_notion([one, *elems], pairs)
+    except ForcelabError as e:  # a duplicate token, or an le pair naming an unknown one
+        raise ParseError(str(e)) from None
 
 
 def make_notion(elements: Sequence[str], le_pairs: Iterable[tuple[str, str]] = ()) -> ForcingNotion:
     """Convenience constructor from tokens; the first element is the top."""
     idx = {tok: i for i, tok in enumerate(elements)}
-    return ForcingNotion(elements, [(idx[a], idx[b]) for a, b in le_pairs])
+    try:
+        pairs = [(idx[a], idx[b]) for a, b in le_pairs]
+    except KeyError as e:
+        raise ForcelabError(f"le mentions unknown condition token {e.args[0]!r}") from None
+    return ForcingNotion(elements, pairs)
 
 
 @dataclass(frozen=True)

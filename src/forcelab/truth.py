@@ -26,7 +26,7 @@ from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        pair_term, rename_free, substitute, theta_formula, var,
                        variables)
 from .hfset import HFSet, hf_pair, nat_decode, nat_encode, transitive_closure
-from .names import PName, a_dot, check_name, eps_dot, n_dot, subname_closure
+from .names import PName, a_dot, check_name, eps_dot, n_dot
 from .poset import CollapseNotion, build_collapse
 
 EVAL_BUDGET = 5_000_000
@@ -604,7 +604,8 @@ def _shared_clock_translation(eps_name: PName, clock: int) -> tuple:
 class ForcingTruth:
     """Truth predicate read off the collapse forcing: a statement is declared
     true when the top condition forces its clock translation, each free
-    variable read as the slot name of its value."""
+    variable read as the slot name of its value.  Its relation's universe is
+    empty: clock translations have no quantifiers to range over one."""
 
     def __init__(self, n: int, A: Iterable[HFSet], pool: Sequence[Formula],
                  include_degenerate_tokens: bool = False):
@@ -613,19 +614,11 @@ class ForcingTruth:
         self.stage_n = n
         self.fa = build_collapse(n, A, include_degenerate_tokens)
         self.A = self.fa.A
-        self.a_class = a_dot(self.fa, A)
         self.slot_names = {a: n_dot(self.fa, a) for a in self.fa.targets}
         rules, memo = _shared_clock_translation(eps_dot(self.fa), self.fa.clock)
         self._stars = {phi: fold(phi, rules, memo) for phi in self.pool}
-
-        seeds: set[PName] = set()
-        for star in self._stars.values():
-            seeds |= forcing_mod.collect_names(star)
-        seeds |= set(self.slot_names.values())
-        seeds |= {entry for entry, _ in self.a_class.entries}
-        universe = subname_closure(seeds)
-        self.relation = forcing_mod.atomic_forcing(
-            self.fa, universe, classes=(self.a_class,), eager=False)
+        self.relation = forcing_mod.atomic_forcing(self.fa, ())
+        self.relation.register_class(a_dot(self.fa, self.A))
 
     def holds(self, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
         v = valuation or {}
@@ -648,9 +641,12 @@ def forcing_truth(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
 def invariance_check(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
                      ft: ForcingTruth | None = None):
     """Every condition forces a clock translation under a slot valuation iff
-    the top does: each such forcing value is empty or every condition."""
+    the top does: each such forcing value is empty or every condition.  A
+    given ft must have been built from n, A and pool."""
     if ft is None:
         ft = ForcingTruth(n, A, pool)
+    elif (n, frozenset(A), canonical_pool(pool)) != (ft.stage_n, ft.A, ft.pool):
+        raise ForcelabError("ft was built from another stage, parameter set or pool")
     FR = ft.relation
     slots = FiniteStructure(ft.fa.targets)
     for phi in ft.pool:

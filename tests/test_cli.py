@@ -395,8 +395,8 @@ def test_a_checker_error_is_a_failed_row(monkeypatch, tmp_path):
 
 REMOVED_PARAMETERS = [
     (forcelab.generic_filters, {"verify", "sample_count", "seed"}),
-    (forcelab.ForcingRelation, {"atomic_budget", "quantifier_budget"}),
-    (forcelab.atomic_forcing, {"atomic_budget"}),
+    (forcelab.ForcingRelation, {"atomic_budget", "quantifier_budget", "eager", "classes"}),
+    (forcelab.atomic_forcing, {"atomic_budget", "eager", "classes"}),
     (forcelab.audit_forcing_relation, {"triple_cap", "pool"}),
     (forcelab.audit_boolean_algebra, {"pair_cap"}),
     (forcelab.extension, {"class_names"}),

@@ -149,7 +149,6 @@ def test_audit_passes_on_corpus(corpus_notion):
 
 def test_audit_catches_corruption(fork):
     FR = atomic_forcing(fork, name_universe(fork, 1))
-    FR.materialize()
     sigma = FR.universe[1]
     a = fork.index("a")
     assert FR.decide("eq", a, sigma, sigma)
@@ -460,17 +459,13 @@ def test_an_eager_table_over_the_atomic_budget_is_refused(fork, monkeypatch):
     monkeypatch.setattr(forcing_mod, "ATOMIC_BUDGET", len(fork) * len(N) ** 2 - 1)
     with pytest.raises(BudgetError, match=r"^3 conditions x 9\^2 pairs exceeds budget 242$"):
         atomic_forcing(fork, N)
-    # a lazy table decides no entry up front, so the budget does not apply
-    assert atomic_forcing(fork, N, eager=False).decide("eq", 0, N[0], N[0])
 
 
-def test_extension_of_a_lazy_relation_matches_the_eager_one(fork):
-    N = corpus.oracle_universe(fork)
-    lazy, eager = atomic_forcing(fork, N, eager=False), atomic_forcing(fork, N)
-    for G in generic_filters(fork):
-        a, b = extension(lazy, G), extension(eager, G)
-        assert a.representative == b.representative and a.membership == b.membership
-        assert a.class_extensions == b.class_extensions and a.class_values == b.class_values
+def test_a_fresh_table_holds_every_pair_of_the_universe(fork):
+    FR = atomic_forcing(fork, name_universe(fork, 1))
+    pairs = {(kind, s, t) for s in FR.universe for t in FR.universe for kind in ("in", "sub", "eq")}
+    assert len(pairs) == 3 * len(FR.universe) ** 2
+    assert pairs <= FR._atomic.keys()
 
 
 # Deeper names: four-fork with its oracle universe and 300

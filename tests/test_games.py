@@ -341,6 +341,12 @@ def test_a_lie_on_one_quantified_instance_loses(rank_two_game):
     assert lies == 8
 
 
+def test_a_negative_clock_is_refused():
+    M = FiniteStructure(v_stage(2))
+    with pytest.raises(ForcelabError, match="the clock must be a natural number, not -1"):
+        truth_telling_game(M, corpus.atomic_game_pool(), -1)
+
+
 def test_budget(monkeypatch):
     M = FiniteStructure(v_stage(2))
     monkeypatch.setattr(games, "GAME_BUDGET", 100)

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from forcelab import (EMPTY, BudgetError, FiniteStructure, atomic_recursion_instance,
-                      corpus, eval_formula, hf_make, hf_rank, name_universe,
-                      nat_decode, nat_encode, subformulas, theta_formula, v_stage)
+from forcelab import (EMPTY, BudgetError, FiniteStructure, ForcelabError,
+                      atomic_recursion_instance, corpus, eval_formula, hf_make, hf_rank,
+                      name_universe, nat_decode, nat_encode, subformulas, theta_formula, v_stage)
 from forcelab import hfset
 from forcelab.dag import nodes
 from forcelab.hfset import hf_list, hf_pair, hf_unlist, hf_unpair, transitive_closure
@@ -69,6 +69,12 @@ def test_nat_codec():
     assert nat_decode(hf_make([hf_make([EMPTY])])) is None
     for k in range(12):
         assert nat_decode(nat_encode(k)) == k
+
+
+def test_a_negative_natural_is_refused():
+    nat_encode(11)  # the cache holds naturals up to 11
+    with pytest.raises(ForcelabError, match="no natural number -3"):
+        nat_encode(-3)
 
 
 def test_pair_roundtrip():

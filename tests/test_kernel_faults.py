@@ -583,7 +583,7 @@ def test_algebra_sides_never_name_the_forcing_kernel():
 # pointwise definitions, not with the kernel's own operators.
 
 def test_the_direct_side_never_names_the_forcing_kernel():
-    forbidden = KERNEL_NAMES + ("value", "decide", "materialize")
+    forbidden = KERNEL_NAMES + ("value", "decide")
     sides = [(forcing_mod, "_DirectSide"), (names_mod, "eval_name"), (names_mod, "eval_class")]
     assert _offenders(sides, forbidden) == []
 
@@ -593,7 +593,7 @@ def test_the_law_audit_judges_masks_without_the_kernel_operators():
 
 
 def test_the_staged_atomic_instance_never_names_the_forcing_kernel():
-    forbidden = KERNEL_NAMES + ("neg", "regularize", "decide", "materialize")
+    forbidden = KERNEL_NAMES + ("neg", "regularize", "decide")
     assert _offenders([(forcing_mod, "atomic_recursion_instance")], forbidden) == []
 
 

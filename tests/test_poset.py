@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from forcelab import (EMPTY, BudgetError, ParseError, build_collapse,
+from forcelab import (EMPTY, BudgetError, ForcelabError, ParseError, build_collapse,
                       generic_filters, hf_make, is_dense, is_separative,
                       make_notion, minimal_classes, parse_poset, v_stage)
 from forcelab import corpus, sexpr
@@ -376,6 +376,16 @@ def test_collapse_sexp_lists_weaker_conditions_in_index_order(stage):
     assert again.elements == fa.elements
     assert [again.up(p) for p in again.conditions()] == [fa.up(p) for p in fa.conditions()]
     assert again.to_sexp() == text
+
+
+def test_make_notion_names_an_unknown_token():
+    with pytest.raises(ForcelabError, match="unknown condition token 'zz'"):
+        make_notion(["1", "a"], [("a", "zz")])
+
+
+def test_parse_poset_names_an_unknown_token():
+    with pytest.raises(ParseError, match="le mentions unknown condition token 'c'"):
+        parse_poset("(poset (elems a b) (one a) (le (c a)))")
 
 
 def test_poset_parse_errors():

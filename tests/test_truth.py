@@ -12,7 +12,7 @@ from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, BudgetError, Clos
                       star8_translate, subformula_closure, substitute,
                       tarski_truth, tarski_truth_instance, theta_formula,
                       v_stage, var, verify_solution)
-from forcelab import corpus
+from forcelab import corpus, criteria
 from forcelab import truth as truth_mod
 from forcelab.formulas import formula_to_sexp, pair_term
 from forcelab.names import check_name, eps_dot, n_dot
@@ -253,6 +253,37 @@ def test_invariance_stage2():
     assert ok, cx
 
 
+def test_the_collapse_relation_forces_over_no_names():
+    # the clock translations have no quantifiers, so no clause needs a universe
+    pool = corpus.first_order_pool()
+    ft = forcing_truth(3, [EMPTY], pool)
+    assert ft.relation.universe == ()
+    assert list(ft.relation.classes) == ["G", "A"]
+    direct = tarski_truth(FiniteStructure(v_stage(3), {"A": [EMPTY]}), pool)
+    verdict = criteria.collapse_truth(ft, direct)
+    assert verdict.failures == 0 and verdict.checked == 266
+    assert invariance_check(3, [EMPTY], pool, ft) == (True, None)
+
+
+def test_the_parameter_set_may_be_an_iterator():
+    ft = forcing_truth(2, iter([EMPTY]), corpus.first_order_pool())
+    phi = atom_in_class(var("x"), "A")
+    assert ft.A == {EMPTY}
+    assert ft.holds(phi, {"x": EMPTY}) and not ft.holds(phi, {"x": hf_make([EMPTY])})
+
+
+@pytest.mark.parametrize("changed", ["n", "A", "pool"])
+def test_invariance_check_refuses_a_truth_built_from_other_arguments(changed):
+    pool = corpus.first_order_pool()
+    ft = forcing_truth(3, [EMPTY], pool)
+    args = {"n": 3, "A": [EMPTY], "pool": pool}
+    args[changed] = {"n": 2, "A": [], "pool": pool[:3]}[changed]
+    with pytest.raises(ForcelabError, match="ft was built from another"):
+        invariance_check(args["n"], args["A"], args["pool"], ft)
+    # the same arguments in another order or with repeats are the same ones
+    assert invariance_check(3, [EMPTY, EMPTY], pool[::-1], ft) == (True, None)
+
+
 def test_invariance_fails_with_degenerate_tokens():
     pool = corpus.first_order_pool()
     ft = forcing_truth(2, [], pool, include_degenerate_tokens=True)
@@ -267,7 +298,7 @@ def test_invariance_fails_with_check_name_parameter():
     fa = build_collapse(2, [])
     nd = n_dot(fa, EMPTY)
     pseudo = check_name(nat_encode(0))
-    FR = atomic_forcing(fa, subname_closure([nd, pseudo]), eager=False)
+    FR = atomic_forcing(fa, subname_closure([nd, pseudo]))
     stmt = atom_eq(name_const(pseudo), name_const(nd))
     values = {forces(FR, p, stmt, check_universe=False) for p in fa.conditions()}
     assert values == {True, False}
