@@ -4,13 +4,15 @@ A forcing value is the set of conditions forcing a statement, held as an
 `int` mask with bit p for condition p: a regular-open downset.  The
 elements of a Boolean completion are held the same way.  Atomic
 values solve the membership/equality recursion on pairs of names, ordered
-by the maximum of their ranks, by memoized recursion on masks.  Atoms that
-are trivially full are read off the names instead: σ = σ, σ ⊆ σ, and
-σ ∈ τ when (σ, 0) is an entry of τ; and between two check names every
-condition is the top, so the recursion only ever sees the full mask or 0
-and the value is read off the names' sets.  For cross-checks the values
-are re-derived pointwise, with no such shortcut, as a staged recursion
-instance and as Boolean values.  On top of them sit the composite clauses
+by the maximum of their ranks, by memoized recursion on masks.  Some
+atoms are read off the names instead: σ = σ, σ ⊆ σ, and σ ∈ τ when (σ, 0)
+is an entry of τ, are full; between two check names every condition is
+the top, so the recursion only ever sees the full mask or 0 and the value
+is read off the names' sets; and ⟨a, b⟩ = ⟨c, d⟩ between two pair names
+(`op_name`) is a = c and b = d.  For cross-checks the values are
+re-derived pointwise, with no such shortcut, as a staged recursion
+instance and as Boolean values, and criterion 4 compares the collapse
+relation with Tarskian truth.  On top of them sit the composite clauses
 for the (finite) infinitary forcing language, the law audit, the
 reduction of quantifier-free sentences to single atomic equalities (each
 distinct subformula translated once per notion size, across calls),
@@ -44,7 +46,7 @@ from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        name_const, nodes, not_, or_, substitute, terms)
 from .hfset import EMPTY, HFSet, hf_make, hf_pair, nat_encode
 from .names import (EMPTY_NAME, ClassName, PName, check_name, eval_name, g_dot,
-                    is_subname_closed, name_make, name_to_hf, op_name)
+                    is_subname_closed, name_make, name_to_hf, op_name, op_unpair)
 from .poset import (Filter, ForcingNotion, bits, generic_filters, is_separative,
                     minimal_classes)
 
@@ -76,8 +78,11 @@ class ForcingRelation:
     Values are condition masks.  `_atomic` maps (kind, σ, τ) to the mask of
     the atomic statement; the constructor fills it over the universe, and a
     pair outside it (atomic values are sound for any names) is computed on
-    demand.  The universe bounds the quantifier clauses.  `_values` keys a
-    closed composite or class atom by its node and an open one by (node,
+    demand.  An equation between two pair names is read off its
+    components' equations, so the pairs' singleton and doubleton names
+    enter the table only where another atom asks for them.  The universe
+    bounds the quantifier clauses.  `_values` keys a closed composite or
+    class atom by its node and an open one by (node,
     the names the valuation gives its `free_sorted`); it is dropped when a
     class name replaces another under the same ident, and kept when the
     ident is new (no value can involve an unregistered ident: its clause
@@ -161,6 +166,16 @@ class ForcingRelation:
         is full exactly when x = y, that is when the interned names are one
         object; x̌ ∈ y̌ when x̌ is an entry name of y̌; x̌ ⊆ y̌ when every entry
         name of x̌ is one of y̌.
+
+        Between two pair names (`op_unpair` decodes both) ⟨a, b⟩ = ⟨c, d⟩ is
+        (a = c) & (b = d).  Every atomic value is regular open, and on a
+        finite notion a regular-open mask is exactly the set of p such that
+        every generic G ∋ p satisfies the atom (the truth lemma, which
+        criteria 1 and 7 check).  Every condition of a pair name is the top,
+        so in every M[G] it is the Kuratowski pair of its components'
+        values, and Kuratowski pairs are equal exactly when their components
+        are.  The meet of the two regular-open values holds the same p, so
+        it is the value.
         """
         key = (kind, sigma, tau)
         got = self._atomic.get(key)
@@ -179,6 +194,10 @@ class ForcingRelation:
                 out &= self.neg(self._down[r] & self.neg(self.atomic_value("in", rho, tau)))
                 if not out:
                     break
+        elif kind == "eq" and (left := op_unpair(sigma)) and (right := op_unpair(tau)):
+            out = self.atomic_value("eq", left[0], right[0])
+            if out:
+                out &= self.atomic_value("eq", left[1], right[1])
         elif kind == "eq":
             out = self.atomic_value("sub", sigma, tau)
             if out:

@@ -25,6 +25,9 @@ from .names import (PName, entry_names, name_make, name_to_hf, name_to_sexp,
 from .poset import ForcingNotion
 
 _intern: dict[tuple, object] = {}
+# One (set, sorted tuple) per distinct free-variable or constant-kind set,
+# shared by every node that has it.
+_sets: dict[frozenset[str], tuple[frozenset[str], tuple[str, ...]]] = {}
 
 T = TypeVar("T")
 
@@ -109,6 +112,13 @@ def _term_kind(t: Term) -> frozenset[str]:
     return frozenset()
 
 
+def _shared(names: frozenset[str]) -> tuple[frozenset[str], tuple[str, ...]]:
+    got = _sets.get(names)
+    if got is None:
+        got = _sets[names] = (names, tuple(sorted(names)))
+    return got
+
+
 class Formula:
     __slots__ = ("rank", "free", "free_sorted", "const_kinds")
 
@@ -121,9 +131,8 @@ class Formula:
         if kinds >= {"ground", "name"}:
             raise ForcelabError("a formula may not mix ground constants with name constants")
         self.rank = rank
-        self.free = free
-        self.free_sorted = tuple(sorted(free))
-        self.const_kinds = kinds
+        self.free, self.free_sorted = _shared(free)
+        self.const_kinds = _shared(kinds)[0]
 
     def __repr__(self) -> str:
         return dag.bounded_repr(self, _parts, lambda: formula_to_sexp(self))

@@ -203,6 +203,8 @@ def hf_unlist(x: HFSet) -> list[HFSet] | None:
 
 def v_stage(n: int) -> list[HFSet]:
     """All sets of rank < n, in canonical order.  Refused above the stage cap."""
+    if n < 0:
+        raise ForcelabError(f"no stage V_{n}")
     if n > STAGE_CAP:
         raise BudgetError(f"stage {n} exceeds cap {STAGE_CAP} "
                           f"(|V_{STAGE_CAP}| = 2^{2 ** (STAGE_CAP - 1)})")

@@ -67,13 +67,21 @@ def name_make(entries: Iterable[tuple[PName, int]] = ()) -> PName:
     cached = _intern.get(tup)
     if cached is not None:
         return cached
-    tup = tuple(sorted(set(tup), key=lambda e: (e[0].key, e[1])))
+    tup = _canonical(tup)
     cached = _intern.get(tup)
     if cached is not None:
         return cached
     made = PName(tup, 0 if not tup else 1 + max(n.rank for n, _ in tup))
     _intern[tup] = made
     return made
+
+
+def _canonical(entries: Iterable[tuple[PName, int]]) -> tuple[tuple[PName, int], ...]:
+    """The entries sorted and without duplicates; a negative condition is refused."""
+    tup = tuple(sorted(set(entries), key=lambda e: (e[0].key, e[1])))
+    if any(r < 0 for _, r in tup):
+        raise ForcelabError("a name entry's condition index must not be negative")
+    return tup
 
 
 EMPTY_NAME = name_make()
@@ -88,7 +96,7 @@ class ClassName:
 
     @staticmethod
     def make(ident: str, entries: Iterable[tuple[PName, int]]) -> "ClassName":
-        return ClassName(ident, tuple(sorted(set(entries), key=lambda e: (e[0].key, e[1]))))
+        return ClassName(ident, _canonical(entries))
 
 
 def subnames(name: PName) -> set[PName]:
@@ -128,6 +136,29 @@ def op_name(sigma: PName, tau: PName) -> PName:
         return name_make(((left, 0),))
     pair = name_make(((sigma, 0), (tau, 0)) if sigma.key < tau.key else ((tau, 0), (sigma, 0)))
     return name_make(((left, 0), (pair, 0)) if left.key < pair.key else ((pair, 0), (left, 0)))
+
+
+def op_unpair(name: PName) -> tuple[PName, PName] | None:
+    """Invert op_name: (σ, τ) when name is op_name(σ, τ), else None.
+
+    The test is structural: every condition at both levels is 0, the top,
+    and {{σ}} is the one-entry case σ = τ.  A name of rank < 2 or with more
+    than two entries is refused before any entry is read."""
+    entries = name.entries
+    if name.rank < 2 or len(entries) > 2:
+        return None
+    if len(entries) == 1:
+        ((inner, r),) = entries
+        if r or len(inner.entries) != 1 or inner.entries[0][1]:
+            return None
+        sigma = inner.entries[0][0]
+        return sigma, sigma
+    (x, r), (y, s) = entries
+    left, pair = (x.entries, y.entries) if len(x.entries) < len(y.entries) else (y.entries, x.entries)
+    if r or s or len(left) != 1 or len(pair) != 2 or left[0] not in pair or pair[0][1] or pair[1][1]:
+        return None
+    sigma = left[0][0]
+    return sigma, pair[1][0] if pair[0][0] is sigma else pair[0][0]
 
 
 def g_dot(P: ForcingNotion) -> ClassName:
@@ -172,6 +203,8 @@ def name_universe(P: ForcingNotion, rho: int) -> tuple[PName, ...]:
     subname-closed and canonically ordered.  A pool of deeper names is the
     `subname_closure` of chosen ones.
     """
+    if rho < 0:
+        raise ForcelabError(f"no name universe of rank {rho}")
     if rho > 2:
         raise BudgetError("exhaustive name universes are limited to rank 2")
     layer = [EMPTY_NAME]

@@ -16,13 +16,14 @@ from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ClassName, ClosureError,
                       etr_solve, eval_class, eval_name, exists, extension, forall,
                       forces, forcing_truth, g_dot, generic_filters, hf_make, implies,
                       name_const, name_make, name_universe, nat_encode, not_,
-                      or_, subname_closure, truth_lemma_check, truth_name,
-                      v_stage, var, verify_solution)
+                      op_name, or_, subname_closure, tarski_truth, truth_lemma_check,
+                      truth_name, v_stage, var, verify_solution)
 from forcelab import corpus, criteria
 from forcelab import forcing as forcing_mod
 from forcelab.hfset import hf_pair, hf_unpair, nat_decode
-from forcelab.names import name_to_hf
+from forcelab.names import name_to_hf, op_unpair
 from forcelab.poset import Filter, bits
+from forcelab.truth import FiniteStructure
 
 
 @pytest.fixture
@@ -370,6 +371,73 @@ def test_atoms_between_check_and_plain_names_take_the_recursion(corpus_notion):
     expected = boolean_completion(P).algebra.regularize(P.down(p))
     assert FR.atomic_value("eq", sigma, one) == expected
     assert _both_sides_agree(P, N)
+
+
+# The kernel reads ⟨a, b⟩ = ⟨c, d⟩ off a = c and b = d; the staged instance,
+# the law audit and criterion 4's direct side see no such shortcut.
+
+PAIR_NOTIONS = [(label, P) for label, P in corpus.corpus_notions()
+                if len(P) <= 4 or label == "diamond"]
+
+
+def _pair_universe(P):
+    """The rank-1 names and the pair names of the first six, subname-closed."""
+    N = name_universe(P, 1)
+    return subname_closure([*N, *(op_name(a, b) for a in N[:6] for b in N[:6])])
+
+
+@pytest.mark.parametrize("label", [label for label, _ in PAIR_NOTIONS])
+def test_pair_name_equations_agree_with_the_staged_instance_and_the_laws(label):
+    P = dict(PAIR_NOTIONS)[label]
+    N = _pair_universe(P)
+    assert sum(op_unpair(n) is not None for n in N) >= min(6, 2 ** len(P)) ** 2
+    FR = atomic_forcing(P, N)
+    inst, codec, _ = atomic_recursion_instance(P, N)
+    assert compare_atomic_table(FR, etr_solve(inst), codec)
+    assert audit_forcing_relation(FR).ok
+
+
+MUTANT_PAIR_EQUATIONS = {
+    "swapped": lambda eq, a, b, c, d: eq(a, d) & eq(b, c),
+    "first-only": lambda eq, a, b, c, d: eq(a, c),
+}
+
+
+def _mutate_pair_equations(monkeypatch, combine):
+    """The kernel with the pair-name equation read off the components by
+    `combine`, wherever the pair branch of atomic_value takes it."""
+    real = forcing_mod.ForcingRelation.atomic_value
+
+    def atomic_value(self, kind, sigma, tau):
+        key = (kind, sigma, tau)
+        if (kind == "eq" and key not in self._atomic and sigma is not tau
+                and (sigma.max_condition or tau.max_condition)
+                and (left := op_unpair(sigma)) and (right := op_unpair(tau))):
+            self._atomic[key] = combine(lambda x, y: atomic_value(self, "eq", x, y),
+                                        *left, *right)
+        return real(self, kind, sigma, tau)
+
+    monkeypatch.setattr(forcing_mod.ForcingRelation, "atomic_value", atomic_value)
+
+
+@pytest.mark.parametrize("mutant", list(MUTANT_PAIR_EQUATIONS))
+def test_a_wrong_pair_equation_fails_criterion_4(monkeypatch, mutant):
+    _mutate_pair_equations(monkeypatch, MUTANT_PAIR_EQUATIONS[mutant])
+    pool = corpus.first_order_pool()
+    base = v_stage(2)
+    failures = 0
+    for mask in range(1 << len(base)):
+        A = [base[i] for i in range(len(base)) if mask >> i & 1]
+        direct = tarski_truth(FiniteStructure(base, {"A": A}), pool)
+        failures += criteria.collapse_truth(forcing_truth(2, A, pool), direct).failures
+    assert failures > 0
+
+
+def test_swapped_pair_components_fail_the_staged_comparison(monkeypatch, fork):
+    _mutate_pair_equations(monkeypatch, MUTANT_PAIR_EQUATIONS["swapped"])
+    N = _pair_universe(fork)
+    inst, codec, _ = atomic_recursion_instance(fork, N)
+    assert not compare_atomic_table(atomic_forcing(fork, N), etr_solve(inst), codec)
 
 
 def test_truth_name_atomic_pool(fork):

@@ -63,6 +63,11 @@ def test_v_stage_cap():
         v_stage(6)
 
 
+def test_a_negative_stage_is_refused():
+    with pytest.raises(ForcelabError, match="no stage V_-1"):
+        v_stage(-1)
+
+
 def test_nat_codec():
     assert nat_encode(0) is EMPTY
     assert nat_decode(hf_make([EMPTY, hf_make([EMPTY])])) == 2

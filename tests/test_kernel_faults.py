@@ -565,11 +565,21 @@ def test_the_truth_telling_judge_reads_atoms_off_the_sets():
 # regular-open algebra and the Boolean-value recursion may not reach it.
 
 ALGEBRA_SIDES = [(forcing_mod, "BooleanAlgebra"), (forcing_mod, "BooleanValues")]
-KERNEL_NAMES = ("ForcingRelation", "atomic_value", "_witnessed", "_atomic", "_neg", "_up")
+KERNEL_NAMES = ("ForcingRelation", "atomic_value", "_witnessed", "_atomic", "_neg", "_up",
+                "op_unpair")
 
 
 def test_algebra_sides_never_name_the_forcing_kernel():
     assert _offenders(ALGEBRA_SIDES, KERNEL_NAMES) == []
+
+
+# Criterion 4 compares the collapse relation with Tarskian truth, computed
+# over the structure's sets, so that side may name no part of the kernel.
+
+def test_tarskian_truth_never_names_the_forcing_kernel():
+    sides = [(truth_mod, "tarski_truth"), (truth_mod, "tarski_truth_instance"),
+             (truth_mod, "_staged_truth_instance")]
+    assert _offenders(sides, KERNEL_NAMES + ("forcing_mod",)) == []
 
 
 # Criterion 7 compares the staged atomic instance with the kernel's table.

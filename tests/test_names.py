@@ -9,6 +9,7 @@ from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ForcelabError,
                       name_universe, nat_encode, op_name, parse_name,
                       subname_closure, subnames, v_stage)
 from forcelab import corpus, names, sexpr
+from forcelab.names import ClassName, op_unpair
 from forcelab.poset import CollapseFn, bits
 
 
@@ -206,3 +207,42 @@ def test_op_name_is_the_pair_name_built_entry_by_entry(fork):
     for sigma, tau in itertools.product(N, repeat=2):
         left = name_make([(sigma, 0)])
         assert op_name(sigma, tau) is name_make([(name_make([(tau, 0), (sigma, 0)]), 0), (left, 0)])
+
+
+def test_op_unpair_inverts_op_name(fork):
+    N = [*name_universe(fork, 1)[:6], check_name(nat_encode(2)), op_name(EMPTY_NAME, EMPTY_NAME)]
+    for sigma, tau in itertools.product(N, repeat=2):
+        assert op_unpair(op_name(sigma, tau)) == (sigma, tau)
+    assert len(op_name(N[3], N[3]).entries) == 1  # {{σ}} is the pair (σ, σ)
+
+
+def test_op_unpair_refuses_names_that_are_no_pair_name(fork):
+    a, c = name_universe(fork, 1)[1:3]
+    singletons = name_make([(name_make([(a, 0)]), 0), (name_make([(c, 0)]), 0)])
+    assert op_unpair(singletons) is None  # {{a}, {c}}
+    pair = op_name(a, c)
+    for (kid, _), r in itertools.product(pair.entries, (1, 2)):
+        rest = [e for e in pair.entries if e[0] is not kid]
+        assert op_unpair(name_make([(kid, r), *rest])) is None  # a non-top outer condition
+        inner = name_make((n, r if n is a else 0) for n, _ in kid.entries)
+        assert op_unpair(name_make([(inner, 0), *rest])) is None  # a non-top inner condition
+    for n in name_universe(fork, 1):
+        assert op_unpair(n) is None  # rank < 2
+    assert op_unpair(name_make([*pair.entries, (EMPTY_NAME, 0)])) is None  # three entries
+
+
+def test_a_negative_condition_is_refused_in_a_name():
+    # -1 once passed as the top: max_condition 0, a check name to the kernel
+    for entries in ([(EMPTY_NAME, -1)], [(EMPTY_NAME, 0), (EMPTY_NAME, -2)]):
+        with pytest.raises(ForcelabError, match="must not be negative"):
+            name_make(entries)
+        with pytest.raises(ForcelabError, match="must not be negative"):
+            name_make(reversed(entries))
+    with pytest.raises(ForcelabError, match="must not be negative"):
+        ClassName.make("C", [(EMPTY_NAME, -2)])
+    assert name_make([(EMPTY_NAME, 2)]).max_condition == 2
+
+
+def test_a_negative_universe_rank_is_refused(fork):
+    with pytest.raises(ForcelabError, match="rank -1"):
+        name_universe(fork, -1)

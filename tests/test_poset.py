@@ -65,6 +65,11 @@ def test_equivalent_teeth_share_a_filter():
     assert 0b111 in {F.members for F in filters}
 
 
+def test_a_collapse_below_stage_0_is_refused():
+    with pytest.raises(ForcelabError, match="no stage V_-1"):
+        build_collapse(-1, [])
+
+
 def test_collapse_counts_stage2():
     fa = build_collapse(2, [])
     # 7 partial injections + the two realizable supremum tokens
