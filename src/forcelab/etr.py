@@ -7,9 +7,10 @@ strictly earlier slices, only at the elements its *support* gives that stage
 solution; a separate checker re-verifies the defining equation slice by slice.
 
 A step rule is a function of (x, α, view) that reads earlier slices only
-through its view and closes over anything else.  It may cache what it
-derives from one view object, never across views: solve and verify build a
-fresh view for every stage, so a perturbed solution is judged from its own
+through its view, one point at a time (`view(β, y)`: is y in slice β?), and
+closes over anything else.  What it derives from those reads it may keep in
+`view.memo`, never elsewhere: solve and verify build a fresh view, with an
+empty memo, for every stage, so a perturbed solution is judged from its own
 slices, not from values kept from the solve.
 
 The forcing relation, truth predicates and game labelings are all computed
@@ -30,23 +31,22 @@ STEP_BUDGET = 10_000_000
 
 
 class PartialSolution:
-    """Read-only view of the slices strictly below the current stage."""
+    """Read-only view of the slices strictly below the current stage, read
+    one point at a time, with a `memo` for what a step derives from them."""
 
-    __slots__ = ("_slices", "_stage")
+    __slots__ = ("_slices", "_stage", "memo")
 
     def __init__(self, slices: Sequence[frozenset[HFSet]], stage: int):
         self._slices = slices
         self._stage = stage
+        self.memo: dict = {}
 
     def __call__(self, alpha: int, x: HFSet) -> bool:
-        return x in self.slice(alpha)
-
-    def slice(self, alpha: int) -> frozenset[HFSet]:
         if alpha >= self._stage:
             raise ForcelabError(
                 f"step rule read slice {alpha} at stage {self._stage}; "
                 "only strictly earlier slices are visible")
-        return self._slices[alpha]
+        return x in self._slices[alpha]
 
 
 StepRule = Callable[[HFSet, int, PartialSolution], bool]

@@ -58,6 +58,7 @@ AUDIT_POOL_SIZE = 24       # atomic formulas for the modus-ponens and decidednes
 AUDIT_TUPLE_CAP = 4000     # formula pairs, name pairs and name triples the law audit visits
 ALGEBRA_TUPLE_CAP = 40000  # element pairs and triples the algebra audit visits
 _NO_NAMES: Mapping = MappingProxyType({})  # the valuation of a closed formula
+_OUTSIDE = "name mentions a condition outside the notion"
 
 
 # The atoms between two check names, read off their sets (see atomic_value).
@@ -78,11 +79,12 @@ class ForcingRelation:
     Values are condition masks.  `_atomic` maps (kind, σ, τ) to the mask of
     the atomic statement; the constructor fills it over the universe, and a
     pair outside it (atomic values are sound for any names) is computed on
-    demand.  An equation between two pair names is read off its
-    components' equations, so the pairs' singleton and doubleton names
-    enter the table only where another atom asks for them.  The universe
-    bounds the quantifier clauses.  `_values` keys a closed composite or
-    class atom by its node and an open one by (node,
+    demand, and refused there if a name mentions a condition outside the
+    notion, as a class name is when it is registered.  An equation between
+    two pair names is read off its components' equations, so the pairs'
+    singleton and doubleton names enter the table only where another atom
+    asks for them.  The universe bounds the quantifier clauses.  `_values`
+    keys a closed composite or class atom by its node and an open one by (node,
     the names the valuation gives its `free_sorted`); it is dropped when a
     class name replaces another under the same ident, and kept when the
     ident is new (no value can involve an unregistered ident: its clause
@@ -104,12 +106,12 @@ class ForcingRelation:
         if not is_subname_closed(self.universe):
             raise ClosureError("name universe must be subname-closed")
         if any(n.max_condition >= len(notion) for n in self.universe):
-            raise ForcelabError("universe name mentions a condition outside the notion")
+            raise ForcelabError(f"universe {_OUTSIDE}")
         if len(notion) * len(self.universe) ** 2 > ATOMIC_BUDGET:
             raise BudgetError(f"{len(notion)} conditions x {len(self.universe)}^2 pairs "
                               f"exceeds budget {ATOMIC_BUDGET}")
         self._classes: dict[str, ClassName | None] = {"G": None}
-        self.full = (1 << len(notion)) - 1
+        self.full, self._size = (1 << len(notion)) - 1, len(notion)
         self._down, self._up = notion._down, notion._up
         self._neg: dict[int, int] = {}
         self._atomic: dict = {}
@@ -126,6 +128,8 @@ class ForcingRelation:
         return self._classes
 
     def register_class(self, cls: ClassName):
+        if any(max(r, n.max_condition) >= self._size for n, r in cls.entries):
+            raise ForcelabError(f"class name {cls.ident!r}: {_OUTSIDE}")
         old = self._classes.get(cls.ident)
         self._classes[cls.ident] = cls
         if old is not None and old != cls:
@@ -181,6 +185,8 @@ class ForcingRelation:
         got = self._atomic.get(key)
         if got is not None:
             return got
+        if sigma.max_condition >= self._size or tau.max_condition >= self._size:
+            raise ForcelabError(_OUTSIDE)
         if sigma is tau and kind in ("eq", "sub") or kind == "in" and (sigma, 0) in tau.entries:
             out = self.full
         elif not (sigma.max_condition or tau.max_condition) and kind in _CHECK_ATOMS:
@@ -730,6 +736,7 @@ class BooleanValues:
 
     def __init__(self, completion: BooleanCompletion):
         self.completion = completion
+        self._size = len(completion.algebra.notion)
         self._memo: dict = {}
 
     def value(self, kind: str, sigma: PName, tau: PName) -> int:
@@ -737,6 +744,8 @@ class BooleanValues:
         got = self._memo.get(key)
         if got is not None:
             return got
+        if sigma.max_condition >= self._size or tau.max_condition >= self._size:
+            raise ForcelabError(_OUTSIDE)
         B = self.completion.algebra
         i = self.completion.embed
         if kind == "in":
@@ -1058,17 +1067,16 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
     # conditions q1 below which no witness lies, and p is forced iff no q1 ≤ p
     # is rejected.  The masks, and the *held* masks they are built from (the
     # conditions whose encoding of an earlier pair lies in its slice), are
-    # valid for one view only: a different view empties both memos.
-    held_memo: dict[tuple[str, PName, PName], int] = {}
-    rejected_memo: dict[tuple[str, PName, PName], int] = {}
-    memo_view = None  # the view the memos were filled from
+    # derived from one view, so they live in its memo: a rejection mask under
+    # (kind, σ, τ), a held mask under ("held", kind, σ, τ).
 
     def held(view, kind: str, s: PName, t: PName) -> int:
-        got = held_memo.get((kind, s, t))
+        key = ("held", kind, s, t)
+        got = view.memo.get(key)
         if got is None:
-            sl = view.slice(stage_of(s, t))
-            got = held_memo[(kind, s, t)] = sum(
-                1 << q for q, enc in enumerate(encodings[(kind, s, t)]) if enc in sl)
+            stage = stage_of(s, t)
+            got = view.memo[key] = sum(
+                1 << q for q, enc in enumerate(encodings[(kind, s, t)]) if view(stage, enc))
         return got
 
     @functools.cache
@@ -1093,15 +1101,10 @@ def atomic_recursion_instance(P: ForcingNotion, universe: Sequence[PName]):
         return out
 
     def step(x: HFSet, alpha: int, view) -> bool:
-        nonlocal memo_view
-        if view is not memo_view:
-            held_memo.clear()
-            rejected_memo.clear()
-            memo_view = view
         p, kind, sigma, tau = codec[x]
-        mask = rejected_memo.get((kind, sigma, tau))
+        mask = view.memo.get((kind, sigma, tau))
         if mask is None:
-            mask = rejected_memo[(kind, sigma, tau)] = rejected(view, kind, sigma, tau)
+            mask = view.memo[(kind, sigma, tau)] = rejected(view, kind, sigma, tau)
         return not down[p] & mask
 
     inst = etr_mod.staged_instance(codec, len(stages), lambda x: (stage_of(*codec[x][2:]),),

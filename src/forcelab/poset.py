@@ -48,33 +48,6 @@ def _closure(up: list[int]) -> list[int]:
     return up
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
-
-
-@dataclass(frozen=True)
-class CollapseFn:
-    """A finite injective partial function clock-slot -> target set."""
-
-    graph: tuple[tuple[int, HFSet], ...]  # sorted by slot
-
-
-@dataclass(frozen=True)
-class SupIn:
-    """Supremum token for the conditions f with f(i) ∈ f(j)."""
-
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class SupA:
-    """Supremum token for the conditions f with f(i) in the parameter set."""
-
-    i: int
-
-
 class ForcingNotion:
     """A finite preorder with top element at index 0.
 
@@ -82,8 +55,7 @@ class ForcingNotion:
     is stored reflexively and transitively closed.
     """
 
-    def __init__(self, elements: Sequence[str], le_pairs: Iterable[tuple[int, int]],
-                 tags: Sequence[object] | None = None):
+    def __init__(self, elements: Sequence[str], le_pairs: Iterable[tuple[int, int]]):
         elements = tuple(elements)
         if not elements:
             raise ForcelabError("a forcing notion needs at least the top condition")
@@ -92,10 +64,9 @@ class ForcingNotion:
         up = [1 | 1 << p for p in range(len(elements))]  # up[p] has bit q when p ≤ q
         for p, q in le_pairs:
             up[p] |= 1 << q
-        self._init(elements, _closure(up), tags)
+        self._init(elements, _closure(up))
 
-    def _init(self, elements: tuple[str, ...], up: Sequence[int],
-              tags: Sequence[object] | None):
+    def _init(self, elements: tuple[str, ...], up: Sequence[int]):
         """Store distinct tokens (the top first) with their up-masks, which
         must already be reflexive, hold the top and be transitively closed;
         the down-masks are read off them."""
@@ -106,7 +77,6 @@ class ForcingNotion:
         self.elements = elements
         self._up = tuple(up)
         self._down = tuple(down)
-        self.tags = tuple(tags) if tags is not None else None
         self._index = {tok: i for i, tok in enumerate(elements)}
 
     def __len__(self) -> int:
@@ -299,14 +269,16 @@ def _verify_generic(P: ForcingNotion, filters: list[Filter]):
 # ---------------------------------------------------------------------------
 # The collapse-with-suprema notion.
 
+Graph = tuple[tuple[int, HFSet], ...]  # a collapse function: (slot, target), sorted by slot
+
+
 class _CollapseSkeleton(NamedTuple):
     """What a collapse at one stage shares with every other at that stage:
     its functions and everything read off them.  Masks have bit p for
     function p (the top is the empty function, 0)."""
 
     elements: tuple[str, ...]
-    tags: tuple[object, ...]
-    fn_index: dict[CollapseFn, int]
+    fn_index: dict[Graph, int]  # each function's condition
     up: tuple[int, ...]  # the closed up-masks of the functions
     in_realizers: dict[tuple[int, int], int]  # (i, j) -> the f with f(i) ∈ f(j)
     sends: dict[tuple[int, HFSet], int]  # (i, x) -> the f with f(i) = x
@@ -325,29 +297,25 @@ def _collapse_skeleton(stage: int) -> _CollapseSkeleton:
                      for image in permutations(targets, r)),
                     key=lambda g: [(i, position[t]) for i, t in g])
     elements = ["1"]
-    tags: list[object] = [Top()]
-    fn_index: dict[CollapseFn, int] = {CollapseFn(()): 0}
+    fn_index: dict[Graph, int] = {(): 0}
     for graph in graphs:
-        fn = CollapseFn(graph)
-        fn_index[fn] = len(elements)
+        fn_index[graph] = len(elements)
         elements.append("f{" + ",".join(f"{i}:{position[t]}" for i, t in graph) + "}")
-        tags.append(fn)
 
     # f ≤ g iff f extends g: the proper sub-graphs of f, the empty one included.
     up = [1 | 1 << p for p in range(len(elements))]
     in_realizers: dict[tuple[int, int], int] = {}
     sends: dict[tuple[int, HFSet], int] = {}
-    for fn, p in fn_index.items():
-        graph = fn.graph
+    for graph, p in fn_index.items():
         for r in range(len(graph)):
             for sub in combinations(graph, r):
-                up[p] |= 1 << fn_index[CollapseFn(sub)]
+                up[p] |= 1 << fn_index[sub]
         for i, x in graph:
             sends[(i, x)] = sends.get((i, x), 0) | 1 << p
             for j, y in graph:
                 if x in y:
                     in_realizers[(i, j)] = in_realizers.get((i, j), 0) | 1 << p
-    return _CollapseSkeleton(tuple(elements), tuple(tags), fn_index, tuple(_closure(up)),
+    return _CollapseSkeleton(tuple(elements), fn_index, tuple(_closure(up)),
                              in_realizers, sends)
 
 
@@ -363,7 +331,7 @@ class CollapseNotion(ForcingNotion):
     Only the a(i) depend on A, so the functions are built once per stage
     (`_collapse_skeleton`, after the count has been checked against
     COLLAPSE_BUDGET) and shared by every collapse at that stage: their
-    tokens, tags and `fn_index` (read-only), their up-masks, closed once,
+    tokens and `fn_index` (read-only), their up-masks, closed once,
     the realizers of every e(i,j), and for each slot i and target x the
     functions with f(i) = x.  A graph is kept sorted by slot, so each
     sub-tuple of it is again a graph: f's proper sub-graphs (at most 2^k of
@@ -393,7 +361,7 @@ class CollapseNotion(ForcingNotion):
             raise BudgetError(f"collapse notion exceeds budget {COLLAPSE_BUDGET}")
         skeleton = _collapse_skeleton(stage)
         self.fn_index = skeleton.fn_index
-        tokens: list[tuple[str, object, int]] = []  # (token, tag, realizers)
+        tokens: list[tuple[str, int]] = []  # (token, realizers)
         self.e_index: dict[tuple[int, int], int] = {}
         self.a_index: dict[int, int] = {}
         for i in range(k):
@@ -401,25 +369,24 @@ class CollapseNotion(ForcingNotion):
                 below = skeleton.in_realizers.get((i, j), 0)
                 if below or include_degenerate_tokens:
                     self.e_index[(i, j)] = len(skeleton.elements) + len(tokens)
-                    tokens.append((f"e_{i}_{j}", SupIn(i, j), below))
+                    tokens.append((f"e_{i}_{j}", below))
         for i in range(k):
             below = functools.reduce(operator.or_, (skeleton.sends.get((i, x), 0)
                                                     for x in self.A), 0)
             if below or include_degenerate_tokens:
                 self.a_index[i] = len(skeleton.elements) + len(tokens)
-                tokens.append((f"a_{i}", SupA(i), below))
+                tokens.append((f"a_{i}", below))
 
         up = list(skeleton.up)
-        for token, _, below in tokens:
+        for _, below in tokens:
             bit = 1 << len(up)
             up.append(1 | bit)
             for p in bits(below):
                 up[p] |= bit
-        self._init(skeleton.elements + tuple(token for token, _, _ in tokens), up,
-                   skeleton.tags + tuple(tag for _, tag, _ in tokens))
+        self._init(skeleton.elements + tuple(token for token, _ in tokens), up)
 
     def fn_condition(self, mapping: dict[int, HFSet]) -> int:
-        return self.fn_index[CollapseFn(tuple(sorted(mapping.items())))]
+        return self.fn_index[tuple(sorted(mapping.items()))]
 
 
 def build_collapse(n: int, A: Iterable[HFSet],

@@ -527,7 +527,8 @@ def _staged_truth_instance(M: FiniteStructure, beta_max: int, pool: Sequence[For
 def formula_step(base: FiniteStructure, phi: Formula, length: int):
     """A step rule that evaluates a fixed formula in the free variable x
     over the base structure, with the partial solution visible as the
-    predicate S of stage-tagged pairs.
+    predicate S of stage-tagged pairs: S holds ⟨β, y⟩ for each y of the
+    base domain that the view puts in slice β.
 
     The tagged pairs ⟨β, y⟩ live in an extended domain so the solution
     predicate is first-order accessible.
@@ -540,7 +541,7 @@ def formula_step(base: FiniteStructure, phi: Formula, length: int):
 
     def step(x: HFSet, alpha: int, view) -> bool:
         s_pred = frozenset(hf_pair(nat_encode(beta), y)
-                           for beta in range(alpha) for y in view.slice(beta))
+                           for beta in range(alpha) for y in base.domain if view(beta, y))
         M = FiniteStructure(extended_sets, {**base.predicates, "S": s_pred})
         return eval_formula(M, phi, {"x": x})
 

@@ -1,8 +1,8 @@
 import pytest
 
-from forcelab import (EMPTY_NAME, SeparativityError, atom_eq, atomic_forcing,
-                      audit_boolean_algebra, boolean_completion, boolean_values,
-                      name_const, name_make, name_universe)
+from forcelab import (EMPTY_NAME, ForcelabError, SeparativityError, atom_eq,
+                      atomic_forcing, audit_boolean_algebra, boolean_completion,
+                      boolean_values, name_const, name_make, name_universe)
 from forcelab import corpus, criteria
 
 
@@ -24,6 +24,12 @@ def test_trivial_completion_is_two_element():
 def test_nonseparative_is_refused():
     with pytest.raises(SeparativityError):
         boolean_completion(corpus.chain2())
+
+
+def test_boolean_values_refuse_a_condition_outside_the_notion(fork):
+    values = boolean_values(boolean_completion(fork))
+    with pytest.raises(ForcelabError, match="condition outside the notion"):
+        values.value("in", EMPTY_NAME, name_make([(EMPTY_NAME, 9)]))
 
 
 def test_algebra_laws(corpus_notion):

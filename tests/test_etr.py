@@ -1,14 +1,18 @@
+import ast
 import random
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import forcelab
 from forcelab import (EMPTY, BudgetError, FiniteStructure, ForcelabError,
-                      RecursionInstance, Solution, atom_in, atom_in_class,
-                      atomic_recursion_instance, corpus, etr_solve, hf_rank,
-                      name_universe, not_, perturb, random_game_tree,
-                      subformula_closure, tarski_truth_instance, v_stage, var,
-                      verify_solution, zermelo_recursion_instance)
+                      RecursionInstance, Solution, and_, atom_in, atom_in_class,
+                      atomic_recursion_instance, corpus, etr_solve, exists, hf_pair,
+                      hf_rank, name_universe, nat_encode, not_, or_, perturb,
+                      random_game_tree, subformula_closure, tarski_truth_instance,
+                      v_stage, var, verify_solution, zermelo_recursion_instance)
 from forcelab.etr import STEP_BUDGET, PartialSolution, staged_instance
 from forcelab.truth import formula_step
 
@@ -87,6 +91,25 @@ def test_formula_driven_step():
     inst = whole(3, step, "formula-constant")
     sol = etr_solve(inst)
     assert all(s == frozenset([EMPTY]) for s in sol.slices)
+
+
+def test_a_formula_step_that_reads_the_earlier_slices():
+    # φ(x) = A(x) ∨ ∃p (S(p) ∧ x ∈ p): S_α is A together with the members of
+    # the tagged pairs ⟨β̄, y⟩, y ∈ S_β, for β < α
+    domain = tuple(v_stage(3))
+    base = FiniteStructure(domain, {"A": [EMPTY]})
+    x, p = var("x"), var("p")
+    reads_s = exists(("p",), and_([atom_in_class(p, "S"), atom_in(x, p)]))
+    phi = or_([atom_in_class(x, "A"), reads_s])
+    inst = whole(4, formula_step(base, phi, length=4), "formula-reads-S", domain)
+    sol = etr_solve(inst)
+    slices = []
+    for alpha in range(4):
+        pairs = [hf_pair(nat_encode(beta), y) for beta in range(alpha) for y in slices[beta]]
+        slices.append(frozenset(x for x in domain if x is EMPTY or any(x in q for q in pairs)))
+    assert sol.slices == tuple(slices)
+    assert [len(sl) for sl in slices] == [1, 2, 4, 4]
+    assert verify_solution(inst, sol) == (True, None)
 
 
 def test_monotone_instances_grow():
@@ -201,9 +224,9 @@ def test_verify_rejects_a_member_outside_the_support(mapped):
 
 
 # The staged atomic step decides a whole pair (kind, σ, τ) at once and keeps
-# the result per view.  A view with one encoding of an earlier slice flipped
-# must get the verdicts a freshly built instance gives it, even when the
-# step has just answered from the unflipped view.
+# the result in the view's memo.  A view with one encoding of an earlier
+# slice flipped must get the verdicts a freshly built instance gives it, even
+# when the step has just answered from the unflipped view.
 
 @pytest.mark.parametrize("label", ["fork", "four-fork"])
 def test_the_staged_atomic_step_keeps_nothing_across_views(label):
@@ -230,7 +253,7 @@ def test_the_staged_atomic_step_keeps_nothing_across_views(label):
     fresh = atomic_recursion_instance(P, N)[0]
     fresh_verdicts = [fresh.step(x, alpha, flipped) for x in later]
     assert fresh_verdicts != plain_verdicts
-    # alternating views make the step refill its memo on every call
+    # alternating views: each answers from its own memo, nothing is refilled
     for x, want, was in zip(later, fresh_verdicts, plain_verdicts):
         assert inst.step(x, alpha, plain) == was
         assert inst.step(x, alpha, flipped) == want
@@ -281,3 +304,56 @@ def test_builders_keep_their_codec_order_and_solve_as_a_key_sorted_rebuild():
         assert etr_solve(inst).slices == etr_solve(rebuilt).slices
         assert verify_solution(inst, etr_solve(rebuilt)) == (True, None)
     assert any(reordered)
+
+
+# The view contract: a step rule reads the earlier slices one point at a
+# time, and keeps what it derives from them in `view.memo` only.  Every
+# function in forcelab with a parameter named `view` may call it, pass it to
+# a call, or read its memo; any other use fails here.
+
+def _view_misuses(source: str) -> tuple[list, list]:
+    """The functions of the source with a `view` parameter, and each use of
+    `view` in them that is none of the three allowed."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    readers, misuses = [], set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if "view" not in {a.arg for a in params}:
+            continue
+        readers.append(getattr(fn, "name", "<lambda>"))
+        for n in ast.walk(fn):
+            if not (isinstance(n, ast.Name) and n.id == "view"):
+                continue
+            up = parent[n]
+            if isinstance(up, ast.keyword):
+                up = parent[up]
+            if not (isinstance(up, ast.Call) and (up.func is n or n in up.args
+                                                  or any(k.value is n for k in up.keywords))
+                    or isinstance(up, ast.Attribute) and up.attr == "memo"):
+                misuses.add((n.lineno, type(up).__name__))
+    return readers, sorted(misuses)
+
+
+def test_step_rules_read_their_view_one_point_at_a_time():
+    readers, misuses = {}, {}
+    for path in sorted(Path(forcelab.__file__).parent.glob("*.py")):
+        found, misused = _view_misuses(path.read_text())
+        readers[path.stem] = set(found)
+        if misused:
+            misuses[path.name] = misused
+    assert misuses == {}
+    assert "held" in readers["forcing"] and "step" in readers["truth"]
+
+
+def test_the_view_guard_catches_a_slice_read_and_a_kept_view():
+    source = textwrap.dedent('''
+        def step(x, alpha, view):
+            nonlocal memo_view
+            if view is not memo_view:
+                memo_view = view
+            return x in view.slice(alpha - 1) or view(0, x) or f(view) or view.memo.get(x)
+    ''')
+    assert _view_misuses(source) == (["step"], [(4, "Compare"), (5, "Assign"), (6, "Attribute")])

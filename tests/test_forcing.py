@@ -135,6 +135,36 @@ def test_forces_checks_universe(fork_relation):
     assert forces(fork_relation, 0, phi, check_universe=False)
 
 
+# A name outside the universe may mention a condition the notion lacks: the
+# relation refuses it as its constructor refuses such a universe name.
+
+def _past_the_fork():
+    return name_make([(EMPTY_NAME, 9)])
+
+
+def test_atomic_value_refuses_a_condition_outside_the_notion(fork_relation):
+    with pytest.raises(ForcelabError, match="condition outside the notion"):
+        fork_relation.atomic_value("in", EMPTY_NAME, _past_the_fork())
+
+
+def test_decide_refuses_a_condition_outside_the_notion(fork_relation):
+    with pytest.raises(ForcelabError, match="condition outside the notion"):
+        fork_relation.decide("in", 0, EMPTY_NAME, _past_the_fork())
+
+
+def test_forces_off_the_universe_refuses_a_condition_outside_the_notion(fork_relation):
+    phi = atom_in(name_const(EMPTY_NAME), name_const(_past_the_fork()))
+    with pytest.raises(ForcelabError, match="condition outside the notion"):
+        forces(fork_relation, 0, phi, check_universe=False)
+
+
+def test_a_class_name_with_a_condition_outside_the_notion_is_refused(fork_relation):
+    with pytest.raises(ForcelabError, match="condition outside the notion"):
+        fork_relation.register_class(ClassName.make("C", [(EMPTY_NAME, 7)]))
+    with pytest.raises(ForcelabError, match="no class name registered as 'C'"):
+        forces(fork_relation, 0, atom_in_class(name_const(EMPTY_NAME), "C"))
+
+
 def test_universe_must_be_closed(fork):
     sigma = name_make([(check_name(nat_encode(1)), 0)])
     with pytest.raises(ClosureError):

@@ -341,6 +341,38 @@ def test_a_lie_on_one_quantified_instance_loses(rank_two_game):
     assert lies == 8
 
 
+# The clock bound is exact.  Challenged on a rank-r instance with c clock
+# units left, a truth-teller whose first verdict lies never wins at c ≥ r,
+# and for every rank r ≥ 1 some lie wins at c = r − 1.
+
+def _surviving_lies(M, T, labels) -> dict:
+    """(rank, clock left) -> (root challenges where some lying first verdict
+    is labelled II, root challenges)."""
+    counts = {}
+    for teller in T.nodes[T.root].children:
+        note = T.nodes[teller].note
+        phi, key = note["challenge"]
+        wrong = not eval_formula(M, phi, dict(key))
+        lies = [a for a in T.nodes[teller].children if T.nodes[a].note["verdict"] == wrong]
+        won, asked = counts.get((phi.rank, note["clock"]), (0, 0))
+        counts[(phi.rank, note["clock"])] = (won + any(labels[a] == "II" for a in lies), asked + 1)
+    return counts
+
+
+def test_a_lie_survives_exactly_below_the_clock_bound(rank_two_game):
+    M, _, T, res = rank_two_game
+    atomic = truth_telling_game(M, corpus.atomic_game_pool(), 3)
+    games = {"atomic": (atomic, zermelo_solve(atomic).labels), "rank two": (T, res.labels)}
+    want = {"atomic": {(1, 0): (8, 8)},
+            "rank two": {(1, 0): (9, 12), (2, 0): (12, 12), (2, 1): (1, 12)}}
+    for label, (game, labels) in games.items():
+        surviving = _surviving_lies(M, game, labels)
+        assert {c for _, c in surviving} == {0, 1, 2}, label
+        assert not any(won for (r, c), (won, _) in surviving.items() if c >= r), label
+        assert all(surviving[(r, r - 1)][0] for r, _ in surviving if r >= 1), label
+        assert {k: v for k, v in surviving.items() if v[0]} == want[label]
+
+
 def test_a_negative_clock_is_refused():
     M = FiniteStructure(v_stage(2))
     with pytest.raises(ForcelabError, match="the clock must be a natural number, not -1"):

@@ -10,7 +10,7 @@ from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ForcelabError,
                       subname_closure, subnames, v_stage)
 from forcelab import corpus, names, sexpr
 from forcelab.names import ClassName, op_unpair
-from forcelab.poset import CollapseFn, bits
+from forcelab.poset import bits
 
 
 def test_check_name_shapes():
@@ -89,9 +89,10 @@ def test_collapse_names_require_collapse_notion(fork):
 
 def test_n_dot_names_the_preimage_slot():
     fa = build_collapse(2, [])
+    graph_of = {p: graph for graph, p in fa.fn_index.items()}
     for G in generic_filters(fa):
         minimal = min(bits(G.members), key=lambda p: fa.down(p).bit_count())
-        fn = dict(fa.tags[minimal].graph)
+        fn = dict(graph_of[minimal])
         for a in fa.targets:
             inverse = next(i for i, t in fn.items() if t is a)
             assert eval_name(n_dot(fa, a), G) is nat_encode(inverse)
@@ -99,10 +100,11 @@ def test_n_dot_names_the_preimage_slot():
 
 def test_eps_dot_is_the_membership_copy():
     fa = build_collapse(2, [])
+    graph_of = {p: graph for graph, p in fa.fn_index.items()}
     eps = eps_dot(fa)
     for G in generic_filters(fa):
         minimal = min(bits(G.members), key=lambda p: fa.down(p).bit_count())
-        fn = dict(fa.tags[minimal].graph)
+        fn = dict(graph_of[minimal])
         want = {hf_pair(nat_encode(i), nat_encode(j))
                 for i, ti in fn.items() for j, tj in fn.items() if ti in tj}
         assert set(eval_name(eps, G).children) == want
@@ -112,10 +114,11 @@ def test_a_dot_extension_is_the_copied_parameter():
     stage = v_stage(2)
     A = [stage[1]]
     fa = build_collapse(2, A)
+    graph_of = {p: graph for graph, p in fa.fn_index.items()}
     ad = a_dot(fa, A)
     for G in generic_filters(fa):
         minimal = min(bits(G.members), key=lambda p: fa.down(p).bit_count())
-        fn = dict(fa.tags[minimal].graph)
+        fn = dict(graph_of[minimal])
         want = {nat_encode(i) for i, t in fn.items() if t in set(A)}
         assert eval_class(ad, G) == want
 

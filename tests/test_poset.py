@@ -7,8 +7,7 @@ from forcelab import (EMPTY, BudgetError, ForcelabError, ParseError, build_colla
                       generic_filters, hf_make, is_dense, is_separative,
                       make_notion, minimal_classes, parse_poset, v_stage)
 from forcelab import corpus, sexpr
-from forcelab.poset import (COLLAPSE_BUDGET, CollapseFn, CollapseNotion, ForcingNotion, SupA,
-                            SupIn, Top, bits, is_filter)
+from forcelab.poset import COLLAPSE_BUDGET, CollapseNotion, ForcingNotion, bits, is_filter
 
 
 def test_trivial_is_separative():
@@ -87,8 +86,7 @@ def test_collapse_order_clauses():
     assert not fa.le(f, fa.e_index[(1, 0)])
     a0 = fa.a_index[0]
     assert fa.le(f, a0)                        # f(0) ∈ A
-    assert all(not fa.le(a0, q) for q in fa.conditions()
-               if isinstance(fa.tags[q], CollapseFn) and fa.tags[q].graph)
+    assert all(not fa.le(a0, q) for graph, q in fa.fn_index.items() if graph)
 
 
 def test_collapse_token_transitivity():
@@ -104,9 +102,9 @@ def test_collapse_token_transitivity():
 def test_collapse_minimal_are_total_bijections():
     fa = build_collapse(2, [])
     minimal = {next(bits(c)) for c in minimal_classes(fa)}
+    graph_of = {p: graph for graph, p in fa.fn_index.items()}
     for m in minimal:
-        tag = fa.tags[m]
-        assert isinstance(tag, CollapseFn) and len(tag.graph) == fa.clock
+        assert len(graph_of[m]) == fa.clock
     assert len(minimal) == 2
 
 
@@ -118,7 +116,7 @@ def test_collapse_stage3_has_24_generic_filters():
 def test_collapse_sizes_stage3():
     stage = v_stage(3)
     fa = build_collapse(3, [])
-    fns = [t for t in fa.tags if isinstance(t, CollapseFn) and t.graph]
+    fns = [graph for graph in fa.fn_index if graph]
     assert len(fns) == 208  # non-empty partial injections of 4 slots into 4 sets
     assert len(fa) == 221
     for r in range(1, len(stage) + 1):
@@ -143,12 +141,12 @@ def ref_collapse(stage, A, include_degenerate_tokens=False):
     targets = v_stage(stage)
     k = len(targets)
     A = frozenset(A)
-    fns = [CollapseFn(())]
-    frontier = [CollapseFn(())]
+    fns = [()]
+    frontier = [()]
     while frontier:
         nxt = []
         for fn in frontier:
-            m = dict(fn.graph)
+            m = dict(fn)
             used = set(m.values())
             for i in range(k):
                 if i in m:
@@ -157,29 +155,24 @@ def ref_collapse(stage, A, include_degenerate_tokens=False):
                     continue
                 for t in targets:
                     if t not in used:
-                        nxt.append(CollapseFn(tuple(sorted(m.items())) + ((i, t),)))
+                        nxt.append(tuple(sorted(m.items())) + ((i, t),))
             if len(fns) + len(nxt) > COLLAPSE_BUDGET:
                 raise BudgetError(f"collapse notion exceeds budget {COLLAPSE_BUDGET}")
         fns.extend(nxt)
         frontier = nxt
 
     elements = ["1"]
-    tags = [Top()]
-    fn_index = {CollapseFn(()): 0}
-    for fn in sorted((f for f in fns if f.graph),
-                     key=lambda f: tuple((i, t.key) for i, t in f.graph)):
+    fn_index = {(): 0}
+    for fn in sorted((f for f in fns if f), key=lambda f: tuple((i, t.key) for i, t in f)):
         fn_index[fn] = len(elements)
-        elements.append("f{" + ",".join(f"{i}:{targets.index(t)}" for i, t in fn.graph) + "}")
-        tags.append(fn)
+        elements.append("f{" + ",".join(f"{i}:{targets.index(t)}" for i, t in fn) + "}")
 
     def realizers_e(i, j):
         return [fn_index[f] for f in fns
-                if i in dict(f.graph) and j in dict(f.graph)
-                and dict(f.graph)[i] in dict(f.graph)[j]]
+                if i in dict(f) and j in dict(f) and dict(f)[i] in dict(f)[j]]
 
     def realizers_a(i):
-        return [fn_index[f] for f in fns
-                if i in dict(f.graph) and dict(f.graph)[i] in A]
+        return [fn_index[f] for f in fns if i in dict(f) and dict(f)[i] in A]
 
     e_index, a_index, pairs = {}, {}, []
     for i in range(k):
@@ -189,7 +182,6 @@ def ref_collapse(stage, A, include_degenerate_tokens=False):
                 continue
             e_index[(i, j)] = len(elements)
             elements.append(f"e_{i}_{j}")
-            tags.append(SupIn(i, j))
             pairs.extend((b, e_index[(i, j)]) for b in below)
     for i in range(k):
         below = realizers_a(i)
@@ -197,14 +189,13 @@ def ref_collapse(stage, A, include_degenerate_tokens=False):
             continue
         a_index[i] = len(elements)
         elements.append(f"a_{i}")
-        tags.append(SupA(i))
         pairs.extend((b, a_index[i]) for b in below)
 
     for f in fns:
         for g in fns:
-            if f is not g and set(g.graph) <= set(f.graph):
+            if f != g and set(g) <= set(f):
                 pairs.append((fn_index[f], fn_index[g]))
-    return ForcingNotion(elements, pairs, tags), fn_index, e_index, a_index
+    return ForcingNotion(elements, pairs), fn_index, e_index, a_index
 
 
 def _collapse_configurations():
@@ -225,7 +216,6 @@ def test_collapse_matches_all_pairs_reference(n, A, degenerate):
     fa = build_collapse(n, A, include_degenerate_tokens=degenerate)
     ref, fn_index, e_index, a_index = ref_collapse(n, A, degenerate)
     assert fa.elements == ref.elements
-    assert fa.tags == ref.tags
     assert list(fa.fn_index.items()) == list(fn_index.items())
     assert list(fa.e_index.items()) == list(e_index.items())
     assert list(fa.a_index.items()) == list(a_index.items())
@@ -250,18 +240,15 @@ def subgraph_collapse(stage, A, include_degenerate_tokens=False):
                      for image in itertools.permutations(targets, r)),
                     key=lambda g: [(i, position[t]) for i, t in g])
     elements = ["1"]
-    tags = [Top()]
-    fn_index = {CollapseFn(()): 0}
+    fn_index = {(): 0}
     for graph in graphs:
-        fn_index[CollapseFn(graph)] = len(elements)
+        fn_index[graph] = len(elements)
         elements.append("f{" + ",".join(f"{i}:{position[t]}" for i, t in graph) + "}")
-        tags.append(CollapseFn(graph))
 
     pairs = []
     below_e, below_a = {}, {}
-    for fn, p in fn_index.items():
-        graph = fn.graph
-        pairs.extend((p, fn_index[CollapseFn(sub)])
+    for graph, p in fn_index.items():
+        pairs.extend((p, fn_index[sub])
                      for r in range(len(graph)) for sub in itertools.combinations(graph, r))
         for i, x in graph:
             if x in A:
@@ -277,16 +264,14 @@ def subgraph_collapse(stage, A, include_degenerate_tokens=False):
             if below or include_degenerate_tokens:
                 e_index[(i, j)] = len(elements)
                 elements.append(f"e_{i}_{j}")
-                tags.append(SupIn(i, j))
                 pairs.extend((b, e_index[(i, j)]) for b in below)
     for i in range(k):
         below = below_a.get(i, [])
         if below or include_degenerate_tokens:
             a_index[i] = len(elements)
             elements.append(f"a_{i}")
-            tags.append(SupA(i))
             pairs.extend((b, a_index[i]) for b in below)
-    return ForcingNotion(elements, pairs, tags), fn_index, e_index, a_index
+    return ForcingNotion(elements, pairs), fn_index, e_index, a_index
 
 
 def _every_parameter_set():
@@ -302,7 +287,7 @@ def _differences_from_subgraph_reference(n, A, degenerate):
     """The attributes in which the collapse differs from the reference."""
     fa = build_collapse(n, A, include_degenerate_tokens=degenerate)
     ref, fn_index, e_index, a_index = subgraph_collapse(n, A, degenerate)
-    pairs = [("elements", fa.elements, ref.elements), ("tags", fa.tags, ref.tags),
+    pairs = [("elements", fa.elements, ref.elements),
              ("_up", fa._up, ref._up), ("_down", fa._down, ref._down),
              ("fn_index", list(fa.fn_index.items()), list(fn_index.items())),
              ("e_index", list(fa.e_index.items()), list(e_index.items())),
@@ -321,12 +306,12 @@ def test_a_dropped_parameter_token_bit_fails_the_subgraph_reference(monkeypatch)
     # one realizer of one a(i) no longer lies below it
     store = CollapseNotion._init
 
-    def drop_one_bit(self, elements, up, tags):
+    def drop_one_bit(self, elements, up):
         token = min(self.a_index.values())
         realizer = next(p for p, mask in enumerate(up) if p != token and mask >> token & 1)
         up = list(up)
         up[realizer] &= ~(1 << token)
-        store(self, elements, up, tags)
+        store(self, elements, up)
 
     monkeypatch.setattr(CollapseNotion, "_init", drop_one_bit)
     for n in (2, 3):
