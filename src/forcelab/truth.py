@@ -540,9 +540,14 @@ def formula_step(base: FiniteStructure, phi: Formula, length: int):
     extended_sets = transitive_closure(extended)
 
     def step(x: HFSet, alpha: int, view) -> bool:
-        s_pred = frozenset(hf_pair(nat_encode(beta), y)
-                           for beta in range(alpha) for y in base.domain if view(beta, y))
-        M = FiniteStructure(extended_sets, {**base.predicates, "S": s_pred})
+        # the structure depends on the view alone, so every point of the
+        # stage shares the one kept in its memo
+        M = view.memo.get(("structure", alpha))
+        if M is None:
+            s_pred = frozenset(hf_pair(nat_encode(beta), y)
+                               for beta in range(alpha) for y in base.domain if view(beta, y))
+            M = view.memo[("structure", alpha)] = FiniteStructure(
+                extended_sets, {**base.predicates, "S": s_pred})
         return eval_formula(M, phi, {"x": x})
 
     return step

@@ -224,9 +224,10 @@ def test_verify_rejects_a_member_outside_the_support(mapped):
 
 
 # The staged atomic step decides a whole pair (kind, σ, τ) at once and keeps
-# the result in the view's memo.  A view with one encoding of an earlier
-# slice flipped must get the verdicts a freshly built instance gives it, even
-# when the step has just answered from the unflipped view.
+# the result in the view's memo.  A view of a solution with one encoding of an
+# earlier slice flipped must get the verdicts a freshly built instance gives
+# a view of its own over the same slices, even when the step has just
+# answered from a view of the unflipped solution.
 
 @pytest.mark.parametrize("label", ["fork", "four-fork"])
 def test_the_staged_atomic_step_keeps_nothing_across_views(label):
@@ -236,27 +237,29 @@ def test_the_staged_atomic_step_keeps_nothing_across_views(label):
     sol = etr_solve(inst)
     alpha = inst.length - 1
     later = inst.support[alpha]
-    plain = PartialSolution(sol.slices, alpha)
-    plain_verdicts = [inst.step(x, alpha, plain) for x in later]
+    plain_verdicts = [inst.step(x, alpha, PartialSolution(sol.slices, alpha)) for x in later]
     assert plain_verdicts == [x in sol.slices[alpha] for x in later]
 
     def first_flip_that_matters():
         for beta in range(alpha):
             for y in inst.support[beta]:
-                view = PartialSolution(perturb(sol, beta, y).slices, alpha)
+                slices = perturb(sol, beta, y).slices
+                view = PartialSolution(slices, alpha)
                 if [inst.step(x, alpha, view) for x in later] != plain_verdicts:
-                    return view
+                    return slices
         return None
 
     flipped = first_flip_that_matters()
     assert flipped is not None
     fresh = atomic_recursion_instance(P, N)[0]
-    fresh_verdicts = [fresh.step(x, alpha, flipped) for x in later]
+    fresh_view = PartialSolution(flipped, alpha)
+    fresh_verdicts = [fresh.step(x, alpha, fresh_view) for x in later]
     assert fresh_verdicts != plain_verdicts
-    # alternating views: each answers from its own memo, nothing is refilled
+    # alternating views, each new with an empty memo: nothing the step
+    # derived from one view may answer for the next
     for x, want, was in zip(later, fresh_verdicts, plain_verdicts):
-        assert inst.step(x, alpha, plain) == was
-        assert inst.step(x, alpha, flipped) == want
+        assert inst.step(x, alpha, PartialSolution(sol.slices, alpha)) == was
+        assert inst.step(x, alpha, PartialSolution(flipped, alpha)) == want
 
 
 def _key(x):
@@ -308,31 +311,33 @@ def test_builders_keep_their_codec_order_and_solve_as_a_key_sorted_rebuild():
 
 # The view contract: a step rule reads the earlier slices one point at a
 # time, and keeps what it derives from them in `view.memo` only.  Every
-# function in forcelab with a parameter named `view` may call it, pass it to
-# a call, or read its memo; any other use fails here.
+# function in forcelab with a parameter named `view` (a *reader*) may call
+# it, pass it on to a reader of the same module, or read and write entries of
+# its memo; any other use, such as comparing it, handing it or its memo to
+# any other function, or binding it to another name, fails here.
 
 def _view_misuses(source: str) -> tuple[list, list]:
-    """The functions of the source with a `view` parameter, and each use of
-    `view` in them that is none of the three allowed."""
+    """The readers of the source, and each use of `view` in them that is
+    none of the allowed ones."""
     tree = ast.parse(source)
     parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-    readers, misuses = [], set()
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
-            continue
-        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-        if "view" not in {a.arg for a in params}:
-            continue
-        readers.append(getattr(fn, "name", "<lambda>"))
+    fns = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+           and "view" in {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}]
+    readers = [getattr(fn, "name", "<lambda>") for fn in fns]
+    misuses = set()
+    for fn in fns:
         for n in ast.walk(fn):
             if not (isinstance(n, ast.Name) and n.id == "view"):
                 continue
             up = parent[n]
             if isinstance(up, ast.keyword):
                 up = parent[up]
-            if not (isinstance(up, ast.Call) and (up.func is n or n in up.args
-                                                  or any(k.value is n for k in up.keywords))
-                    or isinstance(up, ast.Attribute) and up.attr == "memo"):
+            called = isinstance(up, ast.Call) and (
+                up.func is n or isinstance(up.func, ast.Name) and up.func.id in readers)
+            memo_entry = (isinstance(up, ast.Attribute) and up.attr == "memo"
+                          and isinstance(parent[up], (ast.Subscript, ast.Attribute))
+                          and parent[up].value is up)
+            if not (called or memo_entry):
                 misuses.add((n.lineno, type(up).__name__))
     return readers, sorted(misuses)
 
@@ -350,10 +355,18 @@ def test_step_rules_read_their_view_one_point_at_a_time():
 
 def test_the_view_guard_catches_a_slice_read_and_a_kept_view():
     source = textwrap.dedent('''
+        def lookup(view, y):
+            return view(0, y) or view.memo.get(y)
+
         def step(x, alpha, view):
             nonlocal memo_view
             if view is not memo_view:
-                memo_view = view
-            return x in view.slice(alpha - 1) or view(0, x) or f(view) or view.memo.get(x)
+                memo_view = id(view)
+            kept.append(view)
+            memo = view.memo
+            view.memo[x] = lookup(view, x)
+            return x in view.slice(alpha - 1) or f(view)
     ''')
-    assert _view_misuses(source) == (["step"], [(4, "Compare"), (5, "Assign"), (6, "Attribute")])
+    assert _view_misuses(source) == (["lookup", "step"], [
+        (7, "Compare"), (8, "Call"), (9, "Call"), (10, "Attribute"), (12, "Attribute"),
+        (12, "Call")])
