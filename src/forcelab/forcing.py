@@ -15,7 +15,7 @@ instance and as Boolean values, and criterion 4 compares the collapse
 relation with Tarskian truth.  On top of them sit the composite clauses
 for the (finite) infinitary forcing language, the law audit, the
 reduction of quantifier-free sentences to single atomic equalities (each
-distinct subformula translated once per notion size, across calls),
+negated atom's rewrite built once, across calls),
 Boolean completions with Boolean values, generic extensions with the
 forced-iff-true oracle, and the name of a truth predicate.
 
@@ -41,12 +41,13 @@ from .errors import (BudgetError, ClosureError, ForcelabError,
 from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        Exists, Forall, Formula, NameConst, Not,
                        Or, PairTerm, Term, Var, and_, atom_eq, atom_in,
-                       atom_in_class, atom_in_g, canonical_pool, const,
+                       atom_in_class, atom_in_g, atom_terms, canonical_pool, const,
                        encode_formula, implies, map_atom, map_formula,
                        name_const, nodes, not_, or_, substitute, terms)
 from .hfset import EMPTY, HFSet, hf_make, hf_pair, nat_encode
-from .names import (EMPTY_NAME, ClassName, PName, check_name, eval_name, g_dot,
-                    is_subname_closed, name_make, name_to_hf, op_name, op_unpair)
+from .names import (EMPTY_NAME, ClassName, PName, _interned, check_name,
+                    eval_name, g_dot, is_subname_closed, name_make, name_to_hf, op_name,
+                    op_unpair)
 from .poset import (Filter, ForcingNotion, bits, generic_filters, is_separative,
                     minimal_classes)
 
@@ -222,7 +223,8 @@ class ForcingRelation:
         return self.regularize(W)
 
     def decide(self, kind: str, p: int, sigma: PName, tau: PName) -> bool:
-        return self.atomic_value(kind, sigma, tau) >> p & 1 == 1
+        v = self._atomic.get((kind, sigma, tau))
+        return (self.atomic_value(kind, sigma, tau) if v is None else v) >> p & 1 == 1
 
     def value(self, phi: Formula, env: Mapping[str, PName] = _NO_NAMES) -> int:
         """The mask of the conditions forcing phi under the name valuation env."""
@@ -427,84 +429,54 @@ class _SizeGuard:
             raise BudgetError(f"translation exceeded {self.budget} name constructions")
 
 
-# What star_translate built, kept across calls with the ticks it cost: the
-# name pair of each positive node, keyed by (node, |P|), and the positive
-# formula of each rewrite of a negated atom, and of each rewrite it calls,
-# keyed by (_not_eq, _not_sub or _not_in, σ, τ).
-# The translation depends on the notion only through |P|.
-_reduced: dict = {}
+# What star_translate built, kept across calls: `_rewrites` maps a key
+# (kind, σ, τ) for ¬(σ = τ), σ ⊄ τ or ¬(σ ∈ τ) to its `_rewrite_entry`,
+# `_charges` a negated atom's key to its charge, `_junctions` to pairs.
 _rewrites: dict = {}
-
-
-def _shared(cache: dict, key, guard: _SizeGuard, build, *args):
-    """build(*args) through a cache kept across calls; a hit charges the
-    guard the ticks the build charged."""
-    got = cache.get(key)
-    if got is None:
-        start = guard.count
-        out = build(*args)
-        cache[key] = (out, guard.count - start)
-        return out
-    guard.tick(got[1])
-    return got[0]
-
-
-_conditions: dict[PName, int] = {}  # ǐ ↦ i, for i below the largest |P| asked about
+_charges: dict = {}
+_junctions: dict = {}
 
 
 def _condition_index(name: PName, P: ForcingNotion) -> int | None:
     """i when the name is the check name ǐ of a condition i < |P|, else None."""
-    for i in range(len(_conditions), len(P)):
-        _conditions[check_name(nat_encode(i))] = i
-    i = _conditions.get(name)
-    return i if i is not None and i < len(P) else None
+    i = len(name.entries)  # ǐ has one entry per member of i
+    return i if i < len(P) and name is check_name(nat_encode(i)) else None
 
 
 def star_translate(phi: Formula, P: ForcingNotion) -> tuple[PName, PName]:
     """Compile a closed, quantifier-free sentence to one atomic equality.
 
-    Two walks, each visiting a distinct node once.  The polarity walk takes
-    the sentence to a positive formula: it pushes negations to the atoms,
-    expands a filter atom at a non-check name σ into ⋁ᵢ (G(ǐ) ∧ σ = ǐ),
-    and replaces negated equality and membership atoms by the
-    rank-descending rewrites; negated filter atoms stay.  The reduce walk
-    folds the positive formula into a pair of names: each atom into one
-    equality, and conjunctions and disjunctions into single equalities
-    (disjunction via the redundancy construction).  A condition forces the
-    sentence iff it forces the returned equality.  Both walks are folds,
-    so neither recurses per nesting level; a sentence nested deeper than
-    NESTING_CAP is still refused, so that every translated sentence can be
-    checked against `forces`, which recurses (criterion 2).
+    One fold over (subformula, sign) pairs (sign False asks for the
+    negation) returns name pairs directly: an atom's equality, and one for a
+    conjunction or (redundancy construction) a disjunction.  A filter atom
+    at a non-check name σ folds as ⋁ᵢ (G(ǐ) ∧ σ = ǐ).  A negated = or ∈ atom
+    takes its pair from `_rewrites`, which one walk over rewrite keys fills:
+    ¬(σ = τ) is σ ⊄ τ ∨ τ ⊄ σ, σ ⊄ τ is ⋁ over σ's entries (ρ, r) of
+    G(ř) ∧ ρ ∉ τ, and σ ∉ τ is ⋀ over τ's entries (ρ, r) of ¬G(ř) ∨ σ ≠ ρ.
+    A condition forces the sentence iff it forces the equality.  Names with
+    a condition outside the notion, and nesting deeper than NESTING_CAP (so
+    that `forces` can check each translation), are refused before any walk.
 
-    Each node's name pair and each rewrite are built once per notion size
-    and kept across calls; a call that reuses one still charges the budget
-    what building it costs, so the budget refuses the same sentences
-    whether the cache is cold or warm.
+    The budget is charged, per distinct (subformula, sign) pair, 1 for an
+    atom, 1 + k for a conjunction and 2k + 3 for a disjunction of k parts;
+    per distinct negated = or ∈ atom, its rewrite's build ticks plus the
+    ticks each distinct rewrite step below it adds.  The charge is kept
+    with the atom, so a warm table refuses what a cold one refuses.
     """
     if phi.free:
         raise ForcelabError("only closed sentences translate")
     if "ground" in phi.const_kinds:
         raise ForcelabError("translation expects the forcing language")
     _check_nesting(phi)
-    guard = _SizeGuard(TRANSLATION_BUDGET)
     for f in nodes(phi):
         if isinstance(f, (Forall, Exists)):
             raise ForcelabError("translation is for quantifier-free sentences")
         if isinstance(f, (AtomInClass, AtomTr)):
             raise ForcelabError("translation covers =, ∈ and generic-filter atoms only")
-    positive = _polar(phi, P, guard)
-    n = len(P)
-    return dag.fold(positive, _reduce_children, lambda f, parts: _shared(
-        _reduced, (f, n), guard, _reduce_node, f, parts, P, guard))
+        if not f.rank and any(_term_pname(t).max_condition >= len(P) for t in atom_terms(f)):
+            raise ForcelabError(_OUTSIDE)
+    guard = _SizeGuard(TRANSLATION_BUDGET)
 
-
-def _g_atom(i: int) -> Formula:
-    return atom_in_g(name_const(check_name(nat_encode(i))))
-
-
-def _polar(phi: Formula, P: ForcingNotion, guard: _SizeGuard) -> Formula:
-    """phi as a positive formula: one fold over (node, sign) pairs, where
-    sign False asks for the node's negation."""
     def parts(item: tuple[Formula, bool]) -> list:
         f, sign = item
         if isinstance(f, Not):
@@ -516,28 +488,82 @@ def _polar(phi: Formula, P: ForcingNotion, guard: _SizeGuard) -> Formula:
             return [(or_(and_([atom_in_g(c), atom_eq(f.term, c)]) for c in checks), sign)]
         return []
 
-    def combine(item: tuple[Formula, bool], kids: tuple[Formula, ...]) -> Formula:
+    def combine(item: tuple[Formula, bool], kids: tuple) -> tuple[PName, PName]:
         f, sign = item
         if isinstance(f, (And, Or)):
-            return and_(kids) if isinstance(f, And) == sign else or_(kids)
+            conjunction = isinstance(f, And) == sign
+            guard.tick(1 + len(kids) if conjunction else 2 * len(kids) + 3)
+            return _junction(kids, conjunction)
         if kids:  # a negation, or a filter atom by its expansion
             return kids[0]
-        if sign or isinstance(f, AtomInG):
-            return f if sign else not_(f)
+        if isinstance(f, AtomInG):
+            guard.tick()
+            return _g_pair(_condition_index(_term_pname(f.term), P), sign)
         sigma, tau = _term_pname(f.left), _term_pname(f.right)
-        rewrite = _not_eq if isinstance(f, AtomEq) else _not_in
-        return _shared(_rewrites, (rewrite, sigma, tau), guard, rewrite, sigma, tau, guard)
+        if not sign:
+            return _negated(("eq" if isinstance(f, AtomEq) else "in", sigma, tau), guard)
+        guard.tick()
+        if isinstance(f, AtomEq):
+            return sigma, tau
+        return tau, name_make(tau.entries + ((sigma, 0),))
 
     return dag.fold((phi, True), parts, combine)
 
 
-# The rewrites terminate along the measure (summed ranks, then a tag putting
-# inequality above non-subset): inequality keeps the summed ranks but lowers
-# the tag, and the other two steps strictly lower an entry's rank.  Each call
-# checks its measure against the caller's, a cache hit included.
+def _g_pair(i: int, sign: bool) -> tuple[PName, PName]:
+    # G(ǐ) becomes {(∅, i)} = {(∅, 𝟙)}, and ¬G(ǐ) becomes {(∅, i)} = ∅
+    return _interned(((EMPTY_NAME, i),)), _interned(((EMPTY_NAME, 0),)) if sign else EMPTY_NAME
 
-def _measure(rewrite, sigma: PName, tau: PName) -> tuple[int, int]:
-    return sigma.rank + tau.rank, int(rewrite is _not_eq)
+
+def _junction(parts: tuple, conjunction: bool) -> tuple[PName, PName]:
+    """The pair whose equality the junction of the parts' equalities reduces
+    to.  ⟨ǐ, aᵢ⟩ serves both sides where aᵢ = bᵢ.  A disjunction sorts
+    u = {⟨ǐ, aᵢ⟩} ∪ {⟨ǐ, bᵢ⟩} once; uⱼ is u less ⟨ǰ, bⱼ⟩, or u when aⱼ = bⱼ."""
+    got = _junctions.get((parts, conjunction))
+    if got is not None:
+        return got
+    checks = [check_name(nat_encode(i)) for i in range(len(parts))]
+    a = [(op_name(c, x), 0) for c, (x, _) in zip(checks, parts)]
+    b = [d if x is y else (op_name(c, y), 0) for d, c, (x, y) in zip(a, checks, parts)]
+    if conjunction:
+        got = _interned(_top_entries(a)), _interned(_top_entries(b))
+    else:
+        u_entries = _top_entries(a + b)
+        u, at = _interned(u_entries), {e: k for k, e in enumerate(u_entries)}
+        u_j = [(u if d is e else _interned(u_entries[:at[e]] + u_entries[at[e] + 1:]), 0)
+               for d, e in zip(a, b)]
+        got = _interned(_top_entries(u_j)), _interned(_top_entries(u_j + [(u, 0)]))
+    _junctions[parts, conjunction] = got
+    return got
+
+
+def _top_entries(entries: list[tuple[PName, int]]) -> tuple[tuple[PName, int], ...]:
+    """Entries whose conditions are all the top, made canonical: one sort."""
+    return tuple(sorted(set(entries), key=lambda e: e[0].key))
+
+
+def _negated(key: tuple[str, PName, PName], guard: _SizeGuard) -> tuple[PName, PName]:
+    """The pair of a negated atom's rewrite; the first time, one walk over the
+    keys below it, children first, builds what `_rewrites` lacks and sums ticks."""
+    charge = _charges.get(key)
+    if charge is None:
+        added = 0
+        for k in dag.nodes(key, _rewrite_steps):
+            if k not in _rewrites:
+                _rewrites[k] = _rewrite_entry(*k)
+            added += _rewrites[k][2]
+            if guard.count + _rewrites[k][1] + added > guard.budget:  # the charge is more
+                guard.tick(_rewrites[k][1] + added)
+        charge = _charges[key] = _rewrites[key][1] + added
+    guard.tick(charge)
+    return _rewrites[key][0]
+
+
+# The measure (summed ranks, then a tag putting ¬= above ⊄ and ∉) drops from
+# every step to each of its children, so the rewrite keys form no cycle.
+
+def _measure(kind: str, sigma: PName, tau: PName) -> tuple[int, int]:
+    return sigma.rank + tau.rank, int(kind == "eq")
 
 
 def _measure_drops(bound, mu):
@@ -545,65 +571,32 @@ def _measure_drops(bound, mu):
         raise ForcelabError(f"rewrite measure failed to decrease: {bound} -> {mu}")
 
 
-def _rewrite(rewrite, sigma: PName, tau: PName, guard: _SizeGuard, bound) -> Formula:
-    """rewrite(σ, τ) through `_rewrites`, so that each distinct (rewrite, σ, τ)
-    is built once however often the recursion meets it."""
-    _measure_drops(bound, _measure(rewrite, sigma, tau))
-    return _shared(_rewrites, (rewrite, sigma, tau), guard, rewrite, sigma, tau, guard)
+def _rewrite_steps(key: tuple[str, PName, PName]) -> tuple:
+    """The keys one rewrite step calls, in the order of its parts."""
+    kind, sigma, tau = key
+    if kind == "eq":
+        kids = (("sub", sigma, tau), ("sub", tau, sigma))
+    elif kind == "sub":
+        kids = tuple(("in", rho, tau) for rho, _ in sigma.entries)
+    else:
+        kids = tuple(("eq", sigma, rho) for rho, _ in tau.entries)
+    for kid in kids:
+        _measure_drops(_measure(*key), _measure(*kid))
+    return kids
 
 
-def _not_eq(sigma: PName, tau: PName, guard: _SizeGuard) -> Formula:
-    mu = _measure(_not_eq, sigma, tau)
-    guard.tick()
-    return or_([_rewrite(_not_sub, sigma, tau, guard, mu),
-                _rewrite(_not_sub, tau, sigma, guard, mu)])
-
-
-def _not_sub(sigma: PName, tau: PName, guard: _SizeGuard) -> Formula:
-    mu = _measure(_not_sub, sigma, tau)
-    guard.tick()
-    return or_(and_([_g_atom(r), _rewrite(_not_in, rho, tau, guard, mu)])
-               for rho, r in sigma.entries)
-
-
-def _not_in(sigma: PName, tau: PName, guard: _SizeGuard) -> Formula:
-    mu = _measure(_not_in, sigma, tau)
-    guard.tick()
-    return and_(or_([not_(_g_atom(r)), _rewrite(_not_eq, sigma, rho, guard, mu)])
-                for rho, r in tau.entries)
-
-
-def _reduce_children(phi: Formula) -> tuple[Formula, ...]:
-    # a negation in a positive formula is a negated filter atom, reduced whole
-    return () if isinstance(phi, Not) else phi.children()
-
-
-def _reduce_node(phi: Formula, parts: tuple[tuple[PName, PName], ...], P: ForcingNotion,
-                 guard: _SizeGuard) -> tuple[PName, PName]:
-    """The pair of names whose equality the positive formula reduces to,
-    given the pairs of its conjuncts or disjuncts."""
-    guard.tick()
-    if isinstance(phi, AtomEq):
-        return _term_pname(phi.left), _term_pname(phi.right)
-    if isinstance(phi, AtomIn):
-        sigma, tau = _term_pname(phi.left), _term_pname(phi.right)
-        return tau, name_make(tau.entries + ((sigma, 0),))
-    if isinstance(phi, (AtomInG, Not)):
-        # G(ǐ) becomes {(∅, i)} = {(∅, 𝟙)}, and ¬G(ǐ) becomes {(∅, i)} = ∅
-        negated = isinstance(phi, Not)
-        i = _condition_index(_term_pname((phi.sub if negated else phi).term), P)
-        right = EMPTY_NAME if negated else name_make([(EMPTY_NAME, 0)])
-        return name_make([(EMPTY_NAME, i)]), right
-    a_entries = [(op_name(check_name(nat_encode(i)), a), 0) for i, (a, _) in enumerate(parts)]
-    b_entries = [(op_name(check_name(nat_encode(i)), b), 0) for i, (_, b) in enumerate(parts)]
-    if isinstance(phi, And):
-        guard.tick(len(parts))
-        return name_make(a_entries), name_make(b_entries)
-    guard.tick(2 * len(parts) + 2)
-    u = name_make(a_entries + b_entries)
-    u_j = [name_make(a_entries + [e for k, e in enumerate(b_entries) if k != j])
-           for j in range(len(parts))]
-    return name_make((uj, 0) for uj in u_j), name_make([(uj, 0) for uj in u_j] + [(u, 0)])
+def _rewrite_entry(kind: str, sigma: PName, tau: PName) -> tuple:
+    """A step's name pair, build ticks, and the ticks its junctions and filter
+    atoms add: ¬= is a disjunction of two ⊄, ⊄ one of k conjunctions G(ř) ∧ ∉,
+    and ∉ a conjunction of k disjunctions ¬G(ř) ∨ ≠, over the entries."""
+    kids = [_rewrites[k] for k in _rewrite_steps((kind, sigma, tau))]
+    build, k = 1 + sum(e[1] for e in kids), len(kids)
+    if kind == "eq":
+        return _junction(tuple(e[0] for e in kids), False), build, 2 * 2 + 3
+    sub = kind == "sub"
+    parts = tuple(_junction((_g_pair(r, sub), e[0]), sub)
+                  for (_, r), e in zip((sigma if sub else tau).entries, kids))
+    return _junction(parts, not sub), build, 6 * k + 3 if sub else 9 * k + 1
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +757,8 @@ class BooleanValues:
         return out
 
     def derived_forces(self, p: int, kind: str, sigma: PName, tau: PName) -> bool:
-        B = self.completion.algebra
-        return B.le(self.completion.embed(p), self.value(kind, sigma, tau))
+        v = self._memo.get((kind, sigma, tau))  # embed(p) ≤ the value, read directly
+        return not self.completion._embed[p] & ~(self.value(kind, sigma, tau) if v is None else v)
 
 
 def boolean_values(completion: BooleanCompletion) -> BooleanValues:

@@ -10,6 +10,8 @@ comparison orders names by rank first, then lexicographically on entries;
 printed orders sort by it.  Condition indices refer to positions in a
 notion's element list; index 0 is the top condition of every notion,
 which is what makes check names portable.
+`name_make` sorts; its trusted step `_interned`, as in `hfset`, takes
+entries already canonical, as `op_name` and star_translate's junctions do.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ NAME_UNIVERSE_BUDGET = 20000
 
 
 class PName:
-    """An interned P-name.  Use :func:`name_make` to construct."""
+    """An interned P-name.  Use :func:`name_make` or `_interned` to construct."""
 
     __slots__ = ("entries", "rank", "max_condition", "key")
 
@@ -38,11 +40,15 @@ class PName:
     max_condition: int  # the largest condition index anywhere below
     key: tuple
 
-    def __init__(self, entries, rank):
-        self.entries = entries
-        self.rank = rank
-        self.max_condition = max((max(r, n.max_condition) for n, r in entries), default=0)
-        self.key = (rank, *(x for n, r in entries for x in (n.key, r)))
+    def __init__(self, entries):
+        # one pass over the sorted entries; the last has the largest rank
+        key, top = [1 + entries[-1][0].rank if entries else 0], 0
+        for n, r in entries:
+            key += n.key, r
+            m = n.max_condition if n.max_condition > r else r
+            if m > top:
+                top = m
+        self.entries, self.rank, self.max_condition, self.key = entries, key[0], top, tuple(key)
 
     def __lt__(self, other: "PName") -> bool:
         return self.key < other.key
@@ -67,13 +73,15 @@ def name_make(entries: Iterable[tuple[PName, int]] = ()) -> PName:
     cached = _intern.get(tup)
     if cached is not None:
         return cached
-    tup = _canonical(tup)
+    return _interned(_canonical(tup))
+
+
+def _interned(tup: tuple[tuple[PName, int], ...]) -> PName:
+    """The name with the canonical (sorted, duplicate-free) entries tup."""
     cached = _intern.get(tup)
-    if cached is not None:
-        return cached
-    made = PName(tup, 0 if not tup else 1 + max(n.rank for n, _ in tup))
-    _intern[tup] = made
-    return made
+    if cached is None:
+        cached = _intern[tup] = PName(tup)
+    return cached
 
 
 def _canonical(entries: Iterable[tuple[PName, int]]) -> tuple[tuple[PName, int], ...]:
@@ -127,15 +135,14 @@ def check_name(x: HFSet) -> PName:
 
 
 def op_name(sigma: PName, tau: PName) -> PName:
-    """Canonical name for the Kuratowski pair of the two names' values.
-
-    Entries are passed in canonical order, so each `name_make` finds its
-    name on the first lookup."""
-    left = name_make(((sigma, 0),))
+    """Canonical name for the Kuratowski pair of the two names' values, by
+    the trusted step: {σ} < {σ, τ} exactly when σ < τ, as for `hf_pair`."""
+    left = _interned(((sigma, 0),))
     if sigma is tau:
-        return name_make(((left, 0),))
-    pair = name_make(((sigma, 0), (tau, 0)) if sigma.key < tau.key else ((tau, 0), (sigma, 0)))
-    return name_make(((left, 0), (pair, 0)) if left.key < pair.key else ((pair, 0), (left, 0)))
+        return _interned(((left, 0),))
+    if sigma.key < tau.key:
+        return _interned(((left, 0), (_interned(((sigma, 0), (tau, 0))), 0)))
+    return _interned(((_interned(((tau, 0), (sigma, 0))), 0), (left, 0)))
 
 
 def op_unpair(name: PName) -> tuple[PName, PName] | None:

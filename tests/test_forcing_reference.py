@@ -7,9 +7,11 @@ atoms off the same atomic table, so the comparison covers the composite
 clauses, the valuation and the memo keys.
 
 The formula rewrites are folds of `dag`; copies of the recursions they
-replaced (map_formula, rename_free, the polarity pass of star_translate,
-check_name and the θ-formulas) are kept here too, and the folds must
-build the very objects the copies build."""
+replaced (map_formula, rename_free, check_name and the θ-formulas) are kept
+here too, and the folds must build the very objects the copies build.
+star_translate is held to the reference translation of
+test_star_translate.py, and its budget charge to a count of the rule its
+docstring states, made by tree recursions."""
 
 import functools
 import itertools
@@ -29,9 +31,10 @@ from forcelab import forcing as forcing_mod
 from forcelab import formulas as formulas_mod
 from forcelab import names as names_mod
 from forcelab import truth as truth_mod
-from forcelab.forcing import QUANTIFIER_BUDGET, TRANSLATION_BUDGET, _SizeGuard, _term_pname
+from forcelab.forcing import QUANTIFIER_BUDGET
 from forcelab.formulas import _rebuild, _subst_term, map_atom
 from forcelab.truth import FiniteStructure, instances
+from test_star_translate import ref_condition_names, ref_star_translate
 
 
 def _reference_value(FR, phi, memo) -> int:
@@ -221,29 +224,53 @@ def ref_rename_free(phi, mapping):
     return walk(phi, frozenset(mapping))
 
 
-def ref_polar(phi, sign, P, guard, memo):
-    key = (phi, sign)
-    got = memo.get(key)
-    if got is None:
-        if isinstance(phi, Not):
-            got = ref_polar(phi.sub, not sign, P, guard, memo)
-        elif isinstance(phi, (And, Or)):
-            subs = [ref_polar(s, sign, P, guard, memo) for s in phi.subs]
-            got = and_(subs) if isinstance(phi, And) == sign else or_(subs)
-        elif (isinstance(phi, AtomInG)
-              and forcing_mod._condition_index(_term_pname(phi.term), P) is None):
-            checks = (name_const(check_name(nat_encode(i))) for i in P.conditions())
-            got = ref_polar(or_(and_([atom_in_g(c), atom_eq(phi.term, c)]) for c in checks),
-                            sign, P, guard, memo)
-        elif sign or isinstance(phi, AtomInG):
-            got = phi if sign else not_(phi)
+def ref_charge(phi, P):
+    """What star_translate charges for phi under its stated rule: each
+    distinct (subformula, sign) pair its own ticks, and each distinct
+    negated = or ∈ atom its rewrite's steps, counted with repeats, plus the
+    ticks each distinct step adds."""
+    conditions, seen = ref_condition_names(P), set()
+
+    def steps(kind, sigma, tau, distinct):
+        distinct.add((kind, sigma, tau))
+        if kind == "eq":
+            kids = [("sub", sigma, tau), ("sub", tau, sigma)]
+        elif kind == "sub":
+            kids = [("in", rho, tau) for rho, _ in sigma.entries]
         else:
-            sigma, tau = _term_pname(phi.left), _term_pname(phi.right)
-            rewrite = forcing_mod._not_eq if isinstance(phi, AtomEq) else forcing_mod._not_in
-            got = forcing_mod._shared(forcing_mod._rewrites, (rewrite, sigma, tau), guard,
-                                      rewrite, sigma, tau, guard)
-        memo[key] = got
-    return got
+            kids = [("eq", sigma, rho) for rho, _ in tau.entries]
+        return 1 + sum(steps(*kid, distinct) for kid in kids)
+
+    def added(kind, sigma, tau):
+        # ¬= is a disjunction of two; σ ⊄ τ a disjunction over σ's entries
+        # of conjunctions G(ř) ∧ ρ ∉ τ; σ ∉ τ a conjunction over τ's entries
+        # of disjunctions ¬G(ř) ∨ σ ≠ ρ
+        if kind == "eq":
+            return 2 * 2 + 3
+        k = len((sigma if kind == "sub" else tau).entries)
+        return 2 * k + 3 + k * (3 + 1) if kind == "sub" else 1 + k + k * (7 + 1)
+
+    def walk(f, sign):
+        if (f, sign) in seen:
+            return 0
+        seen.add((f, sign))
+        if isinstance(f, Not):
+            return walk(f.sub, not sign)
+        if isinstance(f, (And, Or)):
+            k = len(f.subs)
+            own = 1 + k if isinstance(f, And) == sign else 2 * k + 3
+            return own + sum(walk(g, sign) for g in f.subs)
+        if isinstance(f, AtomInG) and f.term.name not in conditions:
+            return walk(or_(and_([atom_in_g(name_const(c)), atom_eq(f.term, name_const(c))])
+                            for c in conditions), sign)
+        if sign or isinstance(f, AtomInG):
+            return 1
+        distinct = set()
+        build = steps("eq" if isinstance(f, AtomEq) else "in", f.left.name, f.right.name,
+                      distinct)
+        return build + sum(added(*step) for step in distinct)
+
+    return walk(phi, True)
 
 
 def ref_check_name(x, memo):
@@ -291,19 +318,27 @@ def test_grounding_and_substitution_build_what_the_recursion_built(name, monkeyp
 
 @pytest.mark.parametrize("name", [n for n, _ in corpus.corpus_notions()])
 def test_the_polarity_pass_builds_what_the_recursion_built(name, monkeypatch):
+    # the one fold over (subformula, sign) pairs against the reference
+    # translation, object for object, and its charge against the rule's count
     P = dict(corpus.corpus_notions())[name]
     names = corpus.sample_names(P, corpus.oracle_universe(P))
     rng = random.Random(27)
     sentences = [corpus.random_qf_sentence(rng, P, names) for _ in range(200)]
+    guards = []
+
+    class Recorded(forcing_mod._SizeGuard):
+        def __init__(self, budget):
+            super().__init__(budget)
+            guards.append(self)
+
+    monkeypatch.setattr(forcing_mod, "_SizeGuard", Recorded)
+    ours = []
     for phi in sentences:
-        ours, theirs = _SizeGuard(TRANSLATION_BUDGET), _SizeGuard(TRANSLATION_BUDGET)
-        assert forcing_mod._polar(phi, P, ours) is ref_polar(phi, True, P, theirs, {})
-        assert ours.count == theirs.count
-    pairs = [star_translate(phi, P) for phi in sentences]
-    monkeypatch.setattr(forcing_mod, "_polar",
-                        lambda phi, P, guard: ref_polar(phi, True, P, guard, {}))
-    flat = [n for pair in pairs for n in pair]
-    assert _all_same(flat, [n for phi in sentences for n in star_translate(phi, P)]) == 400
+        ours += star_translate(phi, P)
+        assert guards[-1].count == ref_charge(phi, P), phi
+    monkeypatch.undo()
+    theirs = [n for phi in sentences for n in ref_star_translate(phi, P)]
+    assert _all_same(ours, theirs) == 400
 
 
 def test_stage_translations_build_what_the_recursions_built(monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ForcelabError,
                       ParseError, a_dot, build_collapse, check_name, eps_dot,
@@ -11,6 +12,7 @@ from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ForcelabError,
 from forcelab import corpus, names, sexpr
 from forcelab.names import ClassName, op_unpair
 from forcelab.poset import bits
+from test_grammar import fork_names
 
 
 def test_check_name_shapes():
@@ -30,6 +32,23 @@ def test_permuted_and_duplicated_entries_give_the_canonical_name():
                 assert name_make(perm) is canonical
                 assert name_make(perm + perm[-1:]) is canonical
             assert canonical.entries == tuple(sorted(chosen, key=lambda e: (e[0].key, e[1])))
+
+
+@given(st.lists(st.tuples(fork_names, st.integers(0, 2)), max_size=5), st.randoms())
+def test_name_make_is_the_trusted_step_on_the_canonical_entries(entries, rnd):
+    given_order = entries + entries[:2]
+    rnd.shuffle(given_order)
+    canonical = tuple(sorted(set(entries), key=lambda e: (e[0].key, e[1])))
+    assert name_make(given_order) is name_make(entries) is names._interned(canonical)
+
+
+@given(fork_names, fork_names, st.randoms())
+def test_op_name_is_the_name_of_its_kuratowski_entries(sigma, tau, rnd):
+    inner = [(sigma, 0), (tau, 0)]
+    rnd.shuffle(inner)
+    outer = [(name_make([(sigma, 0)]), 0), (name_make(inner), 0)]
+    rnd.shuffle(outer)
+    assert op_name(sigma, tau) is name_make(outer)
 
 
 def test_every_intern_key_is_strictly_sorted():

@@ -71,9 +71,10 @@ def _agrees_with_forcing(P, phi):
 
 
 def _cold():
-    """Drop what earlier translations left in the translation cache."""
-    forcing._reduced.clear()
+    """Drop what earlier translations left in the translation tables."""
     forcing._rewrites.clear()
+    forcing._charges.clear()
+    forcing._junctions.clear()
 
 
 def _translates(phi, P, budget, warm):
@@ -135,21 +136,24 @@ def _singleton_chain(rank, condition):
 
 def test_negated_atom_rewrites_build_each_distinct_rewrite_once(monkeypatch):
     # ¬(σ = τ) for singleton chains of rank r over conditions 1 and 2: the
-    # rewrites' tree expansion ticks the guard 2^(r+3) - 5 times, and each
-    # distinct (rewrite, σ, τ) below it is built once
+    # rewrite's tree expansion has 2^(r+3) - 5 steps, its build ticks, and
+    # each distinct rewrite key below it is built once
     runs = Counter()
-    for name in ("_not_eq", "_not_sub", "_not_in"):
-        def counted(sigma, tau, guard, body=getattr(forcing, name), name=name):
-            runs[name] += 1
-            return body(sigma, tau, guard)
-        monkeypatch.setattr(forcing, name, counted)
+
+    def counted(kind, sigma, tau, body=forcing._rewrite_entry):
+        runs[kind, sigma, tau] += 1
+        return body(kind, sigma, tau)
+
+    monkeypatch.setattr(forcing, "_rewrite_entry", counted)
     for r, ticks in [(4, 123), (8, 2_043), (12, 32_763), (14, 131_067)]:
         _cold()
         runs.clear()
+        key = ("eq", _singleton_chain(r, 1), _singleton_chain(r, 2))
         guard = forcing._SizeGuard(10 ** 6)
-        forcing._not_eq(_singleton_chain(r, 1), _singleton_chain(r, 2), guard)
-        assert guard.count == ticks, r
-        assert sum(runs.values()) <= 7 * r, (r, runs)
+        forcing._negated(key, guard)
+        assert forcing._rewrites[key][1] == ticks, r
+        assert ticks < guard.count == forcing._charges[key] < ticks + 10 * 7 * r, r
+        assert set(runs.values()) == {1} and len(runs) <= 7 * r, (r, runs)
     _cold()
 
 
@@ -173,9 +177,25 @@ def test_the_budget_refuses_the_same_negated_chain_cold_or_warm(fork, monkeypatc
     _cold()
 
 
-# The translation cache keeps each node's name pair and each rewrite across
-# calls, with the ticks they cost; a warm cache must refuse exactly what a
-# cold one refuses.
+def test_a_deep_negated_chain_is_refused_before_its_rewrite_is_built(fork):
+    # the walk over rewrite keys recurses in no Python frame, and refuses as
+    # soon as one step's build ticks leave no room: only the steps of the
+    # lowest levels are built
+    _cold()
+    r = 2_000
+    sentence = not_(atom_eq(name_const(_singleton_chain(r, 1)),
+                            name_const(_singleton_chain(r, 2))))
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        star_translate(sentence, fork)
+    assert time.perf_counter() - start < 1.0
+    assert 0 < len(forcing._rewrites) < 7 * 20 and not forcing._charges
+    _cold()
+
+
+# The translation tables keep each rewrite and each junction's pair across
+# calls, and each negated atom's charge; a warm table must refuse exactly
+# what a cold one refuses.
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_budget_aborts_blowup_on_a_warm_cache(fork, warm):
@@ -220,10 +240,10 @@ def test_a_cache_warmed_under_three_conditions_serves_four(fork):
 
 
 @contextlib.contextmanager
-def _poisoned(cache, key, value):
-    """The cache entry at key replaced by value, keeping its ticks; on exit
-    the caches are dropped, with every pair built from the entry."""
-    cache[key] = (value, cache[key][1])
+def _poisoned(table, key, value):
+    """The table entry at key replaced by value; on exit the tables are
+    dropped, with every pair built from the entry."""
+    table[key] = value
     try:
         yield
     finally:
@@ -240,18 +260,45 @@ def test_a_poisoned_translation_cache_entry_fails_criterion_2(fork):
     negated, positive = and_([not_(atom), top]), or_([atom, bottom])
     _cold()
     assert _agrees_with_forcing(fork, negated)
-    # the rewrite of ¬(σ ∈ τ) read back as σ ∈ τ
-    with _poisoned(forcing._rewrites, (forcing._not_in, sigma, tau), atom):
+    # the rewrite of ¬(σ ∈ τ) read back as the pair of σ ∈ τ, keeping its ticks
+    key = ("in", sigma, tau)
+    with _poisoned(forcing._rewrites, key,
+                   (star_translate(atom, fork), *forcing._rewrites[key][1:])):
         assert not _agrees_with_forcing(fork, negated)
     assert _agrees_with_forcing(fork, atom)
-    # the pair of σ ∈ τ read back as the pair of the false ∅ = {∅̌}; a node's
-    # cached pair does not depend on its parts, so the sentence that reads
-    # the entry is one translated only now
+    # the junction of σ ∈ τ's pair and the false pair read back as the false
+    # pair ∅ = {∅̌}: positive atoms keep no pair across calls, so the entry
+    # that holds σ ∈ τ's contribution to the disjunction is the junction's
     false_pair = (EMPTY_NAME, name_make([(EMPTY_NAME, 0)]))
-    with _poisoned(forcing._reduced, (atom, len(fork)), false_pair):
+    parts = (star_translate(atom, fork), star_translate(bottom, fork))
+    with _poisoned(forcing._junctions, (parts, False), false_pair):
         assert not _agrees_with_forcing(fork, positive)
     for phi in (negated, positive):
         assert _agrees_with_forcing(fork, phi)
+
+
+@pytest.mark.parametrize("outside", [
+    lambda sigma: not_(atom_eq(sigma, name_const(EMPTY_NAME))),
+    lambda sigma: not_(atom_in_g(sigma)),
+    lambda sigma: atom_eq(sigma, sigma),
+], ids=["negated-equality", "negated-filter-atom", "reflexive-equality"])
+def test_a_name_outside_the_notion_is_refused_before_any_walk(fork, outside):
+    # {(∅, 9)} names a condition fork lacks; the refusal is the kernel's
+    _cold()
+    phi = outside(name_const(name_make([(EMPTY_NAME, 9)])))
+    with pytest.raises(ForcelabError, match=forcing._OUTSIDE):
+        star_translate(phi, fork)
+    assert not (forcing._rewrites or forcing._charges or forcing._junctions)
+
+
+def test_a_rewrite_cycle_is_refused(fork, monkeypatch):
+    # a measure that never drops stands for a cycle among rewrite keys
+    _cold()
+    monkeypatch.setattr(forcing, "_measure", lambda kind, sigma, tau: (0, 0))
+    N = name_universe(fork, 1)
+    with pytest.raises(ForcelabError, match="measure failed to decrease"):
+        star_translate(not_(atom_eq(name_const(N[-1]), name_const(N[-2]))), fork)
+    _cold()
 
 
 # Reference copies of the negation passes before they were memoized: tree
@@ -273,11 +320,34 @@ def ref_positive(phi, guard):
     if isinstance(phi, Not):
         sub, pname = phi.sub, forcing._term_pname
         if isinstance(sub, AtomEq):
-            return forcing._not_eq(pname(sub.left), pname(sub.right), guard)
+            return ref_not_eq(pname(sub.left), pname(sub.right), guard)
         if isinstance(sub, AtomIn):
-            return forcing._not_in(pname(sub.left), pname(sub.right), guard)
+            return ref_not_in(pname(sub.left), pname(sub.right), guard)
         assert isinstance(sub, AtomInG)
     return phi
+
+
+# Reference rewrites of negated atoms into positive formulas: tree
+# recursions, exponential in the names' rank, that share no code with the
+# translation.
+
+def ref_g(r):
+    return atom_in_g(name_const(check_name(nat_encode(r))))
+
+
+def ref_not_eq(sigma, tau, guard):
+    guard.tick()
+    return or_([ref_not_sub(sigma, tau, guard), ref_not_sub(tau, sigma, guard)])
+
+
+def ref_not_sub(sigma, tau, guard):
+    guard.tick()
+    return or_(and_([ref_g(r), ref_not_in(rho, tau, guard)]) for rho, r in sigma.entries)
+
+
+def ref_not_in(sigma, tau, guard):
+    guard.tick()
+    return and_(or_([not_(ref_g(r)), ref_not_eq(sigma, rho, guard)]) for rho, r in tau.entries)
 
 
 # Reference copy of the reduce pass before it was memoized: a tree recursion
@@ -354,6 +424,34 @@ def test_random_sentences_translate_as_before(name):
             and f.sub.term.name not in conditions for f in nodes(ref_nnf(sentence, True)))
     # the sample reaches filter atoms at non-check names under negation
     assert expanded_under_negation, name
+
+
+def _edge_sentences(P):
+    """Junctions with a part whose two names coincide (σ = σ gives (σ, σ),
+    so uⱼ = u), with repeated parts, of widths 0, 1 and 6, and filter atoms
+    at a non-check name under a negation."""
+    N = name_universe(P, 1)
+    s, t, u = (name_const(n) for n in (N[-1], N[-2], N[1]))
+    assert N[-1] not in ref_condition_names(P) and N[1] in ref_condition_names(P)
+    same, other = atom_eq(s, s), atom_in(t, s)
+    assert star_translate(same, P) == (N[-1], N[-1])
+    six = [same, other, atom_eq(s, t), atom_in(u, t), not_(atom_eq(t, u)), atom_in_g(u)]
+    sentences = [junction(parts) for junction in (and_, or_) for parts in (
+        [same, other], [other, same, same], [same, same], [other, other, other],
+        [], [same], [other], [not_(other)], six, [not_(a) for a in six])]
+    return sentences + [not_(atom_in_g(s)), or_([not_(atom_in_g(t)), same]),
+                        and_([same, not_(or_([atom_in_g(s), same, same]))])]
+
+
+@pytest.mark.parametrize("name", ["fork", "diamond"])
+def test_edge_junctions_translate_as_the_reference(name):
+    P = dict(corpus.corpus_notions())[name]
+    _cold()
+    for phi in _edge_sentences(P):
+        left, right = star_translate(phi, P)
+        ref_left, ref_right = ref_star_translate(phi, P)
+        assert left is ref_left and right is ref_right, phi
+        assert _agrees_with_forcing(P, phi), phi
 
 
 # Reference copy of the atomic recursion before atoms were read off the
