@@ -32,7 +32,7 @@ def nodes(root, children: Callable[..., Sequence], skip: Container = ()) -> Iter
 def fold(root, children: Callable[..., Sequence], combine: Callable, memo: dict | None = None):
     """combine(node, results for its children), bottom-up, once per distinct
     node; children(node) is called once per distinct node too.  A node may
-    carry the context a walk needs, say (subformula, bound variables), so
+    carry the context a walk needs, say (subformula, live variables), so
     one fold serves every walk.  Results are kept in `memo`; pass one to
     share them across calls."""
     memo = {} if memo is None else memo

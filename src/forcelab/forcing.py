@@ -917,7 +917,7 @@ def ground_formula(phi: Formula, ext: GenericExtension) -> Formula:
             raise ForcelabError("unfilled pair slot in a closed formula")
         return t
 
-    def atom_fn(atom: Formula, _bound) -> Formula:
+    def atom_fn(atom: Formula) -> Formula:
         if isinstance(atom, AtomInG):
             return atom_in_class(term(atom.term), "G")
         if isinstance(atom, AtomTr):

@@ -387,23 +387,12 @@ def _rebuild(phi: Formula, kids: Sequence[Formula]) -> Formula:
     return _mk(type(phi), tuple(kids))
 
 
-def map_formula(phi: Formula, atom_fn: Callable[[Formula, frozenset[str]], Formula],
-                watch: frozenset[str] = frozenset()) -> Formula:
-    """Rebuild phi with every atom replaced by atom_fn(atom, bound), where
-    `bound` holds the variables of `watch` that quantifiers above that
-    occurrence bind.  One fold over (node, bound) pairs, so each is rebuilt
-    once."""
-    def parts(item: tuple[Formula, frozenset[str]]) -> list:
-        f, bound = item
-        if isinstance(f, (Forall, Exists)):
-            bound = bound | watch.intersection(f.vars)
-        return [(c, bound) for c in f.children()]
-
-    def rebuild(item: tuple[Formula, frozenset[str]], kids: tuple[Formula, ...]) -> Formula:
-        f, bound = item
-        return _rebuild(f, kids) if f.rank else atom_fn(f, bound)
-
-    return dag.fold((phi, frozenset()), parts, rebuild)
+def map_formula(phi: Formula, atom_fn: Callable[[Formula], Formula],
+                memo: dict[Formula, Formula] | None = None) -> Formula:
+    """Rebuild phi with every atom replaced by atom_fn(atom): one fold, so
+    each distinct subformula is rebuilt once.  Pass `memo` to share the
+    rebuilt nodes across calls with the same atom_fn."""
+    return fold(phi, lambda f, kids: _rebuild(f, kids) if f.rank else atom_fn(f), memo)
 
 
 def atom_terms(atom: Formula) -> tuple[Term, ...]:
@@ -474,27 +463,26 @@ def _subst_term(t: Term, bindings: dict[str, Term]) -> Term:
 
 
 def substitute(phi: Formula, bindings: dict[str, Term]) -> Formula:
-    """Simultaneous substitution of closed terms for free variables."""
+    """Simultaneous substitution of closed terms for the free occurrences of
+    variables; an occurrence bound above stays as it is.  The terms are
+    closed, so nothing they bring in can be captured."""
     for v, t in bindings.items():
         if term_vars(t):
             raise ForcelabError(f"substituted term for {v} must be closed")
-
-    def atom_fn(atom: Formula, bound: frozenset[str]) -> Formula:
-        if bound:
-            raise ForcelabError(f"substitution targets bound variable(s) {sorted(bound)}")
-        if atom.free.isdisjoint(bindings):
-            return atom
-        return map_atom(atom, lambda t: _subst_term(t, bindings))
-
-    return map_formula(phi, atom_fn, frozenset(bindings))
+    return _replace_free(phi, bindings)
 
 
 def rename_free(phi: Formula, mapping: dict[str, str]) -> Formula:
     """Rename free variables, leaving occurrences bound above alone.  The
-    targets must not occur in phi, or they would be captured.  One fold over
-    (node, live names) pairs, the names still to rename there; a subformula
-    with none free is a leaf returned as it is, so only the paths down to
-    renamed occurrences are rebuilt."""
+    targets must not occur in phi, or they would be captured."""
+    return _replace_free(phi, {k: var(v) for k, v in mapping.items()})
+
+
+def _replace_free(phi: Formula, bindings: dict[str, Term]) -> Formula:
+    """phi with each free occurrence of a variable of `bindings` replaced by
+    its term.  One fold over (node, live names) pairs, the names still to
+    replace there; a subformula with none free is a leaf returned as it is,
+    so only the paths down to replaced occurrences are rebuilt."""
     def parts(item: tuple[Formula, frozenset[str]]) -> list:
         f, live = item
         if f.free.isdisjoint(live):
@@ -509,10 +497,10 @@ def rename_free(phi: Formula, mapping: dict[str, str]) -> Formula:
             return f
         if f.rank:
             return _rebuild(f, kids)
-        targets = {k: var(mapping[k]) for k in live}
+        targets = {k: bindings[k] for k in live}
         return map_atom(f, lambda t: _subst_term(t, targets))
 
-    return dag.fold((phi, frozenset(mapping)), parts, rebuild)
+    return dag.fold((phi, frozenset(bindings)), parts, rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -720,22 +708,28 @@ _ENCODE = {TERM: encode_term, IDENT: _encode_str, SUB: lambda code: code, SUBS: 
 
 
 # Codes are DAGs, so the decoders keep caches (None results included) that
-# make each distinct subcode decode once.  Formula codes decode by one fold;
-# names and terms recurse once per level of their own nesting.
+# make each distinct subcode decode once.  Formula and name codes decode by
+# one fold each; terms recurse once per level of pair nesting.
 
-@functools.cache
+_name_codes: dict[HFSet, PName | None] = {}
+
+
 def _decode_name(x: HFSet) -> PName | None:
-    entries = []
-    for child in x.children:
-        p = hf_unpair(child)
-        if p is None:
-            return None
-        sub = _decode_name(p[0])
-        r = nat_decode(p[1])
-        if sub is None or r is None:
-            return None
-        entries.append((sub, r))
-    return name_make(entries)
+    return dag.fold(x, _entry_codes, _decode_entries, _name_codes)
+
+
+def _entry_codes(x: HFSet) -> tuple[HFSet, ...]:
+    """The name codes of x's entries; none when x is not a set of pairs."""
+    pairs = [hf_unpair(child) for child in x.children]
+    return () if None in pairs else tuple(p[0] for p in pairs)
+
+
+def _decode_entries(x: HFSet, subs: tuple[PName | None, ...]) -> PName | None:
+    pairs = [hf_unpair(child) for child in x.children]
+    if None in pairs or None in subs:
+        return None
+    ranks = [nat_decode(p[1]) for p in pairs]
+    return None if None in ranks else name_make(zip(subs, ranks))
 
 
 @functools.cache

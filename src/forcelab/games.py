@@ -200,12 +200,22 @@ def _game_int(token) -> int:
     raise ParseError(f"expected a node number, got {token!r}")
 
 
+_GAME_PARTS = {"node": ("mover", "children"), "terminal": ("winner",)}
+
+
 def _game_parts(clause: list) -> dict[str, list]:
     parts = {}
     for part in clause[2:]:
         if not isinstance(part, list) or not part or not isinstance(part[0], str):
             raise ParseError(f"bad part {part!r} in ({clause[0]} ...)")
-        parts[part[0]] = part[1:]
+        key = part[0]
+        if key not in _GAME_PARTS[clause[0]]:
+            raise ParseError(f"unknown part ({key} ...) in ({clause[0]} ...)")
+        if key in parts:
+            raise ParseError(f"repeated part ({key} ...) in ({clause[0]} ...)")
+        if key != "children" and len(part) != 2:
+            raise ParseError(f"({key} <player>) takes one player")
+        parts[key] = part[1:]
     return parts
 
 
@@ -219,22 +229,24 @@ def parse_game(text: str) -> GameTree:
         if not isinstance(clause, list) or not clause:
             raise ParseError("bad game clause")
         head = clause[0]
-        if head in ("node", "terminal", "root") and len(clause) < 2:
-            raise ParseError(f"({head} ...) needs a node number")
-        if head == "node":
-            ident = _game_int(clause[1])
-            parts = _game_parts(clause)
-            mover = (parts.get("mover") or [None])[0]
-            children = tuple(_game_int(c) for c in parts.get("children", ()))
-            rows[ident] = (mover, children, None, None)
-        elif head == "terminal":
-            ident = _game_int(clause[1])
-            winner = (_game_parts(clause).get("winner") or [None])[0]
-            rows[ident] = (None, (), winner, None)
-        elif head == "root":
-            root = _game_int(clause[1])
-        else:
+        if head not in ("node", "terminal", "root"):
             raise ParseError(f"unknown game clause {head!r}")
+        if len(clause) < 2:
+            raise ParseError(f"({head} ...) needs a node number")
+        ident = _game_int(clause[1])
+        if head == "root":
+            if len(clause) != 2 or root is not None:
+                raise ParseError("a game has one (root <node>) clause with one node number")
+            root = ident
+            continue
+        if ident in rows:
+            raise ParseError(f"node {ident} is defined twice")
+        parts = _game_parts(clause)
+        if head == "node":
+            children = tuple(_game_int(c) for c in parts.get("children", ()))
+            rows[ident] = (parts.get("mover", [None])[0], children, None, None)
+        else:
+            rows[ident] = (None, (), parts.get("winner", [None])[0], None)
     if root is None:
         raise ParseError("game needs a (root ...) clause")
     try:

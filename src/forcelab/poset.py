@@ -129,10 +129,14 @@ def parse_poset(text: str) -> ForcingNotion:
     elems: list[str] | None = None
     one: str | None = None
     pairs: list[tuple[str, str]] = []
+    seen = []
     for clause in form[1:]:
         if not isinstance(clause, list) or not clause:
             raise ParseError("bad poset clause")
         head = clause[0]
+        if head in seen:
+            raise ParseError(f"repeated poset clause {head!r}")
+        seen.append(head)
         if head == "elems":
             elems = clause[1:]
             if not all(isinstance(e, str) for e in elems):

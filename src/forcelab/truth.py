@@ -670,12 +670,6 @@ def invariance_check(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
 # formulas, mentioning stages and pool formulas only through their
 # defining θ-formulas (never as parameters).
 
-def _described_membership(set_var: str, element_formulas: Sequence[Formula],
-                          bound: str) -> Formula:
-    """∀bound (bound ∈ set_var ⟺ ⋁ element_formulas(bound))."""
-    return forall((bound,), iff(atom_in(var(bound), var(set_var)), or_(element_formulas)))
-
-
 def _valuation_description(z_var: str, entries: Sequence[tuple[HFSet, str]]) -> Formula:
     """The formula saying z is exactly the coded map {var-code ↦ value-variable}.
 
@@ -693,8 +687,7 @@ def _valuation_description(z_var: str, entries: Sequence[tuple[HFSet, str]]) -> 
         pair_formulas.append(and_([
             forall(("u",), iff(atom_in(var("u"), var("w")), or_([sing, doub]))),
             exists(("u",), and_([atom_in(var("u"), var("w")), doub]))]))
-    body = _described_membership(z_var, pair_formulas, "w")
-    return body
+    return forall(("w",), iff(atom_in(var("w"), var(z_var)), or_(pair_formulas)))
 
 
 class StageTranslator:
@@ -704,23 +697,17 @@ class StageTranslator:
         _check_pool_closed(pool)
         self.pool = canonical_pool(pool)
         self.stage_cap = stage_cap
-        self._memo: dict[tuple[int, Formula], Formula] = {}
+        # one memo per stage, from each subformula to its translation there
+        self._memos: dict[int, dict[Formula, Formula]] = {}
         self._disjuncts: dict[tuple, Formula] = {}
         self._variables: dict[Formula, frozenset[str]] = {}
 
     def translate(self, beta: int, phi: Formula) -> Formula:
         if beta > self.stage_cap:
             raise BudgetError(f"stage {beta} exceeds the cap {self.stage_cap}")
-        key = (beta, phi)
-        got = self._memo.get(key)
-        if got is None:
-            if isinstance(phi, AtomTr):
-                got = self._translate_tr(beta, phi)
-            else:
-                got = map_formula(phi, lambda atom, _bound: self.translate(beta, atom)
-                                  if isinstance(atom, AtomTr) else atom)
-            self._memo[key] = got
-        return got
+        return map_formula(phi, lambda atom: self._translate_tr(beta, atom)
+                           if isinstance(atom, AtomTr) else atom,
+                           self._memos.setdefault(beta, {}))
 
     def _translate_tr(self, beta: int, phi: AtomTr) -> Formula:
         args = (phi.stage, phi.code, phi.valuation)

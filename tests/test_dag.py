@@ -10,8 +10,8 @@ import time
 from hypothesis import given, strategies as st
 
 from forcelab import (EMPTY, EMPTY_NAME, And, Not, and_, atom_eq, atom_in, check_name,
-                      const, corpus, decode_formula, encode_formula, hf_make,
-                      map_formula, name_make, name_to_hf, name_to_sexp, name_universe,
+                      const, corpus, decode_formula, encode_formula, hf_make, map_formula,
+                      name_const, name_make, name_to_hf, name_to_sexp, name_universe,
                       not_, or_, parse_formula, star_translate, subname_closure, subnames,
                       substitute, theta_formula, v_stage, var)
 from forcelab import dag
@@ -229,12 +229,14 @@ def test_rewrites_walk_any_nesting_depth():
     assert phi.rank == deep
     assert substitute(phi, {"x": const(EMPTY)}) is _deep_chain(deep, const(EMPTY))
     assert rename_free(phi, {"x": "u"}) is _deep_chain(deep, var("u"))
-    assert map_formula(phi, lambda atom, _bound: atom) is phi
+    assert map_formula(phi, lambda atom: atom) is phi
     x = EMPTY
     for _ in range(deep):
         x = hf_make([x])
     name = check_name(x)
     assert name.rank == deep
+    atom = atom_eq(name_const(name), name_const(EMPTY_NAME))
+    assert decode_formula(encode_formula(atom)) is atom
     for _ in range(deep):
         (name, r), = name.entries
         assert r == 0

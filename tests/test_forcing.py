@@ -488,6 +488,18 @@ def test_truth_name_atomic_pool(fork):
             assert declared == forced
 
 
+def test_truth_name_instantiates_a_rebound_variable(fork):
+    # the instances of ∀x ∀x (x = x) are ∀x (x = x) itself: the inner binder
+    # keeps x, so the pool is closed under instances
+    N = corpus.oracle_universe(fork)
+    FR = atomic_forcing(fork, N)
+    x = var("x")
+    pool = [forall(("x",), forall(("x",), atom_eq(x, x))), forall(("x",), atom_eq(x, x))]
+    pool += [atom_eq(name_const(n), name_const(n)) for n in N]
+    tn = truth_name(FR, pool)
+    assert tn.ok and tn.failures == []
+
+
 def test_truth_name_empty_pool(fork_relation):
     tn = truth_name(fork_relation, [])
     assert tn.ok and not tn.tdot.entries

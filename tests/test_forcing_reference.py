@@ -7,8 +7,9 @@ atoms off the same atomic table, so the comparison covers the composite
 clauses, the valuation and the memo keys.
 
 The formula rewrites are folds of `dag`; copies of the recursions they
-replaced (map_formula, rename_free, check_name and the θ-formulas) are kept
-here too, and the folds must build the very objects the copies build.
+replaced (map_formula, the free-variable replacement of substitute and
+rename_free, check_name and the θ-formulas) are kept here too, and the
+folds must build the very objects the copies build.
 star_translate is held to the reference translation of
 test_star_translate.py, and its budget charge to a count of the rule its
 docstring states, made by tree recursions."""
@@ -168,41 +169,32 @@ def test_forces_reads_the_valuation_as_bound():
 
 
 def test_an_inner_binder_shadows_the_outer_one(fork):
-    """The substitution recursion refused ∀x ∃x φ (substitute will not
-    replace a variable bound below); under a valuation the inner binder wins."""
+    """In ∀x ∃x φ the inner binder wins, both under a valuation and in the
+    substitution recursion (substitute leaves a variable bound below alone)."""
     N = corpus.oracle_universe(fork)
     FR = atomic_forcing(fork, N)
     x, below_a = var("x"), name_const(name_make([(EMPTY_NAME, fork.index("a"))]))
     inner = exists(("x",), atom_in(x, below_a))
     assert FR.value(inner) not in (0, FR.full)
     assert FR.value(forall(("x",), inner)) == FR.value(inner)
-    with pytest.raises(ForcelabError, match="bound variable"):
-        _reference_value(FR, forall(("x",), inner), {})
+    assert _reference_value(FR, forall(("x",), inner), {}) == FR.value(forall(("x",), inner))
 
 
 # --- the recursive rewrites the folds replaced ---------------------------------
 
-def ref_map_formula(phi, atom_fn, watch=frozenset()):
-    memo = {}
+def ref_map_formula(phi, atom_fn, memo=None):
+    memo = {} if memo is None else memo
 
-    def walk(f, bound):
-        key = (f, bound)
-        got = memo.get(key)
+    def walk(f):
+        got = memo.get(f)
         if got is None:
-            if f.rank == 0:
-                got = atom_fn(f, bound)
-            else:
-                inner = bound
-                if isinstance(f, (Forall, Exists)):
-                    inner = bound | watch.intersection(f.vars)
-                got = _rebuild(f, [walk(c, inner) for c in f.children()])
-            memo[key] = got
+            got = memo[f] = _rebuild(f, list(map(walk, f.children()))) if f.rank else atom_fn(f)
         return got
 
-    return walk(phi, frozenset())
+    return walk(phi)
 
 
-def ref_rename_free(phi, mapping):
+def ref_replace_free(phi, bindings):
     memo = {}
 
     def walk(f, live):
@@ -212,7 +204,7 @@ def ref_rename_free(phi, mapping):
         got = memo.get(key)
         if got is None:
             if f.rank == 0:
-                targets = {k: var(mapping[k]) for k in live}
+                targets = {k: bindings[k] for k in live}
                 got = map_atom(f, lambda t: _subst_term(t, targets))
             elif isinstance(f, (Forall, Exists)):
                 got = _rebuild(f, [walk(f.body, live.difference(f.vars))])
@@ -221,7 +213,11 @@ def ref_rename_free(phi, mapping):
             memo[key] = got
         return got
 
-    return walk(phi, frozenset(mapping))
+    return walk(phi, frozenset(bindings))
+
+
+def ref_rename_free(phi, mapping):
+    return ref_replace_free(phi, {k: var(v) for k, v in mapping.items()})
 
 
 def ref_charge(phi, P):
@@ -311,7 +307,7 @@ def test_grounding_and_substitution_build_what_the_recursion_built(name, monkeyp
                    for f in blocks for sigma in N])
 
     ours = rewrites()
-    monkeypatch.setattr(formulas_mod, "map_formula", ref_map_formula)
+    monkeypatch.setattr(formulas_mod, "_replace_free", ref_replace_free)
     monkeypatch.setattr(forcing_mod, "map_formula", ref_map_formula)
     assert _all_same(ours, rewrites()) == len(exts) * len(pool) + len(blocks) * len(N)
 

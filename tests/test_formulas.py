@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -17,8 +18,8 @@ from forcelab import (EMPTY, And, AtomTr, Exists, FiniteStructure, ForcelabError
                       map_formula, name_const, nat_decode, nat_encode, nodes,
                       not_, or_, parse_formula, stage_comparison_structure,
                       subformula_closure, subformulas, substitute, v_stage, var)
-from forcelab import corpus
-from forcelab import formulas
+from forcelab import corpus, dag
+from forcelab import formulas, truth
 from forcelab.formulas import Forall, map_atom, rename_free, variables
 from forcelab.hfset import hf_list, hf_pair
 from forcelab.names import name_make
@@ -56,8 +57,9 @@ def test_substitute_under_binder():
 
 
 def test_substitute_bound_target_errors():
-    with pytest.raises(ForcelabError):
-        substitute(forall(("x",), atom_eq(x, y)), {"x": const(EMPTY)})
+    # x is bound wherever it occurs, so there is no free occurrence to replace
+    phi = forall(("x",), atom_eq(x, y))
+    assert substitute(phi, {"x": const(EMPTY)}) is phi
 
 
 def test_substitute_open_term_errors():
@@ -302,7 +304,7 @@ def test_identity_map_returns_the_same_node():
         pools += [corpus.oracle_pool(P, N), corpus.truth_name_pool(P, N)]
     formulas = [phi for pool in pools for phi in pool] + _translated_truth_atoms()
     for phi in formulas:
-        assert map_formula(phi, lambda atom, _bound: atom) is phi
+        assert map_formula(phi, lambda atom: atom) is phi
 
 
 def test_translated_truth_atom_is_walked_as_a_dag():
@@ -320,12 +322,22 @@ def test_translated_truth_atom_is_walked_as_a_dag():
 
 
 def ref_rename_free(phi, mapping):
-    # the renaming before it pruned unchanged subformulas: every node rebuilt
-    def atom_fn(atom, bound):
-        live = {k: var(v) for k, v in mapping.items() if k not in bound}
-        return map_atom(atom, lambda t: formulas._subst_term(t, live))
+    # the renaming before it pruned unchanged subformulas: every node rebuilt,
+    # once per set of renamed variables that quantifiers above it bind
+    def parts(item):
+        f, bound = item
+        if isinstance(f, (Forall, Exists)):
+            bound = bound | mapping.keys() & set(f.vars)
+        return [(c, bound) for c in f.children()]
 
-    return map_formula(phi, atom_fn, frozenset(mapping))
+    def rebuild(item, kids):
+        f, bound = item
+        if f.rank:
+            return formulas._rebuild(f, kids)
+        live = {k: var(v) for k, v in mapping.items() if k not in bound}
+        return map_atom(f, lambda t: formulas._subst_term(t, live))
+
+    return dag.fold((phi, frozenset()), parts, rebuild)
 
 
 def test_rename_free_matches_the_full_rebuild():
@@ -345,6 +357,37 @@ def test_rename_free_matches_the_full_rebuild():
                 assert got.free == {mapping[k] for k in psi.free}
                 renamed += got is not psi
     assert renamed > 0
+
+
+def test_a_stage_translation_rebuilds_each_composite_node_once_per_stage(monkeypatch):
+    # _rebuild calls counted by the stage whose translation makes them; the
+    # renamings inside a truth atom's disjuncts are not counted
+    pool = corpus.iterated_pool()
+    tr = StageTranslator(pool, 4)
+    stages, rebuilt = [], collections.Counter()
+    rebuild, translate, rename = formulas._rebuild, tr.translate, truth.rename_free
+
+    def within(stage, call, *args):
+        stages.append(stage)
+        try:
+            return call(*args)
+        finally:
+            stages.pop()
+
+    def counted(phi, kids):
+        if stages[-1] is not None:
+            rebuilt[stages[-1], phi] += 1
+        return rebuild(phi, kids)
+
+    monkeypatch.setattr(formulas, "_rebuild", counted)
+    monkeypatch.setattr(truth, "rename_free", lambda *args: within(None, rename, *args))
+    tr.translate = lambda beta, phi: within(beta, translate, beta, phi)
+    for beta in range(5):
+        for phi in pool:
+            tr.translate(beta, phi)
+    composite = {f for phi in pool for f in nodes(phi) if f.rank}
+    assert rebuilt.keys() == {(beta, f) for beta in range(5) for f in composite}
+    assert set(rebuilt.values()) == {1}
 
 
 def test_rename_free_leaves_no_reference_cycle(cyclic_garbage):

@@ -397,6 +397,15 @@ def test_budget(monkeypatch):
     "(game (node 0 (mover I) (children 1 2)) (node 1 (mover II) (children 2))"
     " (node 2 (mover I) (children 1)) (root 0))",
     "(game (terminal 0 (winner nobody)) (root 0))",
+    # a node or the root defined twice, and parts or tokens the grammar lacks
+    "(game (terminal 1 (winner I)) (terminal 1 (winner II)) (root 1))",
+    "(game (terminal 0 (winner I)) (terminal 1 (winner II)) (root 0) (root 1))",
+    "(game (terminal 0 (winner I) (children 2)) (terminal 2 (winner II)) (root 0))",
+    "(game (node 0 (mover I) (children 1) (colour red)) (terminal 1 (winner I)) (root 0))",
+    "(game (node 0 (mover I) (mover II) (children 1)) (terminal 1 (winner I)) (root 0))",
+    "(game (terminal 0 (winner I III)) (root 0))",
+    "(game (node 0 (mover I II) (children 1)) (terminal 1 (winner I)) (root 0))",
+    "(game (terminal 1 (winner I)) (terminal 2 (winner II)) (root 1 2))",
 ])
 def test_malformed_game_raises_parse_error(text):
     with pytest.raises(ParseError):

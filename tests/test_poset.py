@@ -391,6 +391,10 @@ def test_poset_parse_errors():
     "(poset (elems a a) (one a))",
     "(poset (elems a (b)) (one a))",
     "(poset (elems a b) (one a) (le ((a) b)))",
+    # a clause given twice
+    "(poset (elems 1 a b) (elems 1 c) (one 1) (le))",
+    "(poset (elems 1 a) (one 1) (one a) (le))",
+    "(poset (elems a b) (one a) (le (b a)) (le))",
 ])
 def test_malformed_poset_raises_parse_error(text):
     with pytest.raises(ParseError):

@@ -392,7 +392,7 @@ def ref_eliminate_g(phi, P):
     expanded into ⋁ᵢ (G(ǐ) ∧ σ = ǐ)."""
     conditions = ref_condition_names(P)
 
-    def expand(atom, _bound):
+    def expand(atom):
         if not isinstance(atom, AtomInG) or atom.term.name in conditions:
             return atom
         return or_(and_([atom_in_g(name_const(c)), atom_eq(atom.term, name_const(c))])
