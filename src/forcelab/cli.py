@@ -33,12 +33,7 @@ from .truth import (DerivedIteratedTruth, FiniteStructure, forcing_truth,
                     invariance_check, iterated_truth, stage_comparison_structure,
                     tarski_truth)
 
-SCHEMA = "forcelab-report/1"
-
-
-def _passed(verdict: criteria.Verdict):
-    """A criteria verdict as the (ok, counterexample) pair a row records."""
-    return verdict.failures == 0, verdict.first
+SCHEMA = "forcelab-report/2"
 
 
 class Reporter:
@@ -47,17 +42,22 @@ class Reporter:
         self.timings = timings
 
     def run(self, claim: str, thunk):
-        """Record the claim's verdict: the check returns (ok, counterexample).
-        An error raised by the check other than a
-        budget overrun is a detected fault: the row fails with the error as
-        its counterexample."""
+        """Record the claim's verdict and the points it compared.  The check
+        returns a `criteria.Verdict`, or an (ok, counterexample) pair: a
+        one-call check, one point.  A row that compared nothing fails.  An
+        error raised by the check other than a budget overrun is a detected
+        fault: the row fails with the error as its counterexample."""
         started = time.monotonic()
         row = {"claim": claim}
         try:
-            ok, counterexample = thunk()
-            row["status"] = "pass" if ok else "fail"
-            if not ok and counterexample is not None:
-                row["counterexample"] = str(counterexample)
+            verdict = thunk()
+            if not isinstance(verdict, criteria.Verdict):
+                ok, first = verdict
+                verdict = criteria.Verdict(0 if ok else 1, first, 1)
+            ok = verdict.failures == 0 and verdict.checked > 0
+            row["status"], row["checked"] = "pass" if ok else "fail", verdict.checked
+            if not ok and verdict.first is not None:
+                row["counterexample"] = str(verdict.first)
         except BudgetError as e:
             row["status"] = "skipped-budget"
             row["reason"] = str(e)
@@ -113,7 +113,7 @@ def suite_force(config, rep: Reporter, name: str, P: ForcingNotion):
             except BudgetError as e:
                 rep.skip(claim, e)
             else:
-                rep.rows.append({"claim": claim, "status": "pass", "verdict": verdict})
+                rep.rows.append(dict(claim=claim, status="pass", checked=1, verdict=verdict))
 
 
 def _given_sentence(text: str, P: ForcingNotion, N) -> Formula:
@@ -145,8 +145,8 @@ def suite_translate(config, rep: Reporter, name: str, P: ForcingNotion):
     names = corpus.sample_names(P, N)
     rng = random.Random(config["seed"])
     rep.run(f"translate/{name}/atomic-equality-soundness",
-            lambda: _passed(criteria.star_translation(
-                FR, (corpus.random_qf_sentence(rng, P, names) for _ in range(config["count"])))))
+            lambda: criteria.star_translation(
+                FR, (corpus.random_qf_sentence(rng, P, names) for _ in range(config["count"]))))
 
 
 def suite_complete(config, rep: Reporter, name: str, P: ForcingNotion):
@@ -161,8 +161,8 @@ def suite_complete(config, rep: Reporter, name: str, P: ForcingNotion):
     N = name_universe(P, 1)
     FR = atomic_forcing(P, N)
     bv = boolean_values(bc)
-    rep.run(f"complete/{name}/value-coherence", lambda: _passed(criteria.value_coherence(FR, bv)))
-    rep.run(f"complete/{name}/dense-embedding", lambda: _passed(criteria.dense_embedding(P, bc)))
+    rep.run(f"complete/{name}/value-coherence", lambda: criteria.value_coherence(FR, bv))
+    rep.run(f"complete/{name}/dense-embedding", lambda: criteria.dense_embedding(P, bc))
 
 
 def suite_truth(config, rep: Reporter):
@@ -187,8 +187,7 @@ def suite_truth(config, rep: Reporter):
     M = FiniteStructure(stage, {"A": A})
     ft = forcing_truth(n, A, pool)
     tp = tarski_truth(M, pool)
-    rep.run(f"truth/stage-{n}/collapse-vs-direct",
-            lambda: _passed(criteria.collapse_truth(ft, tp)))
+    rep.run(f"truth/stage-{n}/collapse-vs-direct", lambda: criteria.collapse_truth(ft, tp))
     rep.run(f"truth/stage-{n}/condition-invariance",
             lambda: invariance_check(n, A, pool, ft))
 
@@ -202,25 +201,28 @@ def suite_iterated(config, rep: Reporter):
         raise ParseError("--A elements must lie in V_3")
     base = FiniteStructure(stage3, {"d": A})
     it = iterated_truth(base, beta_max, pool)
-    rep.run("iterated/self-coherence", lambda: _passed(criteria.self_coherence(it)))
-    small = list(subformula_closure(f for f in pool if f.rank <= 1))
-    rep.run("iterated/staged-recursion-identical", lambda: _passed(criteria.staged_iterated(
-        [(FiniteStructure(v_stage(2), {"d": [EMPTY]}), small), corpus.coded_truth_input()], 3)))
+    rep.run("iterated/atom-clause", lambda: criteria.iterated_atoms(it))
+    rep.run("iterated/self-coherence", lambda: criteria.self_coherence(it))
+    rep.run("iterated/connective-clauses", lambda: criteria.iterated_logic(it))
+    rep.run("iterated/staged-recursion-identical",
+            lambda: criteria.staged_iterated(corpus.staged_truth_inputs(), 3))
+    rep.run("iterated/builtin-instances-verify",
+            lambda: criteria.solves_verify(corpus.builtin_instances()))
     D = stage_comparison_structure(base, pool, beta_max)
     derived = DerivedIteratedTruth(D, pool, beta_max)
     itD = iterated_truth(D, beta_max, pool)
-    rep.run("iterated/translation-dual-path", lambda: _passed(criteria.dual_path(
+    rep.run("iterated/translation-dual-path", lambda: criteria.dual_path(
         derived, itD, criteria.instance_points(base, pool, beta_max)
-        + criteria.encoding_points(base, pool, beta_max))))
+        + criteria.encoding_points(base, pool, beta_max)))
 
 
 def suite_game(config, rep: Reporter):
     rng = random.Random(config["seed"])
-    rep.run("game/back-propagation", lambda: _passed(criteria.zermelo_games(
-        random_game_tree(rng, 200) for _ in range(config["count"]))))
-    rep.run("game/truth-telling", lambda: _passed(criteria.truth_telling(
+    rep.run("game/back-propagation", lambda: criteria.zermelo_games(
+        random_game_tree(rng, 200) for _ in range(config["count"])))
+    rep.run("game/truth-telling", lambda: criteria.truth_telling(
         FiniteStructure(v_stage(2)), corpus.atomic_game_pool(),
-        range(1, config["clock"] + 1))))
+        range(1, config["clock"] + 1)))
 
 
 def suite_oracle(config, rep: Reporter, name: str, P: ForcingNotion):

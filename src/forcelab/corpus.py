@@ -18,7 +18,7 @@ from .games import random_game_tree, zermelo_recursion_instance
 from .hfset import EMPTY, hf_rank, nat_encode, v_stage
 from .names import (EMPTY_NAME, PName, check_name, name_make, name_universe,
                     subname_closure)
-from .poset import ForcingNotion, make_notion
+from .poset import ForcingNotion, is_separative, make_notion
 from .truth import FiniteStructure, tarski_truth_instance
 
 
@@ -50,6 +50,12 @@ def all_topped_preorders(size: int) -> list[ForcingNotion]:
             seen.add(P._up)
             out.append(P)
     return out
+
+
+def separative_preorders(most: int) -> list[ForcingNotion]:
+    """Every separative topped preorder with at most `most` conditions."""
+    return [P for size in range(1, most + 1) for P in all_topped_preorders(size)
+            if is_separative(P)[0]]
 
 
 def corpus_notions() -> list[tuple[str, ForcingNotion]]:
@@ -203,6 +209,14 @@ def coded_truth_input() -> tuple[FiniteStructure, list[Formula]]:
     coded = [nat_encode(2), encode_formula(d_a), *(encode_valuation({"a": x}) for x in v_stage(2))]
     pool = subformula_closure([atom_in(a, b), not_(atom_in(a, b)), atom_tr(a, b, c), d_a])
     return FiniteStructure([*v_stage(2), *coded], {"d": [EMPTY]}), list(pool)
+
+
+def staged_truth_inputs() -> list[tuple[FiniteStructure, list[Formula]]]:
+    """The iterated predicate's staged-instance inputs: V₂ with d = {∅} and
+    the closure of the iterated pool's formulas of rank at most 1, where no
+    truth atom decodes, and the coded domain, where some do."""
+    small = list(subformula_closure(f for f in iterated_pool() if f.rank <= 1))
+    return [(FiniteStructure(v_stage(2), {"d": [EMPTY]}), small), coded_truth_input()]
 
 
 def atomic_game_pool() -> list[Formula]:

@@ -1,6 +1,6 @@
-"""The acceptance comparisons, each written once: the CLI suites, the
-acceptance gate and the fault-injection tests call these functions, so a
-fault the tests inject meets the check the gate and the CLI run.  Each
+"""The acceptance comparisons, each written once: the CLI suites, which the
+acceptance gate runs, and the fault-injection tests call these functions,
+so a fault the tests inject meets the check the gate and the CLI run.  Each
 function compares two sides point by point.  A side is given or built with
 its own public constructor, never computed here, so the two stay
 independent.  Checks that are one library call are called directly.
@@ -188,6 +188,14 @@ def staged_iterated(inputs, stages):
         for enc, (phi, v) in codec.items():
             staged = sorted(i // span for i, sl in enumerate(solution.slices) if enc in sl)
             yield staged == [b for b in range(stages) if direct.holds(b, phi, v)], phi
+
+
+@_criterion
+def solves_verify(named):
+    """Each named recursion instance's solution against its own equations:
+    one point per instance."""
+    for name, inst in named:
+        yield verify_solution(inst, etr_solve(inst))[0], name
 
 
 # --- games (criterion 8) ------------------------------------------------------

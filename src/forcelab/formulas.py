@@ -41,8 +41,17 @@ def _mk(cls, *fields):
     return node
 
 
+_NO_KIND, _GROUND, _NAME = frozenset(), frozenset(("ground",)), frozenset(("name",))
+
+
 class Term:
-    __slots__ = ()
+    """A term carries its free variables and its constant kind, filled at
+    construction as a formula's are, so no walk reads them."""
+
+    __slots__ = ("free", "kinds")
+
+    free: frozenset[str]
+    kinds: frozenset[str]
 
 
 class Var(Term):
@@ -50,6 +59,7 @@ class Var(Term):
 
     def __init__(self, name: str):
         self.name = name
+        self.free, self.kinds = frozenset((name,)), _NO_KIND
 
 
 class GroundConst(Term):
@@ -57,6 +67,7 @@ class GroundConst(Term):
 
     def __init__(self, value: HFSet):
         self.value = value
+        self.free, self.kinds = frozenset(), _GROUND
 
 
 class NameConst(Term):
@@ -64,6 +75,7 @@ class NameConst(Term):
 
     def __init__(self, name: PName):
         self.name = name
+        self.free, self.kinds = frozenset(), _NAME
 
 
 class PairTerm(Term):
@@ -74,6 +86,7 @@ class PairTerm(Term):
     def __init__(self, left: Term, right: Term):
         self.left = left
         self.right = right
+        self.free, self.kinds = left.free | right.free, _NAME
 
 
 def var(name: str) -> Var:
@@ -96,20 +109,16 @@ def pair_term(left: Term, right: Term) -> Term:
     return _mk(PairTerm, left, right)
 
 
-def term_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
+def _term_parts(t: Term) -> tuple[Term, ...]:
+    return (t.left, t.right) if isinstance(t, PairTerm) else ()
+
+
+def _term_fold(t: Term, combine: Callable[[Term, tuple], T]) -> T:
+    """`dag.fold` over the parts of pair terms, so their nesting depth is not
+    bounded by the stack; a term of one level is combined without a walk."""
     if isinstance(t, PairTerm):
-        return term_vars(t.left) | term_vars(t.right)
-    return frozenset()
-
-
-def _term_kind(t: Term) -> frozenset[str]:
-    if isinstance(t, GroundConst):
-        return frozenset(("ground",))
-    if isinstance(t, (NameConst, PairTerm)):
-        return frozenset(("name",))
-    return frozenset()
+        return dag.fold(t, _term_parts, combine)
+    return combine(t, ())
 
 
 def _shared(names: frozenset[str]) -> tuple[frozenset[str], tuple[str, ...]]:
@@ -148,8 +157,7 @@ class _BinaryAtom(Formula):  # the shared body of AtomEq and AtomIn
     def __init__(self, left: Term, right: Term):
         self.left = left
         self.right = right
-        self._finish(0, term_vars(left) | term_vars(right),
-                     _term_kind(left) | _term_kind(right))
+        self._finish(0, left.free | right.free, left.kinds | right.kinds)
 
 
 class AtomEq(_BinaryAtom):
@@ -166,7 +174,7 @@ class AtomInClass(Formula):
     def __init__(self, term: Term, ident: str):
         self.term = term
         self.ident = ident
-        self._finish(0, term_vars(term), _term_kind(term))
+        self._finish(0, term.free, term.kinds)
 
 
 class AtomInG(Formula):
@@ -174,7 +182,7 @@ class AtomInG(Formula):
 
     def __init__(self, term: Term):
         self.term = term
-        self._finish(0, term_vars(term), _term_kind(term) | {"name"})
+        self._finish(0, term.free, term.kinds | _NAME)
 
 
 class AtomTr(Formula):
@@ -186,8 +194,8 @@ class AtomTr(Formula):
         self.stage = stage
         self.code = code
         self.valuation = valuation
-        self._finish(0, term_vars(stage) | term_vars(code) | term_vars(valuation),
-                     _term_kind(stage) | _term_kind(code) | _term_kind(valuation))
+        self._finish(0, stage.free | code.free | valuation.free,
+                     stage.kinds | code.kinds | valuation.kinds)
 
 
 class Not(Formula):
@@ -455,11 +463,12 @@ def subformula_closure(pool: Iterable[Formula]) -> tuple[Formula, ...]:
 # Substitution.
 
 def _subst_term(t: Term, bindings: dict[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return bindings.get(t.name, t)
-    if isinstance(t, PairTerm):
-        return pair_term(_subst_term(t.left, bindings), _subst_term(t.right, bindings))
-    return t
+    def combine(u: Term, kids: tuple[Term, ...]) -> Term:
+        if isinstance(u, Var):
+            return bindings.get(u.name, u)
+        return pair_term(*kids) if kids else u
+
+    return _term_fold(t, combine)
 
 
 def substitute(phi: Formula, bindings: dict[str, Term]) -> Formula:
@@ -467,7 +476,7 @@ def substitute(phi: Formula, bindings: dict[str, Term]) -> Formula:
     variables; an occurrence bound above stays as it is.  The terms are
     closed, so nothing they bring in can be captured."""
     for v, t in bindings.items():
-        if term_vars(t):
+        if t.free:
             raise ForcelabError(f"substituted term for {v} must be closed")
     return _replace_free(phi, bindings)
 
@@ -571,16 +580,20 @@ def parse_formula(text: str, notion: ForcingNotion | None = None) -> Formula:
         raise ParseError(str(e)) from None
 
 
-def _term_sexp(t: Term, notion: ForcingNotion | None):
-    if isinstance(t, Var):
-        return ["var", t.name]
-    if isinstance(t, GroundConst):
-        return ["const", t.value.to_sexp()]
-    if isinstance(t, NameConst):
-        return name_to_sexp(t.name, notion)
-    if isinstance(t, PairTerm):
-        return ["opterm", _term_sexp(t.left, notion), _term_sexp(t.right, notion)]
-    raise ForcelabError(f"unknown term {type(t).__name__}")
+def _term_sexp(t: Term, notion: ForcingNotion | None) -> str:
+    """The text of a term: one fold, so pair terms of any depth print."""
+    def combine(u: Term, kids: tuple[str, ...]) -> str:
+        if isinstance(u, Var):
+            return sexpr.show(["var", u.name])
+        if isinstance(u, GroundConst):
+            return sexpr.show(["const", u.value.to_sexp()])
+        if isinstance(u, NameConst):
+            return sexpr.show(name_to_sexp(u.name, notion))
+        if isinstance(u, PairTerm):
+            return sexpr.show(["opterm", *kids])
+        raise ForcelabError(f"unknown term {type(u).__name__}")
+
+    return _term_fold(t, combine)
 
 
 def _formula_sexp(phi: Formula, kids: tuple[str, ...], notion: ForcingNotion | None):
@@ -677,6 +690,10 @@ def _tagged(tag: int, payload: HFSet) -> HFSet:
 
 
 def encode_term(t: Term) -> HFSet:
+    return _term_fold(t, _encode_term_node)
+
+
+def _encode_term_node(t: Term, kids: tuple[HFSet, ...]) -> HFSet:
     if isinstance(t, Var):
         return _tagged(0, _encode_str(t.name))
     if isinstance(t, GroundConst):
@@ -684,7 +701,7 @@ def encode_term(t: Term) -> HFSet:
     if isinstance(t, NameConst):
         return _tagged(2, name_to_hf(t.name))
     if isinstance(t, PairTerm):
-        return _tagged(3, hf_pair(encode_term(t.left), encode_term(t.right)))
+        return _tagged(3, hf_pair(*kids))
     raise EncodingError(f"cannot encode term {type(t).__name__}")
 
 
@@ -708,8 +725,8 @@ _ENCODE = {TERM: encode_term, IDENT: _encode_str, SUB: lambda code: code, SUBS: 
 
 
 # Codes are DAGs, so the decoders keep caches (None results included) that
-# make each distinct subcode decode once.  Formula and name codes decode by
-# one fold each; terms recurse once per level of pair nesting.
+# make each distinct subcode decode once.  Formula, term and name codes
+# decode by one fold each.
 
 _name_codes: dict[HFSet, PName | None] = {}
 
@@ -732,8 +749,24 @@ def _decode_entries(x: HFSet, subs: tuple[PName | None, ...]) -> PName | None:
     return None if None in ranks else name_make(zip(subs, ranks))
 
 
-@functools.cache
+_term_codes: dict[HFSet, Term | None] = {}
+_PAIR_TAG = nat_encode(3)
+
+
 def decode_term(x: HFSet) -> Term | None:
+    if x in _term_codes:
+        return _term_codes[x]
+    return dag.fold(x, _pair_codes, _decode_term_node, _term_codes)
+
+
+def _pair_codes(x: HFSet) -> tuple[HFSet, ...]:
+    """The codes of the two parts when x is a pair term's code; none else."""
+    p = hf_unpair(x)
+    q = hf_unpair(p[1]) if p is not None and p[0] is _PAIR_TAG else None
+    return () if q is None else q
+
+
+def _decode_term_node(x: HFSet, parts: tuple[Term | None, ...]) -> Term | None:
     p = hf_unpair(x)
     if p is None:
         return None
@@ -746,12 +779,8 @@ def decode_term(x: HFSet) -> Term | None:
     if tag == 2:
         n = _decode_name(payload)
         return name_const(n) if n is not None else None
-    if tag == 3:
-        q = hf_unpair(payload)
-        if q is None:
-            return None
-        left, right = decode_term(q[0]), decode_term(q[1])
-        return pair_term(left, right) if left is not None and right is not None else None
+    if tag == 3 and parts and None not in parts:
+        return pair_term(*parts)
     return None
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import inspect
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import forcelab
-from forcelab import atomic_forcing, cli, corpus
+from forcelab import atomic_forcing, cli, corpus, criteria
 from forcelab import forcing as forcing_mod
 from forcelab.cli import main, run_suite
 
@@ -20,7 +21,7 @@ def test_truth_suite_passes(tmp_path):
     code = main(["truth", "--stage", "2", "--A", "(hf)", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == "forcelab-report/1"
+    assert report["schema"] == "forcelab-report/2"
     assert report["failures"] == 0
     assert {r["claim"] for r in report["rows"]} == {
         "truth/stage-2/collapse-vs-direct", "truth/stage-2/condition-invariance"}
@@ -327,9 +328,36 @@ def test_a_notion_without_a_completion_is_one_failed_row(tmp_path):
     assert main(["complete", "--poset", str(poset), "--out", str(out)]) == 1
     report = json.loads(out.read_text())
     assert report["rows"] == [{
-        "claim": "complete/chain2/separative", "status": "fail",
+        "claim": "complete/chain2/separative", "status": "fail", "checked": 1,
         "counterexample": "notion is not separative: no extension of 1 is incompatible with a"}]
     assert report["failures"] == 1
+
+
+def test_a_row_that_compared_nothing_fails(monkeypatch, tmp_path):
+    # with no instance to range over, the collapse is compared with truth nowhere
+    monkeypatch.setattr(criteria, "instances", lambda M, phi: iter(()))
+    out = tmp_path / "report.json"
+    assert main(["truth", "--stage", "2", "--out", str(out)]) == 1
+    rows = {r["claim"]: r for r in json.loads(out.read_text())["rows"]}
+    assert rows["truth/stage-2/collapse-vs-direct"] == {
+        "claim": "truth/stage-2/collapse-vs-direct", "status": "fail", "checked": 0}
+    assert rows["truth/stage-2/condition-invariance"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("suite", list(cli.SUITES))
+def test_every_row_of_a_default_report_counts_what_it_compared(suite):
+    rows = run_suite(suite, {})["rows"]
+    assert rows and all(row["status"] == "pass" and row["checked"] >= 1 for row in rows)
+
+
+def test_every_criteria_comparison_runs_in_some_suite():
+    named = {n.attr for suite in cli.SUITES.values()
+             for n in ast.walk(ast.parse(inspect.getsource(suite)))
+             if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "criteria"}
+    public = {name for name, value in vars(criteria).items()
+              if inspect.isfunction(value) and value.__module__ == criteria.__name__
+              and not name.startswith("_")}
+    assert public and public <= named, sorted(public - named)
 
 
 def test_verdict_at_a_given_condition(fork_file, tmp_path):

@@ -243,6 +243,21 @@ def test_rewrites_walk_any_nesting_depth():
     assert name is EMPTY_NAME
     assert theta_formula(x).rank > deep
 
+    def chain(t):  # pair terms nested `deep` levels on the left
+        for _ in range(deep):
+            t = pair_term(t, var("b"))
+        return t
+
+    atom = atom_eq(chain(var("a")), var("c"))
+    assert atom.free == {"a", "b", "c"} and atom.const_kinds == {"name"}
+    assert substitute(atom, {"a": name_const(EMPTY_NAME)}) is atom_eq(
+        chain(name_const(EMPTY_NAME)), var("c"))
+    assert decode_formula(encode_formula(atom)) is atom
+    text = formula_to_sexp(atom)
+    assert text.startswith("(= " + "(opterm " * deep + "(var a) (var b))")
+    assert text.count("(var b)") == deep
+    assert repr(atom).startswith("<AtomEq of rank 0: ")
+
 
 def test_repr_of_a_star_translation_code_is_a_summary():
     P = dict(corpus.corpus_notions())["trivial"]

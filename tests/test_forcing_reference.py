@@ -22,19 +22,16 @@ import random
 import pytest
 
 from forcelab import (EMPTY, EMPTY_NAME, And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
-                      BudgetError, Exists, Forall, ForcelabError, NameConst, Not,
-                      Or, StageTranslator, and_, atom_eq, atom_in, atom_in_g, atomic_forcing,
-                      check_name, corpus, exists, extension, forall, forcing_truth, forces,
-                      generic_filters, ground_formula, hf_make, iff, name_const, name_make,
-                      nat_encode, nodes, not_, or_, star_translate, substitute, theta_formula,
-                      v_stage, var)
+                      BudgetError, Exists, FiniteStructure, Forall, ForcelabError, NameConst,
+                      Not, Or, PairTerm, StageTranslator, Var, and_, atom_eq, atom_in,
+                      atom_in_class, atom_in_g, atom_tr, atomic_forcing, check_name, corpus,
+                      exists, extension, forall, forcing_truth, forces, generic_filters,
+                      ground_formula, hf_make, iff, instances, name_const, name_make, nodes,
+                      not_, or_, star_translate, substitute, theta_formula, v_stage, var)
 from forcelab import forcing as forcing_mod
 from forcelab import formulas as formulas_mod
 from forcelab import names as names_mod
 from forcelab import truth as truth_mod
-from forcelab.forcing import QUANTIFIER_BUDGET
-from forcelab.formulas import _rebuild, _subst_term, map_atom
-from forcelab.truth import FiniteStructure, instances
 from test_star_translate import ref_condition_names, ref_star_translate
 
 
@@ -78,7 +75,7 @@ def _reference_clause(FR, phi, memo) -> int:
         for block in nodes(phi):
             if isinstance(block, (Forall, Exists)):
                 scope = len(block.vars) + len(block.free)
-                if len(FR.universe) ** scope > QUANTIFIER_BUDGET:
+                if len(FR.universe) ** scope > forcing_mod.QUANTIFIER_BUDGET:
                     raise BudgetError(f"quantifier block over {len(FR.universe)}^{scope} names")
         subs = (substitute(phi.body, dict(zip(phi.vars, map(name_const, values))))
                 for values in itertools.product(FR.universe, repeat=len(phi.vars)))
@@ -121,7 +118,7 @@ def test_a_nested_block_over_the_budget_is_refused_on_both_sides():
     P = dict(corpus.corpus_notions())["four-fork"]
     FR = atomic_forcing(P, corpus.oracle_universe(P))
     n = len(FR.universe)
-    assert n ** 3 <= QUANTIFIER_BUDGET < n ** 4
+    assert n ** 3 <= forcing_mod.QUANTIFIER_BUDGET < n ** 4
     x, ys = var("x"), [var(f"y{i}") for i in range(4)]
     phi = forall(("x",), exists(tuple(y.name for y in ys),
                                 and_([atom_in(x, y) for y in ys])))
@@ -182,13 +179,43 @@ def test_an_inner_binder_shadows_the_outer_one(fork):
 
 # --- the recursive rewrites the folds replaced ---------------------------------
 
+def ref_rebuild(f, kids):
+    """A connective or quantifier node over new subformulas."""
+    if isinstance(f, Not):
+        return not_(kids[0])
+    if isinstance(f, (And, Or)):
+        return (and_ if isinstance(f, And) else or_)(kids)
+    return (forall if isinstance(f, Forall) else exists)(f.vars, kids[0])
+
+
+def ref_subst_term(t, bindings):
+    if isinstance(t, Var):
+        return bindings.get(t.name, t)
+    if isinstance(t, PairTerm):
+        return formulas_mod.pair_term(ref_subst_term(t.left, bindings),
+                                      ref_subst_term(t.right, bindings))
+    return t
+
+
+def ref_map_atom(atom, term_fn):
+    """The atom with term_fn applied to each argument term."""
+    if isinstance(atom, (AtomEq, AtomIn)):
+        return (atom_eq if isinstance(atom, AtomEq) else atom_in)(term_fn(atom.left),
+                                                                  term_fn(atom.right))
+    if isinstance(atom, AtomTr):
+        return atom_tr(term_fn(atom.stage), term_fn(atom.code), term_fn(atom.valuation))
+    if isinstance(atom, AtomInClass):
+        return atom_in_class(term_fn(atom.term), atom.ident)
+    return atom_in_g(term_fn(atom.term))
+
+
 def ref_map_formula(phi, atom_fn, memo=None):
     memo = {} if memo is None else memo
 
     def walk(f):
         got = memo.get(f)
         if got is None:
-            got = memo[f] = _rebuild(f, list(map(walk, f.children()))) if f.rank else atom_fn(f)
+            got = memo[f] = ref_rebuild(f, list(map(walk, f.children()))) if f.rank else atom_fn(f)
         return got
 
     return walk(phi)
@@ -205,11 +232,11 @@ def ref_replace_free(phi, bindings):
         if got is None:
             if f.rank == 0:
                 targets = {k: bindings[k] for k in live}
-                got = map_atom(f, lambda t: _subst_term(t, targets))
+                got = ref_map_atom(f, lambda t: ref_subst_term(t, targets))
             elif isinstance(f, (Forall, Exists)):
-                got = _rebuild(f, [walk(f.body, live.difference(f.vars))])
+                got = ref_rebuild(f, [walk(f.body, live.difference(f.vars))])
             else:
-                got = _rebuild(f, [walk(c, live) for c in f.children()])
+                got = ref_rebuild(f, [walk(c, live) for c in f.children()])
             memo[key] = got
         return got
 

@@ -10,11 +10,16 @@ import itertools
 
 import pytest
 
-from forcelab import (And, AtomTr, BudgetError, Exists, FiniteStructure, Forall, GameTree,
-                      Not, Or, and_, atom_eq, atom_in, exists, forall, not_, or_,
-                      truth_telling_game, v_stage, var)
+from forcelab import (And, AtomIn, AtomTr, BudgetError, Exists, FiniteStructure, Forall,
+                      GameTree, Not, Or, and_, atom_eq, atom_in, exists, forall, instances,
+                      nat_encode, not_, or_, truth_telling_game, v_stage, valuation_key, var)
 from forcelab import corpus, games
-from forcelab.truth import _eval_atom, instances, valuation_key
+
+
+def _atom_holds(phi, v) -> bool:
+    """x ∈ y or x = y under v, read off the members of the sets."""
+    left, right = v[phi.left.name], v[phi.right.name]
+    return left in right.children if isinstance(phi, AtomIn) else left is right
 
 
 def _reference_violates(M, history: dict) -> bool:
@@ -24,7 +29,7 @@ def _reference_violates(M, history: dict) -> bool:
     for (phi, key), verdict in history.items():
         v = dict(key)
         if phi.rank == 0:
-            if not isinstance(phi, AtomTr) and verdict != _eval_atom(M, phi, v):
+            if not isinstance(phi, AtomTr) and verdict != _atom_holds(phi, v):
                 return True
             continue
         # ¬ψ is the conjunction of the one vote ¬ψ; ∧ and ∀ are universal.
@@ -150,18 +155,27 @@ def _content(node) -> tuple:
     return node.mover, node.children, node.winner, tuple(node.note.items())
 
 
-@pytest.mark.parametrize("label", list(POOLS))
-@pytest.mark.parametrize("clock", [1, 2, 3])
-def test_game_matches_the_replaying_reference(label, clock):
-    M = FiniteStructure(v_stage(2))
-    T = truth_telling_game(M, POOLS[label], clock)
-    ref = reference_game(M, POOLS[label], clock)
+def _matches_the_reference(M, pool, clock):
+    T = truth_telling_game(M, pool, clock)
+    ref = reference_game(M, pool, clock)
     tree, _ = unfold(T)
     assert tree.root == ref.root
     assert dict(tree.nodes.items()) == dict(ref.nodes.items())
     assert len(T) == len(ref.nodes)
     # each distinct row is stored once
     assert len({_content(node) for node in T.nodes.values()}) == len(T.nodes)
+
+
+@pytest.mark.parametrize("label", list(POOLS))
+@pytest.mark.parametrize("clock", [1, 2, 3])
+def test_game_matches_the_replaying_reference(label, clock):
+    _matches_the_reference(FiniteStructure(v_stage(2)), POOLS[label], clock)
+
+
+@pytest.mark.parametrize("label", list(POOLS))
+def test_game_over_the_ordinal_three_matches_the_replaying_reference(label):
+    # 2 = {0, 1} has two members, so membership is read where V₂ has no case
+    _matches_the_reference(FiniteStructure([nat_encode(k) for k in range(3)]), POOLS[label], 2)
 
 
 def test_the_existential_pool_reaches_its_size():

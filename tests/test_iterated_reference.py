@@ -10,15 +10,57 @@ import itertools
 
 import pytest
 
-from forcelab import (EMPTY, And, AtomTr, Exists, FiniteStructure, Forall,
-                      IteratedTruthPredicate, Not, Or, StageTranslator, and_, atom_eq,
-                      atom_in, atom_in_class, atom_tr, corpus, encode_formula, encode_valuation, exists, forall, nat_encode,
-                      not_, or_, subformula_closure, theta_formula, v_stage, var)
-from forcelab.formulas import rename_free, variables
-from forcelab.truth import (_decode_tr_args, _encode_str, _eval_atom, _term_value,
-                            _valuation_description, instances, valuation_key)
+from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomTr, Exists, FiniteStructure, Forall,
+                      IteratedTruthPredicate, Not, Or, StageTranslator, Var, and_, atom_eq,
+                      atom_in, atom_in_class, atom_tr, corpus, decode_formula,
+                      decode_valuation, encode_formula, encode_valuation, exists, forall, iff,
+                      instances, nat_decode, nat_encode, not_, or_, subformula_closure,
+                      theta_formula, v_stage, valuation_key, var)
+from forcelab import formulas
 
 STAGES = 5  # stages 0..4
+
+
+# Atoms, terms and codes read off the sets and the public codecs.
+
+def _value(t, v):
+    return v[t.name] if isinstance(t, Var) else t.value  # a variable or a ground constant
+
+
+def _atom_holds(M, phi, v) -> bool:
+    """An atom other than a truth atom, read off the members of the sets."""
+    if isinstance(phi, AtomIn):
+        return _value(phi.left, v) in _value(phi.right, v).children
+    if isinstance(phi, AtomEq):
+        return _value(phi.left, v) is _value(phi.right, v)
+    return _value(phi.term, v) in M.predicates[phi.ident]
+
+
+def _decoded_tr(phi, v):
+    """(stage, formula, valuation) a truth atom's arguments code, or None."""
+    stage, psi, val = (nat_decode(_value(phi.stage, v)), decode_formula(_value(phi.code, v)),
+                       decode_valuation(_value(phi.valuation, v)))
+    return None if None in (stage, psi, val) else (stage, psi, val)
+
+
+def _identifier_code(name):
+    """The code of a variable identifier: the first member of the one pair
+    that codes {name ↦ ∅}."""
+    (pair,) = encode_valuation({name: EMPTY}).children
+    return next(c for c in pair.children if len(c.children) == 1).children[0]
+
+
+def _valuation_description(z_var, entries):
+    """z is exactly the coded map {code ↦ value variable} of the entries."""
+    pair_formulas = []
+    for code, a in entries:
+        sing = forall(("t",), iff(atom_in(var("t"), var("u")), theta_formula(code, "t")))
+        doub = forall(("t",), iff(atom_in(var("t"), var("u")),
+                                  or_([theta_formula(code, "t"), atom_eq(var("t"), var(a))])))
+        pair_formulas.append(and_([
+            forall(("u",), iff(atom_in(var("u"), var("w")), or_([sing, doub]))),
+            exists(("u",), and_([atom_in(var("u"), var("w")), doub]))]))
+    return forall(("w",), iff(atom_in(var("w"), var(z_var)), or_(pair_formulas)))
 
 
 class ReferencePredicate(IteratedTruthPredicate):
@@ -34,10 +76,7 @@ class ReferencePredicate(IteratedTruthPredicate):
     def _eval(self, beta, phi, v):
         M = self.structure
         if isinstance(phi, AtomTr):
-            s = _term_value(phi.stage, M, v)
-            c = _term_value(phi.code, M, v)
-            z = _term_value(phi.valuation, M, v)
-            decoded = _decode_tr_args(s, c, z)
+            decoded = _decoded_tr(phi, v)
             if decoded is None:
                 return False
             alpha, psi, val = decoded
@@ -47,7 +86,7 @@ class ReferencePredicate(IteratedTruthPredicate):
                 return False
             return self._query(alpha, psi, val)
         if phi.rank == 0:
-            return _eval_atom(M, phi, v)
+            return _atom_holds(M, phi, v)
         if isinstance(phi, Not):
             return not self._query(beta, phi.sub, {x: v[x] for x in phi.sub.free})
         if isinstance(phi, And):
@@ -151,16 +190,16 @@ class ReferenceTranslator(StageTranslator):
             for psi in self.pool:
                 fv = tuple(sorted(psi.free))
                 psi_star = self.translate(xi, psi)
-                taken = variables(psi_star, self._variables) | {x, y, z}
+                taken = formulas.variables(psi_star, self._variables) | {x, y, z}
                 fresh = []
                 i = 0
                 while len(fresh) < len(fv):
                     if f"h{i}" not in taken:
                         fresh.append(f"h{i}")
                     i += 1
-                renamed = rename_free(psi_star, dict(zip(fv, fresh)))
+                renamed = formulas.rename_free(psi_star, dict(zip(fv, fresh)))
                 desc = _valuation_description(
-                    z, [(_encode_str(v), a) for v, a in zip(fv, fresh)])
+                    z, [(_identifier_code(v), a) for v, a in zip(fv, fresh)])
                 inner = and_([desc, renamed])
                 ex = exists(tuple(fresh), inner) if fresh else inner
                 disjuncts.append(and_([

@@ -22,6 +22,7 @@ import contextlib
 import inspect
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,7 @@ from forcelab import (EMPTY, And, AtomTr, DerivedIteratedTruth, Exists, Forall,
                       name_universe, nat_encode, not_, stage_comparison_structure,
                       subformula_closure, subformulas, tarski_truth,
                       theta_formula, truth_lemma_check, truth_name, v_stage, var)
+import forcelab
 from forcelab import corpus, criteria, hfset
 from forcelab import forcing as forcing_mod
 from forcelab import games as games_mod
@@ -551,6 +553,17 @@ def _offenders(sides, forbidden) -> list:
     return offenders
 
 
+# A reference that read atoms with the code it checks would agree with any
+# fault in that code, so the reference files import only the public API.
+
+@pytest.mark.parametrize("name", ["forcing", "games", "iterated"])
+def test_reference_files_import_only_the_public_api(name):
+    tree = ast.parse((Path(__file__).parent / f"test_{name}_reference.py").read_text())
+    imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                and (n.module or "").split(".")[0] == "forcelab" for alias in n.names}
+    assert imported and imported <= set(forcelab.__all__), sorted(imported - set(forcelab.__all__))
+
+
 def test_pointwise_sides_never_name_the_merged_evaluator():
     assert _offenders(POINTWISE_SIDES, ("eval_formula", "_value")) == []
 
@@ -627,5 +640,5 @@ def test_the_forcing_walk_never_names_the_truth_sides():
 
 def test_the_criteria_reach_into_no_side():
     sides = [(criteria, name) for name, f in vars(criteria).items() if hasattr(f, "__wrapped__")]
-    assert len(sides) == 11
+    assert len(sides) == 12
     assert _offenders(sides, KERNEL_NAMES + ("_value", "_eval", "_rows", "_cache")) == []
