@@ -18,7 +18,7 @@ from .games import random_game_tree, zermelo_recursion_instance
 from .hfset import EMPTY, hf_rank, nat_encode, v_stage
 from .names import (EMPTY_NAME, PName, check_name, name_make, name_universe,
                     subname_closure)
-from .poset import ForcingNotion, is_separative, make_notion
+from .poset import ForcingNotion, make_notion
 from .truth import FiniteStructure, tarski_truth_instance
 
 
@@ -50,12 +50,6 @@ def all_topped_preorders(size: int) -> list[ForcingNotion]:
             seen.add(P._up)
             out.append(P)
     return out
-
-
-def separative_preorders(most: int) -> list[ForcingNotion]:
-    """Every separative topped preorder with at most `most` conditions."""
-    return [P for size in range(1, most + 1) for P in all_topped_preorders(size)
-            if is_separative(P)[0]]
 
 
 def corpus_notions() -> list[tuple[str, ForcingNotion]]:

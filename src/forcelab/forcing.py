@@ -40,7 +40,7 @@ from .errors import (BudgetError, ClosureError, ForcelabError,
                      SeparativityError)
 from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        Exists, Forall, Formula, NameConst, Not,
-                       Or, PairTerm, Term, Var, and_, atom_eq, atom_in,
+                       Or, PairTerm, Term, Var, _term_fold, and_, atom_eq, atom_in,
                        atom_in_class, atom_in_g, atom_terms, canonical_pool, const,
                        encode_formula, implies, map_atom, map_formula,
                        name_const, nodes, not_, or_, substitute, terms)
@@ -114,6 +114,8 @@ class ForcingRelation:
         self._classes: dict[str, ClassName | None] = {"G": None}
         self.full, self._size = (1 << len(notion)) - 1, len(notion)
         self._down, self._up = notion._down, notion._up
+        # p is minimal when each of its extensions lies above it
+        self._minimal = _mask(p for p, down in enumerate(self._down) if not down & ~self._up[p])
         self._neg: dict[int, int] = {}
         self._atomic: dict = {}
         self._values: dict = {}
@@ -137,13 +139,17 @@ class ForcingRelation:
             self._values.clear()
 
     def neg(self, W: int) -> int:
-        """The complement of W's upward closure."""
+        """The complement of W's upward closure.  W's minimal conditions are
+        visited first: theirs are the widest up-masks, and for a downset
+        they cover W.  Then come the members of W they leave uncovered."""
         got = self._neg.get(W)
         if got is None:
-            up, covered, rest = self._up, 0, W
-            while rest:
-                covered |= up[(rest & -rest).bit_length() - 1]
-                rest &= ~covered
+            up, covered = self._up, 0
+            for part in (W & self._minimal, W):
+                rest = part & ~covered
+                while rest:
+                    covered |= up[(rest & -rest).bit_length() - 1]
+                    rest &= ~covered
             got = self._neg[W] = self.full & ~covered
         return got
 
@@ -274,7 +280,8 @@ def collect_names(phi: Formula) -> set[PName]:
 
 
 def _term_pname(t: Term, env: Mapping[str, PName] = _NO_NAMES) -> PName:
-    """The name a term denotes, its variables read as the names `env` gives them."""
+    """The name a term denotes, its variables read as the names `env` gives
+    them.  A pair term is one fold over its parts, so any nesting depth."""
     if isinstance(t, NameConst):
         return t.name
     if isinstance(t, Var):
@@ -282,7 +289,7 @@ def _term_pname(t: Term, env: Mapping[str, PName] = _NO_NAMES) -> PName:
             raise ForcelabError(f"free variable {t.name!r} is not covered by the valuation")
         return env[t.name]
     if isinstance(t, PairTerm):
-        return op_name(_term_pname(t.left, env), _term_pname(t.right, env))
+        return _term_fold(t, lambda u, kids: op_name(*kids) if kids else _term_pname(u, env))
     raise ForcelabError(f"term {type(t).__name__} is not a name constant")
 
 

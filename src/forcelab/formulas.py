@@ -115,10 +115,13 @@ def _term_parts(t: Term) -> tuple[Term, ...]:
 
 def _term_fold(t: Term, combine: Callable[[Term, tuple], T]) -> T:
     """`dag.fold` over the parts of pair terms, so their nesting depth is not
-    bounded by the stack; a term of one level is combined without a walk."""
-    if isinstance(t, PairTerm):
+    bounded by the stack; a term with at most one level of pairing is
+    combined without a walk."""
+    if not isinstance(t, PairTerm):
+        return combine(t, ())
+    if isinstance(t.left, PairTerm) or isinstance(t.right, PairTerm):
         return dag.fold(t, _term_parts, combine)
-    return combine(t, ())
+    return combine(t, (combine(t.left, ()), combine(t.right, ())))
 
 
 def _shared(names: frozenset[str]) -> tuple[frozenset[str], tuple[str, ...]]:

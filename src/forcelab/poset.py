@@ -48,6 +48,15 @@ def _closure(up: list[int]) -> list[int]:
     return up
 
 
+def _down_masks(up: Sequence[int]) -> list[int]:
+    """The down-masks of closed up-masks: down[q] has bit p when p ≤ q."""
+    down = [0] * len(up)
+    for p, mask in enumerate(up):
+        for q in bits(mask):
+            down[q] |= 1 << p
+    return down
+
+
 class ForcingNotion:
     """A finite preorder with top element at index 0.
 
@@ -64,16 +73,13 @@ class ForcingNotion:
         up = [1 | 1 << p for p in range(len(elements))]  # up[p] has bit q when p ≤ q
         for p, q in le_pairs:
             up[p] |= 1 << q
-        self._init(elements, _closure(up))
+        up = _closure(up)
+        self._init(elements, up, _down_masks(up))
 
-    def _init(self, elements: tuple[str, ...], up: Sequence[int]):
+    def _init(self, elements: tuple[str, ...], up: Sequence[int], down: Sequence[int]):
         """Store distinct tokens (the top first) with their up-masks, which
-        must already be reflexive, hold the top and be transitively closed;
-        the down-masks are read off them."""
-        down = [0] * len(elements)
-        for p, mask in enumerate(up):
-            for q in bits(mask):
-                down[q] |= 1 << p
+        must already be reflexive, hold the top and be transitively closed,
+        and the down-masks read off them."""
         self.elements = elements
         self._up = tuple(up)
         self._down = tuple(down)
@@ -277,20 +283,22 @@ Graph = tuple[tuple[int, HFSet], ...]  # a collapse function: (slot, target), so
 
 
 class _CollapseSkeleton(NamedTuple):
-    """What a collapse at one stage shares with every other at that stage:
-    its functions and everything read off them.  Masks have bit p for
-    function p (the top is the empty function, 0)."""
+    """What a collapse shares with every other at its stage and token
+    setting: its functions and e-tokens and everything read off them.
+    Masks have bit p for condition p (the top is the empty function, 0)."""
 
-    elements: tuple[str, ...]
+    elements: tuple[str, ...]  # the functions', then the e-tokens'
     fn_index: dict[Graph, int]  # each function's condition
-    up: tuple[int, ...]  # the closed up-masks of the functions
-    in_realizers: dict[tuple[int, int], int]  # (i, j) -> the f with f(i) ∈ f(j)
+    e_index: dict[tuple[int, int], int]  # (i, j) -> e(i,j), above the f with f(i) ∈ f(j)
+    up: tuple[int, ...]  # the closed up-masks
+    down: tuple[int, ...]  # the down-masks: no a-token is ever below a function or e-token
     sends: dict[tuple[int, HFSet], int]  # (i, x) -> the f with f(i) = x
 
 
 @functools.cache
-def _collapse_skeleton(stage: int) -> _CollapseSkeleton:
-    """The functions of the stage's collapse, built once per stage."""
+def _collapse_skeleton(stage: int, include_degenerate_tokens: bool) -> _CollapseSkeleton:
+    """The functions and e-tokens of the stage's collapse, built once per
+    stage and token setting."""
     targets = v_stage(stage)
     k = len(targets)
     # v_stage lists the targets in key order, so positions order graphs as keys do.
@@ -319,8 +327,30 @@ def _collapse_skeleton(stage: int) -> _CollapseSkeleton:
             for j, y in graph:
                 if x in y:
                     in_realizers[(i, j)] = in_realizers.get((i, j), 0) | 1 << p
-    return _CollapseSkeleton(tuple(elements), fn_index, tuple(_closure(up)),
-                             in_realizers, sends)
+    up = _closure(up)
+    down = _down_masks(up)
+    e_index: dict[tuple[int, int], int] = {}
+    for i in range(k):
+        for j in range(k):
+            below = in_realizers.get((i, j), 0)
+            if below or include_degenerate_tokens:
+                e_index[(i, j)] = len(elements)
+                elements.append(f"e_{i}_{j}")
+                _place_token(up, down, below)
+    return _CollapseSkeleton(tuple(elements), fn_index, e_index, tuple(up), tuple(down), sends)
+
+
+def _place_token(up: list[int], down: list[int], below: int):
+    """Append a token above exactly the conditions in `below`: its bit
+    enters its realizers' up-masks and the top's down-mask, and its
+    down-mask is its realizers and itself.  No token lies below a function
+    or another token, so no other mask changes."""
+    bit = 1 << len(up)
+    up.append(1 | bit)
+    down.append(below | bit)
+    down[0] |= bit
+    for p in bits(below):
+        up[p] |= bit
 
 
 class CollapseNotion(ForcingNotion):
@@ -332,18 +362,18 @@ class CollapseNotion(ForcingNotion):
     a(i) above exactly the f with f(i) ∈ A.  Minimal conditions are then
     the total bijections from the clock onto the stage.
 
-    Only the a(i) depend on A, so the functions are built once per stage
-    (`_collapse_skeleton`, after the count has been checked against
-    COLLAPSE_BUDGET) and shared by every collapse at that stage: their
-    tokens and `fn_index` (read-only), their up-masks, closed once,
-    the realizers of every e(i,j), and for each slot i and target x the
-    functions with f(i) = x.  A graph is kept sorted by slot, so each
+    Only the a(i) depend on A, so the functions and e-tokens are built once
+    per stage and token setting (`_collapse_skeleton`, after the count has
+    been checked against COLLAPSE_BUDGET) and shared by every collapse
+    there: their tokens, `fn_index` and `e_index` (read-only), their
+    up-masks, closed once, their down-masks, and for each slot i and target
+    x the functions with f(i) = x.  A graph is kept sorted by slot, so each
     sub-tuple of it is again a graph: f's proper sub-graphs (at most 2^k of
-    them) are exactly the g with f < g.  Each collapse then adds its e- and
-    a-tokens, the a(i) realized by ⋃_{x∈A} {f : f(i) = x}, sets each token's
-    bit in its realizers' up-masks and reads the down-masks off those.
-    Tokens come after the functions, e-tokens before a-tokens, so the
-    index of every function and e-token is the same for every A.
+    them) are exactly the g with f < g.  Each collapse then adds its
+    a-tokens, a(i) realized by ⋃_{x∈A} {f : f(i) = x}, setting each one's
+    bit in its realizers' up-masks and in the top's down-mask.  Tokens come
+    after the functions, e-tokens before a-tokens, so the index of every
+    function and e-token is the same for every A.
 
     Tokens whose defining class of conditions is empty (e.g. e(i,i), or
     every a(i) when A is empty) break the everywhere-invariance of forcing
@@ -363,31 +393,19 @@ class CollapseNotion(ForcingNotion):
             raise ForcelabError("parameter set must be a subset of the stage")
         if sum(comb(k, r) * perm(k, r) for r in range(k + 1)) > COLLAPSE_BUDGET:
             raise BudgetError(f"collapse notion exceeds budget {COLLAPSE_BUDGET}")
-        skeleton = _collapse_skeleton(stage)
-        self.fn_index = skeleton.fn_index
-        tokens: list[tuple[str, int]] = []  # (token, realizers)
-        self.e_index: dict[tuple[int, int], int] = {}
+        skeleton = _collapse_skeleton(stage, include_degenerate_tokens)
+        self.fn_index, self.e_index = skeleton.fn_index, skeleton.e_index
+        up, down = list(skeleton.up), list(skeleton.down)
+        tokens: list[str] = []
         self.a_index: dict[int, int] = {}
-        for i in range(k):
-            for j in range(k):
-                below = skeleton.in_realizers.get((i, j), 0)
-                if below or include_degenerate_tokens:
-                    self.e_index[(i, j)] = len(skeleton.elements) + len(tokens)
-                    tokens.append((f"e_{i}_{j}", below))
         for i in range(k):
             below = functools.reduce(operator.or_, (skeleton.sends.get((i, x), 0)
                                                     for x in self.A), 0)
             if below or include_degenerate_tokens:
-                self.a_index[i] = len(skeleton.elements) + len(tokens)
-                tokens.append((f"a_{i}", below))
-
-        up = list(skeleton.up)
-        for _, below in tokens:
-            bit = 1 << len(up)
-            up.append(1 | bit)
-            for p in bits(below):
-                up[p] |= bit
-        self._init(skeleton.elements + tuple(token for token, _ in tokens), up)
+                self.a_index[i] = len(up)
+                tokens.append(f"a_{i}")
+                _place_token(up, down, below)
+        self._init(skeleton.elements + tuple(tokens), up, down)
 
     def fn_condition(self, mapping: dict[int, HFSet]) -> int:
         return self.fn_index[tuple(sorted(mapping.items()))]

@@ -318,10 +318,14 @@ def _decode_tr_args(s: HFSet, c: HFSet, z: HFSet):
 
 def instances(M: FiniteStructure, phi: Formula):
     """Every valuation of the formula's free variables over the domain."""
-    fv = tuple(sorted(phi.free))
-    if len(M.domain) ** len(fv) > EVAL_BUDGET:
-        raise BudgetError(f"{len(M.domain)}^{len(fv)} valuations for one formula")
-    for values in itertools.product(M.domain, repeat=len(fv)):
+    return _valuations(M.domain, phi)
+
+
+def _valuations(domain: Sequence[HFSet], phi: Formula):
+    fv = phi.free_sorted
+    if len(domain) ** len(fv) > EVAL_BUDGET:
+        raise BudgetError(f"{len(domain)}^{len(fv)} valuations for one formula")
+    for values in itertools.product(domain, repeat=len(fv)):
         yield dict(zip(fv, values))
 
 
@@ -466,20 +470,16 @@ def _staged_truth_instance(M: FiniteStructure, beta_max: int, pool: Sequence[For
     α < β only."""
     pool = canonical_pool(pool)
     rank_span = max((phi.rank for phi in pool), default=0) + 1
-    codec: dict[HFSet, tuple[Formula, dict]] = {}
-    for phi in pool:
-        for v in instances(M, phi):
-            enc = hf_pair(encode_formula(phi), encode_valuation(v))
-            codec[enc] = (phi, v)
+    shared, code = _truth_codes(M.domain, pool)
+    codec = dict(shared)  # the caller's own: the shared one serves the next call
     pool_set = frozenset(pool)
 
     def stage_index(beta: int, rank: int) -> int:
         return beta * rank_span + rank
 
     def lookup(view, beta: int, psi: Formula, v: dict) -> bool:
-        enc = hf_pair(encode_formula(psi),
-                      encode_valuation({x: v[x] for x in psi.free}))
-        return view(stage_index(beta, psi.rank), enc)
+        values = map(v.__getitem__, psi.free_sorted)
+        return view(stage_index(beta, psi.rank), code[(psi, *values)])
 
     def step(x: HFSet, alpha: int, view) -> bool:
         phi, v = codec[x]
@@ -518,6 +518,23 @@ def _staged_truth_instance(M: FiniteStructure, beta_max: int, pool: Sequence[For
     inst = etr_mod.staged_instance(
         codec, length, lambda x: range(codec[x][0].rank, length, rank_span), step, label)
     return inst, codec, stage_index
+
+
+@functools.lru_cache(maxsize=1)
+def _truth_codes(domain: tuple[HFSet, ...], pool: tuple[Formula, ...]) -> tuple[dict, dict]:
+    """The code ⟨⌜φ⌝, ⌜v⌝⟩ of every (formula, valuation) of the pool over the
+    domain, as a codec code ↦ (φ, v) and its inverse (φ, v's values in
+    `free_sorted` order) ↦ code.  They depend on the domain and pool alone,
+    and are kept for the last pair only: criterion 4 sweeps every parameter
+    set over one pair, and one pair's codes are what a single call builds."""
+    codec: dict[HFSet, tuple[Formula, dict]] = {}
+    code: dict[tuple, HFSet] = {}
+    for phi in pool:
+        for v in _valuations(domain, phi):
+            enc = hf_pair(encode_formula(phi), encode_valuation(v))
+            codec[enc] = (phi, v)
+            code[(phi, *v.values())] = enc
+    return codec, code
 
 
 # ---------------------------------------------------------------------------
@@ -623,20 +640,26 @@ class ForcingTruth:
         self.slot_names = {a: n_dot(self.fa, a) for a in self.fa.targets}
         rules, memo = _shared_clock_translation(eps_dot(self.fa), self.fa.clock)
         self._stars = {phi: fold(phi, rules, memo) for phi in self.pool}
+        for star in self._stars.values():
+            forcing_mod._check_nesting(star)
         self.relation = forcing_mod.atomic_forcing(self.fa, ())
         self.relation.register_class(a_dot(self.fa, self.A))
 
     def holds(self, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
+        """The top's bit in the value of phi's translation, read off the
+        relation: the translations are closed but for their slots, free of
+        ground constants and checked against NESTING_CAP when built."""
         v = valuation or {}
-        if phi not in self._stars:
+        star = self._stars.get(phi)
+        if star is None:
             raise ForcelabError("formula outside the declared pool")
-        if phi.free - set(v):
-            raise ForcelabError("valuation must cover the free variables")
-        if any(v[x] not in self.slot_names for x in phi.free):
-            raise ForcelabError("valuation values must lie in the collapsed stage")
-        return forcing_mod.forces(self.relation, self.fa.one, self._stars[phi],
-                                  check_universe=False,
-                                  env={x: self.slot_names[v[x]] for x in phi.free})
+        try:
+            env = {x: self.slot_names[v[x]] for x in phi.free_sorted}
+        except KeyError:
+            if phi.free - set(v):
+                raise ForcelabError("valuation must cover the free variables") from None
+            raise ForcelabError("valuation values must lie in the collapsed stage") from None
+        return self.relation.value(star, env) >> self.fa.one & 1 == 1
 
 
 def forcing_truth(n: int, A: Iterable[HFSet], pool: Sequence[Formula],

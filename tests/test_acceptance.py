@@ -7,6 +7,7 @@ nothing fails.  Run with `pytest tests/test_acceptance.py -v -s` to see one
 pass/fail line, with its count, per criterion."""
 
 import functools
+import re
 import time
 
 import pytest
@@ -16,9 +17,22 @@ from forcelab import (EMPTY, And, AtomTr, Forall, Not, Or, cli, corpus, minimal_
 from forcelab.truth import CODED_VALUATION_CAP
 
 NOTIONS = corpus.corpus_notions()
+
+
+def _separative(P) -> bool:
+    """Separativity from its definition: whenever p ≰ q, some r ≤ p has no
+    extension in common with q."""
+    C = P.conditions()
+    return all(P.le(p, q) or any(P.le(r, p) and not any(P.le(s, r) and P.le(s, q) for s in C)
+                                 for r in C)
+               for p in C for q in C)
+
+
 # up to four conditions the sweep is literally exhaustive: every separative
-# notion with a top, not just the corpus members
-SMALL = [(f"preorder-{i}", P) for i, P in enumerate(corpus.separative_preorders(4))]
+# notion with a top, not just the corpus members, chosen by the definition
+# above and not by the `is_separative` that each one's separative row runs
+SMALL = [(f"preorder-{i}", P) for i, P in enumerate(
+    P for size in range(1, 5) for P in corpus.all_topped_preorders(size) if _separative(P))]
 FORCING_LAWS = ("dense-decided", "density", "downward-closure", "eq-congruence",
                 "eq-reflexive", "eq-symmetric", "eq-transitive", "modus-ponens")
 ALGEBRA_LAWS = 6  # complete's law rows per notion: regular, complement, ..., enumeration-complete
@@ -76,6 +90,7 @@ def _sizes(domain, pool):
 
 def test_the_inputs_are_at_their_declared_scale():
     assert len(NOTIONS) >= 10 and {"fork", "diamond"} <= dict(NOTIONS).keys()
+    assert len(SMALL) == 12
     assert all(len(P) <= cli.SETTINGS["max_poset"].default for _, P in NOTIONS)
     for P in [P for _, P in NOTIONS + SMALL]:
         pool = corpus.oracle_pool(P, corpus.oracle_universe(P))
@@ -91,6 +106,17 @@ def test_criterion_1_truth_lemma_oracle():
                "plus every separative notion with at most four conditions",
             started, _rows(_oracle(), "separative", "forced-iff-true"),
             2 * (len(NOTIONS) + len(SMALL)))
+
+
+def test_criterion_1_fails_when_the_separativity_check_refuses_a_chosen_preorder(monkeypatch):
+    label, chosen = SMALL[-1]
+    real = cli.is_separative
+    monkeypatch.setattr(cli, "is_separative",
+                        lambda P: (False, (1, 0)) if P is chosen else real(P))
+    only_row = {"checked": 1, "claim": f"oracle/{label}/separative",
+                "counterexample": "(1, 0)", "status": "fail"}
+    with pytest.raises(AssertionError, match=re.escape(f"{[only_row]}\n")):
+        _suite("oracle", [(label, P, {}) for label, P in SMALL])
 
 
 def test_criterion_2_star_translation_soundness():

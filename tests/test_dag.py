@@ -9,11 +9,11 @@ import time
 
 from hypothesis import given, strategies as st
 
-from forcelab import (EMPTY, EMPTY_NAME, And, Not, and_, atom_eq, atom_in, check_name,
-                      const, corpus, decode_formula, encode_formula, hf_make, map_formula,
-                      name_const, name_make, name_to_hf, name_to_sexp, name_universe,
-                      not_, or_, parse_formula, star_translate, subname_closure, subnames,
-                      substitute, theta_formula, v_stage, var)
+from forcelab import (EMPTY, EMPTY_NAME, And, Not, and_, atom_eq, atom_in, atomic_forcing,
+                      check_name, const, corpus, decode_formula, encode_formula, forces,
+                      hf_make, map_formula, name_const, name_make, name_to_hf, name_to_sexp,
+                      name_universe, not_, or_, parse_formula, star_translate, subname_closure,
+                      subnames, substitute, theta_formula, v_stage, var)
 from forcelab import dag
 from forcelab.dag import REPR_CAP
 from forcelab.formulas import atom_terms, formula_to_sexp, nodes, pair_term, rename_free
@@ -257,6 +257,11 @@ def test_rewrites_walk_any_nesting_depth():
     assert text.startswith("(= " + "(opterm " * deep + "(var a) (var b))")
     assert text.count("(var b)") == deep
     assert repr(atom).startswith("<AtomEq of rank 0: ")
+    # the kernel reads the name a pair-term chain denotes by a fold too
+    fork = corpus.fork()
+    FR = atomic_forcing(fork, name_universe(fork, 1))
+    twice = atom_eq(chain(var("a")), chain(var("a")))
+    assert forces(FR, fork.one, twice, env={"a": FR.universe[0], "b": FR.universe[-1]})
 
 
 def test_repr_of_a_star_translation_code_is_a_summary():

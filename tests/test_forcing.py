@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -12,7 +14,7 @@ from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ClassName, ClosureError,
                       ForcelabError, and_, atom_eq, atom_in, atom_in_class,
                       atom_in_g, atomic_forcing, atomic_recursion_instance,
                       audit_forcing_relation, boolean_completion,
-                      boolean_values, check_name, compare_atomic_table,
+                      boolean_values, build_collapse, check_name, compare_atomic_table,
                       etr_solve, eval_class, eval_name, exists, extension, forall,
                       forces, forcing_truth, g_dot, generic_filters, hf_make, implies,
                       name_const, name_make, name_universe, nat_encode, not_,
@@ -401,6 +403,43 @@ def test_atoms_between_check_and_plain_names_take_the_recursion(corpus_notion):
     expected = boolean_completion(P).algebra.regularize(P.down(p))
     assert FR.atomic_value("eq", sigma, one) == expected
     assert _both_sides_agree(P, N)
+
+
+# neg and regularize held to their pointwise definitions: neg(W) holds the p
+# with no extension in W, and regularize is neg applied twice.
+
+def _pointwise_neg(P, W):
+    return sum(1 << p for p in P.conditions() if not P.down(p) & W)
+
+
+def _neg_inputs():
+    for size in range(1, 5):  # every mask of every topped preorder
+        for P in corpus.all_topped_preorders(size):
+            yield P, range(1 << size)
+    rng = random.Random(43)
+    for n in (2, 3):
+        stage = v_stage(n)
+        for A in ([], stage[1:]):
+            P = build_collapse(n, A)
+            conditions = range(len(P))
+            downsets = [functools.reduce(operator.or_, map(P.down, rng.sample(conditions, k)))
+                        for k in (1, 2, 3) for _ in range(20)]
+            sparse = [sum(1 << p for p in rng.sample(conditions, k))
+                      for k in (1, 2, 3) for _ in range(20)]
+            dense = [rng.getrandbits(len(P)) for _ in range(20)]
+            yield P, [0, (1 << len(P)) - 1, *downsets, *sparse, *dense]
+
+
+def test_neg_and_regularize_are_the_pointwise_definitions():
+    compared = 0
+    for P, masks in _neg_inputs():
+        FR = atomic_forcing(P, ())
+        for W in masks:
+            neg = _pointwise_neg(P, W)
+            assert FR.neg(W) == neg, (P, W)
+            assert FR.regularize(W) == _pointwise_neg(P, neg), (P, W)
+            compared += 1
+    assert compared == 786 + 4 * 142  # the preorders' masks, then each collapse's
 
 
 # The kernel reads ⟨a, b⟩ = ⟨c, d⟩ off a = c and b = d; the staged instance,

@@ -27,7 +27,8 @@ from forcelab import (EMPTY, EMPTY_NAME, And, AtomEq, AtomIn, AtomInClass, AtomI
                       atom_in_class, atom_in_g, atom_tr, atomic_forcing, check_name, corpus,
                       exists, extension, forall, forcing_truth, forces, generic_filters,
                       ground_formula, hf_make, iff, instances, name_const, name_make, nodes,
-                      not_, or_, star_translate, substitute, theta_formula, v_stage, var)
+                      not_, or_, star8_translate, star_translate, substitute, theta_formula,
+                      v_stage, var)
 from forcelab import forcing as forcing_mod
 from forcelab import formulas as formulas_mod
 from forcelab import names as names_mod
@@ -58,10 +59,15 @@ def _reference_clause(FR, phi, memo) -> int:
         return FR.atomic_value("in", _name(phi.left), _name(phi.right))
     if isinstance(phi, (AtomInClass, AtomInG)):
         ident = phi.ident if isinstance(phi, AtomInClass) else "G"
-        cls = (FR.classes if ident == "G" else FR._classes).get(ident)
+        cls = FR.classes.get(ident)
         if cls is None:
             raise ForcelabError(f"no class name registered as {ident!r}")
-        return FR._witnessed(_name(phi.term), cls.entries)
+        # below which it is dense that an entry (τ, r) has a condition under
+        # r forcing the term's name = τ
+        witnesses = 0
+        for tau, r in cls.entries:
+            witnesses |= FR.atomic_value("eq", _name(phi.term), tau) & FR.notion.down(r)
+        return FR.regularize(witnesses)
     if isinstance(phi, AtomTr):
         raise ForcelabError("iterated-truth atoms are not part of the forcing language")
     if isinstance(phi, Not):
@@ -105,7 +111,7 @@ def test_star_translations_agree_under_every_slot_binding(n, A):
     memo = {}
     compared = 0
     for phi in ft.pool:
-        star = ft._stars[phi]
+        star = star8_translate(phi, ft.fa)
         for v in instances(FiniteStructure(ft.fa.targets), phi):
             binding = {x: ft.slot_names[v[x]] for x in phi.free}
             closed = substitute(star, {x: name_const(s) for x, s in binding.items()})

@@ -6,8 +6,8 @@ import pytest
 from forcelab import (EMPTY, BudgetError, ForcelabError, ParseError, build_collapse,
                       generic_filters, hf_make, is_dense, is_separative,
                       make_notion, minimal_classes, parse_poset, v_stage)
-from forcelab import corpus, sexpr
-from forcelab.poset import COLLAPSE_BUDGET, CollapseNotion, ForcingNotion, bits, is_filter
+from forcelab import corpus, poset, sexpr
+from forcelab.poset import COLLAPSE_BUDGET, ForcingNotion, _collapse_skeleton, bits, is_filter
 
 
 def test_trivial_is_separative():
@@ -227,7 +227,7 @@ def test_collapse_matches_all_pairs_reference(n, A, degenerate):
 # ---------------------------------------------------------------------------
 # The sub-graph collapse builder that made every pair of the order afresh
 # for each parameter set, closed by the generic closure: the reference for
-# the per-stage skeleton with tokens added per parameter set.
+# the per-stage skeleton with a-tokens added per parameter set.
 
 def subgraph_collapse(stage, A, include_degenerate_tokens=False):
     targets = v_stage(stage)
@@ -303,27 +303,37 @@ def test_every_collapse_matches_the_subgraph_reference():
 
 
 def test_a_dropped_parameter_token_bit_fails_the_subgraph_reference(monkeypatch):
-    # one realizer of one a(i) no longer lies below it
-    store = CollapseNotion._init
-
-    def drop_one_bit(self, elements, up):
-        token = min(self.a_index.values())
-        realizer = next(p for p, mask in enumerate(up) if p != token and mask >> token & 1)
-        up = list(up)
-        up[realizer] &= ~(1 << token)
-        store(self, elements, up)
-
-    monkeypatch.setattr(CollapseNotion, "_init", drop_one_bit)
+    # one realizer of one a(i) no longer lies below it, in either mask
+    place = poset._place_token
     for n in (2, 3):
         stage = v_stage(n)
-        assert _differences_from_subgraph_reference(n, stage[:1], False) == ["_up", "_down"]
-        assert _differences_from_subgraph_reference(n, stage, True) == ["_up", "_down"]
+        for A, degenerate in ((stage[:1], False), (stage, True)):
+            token = min(build_collapse(n, A, degenerate).a_index.values())
+            monkeypatch.setattr(poset, "_place_token", lambda up, down, below: place(
+                up, down, below & below - 1 if len(up) == token else below))
+            assert _differences_from_subgraph_reference(n, A, degenerate) == ["_up", "_down"]
 
 
 def test_collapses_at_one_stage_share_their_functions():
     plain, with_a = build_collapse(3, []), build_collapse(3, v_stage(3)[1:])
     assert plain.fn_index is with_a.fn_index
     assert len(plain.fn_index) == 209 and len(plain) == 209 + 12 and len(with_a) == 209 + 12 + 4
+
+
+def test_every_collapse_at_a_stage_reads_the_shared_down_masks_off_its_skeleton():
+    # the masks of the functions and e-tokens are the skeleton's own objects,
+    # not recomputed per parameter set; only the top's gains the a-token bits
+    for n in (2, 3):
+        stage = v_stage(n)
+        for degenerate in (False, True):
+            skeleton = _collapse_skeleton(n, degenerate)
+            shared = len(skeleton.elements)
+            for r in range(len(stage) + 1):
+                for A in itertools.combinations(stage, r):
+                    fa = build_collapse(n, A, degenerate)
+                    assert all(got is want for got, want in
+                               zip(fa._down[1:shared], skeleton.down[1:shared], strict=True))
+                    assert fa._down[0] == (1 << len(fa)) - 1
 
 
 def test_collapse_is_not_separative_at_finite_scale():

@@ -13,10 +13,11 @@ from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, BudgetError, Clos
                       tarski_truth, tarski_truth_instance, theta_formula,
                       v_stage, var, verify_solution)
 from forcelab import corpus, criteria
+from forcelab import forcing as forcing_mod
 from forcelab import truth as truth_mod
-from forcelab.formulas import formula_to_sexp, pair_term
+from forcelab.formulas import encode_formula, encode_valuation, formula_to_sexp, pair_term
 from forcelab.names import check_name, eps_dot, n_dot
-from forcelab.hfset import nat_encode
+from forcelab.hfset import hf_pair, nat_encode
 from forcelab.truth import instances, valuation_key
 
 
@@ -115,6 +116,35 @@ def test_tarski_instance_is_unique_solution():
     for alpha in range(inst.length):
         for x in inst.domain:
             assert not verify_solution(inst, perturb(sol, alpha, x))[0]
+
+
+def _fresh_codec(M, pool):
+    return {hf_pair(encode_formula(phi), encode_valuation(v)): (phi, v)
+            for phi in pool for v in instances(M, phi)}
+
+
+def test_tarski_codes_serve_every_parameter_set_over_one_domain_and_pool():
+    # the codes are built once per domain and pool; each call gets its own
+    # codec dict, and the solutions still follow A
+    pool = corpus.first_order_pool()
+    stage = v_stage(3)
+    M1, M2 = (FiniteStructure(stage, {"A": A}) for A in ([EMPTY], stage[1:]))
+    (inst1, codec1), (inst2, codec2) = (tarski_truth_instance(M, pool) for M in (M1, M2))
+    assert codec1 == codec2 == _fresh_codec(M1, pool)
+    assert codec1 is not codec2
+    assert etr_solve(inst1).slices != etr_solve(inst2).slices
+    codec1.clear()
+    assert tarski_truth_instance(M1, pool)[1] == codec2
+
+
+def test_tarski_codes_follow_the_domain_and_the_pool():
+    # after V3's codes are built, neither V2 nor a smaller pool is served them
+    pool = corpus.first_order_pool()
+    small = list(subformula_closure([not_(atom_in(var("x"), var("y")))]))
+    stage3 = FiniteStructure(v_stage(3), {"A": [EMPTY]})
+    for M, other in ((FiniteStructure(v_stage(2), {"A": [EMPTY]}), pool), (stage3, small)):
+        tarski_truth_instance(stage3, pool)
+        assert tarski_truth_instance(M, other)[1] == _fresh_codec(M, other)
 
 
 # --- the clock-collapse translation -----------------------------------------
@@ -218,6 +248,31 @@ def test_forcing_truths_share_each_stage_translation_and_only_that():
     assert all(first._stars[phi] is second._stars[phi] for phi in first.pool)
     assert any(degenerate._stars[phi] is not first._stars[phi] for phi in first.pool)
     assert any(stage2._stars[phi] is not first._stars[phi] for phi in first.pool)
+
+
+def test_forcing_truth_refuses_a_pool_nested_past_the_cap():
+    # checked once per pool formula when the truth is built, not per query
+    phi = atom_in(var("x"), var("y"))
+    for _ in range(forcing_mod.NESTING_CAP + 1):
+        phi = not_(phi)
+    with pytest.raises(BudgetError, match="exceeds the cap"):
+        forcing_truth(2, [], subformula_closure([phi]))
+    assert forcing_truth(2, [], subformula_closure([phi.sub])).holds(phi.sub, {
+        "x": EMPTY, "y": EMPTY}) is (forcing_mod.NESTING_CAP % 2 == 1)
+
+
+def test_forcing_truth_refuses_a_query_outside_its_pool_or_stage():
+    ft = forcing_truth(2, [], corpus.first_order_pool())
+    phi = next(p for p in ft.pool if len(p.free) == 2)
+    x, y = phi.free_sorted
+    outside = v_stage(3)[-1]
+    with pytest.raises(ForcelabError, match="outside the declared pool"):
+        ft.holds(atom_in(var("q"), var("q")), {"q": EMPTY})
+    # a missing variable is named first, even beside a value outside the stage
+    with pytest.raises(ForcelabError, match="must cover the free variables"):
+        ft.holds(phi, {x: outside})
+    with pytest.raises(ForcelabError, match="must lie in the collapsed stage"):
+        ft.holds(phi, {x: EMPTY, y: outside})
 
 
 def test_forcing_truth_atomic_parameter_membership():
