@@ -99,9 +99,18 @@ class ForcingRelation:
     Both are computed from the names and class names alone, never from
     `_atomic` or `_values`, so every check still reads a corrupted table
     afresh.
+
+    A `base` relation may be given when the notion extends the base's by
+    tokens (see `_token_lift`): then the atomic value of two names whose
+    conditions all lie in the base is the base's value, filled there on
+    demand, lifted onto the tokens (see `atomic_value`), so relations over
+    several such extensions of one notion share its atomic recursion.  A
+    notion that does not extend the base's so is refused.  Composite
+    clauses and class atoms are still valued on this relation's own notion.
     """
 
-    def __init__(self, notion: ForcingNotion, universe: Sequence[PName]):
+    def __init__(self, notion: ForcingNotion, universe: Sequence[PName], *,
+                 base: ForcingRelation | None = None):
         self.notion = notion
         self.universe = tuple(sorted(set(universe), key=lambda n: n.key))
         if not is_subname_closed(self.universe):
@@ -121,6 +130,9 @@ class ForcingRelation:
         self._values: dict = {}
         self._direct: dict[int, _DirectSide] = {}
         self._top_values: dict[PName, HFSet] = {}
+        self._base, self._base_size, self._lift = base, 0, ()
+        if base is not None:
+            self._base_size, self._lift = len(base.notion), _token_lift(notion, base.notion)
         for sigma, tau, kind in itertools.product(self.universe, self.universe, ("in", "sub", "eq")):
             self.atomic_value(kind, sigma, tau)
 
@@ -187,11 +199,27 @@ class ForcingRelation:
         values, and Kuratowski pairs are equal exactly when their components
         are.  The meet of the two regular-open values holds the same p, so
         it is the value.
+
+        With a base, two names whose conditions all lie in it have the
+        base's value plus every token whose realizers all lie in that value.
+        Below a condition of the base other than the top lie only the base's
+        conditions, so there the recursion runs as in the base.  The value
+        is regular open, and a token's extensions are itself and its
+        realizers, so it belongs to the value exactly when all its realizers
+        do.  The top belongs exactly when every condition of the base has an
+        extension in the value, as in the base.
         """
         key = (kind, sigma, tau)
         got = self._atomic.get(key)
         if got is not None:
             return got
+        if self._base is not None and max(sigma.max_condition, tau.max_condition) < self._base_size:
+            out = self._base.atomic_value(kind, sigma, tau)
+            for bit, realizers in self._lift:
+                if not realizers & ~out:
+                    out |= bit
+            self._atomic[key] = out
+            return out
         if sigma.max_condition >= self._size or tau.max_condition >= self._size:
             raise ForcelabError(_OUTSIDE)
         if sigma is tau and kind in ("eq", "sub") or kind == "in" and (sigma, 0) in tau.entries:
@@ -267,6 +295,24 @@ class ForcingRelation:
         if isinstance(phi, (And, Forall)):
             return functools.reduce(operator.and_, values, self.full)
         return self.regularize(functools.reduce(operator.or_, values, 0))
+
+
+def _token_lift(P: ForcingNotion, B: ForcingNotion) -> tuple[tuple[int, int], ...]:
+    """The bit and the realizers of each condition of P after B's, when P
+    extends B by tokens: P's first |B| conditions are B's, in B's order,
+    under B's top (condition 0); no condition of B other than the top lies
+    above a later one; and each later condition lies below only the top and
+    above a nonempty set of B's conditions, its realizers.  Otherwise
+    refused.  A notion's up- and down-masks hold the same order, so below
+    |B| only the down-masks are compared."""
+    n, inside = len(B), (1 << len(B)) - 1
+    lift = tuple((1 << t, P._down[t] & inside) for t in range(n, len(P)))
+    if (len(P) < n or B._down[0] != inside or P._down[0] & inside != inside
+            or P._down[1:n] != B._down[1:n]
+            or any(P._up[t] != 1 | 1 << t for t in range(n, len(P)))
+            or not all(realizers for _, realizers in lift)):
+        raise ForcelabError("the notion does not extend the base's by tokens")
+    return lift
 
 
 def atomic_forcing(P: ForcingNotion, universe: Sequence[PName]) -> ForcingRelation:

@@ -336,7 +336,28 @@ class TruthPredicate:
     pairs: frozenset
 
     def holds(self, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
-        return (phi, valuation_key(phi, valuation or {})) in self.pairs
+        """Whether (phi, the valuation) is a true pair.  A query that is not
+        one is refused as `ForcingTruth.holds` refuses it, or is false."""
+        v = valuation or {}
+        try:
+            if (phi, valuation_key(phi, v)) in self.pairs:
+                return True
+        except KeyError:
+            pass
+        _refuse_query(self.pool, phi, v, self.structure)
+        return False
+
+
+def _refuse_query(pool, phi: Formula, v: dict[str, HFSet], domain):
+    """Refuse a query about a formula outside the pool, one whose valuation
+    misses a free variable, or one with a value outside the domain, in that
+    order."""
+    if phi not in pool:
+        raise ForcelabError("formula outside the declared pool")
+    if phi.free - set(v):
+        raise ForcelabError("valuation must cover the free variables")
+    if not all(v[x] in domain for x in phi.free):
+        raise ForcelabError("valuation values must lie in the collapsed stage")
 
 
 def _check_pool_closed(pool: Sequence[Formula]):
@@ -352,7 +373,10 @@ def tarski_truth(M: FiniteStructure, pool: Sequence[Formula]) -> TruthPredicate:
     """The unique truth predicate on a subformula-closed pool.
 
     Computed as a staged recursion on formula rank and cross-checked
-    against direct evaluation.
+    against direct evaluation a table at a time: each pool formula's value
+    along its last two free variables (`_value`), one mask or grid per
+    valuation of the others, is compared bit by bit with the staged pairs,
+    valuations in `instances` order.
     """
     _check_pool_closed(pool)
     pool = canonical_pool(pool)
@@ -364,11 +388,15 @@ def tarski_truth(M: FiniteStructure, pool: Sequence[Formula]) -> TruthPredicate:
             phi, v = codec[enc]
             pairs.add((phi, valuation_key(phi, v)))
     for phi in pool:
-        for v in instances(M, phi):
-            direct = eval_formula(M, phi, v)
-            if direct != ((phi, valuation_key(phi, v)) in pairs):
-                raise ForcelabError(
-                    f"staged truth disagrees with direct evaluation at {formula_to_sexp(phi)}")
+        fv = phi.free_sorted
+        rest, axes = fv[:-2], fv[-2:]
+        for values in itertools.product(M.domain, repeat=len(rest)):
+            table = _value(M, phi, axes, dict(zip(rest, values)))
+            for k, point in enumerate(itertools.product(M.domain, repeat=len(axes))):
+                staged = (phi, tuple(zip(fv, (*values, *point)))) in pairs
+                if staged != (table >> k & 1 == 1):
+                    raise ForcelabError(
+                        f"staged truth disagrees with direct evaluation at {formula_to_sexp(phi)}")
     return TruthPredicate(M, pool, frozenset(pairs))
 
 
@@ -624,11 +652,24 @@ def _shared_clock_translation(eps_name: PName, clock: int) -> tuple:
     return combine, {}
 
 
+@functools.cache
+def _token_free_relation(n: int) -> forcing_mod.ForcingRelation:
+    """The atomic relation of stage n's token-free collapse, kept once per
+    stage: every collapse there without degenerate tokens extends its notion
+    by its a-tokens, so each `ForcingTruth` lifts the atomic values of the
+    slot, check and ε names from it."""
+    return forcing_mod.atomic_forcing(build_collapse(n, ()), ())
+
+
 class ForcingTruth:
     """Truth predicate read off the collapse forcing: a statement is declared
     true when the top condition forces its clock translation, each free
     variable read as the slot name of its value.  Its relation's universe is
-    empty: clock translations have no quantifiers to range over one."""
+    empty: clock translations have no quantifiers to range over one.  Its
+    base is the stage's token-free relation (`_token_free_relation`), so it
+    computes only the atomic values that involve its own a-tokens; a
+    degenerate token has no realizers, so with `include_degenerate_tokens`
+    the relation has no base."""
 
     def __init__(self, n: int, A: Iterable[HFSet], pool: Sequence[Formula],
                  include_degenerate_tokens: bool = False):
@@ -642,7 +683,8 @@ class ForcingTruth:
         self._stars = {phi: fold(phi, rules, memo) for phi in self.pool}
         for star in self._stars.values():
             forcing_mod._check_nesting(star)
-        self.relation = forcing_mod.atomic_forcing(self.fa, ())
+        base = None if include_degenerate_tokens else _token_free_relation(n)
+        self.relation = forcing_mod.ForcingRelation(self.fa, (), base=base)
         self.relation.register_class(a_dot(self.fa, self.A))
 
     def holds(self, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
@@ -651,14 +693,12 @@ class ForcingTruth:
         ground constants and checked against NESTING_CAP when built."""
         v = valuation or {}
         star = self._stars.get(phi)
-        if star is None:
-            raise ForcelabError("formula outside the declared pool")
         try:
             env = {x: self.slot_names[v[x]] for x in phi.free_sorted}
         except KeyError:
-            if phi.free - set(v):
-                raise ForcelabError("valuation must cover the free variables") from None
-            raise ForcelabError("valuation values must lie in the collapsed stage") from None
+            star = None
+        if star is None:
+            _refuse_query(self._stars, phi, v, self.slot_names)
         return self.relation.value(star, env) >> self.fa.one & 1 == 1
 
 

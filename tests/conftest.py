@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 from forcelab import corpus
+from forcelab import truth as truth_mod
 
 # The same examples on every run, no example database written to disk, and
 # no per-example deadline to trip on a slow or busy machine.
@@ -37,3 +38,14 @@ def cyclic_garbage():
             gc.garbage.clear()
             gc.collect()
     return count
+
+
+@pytest.fixture
+def fresh_token_free_relations():
+    """Every collapse truth at one stage lifts its atomic values from one
+    kept token-free relation.  A test that changes the kernel, or corrupts
+    that relation, starts without the kept ones, and no later test is
+    served what it built."""
+    truth_mod._token_free_relation.cache_clear()
+    yield
+    truth_mod._token_free_relation.cache_clear()

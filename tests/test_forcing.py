@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 
 from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ClassName, ClosureError,
-                      ForcelabError, and_, atom_eq, atom_in, atom_in_class,
+                      ForcelabError, ForcingRelation, and_, atom_eq, atom_in, atom_in_class,
                       atom_in_g, atomic_forcing, atomic_recursion_instance,
                       audit_forcing_relation, boolean_completion,
                       boolean_values, build_collapse, check_name, compare_atomic_table,
                       etr_solve, eval_class, eval_name, exists, extension, forall,
                       forces, forcing_truth, g_dot, generic_filters, hf_make, implies,
-                      name_const, name_make, name_universe, nat_encode, not_,
+                      make_notion, name_const, name_make, name_universe, nat_encode, not_,
                       op_name, or_, subname_closure, tarski_truth, truth_lemma_check,
                       truth_name, v_stage, var, verify_solution)
 from forcelab import corpus, criteria
@@ -26,6 +26,7 @@ from forcelab.hfset import hf_pair, hf_unpair, nat_decode
 from forcelab.names import name_to_hf, op_unpair
 from forcelab.poset import Filter, bits
 from forcelab.truth import FiniteStructure
+from test_forcing_reference import _reference_value
 
 
 @pytest.fixture
@@ -121,6 +122,18 @@ def test_exists_equals_its_abbreviation(fork, fork_relation):
         assert forces(FR, p, direct) == forces(FR, p, abbreviated)
 
 
+def test_a_forall_exists_sentence_keeps_one_mask_per_node_and_valuation():
+    """∀x ∃y (x ∈ y ∧ ¬ x = y) stores the sentence once, ∃ once per x, and ∧
+    and ¬ once per (x, y); the atoms stay in the atomic table."""
+    P = dict(corpus.corpus_notions())["four-fork"]
+    FR = atomic_forcing(P, corpus.oracle_universe(P))
+    x, y = var("x"), var("y")
+    phi = forall(("x",), exists(("y",), and_([atom_in(x, y), not_(atom_eq(x, y))])))
+    assert FR.value(phi) == _reference_value(FR, phi, {})
+    n = len(FR.universe)
+    assert len(FR._values) == 2 * n * n + n + 1
+
+
 def test_forces_rejects_open_and_ground(fork_relation):
     with pytest.raises(ForcelabError):
         forces(fork_relation, 0, atom_eq(var("x"), var("x")))
@@ -147,6 +160,27 @@ def _past_the_fork():
 def test_atomic_value_refuses_a_condition_outside_the_notion(fork_relation):
     with pytest.raises(ForcelabError, match="condition outside the notion"):
         fork_relation.atomic_value("in", EMPTY_NAME, _past_the_fork())
+
+
+@pytest.mark.parametrize("below", [["a"], ["a", "b"]], ids=["over-a", "over-both"])
+def test_a_token_over_fork_conditions_lifts_the_forks_atomic_table(fork, below):
+    # t lies below only the top and above the given conditions of the fork
+    P = make_notion([*fork.elements, "t"], [(c, "t") for c in below])
+    names = corpus.oracle_universe(fork)
+    lifted = ForcingRelation(P, names, base=atomic_forcing(fork, names))
+    assert lifted._atomic == atomic_forcing(P, names)._atomic
+
+
+def test_a_notion_that_does_not_extend_the_base_by_tokens_is_refused(fork):
+    base = atomic_forcing(fork, ())
+    notions = dict(corpus.corpus_notions())
+    for P in (notions["three-fork"],  # a later condition above none of the fork's
+              notions["tree-right"],  # b above later conditions
+              notions["all-equivalent"],  # another order on three conditions
+              make_notion([*fork.elements, "t", "u"], [("a", "t"), ("u", "t")]),  # u below t
+              make_notion(["1", "a"])):  # fewer conditions
+        with pytest.raises(ForcelabError, match="does not extend the base's by tokens"):
+            ForcingRelation(P, (), base=base)
 
 
 def test_decide_refuses_a_condition_outside_the_notion(fork_relation):
@@ -490,7 +524,7 @@ def _mutate_pair_equations(monkeypatch, combine):
 
 
 @pytest.mark.parametrize("mutant", list(MUTANT_PAIR_EQUATIONS))
-def test_a_wrong_pair_equation_fails_criterion_4(monkeypatch, mutant):
+def test_a_wrong_pair_equation_fails_criterion_4(monkeypatch, mutant, fresh_token_free_relations):
     _mutate_pair_equations(monkeypatch, MUTANT_PAIR_EQUATIONS[mutant])
     pool = corpus.first_order_pool()
     base = v_stage(2)

@@ -136,18 +136,6 @@ def test_a_nested_block_over_the_budget_is_refused_on_both_sides():
     assert str(ours.value) == str(theirs.value) == f"quantifier block over {n}^5 names"
 
 
-def test_a_forall_exists_sentence_keeps_one_mask_per_node_and_valuation():
-    """∀x ∃y (x ∈ y ∧ ¬ x = y) stores the sentence once, ∃ once per x, and ∧
-    and ¬ once per (x, y); the atoms stay in the atomic table."""
-    P = dict(corpus.corpus_notions())["four-fork"]
-    FR = atomic_forcing(P, corpus.oracle_universe(P))
-    x, y = var("x"), var("y")
-    phi = forall(("x",), exists(("y",), and_([atom_in(x, y), not_(atom_eq(x, y))])))
-    assert FR.value(phi) == _reference_value(FR, phi, {})
-    n = len(FR.universe)
-    assert len(FR._values) == 2 * n * n + n + 1
-
-
 def test_forces_reads_the_valuation_as_bound():
     P = corpus.fork()
     N = corpus.oracle_universe(P)

@@ -130,6 +130,15 @@ def test_translation_output_is_constant_free(setup):
     assert "ground" not in out.const_kinds and "name" not in out.const_kinds
 
 
+def test_each_disjunct_is_built_once_per_translator():
+    tr = StageTranslator(corpus.iterated_pool(), BETA_MAX)
+    for beta in range(BETA_MAX):
+        for phi in tr.pool:
+            tr.translate(beta, phi)
+    # one truth atom, ξ = 0..3 below the stages β ≤ 4
+    assert len(tr._disjuncts) == (BETA_MAX - 1) * len(tr.pool)
+
+
 def test_pool_escape_is_an_error(setup):
     base, pool, _ = setup
     stranger = atom_eq(var("a"), var("a"))  # in the pool

@@ -218,12 +218,3 @@ def test_every_translation_is_the_rebuilding_references(pool):
     for beta in range(STAGES):
         for phi in tr.pool:
             assert tr.translate(beta, phi) is ref.translate(beta, phi)
-
-
-def test_each_disjunct_is_built_once_per_translator():
-    tr = StageTranslator(corpus.iterated_pool(), STAGES)
-    for beta in range(STAGES):
-        for phi in tr.pool:
-            tr.translate(beta, phi)
-    # one truth atom, ξ = 0..3 below the stages β ≤ 4
-    assert len(tr._disjuncts) == (STAGES - 1) * len(tr.pool)

@@ -554,14 +554,44 @@ def _offenders(sides, forbidden) -> list:
 
 
 # A reference that read atoms with the code it checks would agree with any
-# fault in that code, so the reference files import only the public API.
+# fault in that code, so the reference files import only the public API and
+# read a `_`-prefixed attribute (dunders aside) only off `self`.  One read is
+# allowed: the polarity test's spy on `forcing_mod._SizeGuard`, whose charge
+# it checks against `ref_charge`, the file's own count of the documented rule.
+
+REFERENCE_PRIVATE_READS = {("forcing", "forcing_mod._SizeGuard")}
+
+
+def _reference_breaches(name: str, source: str) -> list:
+    """The non-public forcelab imports and the private attribute reads of
+    test_{name}_reference.py's source."""
+    tree = ast.parse(source)
+    imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                and (n.module or "").split(".")[0] == "forcelab" for alias in n.names}
+    assert imported
+    reads = [ast.unparse(n) for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+             and not n.attr.endswith("__") and ast.unparse(n.value) != "self"]
+    return sorted(imported - set(forcelab.__all__)) + [
+        read for read in reads if (name, read) not in REFERENCE_PRIVATE_READS]
+
+
+def _reference_source(name: str) -> str:
+    return (Path(__file__).parent / f"test_{name}_reference.py").read_text()
+
 
 @pytest.mark.parametrize("name", ["forcing", "games", "iterated"])
 def test_reference_files_import_only_the_public_api(name):
-    tree = ast.parse((Path(__file__).parent / f"test_{name}_reference.py").read_text())
-    imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                and (n.module or "").split(".")[0] == "forcelab" for alias in n.names}
-    assert imported and imported <= set(forcelab.__all__), sorted(imported - set(forcelab.__all__))
+    assert _reference_breaches(name, _reference_source(name)) == []
+
+
+def test_the_reference_guard_catches_a_private_memo_read():
+    source = _reference_source("forcing")
+    probe = "\n\ndef test_probe(FR):\n    assert FR._values and self._memo\n"
+    assert _reference_breaches("forcing", source + probe) == ["FR._values"]
+    # the one allowed read is the forcing file's own
+    spy = "from forcelab import corpus\nforcing_mod._SizeGuard\n"
+    assert _reference_breaches("games", spy) == ["forcing_mod._SizeGuard"]
 
 
 def test_pointwise_sides_never_name_the_merged_evaluator():

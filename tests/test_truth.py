@@ -1,19 +1,23 @@
 import itertools
+import random
+import re
 import time
 
 import pytest
 
 from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, BudgetError, ClosureError,
-                      FiniteStructure, Forall, ForcelabError, Not, Or,
-                      PairTerm, and_, atom_eq, atom_in, atom_in_class,
-                      atom_in_g, build_collapse, const, etr_solve,
+                      FiniteStructure, Forall, ForcelabError, ForcingRelation, Not, Or,
+                      PairTerm, and_, atom_eq, atom_in, atom_in_class, atom_in_g,
+                      atomic_forcing, build_collapse, const, etr_solve,
                       eval_formula, exists, forall, forcing_truth, hf_make,
                       invariance_check, name_const, not_, or_, perturb,
                       star8_translate, subformula_closure, substitute,
                       tarski_truth, tarski_truth_instance, theta_formula,
                       v_stage, var, verify_solution)
 from forcelab import corpus, criteria
+from forcelab import etr as etr_mod
 from forcelab import forcing as forcing_mod
+from forcelab import poset
 from forcelab import truth as truth_mod
 from forcelab.formulas import encode_formula, encode_valuation, formula_to_sexp, pair_term
 from forcelab.names import check_name, eps_dot, n_dot
@@ -105,6 +109,64 @@ def test_tarski_agrees_with_direct_eval():
     for phi in tp.pool:
         for v in instances(M, phi):
             assert tp.holds(phi, v) == eval_formula(M, phi, v)
+
+
+def _wide_pool():
+    """A pool whose formulas have up to four free variables, so that the
+    direct check loops over the values of all but the last two."""
+    x, y, z, w = var("x"), var("y"), var("z"), var("w")
+    return list(subformula_closure([
+        or_([and_([atom_in(x, y), atom_in(y, z)]), atom_eq(x, z)]),
+        exists(("u",), and_([atom_in(var("u"), x), atom_in(y, var("u")),
+                             not_(atom_eq(z, var("u")))])),
+        and_([atom_in_class(z, "A"), atom_in(x, y), not_(atom_in(w, z))]),
+    ]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_direct_check_reads_tables_past_two_free_variables(n):
+    stage = v_stage(n)
+    M = FiniteStructure(stage, {"A": stage[1::2]})
+    tp = tarski_truth(M, _wide_pool())
+    assert max(len(phi.free) for phi in tp.pool) == 4
+    M = FiniteStructure(stage, {"A": stage[1::2]})  # evaluated afresh, valuation by valuation
+    assert tp.pairs == {(phi, valuation_key(phi, v)) for phi in tp.pool
+                        for v in instances(M, phi) if eval_formula(M, phi, v)}
+
+
+def test_a_misread_atom_fails_the_direct_check_at_that_atom(monkeypatch):
+    # the staged side reads atoms with _eval_atom; here y ∈ z, an atom of the
+    # formula with three free variables, is misread at y = ∅, z = {∅}
+    stage = v_stage(2)
+    target = atom_in(var("y"), var("z"))
+    real = truth_mod._eval_atom
+
+    def misread(M, phi, v):
+        got = real(M, phi, v)
+        return not got if phi is target and (v["y"], v["z"]) == tuple(stage) else got
+
+    monkeypatch.setattr(truth_mod, "_eval_atom", misread)
+    with pytest.raises(ForcelabError, match=re.escape(
+            f"staged truth disagrees with direct evaluation at {formula_to_sexp(target)}")):
+        tarski_truth(FiniteStructure(stage, {"A": stage[1:]}), _wide_pool())
+
+
+def test_each_flipped_staged_point_of_a_three_variable_formula_is_caught(monkeypatch):
+    # one staged point of the formula flipped at a time: the direct check
+    # names that formula, at every valuation of the first variable too
+    stage = v_stage(2)
+    M = FiniteStructure(stage, {"A": stage[1:]})
+    pool = _wide_pool()
+    phi = next(f for f in pool if len(f.free) == 3)
+    solve = etr_mod.etr_solve
+    for v in instances(M, phi):
+        point = hf_pair(encode_formula(phi), encode_valuation(v))
+        monkeypatch.setattr(etr_mod, "etr_solve",
+                            lambda inst: perturb(solve(inst), phi.rank, point))
+        with pytest.raises(ForcelabError, match=re.escape(formula_to_sexp(phi))):
+            tarski_truth(M, pool)
+    monkeypatch.undo()
+    tarski_truth(M, pool)
 
 
 def test_tarski_instance_is_unique_solution():
@@ -273,6 +335,124 @@ def test_forcing_truth_refuses_a_query_outside_its_pool_or_stage():
         ft.holds(phi, {x: outside})
     with pytest.raises(ForcelabError, match="must lie in the collapsed stage"):
         ft.holds(phi, {x: EMPTY, y: outside})
+
+
+def test_both_sides_of_criterion_4_refuse_the_same_queries():
+    pool = corpus.first_order_pool()
+    stage = v_stage(2)
+    ft = forcing_truth(2, [EMPTY], pool)
+    tp = tarski_truth(FiniteStructure(stage, {"A": [EMPTY]}), pool)
+    phi = next(p for p in ft.pool if len(p.free) == 2)
+    x, y = phi.free_sorted
+    outside = v_stage(3)[-1]
+    for query, message in [
+            ((atom_in(var("q"), var("q")), {"q": EMPTY}), "outside the declared pool"),
+            ((phi, {x: EMPTY}), "must cover the free variables"),
+            ((phi, {x: outside}), "must cover the free variables"),
+            ((phi, {x: EMPTY, y: outside}), "must lie in the collapsed stage")]:
+        errors = []
+        for side in (ft, tp):
+            with pytest.raises(ForcelabError, match=message) as err:
+                side.holds(*query)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+
+# --- the token-free base: each parameter set lifts the stage's atomic values
+
+def _lifted_differences(ft) -> list:
+    """The atomic entries of ft's relation and of its base, each read through
+    the relation, that differ from a plain relation over the same collapse."""
+    FR, plain = ft.relation, atomic_forcing(ft.fa, ())
+    keys = set(FR._atomic) | set(FR._base._atomic)
+    assert len(keys) > len(FR._atomic)
+    return [key for key in keys if FR.atomic_value(*key) != plain.atomic_value(*key)]
+
+
+def _criterion_4_holds(n, A, pool, structure=None) -> bool:
+    ft = forcing_truth(n, A, pool)
+    tp = tarski_truth(structure or FiniteStructure(v_stage(n), {"A": A}), pool)
+    return (criteria.collapse_truth(ft, tp).failures == 0
+            and invariance_check(n, A, pool, ft) == (True, None))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_lifted_atomic_value_is_the_plain_recursions(n):
+    pool = corpus.first_order_pool()
+    stage = v_stage(n)
+    for mask in range(1 << len(stage)):
+        A = [stage[i] for i in range(len(stage)) if mask >> i & 1]
+        ft = forcing_truth(n, A, pool)
+        criteria.collapse_truth(ft, tarski_truth(FiniteStructure(stage, {"A": A}), pool))
+        assert invariance_check(n, A, pool, ft) == (True, None)
+        assert _lifted_differences(ft) == [], mask
+
+
+def test_collapse_truths_at_one_stage_share_one_token_free_base():
+    pool = corpus.first_order_pool()
+    stage = v_stage(3)
+    first, second = (forcing_truth(3, A, pool).relation for A in ([stage[0]], stage[1:]))
+    base = truth_mod._token_free_relation(3)
+    assert first._base is second._base is base
+    assert len(base.notion) == len(build_collapse(3, [])) == 209 + 12
+    stage2 = forcing_truth(2, [EMPTY], pool).relation
+    assert stage2._base is truth_mod._token_free_relation(2) is not base
+    degenerate = forcing_truth(3, [stage[0]], pool, include_degenerate_tokens=True)
+    assert degenerate.relation._base is None
+
+
+def test_a_relation_refuses_a_base_its_notion_does_not_extend_by_tokens():
+    base = truth_mod._token_free_relation(2)
+    assert ForcingRelation(build_collapse(2, [EMPTY]), (), base=base)._base is base
+    for notion in (build_collapse(3, [EMPTY]), build_collapse(2, [], True)):
+        with pytest.raises(ForcelabError, match="does not extend the base's by tokens"):
+            ForcingRelation(notion, (), base=base)
+
+
+@pytest.mark.parametrize("mutant", ["never", "always"])
+def test_a_lift_that_misplaces_the_token_bits_fails_criterion_4(monkeypatch, mutant):
+    # a token bit that is never set, or always set: only A = ∅, with no
+    # a-tokens, still passes
+    real = forcing_mod._token_lift
+    monkeypatch.setattr(forcing_mod, "_token_lift", lambda P, B: tuple(
+        (bit, bit if mutant == "never" else 0) for bit, _ in real(P, B)))
+    pool = corpus.first_order_pool()
+    for n in (2, 3):
+        stage = v_stage(n)
+        passed = [mask for mask in range(1 << len(stage)) if _criterion_4_holds(
+            n, [stage[i] for i in range(len(stage)) if mask >> i & 1], pool)]
+        assert passed == [0], n
+
+
+def test_a_corrupted_base_entry_fails_criterion_4_at_every_parameter_set(
+        fresh_token_free_relations):
+    pool = corpus.first_order_pool()
+    stage = v_stage(2)
+    base = truth_mod._token_free_relation(2)
+    fa = build_collapse(2, [])
+    slots = [n_dot(fa, a) for a in stage]
+    assert base.atomic_value("eq", *slots) == 0
+    base._atomic[("eq", *slots)] = base.full  # the two slots are never equal
+    assert not any(_criterion_4_holds(2, A, pool) for A in ([], [EMPTY], stage[1:], stage))
+
+
+def test_the_lift_holds_over_a_five_element_transitive_set(monkeypatch,
+                                                           fresh_token_free_relations):
+    # T = V3 ∪ {{{{∅}}}} in place of stage 3, for a seeded sample of its A
+    T = sorted([*v_stage(3), hf_make([hf_make([hf_make([EMPTY])])])], key=lambda x: x.key)
+    monkeypatch.setattr(poset, "v_stage", lambda n: list(T))
+    poset._collapse_skeleton.cache_clear()
+    try:
+        pool = corpus.first_order_pool()
+        for mask in random.Random("five-element").sample(range(1 << len(T)), 4):
+            A = [T[i] for i in range(len(T)) if mask >> i & 1]
+            assert _criterion_4_holds(3, A, pool, FiniteStructure(T, {"A": A})), mask
+            ft = forcing_truth(3, A, pool)
+            assert len(ft.fa.targets) == 5
+            criteria.collapse_truth(ft, tarski_truth(FiniteStructure(T, {"A": A}), pool))
+            assert _lifted_differences(ft) == [], mask
+    finally:
+        poset._collapse_skeleton.cache_clear()
 
 
 def test_forcing_truth_atomic_parameter_membership():
