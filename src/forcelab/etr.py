@@ -21,8 +21,7 @@ so the two computations can be compared bit for bit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetError, ForcelabError
 from .hfset import HFSet
@@ -52,27 +51,35 @@ class PartialSolution:
 StepRule = Callable[[HFSet, int, PartialSolution], bool]
 
 
-@dataclass(frozen=True)
-class RecursionInstance:
-    """``support[α]`` lists the elements whose membership in slice α the step
-    rule decides; every other element is absent from slice α, and the checker
-    rejects it there.  Build one with `staged_instance`."""
-
+class _InstanceFields(NamedTuple):
     length: int
     domain: tuple[HFSet, ...]
     step: StepRule
     support: tuple[tuple[HFSet, ...], ...]
     label: str = "anonymous"
 
-    def __post_init__(self):
-        if (len(self.support) != self.length
-                or not set(self.domain).issuperset(itertools.chain.from_iterable(self.support))):
-            raise ForcelabError(
-                f"{self.label}: support needs {self.length} tuples of domain elements")
+
+class RecursionInstance(_InstanceFields):
+    """``support[α]`` lists the elements whose membership in slice α the step
+    rule decides; every other element is absent from slice α, and the checker
+    rejects it there.  Build one with `staged_instance`.  The support is
+    checked on every construction, `_replace` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, length: int, domain: tuple[HFSet, ...], step: StepRule,
+                support: tuple[tuple[HFSet, ...], ...], label: str = "anonymous"):
+        if (len(support) != length
+                or not set(domain).issuperset(itertools.chain.from_iterable(support))):
+            raise ForcelabError(f"{label}: support needs {length} tuples of domain elements")
+        return super().__new__(cls, length, domain, step, support, label)
+
+    @classmethod
+    def _make(cls, iterable) -> "RecursionInstance":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     instance: RecursionInstance
     slices: tuple[frozenset[HFSet], ...]
 

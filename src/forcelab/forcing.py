@@ -29,9 +29,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import dag
 from . import etr as etr_mod
@@ -372,9 +371,11 @@ def _check_nesting(phi: Formula):
 # ---------------------------------------------------------------------------
 # The law audit.
 
-@dataclass
 class AuditReport:
-    laws: dict[str, tuple[bool, object]] = field(default_factory=dict)
+    """Each law's verdict, with its first counterexample."""
+
+    def __init__(self):
+        self.laws: dict[str, tuple[bool, object]] = {}
 
     def record(self, law: str, ok: bool, counterexample=None):
         if law not in self.laws or self.laws[law][0]:
@@ -711,13 +712,12 @@ class BooleanAlgebra:
         return not a & ~b
 
 
-@dataclass(frozen=True)
-class BooleanCompletion:
+class BooleanCompletion(NamedTuple):
     algebra: BooleanAlgebra
-    _embed: tuple[int, ...]
+    images: tuple[int, ...]  # each condition's image under the embedding
 
     def embed(self, p: int) -> int:
-        return self._embed[p]
+        return self.images[p]
 
 
 def boolean_completion(P: ForcingNotion) -> BooleanCompletion:
@@ -811,7 +811,7 @@ class BooleanValues:
 
     def derived_forces(self, p: int, kind: str, sigma: PName, tau: PName) -> bool:
         v = self._memo.get((kind, sigma, tau))  # embed(p) ≤ the value, read directly
-        return not self.completion._embed[p] & ~(self.value(kind, sigma, tau) if v is None else v)
+        return not self.completion.images[p] & ~(self.value(kind, sigma, tau) if v is None else v)
 
 
 def boolean_values(completion: BooleanCompletion) -> BooleanValues:
@@ -821,8 +821,7 @@ def boolean_values(completion: BooleanCompletion) -> BooleanValues:
 # ---------------------------------------------------------------------------
 # Generic extensions and the forced-iff-true oracle.
 
-@dataclass
-class GenericExtension:
+class GenericExtension(NamedTuple):
     relation: ForcingRelation
     filter: Filter
     representative: dict[PName, PName]         # the least member of its =_G class
@@ -1003,8 +1002,7 @@ def truth_lemma_check(FR: ForcingRelation, phis: Formula | Iterable[Formula]):
 # ---------------------------------------------------------------------------
 # The truth-predicate name.
 
-@dataclass
-class TruthName:
+class TruthName(NamedTuple):
     relation: ForcingRelation
     pool: tuple[Formula, ...]
     tdot: ClassName

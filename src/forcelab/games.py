@@ -17,8 +17,8 @@ import itertools
 import random
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import dag, sexpr
 from . import etr as etr_mod
@@ -39,13 +39,15 @@ _LIE = ("I", (), (("role", "violation"),))
 _END = ("II", (), (("role", "clock-exhausted"),))
 
 
-@dataclass
-class GameNode:
+_NO_NOTE: Mapping = MappingProxyType({})  # the note of every node without one
+
+
+class GameNode(NamedTuple):
     ident: int
     mover: str | None          # "I" | "II" | None at terminals
     children: tuple[int, ...]
     winner: str | None = None  # set at terminals
-    note: dict = field(default_factory=dict)
+    note: Mapping = _NO_NOTE
 
 
 class _NodeView(Mapping):
@@ -67,7 +69,7 @@ class _NodeView(Mapping):
         except IndexError:
             raise KeyError(i) from None
         note = self._notes.get(i) if self._notes else None
-        note = dict(note) if note else {}
+        note = dict(note) if note else _NO_NOTE
         if children:
             return GameNode(i, self._player[i], children, None, note)
         return GameNode(i, None, children, self._player[i], note)
@@ -265,8 +267,7 @@ def continuous_rank(T: GameTree) -> dict[int, int]:
     return rank
 
 
-@dataclass
-class ZermeloResult:
+class ZermeloResult(NamedTuple):
     labels: dict[int, str]
     strategy_I: dict[int, int]
     strategy_II: dict[int, int]

@@ -16,8 +16,7 @@ entries already canonical, as `op_name` and star_translate's junctions do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import sexpr
 from .dag import bounded_repr, fold, nodes
@@ -95,8 +94,7 @@ def _canonical(entries: Iterable[tuple[PName, int]]) -> tuple[tuple[PName, int],
 EMPTY_NAME = name_make()
 
 
-@dataclass(frozen=True)
-class ClassName:
+class ClassName(NamedTuple):
     """A name-shaped object used as a predicate symbol, never as a constant."""
 
     ident: str

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, perm
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -180,8 +179,7 @@ def make_notion(elements: Sequence[str], le_pairs: Iterable[tuple[str, str]] = (
     return ForcingNotion(elements, pairs)
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(NamedTuple):
     """An upward-closed, downward-directed set of conditions, as a mask."""
 
     notion: ForcingNotion

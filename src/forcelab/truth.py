@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import etr as etr_mod
 from . import forcing as forcing_mod  # forcing imports this module back: use it in functions only
@@ -329,8 +328,7 @@ def _valuations(domain: Sequence[HFSet], phi: Formula):
         yield dict(zip(fv, values))
 
 
-@dataclass(frozen=True)
-class TruthPredicate:
+class TruthPredicate(NamedTuple):
     structure: FiniteStructure
     pool: tuple[Formula, ...]
     pairs: frozenset
@@ -652,12 +650,13 @@ def _shared_clock_translation(eps_name: PName, clock: int) -> tuple:
     return combine, {}
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _token_free_relation(n: int) -> forcing_mod.ForcingRelation:
-    """The atomic relation of stage n's token-free collapse, kept once per
-    stage: every collapse there without degenerate tokens extends its notion
-    by its a-tokens, so each `ForcingTruth` lifts the atomic values of the
-    slot, check and ε names from it."""
+    """The atomic relation of stage n's token-free collapse, kept for the
+    last stage asked for, as `_truth_codes` keeps its last pool: every
+    collapse there without degenerate tokens extends its notion by its
+    a-tokens, so each `ForcingTruth` lifts the atomic values of the slot,
+    check and ε names from it."""
     return forcing_mod.atomic_forcing(build_collapse(n, ()), ())
 
 

@@ -1,7 +1,6 @@
 import ast
 import random
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -150,7 +149,7 @@ def test_budget_counts_the_steps_of_the_support(monkeypatch):
     assert sol.slices == tuple(frozenset([x]) for x in domain)
     assert verify_solution(inst, sol) == (True, None)
     with pytest.raises(BudgetError):
-        etr_solve(replace(inst, support=(domain,) * len(domain)))
+        etr_solve(inst._replace(support=(domain,) * len(domain)))
 
 
 def test_an_instance_needs_a_stage_map():
@@ -168,6 +167,19 @@ def test_support_names_only_domain_elements():
     with pytest.raises(ForcelabError):
         RecursionInstance(length=1, domain=(EMPTY,), step=lambda *a: True,
                           support=((v_stage(2)[1],),))
+
+
+def test_replace_checks_the_support_as_construction_does():
+    inst = constant_instance([EMPTY])
+    with pytest.raises(ForcelabError, match="support needs"):
+        inst._replace(support=inst.support[:-1])
+    outsider = v_stage(4)[-1]
+    assert outsider not in inst.domain
+    with pytest.raises(ForcelabError, match="support needs"):
+        inst._replace(support=((outsider,),) * inst.length)
+    with pytest.raises(ForcelabError, match="support needs"):
+        inst._replace(length=inst.length + 1)
+    assert inst._replace(label="renamed").support == inst.support
 
 
 def test_verify_rejects_a_member_outside_the_domain():
@@ -204,7 +216,7 @@ def test_solve_calls_the_step_only_on_the_support(mapped):
         seen.append((alpha, x))
         return mapped.step(x, alpha, view)
 
-    sol = etr_solve(replace(mapped, step=counting))
+    sol = etr_solve(mapped._replace(step=counting))
     expected = [(alpha, x) for alpha, xs in enumerate(mapped.support) for x in xs]
     assert len(seen) == len(expected) < mapped.length * len(mapped.domain)
     assert set(seen) == set(expected)
@@ -301,8 +313,8 @@ def test_builders_keep_their_codec_order_and_solve_as_a_key_sorted_rebuild():
     reordered = []
     for inst, codec in _builders():
         assert inst.domain == tuple(codec)
-        rebuilt = replace(inst, domain=tuple(sorted(inst.domain, key=_key)),
-                          support=tuple(tuple(sorted(s, key=_key)) for s in inst.support))
+        rebuilt = inst._replace(domain=tuple(sorted(inst.domain, key=_key)),
+                                support=tuple(tuple(sorted(s, key=_key)) for s in inst.support))
         reordered.append(rebuilt.domain != inst.domain)
         assert etr_solve(inst).slices == etr_solve(rebuilt).slices
         assert verify_solution(inst, etr_solve(rebuilt)) == (True, None)

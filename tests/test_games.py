@@ -200,6 +200,17 @@ def test_node_view_holds_exactly_the_defined_ids():
                 view[i]
 
 
+def test_a_node_reads_as_the_game_node_built_from_its_fields():
+    T = GameTree({-3: inner("I", (5, 6)), 5: leaf("II"),
+                  6: (None, (), "I", {"role": "end"})}, -3)
+    assert T.nodes[-3] == GameNode(-3, "I", (5, 6))
+    assert T.nodes[5] == GameNode(5, None, (), "II")
+    assert T.nodes[6] == GameNode(6, None, (), "I", {"role": "end"})
+    # a node without a note has an empty one, built or read
+    for node in (T.nodes[-3], T.nodes[5], GameNode(0, None, (), "I")):
+        assert not node.note and len(node.note) == 0 and node.note == {}
+
+
 def test_random_tree_rows_leave_the_garbage_collector():
     rng = random.Random(8)
     trees = [random_game_tree(rng, 200) for _ in range(20)]

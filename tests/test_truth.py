@@ -401,6 +401,13 @@ def test_collapse_truths_at_one_stage_share_one_token_free_base():
     assert degenerate.relation._base is None
 
 
+def test_only_the_last_stages_token_free_base_is_kept(fresh_token_free_relations):
+    pool = corpus.first_order_pool()
+    forcing_truth(3, [EMPTY], pool)
+    forcing_truth(2, [EMPTY], pool)
+    assert truth_mod._token_free_relation.cache_info().currsize == 1
+
+
 def test_a_relation_refuses_a_base_its_notion_does_not_extend_by_tokens():
     base = truth_mod._token_free_relation(2)
     assert ForcingRelation(build_collapse(2, [EMPTY]), (), base=base)._base is base
