@@ -15,12 +15,12 @@ a, b = fork.index("a"), fork.index("b")
 print(f"the fork: conditions {fork.elements}, a ⊥ b below the top")
 
 filters = generic_filters(fork)
-print(f"generic filters: {[list(bits(G.members)) for G in filters]}  (one per tooth)")
+print(f"generic filters: {[list(bits(G)) for G in filters]}  (one per tooth)")
 
 # σ = {(∅̌, a)}: "the empty set joins, provided a is in the filter"
 sigma = name_make([(EMPTY_NAME, a)])
 for G in filters:
-    print(f"  eval(σ, up{list(bits(G.members))}) = {eval_name(sigma, G)}")
+    print(f"  eval(σ, up{list(bits(G))}) = {eval_name(sigma, G)}")
 
 universe = corpus.oracle_universe(fork)  # every rank-≤1 name plus condition checks
 FR = atomic_forcing(fork, universe)

@@ -24,7 +24,7 @@ print(f"generic filters = total bijections: {len(generic_filters(fa))}")
 
 nd = n_dot(fa, EMPTY)
 for G in generic_filters(fa):
-    print(f"  slot name for ∅ evaluates to {eval_name(nd, G)} under {list(bits(G.members))}")
+    print(f"  slot name for ∅ evaluates to {eval_name(nd, G)} under {list(bits(G))}")
 
 pool = corpus.first_order_pool()
 derived = forcing_truth(2, A, pool)
@@ -43,8 +43,3 @@ print("e.g.", formula_to_sexp(sample), "→ translation",
 
 ok, _ = invariance_check(2, A, pool, derived)
 print(f"every condition forces a translation iff the top does: {ok}")
-
-bad = forcing_truth(2, A, pool, include_degenerate_tokens=True)
-ok_bad, cx = invariance_check(2, A, pool, bad)
-print(f"with unrealizable supremum tokens left in, invariance fails: {not ok_bad} "
-      f"(first break at condition {bad.fa.elements[cx[0]]})")

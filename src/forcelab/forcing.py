@@ -45,10 +45,9 @@ from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        name_const, nodes, not_, or_, substitute, terms)
 from .hfset import EMPTY, HFSet, hf_make, hf_pair, nat_encode
 from .names import (EMPTY_NAME, ClassName, PName, _interned, check_name,
-                    eval_name, g_dot, is_subname_closed, name_make, name_to_hf, op_name,
-                    op_unpair)
-from .poset import (Filter, ForcingNotion, bits, generic_filters, is_separative,
-                    minimal_classes)
+                    eval_class, eval_name, g_dot, is_subname_closed, name_make, name_to_hf,
+                    op_name, op_unpair)
+from .poset import ForcingNotion, bits, generic_filters, is_separative, minimal_classes
 
 ATOMIC_BUDGET = 2_000_000
 QUANTIFIER_BUDGET = 200_000  # name tuples a quantifier block's body is valued at
@@ -92,13 +91,6 @@ class ForcingRelation:
     the canonical generic-filter class name first under "G"; that one is
     built the first time `classes` is read or a "G" atom is forced.
 
-    `_direct` keeps the direct side of `extension` per filter mask (see
-    `_DirectSide`), and `_top_values` the values of the names whose
-    conditions are all the top, shared by every filter that holds the top.
-    Both are computed from the names and class names alone, never from
-    `_atomic` or `_values`, so every check still reads a corrupted table
-    afresh.
-
     A `base` relation may be given when the notion extends the base's by
     tokens (see `_token_lift`): then the atomic value of two names whose
     conditions all lie in the base is the base's value, filled there on
@@ -127,8 +119,6 @@ class ForcingRelation:
         self._neg: dict[int, int] = {}
         self._atomic: dict = {}
         self._values: dict = {}
-        self._direct: dict[int, _DirectSide] = {}
-        self._top_values: dict[PName, HFSet] = {}
         self._base, self._base_size, self._lift = base, 0, ()
         if base is not None:
             self._base_size, self._lift = len(base.notion), _token_lift(notion, base.notion)
@@ -822,8 +812,6 @@ def boolean_values(completion: BooleanCompletion) -> BooleanValues:
 # Generic extensions and the forced-iff-true oracle.
 
 class GenericExtension(NamedTuple):
-    relation: ForcingRelation
-    filter: Filter
     representative: dict[PName, PName]         # the least member of its =_G class
     membership: frozenset[tuple[PName, PName]]  # on representatives
     class_extensions: dict[str, frozenset[PName]]  # representatives satisfying Γ
@@ -833,23 +821,19 @@ class GenericExtension(NamedTuple):
 
 
 class _DirectSide:
-    """The direct side of `extension` along one filter, computed from the
-    names and class names alone.
+    """The direct side of `extension` along one filter mask, computed from
+    the names and class names alone.
 
     `evaluation` gives each universe name's value.  Row i of `eq_rows` holds
     the positions j whose value is N[i]'s, and row i of `within_rows` those
     whose value has N[i]'s as a member: masks over universe positions, like
-    the forced rows.  `domain` is the set of the values.  `class_value`
-    evaluates a class name once and keeps its value by ident, with the class
-    name it was computed from.  When G holds the top, a name whose
-    conditions are all the top has one value along every filter that holds
-    it, so its value and its subnames' are kept in `top`, shared by all of
-    them.
+    the forced rows.  `domain` is the set of the values.  Every value is
+    kept in one memo, which `class_value` shares.
     """
 
-    def __init__(self, universe: Sequence[PName], G: Filter, top: dict[PName, HFSet]):
-        self.filter, self._top, self._memo = G, top, {}
-        self.evaluation = {a: self._evaluate(a) for a in universe}
+    def __init__(self, universe: Sequence[PName], g: int):
+        self.g, self._memo = g, {}
+        self.evaluation = {a: eval_name(a, g, self._memo) for a in universe}
         blocks: dict[HFSet, int] = {}  # a value ↦ the positions of the names evaluating to it
         for j, a in enumerate(universe):
             x = self.evaluation[a]
@@ -862,33 +846,22 @@ class _DirectSide:
         self.eq_rows = [blocks[self.evaluation[a]] for a in universe]
         self.within_rows = [holders[self.evaluation[a]] for a in universe]
         self.domain = frozenset(blocks)
-        self._classes: dict[str, tuple[ClassName, frozenset[HFSet]]] = {}
-
-    def _evaluate(self, name: PName) -> HFSet:
-        topped = self.filter.members & 1 and not name.max_condition
-        return eval_name(name, self.filter, self._top if topped else self._memo)
 
     def class_value(self, cls: ClassName) -> frozenset[HFSet]:
-        got = self._classes.get(cls.ident)
-        if got is None or got[0] is not cls:
-            g = self.filter.members
-            got = self._classes[cls.ident] = (cls, frozenset(
-                self._evaluate(n) for n, r in cls.entries if g >> r & 1))
-        return got[1]
+        return eval_class(cls, self.g, self._memo)
 
 
-def extension(FR: ForcingRelation, G: Filter) -> GenericExtension:
-    """Quotient the universe by forced equality along the filter, and verify
-    it is isomorphic to the direct-evaluation structure.
+def extension(FR: ForcingRelation, g: int) -> GenericExtension:
+    """Quotient the universe by forced equality along the filter mask g, and
+    verify it is isomorphic to the direct-evaluation structure.
 
-    The forced rows are read from the atomic table on every call.  The direct
-    side (the names' values, the rows of = and ∈ between them, and each class
-    name's value) is computed from the names once per (relation, filter) and
-    kept on the relation; each forced row is compared with its direct row as
+    Both sides are built afresh on every call: the forced rows are read from
+    the atomic table in one pass, and the direct side (the names' values, the
+    rows of = and ∈ between them, and each class name's value) is computed
+    from the names alone; each forced row is compared with its direct row as
     one mask.
     """
     N = FR.universe
-    g = G.members
 
     # Row i of each relation is a mask over universe positions: eq_row[i]
     # holds the j with N[i] =_G N[j], has[i] the j with N[j] ∈_G N[i] and
@@ -930,9 +903,7 @@ def extension(FR: ForcingRelation, G: Filter) -> GenericExtension:
     # Quotient vs direct evaluation: same identifications, same membership,
     # same class extensions.  The first wrong bit of a row names the same
     # pair a walk over all pairs would.
-    side = FR._direct.get(g)
-    if side is None:
-        side = FR._direct[g] = _DirectSide(N, G, FR._top_values)
+    side = _DirectSide(N, g)
     evaluation = side.evaluation
     for i, a in enumerate(N):
         wrong_eq = eq_row[i] ^ side.eq_rows[i]
@@ -954,9 +925,7 @@ def extension(FR: ForcingRelation, G: Filter) -> GenericExtension:
         predicates[ident] = direct & domain
     structure = truth_mod.FiniteStructure(domain, predicates)
 
-    # a copy of the values: the side's own dict is kept for later calls
-    return GenericExtension(FR, G, rep, membership, class_ext, dict(evaluation), structure,
-                            class_values)
+    return GenericExtension(rep, membership, class_ext, evaluation, structure, class_values)
 
 
 def ground_formula(phi: Formula, ext: GenericExtension) -> Formula:
@@ -989,13 +958,12 @@ def truth_lemma_check(FR: ForcingRelation, phis: Formula | Iterable[Formula]):
     if isinstance(phis, Formula):
         phis = [phis]
     phis = list(phis)
-    for G in generic_filters(FR.notion):
-        ext = extension(FR, G)
-        g = G.members
+    for g in generic_filters(FR.notion):
+        ext = extension(FR, g)
         for phi in phis:
             truth = truth_mod.eval_formula(ext.structure, ground_formula(phi, ext), {})
             if truth != (FR.value(phi) & g != 0):
-                return False, (G, phi)
+                return False, (g, phi)
     return True, None
 
 
@@ -1036,8 +1004,8 @@ def truth_name(FR: ForcingRelation, pool: Sequence[Formula]) -> TruthName:
         for p in bits(derived ^ FR.value(phi)):
             failures.append(("derived-vs-forcing", p, phi))
 
-    for G in generic_filters(FR.notion):
-        ext = extension(FR, G)
+    for g in generic_filters(FR.notion):
+        ext = extension(FR, g)
         t_values = ext.class_values["T"]
 
         def declared(phi: Formula) -> bool:
@@ -1047,19 +1015,19 @@ def truth_name(FR: ForcingRelation, pool: Sequence[Formula]) -> TruthName:
         for phi in pool:
             true = truth_mod.eval_formula(ext.structure, ground_formula(phi, ext), {})
             if declared(phi) != true:
-                failures.append(("extension-truth", G, phi))
+                failures.append(("extension-truth", g, phi))
             if isinstance(phi, Not) and phi.sub in pool:
                 if declared(phi) == declared(phi.sub):
-                    failures.append(("negation-clause", G, phi))
+                    failures.append(("negation-clause", g, phi))
             if isinstance(phi, And) and all(s in pool for s in phi.subs):
                 if declared(phi) != all(declared(s) for s in phi.subs):
-                    failures.append(("conjunction-clause", G, phi))
+                    failures.append(("conjunction-clause", g, phi))
             if isinstance(phi, Forall) and len(phi.vars) == 1:
                 insts = [substitute(phi.body, {phi.vars[0]: name_const(n)})
                          for n in FR.universe]
                 if all(i in pool for i in insts):
                     if declared(phi) != all(declared(i) for i in insts):
-                        failures.append(("quantifier-clause", G, phi))
+                        failures.append(("quantifier-clause", g, phi))
 
     return TruthName(FR, pool, tdot, not failures, failures)
 

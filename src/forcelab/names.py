@@ -22,7 +22,7 @@ from . import sexpr
 from .dag import bounded_repr, fold, nodes
 from .errors import BudgetError, ForcelabError, ParseError
 from .hfset import HFSet, _members, hf_make, hf_pair, nat_encode
-from .poset import CollapseNotion, Filter, ForcingNotion
+from .poset import CollapseNotion, ForcingNotion
 
 _intern: dict[tuple, "PName"] = {}
 
@@ -223,19 +223,19 @@ def name_universe(P: ForcingNotion, rho: int) -> tuple[PName, ...]:
     return tuple(sorted(set(layer), key=lambda n: n.key))
 
 
-def eval_name(name: PName, G: Filter, memo: dict | None = None) -> HFSet:
-    """Direct evaluation: the values of the entries whose condition is in G,
-    one fold over the entry names G keeps.  Values are kept in `memo`; pass
-    one to share them across calls along G."""
-    g = G.members
+def eval_name(name: PName, g: int, memo: dict | None = None) -> HFSet:
+    """Direct evaluation along the filter mask g: the values of the entries
+    whose condition is in g, one fold over the entry names g keeps.  Values
+    are kept in `memo`; pass one to share them across calls along g."""
     return fold(name, lambda n: tuple(m for m, r in n.entries if g >> r & 1),
                 lambda _, kids: hf_make(kids), memo)
 
 
-def eval_class(cls: ClassName, G: Filter) -> frozenset[HFSet]:
-    """The values of the class's entries whose condition is in G."""
-    memo: dict = {}
-    return frozenset(eval_name(n, G, memo) for n, r in cls.entries if G.members >> r & 1)
+def eval_class(cls: ClassName, g: int, memo: dict | None = None) -> frozenset[HFSet]:
+    """The values of the class's entries whose condition is in the filter
+    mask g, sharing `memo` as `eval_name` does."""
+    memo = {} if memo is None else memo
+    return frozenset(eval_name(n, g, memo) for n, r in cls.entries if g >> r & 1)
 
 
 _hf_codes: dict[PName, HFSet] = {}

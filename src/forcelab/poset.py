@@ -179,13 +179,6 @@ def make_notion(elements: Sequence[str], le_pairs: Iterable[tuple[str, str]] = (
     return ForcingNotion(elements, pairs)
 
 
-class Filter(NamedTuple):
-    """An upward-closed, downward-directed set of conditions, as a mask."""
-
-    notion: ForcingNotion
-    members: int
-
-
 def is_filter(P: ForcingNotion, members: int) -> bool:
     if not members:
         return False
@@ -225,13 +218,14 @@ def minimal_classes(P: ForcingNotion) -> list[int]:
     return classes
 
 
-def generic_filters(P: ForcingNotion) -> list[Filter]:
-    """The filters meeting every dense subset: one per minimal-element class.
+def generic_filters(P: ForcingNotion) -> list[int]:
+    """The filters meeting every dense subset, as condition masks: one per
+    minimal-element class.
 
     The closed-form computation is verified against the definition, either
     exhaustively (|P| ≤ 12) or on seeded sampled dense sets above that.
     """
-    filters = [Filter(P, P.up(next(bits(cls)))) for cls in minimal_classes(P)]
+    filters = [P.up(next(bits(cls))) for cls in minimal_classes(P)]
     _verify_generic(P, filters)
     return filters
 
@@ -257,15 +251,15 @@ def _verify_genericity_of(P: ForcingNotion, members: int) -> int | None:
     return next((D for D in _dense_subsets(P) if not D & members), None)
 
 
-def _verify_generic(P: ForcingNotion, filters: list[Filter]):
-    for F in filters:
-        missed = _verify_genericity_of(P, F.members)
+def _verify_generic(P: ForcingNotion, filters: list[int]):
+    for g in filters:
+        missed = _verify_genericity_of(P, g)
         if missed is not None:
-            raise ForcelabError(f"claimed generic filter {list(bits(F.members))} "
+            raise ForcelabError(f"claimed generic filter {list(bits(g))} "
                                 f"misses dense set {list(bits(missed))}")
     if len(P) > DENSE_SAMPLE_LIMIT:
         return
-    returned = {F.members for F in filters}
+    returned = set(filters)
     all_filters = [f for f in range(1 << len(P)) if is_filter(P, f)]
     for f in all_filters:
         if f in returned or any(f != g and not f & ~g for g in all_filters):
@@ -281,8 +275,8 @@ Graph = tuple[tuple[int, HFSet], ...]  # a collapse function: (slot, target), so
 
 
 class _CollapseSkeleton(NamedTuple):
-    """What a collapse shares with every other at its stage and token
-    setting: its functions and e-tokens and everything read off them.
+    """What a collapse shares with every other at its stage: its functions
+    and e-tokens and everything read off them.
     Masks have bit p for condition p (the top is the empty function, 0)."""
 
     elements: tuple[str, ...]  # the functions', then the e-tokens'
@@ -294,9 +288,9 @@ class _CollapseSkeleton(NamedTuple):
 
 
 @functools.cache
-def _collapse_skeleton(stage: int, include_degenerate_tokens: bool) -> _CollapseSkeleton:
+def _collapse_skeleton(stage: int) -> _CollapseSkeleton:
     """The functions and e-tokens of the stage's collapse, built once per
-    stage and token setting."""
+    stage."""
     targets = v_stage(stage)
     k = len(targets)
     # v_stage lists the targets in key order, so positions order graphs as keys do.
@@ -331,7 +325,7 @@ def _collapse_skeleton(stage: int, include_degenerate_tokens: bool) -> _Collapse
     for i in range(k):
         for j in range(k):
             below = in_realizers.get((i, j), 0)
-            if below or include_degenerate_tokens:
+            if below:
                 e_index[(i, j)] = len(elements)
                 elements.append(f"e_{i}_{j}")
                 _place_token(up, down, below)
@@ -361,7 +355,7 @@ class CollapseNotion(ForcingNotion):
     the total bijections from the clock onto the stage.
 
     Only the a(i) depend on A, so the functions and e-tokens are built once
-    per stage and token setting (`_collapse_skeleton`, after the count has
+    per stage (`_collapse_skeleton`, after the count has
     been checked against COLLAPSE_BUDGET) and shared by every collapse
     there: their tokens, `fn_index` and `e_index` (read-only), their
     up-masks, closed once, their down-masks, and for each slot i and target
@@ -373,14 +367,12 @@ class CollapseNotion(ForcingNotion):
     after the functions, e-tokens before a-tokens, so the index of every
     function and e-token is the same for every A.
 
-    Tokens whose defining class of conditions is empty (e.g. e(i,i), or
-    every a(i) when A is empty) break the everywhere-invariance of forcing
-    star-translated statements, so they are omitted unless explicitly
-    requested via include_degenerate_tokens.
+    A token whose defining class of conditions is empty (e.g. e(i,i), or
+    every a(i) when A is empty) would break the everywhere-invariance of
+    forcing star-translated statements, so there is none.
     """
 
-    def __init__(self, stage: int, A: Iterable[HFSet],
-                 include_degenerate_tokens: bool = False):
+    def __init__(self, stage: int, A: Iterable[HFSet]):
         targets = v_stage(stage)
         k = len(targets)
         self.stage = stage
@@ -391,7 +383,7 @@ class CollapseNotion(ForcingNotion):
             raise ForcelabError("parameter set must be a subset of the stage")
         if sum(comb(k, r) * perm(k, r) for r in range(k + 1)) > COLLAPSE_BUDGET:
             raise BudgetError(f"collapse notion exceeds budget {COLLAPSE_BUDGET}")
-        skeleton = _collapse_skeleton(stage, include_degenerate_tokens)
+        skeleton = _collapse_skeleton(stage)
         self.fn_index, self.e_index = skeleton.fn_index, skeleton.e_index
         up, down = list(skeleton.up), list(skeleton.down)
         tokens: list[str] = []
@@ -399,7 +391,7 @@ class CollapseNotion(ForcingNotion):
         for i in range(k):
             below = functools.reduce(operator.or_, (skeleton.sends.get((i, x), 0)
                                                     for x in self.A), 0)
-            if below or include_degenerate_tokens:
+            if below:
                 self.a_index[i] = len(up)
                 tokens.append(f"a_{i}")
                 _place_token(up, down, below)
@@ -409,7 +401,6 @@ class CollapseNotion(ForcingNotion):
         return self.fn_index[tuple(sorted(mapping.items()))]
 
 
-def build_collapse(n: int, A: Iterable[HFSet],
-                   include_degenerate_tokens: bool = False) -> CollapseNotion:
+def build_collapse(n: int, A: Iterable[HFSet]) -> CollapseNotion:
     """The finite analogue of the augmented collapse forcing over stage n."""
-    return CollapseNotion(n, A, include_degenerate_tokens)
+    return CollapseNotion(n, A)

@@ -617,7 +617,7 @@ def _shared_clock_translation(eps_name: PName, clock: int) -> tuple:
     """The fold step of star8_translate and its memo, kept for every collapse
     with this ε name and clock: they read nothing else of the notion.  The ε
     name names e-tokens only, which come before the a-tokens, so it is the
-    same for every A at one stage and token setting."""
+    same for every A at one stage."""
     eps = name_const(eps_name)
     clock_names = [name_const(check_name(nat_encode(m))) for m in range(clock)]
 
@@ -654,9 +654,9 @@ def _shared_clock_translation(eps_name: PName, clock: int) -> tuple:
 def _token_free_relation(n: int) -> forcing_mod.ForcingRelation:
     """The atomic relation of stage n's token-free collapse, kept for the
     last stage asked for, as `_truth_codes` keeps its last pool: every
-    collapse there without degenerate tokens extends its notion by its
-    a-tokens, so each `ForcingTruth` lifts the atomic values of the slot,
-    check and ε names from it."""
+    collapse there extends its notion by its a-tokens, so each
+    `ForcingTruth` lifts the atomic values of the slot, check and ε names
+    from it."""
     return forcing_mod.atomic_forcing(build_collapse(n, ()), ())
 
 
@@ -666,24 +666,20 @@ class ForcingTruth:
     variable read as the slot name of its value.  Its relation's universe is
     empty: clock translations have no quantifiers to range over one.  Its
     base is the stage's token-free relation (`_token_free_relation`), so it
-    computes only the atomic values that involve its own a-tokens; a
-    degenerate token has no realizers, so with `include_degenerate_tokens`
-    the relation has no base."""
+    computes only the atomic values that involve its own a-tokens."""
 
-    def __init__(self, n: int, A: Iterable[HFSet], pool: Sequence[Formula],
-                 include_degenerate_tokens: bool = False):
+    def __init__(self, n: int, A: Iterable[HFSet], pool: Sequence[Formula]):
         _check_pool_closed(pool)
         self.pool = canonical_pool(pool)
         self.stage_n = n
-        self.fa = build_collapse(n, A, include_degenerate_tokens)
+        self.fa = build_collapse(n, A)
         self.A = self.fa.A
         self.slot_names = {a: n_dot(self.fa, a) for a in self.fa.targets}
         rules, memo = _shared_clock_translation(eps_dot(self.fa), self.fa.clock)
         self._stars = {phi: fold(phi, rules, memo) for phi in self.pool}
         for star in self._stars.values():
             forcing_mod._check_nesting(star)
-        base = None if include_degenerate_tokens else _token_free_relation(n)
-        self.relation = forcing_mod.ForcingRelation(self.fa, (), base=base)
+        self.relation = forcing_mod.ForcingRelation(self.fa, (), base=_token_free_relation(n))
         self.relation.register_class(a_dot(self.fa, self.A))
 
     def holds(self, phi: Formula, valuation: dict[str, HFSet] | None = None) -> bool:
@@ -701,19 +697,15 @@ class ForcingTruth:
         return self.relation.value(star, env) >> self.fa.one & 1 == 1
 
 
-def forcing_truth(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
-                  include_degenerate_tokens: bool = False) -> ForcingTruth:
-    return ForcingTruth(n, A, pool, include_degenerate_tokens)
+def forcing_truth(n: int, A: Iterable[HFSet], pool: Sequence[Formula]) -> ForcingTruth:
+    return ForcingTruth(n, A, pool)
 
 
-def invariance_check(n: int, A: Iterable[HFSet], pool: Sequence[Formula],
-                     ft: ForcingTruth | None = None):
+def invariance_check(n: int, A: Iterable[HFSet], pool: Sequence[Formula], ft: ForcingTruth):
     """Every condition forces a clock translation under a slot valuation iff
-    the top does: each such forcing value is empty or every condition.  A
-    given ft must have been built from n, A and pool."""
-    if ft is None:
-        ft = ForcingTruth(n, A, pool)
-    elif (n, frozenset(A), canonical_pool(pool)) != (ft.stage_n, ft.A, ft.pool):
+    the top does: each such forcing value is empty or every condition.  ft
+    must have been built from n, A and pool."""
+    if (n, frozenset(A), canonical_pool(pool)) != (ft.stage_n, ft.A, ft.pool):
         raise ForcelabError("ft was built from another stage, parameter set or pool")
     FR = ft.relation
     slots = FiniteStructure(ft.fa.targets)

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from forcelab import (ClassName, Filter, ForcelabError, Solution, atomic_forcing,
+from forcelab import (ClassName, ForcelabError, Solution, atomic_forcing,
                       build_collapse, etr_solve, extension, generic_filters,
                       label_fixpoint_violation, name_universe,
                       random_game_tree, truth_name, verify_solution, verify_strategy,
@@ -21,11 +21,11 @@ from forcelab import corpus, forcing, poset
 def test_adding_or_removing_one_filter_member_fails_extension(corpus_notion):
     P = corpus_notion
     FR = atomic_forcing(P, name_universe(P, 1))
-    for G in generic_filters(P):
-        extension(FR, G)
+    for g in generic_filters(P):
+        extension(FR, g)
         for q in P.conditions():
             with pytest.raises(ForcelabError):
-                extension(FR, Filter(P, G.members ^ 1 << q))
+                extension(FR, g ^ 1 << q)
 
 
 # generic_filters reads the filters off the minimal classes, then checks them

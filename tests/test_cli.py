@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import forcelab
-from forcelab import atomic_forcing, cli, corpus, criteria
+from forcelab import atomic_forcing, cli, corpus, criteria, poset
 from forcelab import forcing as forcing_mod
 from forcelab.cli import main, run_suite
 
@@ -433,8 +433,11 @@ REMOVED_PARAMETERS = [
     (forcelab.etr_solve, {"budget"}),
     (forcelab.instances, {"budget"}),
     (forcelab.name_universe, {"budget", "seeds"}),
-    (forcelab.CollapseNotion, {"budget"}),
-    (forcelab.build_collapse, {"budget"}),
+    (forcelab.CollapseNotion, {"budget", "include_degenerate_tokens"}),
+    (forcelab.build_collapse, {"budget", "include_degenerate_tokens"}),
+    (poset._collapse_skeleton, {"include_degenerate_tokens"}),
+    (forcelab.ForcingTruth, {"include_degenerate_tokens"}),
+    (forcelab.forcing_truth, {"include_degenerate_tokens"}),
     (forcelab.v_stage, {"cap"}),
     (forcelab.formula_step, {"x_var", "solution_ident"}),
     (forcelab.stage_comparison_structure, {"valuation_arity_cap"}),

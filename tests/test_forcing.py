@@ -24,7 +24,7 @@ from forcelab import corpus, criteria
 from forcelab import forcing as forcing_mod
 from forcelab.hfset import hf_pair, hf_unpair, nat_decode
 from forcelab.names import name_to_hf, op_unpair
-from forcelab.poset import Filter, bits
+from forcelab.poset import bits
 from forcelab.truth import FiniteStructure
 from test_forcing_reference import _reference_value
 
@@ -73,7 +73,7 @@ def test_filter_atom_against_direct_evaluation(corpus_notion):
     for G in generic_filters(P):
         for q in P.conditions():
             atom = atom_in_g(name_const(check_name(nat_encode(q))))
-            forced = any(forces(FR, p, atom) for p in bits(G.members))
+            forced = any(forces(FR, p, atom) for p in bits(G))
             true = nat_encode(q) in eval_class(gd, G)
             assert forced == true
 
@@ -228,7 +228,7 @@ def test_audit_catches_corruption(fork):
 def test_extension_quotient_identifications(fork):
     FR = atomic_forcing(fork, name_universe(fork, 1))
     a = fork.index("a")
-    up_a = next(G for G in generic_filters(fork) if G.members >> a & 1)
+    up_a = next(G for G in generic_filters(fork) if G >> a & 1)
     ext = extension(FR, up_a)
     sigma = name_make([(EMPTY_NAME, a)])
     tau = name_make([(EMPTY_NAME, 0)])
@@ -557,7 +557,7 @@ def test_truth_name_atomic_pool(fork):
         from forcelab import encode_formula
         for phi in pool:
             declared = hf_pair(encode_formula(phi), EMPTY) in values
-            forced = any(forces(FR, p, phi) for p in bits(G.members))
+            forced = any(forces(FR, p, phi) for p in bits(G))
             assert declared == forced
 
 
@@ -601,37 +601,27 @@ def test_registering_a_new_class_keeps_the_values_and_a_replaced_one_drops_them(
     assert FR.value(atom_in_class(sigma, "T")) == FR.full
 
 
-def test_a_filter_without_the_top_reads_no_top_value(fork):
-    # the top-only names' values are kept for the filters that hold the top;
-    # without it a check name evaluates to the empty set, and the quotient
-    # disagrees with the direct side
-    N = corpus.oracle_universe(fork)
-    FR = atomic_forcing(fork, N)
+def test_a_mask_without_the_top_fails_extension(fork):
+    # without the top a check name evaluates to the empty set, and the
+    # quotient disagrees with the direct side
+    FR = atomic_forcing(fork, corpus.oracle_universe(fork))
     G = generic_filters(fork)[0]
     extension(FR, G)
-    one = check_name(hf_make([EMPTY]))
-    assert FR._top_values[one] is hf_make([EMPTY])
-    topless = Filter(fork, G.members & ~1)
-    assert forcing_mod._DirectSide(N, topless, FR._top_values).evaluation[one] is EMPTY
     with pytest.raises(ForcelabError):
-        extension(FR, topless)
+        extension(FR, G & ~1)
 
 
-def test_extension_keeps_one_direct_side_per_filter(fork):
+def test_the_direct_side_of_extension_is_eval_name_and_eval_class(fork):
     N = corpus.oracle_universe(fork)
     FR = atomic_forcing(fork, N)
-    pool = corpus.oracle_pool(fork, N)
-    assert truth_lemma_check(FR, pool)[0]
-    sides = dict(FR._direct)
-    assert sorted(sides) == sorted(G.members for G in generic_filters(fork))
     tn = truth_name(FR, list(dict.fromkeys(corpus.truth_name_pool(fork, N))))
-    assert tn.ok and FR._direct == sides
+    assert tn.ok
     for G in generic_filters(fork):
         ext = extension(FR, G)
         assert ext.class_values["T"] == eval_class(tn.tdot, G)
         assert ext.class_values["G"] == eval_class(g_dot(fork), G)
         assert ext.evaluation == {n: eval_name(n, G) for n in N}
-    # a class name registered under a kept ident is evaluated afresh
+    # a class name registered again under its ident is evaluated afresh
     FR.register_class(ClassName.make("T", [(N[1], 0)]))
     for G in generic_filters(fork):
         assert extension(FR, G).class_values["T"] == {eval_name(N[1], G)}
@@ -681,8 +671,7 @@ def test_a_flipped_rank_2_entry_fails_the_truth_lemma(deep_four_fork):
     # of G is set changes the forced row at G.
     FR, pool = deep_four_fork
     P = FR.notion
-    G = generic_filters(P)[0]
-    g = G.members
+    g = generic_filters(P)[0]
     m = next(q for q in bits(g) if all(P.le(q, r) for r in bits(g)))
     deep = [n for n in FR.universe if n.rank == 2 and n.max_condition]
     key = next((kind, s, t) for s in deep for t in FR.universe for kind in ("in", "eq")

@@ -245,16 +245,15 @@ def test_the_first_law_counterexamples_match_a_per_entry_reference():
 
 @pytest.mark.parametrize("kind", ["eq", "in"])
 def test_a_flip_after_a_passing_check_fails_the_next_one(fork, kind):
-    # extension keeps only its direct side across calls; the forced rows are
-    # read afresh, so a bit flipped after a passing check is caught
+    # extension keeps nothing across calls; the forced rows are read afresh,
+    # so a bit flipped after a passing check is caught
     N = corpus.oracle_universe(fork)
     FR = atomic_forcing(fork, N)
     pool = corpus.oracle_pool(fork, N)
     tn_pool = list(dict.fromkeys(corpus.truth_name_pool(fork, N)))
     assert truth_lemma_check(FR, pool)[0]
     assert truth_name(FR, tn_pool).ok
-    G = generic_filters(fork)[0]
-    g = G.members
+    g = generic_filters(fork)[0]
     m = next(q for q in bits(g) if all(fork.le(q, r) for r in bits(g)))
     s, t = next((s, t) for s in N for t in N if s.max_condition
                 and FR._atomic[kind, s, t] & g & ~(1 << m) == 0)
@@ -275,20 +274,18 @@ def test_composite_flip_at_a_filter_member_fails_the_truth_lemma(fork, set_bit):
     # The filter's least member m lies below every member, so a downward-closed
     # value meets the filter iff it holds m.  Setting m where no member forces
     # the formula, or clearing it where m alone does, flips the verdict at G.
-    for G in generic_filters(fork):
-        g = G.members
+    for g in generic_filters(fork):
         m = next(q for q in bits(g) if all(fork.le(q, r) for r in bits(g)))
         for phi in (f for f in pool if isinstance(f, COMPOSITE)):
             V = FR.value(phi)
             if (V & g == 0) if set_bit else (V & g == 1 << m):
                 FR._values[phi] = V ^ (1 << m)
-                assert truth_lemma_check(FR, phi) == (False, (G, phi))
+                assert truth_lemma_check(FR, phi) == (False, (g, phi))
                 return
     pytest.fail("no composite formula with the wanted value at a generic filter")
 
 
-def _least_member(P, G) -> int:
-    g = G.members
+def _least_member(P, g) -> int:
     return next(q for q in bits(g) if all(P.le(q, r) for r in bits(g)))
 
 
@@ -297,23 +294,23 @@ def test_a_membership_flip_between_unshared_names_fails_extension(fork):
     # G's least member keeps forced equality a congruence
     N = corpus.oracle_universe(fork)
     FR = atomic_forcing(fork, N)
-    G = generic_filters(fork)[0]
-    g, m = G.members, _least_member(fork, G)
+    g = generic_filters(fork)[0]
+    m = _least_member(fork, g)
     alone = [s for s in N if all(FR._atomic["eq", s, u] & g == 0 for u in N if u != s)]
     s, t = next((s, t) for s in alone for t in alone if FR._atomic["in", s, t] & g == 0)
-    extension(FR, G)
+    extension(FR, g)
     with _flipped(FR, "in", s, t, m):
         with pytest.raises(ForcelabError, match="forced membership disagrees"):
-            extension(FR, G)
+            extension(FR, g)
 
 
 def test_a_flipped_class_value_fails_extension(fork):
     FR = atomic_forcing(fork, corpus.oracle_universe(fork))
-    G = generic_filters(fork)[0]
+    g = generic_filters(fork)[0]
     key = atom_in_class(name_const(FR.universe[0]), "G")
-    FR._values[key] = FR.value(key) ^ G.members
+    FR._values[key] = FR.value(key) ^ g
     with pytest.raises(ForcelabError, match="class 'G' extension disagrees"):
-        extension(FR, G)
+        extension(FR, g)
 
 
 def test_a_set_bit_of_a_conjunction_fails_its_truth_name_clause(fork):
@@ -322,11 +319,11 @@ def test_a_set_bit_of_a_conjunction_fails_its_truth_name_clause(fork):
     N = corpus.oracle_universe(fork)
     FR = atomic_forcing(fork, N)
     pool = corpus.truth_name_pool(fork, N)
-    G = generic_filters(fork)[0]
-    phi = next(f for f in pool if isinstance(f, And) and FR.value(f) & G.members == 0)
-    FR._values[phi] |= 1 << _least_member(fork, G)
+    g = generic_filters(fork)[0]
+    phi = next(f for f in pool if isinstance(f, And) and FR.value(f) & g == 0)
+    FR._values[phi] |= 1 << _least_member(fork, g)
     failures = truth_name(FR, pool).failures
-    assert ("conjunction-clause", G, phi) in failures
+    assert ("conjunction-clause", g, phi) in failures
 
 
 def test_cleared_bits_of_a_quantifier_fail_its_truth_name_clause(fork):
@@ -334,11 +331,11 @@ def test_cleared_bits_of_a_quantifier_fail_its_truth_name_clause(fork):
     N = corpus.oracle_universe(fork)
     FR = atomic_forcing(fork, N)
     pool = corpus.truth_name_pool(fork, N)
-    G = generic_filters(fork)[0]
+    g = generic_filters(fork)[0]
     phi = next(f for f in pool if isinstance(f, Forall))
-    FR._values[phi] = FR.value(phi) & ~G.members
+    FR._values[phi] = FR.value(phi) & ~g
     failures = truth_name(FR, pool).failures
-    assert ("quantifier-clause", G, phi) in failures
+    assert ("quantifier-clause", g, phi) in failures
 
 
 def test_a_cleared_negation_fails_dense_decidedness(fork):
@@ -630,7 +627,7 @@ def test_tarskian_truth_never_names_the_forcing_kernel():
 # earlier slices alone, so it may name no part of the kernel.
 
 # Criteria 1 and 5 compare the quotient by the forced rows with direct
-# evaluation.  `extension` keeps the direct side per filter; it is computed
+# evaluation.  `extension` builds the direct side per call; it is computed
 # from the names alone, so it may name no part of the kernel and ask it for
 # no value.  Criterion 9's law audit judges each distinct mask by the laws'
 # pointwise definitions, not with the kernel's own operators.

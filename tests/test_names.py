@@ -98,7 +98,7 @@ def test_op_name_evaluates_to_kuratowski_pair(fork):
 def test_g_dot_extension(fork):
     gd = g_dot(fork)
     for G in generic_filters(fork):
-        assert eval_class(gd, G) == {nat_encode(i) for i in bits(G.members)}
+        assert eval_class(gd, G) == {nat_encode(i) for i in bits(G)}
 
 
 def test_collapse_names_require_collapse_notion(fork):
@@ -110,7 +110,7 @@ def test_n_dot_names_the_preimage_slot():
     fa = build_collapse(2, [])
     graph_of = {p: graph for graph, p in fa.fn_index.items()}
     for G in generic_filters(fa):
-        minimal = min(bits(G.members), key=lambda p: fa.down(p).bit_count())
+        minimal = min(bits(G), key=lambda p: fa.down(p).bit_count())
         fn = dict(graph_of[minimal])
         for a in fa.targets:
             inverse = next(i for i, t in fn.items() if t is a)
@@ -122,7 +122,7 @@ def test_eps_dot_is_the_membership_copy():
     graph_of = {p: graph for graph, p in fa.fn_index.items()}
     eps = eps_dot(fa)
     for G in generic_filters(fa):
-        minimal = min(bits(G.members), key=lambda p: fa.down(p).bit_count())
+        minimal = min(bits(G), key=lambda p: fa.down(p).bit_count())
         fn = dict(graph_of[minimal])
         want = {hf_pair(nat_encode(i), nat_encode(j))
                 for i, ti in fn.items() for j, tj in fn.items() if ti in tj}
@@ -136,7 +136,7 @@ def test_a_dot_extension_is_the_copied_parameter():
     graph_of = {p: graph for graph, p in fa.fn_index.items()}
     ad = a_dot(fa, A)
     for G in generic_filters(fa):
-        minimal = min(bits(G.members), key=lambda p: fa.down(p).bit_count())
+        minimal = min(bits(G), key=lambda p: fa.down(p).bit_count())
         fn = dict(graph_of[minimal])
         want = {nat_encode(i) for i, t in fn.items() if t in set(A)}
         assert eval_class(ad, G) == want
@@ -175,7 +175,7 @@ def test_seeded_universe_is_subname_closed():
 def test_eval_respects_conditions(fork):
     a = fork.index("a")
     sigma = name_make([(EMPTY_NAME, a)])
-    up_a, up_b = sorted(generic_filters(fork), key=lambda G: list(bits(G.members)))
+    up_a, up_b = sorted(generic_filters(fork), key=lambda G: list(bits(G)))
     assert eval_name(sigma, up_a) is hf_make([EMPTY])
     assert eval_name(sigma, up_b) is EMPTY
 
@@ -191,7 +191,7 @@ def test_eval_walks_any_name_rank(fork):
     # each level an entry under a's filter, and one under b's, which up_a cuts
     deep = 5000
     a, b = fork.index("a"), fork.index("b")
-    up_a, _ = sorted(generic_filters(fork), key=lambda G: list(bits(G.members)))
+    up_a, _ = sorted(generic_filters(fork), key=lambda G: list(bits(G)))
     sigma, want = EMPTY_NAME, EMPTY
     for _ in range(deep):
         sigma = name_make([(sigma, a), (EMPTY_NAME, b)])

@@ -48,20 +48,20 @@ def _brute_force_generic(P):
 @pytest.mark.parametrize("name", [name for name, _ in corpus.corpus_notions()])
 def test_generic_filters_match_brute_force(name):
     P = dict(corpus.corpus_notions())[name]
-    got = sorted(F.members for F in generic_filters(P))
+    got = sorted(generic_filters(P))
     assert got == _brute_force_generic(P)
 
 
 def test_fork_has_two_generic_filters(fork):
     filters = generic_filters(fork)
-    assert sorted(list(bits(F.members)) for F in filters) == [[0, 1], [0, 2]]
+    assert sorted(list(bits(g)) for g in filters) == [[0, 1], [0, 2]]
 
 
 def test_equivalent_teeth_share_a_filter():
     P = make_notion(["1", "a", "a2", "b"], [("a", "a2"), ("a2", "a")])
     filters = generic_filters(P)
     assert len(filters) == 2
-    assert 0b111 in {F.members for F in filters}
+    assert 0b111 in filters
 
 
 def test_a_collapse_below_stage_0_is_refused():
@@ -73,9 +73,6 @@ def test_collapse_counts_stage2():
     fa = build_collapse(2, [])
     # 7 partial injections + the two realizable supremum tokens
     assert len(fa) == 9
-    fa_all = build_collapse(2, [], include_degenerate_tokens=True)
-    # with the degenerate tokens: 7 + 4 + 2 = 13
-    assert len(fa_all) == 13
 
 
 def test_collapse_order_clauses():
@@ -122,7 +119,6 @@ def test_collapse_sizes_stage3():
     for r in range(1, len(stage) + 1):
         for A in itertools.combinations(stage, r):
             assert len(build_collapse(3, A)) == 225
-    assert len(build_collapse(3, [], include_degenerate_tokens=True)) == 229
 
 
 def test_collapse_budget():
@@ -137,7 +133,7 @@ def test_collapse_budget():
 # a frontier search for the functions, f ≤ g tested for every pair (f, g),
 # and the token realizers found by re-reading each graph per token.
 
-def ref_collapse(stage, A, include_degenerate_tokens=False):
+def ref_collapse(stage, A):
     targets = v_stage(stage)
     k = len(targets)
     A = frozenset(A)
@@ -178,14 +174,14 @@ def ref_collapse(stage, A, include_degenerate_tokens=False):
     for i in range(k):
         for j in range(k):
             below = realizers_e(i, j)
-            if not below and not include_degenerate_tokens:
+            if not below:
                 continue
             e_index[(i, j)] = len(elements)
             elements.append(f"e_{i}_{j}")
             pairs.extend((b, e_index[(i, j)]) for b in below)
     for i in range(k):
         below = realizers_a(i)
-        if not below and not include_degenerate_tokens:
+        if not below:
             continue
         a_index[i] = len(elements)
         elements.append(f"a_{i}")
@@ -199,94 +195,21 @@ def ref_collapse(stage, A, include_degenerate_tokens=False):
 
 
 def _collapse_configurations():
-    for n in (1, 2, 3):
-        stage = v_stage(n)
-        for r in range(len(stage) + 1):
-            for A in itertools.combinations(stage, r):
-                for degenerate in (False, True):
-                    yield n, A, degenerate
-
-
-def test_collapse_configurations_count():
-    assert len(list(_collapse_configurations())) == 44
-
-
-@pytest.mark.parametrize("n, A, degenerate", list(_collapse_configurations()))
-def test_collapse_matches_all_pairs_reference(n, A, degenerate):
-    fa = build_collapse(n, A, include_degenerate_tokens=degenerate)
-    ref, fn_index, e_index, a_index = ref_collapse(n, A, degenerate)
-    assert fa.elements == ref.elements
-    assert list(fa.fn_index.items()) == list(fn_index.items())
-    assert list(fa.e_index.items()) == list(e_index.items())
-    assert list(fa.a_index.items()) == list(a_index.items())
-    for p in ref.conditions():
-        assert fa.up(p) == ref.up(p), fa.elements[p]
-        assert fa.down(p) == ref.down(p), fa.elements[p]
-
-
-# ---------------------------------------------------------------------------
-# The sub-graph collapse builder that made every pair of the order afresh
-# for each parameter set, closed by the generic closure: the reference for
-# the per-stage skeleton with a-tokens added per parameter set.
-
-def subgraph_collapse(stage, A, include_degenerate_tokens=False):
-    targets = v_stage(stage)
-    k = len(targets)
-    A = frozenset(A)
-    position = {t: n for n, t in enumerate(targets)}
-    graphs = sorted((tuple(zip(slots, image))
-                     for r in range(1, k + 1)
-                     for slots in itertools.combinations(range(k), r)
-                     for image in itertools.permutations(targets, r)),
-                    key=lambda g: [(i, position[t]) for i, t in g])
-    elements = ["1"]
-    fn_index = {(): 0}
-    for graph in graphs:
-        fn_index[graph] = len(elements)
-        elements.append("f{" + ",".join(f"{i}:{position[t]}" for i, t in graph) + "}")
-
-    pairs = []
-    below_e, below_a = {}, {}
-    for graph, p in fn_index.items():
-        pairs.extend((p, fn_index[sub])
-                     for r in range(len(graph)) for sub in itertools.combinations(graph, r))
-        for i, x in graph:
-            if x in A:
-                below_a.setdefault(i, []).append(p)
-            for j, y in graph:
-                if x in y:
-                    below_e.setdefault((i, j), []).append(p)
-
-    e_index, a_index = {}, {}
-    for i in range(k):
-        for j in range(k):
-            below = below_e.get((i, j), [])
-            if below or include_degenerate_tokens:
-                e_index[(i, j)] = len(elements)
-                elements.append(f"e_{i}_{j}")
-                pairs.extend((b, e_index[(i, j)]) for b in below)
-    for i in range(k):
-        below = below_a.get(i, [])
-        if below or include_degenerate_tokens:
-            a_index[i] = len(elements)
-            elements.append(f"a_{i}")
-            pairs.extend((b, a_index[i]) for b in below)
-    return ForcingNotion(elements, pairs), fn_index, e_index, a_index
-
-
-def _every_parameter_set():
     for n in (0, 1, 2, 3):
         stage = v_stage(n)
         for r in range(len(stage) + 1):
             for A in itertools.combinations(stage, r):
-                for degenerate in (False, True):
-                    yield n, A, degenerate
+                yield n, A
 
 
-def _differences_from_subgraph_reference(n, A, degenerate):
+def test_collapse_configurations_count():
+    assert len(list(_collapse_configurations())) == 1 + 2 + 4 + 16
+
+
+def _differences_from_reference(n, A):
     """The attributes in which the collapse differs from the reference."""
-    fa = build_collapse(n, A, include_degenerate_tokens=degenerate)
-    ref, fn_index, e_index, a_index = subgraph_collapse(n, A, degenerate)
+    fa = build_collapse(n, A)
+    ref, fn_index, e_index, a_index = ref_collapse(n, A)
     pairs = [("elements", fa.elements, ref.elements),
              ("_up", fa._up, ref._up), ("_down", fa._down, ref._down),
              ("fn_index", list(fa.fn_index.items()), list(fn_index.items())),
@@ -295,23 +218,21 @@ def _differences_from_subgraph_reference(n, A, degenerate):
     return [label for label, got, want in pairs if got != want]
 
 
-def test_every_collapse_matches_the_subgraph_reference():
-    configurations = list(_every_parameter_set())
-    assert len(configurations) == 2 * (1 + 2 + 4 + 16)
-    for n, A, degenerate in configurations:
-        assert _differences_from_subgraph_reference(n, A, degenerate) == [], (n, A, degenerate)
+@pytest.mark.parametrize("n, A", list(_collapse_configurations()))
+def test_collapse_matches_all_pairs_reference(n, A):
+    assert _differences_from_reference(n, A) == []
 
 
-def test_a_dropped_parameter_token_bit_fails_the_subgraph_reference(monkeypatch):
+def test_a_dropped_parameter_token_bit_fails_the_all_pairs_reference(monkeypatch):
     # one realizer of one a(i) no longer lies below it, in either mask
     place = poset._place_token
     for n in (2, 3):
         stage = v_stage(n)
-        for A, degenerate in ((stage[:1], False), (stage, True)):
-            token = min(build_collapse(n, A, degenerate).a_index.values())
+        for A in (stage[:1], stage):
+            token = min(build_collapse(n, A).a_index.values())
             monkeypatch.setattr(poset, "_place_token", lambda up, down, below: place(
                 up, down, below & below - 1 if len(up) == token else below))
-            assert _differences_from_subgraph_reference(n, A, degenerate) == ["_up", "_down"]
+            assert _differences_from_reference(n, A) == ["_up", "_down"]
 
 
 def test_collapses_at_one_stage_share_their_functions():
@@ -325,15 +246,14 @@ def test_every_collapse_at_a_stage_reads_the_shared_down_masks_off_its_skeleton(
     # not recomputed per parameter set; only the top's gains the a-token bits
     for n in (2, 3):
         stage = v_stage(n)
-        for degenerate in (False, True):
-            skeleton = _collapse_skeleton(n, degenerate)
-            shared = len(skeleton.elements)
-            for r in range(len(stage) + 1):
-                for A in itertools.combinations(stage, r):
-                    fa = build_collapse(n, A, degenerate)
-                    assert all(got is want for got, want in
-                               zip(fa._down[1:shared], skeleton.down[1:shared], strict=True))
-                    assert fa._down[0] == (1 << len(fa)) - 1
+        skeleton = _collapse_skeleton(n)
+        shared = len(skeleton.elements)
+        for r in range(len(stage) + 1):
+            for A in itertools.combinations(stage, r):
+                fa = build_collapse(n, A)
+                assert all(got is want for got, want in
+                           zip(fa._down[1:shared], skeleton.down[1:shared], strict=True))
+                assert fa._down[0] == (1 << len(fa)) - 1
 
 
 def test_collapse_is_not_separative_at_finite_scale():

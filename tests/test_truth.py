@@ -6,9 +6,9 @@ import time
 import pytest
 
 from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, BudgetError, ClosureError,
-                      FiniteStructure, Forall, ForcelabError, ForcingRelation, Not, Or,
-                      PairTerm, and_, atom_eq, atom_in, atom_in_class, atom_in_g,
-                      atomic_forcing, build_collapse, const, etr_solve,
+                      FiniteStructure, Forall, ForcelabError, ForcingNotion, ForcingRelation,
+                      Not, Or, PairTerm, and_, atom_eq, atom_in, atom_in_class, atom_in_g,
+                      atomic_forcing, bits, build_collapse, const, etr_solve,
                       eval_formula, exists, forall, forcing_truth, hf_make,
                       invariance_check, name_const, not_, or_, perturb,
                       star8_translate, subformula_closure, substitute,
@@ -295,20 +295,18 @@ def test_star8_translates_a_deep_shared_chain_quickly():
 
 
 def test_forcing_truths_share_each_stage_translation_and_only_that():
-    # Collapses at one stage and token setting share their ε name, so
-    # every parameter set reuses one clock translation; each star must be
-    # the one a fresh translation over the notion gives.
+    # Collapses at one stage share their ε name, so every parameter set
+    # reuses one clock translation; each star must be the one a fresh
+    # translation over the notion gives.
     pool = corpus.first_order_pool()
     stage = v_stage(3)
     built = [forcing_truth(3, A, pool) for A in ([stage[0]], stage[1:])]
-    built.append(forcing_truth(3, [stage[0]], pool, include_degenerate_tokens=True))
     built.append(forcing_truth(2, [], pool))  # after stage 3, whose memo must not leak
     for ft in built:
         for phi in ft.pool:
             assert ft._stars[phi] is ref_star8_translate(phi, ft.fa), formula_to_sexp(phi)
-    first, second, degenerate, stage2 = built
+    first, second, stage2 = built
     assert all(first._stars[phi] is second._stars[phi] for phi in first.pool)
-    assert any(degenerate._stars[phi] is not first._stars[phi] for phi in first.pool)
     assert any(stage2._stars[phi] is not first._stars[phi] for phi in first.pool)
 
 
@@ -397,8 +395,6 @@ def test_collapse_truths_at_one_stage_share_one_token_free_base():
     assert len(base.notion) == len(build_collapse(3, [])) == 209 + 12
     stage2 = forcing_truth(2, [EMPTY], pool).relation
     assert stage2._base is truth_mod._token_free_relation(2) is not base
-    degenerate = forcing_truth(3, [stage[0]], pool, include_degenerate_tokens=True)
-    assert degenerate.relation._base is None
 
 
 def test_only_the_last_stages_token_free_base_is_kept(fresh_token_free_relations):
@@ -411,7 +407,11 @@ def test_only_the_last_stages_token_free_base_is_kept(fresh_token_free_relations
 def test_a_relation_refuses_a_base_its_notion_does_not_extend_by_tokens():
     base = truth_mod._token_free_relation(2)
     assert ForcingRelation(build_collapse(2, [EMPTY]), (), base=base)._base is base
-    for notion in (build_collapse(3, [EMPTY]), build_collapse(2, [], True)):
+    # the stage-2 collapse with one more token, above no condition
+    plain = build_collapse(2, [])
+    unrealized = ForcingNotion(plain.elements + ("t",), [
+        (p, q) for p in plain.conditions() for q in bits(plain.up(p))])
+    for notion in (build_collapse(3, [EMPTY]), unrealized):
         with pytest.raises(ForcelabError, match="does not extend the base's by tokens"):
             ForcingRelation(notion, (), base=base)
 
@@ -491,7 +491,7 @@ def test_forcing_truth_equals_tarski_stage2(mask):
 
 def test_invariance_stage2():
     pool = corpus.first_order_pool()
-    ok, cx = invariance_check(2, [EMPTY], pool)
+    ok, cx = invariance_check(2, [EMPTY], pool, forcing_truth(2, [EMPTY], pool))
     assert ok, cx
 
 
@@ -526,11 +526,25 @@ def test_invariance_check_refuses_a_truth_built_from_other_arguments(changed):
     assert invariance_check(3, [EMPTY, EMPTY], pool[::-1], ft) == (True, None)
 
 
-def test_invariance_fails_with_degenerate_tokens():
+def test_invariance_fails_with_degenerate_tokens(monkeypatch, fresh_token_free_relations):
+    # A token above no condition, here e(0,0) (no f has f(0) ∈ f(0)), lies
+    # below only the top, so the top's verdicts are not every condition's.
+    skeleton = poset._collapse_skeleton
+
+    def with_e00(stage):
+        got = skeleton(stage)
+        up, down = list(got.up), list(got.down)
+        e_index = {**got.e_index, (0, 0): len(up)}
+        poset._place_token(up, down, 0)
+        return got._replace(elements=got.elements + ("e_0_0",), e_index=e_index,
+                            up=tuple(up), down=tuple(down))
+
+    monkeypatch.setattr(poset, "_collapse_skeleton", with_e00)
     pool = corpus.first_order_pool()
-    ft = forcing_truth(2, [], pool, include_degenerate_tokens=True)
+    ft = forcing_truth(2, [], pool)
+    assert (0, 0) in ft.fa.e_index
     ok, cx = invariance_check(2, [], pool, ft)
-    assert not ok
+    assert not ok and ft.fa.elements[cx[0]] == "e_0_0"
 
 
 def test_invariance_fails_with_check_name_parameter():
