@@ -8,10 +8,8 @@ translation exactly when the statement is true.  No condition knows more
 than the top does (the invariance below is the whole point).
 """
 
-import itertools
-
 from forcelab import (EMPTY, FiniteStructure, bits, build_collapse, corpus,
-                      eval_name, eps_dot, formula_to_sexp, forcing_truth,
+                      eval_name, formula_to_sexp, forcing_truth,
                       generic_filters, invariance_check, n_dot, tarski_truth,
                       v_stage)
 from forcelab.truth import instances

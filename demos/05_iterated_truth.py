@@ -10,7 +10,7 @@ predicate.
 from forcelab import (EMPTY, AtomTr, DerivedIteratedTruth, FiniteStructure,
                       StageTranslator, corpus, encode_formula,
                       encode_valuation, forall, formula_to_sexp,
-                      iterated_truth, nat_encode, or_,
+                      iterated_truth, nat_encode,
                       stage_comparison_structure, v_stage, var)
 from forcelab.formulas import atom_eq
 

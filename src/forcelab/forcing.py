@@ -41,7 +41,7 @@ from .formulas import (And, AtomEq, AtomIn, AtomInClass, AtomInG, AtomTr,
                        Exists, Forall, Formula, NameConst, Not,
                        Or, PairTerm, Term, Var, _term_fold, and_, atom_eq, atom_in,
                        atom_in_class, atom_in_g, atom_terms, canonical_pool, const,
-                       encode_formula, implies, map_atom, map_formula,
+                       encode_formula, fold, implies, map_atom, map_formula,
                        name_const, nodes, not_, or_, substitute, terms)
 from .hfset import EMPTY, HFSet, hf_make, hf_pair, nat_encode
 from .names import (EMPTY_NAME, ClassName, PName, _interned, check_name,
@@ -92,12 +92,32 @@ class ForcingRelation:
     built the first time `classes` is read or a "G" atom is forced.
 
     A `base` relation may be given when the notion extends the base's by
-    tokens (see `_token_lift`): then the atomic value of two names whose
-    conditions all lie in the base is the base's value, filled there on
-    demand, lifted onto the tokens (see `atomic_value`), so relations over
-    several such extensions of one notion share its atomic recursion.  A
-    notion that does not extend the base's so is refused.  Composite
-    clauses and class atoms are still valued on this relation's own notion.
+    tokens (see `_token_lift`) and the two share a universe: then a value
+    whose names all have their conditions in the base is the base's value,
+    filled there on demand, lifted onto the tokens, so relations over
+    several such extensions of one notion share its recursion.  That holds
+    for atomic values (see `atomic_value`) and for every node with no class
+    or generic-filter atom whose name constants and valuation names lie in
+    the base; the base decides that once per node (`_lift_bound`).  A
+    notion that does not extend the base's so, or a base over another
+    universe, is refused.  Class and filter atoms, and the nodes above
+    them, are valued on this relation's own notion.
+
+    The lift of a base mask V adds each token whose realizers all lie in V
+    (`_lifted`).  Each token lies below only the top, and its realizers (the
+    base's conditions below it) form a nonempty downset of the base; below
+    a base condition other than the top lie only base conditions.  So a
+    regular-open mask W of this notion is the lift of its base part: a
+    token's extensions are itself and its realizers, so it lies in W
+    exactly when they all do.  Lifting commutes with `neg`: a base
+    condition other than the top has no extension in lift(V) exactly when
+    it has none in V, and the top exactly when V is empty (every token has
+    a realizer), so neg(lift(V)) is regular open with base part neg_B(V).
+    It commutes with intersections by its definition, so with neg of a
+    union, the intersection of the negs.  Hence, by induction on the node
+    with the atomic values as the base step: ¬ is neg; ∧ and ∀ (over the
+    shared universe, whose names lie in the base) are intersections; ∨ and
+    ∃ are regularized unions, neg of neg of a union.
     """
 
     def __init__(self, notion: ForcingNotion, universe: Sequence[PName], *,
@@ -119,8 +139,11 @@ class ForcingRelation:
         self._neg: dict[int, int] = {}
         self._atomic: dict = {}
         self._values: dict = {}
+        self._bounds: dict = {}  # filled when this relation is another's base
         self._base, self._base_size, self._lift = base, 0, ()
         if base is not None:
+            if base.universe != self.universe:
+                raise ForcelabError("the base's universe is not this relation's")
             self._base_size, self._lift = len(base.notion), _token_lift(notion, base.notion)
         for sigma, tau, kind in itertools.product(self.universe, self.universe, ("in", "sub", "eq")):
             self.atomic_value(kind, sigma, tau)
@@ -203,11 +226,7 @@ class ForcingRelation:
         if got is not None:
             return got
         if self._base is not None and max(sigma.max_condition, tau.max_condition) < self._base_size:
-            out = self._base.atomic_value(kind, sigma, tau)
-            for bit, realizers in self._lift:
-                if not realizers & ~out:
-                    out |= bit
-            self._atomic[key] = out
+            out = self._atomic[key] = self._lifted(self._base.atomic_value(kind, sigma, tau))
             return out
         if sigma.max_condition >= self._size or tau.max_condition >= self._size:
             raise ForcelabError(_OUTSIDE)
@@ -257,8 +276,29 @@ class ForcingRelation:
         key = (phi, tuple(map(env.get, phi.free_sorted))) if phi.free else phi
         got = self._values.get(key)
         if got is None:
-            got = self._values[key] = self._clause(phi, env)
+            if self._base is not None and self._in_base(phi, env):
+                got = self._values[key] = self._lifted(self._base.value(phi, env))
+            else:
+                got = self._values[key] = self._clause(phi, env)
         return got
+
+    def _lifted(self, out: int) -> int:
+        """A base mask with every token whose realizers all lie in it."""
+        for bit, realizers in self._lift:
+            if not realizers & ~out:
+                out |= bit
+        return out
+
+    def _in_base(self, phi: Formula, env: Mapping[str, PName]) -> bool:
+        """phi has no class or filter atom, and its name constants and the
+        names env gives its free variables all have their conditions in the
+        base."""
+        size = self._base_size
+        bound = self._base._bounds.get(phi, -1)
+        if bound == -1:  # not seen yet: one fold bounds phi and every node below it
+            bound = fold(phi, _lift_bound, self._base._bounds)
+        return bound is not None and bound < size and all(
+            (n := env.get(x)) is not None and n.max_condition < size for x in phi.free_sorted)
 
     def _clause(self, phi: Formula, env: Mapping[str, PName]) -> int:
         if isinstance(phi, (AtomInClass, AtomInG)):
@@ -284,6 +324,17 @@ class ForcingRelation:
         if isinstance(phi, (And, Forall)):
             return functools.reduce(operator.and_, values, self.full)
         return self.regularize(functools.reduce(operator.or_, values, 0))
+
+
+def _lift_bound(phi: Formula, kids: tuple) -> int | None:
+    """The greatest condition of phi's name constants, or None when phi has
+    a class, filter or iterated-truth atom: a relation values those nodes on
+    its own notion."""
+    if isinstance(phi, (AtomInClass, AtomInG, AtomTr)) or None in kids:
+        return None
+    if phi.rank:
+        return max(kids, default=0)
+    return max((n.max_condition for n in collect_names(phi)), default=0)
 
 
 def _token_lift(P: ForcingNotion, B: ForcingNotion) -> tuple[tuple[int, int], ...]:

@@ -652,11 +652,11 @@ def _shared_clock_translation(eps_name: PName, clock: int) -> tuple:
 
 @functools.lru_cache(maxsize=1)
 def _token_free_relation(n: int) -> forcing_mod.ForcingRelation:
-    """The atomic relation of stage n's token-free collapse, kept for the
-    last stage asked for, as `_truth_codes` keeps its last pool: every
-    collapse there extends its notion by its a-tokens, so each
-    `ForcingTruth` lifts the atomic values of the slot, check and ε names
-    from it."""
+    """The relation of stage n's token-free collapse, kept for the last
+    stage asked for, as `_truth_codes` keeps its last pool: every collapse
+    there extends its notion by its a-tokens, so each `ForcingTruth` lifts
+    from it the atomic values of the slot, check and ε names and the values
+    of the translations that do not read Ȧ."""
     return forcing_mod.atomic_forcing(build_collapse(n, ()), ())
 
 
@@ -666,7 +666,9 @@ class ForcingTruth:
     variable read as the slot name of its value.  Its relation's universe is
     empty: clock translations have no quantifiers to range over one.  Its
     base is the stage's token-free relation (`_token_free_relation`), so it
-    computes only the atomic values that involve its own a-tokens."""
+    computes only the atomic values that involve its own a-tokens and the
+    nodes that read Ȧ; every other translation is valued once per stage,
+    on the base, and lifted."""
 
     def __init__(self, n: int, A: Iterable[HFSet], pool: Sequence[Formula]):
         _check_pool_closed(pool)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ClassName, ClosureError,
+from forcelab import (EMPTY, EMPTY_NAME, BudgetError, ClassName, ClosureError, Exists, Forall,
                       ForcelabError, ForcingRelation, and_, atom_eq, atom_in, atom_in_class,
                       atom_in_g, atomic_forcing, atomic_recursion_instance,
                       audit_forcing_relation, boolean_completion,
@@ -167,8 +167,23 @@ def test_a_token_over_fork_conditions_lifts_the_forks_atomic_table(fork, below):
     # t lies below only the top and above the given conditions of the fork
     P = make_notion([*fork.elements, "t"], [(c, "t") for c in below])
     names = corpus.oracle_universe(fork)
-    lifted = ForcingRelation(P, names, base=atomic_forcing(fork, names))
-    assert lifted._atomic == atomic_forcing(P, names)._atomic
+    base = atomic_forcing(fork, names)
+    lifted, plain = ForcingRelation(P, names, base=base), atomic_forcing(P, names)
+    assert lifted._atomic == plain._atomic
+    # and the oracle pool's composite values, quantifiers over the shared
+    # universe included: the base values all but the filter atoms' nodes
+    pool = corpus.oracle_pool(fork, names)
+    assert [lifted.value(phi) for phi in pool] == [plain.value(phi) for phi in pool]
+    quantifiers = [phi for phi in pool if isinstance(phi, (Forall, Exists))]
+    assert [phi in base._values for phi in quantifiers] == [True] * 4 + [False]
+
+
+def test_a_base_over_another_universe_is_refused(fork):
+    P = make_notion([*fork.elements, "t"], [("a", "t")])
+    names = corpus.oracle_universe(fork)
+    for base_names, own_names in ((names, ()), ((), names), (names[:-1], names)):
+        with pytest.raises(ForcelabError, match="the base's universe is not this relation's"):
+            ForcingRelation(P, own_names, base=atomic_forcing(fork, base_names))
 
 
 def test_a_notion_that_does_not_extend_the_base_by_tokens_is_refused(fork):

@@ -1,12 +1,14 @@
 import itertools
 import random
 import re
+import sys
 import time
 
 import pytest
 
 from forcelab import (EMPTY, And, AtomEq, AtomIn, AtomInClass, BudgetError, ClosureError,
                       FiniteStructure, Forall, ForcelabError, ForcingNotion, ForcingRelation,
+                      Formula,
                       Not, Or, PairTerm, and_, atom_eq, atom_in, atom_in_class, atom_in_g,
                       atomic_forcing, bits, build_collapse, const, etr_solve,
                       eval_formula, exists, forall, forcing_truth, hf_make,
@@ -356,15 +358,26 @@ def test_both_sides_of_criterion_4_refuse_the_same_queries():
         assert errors[0] == errors[1]
 
 
-# --- the token-free base: each parameter set lifts the stage's atomic values
+# --- the token-free base: each parameter set lifts the stage's values
 
 def _lifted_differences(ft) -> list:
-    """The atomic entries of ft's relation and of its base, each read through
-    the relation, that differ from a plain relation over the same collapse."""
+    """The atomic entries and the composite values of ft's relation and of
+    its base, each read through the relation, that differ from a plain
+    relation over the same collapse with the same class name registered.
+    Masks that are equal agree at every condition."""
     FR, plain = ft.relation, atomic_forcing(ft.fa, ())
+    plain.register_class(FR.classes["A"])
     keys = set(FR._atomic) | set(FR._base._atomic)
     assert len(keys) > len(FR._atomic)
-    return [key for key in keys if FR.atomic_value(*key) != plain.atomic_value(*key)]
+    wrong = [key for key in keys if FR.atomic_value(*key) != plain.atomic_value(*key)]
+    values = set(FR._values) | set(FR._base._values)
+    assert len(values) > len(FR._values)
+    for key in values:
+        phi, names = (key, ()) if isinstance(key, Formula) else key
+        env = dict(zip(phi.free_sorted, names))
+        if FR.value(phi, env) != plain.value(phi, env):
+            wrong.append(key)
+    return wrong
 
 
 def _criterion_4_holds(n, A, pool, structure=None) -> bool:
@@ -416,6 +429,17 @@ def test_a_relation_refuses_a_base_its_notion_does_not_extend_by_tokens():
             ForcingRelation(notion, (), base=base)
 
 
+def _passing_parameter_sets() -> dict:
+    """Stage n ↦ the masks of the A ⊆ V_n at which criterion 4 and
+    invariance hold."""
+    pool, passed = corpus.first_order_pool(), {}
+    for n in (2, 3):
+        stage = v_stage(n)
+        passed[n] = [mask for mask in range(1 << len(stage)) if _criterion_4_holds(
+            n, [stage[i] for i in range(len(stage)) if mask >> i & 1], pool)]
+    return passed
+
+
 @pytest.mark.parametrize("mutant", ["never", "always"])
 def test_a_lift_that_misplaces_the_token_bits_fails_criterion_4(monkeypatch, mutant):
     # a token bit that is never set, or always set: only A = ∅, with no
@@ -423,12 +447,24 @@ def test_a_lift_that_misplaces_the_token_bits_fails_criterion_4(monkeypatch, mut
     real = forcing_mod._token_lift
     monkeypatch.setattr(forcing_mod, "_token_lift", lambda P, B: tuple(
         (bit, bit if mutant == "never" else 0) for bit, _ in real(P, B)))
-    pool = corpus.first_order_pool()
-    for n in (2, 3):
-        stage = v_stage(n)
-        passed = [mask for mask in range(1 << len(stage)) if _criterion_4_holds(
-            n, [stage[i] for i in range(len(stage)) if mask >> i & 1], pool)]
-        assert passed == [0], n
+    assert _passing_parameter_sets() == {2: [0], 3: [0]}
+
+
+@pytest.mark.parametrize("mutant", ["never", "always"])
+def test_a_composite_lift_that_misplaces_the_token_bits_fails_criterion_4(monkeypatch, mutant):
+    # the same, with the atomic lift kept right: the token-bit helper errs
+    # only where `value` lifts a composite from the base
+    real = ForcingRelation._lifted
+
+    def lifted(self, out):
+        got = real(self, out)
+        if sys._getframe(1).f_code.co_name != "value":
+            return got
+        tokens = self.full & ~((1 << self._base_size) - 1)
+        return got & ~tokens if mutant == "never" else got | tokens
+
+    monkeypatch.setattr(ForcingRelation, "_lifted", lifted)
+    assert _passing_parameter_sets() == {2: [0], 3: [0]}
 
 
 def test_a_corrupted_base_entry_fails_criterion_4_at_every_parameter_set(
