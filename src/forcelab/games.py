@@ -50,6 +50,9 @@ class GameNode(NamedTuple):
     note: Mapping = _NO_NOTE
 
 
+_new_tuple = tuple.__new__
+
+
 class _NodeView(Mapping):
     """A game's columns read as GameNodes, built on each read; read-only."""
 
@@ -62,17 +65,21 @@ class _NodeView(Mapping):
         self._player, self._children, self._notes = player, children, notes
 
     def __getitem__(self, i: int) -> GameNode:
-        if i < self._least:
-            raise KeyError(i)
+        # a key that does not compare with the ids, or does not index a
+        # list, is absent, as it is from a dict
         try:
+            if i < self._least:
+                raise KeyError(i)
             children = self._children[i]
-        except IndexError:
+        except (IndexError, TypeError):
             raise KeyError(i) from None
-        note = self._notes.get(i) if self._notes else None
+        notes = self._notes
+        note = notes.get(i) if notes else None
         note = dict(note) if note else _NO_NOTE
+        # tuple.__new__ skips the named tuple's Python-level __new__
         if children:
-            return GameNode(i, self._player[i], children, None, note)
-        return GameNode(i, None, children, self._player[i], note)
+            return _new_tuple(GameNode, (i, self._player[i], children, None, note))
+        return _new_tuple(GameNode, (i, None, children, self._player[i], note))
 
     def __iter__(self) -> Iterator[int]:
         children = self._children
@@ -371,22 +378,39 @@ def zermelo_recursion_instance(T: GameTree):
 
 def random_game_tree(rng: random.Random, max_nodes: int = 200) -> GameTree:
     """A random finite game tree within the node budget, its nodes numbered
-    0..n-1 in the order they are made."""
+    0..n-1 in the order they are made.
+
+    The nodes are taken from a stack, the root first and a node's children
+    last to first, and each one draws from `rng` in this order, so that a
+    seed fixes its tree: `rng.random()`, unless the tree already has
+    `max_nodes` nodes or the node's depth exceeds 8 (the root's is 0), which
+    make it a terminal without that draw; a terminal (a draw below 0.25, or
+    either cap) then draws `rng.choice(["I", "II"])`, its winner, and an
+    inner node draws `rng.randint(1, 3)`, its width, cut to the nodes left,
+    and then `rng.choice(["I", "II"])`, its mover."""
+    draw, randint, choice = rng.random, rng.randint, rng.choice
+    sides = ["I", "II"]
     player: list[str | None] = [None]
     kids: list[tuple[int, ...]] = [()]
+    total = 1  # len(kids)
     frontier = [(0, 0)]
+    pop, push = frontier.pop, frontier.append
     while frontier:
-        ident, depth = frontier.pop()
-        total = len(kids)
-        if total >= max_nodes or depth > 8 or rng.random() < 0.25:
-            player[ident] = rng.choice(["I", "II"])
+        ident, depth = pop()
+        if total >= max_nodes or depth > 8 or draw() < 0.25:
+            player[ident] = choice(sides)
             continue
-        width = min(rng.randint(1, 3), max_nodes - total)
+        width = randint(1, 3)
+        if width > max_nodes - total:
+            width = max_nodes - total
         children = kids[ident] = tuple(range(total, total + width))
-        player.extend([None] * width)
-        kids.extend([()] * width)
-        player[ident] = rng.choice(["I", "II"])
-        frontier.extend((k, depth + 1) for k in children)
+        total += width
+        player += [None] * width
+        kids += [()] * width
+        player[ident] = choice(sides)
+        depth += 1
+        for k in children:
+            push((k, depth))
     return GameTree._of_columns(player, kids, {}, 0)
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import tracemalloc
 
@@ -193,8 +194,10 @@ def test_node_view_holds_exactly_the_defined_ids():
     assert list(T.nodes) == list(range(n))
     U = GameTree({-3: inner("I", (5,)), 5: (None, (), "II", {"role": "end"})}, -3)
     assert list(U.nodes) == [-3, 5] and U.nodes[5].note == {"role": "end"}
+    # keys that are not ids, even ones that do not compare with an int,
+    # are absent, as they are from a dict
     for view, absent in ((T.nodes, (-1, n)), (U.nodes, (-4, -1, 0, 6))):
-        for i in absent:
+        for i in (*absent, "a", None, 1.5, (), []):
             assert i not in view and view.get(i) is None
             with pytest.raises(KeyError):
                 view[i]
@@ -209,6 +212,42 @@ def test_a_node_reads_as_the_game_node_built_from_its_fields():
     # a node without a note has an empty one, built or read
     for node in (T.nodes[-3], T.nodes[5], GameNode(0, None, (), "I")):
         assert not node.note and len(node.note) == 0 and node.note == {}
+    # every read is a GameNode, not only equal to one: inner nodes and
+    # terminals, with and without a note, from dict and list columns
+    L = GameTree({0: ("I", (1, 2), None, {"role": "ask"}), 1: leaf("II"),
+                  2: (None, (), "I", {"role": "end"})}, 0)
+    assert L._children.__class__ is list and T._children.__class__ is dict
+    assert L.nodes[0] == GameNode(0, "I", (1, 2), None, {"role": "ask"})
+    for view in (T.nodes, L.nodes):
+        assert all(type(view[i]) is GameNode for i in view)
+
+
+# sha256 of repr([(T._player, T._children), ...]) for `count` trees drawn
+# one after another from random.Random(seed) with `max_nodes`, as the trees
+# were first recorded: a reordered, added or dropped draw changes them
+RANDOM_TREE_DIGESTS = {
+    # a lone terminal root
+    (1, 200, 1): "e1bed2fb0cf0c58b099360d77a723a49917b5ef57f3bad21a548d3647a185643",
+    # 163 nodes, down to the depth cap
+    (0, 200, 1): "377ff411544725ccc62be91c550dd4df742732823b8cdb1c01ec7df68ee2882f",
+    # stopped by the node cap above the depth cap
+    (5, 30, 1): "78b10f1154132f67605c2198f92a34a845900dc107015db05a13392d8e53ffc3",
+    # both caps
+    (10, 30, 1): "bfb9aff6687d1c10e3c2031109ebaa7a3cf713f67a11d48183743b808b8ed843",
+    # 271 nodes under a cap it never reaches
+    (5, 5000, 1): "2f67fd044d82736d446b3ad9d0042c3fbb58e601954f62d2dc62c2ad4fe09ba2",
+    # 163, 1, 200 and 96 nodes from one generator
+    (0, 200, 4): "ba956d92a5c40d7773ce8e456cb2f0ed66862e27fb171b0e8afb2f10b4445ffc",
+}
+
+
+@pytest.mark.parametrize("seed, max_nodes, count", RANDOM_TREE_DIGESTS)
+def test_random_trees_are_the_recorded_ones(seed, max_nodes, count):
+    rng = random.Random(seed)
+    columns = [(T._player, T._children)
+               for T in (random_game_tree(rng, max_nodes) for _ in range(count))]
+    digest = hashlib.sha256(repr(columns).encode()).hexdigest()
+    assert digest == RANDOM_TREE_DIGESTS[seed, max_nodes, count]
 
 
 def test_random_tree_rows_leave_the_garbage_collector():

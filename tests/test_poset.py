@@ -218,7 +218,15 @@ def _differences_from_reference(n, A):
     return [label for label, got, want in pairs if got != want]
 
 
-@pytest.mark.parametrize("n, A", list(_collapse_configurations()))
+def _configuration_id(n, A):
+    """The stage and the sorted positions of A in it, as `3-A{0,2}`: an id
+    that stays put when configurations are added or dropped."""
+    stage = v_stage(n)
+    return f"{n}-A{{{','.join(map(str, sorted(map(stage.index, A))))}}}"
+
+
+@pytest.mark.parametrize("n, A", [pytest.param(n, A, id=_configuration_id(n, A))
+                                  for n, A in _collapse_configurations()])
 def test_collapse_matches_all_pairs_reference(n, A):
     assert _differences_from_reference(n, A) == []
 
